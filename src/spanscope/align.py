@@ -15,9 +15,17 @@ Ties are broken deterministically: lower cost, then fewer insertions, then a
 fixed action preference (match, patched match, skip, insert, move to the
 smallest successor id), which keeps repeated runs byte-identical.
 
-Results are cached under the trace's shape signature. A cached path stores
-span slots (preorder indexes) instead of ids, so a hit rehydrates to a value
-identical to a fresh alignment.
+A PathCache memoises alignment at two levels. The trace level is keyed by
+the trace's shape signature (preorder function keys with nesting markers) and
+stores the whole path with span slots (preorder indexes) in place of ids, so
+a hit rehydrates to a value identical to a fresh alignment. The invocation
+level is keyed by a function and the callee key of each symbol aligned
+against it (None for an inserted unmapped span), which is everything the
+solver reads besides the graph; it stores the solver's action sequence, so a
+trace whose whole shape is new still reuses the invocations it shares with
+earlier traces. Both levels hold at most `capacity` entries each. Neither key
+names the graph, so a cache serves one frozen graph: align refuses a cache
+with a graph that can still change.
 """
 
 from __future__ import annotations
@@ -69,33 +77,66 @@ class ExecutionPath:
 
 
 class PathCache:
-    """Bounded LRU over trace-shape signatures; safe under concurrent use."""
+    """Two bounded LRU maps of alignment results for one frozen graph.
+
+    `lookup`/`store` hold whole-trace path templates keyed by
+    `trace_signature`; `hits`, `misses` and `len()` count this level.
+    `lookup_solve`/`store_solve` hold per-invocation solver results keyed by
+    `(function key, callee key or None per symbol)`, counted by `solve_hits`
+    and `solve_misses`. Each map holds at most `capacity` entries. Neither key
+    names the graph, so one cache must only ever see one frozen graph. Safe
+    under concurrent use.
+    """
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
+        self._solves: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.solve_hits = 0
+        self.solve_misses = 0
+
+    def _get(self, data: OrderedDict, key):
+        value = data.get(key)
+        if value is not None:
+            data.move_to_end(key)
+        return value
+
+    def _put(self, data: OrderedDict, key, value) -> None:
+        data[key] = value
+        data.move_to_end(key)
+        while len(data) > self.capacity:
+            data.popitem(last=False)
 
     def lookup(self, key):
         with self._lock:
-            tmpl = self._data.get(key)
+            tmpl = self._get(self._data, key)
             if tmpl is None:
                 self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
+            else:
+                self.hits += 1
             return tmpl
 
     def store(self, key, template) -> None:
         with self._lock:
-            self._data[key] = template
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+            self._put(self._data, key, template)
+
+    def lookup_solve(self, key):
+        with self._lock:
+            solved = self._get(self._solves, key)
+            if solved is None:
+                self.solve_misses += 1
+            else:
+                self.solve_hits += 1
+            return solved
+
+    def store_solve(self, key, solved) -> None:
+        with self._lock:
+            self._put(self._solves, key, solved)
 
     def __len__(self) -> int:
         with self._lock:
@@ -156,17 +197,18 @@ def _build_symbols(trace: Trace, spans, resolutions) -> list:
     return syms
 
 
-def _solve(graph: Cscfg, fn_key: str, syms: list, beam: int | None):
+def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
     """Optimal action sequence for one invocation.
 
-    Returns (cost, insertions, actions). Cost tuples order by total cost then
+    sym_fn holds the callee key of each symbol, None for an inserted unmapped
+    span. Returns (cost, insertions, actions) with actions a tuple of tuples,
+    or None when no path exists. Cost tuples order by total cost then
     insertion count; the greedy replay over goal distances applies the fixed
     action preference, so the result is deterministic.
     """
     sub = graph.subgraph(fn_key)
     mandatory = graph.dominance(fn_key).mandatory
-    n = len(syms)
-    sym_fn = [s.ref.key if isinstance(s, _SymCall) else None for s in syms]
+    n = len(sym_fn)
     start = (sub.entry, 0, 0)
     goal = (sub.exit, 0, n)
 
@@ -211,16 +253,10 @@ def _solve(graph: Cscfg, fn_key: str, syms: list, beam: int | None):
     dist = {goal: (0, 0)}
     heap = [((0, 0), 0, goal)]
     seq = 0
-    settled_per_i: dict[int, int] = {}
     while heap:
         d, _, state = heapq.heappop(heap)
         if dist.get(state, None) != d or state not in seen:
             continue
-        if beam is not None:
-            c = settled_per_i.get(state[2], 0)
-            if c > beam:
-                continue
-            settled_per_i[state[2]] = c + 1
         for src, cost in rev.get(state, ()):
             cand = (d[0] + cost[0], d[1] + cost[1])
             if cand < dist.get(src, (PROHIBITIVE_COST * 4, PROHIBITIVE_COST * 4)):
@@ -262,7 +298,7 @@ def _solve(graph: Cscfg, fn_key: str, syms: list, beam: int | None):
         else:
             acts.append(("move", node, name.split(">", 1)[1]))
         state = nxt
-    return total[0], total[1], acts
+    return total[0], total[1], tuple(acts)
 
 
 class _StepDraft:
@@ -280,14 +316,26 @@ class _StepDraft:
                         tuple(self.transit))
 
 
-def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inserts, beam):
+def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache | None):
+    if cache is None:
+        return _solve(graph, fn_key, sym_fn)
+    key = (fn_key, sym_fn)
+    solved = cache.lookup_solve(key)
+    if solved is None:
+        solved = _solve(graph, fn_key, sym_fn)
+        # no path is not stored: the trace fails, and None already means a miss
+        if solved is not None:
+            cache.store_solve(key, solved)
+    return solved
+
+
+def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inserts, cache):
     """Realize one invocation's alignment into the step builder."""
     syms = _build_symbols(trace, children, resolutions)
 
     def emit_insert(sym):
-        span = sym.span if isinstance(sym, _SymIns) else sym.span
-        builder.append(_StepDraft(KIND_INSERT, None, None, span.span_id))
-        inserts.append((fn_key, span.operation))
+        builder.append(_StepDraft(KIND_INSERT, None, None, sym.span.span_id))
+        inserts.append((fn_key, sym.span.operation))
 
     if not graph.has_body(fn_key):
         cost = ins = 0
@@ -297,12 +345,13 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
             ins += 1
             if isinstance(sym, _SymCall):
                 c, i = _emit_invocation(graph, trace, sym.ref.key, sym.children,
-                                        resolutions, builder, inserts, beam)
+                                        resolutions, builder, inserts, cache)
                 cost += c
                 ins += i
         return cost, ins
 
-    solved = _solve(graph, fn_key, syms, beam)
+    sym_fn = tuple(s.ref.key if isinstance(s, _SymCall) else None for s in syms)
+    solved = _solve_cached(graph, fn_key, sym_fn, cache)
     if solved is None:
         raise NoPathError(children[0].span_id if children else fn_key,
                           f"no path through function {fn_key!r}")
@@ -313,7 +362,7 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
             sym = syms[idx]
             builder.append(_StepDraft(KIND_MATCH, node, callee, sym.span.span_id))
             c, i = _emit_invocation(graph, trace, sym.ref.key, sym.children,
-                                    resolutions, builder, inserts, beam)
+                                    resolutions, builder, inserts, cache)
             cost += c
             ins += i
         elif act[0] == "skip":
@@ -324,7 +373,7 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
             emit_insert(sym)
             if isinstance(sym, _SymCall):
                 c, i = _emit_invocation(graph, trace, sym.ref.key, sym.children,
-                                        resolutions, builder, inserts, beam)
+                                        resolutions, builder, inserts, cache)
                 cost += c
                 ins += i
         else:
@@ -334,13 +383,15 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
 
 
 def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
-          cache: PathCache | None = None, resolutions: dict | None = None,
-          beam: int | None = None) -> ExecutionPath:
+          cache: PathCache | None = None, resolutions: dict | None = None) -> ExecutionPath:
     """Minimum-cost alignment of a trace onto the graph.
 
     Raises NoPathError when the root span does not resolve to a function the
-    graph knows. Every span of the trace links to exactly one step.
+    graph knows, and ValueError when given a cache with a graph that is not
+    frozen. Every span of the trace links to exactly one step.
     """
+    if cache is not None and not graph.frozen:
+        raise ValueError("a PathCache needs a frozen graph")
     if resolutions is None:
         resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
     sig = trace_signature(trace, resolutions)
@@ -361,7 +412,7 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
     ]
     inserts: list[tuple[str, str]] = []
     cost, ins = _emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
-                                 resolutions, builder, inserts, beam)
+                                 resolutions, builder, inserts, cache)
     path = ExecutionPath(tuple(s.freeze() for s in builder), cost, ins)
 
     linked = path.span_ids()

@@ -142,6 +142,9 @@ def cmd_sample(args) -> int:
     print(f"partition side {timing['partition_side_s']}s, "
           f"selection side {timing['selection_side_s']}s, "
           f"{timing['per_trace_ms']} ms/trace")
+    paths, solves = timing["path_cache"], timing["solve_cache"]
+    print(f"align cache: trace hits {paths['hits']}/{paths['hits'] + paths['misses']}, "
+          f"invocation hits {solves['hits']}/{solves['hits'] + solves['misses']}")
     return 0
 
 

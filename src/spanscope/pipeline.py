@@ -131,12 +131,24 @@ class SamplingPipeline:
         return self.scorebook.snapshot()
 
     def timing_report(self) -> dict:
+        """Wall-clock stage split plus deterministic counters.
+
+        `path_cache` counts whole-trace alignment hits and misses,
+        `solve_cache` per-invocation solver hits and misses; both stay 0
+        without a cache.
+        """
         total = sum(self.timings.values())
         per_trace = total / self.traces_seen if self.traces_seen else 0.0
+        paths = solves = (0, 0)
+        if self.cache is not None:
+            paths = (self.cache.hits, self.cache.misses)
+            solves = (self.cache.solve_hits, self.cache.solve_misses)
         return {
             "stages_s": {k: round(v, 6) for k, v in sorted(self.timings.items())},
             "partition_side_s": round(sum(self.timings[s] for s in PARTITION_STAGES), 6),
             "selection_side_s": round(self.timings[STAGE_SELECT], 6),
             "traces": self.traces_seen,
             "per_trace_ms": round(per_trace * 1000, 3),
+            "path_cache": {"hits": paths[0], "misses": paths[1]},
+            "solve_cache": {"hits": solves[0], "misses": solves[1]},
         }

@@ -5,7 +5,7 @@ import pytest
 from spanscope.align import PathCache, align, cache_lookup, trace_signature
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import NoPathError
-from spanscope.harness import SystemSpec, generate_traces
+from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import build_map
 
 from .conftest import make_span, make_trace, single_function_doc
@@ -37,6 +37,36 @@ def linear_trace(with_url=False, trace_id="t1"):
     if with_url:
         spans.append(make_span("u", trace_id=trace_id, parent="r",
                                operation="GET /api/x", start=50, duration=5))
+    return make_trace(spans, trace_id=trace_id)
+
+
+def nested_graph():
+    """Main.run calls Inner.h, whose body calls the leaf X.deep."""
+    inner = "svc:Inner.h"
+    doc = single_function_doc(
+        fn=FN,
+        blocks=[{"id": "b0", "callees": [inner]}],
+        edges=[], entry="b0", exits=["b0"],
+        extra_functions=[{
+            "function": inner,
+            "blocks": [{"id": "c0", "callees": ["svc:X.deep"]}],
+            "flow_edges": [], "entry": "c0", "exits": ["c0"],
+        }, {"function": "svc:X.deep"}],
+    )
+    return build_cscfg(doc)
+
+
+def nested_trace(trace_id, with_url):
+    spans = [
+        make_span("r", trace_id=trace_id, operation="Main.run", start=0, duration=100),
+        make_span("h", trace_id=trace_id, parent="r", operation="Inner.h", start=5,
+                  duration=50),
+        make_span("d", trace_id=trace_id, parent="h", operation="X.deep", start=10,
+                  duration=10),
+    ]
+    if with_url:
+        spans.append(make_span("u", trace_id=trace_id, parent="r",
+                               operation="GET /zz", start=60, duration=5))
     return make_trace(spans, trace_id=trace_id)
 
 
@@ -157,18 +187,7 @@ class TestOptimality:
             assert path.cost == expected, (trial, chosen, path.cost, expected)
 
     def test_nested_invocations_sum_costs(self):
-        inner = "svc:Inner.h"
-        doc = single_function_doc(
-            fn=FN,
-            blocks=[{"id": "b0", "callees": [inner]}],
-            edges=[], entry="b0", exits=["b0"],
-            extra_functions=[{
-                "function": inner,
-                "blocks": [{"id": "c0", "callees": ["svc:X.deep"]}],
-                "flow_edges": [], "entry": "c0", "exits": ["c0"],
-            }, {"function": "svc:X.deep"}],
-        )
-        graph = build_cscfg(doc).freeze()
+        graph = nested_graph().freeze()
         mapping = build_map(graph)
         spans = [
             make_span("r", operation="Main.run", start=0, duration=100),
@@ -244,6 +263,59 @@ class TestCache:
         assert cache_lookup(cache, key) is None
         align(self.graph, trace, self.mapping, cache)
         assert cache_lookup(cache, key) is not None
+
+
+def generated_samples(seed, n=200):
+    spec = SystemSpec(seed=seed, n_services=8, n_functions_per_service=8,
+                      branch_probability=0.3, url_span_probability=0.1)
+    doc, meta = generate_system(spec)
+    graph = build_cscfg(doc)
+    mapping = build_map(graph)
+    samples = list(generate_traces(graph, meta, spec, n))
+    graph.freeze()
+    return graph, mapping, samples
+
+
+class TestSolveCache:
+    def test_new_shape_reuses_shared_invocation(self):
+        graph = nested_graph().freeze()
+        mapping = build_map(graph)
+        cache = PathCache()
+        align(graph, nested_trace("t1", with_url=False), mapping, cache)
+        second = align(graph, nested_trace("t2", with_url=True), mapping, cache)
+        # the URL span changes Main.run's invocation, not Inner.h's
+        assert cache.hits == 0
+        assert cache.misses == 2
+        assert cache.solve_hits >= 1
+        assert second == align(graph, nested_trace("t2", with_url=True), mapping, None)
+
+    def test_cache_needs_frozen_graph(self):
+        graph = linear_graph()
+        mapping = build_map(graph)
+        trace = linear_trace()
+        assert align(graph, trace, mapping).cost == 0
+        with pytest.raises(ValueError):
+            align(graph, trace, mapping, PathCache())
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_shared_cache_equals_uncached(self, seed):
+        graph, mapping, samples = generated_samples(seed)
+        cache = PathCache()
+        for sample in samples:
+            cached = align(graph, sample.trace, mapping, cache)
+            assert cached == align(graph, sample.trace, mapping, None)
+        assert cache.misses > 0
+        assert cache.solve_hits > 0
+
+    def test_capacity_one_bounds_both_maps(self):
+        graph, mapping, samples = generated_samples(7, n=60)
+        cache = PathCache(capacity=1)
+        for sample in samples:
+            cached = align(graph, sample.trace, mapping, cache)
+            assert len(cache) <= 1
+            assert len(cache._solves) <= 1
+            assert cached == align(graph, sample.trace, mapping, None)
+        assert cache.solve_misses > 1
 
 
 class TestHarnessTraffic:
