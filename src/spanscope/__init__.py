@@ -1,6 +1,6 @@
 """Span-level trace sampling driven by call-site control-flow knowledge."""
 
-from .align import ExecutionPath, PathCache, PathStep, align, cache_lookup, trace_signature
+from .align import ExecutionPath, PathCache, PathStep, align, trace_signature
 from .cscfg import (
     Cscfg,
     DominanceInfo,
@@ -29,15 +29,14 @@ from .sampler import (
     SamplingConfig,
     SamplingDecision,
     allocate_budget,
-    record_decision,
     sample_trace,
 )
-from .scoring import P2Quantile, RunningMedian, ScoreBook, SpanStatWindow, ZScore, p2_update
+from .scoring import P2Quantile, RunningMedian, ScoreBook, SpanStatWindow, ZScore
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExecutionPath", "PathCache", "PathStep", "align", "cache_lookup", "trace_signature",
+    "ExecutionPath", "PathCache", "PathStep", "align", "trace_signature",
     "Cscfg", "DominanceInfo", "FunctionRef", "build_cscfg", "compute_dominance",
     "mutual_dominance_classes", "parse_function_key", "patch_with_traces",
     "SpanscopeError",
@@ -47,6 +46,6 @@ __all__ = [
     "SamplingPipeline",
     "ReconstructedTrace", "reconstruct", "structural_fidelity",
     "LrsLedger", "SamplingConfig", "SamplingDecision", "allocate_budget",
-    "record_decision", "sample_trace",
-    "P2Quantile", "RunningMedian", "ScoreBook", "SpanStatWindow", "ZScore", "p2_update",
+    "sample_trace",
+    "P2Quantile", "RunningMedian", "ScoreBook", "SpanStatWindow", "ZScore",
 ]

@@ -31,7 +31,6 @@ with a graph that can still change.
 from __future__ import annotations
 
 import heapq
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
@@ -84,8 +83,8 @@ class PathCache:
     `lookup_solve`/`store_solve` hold per-invocation solver results keyed by
     `(function key, callee key or None per symbol)`, counted by `solve_hits`
     and `solve_misses`. Each map holds at most `capacity` entries. Neither key
-    names the graph, so one cache must only ever see one frozen graph. Safe
-    under concurrent use.
+    names the graph, so one cache must only ever see one frozen graph. Like
+    the pipeline that owns it, a cache is used from one thread.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -94,7 +93,6 @@ class PathCache:
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
         self._solves: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.solve_hits = 0
@@ -113,39 +111,30 @@ class PathCache:
             data.popitem(last=False)
 
     def lookup(self, key):
-        with self._lock:
-            tmpl = self._get(self._data, key)
-            if tmpl is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return tmpl
+        """Hit returns the stored template, miss returns None."""
+        tmpl = self._get(self._data, key)
+        if tmpl is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return tmpl
 
     def store(self, key, template) -> None:
-        with self._lock:
-            self._put(self._data, key, template)
+        self._put(self._data, key, template)
 
     def lookup_solve(self, key):
-        with self._lock:
-            solved = self._get(self._solves, key)
-            if solved is None:
-                self.solve_misses += 1
-            else:
-                self.solve_hits += 1
-            return solved
+        solved = self._get(self._solves, key)
+        if solved is None:
+            self.solve_misses += 1
+        else:
+            self.solve_hits += 1
+        return solved
 
     def store_solve(self, key, solved) -> None:
-        with self._lock:
-            self._put(self._solves, key, solved)
+        self._put(self._solves, key, solved)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
-def cache_lookup(cache: PathCache, key):
-    """Hit returns the stored template, miss returns None."""
-    return cache.lookup(key)
+        return len(self._data)
 
 
 def trace_signature(trace: Trace, resolutions: dict) -> tuple:

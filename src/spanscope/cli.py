@@ -2,9 +2,9 @@
 
 Subcommands: build-graph, sample, reconstruct, eval, stats-export. A JSON
 configuration file may supply any option; explicit flags win over the file,
-which wins over defaults. Outputs are deterministic for a fixed seed with
---workers 1; wall-clock timings go to a separate timing.txt that is expected
-to differ between runs.
+which wins over defaults. Each command runs one single-threaded pipeline,
+so outputs are deterministic for fixed inputs and seed; wall-clock timings
+go to a separate timing.txt that is expected to differ between runs.
 
 Exit codes: 0 success, 1 input or pipeline error, 2 configuration error.
 Set SPANSCOPE_LOG=debug|info|warning to control verbosity.
@@ -23,7 +23,7 @@ from .cscfg import Cscfg, build_cscfg, patch_with_traces
 from .errors import ConfigError, SpanscopeError
 from .mapping import build_map, load_shared_dictionary
 from .model import read_trace_file, span_from_dict
-from .pipeline import SamplingPipeline
+from .pipeline import SamplingPipeline, write_timing
 from .reconstruct import reconstruct, structural_fidelity
 from .sampler import SamplingConfig, decision_from_dict
 from .scoring import load_snapshot, save_snapshot
@@ -111,7 +111,6 @@ def cmd_sample(args) -> int:
     graph = Cscfg.load_artifact(args.graph)
     mapping = _load_mapping(graph, args.shared_dict)
     pipeline = SamplingPipeline(graph, mapping, cfg)
-    workers = int(_setting(args, config, "workers", 1))
 
     os.makedirs(args.out, exist_ok=True)
     decisions_path = os.path.join(args.out, "decisions.ndjson")
@@ -119,7 +118,8 @@ def cmd_sample(args) -> int:
     total_spans = total_kept = 0
     with open(decisions_path, "w", encoding="utf-8") as dfh, \
             open(kept_path, "w", encoding="utf-8") as kfh:
-        for result in pipeline.process_many(read_trace_file(args.traces), workers=workers):
+        for trace in read_trace_file(args.traces):
+            result = pipeline.process(trace)
             dfh.write(result.decision.serialize() + "\n")
             kept_spans = [result.trace.span(sid).to_dict() for sid in result.decision.kept]
             kfh.write(json.dumps(
@@ -130,13 +130,7 @@ def cmd_sample(args) -> int:
 
     save_snapshot(pipeline.stats_snapshot(), os.path.join(args.out, "stats.json"))
     timing = pipeline.timing_report()
-    with open(os.path.join(args.out, "timing.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"traces {timing['traces']}\n")
-        fh.write(f"per_trace_ms {timing['per_trace_ms']}\n")
-        fh.write(f"partition_side_s {timing['partition_side_s']}\n")
-        fh.write(f"selection_side_s {timing['selection_side_s']}\n")
-        for stage, secs in timing["stages_s"].items():
-            fh.write(f"stage {stage} {secs}\n")
+    write_timing(timing, os.path.join(args.out, "timing.txt"))
     ratio = total_kept / total_spans if total_spans else 0.0
     print(f"sampled {timing['traces']} traces, effective ratio {ratio:.4f}")
     print(f"partition side {timing['partition_side_s']}s, "
@@ -172,7 +166,7 @@ def cmd_reconstruct(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "reconstructed.ndjson")
-    exact = n = 0
+    exact = n = err_n = 0
     err_sum = 0.0
     with open(out_path, "w", encoding="utf-8") as fh:
         with open(args.decisions, "r", encoding="utf-8") as dfh:
@@ -189,10 +183,12 @@ def cmd_reconstruct(args) -> int:
                     report = structural_fidelity(originals[decision.trace_id],
                                                  rebuilt, mapping)
                     exact += 1 if report.structure_exact else 0
-                    err_sum += report.duration_error
+                    # weighted by inferred spans, as in eval and the benchmark
+                    err_sum += report.duration_error * report.inferred_count
+                    err_n += report.inferred_count
     if originals and n:
         fidelity = {"structure_exact_rate": round(exact / n, 6),
-                    "mean_duration_error": round(err_sum / n, 6)}
+                    "mean_duration_error": round(err_sum / err_n if err_n else 0.0, 6)}
         with open(os.path.join(args.out, "fidelity.json"), "w", encoding="utf-8") as fh:
             json.dump(fidelity, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -264,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--ratio", type=float, help="sampling ratio p in (0,1]")
     ps.add_argument("--theta", type=float, help="threshold quantile (default 0.90)")
     ps.add_argument("--window", type=int, help="sliding window size (default 512)")
-    ps.add_argument("--seed", type=int, help="unused by sample; kept for config parity")
-    ps.add_argument("--workers", type=int, help="worker threads (default 1)")
     ps.add_argument("--shared-dict", help="shared-library dictionary")
     ps.add_argument("--config", help="JSON config file")
     ps.set_defaults(func=cmd_sample)

@@ -15,7 +15,6 @@ neither, which is exactly (A dom B and B pdom A) or the converse.
 from __future__ import annotations
 
 import json
-import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -121,10 +120,11 @@ def exit_node(function_key: str) -> str:
 class Cscfg:
     """The shared code-knowledge substrate.
 
-    Single-writer while building and patching; call freeze() before handing
-    the graph to concurrent readers. Dominance results are cached per
-    function under a lock. The alignment-insert sink stays mutable after
-    freeze; it records observational facts, not control flow.
+    Built and patched, then frozen before alignment uses it; like the
+    pipeline that owns it, a graph is used from one thread. Subgraphs and
+    dominance results are cached per function and cleared by every
+    mutation. The alignment-insert sink stays mutable after freeze; it
+    records observational facts, not control flow.
     """
 
     def __init__(self):
@@ -137,22 +137,17 @@ class Cscfg:
         self.call_edges: dict[tuple[str, str], str] = {}  # (block_id, callee key) -> provenance
         self._frozen = False
         self._dom_cache: dict[str, DominanceInfo] = {}
-        self._dom_lock = threading.Lock()
-        self._insert_lock = threading.Lock()
         self.alignment_inserts: Counter = Counter()  # (function key, operation) -> count
         self._synthetic_blocks: set[str] = set()
         self._sub_cache: dict[str, "FunctionSubgraph"] = {}
-        self._sub_lock = threading.Lock()
 
     # -- construction ----------------------------------------------------
 
     def _check_mutable(self):
         if self._frozen:
             raise GraphFrozenError("graph is frozen")
-        with self._sub_lock:
-            self._sub_cache.clear()
-        with self._dom_lock:
-            self._dom_cache.clear()
+        self._sub_cache.clear()
+        self._dom_cache.clear()
 
     def add_function(self, ref: FunctionRef) -> None:
         self._check_mutable()
@@ -249,8 +244,7 @@ class Cscfg:
         return False
 
     def subgraph(self, fn_key: str) -> "FunctionSubgraph":
-        with self._sub_lock:
-            sub = self._sub_cache.get(fn_key)
+        sub = self._sub_cache.get(fn_key)
         if sub is not None:
             return sub
         patched: dict[str, frozenset[str]] = {}
@@ -269,36 +263,26 @@ class Cscfg:
             emissions=emissions,
             patched=patched,
         )
-        with self._sub_lock:
-            self._sub_cache[fn_key] = sub
+        self._sub_cache[fn_key] = sub
         return sub
 
     def record_alignment_insert(self, fn_key: str, operation: str) -> None:
-        with self._insert_lock:
-            self.alignment_inserts[(fn_key, operation)] += 1
+        self.alignment_inserts[(fn_key, operation)] += 1
 
     def provenance_counts(self) -> dict[str, int]:
         counts = Counter(self.call_edges.values())
         counts.update(self._flow_prov.values())
-        with self._insert_lock:
-            counts[PROV_ALIGNMENT] += sum(self.alignment_inserts.values())
+        counts[PROV_ALIGNMENT] += sum(self.alignment_inserts.values())
         return dict(counts)
 
     # -- dominance -------------------------------------------------------
 
     def dominance(self, fn_key: str) -> DominanceInfo:
-        with self._dom_lock:
-            info = self._dom_cache.get(fn_key)
-        if info is not None:
-            return info
-        info = compute_dominance(self, fn_key)
-        with self._dom_lock:
+        info = self._dom_cache.get(fn_key)
+        if info is None:
+            info = compute_dominance(self, fn_key)
             self._dom_cache[fn_key] = info
         return info
-
-    def _invalidate_dominance(self, fn_key: str) -> None:
-        with self._dom_lock:
-            self._dom_cache.pop(fn_key, None)
 
     # -- serialization ---------------------------------------------------
 
@@ -668,5 +652,4 @@ def _append_synthetic_block(graph: Cscfg, fn_key: str, callee_key: str) -> str:
         graph.add_flow_edge(fn_key, ent, block_id, provenance=PROV_DYNAMIC)
         graph.add_flow_edge(fn_key, ent, ext, provenance=PROV_DYNAMIC)
     graph.add_flow_edge(fn_key, block_id, ext, provenance=PROV_DYNAMIC)
-    graph._invalidate_dominance(fn_key)
     return block_id

@@ -29,7 +29,7 @@ from .cscfg import SHARED_SERVICE, Cscfg, build_cscfg, entry_node
 from .errors import InvalidSpecError, UnknownFaultTargetError
 from .mapping import build_map
 from .model import Span, Trace, exclusive_durations
-from .pipeline import PARTITION_STAGES, STAGE_SELECT, SamplingPipeline
+from .pipeline import PARTITION_STAGES, STAGE_SELECT, SamplingPipeline, write_timing
 from .sampler import SamplingConfig
 from .scoring import P2Quantile, ScoreBook
 
@@ -761,13 +761,6 @@ def write_report_files(report: EvalReport, out_dir) -> list[str]:
     written.append(path)
 
     path = os.path.join(out_dir, "timing.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        t = report.timings
-        fh.write(f"traces {t['traces']}\n")
-        fh.write(f"per_trace_ms {t['per_trace_ms']}\n")
-        fh.write(f"partition_side_s {t['partition_side_s']}\n")
-        fh.write(f"selection_side_s {t['selection_side_s']}\n")
-        for stage, secs in t["stages_s"].items():
-            fh.write(f"stage {stage} {secs}\n")
+    write_timing(report.timings, path)
     written.append(path)
     return written

@@ -10,7 +10,7 @@ values, never dropped silently.
 
 from __future__ import annotations
 
-import threading
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .cscfg import SHARED_SERVICE, Cscfg, FunctionRef
@@ -20,6 +20,9 @@ from .model import Span
 REASON_NO_FUNCTION_FORM = "no-function-form"
 REASON_UNKNOWN_SERVICE = "unknown-service"
 REASON_UNKNOWN_FUNCTION = "unknown-function"
+
+# most recent misses kept with their ids; older ones survive only as counts
+MISS_LOG_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -59,20 +62,22 @@ def normalize_operation(operation: str) -> tuple[str, str] | None:
 class SpanFunctionMap:
     """Immutable resolver built from a graph plus a shared-library dictionary.
 
-    resolve() is a pure function of the map and the span; the miss log is the
-    only mutable state and is guarded by a lock.
+    resolve() is a pure function of the map and the span. The only mutable
+    state is the miss record: `miss_counts` counts every miss by reason and
+    `miss_log` keeps the last MISS_LOG_CAPACITY as (trace_id, span_id,
+    reason). Like the pipeline that owns it, a map is used from one thread.
     """
 
     def __init__(self, service_index: dict[str, dict[tuple[str, str], FunctionRef]],
                  shared: dict[tuple[str, str], FunctionRef]):
         self._service_index = service_index
         self._shared = shared
-        self._miss_lock = threading.Lock()
-        self.miss_log: list[tuple[str, str, str]] = []  # (trace_id, span_id, reason)
+        self.miss_log: deque[tuple[str, str, str]] = deque(maxlen=MISS_LOG_CAPACITY)
+        self.miss_counts: Counter = Counter()
 
     def _miss(self, span: Span, reason: str) -> Unmapped:
-        with self._miss_lock:
-            self.miss_log.append((span.trace_id, span.span_id, reason))
+        self.miss_log.append((span.trace_id, span.span_id, reason))
+        self.miss_counts[reason] += 1
         return Unmapped(reason)
 
     def resolve(self, span: Span) -> FunctionRef | Unmapped:

@@ -5,17 +5,13 @@ the scoring windows and the selection ledger. Traces stream through one at a
 time with bounded memory; per-stage wall time is accumulated so the cost
 split between trace partitioning and span selection stays observable.
 
-Worker pools parallelize the read-only stages; selection updates shared
-state and is serialized, so decisions under more than one worker may differ
-in their least-recently-sampled fills. Run with one worker for byte
-reproducibility.
+A pipeline and the graph, map, cache and score book it owns are used from
+one thread, so equal inputs give byte-identical decisions.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .align import ExecutionPath, PathCache, align
@@ -70,7 +66,6 @@ class SamplingPipeline:
             STAGE_SELECT: 0.0, STAGE_RECONSTRUCT: 0.0,
         }
         self.traces_seen = 0
-        self._select_lock = threading.Lock()
 
     def _timed(self, stage: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
@@ -98,23 +93,13 @@ class SamplingPipeline:
         path, dss_list, resolutions, keys, exclusive = self.partition_trace(trace)
         root_res = resolutions[trace.root.span_id]
         entry = root_res.key if isinstance(root_res, FunctionRef) else None
-        with self._select_lock:
-            decision = self._timed(
-                STAGE_SELECT, sample_trace, trace, dss_list, self.scorebook,
-                self.ledger, self.cfg, keys, exclusive,
-                entry=entry, forks=path_forks(path, self.graph),
-            )
+        decision = self._timed(
+            STAGE_SELECT, sample_trace, trace, dss_list, self.scorebook,
+            self.ledger, self.cfg, keys, exclusive,
+            entry=entry, forks=path_forks(path, self.graph),
+        )
         self.traces_seen += 1
         return TraceResult(trace, decision, dss_list, path)
-
-    def process_many(self, traces, workers: int = 1):
-        if workers <= 1:
-            for trace in traces:
-                yield self.process(trace)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(self.process, traces):
-                yield result
 
     def reconstruct_result(self, result: TraceResult,
                            stats: dict | None = None) -> ReconstructedTrace:
@@ -152,3 +137,14 @@ class SamplingPipeline:
             "path_cache": {"hits": paths[0], "misses": paths[1]},
             "solve_cache": {"hits": solves[0], "misses": solves[1]},
         }
+
+
+def write_timing(timing: dict, path) -> None:
+    """Write a timing_report() as the line-per-value timing.txt."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"traces {timing['traces']}\n")
+        fh.write(f"per_trace_ms {timing['per_trace_ms']}\n")
+        fh.write(f"partition_side_s {timing['partition_side_s']}\n")
+        fh.write(f"selection_side_s {timing['selection_side_s']}\n")
+        for stage, secs in timing["stages_s"].items():
+            fh.write(f"stage {stage} {secs}\n")

@@ -142,6 +142,7 @@ class LrsLedger:
         return (picks[-1], len(picks))
 
     def note(self, keys) -> None:
+        """Advance by one decision; old entries decay past the horizon."""
         self.seq += 1
         for key in set(keys):
             self._picks.setdefault(key, deque()).append(self.seq)
@@ -166,12 +167,6 @@ def allocate_budget(dss_list, p: float) -> list[int]:
         return [1] * n
     leftover = total_budget - n
     return [1 + (leftover * size) // total_spans for size in sizes]
-
-
-def record_decision(ledger: LrsLedger, decision: SamplingDecision) -> LrsLedger:
-    """Advance the ledger by one decision; old entries decay past the horizon."""
-    ledger.note(decision.kept_keys)
-    return ledger
 
 
 def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: ScoreBook,
@@ -245,7 +240,7 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
         kept_keys=tuple(sorted({span_keys[s] for s in kept_sorted})),
         forks=forks,
     )
-    record_decision(ledger, decision)
+    ledger.note(decision.kept_keys)
     return decision
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import statistics
-import threading
 from collections import Counter, deque
 from typing import NamedTuple
 
@@ -110,12 +109,6 @@ class P2Quantile:
             frac = rank - lo
             return ordered[lo] * (1 - frac) + ordered[hi] * frac
         return self.heights[2]
-
-
-def p2_update(estimator: P2Quantile, x: float) -> P2Quantile:
-    """Feed one observation; returns the same estimator for chaining."""
-    estimator.update(x)
-    return estimator
 
 
 class RunningMedian:
@@ -247,8 +240,7 @@ class SpanStatWindow:
     observe() scores against the statistics in place before the new value is
     inserted; the first min_obs observations score 0 so cold windows flag
     nothing. Exact mode recomputes median and MAD by sorting and exists for
-    oracle tests. Updates to one window must be serialized by the caller;
-    distinct keys are independent.
+    oracle tests. Distinct keys are independent.
     """
 
     def __init__(self, key: str, window: int = DEFAULT_WINDOW, min_obs: int = DEFAULT_MIN_OBS,
@@ -353,9 +345,8 @@ class SpanStatWindow:
 class ScoreBook:
     """All per-key windows plus snapshot export.
 
-    One window per key; per-key updates are serialized with a single lock
-    held only around window creation and mutation, so distinct keys stay
-    cheap and thresholds may trail writers by at most one observation.
+    One window per key, created on first use. Like the pipeline that owns
+    it, a score book is used from one thread.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW, min_obs: int = DEFAULT_MIN_OBS,
@@ -366,17 +357,13 @@ class ScoreBook:
         self.theta = theta
         self.exact = exact
         self._windows: dict[str, SpanStatWindow] = {}
-        self._lock = threading.Lock()
 
     def window_for(self, key: str) -> SpanStatWindow:
         win = self._windows.get(key)
         if win is None:
-            with self._lock:
-                win = self._windows.get(key)
-                if win is None:
-                    win = SpanStatWindow(key, self.window, self.min_obs,
-                                         self.z_cap, self.theta, self.exact)
-                    self._windows[key] = win
+            win = SpanStatWindow(key, self.window, self.min_obs,
+                                 self.z_cap, self.theta, self.exact)
+            self._windows[key] = win
         return win
 
     def observe(self, key: str, x: float) -> ZScore:

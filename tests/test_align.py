@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spanscope.align import PathCache, align, cache_lookup, trace_signature
+from spanscope.align import PathCache, align, trace_signature
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import NoPathError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
@@ -255,14 +255,14 @@ class TestCache:
         assert cache.hits == 0
         assert cache.misses == 4
 
-    def test_cache_lookup_function(self):
+    def test_lookup_misses_then_hits(self):
         cache = PathCache()
         trace = linear_trace()
         res = {s.span_id: self.mapping.resolve(s) for s in trace.spans}
         key = trace_signature(trace, res)
-        assert cache_lookup(cache, key) is None
+        assert cache.lookup(key) is None
         align(self.graph, trace, self.mapping, cache)
-        assert cache_lookup(cache, key) is not None
+        assert cache.lookup(key) is not None
 
 
 def generated_samples(seed, n=200):

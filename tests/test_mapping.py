@@ -3,6 +3,7 @@ import pytest
 from spanscope.cscfg import SHARED_SERVICE, FunctionRef, build_cscfg
 from spanscope.errors import DuplicateSharedEntryError
 from spanscope.mapping import (
+    MISS_LOG_CAPACITY,
     REASON_NO_FUNCTION_FORM,
     REASON_UNKNOWN_FUNCTION,
     REASON_UNKNOWN_SERVICE,
@@ -100,6 +101,20 @@ class TestResolve:
         assert misses == 2
         assert len(mapping.miss_log) == 2
         assert {m[1] for m in mapping.miss_log} == {"b", "c"}
+
+    def test_miss_log_bounded_and_counts_exact(self):
+        mapping = build_map(order_graph())
+        misses = [("GET /x", "ts-order-service", REASON_NO_FUNCTION_FORM),
+                  ("C.f", "zzz", REASON_UNKNOWN_SERVICE),
+                  ("OrderService.zzz", "ts-order-service", REASON_UNKNOWN_FUNCTION)]
+        for i in range(10_000):
+            op, service, _ = misses[i % 3]
+            mapping.resolve(make_span(f"s{i}", operation=op, service=service))
+        assert len(mapping.miss_log) <= MISS_LOG_CAPACITY
+        assert mapping.miss_log[-1] == ("t1", "s9999", REASON_NO_FUNCTION_FORM)
+        assert mapping.miss_counts == {REASON_NO_FUNCTION_FORM: 3334,
+                                       REASON_UNKNOWN_SERVICE: 3333,
+                                       REASON_UNKNOWN_FUNCTION: 3333}
 
 
 class TestBuildMap:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from spanscope import cli
@@ -6,6 +8,7 @@ from spanscope.harness import SystemSpec, generate_system, generate_traces, make
 from spanscope.mapping import build_map
 from spanscope.model import serialize_trace
 from spanscope.pipeline import SamplingPipeline
+from spanscope.reconstruct import structural_fidelity
 from spanscope.sampler import SamplingConfig
 
 # many trace shapes and URL wrapper spans, so the trace-level cache misses
@@ -78,3 +81,65 @@ def test_sample_command_prints_cache_counters(workload, tmp_path, capsys):
                 if l.startswith("align cache:"))
     assert line.startswith("align cache: trace hits ")
     assert "/50, invocation hits " in line
+
+
+def write_cli_inputs(workload, tmp_path, n):
+    """Graph artifact and trace file for the first n traces; returns their paths."""
+    doc, traces = workload
+    graph_path, trace_path = tmp_path / "graph.json", tmp_path / "traces.ndjson"
+    build_cscfg(doc).freeze().save_artifact(str(graph_path))
+    trace_path.write_text("".join(serialize_trace(t) + "\n" for t in traces[:n]),
+                          encoding="utf-8")
+    return str(graph_path), str(trace_path)
+
+
+def test_sample_command_repeats_byte_identical(workload, tmp_path):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 100)
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                         "--out", str(out)]) == 0
+        outputs.append((out / "decisions.ndjson").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 100
+
+
+def test_sample_then_reconstruct_weights_duration_error_by_inferred_spans(
+        workload, tmp_path):
+    n = 150
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, n)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out), "--ratio", "0.3"]) == 0
+    timing_keys = [line.split()[0] for line in (out / "timing.txt").read_text().splitlines()]
+    assert timing_keys[:4] == ["traces", "per_trace_ms", "partition_side_s",
+                               "selection_side_s"]
+    assert set(timing_keys[4:]) == {"stage"}
+    assert cli.main(["reconstruct", "--graph", graph_path,
+                     "--decisions", str(out / "decisions.ndjson"),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                     "--traces", trace_path, "--out", str(out)]) == 0
+    fidelity = json.loads((out / "fidelity.json").read_text())
+
+    doc, traces = workload
+    graph = build_cscfg(doc)
+    mapping = build_map(graph)
+    pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3))
+    results = [pipeline.process(t) for t in traces[:n]]
+    stats = pipeline.stats_snapshot()
+    reports = [structural_fidelity(r.trace, pipeline.reconstruct_result(r, stats), mapping)
+               for r in results]
+    err_sum = sum(r.duration_error * r.inferred_count for r in reports)
+    inferred = sum(r.inferred_count for r in reports)
+    weighted = err_sum / inferred
+    # the per-trace mean differs here, so the check tells the two apart
+    assert round(weighted, 6) != round(sum(r.duration_error for r in reports) / n, 6)
+    assert fidelity["mean_duration_error"] == round(weighted, 6)
+
+
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--seed", "1"]])
+def test_sample_rejects_removed_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--graph", "g", "--traces", "t", "--out", str(tmp_path)] + flag)
+    assert exc.value.code == 2

@@ -10,7 +10,6 @@ from spanscope.sampler import (
     SamplingDecision,
     allocate_budget,
     decision_from_dict,
-    record_decision,
     sample_trace,
 )
 from spanscope.scoring import ScoreBook
@@ -190,7 +189,7 @@ class TestLedger:
     def test_first_decision_counts_once(self):
         ledger = LrsLedger(100)
         decision = SamplingDecision("t", ("s1",), "e", (), 1.0, kept_keys=("k1",))
-        record_decision(ledger, decision)
+        ledger.note(decision.kept_keys)
         assert ledger.sampled_count("k1") == 1
         assert ledger.sampled_count("other") == 0
         assert ledger.last_sampled("k1") == 1
@@ -208,14 +207,14 @@ class TestLedger:
     def test_horizon_decay(self):
         ledger = LrsLedger(2)
         for i in range(3):
-            record_decision(ledger, SamplingDecision(
-                f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)))
+            ledger.note(SamplingDecision(
+                f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)).kept_keys)
         assert ledger.sampled_count("k") == 2  # the first decision decayed out
 
     def test_stats_match_separate_queries(self):
         ledger = LrsLedger(50)
         for i in range(5):
-            record_decision(ledger, SamplingDecision(
-                f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)))
+            ledger.note(SamplingDecision(
+                f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)).kept_keys)
         assert ledger.stats("k") == (ledger.last_sampled("k"), ledger.sampled_count("k"))
         assert ledger.stats("none") == (-1, 0)

@@ -8,7 +8,6 @@ from spanscope.scoring import (
     ScoreBook,
     SpanStatWindow,
     Welford,
-    p2_update,
 )
 
 from .oracles import exact_quantile
@@ -18,7 +17,7 @@ class TestP2Quantile:
     def test_first_five_sorted_exactly(self):
         est = P2Quantile(0.5)
         for x in [5, 1, 4, 2, 3]:
-            p2_update(est, x)
+            est.update(x)
         assert est.heights == [1, 2, 3, 4, 5]
         assert est.value() == 3
 
