@@ -166,7 +166,7 @@ def cmd_reconstruct(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "reconstructed.ndjson")
-    exact = n = err_n = 0
+    exact = n = compared = err_n = 0
     err_sum = 0.0
     with open(out_path, "w", encoding="utf-8") as fh:
         with open(args.decisions, "r", encoding="utf-8") as dfh:
@@ -182,12 +182,13 @@ def cmd_reconstruct(args) -> int:
                 if decision.trace_id in originals:
                     report = structural_fidelity(originals[decision.trace_id],
                                                  rebuilt, mapping)
+                    compared += 1
                     exact += 1 if report.structure_exact else 0
                     # weighted by inferred spans, as in eval and the benchmark
                     err_sum += report.duration_error * report.inferred_count
                     err_n += report.inferred_count
-    if originals and n:
-        fidelity = {"structure_exact_rate": round(exact / n, 6),
+    if compared:
+        fidelity = {"structure_exact_rate": round(exact / compared, 6),
                     "mean_duration_error": round(err_sum / err_n if err_n else 0.0, 6)}
         with open(os.path.join(args.out, "fidelity.json"), "w", encoding="utf-8") as fh:
             json.dump(fidelity, fh, sort_keys=True, indent=1)

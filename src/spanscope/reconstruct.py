@@ -11,9 +11,10 @@ Decisions produced by the sampler carry the entry function and the ordered
 fork choices of the original path, so replay is exact. Decisions without
 fork records fall back to a search over paths consistent with the kept
 spans' functions; if more than one structurally distinct path fits, the
-reconstruction refuses and reports the candidate branches. Because the
-sampler keeps at least one span per dominant span set, every branch of a
-sampler decision is witnessed and the search cannot be ambiguous for them.
+reconstruction refuses with AmbiguousPathError and reports the candidate
+branches. Keeping one span per dominant span set does not witness every
+branch (a span after a join falls into the branch's set), so the search can
+be ambiguous for sampler decisions stripped of their fork records.
 
 Unmapped kept spans have no place on the graph; they re-attach under their
 original parent when it was kept, else under the tightest containing sampled
@@ -83,7 +84,8 @@ class ReconstructedTrace:
 
 
 class _Node:
-    __slots__ = ("fn", "block", "span", "children", "lo", "hi", "source", "std")
+    __slots__ = ("fn", "block", "span", "children", "lo", "hi", "alo", "ahi",
+                 "width", "source", "std")
 
     def __init__(self, fn: str, block: str | None, span: Span | None):
         self.fn = fn
@@ -92,6 +94,9 @@ class _Node:
         self.children: list[_Node] = []
         self.lo = 0
         self.hi = 0
+        self.alo: int | None = None  # earliest sampled start in the subtree
+        self.ahi: int | None = None  # latest sampled end in the subtree
+        self.width = 0  # natural width, set by _measure
         self.source: str | None = None
         self.std: float | None = None
 
@@ -263,84 +268,84 @@ def _derive_search(graph, entry_key, kept_seq, trace_id) -> _Node:
     return root
 
 
-def _stat(stats: dict, key: str):
-    entry = stats.get("keys", {}).get(key)
-    if entry is None or entry.get("count", 0) == 0:
-        return None
-    return entry
+def _measure(root: _Node, stats: dict) -> None:
+    """Store anchor bounds and natural width on every node, children first.
+
+    Each node is visited once and reads only its own span or statistics and
+    what its children already store. An inferred node's width is its
+    historical mean (source and std are set here) plus its children's
+    widths, stretched to cover its sampled descendants.
+    """
+    keys = stats.get("keys", {})
+    order = [root]
+    for node in order:  # breadth-first, so every child follows its parent
+        order.extend(node.children)
+    for node in reversed(order):
+        span = node.span
+        lo = hi = None
+        if span is not None:
+            lo, hi = span.start_time, span.end_time
+        kids_width = 0
+        for c in node.children:
+            if c.alo is not None:
+                lo = c.alo if lo is None else min(lo, c.alo)
+                hi = c.ahi if hi is None else max(hi, c.ahi)
+            kids_width += c.width
+        node.alo, node.ahi = lo, hi
+        if span is not None:
+            node.width = span.duration
+            continue
+        entry = keys.get(node.fn)
+        if entry is None or entry.get("count", 0) == 0:
+            base = 0
+            node.source = SOURCE_ZERO
+            node.std = None
+        else:
+            base = max(0, int(round(entry["mean"])))
+            node.source = SOURCE_HISTORICAL
+            node.std = round(float(entry["std"]), 3)
+        width = base + kids_width
+        if lo is not None:
+            width = max(width, hi - lo)
+        node.width = width
 
 
-def _natural_width(node: _Node, stats: dict) -> int:
-    if node.span is not None:
-        return node.span.duration
-    entry = _stat(stats, node.fn)
-    if entry is None:
-        base = 0
-        node.source = SOURCE_ZERO
-        node.std = None
-    else:
-        base = max(0, int(round(entry["mean"])))
-        node.source = SOURCE_HISTORICAL
-        node.std = round(float(entry["std"]), 3)
-    width = base + sum(_natural_width(c, stats) for c in node.children)
-    lo, hi = _anchor_bounds(node)
-    if lo is not None:
-        width = max(width, hi - lo)
-    return width
+def _place(root: _Node, lo: int, hi: int) -> None:
+    """Assign [lo, hi) to the root and an interval to every node below it.
 
-
-def _anchor_bounds(node: _Node):
-    lo = hi = None
-    if node.span is not None:
-        lo, hi = node.span.start_time, node.span.end_time
-    for c in node.children:
-        clo, chi = _anchor_bounds(c)
-        if clo is not None:
-            lo = clo if lo is None else min(lo, clo)
-            hi = chi if hi is None else max(hi, chi)
-    return lo, hi
-
-
-def _place(node: _Node, lo: int, hi: int, stats: dict, widths: dict) -> None:
-    """Assign [lo, hi) to an inferred node's children; sampled spans anchor."""
-    node.lo, node.hi = lo, hi
-    cursor = lo
-    kids = node.children
-    for idx, child in enumerate(kids):
-        if child.span is not None:
-            clo, chi = child.span.start_time, child.span.end_time
-            _place_children_of_sampled(child, stats, widths)
+    Needs _measure first. Each node is visited once and places its children
+    from its own interval and their stored anchors and widths alone. Sampled
+    spans keep their times; inferred ones are packed left to right, bending
+    around the anchors of later siblings.
+    """
+    root.lo, root.hi = lo, hi
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = node.children
+        if not kids:
+            continue
+        lo, hi = node.lo, node.hi
+        # limits[i]: start of the first anchored sibling after kids[i], else hi
+        limits = [hi] * len(kids)
+        nxt = hi
+        for idx in range(len(kids) - 1, 0, -1):
+            if kids[idx].alo is not None:
+                nxt = kids[idx].alo
+            limits[idx - 1] = nxt
+        cursor = lo
+        for child, limit in zip(kids, limits):
+            if child.span is not None:
+                clo, chi = child.span.start_time, child.span.end_time
+            elif child.alo is not None:
+                clo = child.alo
+                chi = max(child.ahi, min(clo + child.width, hi) if hi > clo else child.ahi)
+            else:
+                clo = cursor
+                chi = clo + min(child.width, max(0, limit - cursor))
             child.lo, child.hi = clo, chi
             cursor = max(cursor, chi)
-            continue
-        alo, ahi = _anchor_bounds(child)
-        w = widths[id(child)]
-        if alo is not None:
-            clo = alo
-            chi = max(ahi, min(alo + w, hi) if hi > alo else ahi)
-        else:
-            nxt = hi
-            for later in kids[idx + 1:]:
-                blo, _ = _anchor_bounds(later)
-                if blo is not None:
-                    nxt = blo
-                    break
-            avail = max(0, nxt - cursor)
-            clo = cursor
-            chi = clo + min(w, avail)
-        _place(child, clo, chi, stats, widths)
-        cursor = max(cursor, chi)
-
-
-def _place_children_of_sampled(node: _Node, stats: dict, widths: dict) -> None:
-    _place(node, node.span.start_time, node.span.end_time, stats, widths)
-    node.lo, node.hi = node.span.start_time, node.span.end_time
-
-
-def _collect_widths(node: _Node, stats: dict, widths: dict) -> None:
-    widths[id(node)] = _natural_width(node, stats)
-    for c in node.children:
-        _collect_widths(c, stats, widths)
+        stack.extend(kids)
 
 
 def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg,
@@ -376,38 +381,33 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     else:
         root = _derive_search(graph, decision.entry, kept_seq, decision.trace_id)
 
-    widths: dict[int, int] = {}
-    _collect_widths(root, stats, widths)
-
+    _measure(root, stats)
     # root interval: verbatim when sampled, otherwise anchored left on the
     # earliest sampled evidence (orphans included so they stay containable)
     if root.span is not None:
-        _place_children_of_sampled(root, stats, widths)
+        lo, hi = root.span.start_time, root.span.end_time
     else:
-        alo, _ahi = _anchor_bounds(root)
+        alo = root.alo
         for o in orphans:
             alo = o.start_time if alo is None else min(alo, o.start_time)
         lo = alo if alo is not None else 0
-        hi = lo + widths[id(root)]
+        hi = lo + root.width
         for o in orphans:
             hi = max(hi, o.end_time)
-        _place(root, lo, hi, stats, widths)
+    _place(root, lo, hi)
 
+    # preorder; an inferred span's id carries its preorder index
     rspans: list[ReconstructedSpan] = []
-    kept_ids = {s.span_id for s in kept_spans}
-    counter = 0
-
-    def materialize(node: _Node, parent_id: str | None) -> None:
-        nonlocal counter
-        index = counter
-        counter += 1
+    stack: list[tuple[_Node, str | None]] = [(root, None)]
+    while stack:
+        node, parent_id = stack.pop()
         if node.span is not None:
             span = node.span if node.span.parent_id == parent_id else node.span.with_parent(parent_id)
             rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, node.fn))
             sid = span.span_id
         else:
             ref = parse_function_key(node.fn)
-            sid = f"{decision.trace_id}:inf:{index}"
+            sid = f"{decision.trace_id}:inf:{len(rspans)}"
             span = Span(
                 span_id=sid,
                 trace_id=decision.trace_id,
@@ -420,18 +420,17 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
             )
             rspans.append(ReconstructedSpan(span, ORIGIN_INFERRED, node.fn,
                                             node.source, node.std))
-        for child in node.children:
-            materialize(child, sid)
-
-    materialize(root, None)
+        stack.extend((c, sid) for c in reversed(node.children))
 
     root_id = rspans[0].span.span_id
     sampled_sorted = sorted(
         (r.span for r in rspans if r.origin == ORIGIN_SAMPLED),
         key=lambda s: (s.duration, s.span_id),
     )
+    # orphans are kept spans, so this set holds the ids appended below too
+    known_ids = {s.span_id for s in kept_spans} | {r.span.span_id for r in rspans}
     for orphan in orphans:
-        if orphan.parent_id in kept_ids or orphan.parent_id in {r.span.span_id for r in rspans}:
+        if orphan.parent_id in known_ids:
             parent = orphan.parent_id
         else:
             parent = None

@@ -177,3 +177,108 @@ def oracle_invocation_cost(graph, fn_key: str, symbol_fns: list, cap: int = 200)
         if best is None or cost < best:
             best = cost
     return best
+
+
+# Reference layout for rebuilt traces: the recursive walks reconstruct used
+# before its single measuring pass, kept unchanged. Widths and anchors are
+# recomputed from every ancestor, so this is quadratic and only fit for tests.
+
+SOURCE_HISTORICAL = "historical-mean"
+SOURCE_ZERO = "zero-fallback"
+
+
+def _stat(stats: dict, key: str):
+    entry = stats.get("keys", {}).get(key)
+    if entry is None or entry.get("count", 0) == 0:
+        return None
+    return entry
+
+
+def _natural_width(node, stats: dict) -> int:
+    if node.span is not None:
+        return node.span.duration
+    entry = _stat(stats, node.fn)
+    if entry is None:
+        base = 0
+        node.source = SOURCE_ZERO
+        node.std = None
+    else:
+        base = max(0, int(round(entry["mean"])))
+        node.source = SOURCE_HISTORICAL
+        node.std = round(float(entry["std"]), 3)
+    width = base + sum(_natural_width(c, stats) for c in node.children)
+    lo, hi = _anchor_bounds(node)
+    if lo is not None:
+        width = max(width, hi - lo)
+    return width
+
+
+def _anchor_bounds(node):
+    lo = hi = None
+    if node.span is not None:
+        lo, hi = node.span.start_time, node.span.end_time
+    for c in node.children:
+        clo, chi = _anchor_bounds(c)
+        if clo is not None:
+            lo = clo if lo is None else min(lo, clo)
+            hi = chi if hi is None else max(hi, chi)
+    return lo, hi
+
+
+def _place(node, lo: int, hi: int, stats: dict, widths: dict) -> None:
+    """Assign [lo, hi) to an inferred node's children; sampled spans anchor."""
+    node.lo, node.hi = lo, hi
+    cursor = lo
+    kids = node.children
+    for idx, child in enumerate(kids):
+        if child.span is not None:
+            clo, chi = child.span.start_time, child.span.end_time
+            _place_children_of_sampled(child, stats, widths)
+            child.lo, child.hi = clo, chi
+            cursor = max(cursor, chi)
+            continue
+        alo, ahi = _anchor_bounds(child)
+        w = widths[id(child)]
+        if alo is not None:
+            clo = alo
+            chi = max(ahi, min(alo + w, hi) if hi > alo else ahi)
+        else:
+            nxt = hi
+            for later in kids[idx + 1:]:
+                blo, _ = _anchor_bounds(later)
+                if blo is not None:
+                    nxt = blo
+                    break
+            avail = max(0, nxt - cursor)
+            clo = cursor
+            chi = clo + min(w, avail)
+        _place(child, clo, chi, stats, widths)
+        cursor = max(cursor, chi)
+
+
+def _place_children_of_sampled(node, stats: dict, widths: dict) -> None:
+    _place(node, node.span.start_time, node.span.end_time, stats, widths)
+    node.lo, node.hi = node.span.start_time, node.span.end_time
+
+
+def _collect_widths(node, stats: dict, widths: dict) -> None:
+    widths[id(node)] = _natural_width(node, stats)
+    for c in node.children:
+        _collect_widths(c, stats, widths)
+
+
+def oracle_layout(root, orphans, stats: dict) -> None:
+    """Set lo/hi (and source/std on inferred nodes) on every node of a tree."""
+    widths: dict[int, int] = {}
+    _collect_widths(root, stats, widths)
+    if root.span is not None:
+        _place_children_of_sampled(root, stats, widths)
+    else:
+        alo, _ahi = _anchor_bounds(root)
+        for o in orphans:
+            alo = o.start_time if alo is None else min(alo, o.start_time)
+        lo = alo if alo is not None else 0
+        hi = lo + widths[id(root)]
+        for o in orphans:
+            hi = max(hi, o.end_time)
+        _place(root, lo, hi, stats, widths)

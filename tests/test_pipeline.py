@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +144,32 @@ def test_sample_rejects_removed_flags(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sample", "--graph", "g", "--traces", "t", "--out", str(tmp_path)] + flag)
     assert exc.value.code == 2
+
+
+def test_reconstruct_rates_only_the_traces_it_compared(workload, tmp_path, capsys):
+    n = 100
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, n)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out), "--ratio", "0.3"]) == 0
+    lines = Path(trace_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    half, none = tmp_path / "half.ndjson", tmp_path / "none.ndjson"
+    half.write_text("".join(lines[:n // 2]), encoding="utf-8")
+    none.write_text("".join(serialize_trace(t) + "\n" for t in workload[1][n:n + 5]),
+                    encoding="utf-8")
+
+    def reconstruct(originals, dest):
+        return cli.main(["reconstruct", "--graph", graph_path,
+                         "--decisions", str(out / "decisions.ndjson"),
+                         "--kept", str(out / "kept.ndjson"),
+                         "--stats", str(out / "stats.json"),
+                         "--traces", str(originals), "--out", str(dest)])
+
+    assert reconstruct(half, tmp_path / "half") == 0
+    fidelity = json.loads((tmp_path / "half" / "fidelity.json").read_text())
+    assert fidelity["structure_exact_rate"] == 1.0
+    assert "structure_exact_rate 1.0" in capsys.readouterr().out
+    # none of the sampled traces in the file: nothing to rate
+    assert reconstruct(none, tmp_path / "none") == 0
+    assert not (tmp_path / "none" / "fidelity.json").exists()
+    assert "structure_exact_rate" not in capsys.readouterr().out
