@@ -1,6 +1,6 @@
 """Span-level trace sampling driven by call-site control-flow knowledge."""
 
-from .align import ExecutionPath, PathCache, PathStep, align, trace_signature
+from .align import ExecutionPath, PathCache, PathStep, trace_signature
 from .cscfg import (
     Cscfg,
     DominanceInfo,
@@ -21,9 +21,9 @@ from .model import (
     parse_trace,
     serialize_trace,
 )
-from .partition import DominantSpanSet, dss_signature, partition
+from .partition import DominantSpanSet, dss_signature
 from .pipeline import SamplingPipeline
-from .reconstruct import ReconstructedTrace, reconstruct, structural_fidelity
+from .reconstruct import ReconstructedTrace, structural_fidelity
 from .sampler import (
     LrsLedger,
     SamplingConfig,
@@ -36,15 +36,15 @@ from .scoring import P2Quantile, RunningMedian, ScoreBook, SpanStatWindow, ZScor
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExecutionPath", "PathCache", "PathStep", "align", "trace_signature",
+    "ExecutionPath", "PathCache", "PathStep", "trace_signature",
     "Cscfg", "DominanceInfo", "FunctionRef", "build_cscfg", "compute_dominance",
     "mutual_dominance_classes", "parse_function_key", "patch_with_traces",
     "SpanscopeError",
     "SpanFunctionMap", "Unmapped", "build_map",
     "Span", "Trace", "children_of", "exclusive_duration", "parse_trace", "serialize_trace",
-    "DominantSpanSet", "dss_signature", "partition",
+    "DominantSpanSet", "dss_signature",
     "SamplingPipeline",
-    "ReconstructedTrace", "reconstruct", "structural_fidelity",
+    "ReconstructedTrace", "structural_fidelity",
     "LrsLedger", "SamplingConfig", "SamplingDecision", "allocate_budget",
     "sample_trace",
     "P2Quantile", "RunningMedian", "ScoreBook", "SpanStatWindow", "ZScore",

@@ -231,7 +231,7 @@ def cmd_stats_export(args) -> int:
     n = 0
     for trace in read_trace_file(args.traces):
         excl = exclusive_durations(trace)
-        for span in sorted(trace.spans, key=lambda s: (s.start_time, s.span_id)):
+        for span in trace.arrival:
             res = mapping.resolve(span)
             pipeline.scorebook.observe(span_key(res, span), float(excl[span.span_id]))
         n += 1

@@ -520,7 +520,7 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
             trace = sample.trace
             excl = exclusive_durations(trace)
             scores = {}
-            for span in sorted(trace.spans, key=lambda s: (s.start_time, s.span_id)):
+            for span in trace.arrival:
                 key = f"{span.service}|{span.operation}"
                 scores[span.span_id] = book.observe(key, float(excl[span.span_id])).value
             k = math.floor(p * len(trace))
@@ -537,7 +537,7 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
             trace = sample.trace
             excl = exclusive_durations(trace)
             max_z = -math.inf
-            for span in sorted(trace.spans, key=lambda s: (s.start_time, s.span_id)):
+            for span in trace.arrival:
                 key = f"{span.service}|{span.operation}"
                 max_z = max(max_z, book.observe(key, float(excl[span.span_id])).value)
             threshold = threshold_est.value() if threshold_est.n >= cfg.min_obs else math.inf

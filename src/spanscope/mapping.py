@@ -23,6 +23,8 @@ REASON_UNKNOWN_FUNCTION = "unknown-function"
 
 # most recent misses kept with their ids; older ones survive only as counts
 MISS_LOG_CAPACITY = 256
+# mapped (service, operation) spellings remembered; the memo is emptied when full
+RESOLVE_MEMO_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,12 @@ def normalize_operation(operation: str) -> tuple[str, str] | None:
 class SpanFunctionMap:
     """Immutable resolver built from a graph plus a shared-library dictionary.
 
-    resolve() is a pure function of the map and the span. The only mutable
-    state is the miss record: `miss_counts` counts every miss by reason and
-    `miss_log` keeps the last MISS_LOG_CAPACITY as (trace_id, span_id,
-    reason). Like the pipeline that owns it, a map is used from one thread.
+    resolve() is a pure function of the map and the span. It memoises
+    mapped (service, operation) pairs, up to RESOLVE_MEMO_CAPACITY of them;
+    misses are resolved every time. The only other mutable state is the miss
+    record: `miss_counts` counts every miss by reason and `miss_log` keeps
+    the last MISS_LOG_CAPACITY as (trace_id, span_id, reason). Like the
+    pipeline that owns it, a map is used from one thread.
     """
 
     def __init__(self, service_index: dict[str, dict[tuple[str, str], FunctionRef]],
@@ -74,6 +78,7 @@ class SpanFunctionMap:
         self._shared = shared
         self.miss_log: deque[tuple[str, str, str]] = deque(maxlen=MISS_LOG_CAPACITY)
         self.miss_counts: Counter = Counter()
+        self._memo: dict[tuple[str, str], FunctionRef] = {}
 
     def _miss(self, span: Span, reason: str) -> Unmapped:
         self.miss_log.append((span.trace_id, span.span_id, reason))
@@ -81,6 +86,17 @@ class SpanFunctionMap:
         return Unmapped(reason)
 
     def resolve(self, span: Span) -> FunctionRef | Unmapped:
+        key = (span.service, span.operation)
+        ref = self._memo.get(key)
+        if ref is None:
+            ref = self._lookup(span)
+            if isinstance(ref, FunctionRef):
+                if len(self._memo) >= RESOLVE_MEMO_CAPACITY:
+                    self._memo.clear()
+                self._memo[key] = ref
+        return ref
+
+    def _lookup(self, span: Span) -> FunctionRef | Unmapped:
         parsed = normalize_operation(span.operation)
         if parsed is None:
             return self._miss(span, REASON_NO_FUNCTION_FORM)

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
 
 SpanId = str
+
+_arrival_key = attrgetter("start_time", "span_id")
 
 
 @dataclass(frozen=True)
@@ -58,48 +61,59 @@ class Trace:
 
     Construction validates the tree invariants; use ``clock_skew_slack`` to
     tolerate bounded child intervals sticking out of their parent.
+    ``arrival`` holds the spans in arrival order, by (start_time, span_id);
+    ``child_spans`` lists each span's children in that same order.
     """
 
     def __init__(self, trace_id: str, spans: list[Span], clock_skew_slack: int = 0):
         self.trace_id = trace_id
         self.spans = tuple(spans)
         self.clock_skew_slack = clock_skew_slack
+        self.arrival: tuple[Span, ...] = ()
         self._by_id: dict[SpanId, Span] = {}
         self._children: dict[SpanId, tuple[Span, ...]] = {}
         self._root: Span | None = None
         self._validate()
 
     def _validate(self) -> None:
-        if not self.spans:
+        spans, by_id = self.spans, self._by_id
+        if not spans:
             raise MalformedDocumentError(f"trace {self.trace_id!r} has no spans")
-        for s in self.spans:
+        roots = []
+        for s in spans:
             if s.trace_id != self.trace_id:
                 raise InvariantViolationError(
                     s.span_id, f"trace_id {s.trace_id!r} does not match record {self.trace_id!r}"
                 )
             if not s.span_id:
                 raise InvariantViolationError(s.span_id, "empty span id")
-            if s.span_id in self._by_id:
+            if s.span_id in by_id:
                 raise InvariantViolationError(s.span_id, "duplicate span id")
             if s.duration < 0:
                 raise InvariantViolationError(s.span_id, "negative duration")
-            self._by_id[s.span_id] = s
+            by_id[s.span_id] = s
+            if s.parent_id is None:
+                roots.append(s)
 
-        roots = [s for s in self.spans if s.parent_id is None]
         if not roots:
-            raise InvariantViolationError(self.spans[0].span_id, "trace has no root span")
+            raise InvariantViolationError(spans[0].span_id, "trace has no root span")
         if len(roots) > 1:
             raise InvariantViolationError(roots[1].span_id, "trace has multiple root spans")
         self._root = roots[0]
 
-        kids: dict[SpanId, list[Span]] = {s.span_id: [] for s in self.spans}
-        for s in self.spans:
-            if s.parent_id is None:
-                continue
-            parent = self._by_id.get(s.parent_id)
-            if parent is None:
-                raise InvariantViolationError(s.span_id, f"dangling parent {s.parent_id!r}")
-            kids[s.parent_id].append(s)
+        # children are appended in arrival order, so each list is already sorted
+        arrival = sorted(spans, key=_arrival_key)
+        kids: dict[SpanId, list[Span]] = {sid: [] for sid in by_id}
+        for s in arrival:
+            if s.parent_id is not None:
+                siblings = kids.get(s.parent_id)
+                if siblings is None:
+                    # name the first dangling span in input order
+                    bad = next(x for x in spans
+                               if x.parent_id is not None and x.parent_id not in by_id)
+                    raise InvariantViolationError(bad.span_id,
+                                                  f"dangling parent {bad.parent_id!r}")
+                siblings.append(s)
 
         # parent links must form a tree rooted at the single root
         seen: set[SpanId] = set()
@@ -110,23 +124,22 @@ class Trace:
                 raise InvariantViolationError(sid, "cycle in parent links")
             seen.add(sid)
             stack.extend(c.span_id for c in kids[sid])
-        if len(seen) != len(self.spans):
-            missing = sorted(set(self._by_id) - seen)
+        if len(seen) != len(spans):
+            missing = sorted(set(by_id) - seen)
             raise InvariantViolationError(missing[0], "span not reachable from root")
 
         slack = self.clock_skew_slack
-        for s in self.spans:
+        for s in spans:
             if s.parent_id is None:
                 continue
-            parent = self._by_id[s.parent_id]
+            parent = by_id[s.parent_id]
             if s.start_time < parent.start_time - slack or s.end_time > parent.end_time + slack:
                 raise InvariantViolationError(
                     s.span_id, "interval extends beyond parent beyond allowed clock skew"
                 )
 
-        for sid, lst in kids.items():
-            lst.sort(key=lambda c: (c.start_time, c.span_id))
-            self._children[sid] = tuple(lst)
+        self.arrival = tuple(arrival)
+        self._children = {sid: tuple(lst) for sid, lst in kids.items()}
 
     @property
     def root(self) -> Span:
@@ -186,23 +199,28 @@ def _interval_union(intervals: list[tuple[int, int]]) -> int:
     return total
 
 
+def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
+    lo, hi = span.start_time, span.end_time
+    covered = _interval_union([(max(c.start_time, lo), min(c.end_time, hi)) for c in children])
+    return max(0, span.duration - covered)
+
+
 def exclusive_duration(trace: Trace, span_id: SpanId) -> int:
     """Duration minus the union of direct children's intervals, clamped to >= 0.
 
     Children may overlap (async fan-out), so coverage is the interval union,
     clipped to the span's own interval.
     """
-    span = trace.span(span_id)
-    intervals = [
-        (max(c.start_time, span.start_time), min(c.end_time, span.end_time))
-        for c in trace.child_spans(span_id)
-    ]
-    covered = _interval_union(intervals)
-    return max(0, span.duration - covered)
+    return _exclusive(trace.span(span_id), trace.child_spans(span_id))
 
 
 def exclusive_durations(trace: Trace) -> dict[SpanId, int]:
-    return {s.span_id: exclusive_duration(trace, s.span_id) for s in trace.spans}
+    """exclusive_duration() of every span, in one pass over the child lists."""
+    out: dict[SpanId, int] = {}
+    for span in trace.spans:
+        kids = trace._children[span.span_id]
+        out[span.span_id] = _exclusive(span, kids) if kids else span.duration
+    return out
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -211,6 +229,25 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
+    # one combined test admits the common well-formed record; any other goes
+    # through the itemised checks, which accept or name the first problem
+    if type(obj) is dict:
+        get = obj.get
+        span_id, operation, service = get("span_id"), get("operation"), get("service")
+        start, duration = get("start_time"), get("duration")
+        tid, parent = get("trace_id", trace_id), get("parent_id")
+        attrs = get("attributes", {})
+        if (type(span_id) is str and type(operation) is str and type(service) is str
+                and type(start) is int and type(duration) is int
+                and type(tid) is str and tid and (parent is None or type(parent) is str)
+                and type(attrs) is dict
+                and (not attrs or all(type(k) is str and type(v) is str
+                                      for k, v in attrs.items()))):
+            return Span(span_id, tid, parent, operation, service, start, duration, dict(attrs))
+    return _checked_span_from_dict(obj, trace_id)
+
+
+def _checked_span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
     _require(isinstance(obj, dict), "span record must be an object")
     for key in ("span_id", "operation", "service", "start_time", "duration"):
         _require(key in obj, f"span record missing field {key!r}")

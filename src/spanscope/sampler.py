@@ -185,12 +185,11 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
             f"partition does not cover trace {trace.trace_id!r}"
         )
 
-    arrival = sorted(trace.spans, key=lambda s: (s.start_time, s.span_id))
     z_of: dict[str, float] = {}
     flagged: dict[str, bool] = {}
     fixed = cfg.fixed_threshold
     window_for = scorebook.window_for
-    for span in arrival:
+    for span in trace.arrival:
         sid = span.span_id
         z, threshold = window_for(span_keys[sid]).score(exclusive[sid])
         if fixed is not None:

@@ -1,10 +1,10 @@
 """Robust streaming statistics for span durations.
 
 Each span type gets a sliding window of exclusive durations. The window
-median comes from a pair of heaps (max-heap below, min-heap above) with lazy
-deletion, so it is exact at every step. Dispersion is the median absolute
-deviation, estimated with the five-marker streaming quantile algorithm over
-|x - running median|; deviations are not recomputed when the median moves.
+median is read from the window's values kept in one sorted list, so it is
+exact at every step. Dispersion is the median absolute deviation, estimated
+with the five-marker streaming quantile algorithm over |x - running median|;
+deviations are not recomputed when the median moves.
 The same estimator tracks a high quantile of the emitted Z-scores, which
 serves as the selection threshold.
 
@@ -14,10 +14,10 @@ observation sits on the median and a capped sentinel otherwise.
 
 from __future__ import annotations
 
-import heapq
 import math
 import statistics
-from collections import Counter, deque
+from bisect import bisect_left, insort
+from collections import deque
 from typing import NamedTuple
 
 DEFAULT_WINDOW = 512
@@ -114,90 +114,36 @@ class P2Quantile:
 class RunningMedian:
     """Exact median of a multiset under insertions and deletions.
 
-    Two heaps with lazy deletion: the lower half as a negated max-heap, the
-    upper half as a min-heap. Ghost entries are counted per heap and pruned
-    whenever a top is inspected, and live sizes are tracked separately so
-    ghosts never skew the balance. Even sizes report the midpoint.
+    The values are kept in one sorted list: insertion and deletion bisect
+    for their slot and shift the tail, which is cheap for windows of a few
+    hundred values. Even sizes report the midpoint of the two middle values.
     """
 
-    __slots__ = ("_low", "_high", "_low_n", "_high_n", "_dead_low", "_dead_high")
+    __slots__ = ("_vals",)
 
     def __init__(self):
-        self._low: list[float] = []
-        self._high: list[float] = []
-        self._low_n = 0
-        self._high_n = 0
-        self._dead_low: Counter = Counter()
-        self._dead_high: Counter = Counter()
+        self._vals: list[float] = []
 
     def __len__(self) -> int:
-        return self._low_n + self._high_n
-
-    def _top_low(self) -> float:
-        low, dead = self._low, self._dead_low
-        v = -low[0]
-        while dead[v] > 0:
-            dead[v] -= 1
-            heapq.heappop(low)
-            v = -low[0]
-        return v
-
-    def _top_high(self) -> float:
-        high, dead = self._high, self._dead_high
-        v = high[0]
-        while dead[v] > 0:
-            dead[v] -= 1
-            heapq.heappop(high)
-            v = high[0]
-        return v
+        return len(self._vals)
 
     def add(self, x: float) -> None:
-        if self._low_n == 0 or x <= self._top_low():
-            heapq.heappush(self._low, -x)
-            self._low_n += 1
-        else:
-            heapq.heappush(self._high, x)
-            self._high_n += 1
-        self._rebalance()
+        insort(self._vals, x)
 
     def remove(self, x: float) -> None:
-        """Remove one occurrence of x; x must be logically present."""
-        if self._low_n and x <= self._top_low():
-            self._low_n -= 1
-            if x == -self._low[0]:
-                heapq.heappop(self._low)
-            else:
-                self._dead_low[x] += 1
-        else:
-            self._high_n -= 1
-            if x == self._top_high():
-                heapq.heappop(self._high)
-            else:
-                self._dead_high[x] += 1
-        self._rebalance()
-
-    def _rebalance(self) -> None:
-        low_n, high_n = self._low_n, self._high_n
-        if low_n > high_n + 1:
-            x = self._top_low()
-            heapq.heappop(self._low)
-            heapq.heappush(self._high, x)
-            self._low_n = low_n - 1
-            self._high_n = high_n + 1
-        elif high_n > low_n:
-            x = self._top_high()
-            heapq.heappop(self._high)
-            heapq.heappush(self._low, -x)
-            self._high_n = high_n - 1
-            self._low_n = low_n + 1
+        """Remove one occurrence of x; x must be present."""
+        vals = self._vals
+        del vals[bisect_left(vals, x)]
 
     def median(self) -> float:
-        low_n = self._low_n
-        if low_n == 0:
+        vals = self._vals
+        n = len(vals)
+        if n == 0:
             raise ValueError("median of empty set")
-        if low_n == self._high_n:
-            return (self._top_low() + self._top_high()) / 2
-        return self._top_low()
+        mid = n // 2
+        if n % 2:
+            return vals[mid]
+        return (vals[mid - 1] + vals[mid]) / 2
 
 
 class Welford:

@@ -7,7 +7,9 @@ implementation paths they check.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 
 
 def enumerate_simple_paths(succ: dict, src: str, dst: str, cap: int = 50000) -> list[list[str]]:
@@ -111,6 +113,96 @@ def exact_quantile(values, q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
+
+
+class HeapRunningMedian:
+    """Exact median of a multiset under insertions and deletions.
+
+    Two heaps with lazy deletion: the lower half as a negated max-heap, the
+    upper half as a min-heap. Ghost entries are counted per heap and pruned
+    whenever a top is inspected, and live sizes are tracked separately so
+    ghosts never skew the balance. Even sizes report the midpoint. The
+    reference for `scoring.RunningMedian`, which keeps one sorted list.
+    """
+
+    __slots__ = ("_low", "_high", "_low_n", "_high_n", "_dead_low", "_dead_high")
+
+    def __init__(self):
+        self._low: list[float] = []
+        self._high: list[float] = []
+        self._low_n = 0
+        self._high_n = 0
+        self._dead_low: Counter = Counter()
+        self._dead_high: Counter = Counter()
+
+    def __len__(self) -> int:
+        return self._low_n + self._high_n
+
+    def _top_low(self) -> float:
+        low, dead = self._low, self._dead_low
+        v = -low[0]
+        while dead[v] > 0:
+            dead[v] -= 1
+            heapq.heappop(low)
+            v = -low[0]
+        return v
+
+    def _top_high(self) -> float:
+        high, dead = self._high, self._dead_high
+        v = high[0]
+        while dead[v] > 0:
+            dead[v] -= 1
+            heapq.heappop(high)
+            v = high[0]
+        return v
+
+    def add(self, x: float) -> None:
+        if self._low_n == 0 or x <= self._top_low():
+            heapq.heappush(self._low, -x)
+            self._low_n += 1
+        else:
+            heapq.heappush(self._high, x)
+            self._high_n += 1
+        self._rebalance()
+
+    def remove(self, x: float) -> None:
+        """Remove one occurrence of x; x must be logically present."""
+        if self._low_n and x <= self._top_low():
+            self._low_n -= 1
+            if x == -self._low[0]:
+                heapq.heappop(self._low)
+            else:
+                self._dead_low[x] += 1
+        else:
+            self._high_n -= 1
+            if x == self._top_high():
+                heapq.heappop(self._high)
+            else:
+                self._dead_high[x] += 1
+        self._rebalance()
+
+    def _rebalance(self) -> None:
+        low_n, high_n = self._low_n, self._high_n
+        if low_n > high_n + 1:
+            x = self._top_low()
+            heapq.heappop(self._low)
+            heapq.heappush(self._high, x)
+            self._low_n = low_n - 1
+            self._high_n = high_n + 1
+        elif high_n > low_n:
+            x = self._top_high()
+            heapq.heappop(self._high)
+            heapq.heappush(self._low, -x)
+            self._high_n = high_n - 1
+            self._low_n = low_n + 1
+
+    def median(self) -> float:
+        low_n = self._low_n
+        if low_n == 0:
+            raise ValueError("median of empty set")
+        if low_n == self._high_n:
+            return (self._top_low() + self._top_high()) / 2
+        return self._top_low()
 
 
 def interval_union_length(intervals) -> int:

@@ -7,6 +7,7 @@ from spanscope.mapping import (
     REASON_NO_FUNCTION_FORM,
     REASON_UNKNOWN_FUNCTION,
     REASON_UNKNOWN_SERVICE,
+    RESOLVE_MEMO_CAPACITY,
     Unmapped,
     build_map,
     normalize_operation,
@@ -115,6 +116,26 @@ class TestResolve:
         assert mapping.miss_counts == {REASON_NO_FUNCTION_FORM: 3334,
                                        REASON_UNKNOWN_SERVICE: 3333,
                                        REASON_UNKNOWN_FUNCTION: 3333}
+
+    def test_memo_is_bounded_and_misses_are_counted_every_time(self):
+        mapping = build_map(order_graph())
+        peak = 0
+        for i in range(10_000):
+            op = ("OrderService.getTicketListByDateAndTripId" if i % 2 else "Common.checkToken")
+            span = make_span(f"s{i}", operation=f"{op}(x{i})", service="ts-order-service")
+            ref = mapping.resolve(span)
+            assert isinstance(ref, FunctionRef)
+            assert ref is mapping._lookup(span)
+            assert mapping.resolve(span) is ref
+            peak = max(peak, len(mapping._memo))
+            assert len(mapping._memo) <= RESOLVE_MEMO_CAPACITY
+        assert peak == RESOLVE_MEMO_CAPACITY
+        assert not mapping.miss_counts
+        miss = make_span("m", operation="OrderService.zzz(x1)", service="ts-order-service")
+        for _ in range(5):
+            assert mapping.resolve(miss) == Unmapped(REASON_UNKNOWN_FUNCTION)
+        assert mapping.miss_counts == {REASON_UNKNOWN_FUNCTION: 5}
+        assert list(mapping.miss_log) == [("t1", "m", REASON_UNKNOWN_FUNCTION)] * 5
 
 
 class TestBuildMap:

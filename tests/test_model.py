@@ -3,14 +3,17 @@ import random
 
 import pytest
 
+import spanscope.model as model
 from spanscope.errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
 from spanscope.model import (
+    _checked_span_from_dict,
     children_of,
     exclusive_duration,
     exclusive_durations,
     parse_trace,
     preorder_spans,
     serialize_trace,
+    span_from_dict,
 )
 
 from .conftest import make_span, make_trace
@@ -46,6 +49,13 @@ class TestParse:
         with pytest.raises(InvariantViolationError) as err:
             make_trace(spans)
         assert err.value.span_id == "b"
+
+    def test_dangling_parent_named_in_input_order(self):
+        spans = [make_span("r"), make_span("z", parent="gone", start=9, duration=1),
+                 make_span("a", parent="lost", start=1, duration=1)]
+        with pytest.raises(InvariantViolationError) as err:
+            make_trace(spans)
+        assert err.value.span_id == "z"
 
     def test_multiple_roots_rejected(self):
         with pytest.raises(InvariantViolationError):
@@ -176,3 +186,102 @@ class TestChildren:
         trace = fig2_trace()
         order = [s.span_id for s in preorder_spans(trace)]
         assert order == ["s1", "s2", "s3"]
+
+
+GOOD_RECORD = {"span_id": "a", "trace_id": "t1", "parent_id": "p", "operation": "C.f",
+               "service": "svc", "start_time": 5, "duration": 7, "attributes": {"k": "v"}}
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def span_records():
+    """The well-formed record, then every field missing or of a wrong type."""
+    yield dict(GOOD_RECORD)
+    yield {k: v for k, v in GOOD_RECORD.items() if k not in ("parent_id", "attributes")}
+    for bad in (None, "a", ["a"], 3, _Dict(GOOD_RECORD)):
+        yield bad
+    for name in GOOD_RECORD:
+        yield {k: v for k, v in GOOD_RECORD.items() if k != name}
+        for wrong in (None, True, False, 1, 2.0, -1, "", "x", _Str("x"), [], {}, _Dict()):
+            yield {**GOOD_RECORD, name: wrong}
+    for attrs in ({"k": 1}, {"k": None}, {"k": True}, {1: "v"}, {"k": _Str("v")},
+                  {"a": "b", "k": ["v"]}, _Dict(k="v")):
+        yield {**GOOD_RECORD, "attributes": attrs}
+
+
+def outcome(parse, record, trace_id):
+    try:
+        return repr(parse(record, trace_id))
+    except MalformedDocumentError as exc:
+        return f"MalformedDocumentError: {exc}"
+
+
+class TestSpanRecords:
+    def test_fast_path_matches_itemised_checks(self):
+        records = list(span_records())
+        assert len(records) > 100
+        for record in records:
+            for trace_id in (None, "t9"):
+                assert outcome(span_from_dict, record, trace_id) == \
+                    outcome(_checked_span_from_dict, record, trace_id), record
+
+    def test_well_formed_record_skips_itemised_checks(self, monkeypatch):
+        def itemised(obj, trace_id=None):
+            raise AssertionError("itemised checks ran")
+
+        monkeypatch.setattr(model, "_checked_span_from_dict", itemised)
+        span = span_from_dict(dict(GOOD_RECORD))
+        assert span.to_dict() == GOOD_RECORD
+
+    def test_bool_for_an_integer_field_is_still_accepted(self):
+        span = span_from_dict({**GOOD_RECORD, "start_time": True, "duration": False})
+        assert span.start_time is True and span.duration is False
+
+
+def random_tree(rng, n, slack=0):
+    """Spans in shuffled input order; many share a start time, children may
+    overlap and stick out of their parent by up to `slack`."""
+    spans = [make_span("root", start=0, duration=rng.randint(0, 200))]
+    for i in range(1, n):
+        parent = rng.choice(spans)
+        lo, hi = parent.start_time - slack, parent.end_time + slack
+        start = rng.choice((parent.start_time, lo, rng.randint(lo, hi)))
+        sid = f"{rng.choice('abc')}{rng.randrange(1000)}-{i}"
+        spans.append(make_span(sid, parent=parent.span_id, start=start,
+                               duration=rng.randint(0, hi - start)))
+    rng.shuffle(spans)
+    return make_trace(spans, slack=slack)
+
+
+def by_arrival(spans):
+    return tuple(sorted(spans, key=lambda s: (s.start_time, s.span_id)))
+
+
+class TestArrival:
+    def test_arrival_and_child_lists_match_a_per_parent_sort(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            trace = random_tree(rng, rng.randint(1, 40))
+            assert trace.arrival == by_arrival(trace.spans)
+            for span in trace.spans:
+                kids = [c for c in trace.spans if c.parent_id == span.span_id]
+                assert trace.child_spans(span.span_id) == by_arrival(kids)
+
+    def test_exclusive_durations_match_per_span_and_oracle(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            trace = random_tree(rng, rng.randint(1, 40), slack=rng.choice((0, 5, 30)))
+            expected = {}
+            for s in trace.spans:
+                clipped = [(max(c.start_time, s.start_time), min(c.end_time, s.end_time))
+                           for c in trace.spans if c.parent_id == s.span_id]
+                expected[s.span_id] = max(0, s.duration - interval_union_length(clipped))
+            assert exclusive_durations(trace) == expected
+            assert {s.span_id: exclusive_duration(trace, s.span_id)
+                    for s in trace.spans} == expected

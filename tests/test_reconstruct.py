@@ -1,7 +1,6 @@
-from importlib import import_module
-
 import pytest
 
+import spanscope.reconstruct as recon
 from spanscope.cscfg import build_cscfg
 from spanscope.harness import (
     SystemSpec,
@@ -17,9 +16,6 @@ from spanscope.reconstruct import ORIGIN_INFERRED, structural_fidelity
 from spanscope.sampler import SamplingConfig
 
 from .oracles import oracle_layout
-
-# the package re-exports the function under the module's name
-recon = import_module("spanscope.reconstruct")
 
 
 def fresh_copy(node):

@@ -2,6 +2,9 @@ import math
 import random
 import statistics
 
+import pytest
+
+import spanscope.scoring as scoring
 from spanscope.scoring import (
     P2Quantile,
     RunningMedian,
@@ -10,7 +13,7 @@ from spanscope.scoring import (
     Welford,
 )
 
-from .oracles import exact_quantile
+from .oracles import HeapRunningMedian, exact_quantile
 
 
 class TestP2Quantile:
@@ -92,12 +95,69 @@ class TestRunningMedian:
             rm.add(x)
             assert rm.median() == statistics.median(window)
 
-    def test_heap_size_invariant(self):
+    def test_sorted_list_invariant(self):
         rm = RunningMedian()
+        live = []
         rng = random.Random(7)
         for _ in range(200):
-            rm.add(rng.random())
-            assert rm._low_n - rm._high_n in (0, 1)
+            if live and rng.random() < 0.4:
+                rm.remove(live.pop(rng.randrange(len(live))))
+            else:
+                x = rng.random()
+                live.append(x)
+                rm.add(x)
+            assert rm._vals == sorted(rm._vals)
+            assert len(rm) == len(live)
+
+
+def bits(x):
+    """Type and exact value: repr round-trips a float bit for bit."""
+    return type(x).__name__, repr(x)
+
+
+def stats_bits(win):
+    return {k: bits(v) for k, v in win.stats().items()}
+
+
+def heap_window(*args, **kwargs):
+    """A SpanStatWindow whose running median is the two-heap reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "RunningMedian", HeapRunningMedian)
+        return SpanStatWindow(*args, **kwargs)
+
+
+def stream(rng, kind, n):
+    if kind == "few-ints":  # heavy duplicates
+        return [rng.randint(0, 3) for _ in range(n)]
+    if kind == "ints":
+        return [rng.randint(0, 10 ** 6) for _ in range(n)]
+    if kind == "few-floats":
+        return [rng.choice((0.5, 1.25, 3.0, 1e-3)) for _ in range(n)]
+    return [rng.lognormvariate(5, 1.0) for _ in range(n)]
+
+
+# Each stream holds one numeric type, as every caller feeds a window: equal
+# int and float values in one window may come back as either type.
+@pytest.mark.parametrize("kind", ["few-ints", "ints", "few-floats", "floats"])
+def test_window_outputs_bit_identical_to_heap_median(kind):
+    rng = random.Random(f"median-{kind}")
+    observed = 0
+    windows = [1, 2, 3, 4, 5, 16, 511, 512] + [rng.randint(1, 512) for _ in range(4)]
+    for window in windows:
+        min_obs = rng.choice((1, 8))
+        win = SpanStatWindow("k", window=window, min_obs=min_obs)
+        ref = heap_window("k", window=window, min_obs=min_obs)
+        assert isinstance(ref._median, HeapRunningMedian)
+        for i, x in enumerate(stream(rng, kind, 2 * window + 2000)):
+            assert bits(win.z_threshold()) == bits(ref.z_threshold())
+            z, want = win.observe(x), ref.observe(x)
+            assert (bits(z.value), z.degenerate) == (bits(want.value), want.degenerate)
+            assert bits(win._median.median()) == bits(ref._median.median())
+            if i % 97 == 0:
+                assert stats_bits(win) == stats_bits(ref)
+            observed += 1
+        assert stats_bits(win) == stats_bits(ref)
+    assert observed >= 25_000
 
 
 class TestWelford:
