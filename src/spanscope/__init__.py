@@ -7,7 +7,6 @@ from .cscfg import (
     FunctionRef,
     build_cscfg,
     compute_dominance,
-    mutual_dominance_classes,
     parse_function_key,
     patch_with_traces,
 )
@@ -16,12 +15,11 @@ from .mapping import SpanFunctionMap, Unmapped, build_map
 from .model import (
     Span,
     Trace,
-    children_of,
     exclusive_duration,
     parse_trace,
     serialize_trace,
 )
-from .partition import DominantSpanSet, dss_signature
+from .partition import DominantSpanSet
 from .pipeline import SamplingPipeline
 from .reconstruct import ReconstructedTrace, structural_fidelity
 from .sampler import (
@@ -38,11 +36,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ExecutionPath", "PathCache", "PathStep", "trace_signature",
     "Cscfg", "DominanceInfo", "FunctionRef", "build_cscfg", "compute_dominance",
-    "mutual_dominance_classes", "parse_function_key", "patch_with_traces",
+    "parse_function_key", "patch_with_traces",
     "SpanscopeError",
     "SpanFunctionMap", "Unmapped", "build_map",
-    "Span", "Trace", "children_of", "exclusive_duration", "parse_trace", "serialize_trace",
-    "DominantSpanSet", "dss_signature",
+    "Span", "Trace", "exclusive_duration", "parse_trace", "serialize_trace",
+    "DominantSpanSet",
     "SamplingPipeline",
     "ReconstructedTrace", "structural_fidelity",
     "LrsLedger", "SamplingConfig", "SamplingDecision", "allocate_budget",

@@ -16,16 +16,16 @@ fixed action preference (match, patched match, skip, insert, move to the
 smallest successor id), which keeps repeated runs byte-identical.
 
 A PathCache memoises alignment at two levels. The trace level is keyed by
-the trace's shape signature (preorder function keys with nesting markers) and
-stores the whole path with span slots (preorder indexes) in place of ids, so
-a hit rehydrates to a value identical to a fresh alignment. The invocation
-level is keyed by a function and the callee key of each symbol aligned
-against it (None for an inserted unmapped span), which is everything the
-solver reads besides the graph; it stores the solver's action sequence, so a
-trace whose whole shape is new still reuses the invocations it shares with
-earlier traces. Both levels hold at most `capacity` entries each. Neither key
-names the graph, so a cache serves one frozen graph: align refuses a cache
-with a graph that can still change.
+the trace's shape signature (each span's function key and child count, in
+`Trace.preorder`) and stores the whole path with span slots (preorder
+indexes) in place of ids, so a hit rehydrates to a value identical to a fresh
+alignment. The invocation level is keyed by a function and the callee key of
+each symbol aligned against it (None for an inserted unmapped span), which is
+everything the solver reads besides the graph; it stores the solver's action
+sequence, so a trace whose whole shape is new still reuses the invocations it
+shares with earlier traces. Both levels hold at most `capacity` entries each.
+Neither key names the graph, so a cache serves one frozen graph: align
+refuses a cache with a graph that can still change.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .cscfg import Cscfg, FunctionRef, entry_node
 from .errors import NoPathError
 from .mapping import SpanFunctionMap, Unmapped
-from .model import Span, Trace, preorder_spans
+from .model import Trace
 
 PROHIBITIVE_COST = 1_000_000
 
@@ -79,7 +79,8 @@ class PathCache:
     """Two bounded LRU maps of alignment results for one frozen graph.
 
     `lookup`/`store` hold whole-trace path templates keyed by
-    `trace_signature`; `hits`, `misses` and `len()` count this level.
+    `trace_signature` (preorder function keys and child counts); `hits`,
+    `misses` and `len()` count this level.
     `lookup_solve`/`store_solve` hold per-invocation solver results keyed by
     `(function key, callee key or None per symbol)`, counted by `solve_hits`
     and `solve_misses`. Each map holds at most `capacity` entries. Neither key
@@ -138,23 +139,19 @@ class PathCache:
 
 
 def trace_signature(trace: Trace, resolutions: dict) -> tuple:
-    """Canonical shape: preorder function keys with nesting markers.
+    """Canonical shape: each span's function key and child count, in preorder.
 
     Unmapped spans appear as '?'. Durations and ids are excluded, so traces
-    differing only in timing share a signature; the nesting markers make
-    equal signatures imply identical alignments.
+    differing only in timing share a signature; a preorder with child counts
+    fixes the tree, so equal signatures imply identical alignments.
     """
-    parts: list[str] = []
-
-    def visit(span: Span) -> None:
-        r = resolutions[span.span_id]
+    kids = trace.child_spans
+    parts: list = []
+    for span in trace.preorder:
+        sid = span.span_id
+        r = resolutions[sid]
         parts.append(r.key if isinstance(r, FunctionRef) else "?")
-        parts.append("(")
-        for child in trace.child_spans(span.span_id):
-            visit(child)
-        parts.append(")")
-
-    visit(trace.root)
+        parts.append(len(kids(sid)))
     return tuple(parts)
 
 
@@ -175,12 +172,15 @@ class _SymIns:
 
 
 def _build_symbols(trace: Trace, spans, resolutions) -> list:
+    """Symbols of one invocation; an unmapped span is followed by its subtree's."""
     syms = []
-    for s in spans:
+    stack = list(reversed(spans))
+    while stack:
+        s = stack.pop()
         r = resolutions[s.span_id]
         if isinstance(r, Unmapped):
             syms.append(_SymIns(s))
-            syms.extend(_build_symbols(trace, trace.child_spans(s.span_id), resolutions))
+            stack.extend(reversed(trace.child_spans(s.span_id)))
         else:
             syms.append(_SymCall(r, s, trace.child_spans(s.span_id)))
     return syms
@@ -319,7 +319,12 @@ def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache | N
 
 
 def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inserts, cache):
-    """Realize one invocation's alignment into the step builder."""
+    """Realize one invocation's alignment into the step builder.
+
+    A generator: yields (callee key, child spans) for each nested invocation,
+    which the caller emits completely before resuming this one, and returns
+    this invocation's own (cost, insertions).
+    """
     syms = _build_symbols(trace, children, resolutions)
 
     def emit_insert(sym):
@@ -327,17 +332,11 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
         inserts.append((fn_key, sym.span.operation))
 
     if not graph.has_body(fn_key):
-        cost = ins = 0
         for sym in syms:
             emit_insert(sym)
-            cost += 1
-            ins += 1
             if isinstance(sym, _SymCall):
-                c, i = _emit_invocation(graph, trace, sym.ref.key, sym.children,
-                                        resolutions, builder, inserts, cache)
-                cost += c
-                ins += i
-        return cost, ins
+                yield sym.ref.key, sym.children
+        return len(syms), len(syms)
 
     sym_fn = tuple(s.ref.key if isinstance(s, _SymCall) else None for s in syms)
     solved = _solve_cached(graph, fn_key, sym_fn, cache)
@@ -350,10 +349,7 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
             _, node, callee, idx = act
             sym = syms[idx]
             builder.append(_StepDraft(KIND_MATCH, node, callee, sym.span.span_id))
-            c, i = _emit_invocation(graph, trace, sym.ref.key, sym.children,
-                                    resolutions, builder, inserts, cache)
-            cost += c
-            ins += i
+            yield sym.ref.key, sym.children
         elif act[0] == "skip":
             _, node, callee = act
             builder.append(_StepDraft(KIND_SKIP, node, callee, None))
@@ -361,10 +357,7 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
             sym = syms[act[1]]
             emit_insert(sym)
             if isinstance(sym, _SymCall):
-                c, i = _emit_invocation(graph, trace, sym.ref.key, sym.children,
-                                        resolutions, builder, inserts, cache)
-                cost += c
-                ins += i
+                yield sym.ref.key, sym.children
         else:
             _, src, dst = act
             builder[-1].transit.append(TransitEdge(fn_key, src, dst))
@@ -400,8 +393,21 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
         _StepDraft(KIND_ENTER, entry_node(r.key), r.key, root.span_id)
     ]
     inserts: list[tuple[str, str]] = []
-    cost, ins = _emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
-                                 resolutions, builder, inserts, cache)
+    # one frame per open invocation; a nested one runs to its end before its
+    # caller resumes, so steps land in the order a recursive walk gives
+    cost = ins = 0
+    stack = [_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
+                              resolutions, builder, inserts, cache)]
+    while stack:
+        try:
+            fn_key, children = next(stack[-1])
+        except StopIteration as done:
+            stack.pop()
+            cost += done.value[0]
+            ins += done.value[1]
+        else:
+            stack.append(_emit_invocation(graph, trace, fn_key, children,
+                                          resolutions, builder, inserts, cache))
     path = ExecutionPath(tuple(s.freeze() for s in builder), cost, ins)
 
     linked = path.span_ids()
@@ -416,7 +422,7 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
 
 
 def _template(path: ExecutionPath, trace: Trace):
-    slot = {s.span_id: i for i, s in enumerate(preorder_spans(trace))}
+    slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
     steps = tuple(
         (s.kind, s.block_id, s.callee,
          slot[s.span_id] if s.span_id is not None else None, s.transit)
@@ -427,7 +433,7 @@ def _template(path: ExecutionPath, trace: Trace):
 
 def _rehydrate(template, trace: Trace) -> ExecutionPath:
     steps_t, cost, ins = template
-    order = preorder_spans(trace)
+    order = trace.preorder
     steps = tuple(
         PathStep(kind, block_id, callee,
                  order[slot].span_id if slot is not None else None, transit)

@@ -140,6 +140,8 @@ class Cscfg:
         self.alignment_inserts: Counter = Counter()  # (function key, operation) -> count
         self._synthetic_blocks: set[str] = set()
         self._sub_cache: dict[str, "FunctionSubgraph"] = {}
+        # block id -> callees of its dynamic call edges; built on first use
+        self._dynamic_callees: dict[str, list[str]] | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -148,6 +150,7 @@ class Cscfg:
             raise GraphFrozenError("graph is frozen")
         self._sub_cache.clear()
         self._dom_cache.clear()
+        self._dynamic_callees = None
 
     def add_function(self, ref: FunctionRef) -> None:
         self._check_mutable()
@@ -229,13 +232,17 @@ class Cscfg:
                 yield src, dst, self._flow_prov.get((src, dst), PROV_STATIC)
 
     def patched_callees(self, block_id: str) -> frozenset[str]:
+        index = self._dynamic_callees
+        if index is None:
+            # one scan indexes every block, so subgraph() stays linear
+            index = {}
+            for (bid, callee), prov in self.call_edges.items():
+                if prov == PROV_DYNAMIC:
+                    index.setdefault(bid, []).append(callee)
+            self._dynamic_callees = index
         block = self.blocks.get(block_id)
         statics = set(block.callees) if block else set()
-        return frozenset(
-            callee
-            for (bid, callee), prov in self.call_edges.items()
-            if bid == block_id and prov == PROV_DYNAMIC and callee not in statics
-        )
+        return frozenset(c for c in index.get(block_id, ()) if c not in statics)
 
     def has_call_edge(self, caller_key: str, callee_key: str) -> bool:
         for bid in self._fn_blocks.get(caller_key, []):

@@ -112,9 +112,6 @@ class SpanFunctionMap:
             return self._miss(span, REASON_UNKNOWN_SERVICE)
         return self._miss(span, REASON_UNKNOWN_FUNCTION)
 
-    def known_services(self) -> list[str]:
-        return sorted(self._service_index)
-
 
 def build_map(graph: Cscfg, shared_entries: list[FunctionRef] | None = None) -> SpanFunctionMap:
     """Index every function the graph knows about, plus shared dictionary entries."""

@@ -63,6 +63,8 @@ class Trace:
     tolerate bounded child intervals sticking out of their parent.
     ``arrival`` holds the spans in arrival order, by (start_time, span_id);
     ``child_spans`` lists each span's children in that same order.
+    ``preorder`` holds the spans root first, each followed by its subtree,
+    siblings in arrival order; it is the one tree walk every consumer reads.
     """
 
     def __init__(self, trace_id: str, spans: list[Span], clock_skew_slack: int = 0):
@@ -70,6 +72,7 @@ class Trace:
         self.spans = tuple(spans)
         self.clock_skew_slack = clock_skew_slack
         self.arrival: tuple[Span, ...] = ()
+        self.preorder: tuple[Span, ...] = ()
         self._by_id: dict[SpanId, Span] = {}
         self._children: dict[SpanId, tuple[Span, ...]] = {}
         self._root: Span | None = None
@@ -115,17 +118,17 @@ class Trace:
                                                   f"dangling parent {bad.parent_id!r}")
                 siblings.append(s)
 
-        # parent links must form a tree rooted at the single root
-        seen: set[SpanId] = set()
-        stack = [self._root.span_id]
+        # parent links form a tree iff the walk from the root reaches every
+        # span; each span sits in one child list and the root in none, so the
+        # walk ends, and a cycle shows up as unreachable spans
+        preorder = []
+        stack = [self._root]
         while stack:
-            sid = stack.pop()
-            if sid in seen:
-                raise InvariantViolationError(sid, "cycle in parent links")
-            seen.add(sid)
-            stack.extend(c.span_id for c in kids[sid])
-        if len(seen) != len(spans):
-            missing = sorted(set(by_id) - seen)
+            s = stack.pop()
+            preorder.append(s)
+            stack.extend(reversed(kids[s.span_id]))
+        if len(preorder) != len(spans):
+            missing = sorted(set(by_id) - {s.span_id for s in preorder})
             raise InvariantViolationError(missing[0], "span not reachable from root")
 
         slack = self.clock_skew_slack
@@ -139,6 +142,7 @@ class Trace:
                 )
 
         self.arrival = tuple(arrival)
+        self.preorder = tuple(preorder)
         self._children = {sid: tuple(lst) for sid, lst in kids.items()}
 
     @property
@@ -169,19 +173,6 @@ class Trace:
 def children_of(trace: Trace, span_id: SpanId) -> list[SpanId]:
     """Direct children ordered by start time, ties broken by span id."""
     return [c.span_id for c in trace.child_spans(span_id)]
-
-
-def preorder_spans(trace: Trace) -> list[Span]:
-    """Root-first ordering; siblings by (start_time, span_id)."""
-    out: list[Span] = []
-
-    def visit(span: Span) -> None:
-        out.append(span)
-        for c in trace.child_spans(span.span_id):
-            visit(c)
-
-    visit(trace.root)
-    return out
 
 
 def _interval_union(intervals: list[tuple[int, int]]) -> int:
@@ -304,12 +295,3 @@ def read_trace_file(path, clock_skew_slack: int = 0):
             line = line.strip()
             if line:
                 yield parse_trace(line, clock_skew_slack=clock_skew_slack)
-
-
-def write_trace_file(traces, path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in traces:
-            fh.write(serialize_trace(t) + "\n")
-            n += 1
-    return n

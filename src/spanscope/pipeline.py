@@ -51,13 +51,13 @@ def path_forks(path: ExecutionPath, graph: Cscfg) -> tuple[str, ...]:
 
 class SamplingPipeline:
     def __init__(self, graph: Cscfg, mapping: SpanFunctionMap, cfg: SamplingConfig,
-                 cache_capacity: int = 4096, use_cache: bool = True):
+                 use_cache: bool = True):
         if not graph.frozen:
             graph.freeze()
         self.graph = graph
         self.mapping = mapping
         self.cfg = cfg
-        self.cache = PathCache(cache_capacity) if use_cache else None
+        self.cache = PathCache() if use_cache else None
         self.scorebook = ScoreBook(window=cfg.window, min_obs=cfg.min_obs,
                                    z_cap=cfg.z_cap, theta=cfg.theta_quantile)
         self.ledger = LrsLedger(cfg.lrs_horizon)

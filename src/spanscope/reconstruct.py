@@ -27,13 +27,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .cscfg import Cscfg, FunctionRef, parse_function_key
+from .cscfg import Cscfg, parse_function_key
 from .errors import (
     AmbiguousPathError,
     ReconstructionError,
     UnknownEntryError,
 )
-from .mapping import SpanFunctionMap, Unmapped, build_map
+from .mapping import SpanFunctionMap, Unmapped
 from .model import Span, Trace
 from .sampler import SamplingDecision
 
@@ -42,7 +42,10 @@ ORIGIN_INFERRED = "inferred"
 SOURCE_HISTORICAL = "historical-mean"
 SOURCE_ZERO = "zero-fallback"
 
-_SEARCH_BUDGET = 8000
+_SEARCH_BUDGET = 8000  # fork-choice prefixes one search may try
+# flow moves one walk may take: about two per function body, so a chain of
+# depth 10,000 fits with room, and a function that calls itself forever fails
+_WALK_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,16 @@ class _Node:
         self.std: float | None = None
 
 
-def _canonical(node: _Node):
-    return (node.fn, node.block,
-            node.span.span_id if node.span else None,
-            tuple(_canonical(c) for c in node.children))
+def _canonical(root: _Node) -> tuple:
+    """Preorder (fn, block, span id, child count) of every node; fixes the tree."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.fn, node.block, node.span.span_id if node.span else None,
+                     len(node.children)))
+        stack.extend(reversed(node.children))
+    return tuple(out)
 
 
 class _Walker:
@@ -112,7 +121,11 @@ class _Walker:
 
     choices supplies fork decisions; when it runs dry the walk either follows
     a recorded script exactly (replay mode raises) or surfaces the open fork
-    to the caller (search mode).
+    to the caller (search mode). run() keeps one frame per open invocation on
+    an explicit stack: each frame is a generator that walks its function's
+    blocks and yields every call it makes, and the callee's frame runs to its
+    end before the caller resumes. The walk stops as soon as any frame
+    surfaces an open fork.
     """
 
     def __init__(self, graph: Cscfg, kept_seq: list[tuple[Span, str]], choices, strict: bool):
@@ -122,12 +135,12 @@ class _Walker:
         self.strict = strict  # True: exhausted choices at a fork is an error
         self.pending_fork = None  # (options,) when a fork had no scripted choice
         self.taken: list[str] = []
-        self.budget = _SEARCH_BUDGET
+        self.budget = _WALK_BUDGET
 
     def _tick(self):
         self.budget -= 1
         if self.budget < 0:
-            raise ReconstructionError("path search budget exceeded")
+            raise ReconstructionError("walk step budget exceeded")
 
     def _choose(self, succs: tuple[str, ...], exit_id: str) -> str | None:
         if self.choices:
@@ -148,21 +161,19 @@ class _Walker:
         self.pending_fork = tuple(sorted(succs))
         return None
 
-    def _consume_patched(self, holder: _Node, node: str, sub) -> bool:
-        patched = sub.patched.get(node)
-        if not patched or not self.kept:
-            return False
-        fn = self.kept[0][1]
-        if fn not in patched:
-            return False
-        span = self.kept.popleft()[0]
-        child = _Node(fn, node, span)
-        holder.children.append(child)
-        return self._walk_into(fn, child)
+    def _consume_patched(self, holder: _Node, node: str, patched):
+        """Yields a call for each kept span that a dynamic edge of node explains."""
+        kept = self.kept
+        while kept and kept[0][1] in patched:
+            span, fn = kept.popleft()
+            child = _Node(fn, node, span)
+            holder.children.append(child)
+            yield fn, child
 
-    def _walk_into(self, fn_key: str, holder: _Node) -> bool:
+    def _walk_into(self, fn_key: str, holder: _Node):
+        """Yields (callee, child node) for each call; returns early at an open fork."""
         if not self.graph.has_body(fn_key):
-            return True
+            return
         sub = self.graph.subgraph(fn_key)
         node = sub.entry
         while node != sub.exit:
@@ -173,38 +184,39 @@ class _Walker:
             if len(succs) == 1:
                 node = succs[0]
             else:
-                chosen = self._choose(succs, sub.exit)
-                if chosen is None:
-                    return False  # surface the open fork
-                node = chosen
+                node = self._choose(succs, sub.exit)
+                if node is None:
+                    return  # surface the open fork
             if node == sub.exit:
                 break
-            while self._consume_patched(holder, node, sub):
-                pass
-            ok = True
+            patched = sub.patched.get(node)
+            if patched:
+                yield from self._consume_patched(holder, node, patched)
             for callee in sub.emissions.get(node, ()):
                 span = None
                 if self.kept and self.kept[0][1] == callee:
                     span = self.kept.popleft()[0]
                 child = _Node(callee, node, span)
                 holder.children.append(child)
-                ok = self._walk_into(callee, child)
-                if not ok:
-                    return False
-                while self._consume_patched(holder, node, sub):
-                    pass
-            if not ok:
-                return False
-        return True
+                yield callee, child
+                if patched:
+                    yield from self._consume_patched(holder, node, patched)
 
     def run(self, entry_key: str) -> _Node | None:
+        """The walked tree, or None when the walk stopped at an open fork."""
         root_span = None
         if self.kept and self.kept[0][1] == entry_key and self.kept[0][0].parent_id is None:
             root_span = self.kept.popleft()[0]
         root = _Node(entry_key, None, root_span)
-        done = self._walk_into(entry_key, root)
-        if not done:
-            return None
+        stack = [self._walk_into(entry_key, root)]
+        while stack:
+            call = next(stack[-1], None)
+            if self.pending_fork is not None:
+                return None
+            if call is None:
+                stack.pop()
+            else:
+                stack.append(self._walk_into(*call))
         return root
 
 
@@ -349,7 +361,7 @@ def _place(root: _Node, lo: int, hi: int) -> None:
 
 
 def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg,
-                stats: dict, mapping: SpanFunctionMap | None = None) -> ReconstructedTrace:
+                stats: dict, mapping: SpanFunctionMap) -> ReconstructedTrace:
     """Rebuild the full trace implied by a decision.
 
     stats is a statistics snapshot as produced by ScoreBook.snapshot(). Kept
@@ -362,8 +374,6 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
         raise UnknownEntryError(f"decision for {decision.trace_id!r} carries no entry function")
     if not graph.knows(decision.entry):
         raise UnknownEntryError(f"entry function {decision.entry!r} absent from graph")
-    if mapping is None:
-        mapping = build_map(graph)
 
     ordered = sorted(kept_spans, key=lambda s: (s.start_time, s.span_id))
     kept_seq: list[tuple[Span, str]] = []
@@ -455,45 +465,30 @@ class FidelityReport:
     inferred_count: int
 
 
-def _label_tree_original(trace: Trace, mapping: SpanFunctionMap):
-    def build(span: Span):
-        r = mapping.resolve(span)
-        kids = []
-        for c in trace.child_spans(span.span_id):
-            sub = build(c)
-            if sub[0] is None:
-                kids.extend(sub[2])  # unmapped spans are transparent
-            else:
-                kids.append(sub)
-        label = None if isinstance(r, Unmapped) else r.key
-        return (label, span, kids)
+def _label_tree(spans, labels, items):
+    """(label, item, kids) tree over spans given root first, in one pass.
 
-    return build(trace.root)
-
-
-def _label_tree_rebuilt(rebuilt: ReconstructedTrace):
-    children: dict[str | None, list[ReconstructedSpan]] = {}
-    for r in rebuilt.spans:
-        children.setdefault(r.span.parent_id, []).append(r)
-
-    def build(r: ReconstructedSpan):
-        kids = []
-        for c in children.get(r.span.span_id, []):
-            sub = build(c)
-            if sub[0] is None:
-                kids.extend(sub[2])
-            else:
-                kids.append(sub)
-        return (r.function, r, kids)
-
-    roots = children.get(None, [])
-    if len(roots) != 1:
-        raise ReconstructionError("rebuilt trace must have exactly one root")
-    return build(roots[0])
+    labels[i] is the function key of spans[i], None when unmapped; items[i]
+    is what the node carries. Unmapped spans are transparent: the nodes below
+    them join their nearest labelled ancestor's kids, in the order given.
+    Every span must follow its parent, except an unlabelled span with no
+    labelled descendant (a rebuilt orphan), which adds no node anyway.
+    """
+    root = (labels[0], items[0], [])
+    node_of = {spans[0].span_id: root}
+    for span, label, item in zip(spans[1:], labels[1:], items[1:]):
+        parent = node_of.get(span.parent_id)
+        if label is None:
+            node_of[span.span_id] = parent
+        else:
+            node = (label, item, [])
+            parent[2].append(node)
+            node_of[span.span_id] = node
+    return root
 
 
 def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
-                        mapping: SpanFunctionMap | None = None) -> FidelityReport:
+                        mapping: SpanFunctionMap) -> FidelityReport:
     """Compare the function trees of an original trace and its reconstruction.
 
     Unmapped spans have no function and are transparent on both sides: their
@@ -504,36 +499,32 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
     """
     if original.trace_id != rebuilt.trace_id:
         raise ValueError("trace ids differ")
-    if mapping is None:
-        raise ValueError("structural_fidelity needs the span-function map")
+    rspans = [r.span for r in rebuilt.spans]
+    if not rspans or [s for s in rspans if s.parent_id is None] != rspans[:1]:
+        raise ReconstructionError("rebuilt trace must have exactly one root")
 
-    otree = _label_tree_original(original, mapping)
-    rtree = _label_tree_rebuilt(rebuilt)
+    resolved = [mapping.resolve(s) for s in original.preorder]
+    olabels = [None if isinstance(r, Unmapped) else r.key for r in resolved]
+    otree = _label_tree(original.preorder, olabels, original.preorder)
+    rtree = _label_tree(rspans, [r.function for r in rebuilt.spans], rebuilt.spans)
 
     matched_ids: set[str] = set()
     inferred_pairs: list[tuple[Span, ReconstructedSpan]] = []
     exact = True
-
-    def walk(onode, rnode):
-        nonlocal exact
-        olabel, ospan, okids = onode
-        rlabel, rspan, rkids = rnode
+    # children pushed in reverse, so pairs are visited (and inferred_pairs
+    # filled, which orders the float sum below) in preorder
+    stack = [(otree, rtree)]
+    while stack:
+        (olabel, ospan, okids), (rlabel, rspan, rkids) = stack.pop()
         if olabel != rlabel:
             exact = False
-            return
-        if rspan.origin == ORIGIN_SAMPLED and rspan.span.span_id == ospan.span_id:
-            matched_ids.add(ospan.span_id)
-        elif rspan.origin == ORIGIN_INFERRED:
-            matched_ids.add(ospan.span_id)
+            continue
+        matched_ids.add(ospan.span_id)
+        if rspan.origin == ORIGIN_INFERRED:
             inferred_pairs.append((ospan, rspan))
-        else:
-            matched_ids.add(ospan.span_id)
         if len(okids) != len(rkids):
             exact = False
-        for oc, rc in zip(okids, rkids):
-            walk(oc, rc)
-
-    walk(otree, rtree)
+        stack.extend(reversed(list(zip(okids, rkids))))
 
     kept_ids = {r.span.span_id for r in rebuilt.spans if r.origin == ORIGIN_SAMPLED}
     represented = set(matched_ids)

@@ -19,6 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+from .cscfg import FunctionRef
 from .errors import EmptyPartitionError, PartitionMismatchError
 from .model import Trace
 from .partition import DominantSpanSet
@@ -122,16 +123,6 @@ class LrsLedger:
         floor = self.seq - self.horizon
         while picks and picks[0] <= floor:
             picks.popleft()
-
-    def last_sampled(self, key: str) -> int | None:
-        self._prune(key)
-        picks = self._picks.get(key)
-        return picks[-1] if picks else None
-
-    def sampled_count(self, key: str) -> int:
-        self._prune(key)
-        picks = self._picks.get(key)
-        return len(picks) if picks else 0
 
     def stats(self, key: str) -> tuple[int, int]:
         """(last sampled sequence or -1, count within horizon) in one pass."""
@@ -245,8 +236,6 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
 
 def span_key(resolution, span) -> str:
     """Scoring and ledger key: the function when mapped, else the operation."""
-    from .cscfg import FunctionRef
-
     if isinstance(resolution, FunctionRef):
         return resolution.key
     return f"op:{span.operation}"

@@ -296,19 +296,17 @@ class ScoreBook:
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW, min_obs: int = DEFAULT_MIN_OBS,
-                 z_cap: float = Z_CAP, theta: float = DEFAULT_THETA, exact: bool = False):
+                 z_cap: float = Z_CAP, theta: float = DEFAULT_THETA):
         self.window = window
         self.min_obs = min_obs
         self.z_cap = z_cap
         self.theta = theta
-        self.exact = exact
         self._windows: dict[str, SpanStatWindow] = {}
 
     def window_for(self, key: str) -> SpanStatWindow:
         win = self._windows.get(key)
         if win is None:
-            win = SpanStatWindow(key, self.window, self.min_obs,
-                                 self.z_cap, self.theta, self.exact)
+            win = SpanStatWindow(key, self.window, self.min_obs, self.z_cap, self.theta)
             self._windows[key] = win
         return win
 

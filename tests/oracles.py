@@ -374,3 +374,126 @@ def oracle_layout(root, orphans, stats: dict) -> None:
         for o in orphans:
             hi = max(hi, o.end_time)
         _place(root, lo, hi, stats, widths)
+
+
+# Reference tree walks: the recursive preorder, shape signature and fidelity
+# comparison that model, align and reconstruct used before they read
+# Trace.preorder or ran on explicit stacks, kept unchanged. Each recursion
+# level is one tree level, so these only fit traces of modest depth.
+
+def oracle_preorder_spans(trace) -> list:
+    """Root-first ordering; siblings by (start_time, span_id)."""
+    out: list = []
+
+    def visit(span) -> None:
+        out.append(span)
+        for c in trace.child_spans(span.span_id):
+            visit(c)
+
+    visit(trace.root)
+    return out
+
+
+def oracle_trace_signature(trace, resolutions: dict) -> tuple:
+    """Canonical shape: preorder function keys with nesting markers."""
+    from spanscope.cscfg import FunctionRef
+
+    parts: list[str] = []
+
+    def visit(span) -> None:
+        r = resolutions[span.span_id]
+        parts.append(r.key if isinstance(r, FunctionRef) else "?")
+        parts.append("(")
+        for child in trace.child_spans(span.span_id):
+            visit(child)
+        parts.append(")")
+
+    visit(trace.root)
+    return tuple(parts)
+
+
+def _oracle_label_tree_original(trace, mapping):
+    from spanscope.mapping import Unmapped
+
+    def build(span):
+        r = mapping.resolve(span)
+        kids = []
+        for c in trace.child_spans(span.span_id):
+            sub = build(c)
+            if sub[0] is None:
+                kids.extend(sub[2])  # unmapped spans are transparent
+            else:
+                kids.append(sub)
+        label = None if isinstance(r, Unmapped) else r.key
+        return (label, span, kids)
+
+    return build(trace.root)
+
+
+def _oracle_label_tree_rebuilt(rebuilt):
+    children: dict = {}
+    for r in rebuilt.spans:
+        children.setdefault(r.span.parent_id, []).append(r)
+
+    def build(r):
+        kids = []
+        for c in children.get(r.span.span_id, []):
+            sub = build(c)
+            if sub[0] is None:
+                kids.extend(sub[2])
+            else:
+                kids.append(sub)
+        return (r.function, r, kids)
+
+    roots = children.get(None, [])
+    if len(roots) != 1:
+        raise ValueError("rebuilt trace must have exactly one root")
+    return build(roots[0])
+
+
+def oracle_structural_fidelity(original, rebuilt, mapping):
+    """(structure_exact, span_recall, duration_error, inferred_count)."""
+    otree = _oracle_label_tree_original(original, mapping)
+    rtree = _oracle_label_tree_rebuilt(rebuilt)
+
+    matched_ids: set = set()
+    inferred_pairs: list = []
+    exact = True
+
+    def walk(onode, rnode):
+        nonlocal exact
+        olabel, ospan, okids = onode
+        rlabel, rspan, rkids = rnode
+        if olabel != rlabel:
+            exact = False
+            return
+        if rspan.origin == "sampled" and rspan.span.span_id == ospan.span_id:
+            matched_ids.add(ospan.span_id)
+        elif rspan.origin == "inferred":
+            matched_ids.add(ospan.span_id)
+            inferred_pairs.append((ospan, rspan))
+        else:
+            matched_ids.add(ospan.span_id)
+        if len(okids) != len(rkids):
+            exact = False
+        for oc, rc in zip(okids, rkids):
+            walk(oc, rc)
+
+    walk(otree, rtree)
+
+    kept_ids = {r.span.span_id for r in rebuilt.spans if r.origin == "sampled"}
+    represented = set(matched_ids)
+    for span in original.spans:
+        if span.span_id in kept_ids:
+            represented.add(span.span_id)
+    recall = len(represented) / len(original)
+
+    errors = [
+        abs(ospan.duration - rspan.span.duration) / ospan.duration
+        for ospan, rspan in inferred_pairs
+        if ospan.duration > 0
+    ]
+    mean_err = sum(errors) / len(errors) if errors else 0.0
+    if math.isnan(mean_err):  # pragma: no cover
+        mean_err = 0.0
+    return (exact, recall, mean_err, len(rebuilt.inferred()))

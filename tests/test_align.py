@@ -3,13 +3,13 @@ import random
 import pytest
 
 from spanscope.align import PathCache, align, trace_signature
-from spanscope.cscfg import build_cscfg
+from spanscope.cscfg import FunctionRef, build_cscfg
 from spanscope.errors import NoPathError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
-from spanscope.mapping import build_map
+from spanscope.mapping import Unmapped, build_map
 
 from .conftest import make_span, make_trace, single_function_doc
-from .oracles import oracle_invocation_cost
+from .oracles import oracle_invocation_cost, oracle_trace_signature
 
 FN = "svc:Main.run"
 
@@ -199,6 +199,31 @@ class TestOptimality:
         assert path.cost == 1  # the URL insertion inside the inner invocation
         assert path.insertions == 1
 
+    def test_nested_skip_costs_without_inserting(self):
+        inner = "svc:Inner.h"
+        doc = single_function_doc(
+            fn=FN, blocks=[{"id": "b0", "callees": [inner]}],
+            edges=[], entry="b0", exits=["b0"],
+            extra_functions=[{
+                "function": inner,
+                "blocks": [{"id": "s", "callees": []},
+                           {"id": "ca", "callees": ["svc:Y.opt", "svc:X.deep"]},
+                           {"id": "cb", "callees": ["svc:W.w"]}],
+                "flow_edges": [["s", "ca"], ["s", "cb"]], "entry": "s", "exits": ["ca", "cb"],
+            }, {"function": "svc:X.deep"}, {"function": "svc:Y.opt"}, {"function": "svc:W.w"}],
+        )
+        graph = build_cscfg(doc).freeze()
+        spans = [
+            make_span("r", operation="Main.run", start=0, duration=100),
+            make_span("h", parent="r", operation="Inner.h", start=5, duration=50),
+            make_span("d", parent="h", operation="X.deep", start=10, duration=10),
+            make_span("u", parent="r", operation="GET /zz", start=60, duration=5),
+        ]
+        path = align(graph, make_trace(spans), build_map(graph))
+        # Main inserts the URL span; Inner.h skips the unwitnessed Y.opt call
+        assert (path.cost, path.insertions) == (2, 1)
+        assert [s.kind for s in path.steps] == ["enter", "match", "skip", "match", "insert"]
+
 
 class TestCache:
     def setup_method(self):
@@ -274,6 +299,45 @@ def generated_samples(seed, n=200):
     samples = list(generate_traces(graph, meta, spec, n))
     graph.freeze()
     return graph, mapping, samples
+
+
+def assert_same_partition(signatures, references):
+    """Two items share a signature exactly when they share a reference signature."""
+    pairs = set(zip(signatures, references))
+    assert len(pairs) == len(set(signatures)) == len(set(references))
+
+
+class TestSignatureReference:
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_generated_traces(self, seed):
+        _graph, mapping, samples = generated_samples(seed)
+        sigs, refs = [], []
+        for sample in samples:
+            trace = sample.trace
+            res = {s.span_id: mapping.resolve(s) for s in trace.spans}
+            sigs.append(trace_signature(trace, res))
+            refs.append(oracle_trace_signature(trace, res))
+        assert_same_partition(sigs, refs)
+        assert 1 < len(set(sigs)) < len(sigs)
+
+    def test_small_random_trees(self):
+        # two function keys plus unmapped over tiny trees: shapes collide often
+        rng = random.Random(41)
+        labels = [FunctionRef("svc", "A", "a"), FunctionRef("svc", "B", "b"), Unmapped("url")]
+        sigs, refs = [], []
+        for i in range(3000):
+            spans = [make_span("s0", trace_id=f"t{i}", duration=100)]
+            for j in range(1, rng.randint(1, 6)):
+                parent = rng.choice(spans)
+                spans.append(make_span(f"s{j}", trace_id=f"t{i}", parent=parent.span_id,
+                                       start=parent.start_time + rng.randint(0, 3),
+                                       duration=rng.randint(0, 40)))
+            trace = make_trace(spans, trace_id=f"t{i}", slack=200)
+            res = {s.span_id: rng.choice(labels) for s in trace.spans}
+            sigs.append(trace_signature(trace, res))
+            refs.append(oracle_trace_signature(trace, res))
+        assert_same_partition(sigs, refs)
+        assert len(set(sigs)) > 100
 
 
 class TestSolveCache:

@@ -237,6 +237,12 @@ class TestPatch:
         # attached to the block whose callee span precedes the child
         assert graph.call_edges[(f"{FN}#b0", "svc:Remote.bar")] == PROV_DYNAMIC
 
+    def test_subgraph_sees_edges_added_after_it_was_built(self):
+        graph, mapping, trace = self._patched_setup()
+        assert graph.subgraph(FN).patched == {}
+        patch_with_traces(graph, [trace], mapping)
+        assert graph.subgraph(FN).patched == {f"{FN}#b0": frozenset({"svc:Remote.bar"})}
+
     def test_patch_idempotent_and_monotone(self):
         graph, mapping, trace = self._patched_setup()
         patch_with_traces(graph, [trace], mapping)

@@ -11,13 +11,12 @@ from spanscope.model import (
     exclusive_duration,
     exclusive_durations,
     parse_trace,
-    preorder_spans,
     serialize_trace,
     span_from_dict,
 )
 
 from .conftest import make_span, make_trace
-from .oracles import interval_union_length
+from .oracles import interval_union_length, oracle_preorder_spans
 
 
 def fig2_trace():
@@ -184,7 +183,7 @@ class TestChildren:
 
     def test_preorder_contains_all_spans_once(self):
         trace = fig2_trace()
-        order = [s.span_id for s in preorder_spans(trace)]
+        order = [s.span_id for s in trace.preorder]
         assert order == ["s1", "s2", "s3"]
 
 
@@ -272,6 +271,12 @@ class TestArrival:
             for span in trace.spans:
                 kids = [c for c in trace.spans if c.parent_id == span.span_id]
                 assert trace.child_spans(span.span_id) == by_arrival(kids)
+
+    def test_preorder_matches_the_recursive_reference(self):
+        rng = random.Random(33)
+        for _ in range(300):
+            trace = random_tree(rng, rng.randint(1, 40), slack=rng.choice((0, 30)))
+            assert trace.preorder == tuple(oracle_preorder_spans(trace))
 
     def test_exclusive_durations_match_per_span_and_oracle(self):
         rng = random.Random(32)

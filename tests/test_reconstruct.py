@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
 import spanscope.reconstruct as recon
-from spanscope.cscfg import build_cscfg
+from spanscope.cscfg import PROV_DYNAMIC, build_cscfg
+from spanscope.errors import AmbiguousPathError, ReconstructionError
 from spanscope.harness import (
     SystemSpec,
+    comfort_economy_system,
     generate_system,
     generate_traces,
     make_default_faults,
@@ -12,10 +16,15 @@ from spanscope.harness import (
 from spanscope.mapping import Unmapped, build_map
 from spanscope.model import Span, Trace
 from spanscope.pipeline import SamplingPipeline
-from spanscope.reconstruct import ORIGIN_INFERRED, structural_fidelity
-from spanscope.sampler import SamplingConfig
+from spanscope.reconstruct import (
+    ORIGIN_INFERRED,
+    ORIGIN_SAMPLED,
+    reconstruct,
+    structural_fidelity,
+)
+from spanscope.sampler import SamplingConfig, SamplingDecision
 
-from .oracles import oracle_layout
+from .oracles import oracle_layout, oracle_structural_fidelity
 
 
 def fresh_copy(node):
@@ -48,10 +57,12 @@ def measured_trees(monkeypatch):
     return seen
 
 
-# 1,100 traces; URL wrapper spans in the generated systems stay unmapped
-@pytest.mark.parametrize("seed,n,ratio", [(7, 300, 0.3), (11, 300, 0.3), (23, 300, 0.3),
-                                          (None, 200, 0.1)])
-def test_layout_matches_the_recursive_reference(measured_trees, seed, n, ratio):
+def sampled_workload(seed, n, ratio):
+    """A generated system's traces through a fresh pipeline, with its stats snapshot.
+
+    seed None picks the deep-chain system; otherwise URL wrapper spans occur
+    and stay unmapped.
+    """
     if seed is None:
         spec = SystemSpec(seed=5, url_span_probability=0.0)
         doc, meta = variable_depth_system()
@@ -65,7 +76,16 @@ def test_layout_matches_the_recursive_reference(measured_trees, seed, n, ratio):
     mapping = build_map(graph)
     pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=ratio))
     results = [pipeline.process(t) for t in traces]
-    stats = pipeline.stats_snapshot()
+    return spec, mapping, pipeline, results, pipeline.stats_snapshot()
+
+
+# 1,100 traces; URL wrapper spans in the generated systems stay unmapped
+WORKLOADS = [(7, 300, 0.3), (11, 300, 0.3), (23, 300, 0.3), (None, 200, 0.1)]
+
+
+@pytest.mark.parametrize("seed,n,ratio", WORKLOADS)
+def test_layout_matches_the_recursive_reference(measured_trees, seed, n, ratio):
+    spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
     with_orphans = inferred = 0
     for result in results:
         rebuilt = pipeline.reconstruct_result(result, stats)
@@ -109,3 +129,178 @@ def test_deep_chain_rebuilds_exactly(depth, ratio):
     assert structural_fidelity(trace, rebuilt, mapping).structure_exact
     if ratio < 1.0:
         assert any(r.origin == ORIGIN_INFERRED for r in rebuilt.spans)
+
+
+def retagged(trace, trace_id):
+    """The same spans under another trace id."""
+    return Trace(trace_id, [dataclasses.replace(s, trace_id=trace_id) for s in trace.spans])
+
+
+@pytest.mark.parametrize("seed,n,ratio", WORKLOADS)
+def test_fidelity_matches_the_recursive_reference(seed, n, ratio):
+    _spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
+    rebuilt = [pipeline.reconstruct_result(r, stats) for r in results]
+    inexact = 0
+    for i, (result, rb) in enumerate(zip(results, rebuilt)):
+        # each rebuild against its own trace, and against the next trace's
+        # spans, so mismatched labels and child counts are compared too
+        other = retagged(results[(i + 1) % len(results)].trace, rb.trace_id)
+        for original in (result.trace, other):
+            report = structural_fidelity(original, rb, mapping)
+            expected = oracle_structural_fidelity(original, rb, mapping)
+            assert (report.structure_exact, report.span_recall, report.duration_error,
+                    report.inferred_count) == expected, rb.trace_id
+            inexact += not report.structure_exact
+    assert inexact > 0
+
+
+def rebuild_both_ways(doc, trace):
+    """Sample one trace at ratio 0.1, then rebuild it by replay and by search.
+
+    The search gets the decision without its fork records; both rebuilds must
+    agree and match the original's structure.
+    """
+    graph = build_cscfg(doc)
+    mapping = build_map(graph)
+    pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.1))
+    result = pipeline.process(trace)
+    kept = [trace.span(sid) for sid in result.decision.kept]
+    stats = pipeline.stats_snapshot()
+    replayed = reconstruct(result.decision, kept, graph, stats, mapping)
+    searched = reconstruct(dataclasses.replace(result.decision, forks=None),
+                           kept, graph, stats, mapping)
+    assert searched == replayed
+    assert structural_fidelity(trace, replayed, mapping).structure_exact
+    return result, replayed
+
+
+# both run under the default recursion limit
+def test_deep_chain_samples_and_rebuilds_by_replay_and_search():
+    doc, trace = chain_system(10_000)
+    _result, rebuilt = rebuild_both_ways(doc, trace)
+    assert len(rebuilt.spans) == len(trace)
+    assert any(r.origin == ORIGIN_INFERRED for r in rebuilt.spans)
+
+
+def test_root_over_deep_unmapped_chain():
+    depth = 10_000
+    front, store = "svcurl:Front.handle", "svcurl:Store.get"
+    doc = {"schema_version": 1, "external_functions": [], "functions": [
+        {"function": front, "blocks": [{"id": "b0", "callees": [store]}],
+         "flow_edges": [], "entry": "b0", "exits": ["b0"]},
+        {"function": store}]}
+    spans = [Span("root", "u", None, "Front.handle", "svcurl", 0, 4 * depth)]
+    spans += [Span(f"u{i}", "u", f"u{i - 1}" if i else "root", f"GET /items/{i}", "svcurl",
+                   i + 1, 4 * depth - 2 * (i + 1))
+              for i in range(depth)]
+    spans.append(Span("leaf", "u", f"u{depth - 1}", "Store.get", "svcurl", depth + 1, 3))
+    result, rebuilt = rebuild_both_ways(doc, Trace("u", spans))
+    assert result.path.insertions == depth
+    assert {r.span.span_id for r in rebuilt.spans} >= set(result.decision.kept)
+
+
+def decision_for(entry, kept, forks=None, trace_id="t"):
+    return SamplingDecision(trace_id, tuple(sorted(s.span_id for s in kept)), entry, (), 0.0,
+                            forks=forks)
+
+
+def functions_of(rebuilt):
+    return [(r.function, r.origin) for r in rebuilt.spans]
+
+
+class TestForkInPatchedCallee:
+    """Main's block b0 calls A; a dynamic edge adds b0 -> P; P forks p1 (X) / p2 (Y).
+
+    A walk that goes on past a fork surfaced inside a patched callee rebuilds
+    [Main, P, A] when P's branch is unwitnessed, dropping the branch, and
+    finds no consistent path when X is kept.
+    """
+
+    MAIN, P = "svc:Main.run", "svc:P.p"
+
+    def setup_method(self):
+        doc = {"schema_version": 1, "external_functions": [], "functions": [
+            {"function": self.MAIN, "blocks": [{"id": "b0", "callees": ["svc:A.a"]}],
+             "flow_edges": [], "entry": "b0", "exits": ["b0"]},
+            {"function": self.P, "blocks": [{"id": "s", "callees": []},
+                                            {"id": "p1", "callees": ["svc:X.x"]},
+                                            {"id": "p2", "callees": ["svc:Y.y"]}],
+             "flow_edges": [["s", "p1"], ["s", "p2"]], "entry": "s", "exits": ["p1", "p2"]},
+            {"function": "svc:A.a"}, {"function": "svc:X.x"}, {"function": "svc:Y.y"}]}
+        self.graph = build_cscfg(doc)
+        assert self.graph.add_call_edge(f"{self.MAIN}#b0", self.P, PROV_DYNAMIC)
+        self.graph.freeze()
+        self.mapping = build_map(self.graph)
+        self.spans = {
+            "root": Span("root", "t", None, "Main.run", "svc", 0, 100),
+            "p": Span("p", "t", "root", "P.p", "svc", 1, 20),
+            "x": Span("x", "t", "p", "X.x", "svc", 2, 5),
+            "a": Span("a", "t", "root", "A.a", "svc", 30, 10),
+        }
+
+    def rebuild(self, *ids):
+        kept = [self.spans[i] for i in ids]
+        return reconstruct(decision_for(self.MAIN, kept), kept, self.graph, {}, self.mapping)
+
+    def test_unwitnessed_branch_is_ambiguous(self):
+        with pytest.raises(AmbiguousPathError) as info:
+            self.rebuild("root", "p", "a")
+        assert info.value.branch_tags == [f"{self.P}#p1", f"{self.P}#p2"]
+
+    def test_patched_call_after_the_block_call(self):
+        spans = {**self.spans, "p": Span("p", "t", "root", "P.p", "svc", 50, 20),
+                 "x": Span("x", "t", "p", "X.x", "svc", 51, 5)}
+        kept = [spans[i] for i in ("root", "a", "p", "x")]
+        rebuilt = reconstruct(decision_for(self.MAIN, kept), kept, self.graph, {}, self.mapping)
+        assert functions_of(rebuilt) == [(self.MAIN, ORIGIN_SAMPLED), ("svc:A.a", ORIGIN_SAMPLED),
+                                         (self.P, ORIGIN_SAMPLED), ("svc:X.x", ORIGIN_SAMPLED)]
+
+    def test_witnessed_branch_rebuilds(self):
+        rebuilt = self.rebuild("root", "p", "x", "a")
+        assert functions_of(rebuilt) == [(self.MAIN, ORIGIN_SAMPLED), (self.P, ORIGIN_SAMPLED),
+                                         ("svc:X.x", ORIGIN_SAMPLED), ("svc:A.a", ORIGIN_SAMPLED)]
+
+
+class TestSearchOnComfortEconomy:
+    def setup_method(self):
+        doc, meta = comfort_economy_system()
+        self.entry = meta.entry
+        self.graph = build_cscfg(doc)
+        self.mapping = build_map(self.graph)
+        traces = [s.trace for s in generate_traces(
+            self.graph, meta, SystemSpec(seed=5, url_span_probability=0.0), 20)]
+        self.graph.freeze()
+        self.pipeline = SamplingPipeline(self.graph, self.mapping, SamplingConfig(ratio=0.3))
+        self.comfort = next(t for t in traces
+                            if any(s.operation == "SeatService.getComfortClass" for s in t.spans))
+
+    def rebuild(self, operations, forks):
+        result = self.pipeline.process(self.comfort)
+        kept = [s for s in self.comfort.spans if s.operation in operations]
+        decision = dataclasses.replace(result.decision, kept=tuple(sorted(s.span_id for s in kept)))
+        if not forks:
+            decision = dataclasses.replace(decision, forks=None)
+        return reconstruct(decision, kept, self.graph, {}, self.mapping)
+
+    def test_witnessed_branch_search_equals_replay(self):
+        ops = {"OrderService.createOrder", "SeatService.getComfortClass"}
+        replayed = self.rebuild(ops, forks=True)
+        assert self.rebuild(ops, forks=False) == replayed
+        assert structural_fidelity(self.comfort, replayed, self.mapping).structure_exact
+
+    def test_unwitnessed_branch_names_both_arms(self):
+        with pytest.raises(AmbiguousPathError) as info:
+            self.rebuild({"OrderService.createOrder", "PriceService.getPrice"}, forks=False)
+        assert info.value.branch_tags == [f"{self.entry}#c1", f"{self.entry}#e1"]
+
+
+def test_endless_self_call_ends_in_reconstruction_error():
+    doc = {"schema_version": 1, "external_functions": [], "functions": [
+        {"function": "svc:Loop.f", "blocks": [{"id": "b0", "callees": ["svc:Loop.f"]}],
+         "flow_edges": [], "entry": "b0", "exits": ["b0"]}]}
+    graph = build_cscfg(doc).freeze()
+    mapping = build_map(graph)
+    root = Span("r", "t", None, "Loop.f", "svc", 0, 10)
+    for forks in ((), None):  # replay, then search
+        with pytest.raises(ReconstructionError):
+            reconstruct(decision_for("svc:Loop.f", [root], forks), [root], graph, {}, mapping)

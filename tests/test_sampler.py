@@ -190,10 +190,8 @@ class TestLedger:
         ledger = LrsLedger(100)
         decision = SamplingDecision("t", ("s1",), "e", (), 1.0, kept_keys=("k1",))
         ledger.note(decision.kept_keys)
-        assert ledger.sampled_count("k1") == 1
-        assert ledger.sampled_count("other") == 0
-        assert ledger.last_sampled("k1") == 1
-        assert ledger.last_sampled("other") is None
+        assert ledger.stats("k1") == (1, 1)
+        assert ledger.stats("other") == (-1, 0)
 
     def test_two_span_set_alternates_under_lrs(self):
         cfg, book, ledger = setup_state(ratio=0.5, fixed_threshold=1e9)
@@ -209,12 +207,12 @@ class TestLedger:
         for i in range(3):
             ledger.note(SamplingDecision(
                 f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)).kept_keys)
-        assert ledger.sampled_count("k") == 2  # the first decision decayed out
+        assert ledger.stats("k") == (3, 2)  # the first decision decayed out
 
-    def test_stats_match_separate_queries(self):
+    def test_stats_give_last_and_count(self):
         ledger = LrsLedger(50)
         for i in range(5):
             ledger.note(SamplingDecision(
                 f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)).kept_keys)
-        assert ledger.stats("k") == (ledger.last_sampled("k"), ledger.sampled_count("k"))
+        assert ledger.stats("k") == (5, 5)
         assert ledger.stats("none") == (-1, 0)
