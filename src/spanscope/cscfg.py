@@ -39,15 +39,16 @@ _EXIT_SUFFIX = "#@exit"
 
 @dataclass(frozen=True)
 class FunctionRef:
-    """Identity of a function: deployment unit, class and function name."""
+    """Identity of a function: deployment unit, class and function name.
+
+    ``key`` is the ``service:Class.function`` string that scoring, alignment
+    and the graph index by. It is set once at construction and is not a
+    field, so equality, hashing and repr read the three fields alone.
+    """
 
     service: str
     class_name: str
     function_name: str
-
-    @property
-    def key(self) -> str:
-        return f"{self.service}:{self.class_name}.{self.function_name}"
 
     @property
     def operation(self) -> str:
@@ -56,6 +57,10 @@ class FunctionRef:
     def __post_init__(self):
         if not (self.service and self.class_name and self.function_name):
             raise ValueError("FunctionRef fields must be non-empty")
+        # set once here, not as a cached_property: the key is read per span,
+        # and a cached_property's first read costs more than this at graph load
+        object.__setattr__(self, "key",
+                           f"{self.service}:{self.class_name}.{self.function_name}")
 
 
 def parse_function_key(key: str) -> FunctionRef:

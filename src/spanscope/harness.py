@@ -29,7 +29,7 @@ from .cscfg import SHARED_SERVICE, Cscfg, build_cscfg, entry_node
 from .errors import InvalidSpecError, UnknownFaultTargetError
 from .mapping import build_map
 from .model import Span, Trace, exclusive_durations
-from .pipeline import PARTITION_STAGES, STAGE_SELECT, SamplingPipeline, write_timing
+from .pipeline import SamplingPipeline, write_timing
 from .sampler import SamplingConfig
 from .scoring import P2Quantile, ScoreBook
 

@@ -13,6 +13,7 @@ Traces are immutable after parsing and safe to share across threads.
 from __future__ import annotations
 
 import json
+from collections.abc import KeysView
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
@@ -166,8 +167,9 @@ class Trace:
             raise UnknownSpanError(f"no span {span_id!r} in trace {self.trace_id!r}")
         return self._children[span_id]
 
-    def span_ids(self) -> frozenset[SpanId]:
-        return frozenset(self._by_id)
+    def span_ids(self) -> KeysView[SpanId]:
+        """The span ids as a read-only set view, without a copy."""
+        return self._by_id.keys()
 
 
 def children_of(trace: Trace, span_id: SpanId) -> list[SpanId]:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .align import ExecutionPath
 from .cscfg import Cscfg
+from .errors import PartitionMismatchError
 from .model import Trace
 
 TRUNK_TAG = "trunk"
@@ -71,8 +72,8 @@ def partition(path: ExecutionPath, graph: Cscfg, trace: Trace) -> list[DominantS
     close(len(path.steps) - 1)
 
     covered = [s for d in sets for s in d.spans]
-    if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):
-        raise RuntimeError(f"partition does not cover trace {trace.trace_id!r}")
+    if len(covered) != len(trace) or set(covered) != trace.span_ids():
+        raise PartitionMismatchError(f"partition does not cover trace {trace.trace_id!r}")
     return sets
 
 

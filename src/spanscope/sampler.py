@@ -9,7 +9,9 @@ of the per-set minimum.
 Within a set, spans whose robust Z-score reaches the per-key threshold are
 taken first, highest score first; any remaining quota is filled by the least
 recently sampled span types. Scoring observes in arrival order, so a span is
-judged against statistics that do not yet include it.
+judged against statistics that do not yet include it. Only these flagged
+spans are sorted by Z, and only when a set has more of them than its quota;
+the ledger is read and the rest sorted only when the rest must be cut.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cscfg import FunctionRef
 from .errors import EmptyPartitionError, PartitionMismatchError
@@ -171,50 +173,49 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
     span's exclusive duration. The ledger is advanced with the kept spans.
     """
     covered = [s for d in dss_list for s in d.spans]
-    if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):
+    if len(covered) != len(trace) or set(covered) != trace.span_ids():
         raise PartitionMismatchError(
             f"partition does not cover trace {trace.trace_id!r}"
         )
 
+    # only spans whose Z reaches the threshold in force are kept in z_of
     z_of: dict[str, float] = {}
-    flagged: dict[str, bool] = {}
     fixed = cfg.fixed_threshold
     window_for = scorebook.window_for
     for span in trace.arrival:
         sid = span.span_id
-        z, threshold = window_for(span_keys[sid]).score(exclusive[sid])
-        if fixed is not None:
-            threshold = fixed
-        z_of[sid] = z.value
-        flagged[sid] = z.value >= threshold
+        z, _, threshold = window_for(span_keys[sid]).score(exclusive[sid])
+        if z >= (threshold if fixed is None else fixed):
+            z_of[sid] = z
 
     budgets = allocate_budget(dss_list, cfg.ratio)
     kept: list[str] = []
     reports: list[DssReport] = []
     key_stats: dict[str, tuple[int, int]] = {}
     for dss, budget in zip(dss_list, budgets):
-        candidates = sorted(
-            (s for s in dss.spans if flagged[s]),
-            key=lambda s: (-z_of[s], s),
-        )
-        picked = candidates[:budget]
+        spans = dss.spans
+        picked = [s for s in spans if s in z_of]
+        if len(picked) > budget:
+            picked.sort(key=lambda s: (-z_of[s], s))
+            del picked[budget:]
         by_z = len(picked)
-        if len(picked) < budget:
-            chosen = set(picked)
-            for s in dss.spans:
-                k = span_keys[s]
-                if k not in key_stats:
-                    key_stats[k] = ledger.stats(k)
-            remainder = sorted(
-                (s for s in dss.spans if s not in chosen),
-                key=lambda s: key_stats[span_keys[s]] + (s,),
-            )
-            picked = picked + remainder[: budget - len(picked)]
-        kept.extend(picked)
+        if by_z < budget:
+            # the rest of the quota goes to the least recently sampled types
+            rest = [s for s in spans if s not in z_of]
+            need = budget - by_z
+            if len(rest) > need:
+                for s in rest:
+                    k = span_keys[s]
+                    if k not in key_stats:
+                        key_stats[k] = ledger.stats(k)
+                rest.sort(key=lambda s: key_stats[span_keys[s]] + (s,))
+                del rest[need:]
+            picked += rest
+        kept += picked
         reports.append(DssReport(
             dss_id=dss.dss_id,
             branch_tag=dss.branch_tag,
-            size=len(dss),
+            size=len(spans),
             budget=budget,
             picked_by_z=by_z,
             picked_by_lrs=len(picked) - by_z,

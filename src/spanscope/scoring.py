@@ -10,6 +10,11 @@ serves as the selection threshold.
 
 Z = (x - median) / MAD. With MAD = 0 the score degenerates: it is 0 when the
 observation sits on the median and a capped sentinel otherwise.
+
+SpanStatWindow.score(x) is the one body that updates a window: it returns
+(z, degenerate, threshold), the threshold being the one in force before x,
+and then folds x into every statistic. observe(x) wraps the same score in a
+ZScore.
 """
 
 from __future__ import annotations
@@ -61,41 +66,55 @@ class P2Quantile:
         des = self._desired
         inc = self._increments
 
+        # find the cell of x and bump every position above it; `not x >= h[k]`
+        # picks the same cell as a linear scan up the markers, NaN included
         if x < h[0]:
             h[0] = x
-            k = 0
+            pos[1] += 1
+            pos[2] += 1
+            pos[3] += 1
         elif x >= h[4]:
             h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-
-        for i in range(k + 1, 5):
-            pos[i] += 1
+        elif not x >= h[1]:
+            pos[1] += 1
+            pos[2] += 1
+            pos[3] += 1
+        elif not x >= h[2]:
+            pos[2] += 1
+            pos[3] += 1
+        elif not x >= h[3]:
+            pos[3] += 1
+        pos[4] += 1
         des[1] += inc[1]
         des[2] += inc[2]
         des[3] += inc[3]
         des[4] += inc[4]
 
         for i in (1, 2, 3):
-            d = des[i] - pos[i]
-            if (d >= 1 and pos[i + 1] - pos[i] > 1) or (d <= -1 and pos[i - 1] - pos[i] < -1):
-                d = 1 if d > 0 else -1
-                hi = h[i]
-                pi = pos[i]
-                p_next = pos[i + 1]
-                p_prev = pos[i - 1]
-                candidate = hi + d / (p_next - p_prev) * (
-                    (pi - p_prev + d) * (h[i + 1] - hi) / (p_next - pi)
-                    + (p_next - pi - d) * (hi - h[i - 1]) / (pi - p_prev)
-                )
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = hi + d * (h[i + d] - hi) / (pos[i + d] - pi)
-                pos[i] = pi + d
+            pi = pos[i]
+            d = des[i] - pi
+            if d >= 1:
+                if pos[i + 1] - pi <= 1:
+                    continue
+                d = 1
+            elif d <= -1:
+                if pos[i - 1] - pi >= -1:
+                    continue
+                d = -1
+            else:
+                continue
+            hi = h[i]
+            p_next = pos[i + 1]
+            p_prev = pos[i - 1]
+            candidate = hi + d / (p_next - p_prev) * (
+                (pi - p_prev + d) * (h[i + 1] - hi) / (p_next - pi)
+                + (p_next - pi - d) * (hi - h[i - 1]) / (pi - p_prev)
+            )
+            if h[i - 1] < candidate < h[i + 1]:
+                h[i] = candidate
+            else:
+                h[i] = hi + d * (h[i + d] - hi) / (pos[i + d] - pi)
+            pos[i] = pi + d
 
     def value(self) -> float:
         """Current estimate; exact for fewer than five observations."""
@@ -183,10 +202,14 @@ class ZScore(NamedTuple):
 class SpanStatWindow:
     """Sliding window of exclusive durations for one span type.
 
-    observe() scores against the statistics in place before the new value is
-    inserted; the first min_obs observations score 0 so cold windows flag
-    nothing. Exact mode recomputes median and MAD by sorting and exists for
-    oracle tests. Distinct keys are independent.
+    score(x) is the one body that updates a window. It reads the threshold in
+    force, scores x against the median and MAD in place before x is inserted,
+    then feeds the Z quantile, the Welford moments, the MAD estimator and the
+    window, and returns (z, degenerate, threshold); observe(x) returns the
+    same score as a ZScore. The first min_obs observations score 0 and see an
+    infinite threshold, so cold windows flag nothing. Exact mode recomputes
+    median and MAD by sorting and exists for oracle tests. Distinct keys are
+    independent.
     """
 
     def __init__(self, key: str, window: int = DEFAULT_WINDOW, min_obs: int = DEFAULT_MIN_OBS,
@@ -205,12 +228,16 @@ class SpanStatWindow:
         self._mad_est = P2Quantile(0.5)
         self._zq_est = P2Quantile(theta)
         self._welford = Welford()
-        # bound-method aliases keep the per-observation path lean
+        # bound-method and marker-list aliases keep the per-observation path
+        # lean; both estimators see one update per observation, so their
+        # estimate is heights[2] once count reaches five
         self._median_value = self._median.median
         self._median_add = self._median.add
         self._median_remove = self._median.remove
         self._mad_update = self._mad_est.update
+        self._mad_heights = self._mad_est.heights
         self._zq_update = self._zq_est.update
+        self._zq_heights = self._zq_est.heights
         self._wf_add = self._welford.add
 
     def _current_median(self) -> float | None:
@@ -225,41 +252,46 @@ class SpanStatWindow:
             return statistics.median(abs(v - med) for v in self._values)
         return self._mad_est.value()
 
-    def observe(self, x: float) -> ZScore:
-        values = self._values
-        if not values:
-            med = None
-        elif self.exact:
-            med = statistics.median(values)
-        else:
-            med = self._median_value()
+    def score(self, x: float) -> tuple[float, bool, float]:
+        """Score x, then add it; returns (z, degenerate, threshold in force)."""
+        count = self.count
+        cold = count < self.min_obs
+        threshold = self._zq_heights[2] if count >= 5 and not cold else self.z_threshold()
 
-        if med is None:
-            z = ZScore(0.0, False)
+        values = self._values
+        z = 0.0
+        degenerate = False
+        if not count:
             deviation = 0.0
-        elif self.count < self.min_obs:
-            z = ZScore(0.0, False)
-            deviation = abs(x - med)
         else:
-            mad = self._current_mad(med)
+            med = statistics.median(values) if self.exact else self._median_value()
             dev = x - med
-            if dev == 0:
-                z = ZScore(0.0, mad == 0)
-            elif mad <= 0:
-                z = ZScore(math.copysign(self.z_cap, dev), True)
-            else:
-                z = ZScore(dev / mad, False)
+            if not cold:
+                if count >= 5 and not self.exact:
+                    mad = self._mad_heights[2]
+                else:
+                    mad = self._current_mad(med)
+                if dev == 0:
+                    degenerate = mad == 0
+                elif mad <= 0:
+                    z = math.copysign(self.z_cap, dev)
+                    degenerate = True
+                else:
+                    z = dev / mad
             deviation = abs(dev)
 
-        self._zq_update(z.value)
+        self._zq_update(z)
         self._wf_add(x)
         self._mad_update(deviation)
         if len(values) == self.window:
             self._median_remove(values.popleft())
         values.append(x)
         self._median_add(x)
-        self.count += 1
-        return z
+        self.count = count + 1
+        return z, degenerate, threshold
+
+    def observe(self, x: float) -> ZScore:
+        return ZScore(*self.score(x)[:2])
 
     def z_threshold(self) -> float:
         """Current estimate of the theta quantile of emitted Z-scores.
@@ -270,11 +302,6 @@ class SpanStatWindow:
         if self.count < self.min_obs:
             return math.inf
         return self._zq_est.value()
-
-    def score(self, x: float) -> tuple[ZScore, float]:
-        """observe() paired with the threshold in force before the update."""
-        threshold = self.z_threshold()
-        return self.observe(x), threshold
 
     def stats(self) -> dict:
         med = self._current_median()
@@ -312,10 +339,6 @@ class ScoreBook:
 
     def observe(self, key: str, x: float) -> ZScore:
         return self.window_for(key).observe(x)
-
-    def z_threshold(self, key: str) -> float:
-        win = self._windows.get(key)
-        return math.inf if win is None else win.z_threshold()
 
     def snapshot(self) -> dict:
         keys = {}

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
+import statistics
+from collections import Counter, deque
 
 
 def enumerate_simple_paths(succ: dict, src: str, dst: str, cap: int = 50000) -> list[list[str]]:
@@ -497,3 +498,237 @@ def oracle_structural_fidelity(original, rebuilt, mapping):
     if math.isnan(mean_err):  # pragma: no cover
         mean_err = 0.0
     return (exact, recall, mean_err, len(rebuilt.inferred()))
+
+
+# Score and select as they were before the fused window update: the marker
+# search is a scan with a `while` loop, every window observation builds a
+# ZScore and reads its threshold through z_threshold(), and the select loop
+# keeps a flag for every span and sorts every set. The fused versions must
+# give the same bits. These copies reuse the package's RunningMedian, Welford
+# and allocate_budget, which tests check on their own.
+
+
+class OracleP2Quantile:
+    """The five-marker estimator with the scan-and-loop marker update."""
+
+    def __init__(self, quantile: float):
+        self.q = quantile
+        self.n = 0
+        self.heights: list[float] = []
+        self.positions = [1, 2, 3, 4, 5]
+        self._desired = [1.0, 1 + 2 * quantile, 1 + 4 * quantile, 3 + 2 * quantile, 5.0]
+        self._increments = [0.0, quantile / 2, quantile, (1 + quantile) / 2, 1.0]
+
+    def update(self, x: float) -> None:
+        self.n += 1
+        if self.n <= 5:
+            self.heights.append(x)
+            if self.n == 5:
+                self.heights.sort()
+            return
+
+        h = self.heights
+        pos = self.positions
+        des = self._desired
+        inc = self._increments
+
+        if x < h[0]:
+            h[0] = x
+            k = 0
+        elif x >= h[4]:
+            h[4] = x
+            k = 3
+        else:
+            k = 0
+            while x >= h[k + 1]:
+                k += 1
+
+        for i in range(k + 1, 5):
+            pos[i] += 1
+        des[1] += inc[1]
+        des[2] += inc[2]
+        des[3] += inc[3]
+        des[4] += inc[4]
+
+        for i in (1, 2, 3):
+            d = des[i] - pos[i]
+            if (d >= 1 and pos[i + 1] - pos[i] > 1) or (d <= -1 and pos[i - 1] - pos[i] < -1):
+                d = 1 if d > 0 else -1
+                hi = h[i]
+                pi = pos[i]
+                p_next = pos[i + 1]
+                p_prev = pos[i - 1]
+                candidate = hi + d / (p_next - p_prev) * (
+                    (pi - p_prev + d) * (h[i + 1] - hi) / (p_next - pi)
+                    + (p_next - pi - d) * (hi - h[i - 1]) / (pi - p_prev)
+                )
+                if h[i - 1] < candidate < h[i + 1]:
+                    h[i] = candidate
+                else:
+                    h[i] = hi + d * (h[i + d] - hi) / (pos[i + d] - pi)
+                pos[i] = pi + d
+
+    def value(self) -> float:
+        if self.n == 0:
+            return 0.0
+        if self.n < 5:
+            ordered = sorted(self.heights)
+            rank = self.q * (len(ordered) - 1)
+            lo = int(math.floor(rank))
+            hi = min(lo + 1, len(ordered) - 1)
+            frac = rank - lo
+            return ordered[lo] * (1 - frac) + ordered[hi] * frac
+        return self.heights[2]
+
+
+class OracleSpanStatWindow:
+    """A score window whose observe() and z_threshold() are separate reads."""
+
+    def __init__(self, key, window, min_obs, z_cap, theta, exact=False):
+        from spanscope.scoring import RunningMedian, Welford
+
+        self.key = key
+        self.window = window
+        self.min_obs = min_obs
+        self.z_cap = z_cap
+        self.exact = exact
+        self.count = 0
+        self._values = deque()
+        self._median = RunningMedian()
+        self._mad_est = OracleP2Quantile(0.5)
+        self._zq_est = OracleP2Quantile(theta)
+        self._welford = Welford()
+
+    def _current_mad(self, med):
+        if self.exact:
+            return statistics.median(abs(v - med) for v in self._values)
+        return self._mad_est.value()
+
+    def observe(self, x):
+        from spanscope.scoring import ZScore
+
+        values = self._values
+        if not values:
+            med = None
+        elif self.exact:
+            med = statistics.median(values)
+        else:
+            med = self._median.median()
+
+        if med is None:
+            z = ZScore(0.0, False)
+            deviation = 0.0
+        elif self.count < self.min_obs:
+            z = ZScore(0.0, False)
+            deviation = abs(x - med)
+        else:
+            mad = self._current_mad(med)
+            dev = x - med
+            if dev == 0:
+                z = ZScore(0.0, mad == 0)
+            elif mad <= 0:
+                z = ZScore(math.copysign(self.z_cap, dev), True)
+            else:
+                z = ZScore(dev / mad, False)
+            deviation = abs(dev)
+
+        self._zq_est.update(z.value)
+        self._welford.add(x)
+        self._mad_est.update(deviation)
+        if len(values) == self.window:
+            self._median.remove(values.popleft())
+        values.append(x)
+        self._median.add(x)
+        self.count += 1
+        return z
+
+    def z_threshold(self):
+        if self.count < self.min_obs:
+            return math.inf
+        return self._zq_est.value()
+
+    def score(self, x):
+        threshold = self.z_threshold()
+        return self.observe(x), threshold
+
+
+class OracleScoreBook:
+    def __init__(self, window, min_obs, z_cap, theta):
+        self.args = (window, min_obs, z_cap, theta)
+        self.windows: dict = {}
+
+    def window_for(self, key):
+        win = self.windows.get(key)
+        if win is None:
+            win = self.windows[key] = OracleSpanStatWindow(key, *self.args)
+        return win
+
+
+def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, exclusive,
+                        entry=None, forks=None):
+    """Budgeted selection with a flag per span and a sort per set."""
+    from spanscope.errors import PartitionMismatchError
+    from spanscope.sampler import DssReport, SamplingDecision, allocate_budget
+
+    covered = [s for d in dss_list for s in d.spans]
+    if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):
+        raise PartitionMismatchError(
+            f"partition does not cover trace {trace.trace_id!r}"
+        )
+
+    z_of: dict[str, float] = {}
+    flagged: dict[str, bool] = {}
+    fixed = cfg.fixed_threshold
+    window_for = scorebook.window_for
+    for span in trace.arrival:
+        sid = span.span_id
+        z, threshold = window_for(span_keys[sid]).score(exclusive[sid])
+        if fixed is not None:
+            threshold = fixed
+        z_of[sid] = z.value
+        flagged[sid] = z.value >= threshold
+
+    budgets = allocate_budget(dss_list, cfg.ratio)
+    kept: list[str] = []
+    reports: list = []
+    key_stats: dict[str, tuple[int, int]] = {}
+    for dss, budget in zip(dss_list, budgets):
+        candidates = sorted(
+            (s for s in dss.spans if flagged[s]),
+            key=lambda s: (-z_of[s], s),
+        )
+        picked = candidates[:budget]
+        by_z = len(picked)
+        if len(picked) < budget:
+            chosen = set(picked)
+            for s in dss.spans:
+                k = span_keys[s]
+                if k not in key_stats:
+                    key_stats[k] = ledger.stats(k)
+            remainder = sorted(
+                (s for s in dss.spans if s not in chosen),
+                key=lambda s: key_stats[span_keys[s]] + (s,),
+            )
+            picked = picked + remainder[: budget - len(picked)]
+        kept.extend(picked)
+        reports.append(DssReport(
+            dss_id=dss.dss_id,
+            branch_tag=dss.branch_tag,
+            size=len(dss),
+            budget=budget,
+            picked_by_z=by_z,
+            picked_by_lrs=len(picked) - by_z,
+        ))
+
+    kept_sorted = tuple(sorted(kept))
+    decision = SamplingDecision(
+        trace_id=trace.trace_id,
+        kept=kept_sorted,
+        entry=entry,
+        dss_reports=tuple(reports),
+        effective_ratio=len(kept_sorted) / len(trace),
+        kept_keys=tuple(sorted({span_keys[s] for s in kept_sorted})),
+        forks=forks,
+    )
+    ledger.note(decision.kept_keys)
+    return decision

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -36,6 +37,21 @@ class TestFunctionRef:
     def test_key_round_trip(self):
         ref = FunctionRef("svc", "pkg.Class", "fn")
         assert parse_function_key(ref.key) == ref
+
+    def test_key_is_the_formatted_string_and_leaves_identity_alone(self):
+        ref = FunctionRef("svc", "pkg.Class", "fn")
+        twin = FunctionRef("svc", "pkg.Class", "fn")
+        hash_before = hash(ref)
+        assert ref.key == "svc:pkg.Class.fn"
+        assert ref.key is ref.key  # computed once
+        assert ref == twin and hash(ref) == hash(twin) == hash_before
+        assert ref != FunctionRef("svc", "pkg.Class", "gn")
+        assert dataclasses.astuple(ref) == ("svc", "pkg.Class", "fn")
+        assert [f.name for f in dataclasses.fields(FunctionRef)] == \
+            ["service", "class_name", "function_name"]
+        assert dataclasses.replace(ref, function_name="gn").key == "svc:pkg.Class.gn"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ref.service = "other"
 
     def test_empty_fields_rejected(self):
         with pytest.raises(ValueError):

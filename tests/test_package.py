@@ -1,4 +1,8 @@
+import ast
 import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_submodule_imports_bind_modules():
@@ -8,3 +12,53 @@ def test_submodule_imports_bind_modules():
 
     for mod in (align_mod, partition_mod, reconstruct_mod):
         assert isinstance(mod, types.ModuleType), mod
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never references.
+
+    A name listed in the module's __all__ counts as used, and so does
+    every `from __future__` import.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_no_unused_imports():
+    files = [*sorted((ROOT / "src" / "spanscope").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    assert len(files) > 20
+    unused = {}
+    for path in files:
+        names = unused_imports(path.read_text(encoding="utf-8"))
+        if names:
+            unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}
+
+
+def test_unused_import_scan_sees_each_kind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "import json as j\n"
+        "from a import b, c as d\n"
+        "from e import f\n"
+        "__all__ = ['f']\n"
+        "print(os, b)\n"
+    )
+    assert unused_imports(source) == ["d (line 4)", "j (line 3)"]

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
 from spanscope.align import align
 from spanscope.cscfg import build_cscfg
+from spanscope.errors import PartitionMismatchError
 from spanscope.harness import comfort_economy_system
 from spanscope.mapping import build_map
 from spanscope.partition import TRUNK_TAG, dss_signature, partition
@@ -100,6 +103,16 @@ class TestPartition:
         assert sum(len(d.spans) for d in dss) == len(trace)
         all_spans = [s for d in dss for s in d.spans]
         assert sorted(all_spans) == sorted(trace.span_ids())
+
+    def test_path_missing_a_span_raises_typed_error(self, comfort_samples):
+        graph, mapping, meta, samples = comfort_samples
+        trace = samples[0].trace
+        path = align(graph, trace, mapping)
+        steps = list(path.steps)
+        last = max(i for i, step in enumerate(steps) if step.span_id is not None)
+        steps[last] = dataclasses.replace(steps[last], span_id=None)
+        with pytest.raises(PartitionMismatchError, match=trace.trace_id):
+            partition(dataclasses.replace(path, steps=tuple(steps)), graph, trace)
 
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples

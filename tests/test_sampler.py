@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from spanscope.cscfg import build_cscfg
 from spanscope.errors import EmptyPartitionError, PartitionMismatchError
+from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
+from spanscope.mapping import build_map
 from spanscope.partition import DominantSpanSet
+from spanscope.pipeline import SamplingPipeline
 from spanscope.sampler import (
     LrsLedger,
     SamplingConfig,
@@ -15,7 +19,7 @@ from spanscope.sampler import (
 from spanscope.scoring import ScoreBook
 
 from .conftest import make_span, make_trace
-from .oracles import alg1_budgets
+from .oracles import OracleScoreBook, alg1_budgets, oracle_sample_trace
 
 
 def dss(dss_id, spans, tag="trunk"):
@@ -216,3 +220,54 @@ class TestLedger:
                 f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)).kept_keys)
         assert ledger.stats("k") == (5, 5)
         assert ledger.stats("none") == (-1, 0)
+
+
+@pytest.fixture(scope="module")
+def partitioned():
+    """Partitioned traces of three generated 6x8 systems, by seed."""
+    out = {}
+    for seed in (7, 11, 23):
+        spec = SystemSpec(seed=seed, n_services=6, n_functions_per_service=8,
+                          branch_probability=0.3, url_span_probability=0.1)
+        doc, meta = generate_system(spec)
+        graph = build_cscfg(doc)
+        traces = [s.trace for s in
+                  generate_traces(graph, meta, spec, 300, make_default_faults(meta, 300))]
+        pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig())
+        rows = []
+        for t in traces:
+            _path, dss_list, _res, keys, exclusive = pipeline.partition_trace(t)
+            rows.append((t, dss_list, keys, exclusive))
+        out[seed] = rows
+    return out
+
+
+@pytest.mark.parametrize("fixed_threshold", [None, 1.0])
+@pytest.mark.parametrize("ratio", [0.1, 0.3, 0.8])
+def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_threshold):
+    cfg = SamplingConfig(ratio=ratio, fixed_threshold=fixed_threshold, lrs_horizon=64)
+    z_cut = lrs_cut = lrs_all = 0
+    for rows in partitioned.values():
+        book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, z_cap=cfg.z_cap,
+                         theta=cfg.theta_quantile)
+        ref_book = OracleScoreBook(cfg.window, cfg.min_obs, cfg.z_cap, cfg.theta_quantile)
+        ledger, ref_ledger = LrsLedger(cfg.lrs_horizon), LrsLedger(cfg.lrs_horizon)
+        for trace, dss_list, keys, exclusive in rows:
+            got = sample_trace(trace, dss_list, book, ledger, cfg, keys, exclusive,
+                               entry="e", forks=("f",))
+            want = oracle_sample_trace(trace, dss_list, ref_book, ref_ledger, cfg, keys,
+                                       exclusive, entry="e", forks=("f",))
+            assert got == want  # kept, dss_reports, kept_keys and the rest
+            for r in got.dss_reports:
+                z_cut += r.picked_by_z == r.budget and r.picked_by_z > 0
+                rest = r.size - r.picked_by_z
+                lrs_cut += 0 < r.picked_by_lrs < rest
+                lrs_all += 0 < r.picked_by_lrs == rest
+        # the ledger may prune lazily: compare what it answers for every key
+        every_key = set(ref_ledger._picks) | set(ledger._picks)
+        assert ledger.seq == ref_ledger.seq
+        assert {k: ledger.stats(k) for k in every_key} == \
+            {k: ref_ledger.stats(k) for k in every_key}
+        assert ledger._picks == ref_ledger._picks
+    # each branch of the select loop ran
+    assert min(z_cut, lrs_cut, lrs_all) > 0, (z_cut, lrs_cut, lrs_all)

@@ -11,9 +11,10 @@ from spanscope.scoring import (
     ScoreBook,
     SpanStatWindow,
     Welford,
+    ZScore,
 )
 
-from .oracles import HeapRunningMedian, exact_quantile
+from .oracles import HeapRunningMedian, OracleP2Quantile, OracleSpanStatWindow, exact_quantile
 
 
 class TestP2Quantile:
@@ -158,6 +159,85 @@ def test_window_outputs_bit_identical_to_heap_median(kind):
             observed += 1
         assert stats_bits(win) == stats_bits(ref)
     assert observed >= 25_000
+
+
+def marker_bits(est):
+    """Heights with their types, positions and desired positions."""
+    return ([bits(h) for h in est.heights], list(est.positions),
+            [bits(d) for d in est._desired])
+
+
+def p2_draw(rng, kind, i, heights):
+    if kind == "duplicates":
+        return rng.randint(0, 3)
+    if kind == "decreasing":
+        return 5000.0 - 0.37 * i
+    if kind == "on-marker":
+        if len(heights) == 5 and rng.random() < 0.7:
+            return rng.choice(heights)
+        return rng.uniform(0, 100)
+    if kind == "ints":
+        return rng.randint(0, 10 ** 6)
+    if kind == "ints-and-floats":
+        return rng.choice((rng.randint(0, 50), rng.uniform(0, 50), 25, 25.0))
+    if kind == "outliers":
+        x = rng.lognormvariate(3, 0.5)
+        return x * 1e6 if rng.random() < 0.05 else x
+    if kind == "nan":
+        return math.nan if rng.random() < 0.02 else rng.uniform(-1, 1)
+    return rng.lognormvariate(5, 1.0)
+
+
+P2_KINDS = ["duplicates", "decreasing", "on-marker", "ints", "ints-and-floats",
+            "outliers", "nan", "floats"]
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("kind", P2_KINDS)
+def test_p2_markers_bit_identical_to_scan_update(q, kind):
+    rng = random.Random(f"p2-{q}-{kind}")
+    est, ref = P2Quantile(q), OracleP2Quantile(q)
+    for i in range(3000):
+        x = p2_draw(rng, kind, i, ref.heights)
+        est.update(x)
+        ref.update(x)
+        assert marker_bits(est) == marker_bits(ref)
+        assert bits(est.value()) == bits(ref.value())
+
+
+def window_state(win):
+    """Everything a window carries between observations, bit for bit."""
+    wf = win._welford
+    return (win.count, [bits(v) for v in win._values],
+            [bits(v) for v in win._median._vals],
+            marker_bits(win._mad_est), marker_bits(win._zq_est),
+            (wf.count, bits(wf._mean), bits(wf._m2)))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("kind", ["few-ints", "ints", "few-floats", "floats"])
+def test_score_bit_identical_to_observe_then_threshold(kind, exact):
+    rng = random.Random(f"score-{kind}-{exact}")
+    observed = 0
+    for window in (1, 4, 16, 512):
+        for min_obs in (0, 1, 3, 8):
+            theta = rng.choice((0.5, 0.9, 0.99))
+            win = SpanStatWindow("k", window=window, min_obs=min_obs, theta=theta,
+                                 exact=exact)
+            ref = OracleSpanStatWindow("k", window, min_obs, scoring.Z_CAP, theta, exact)
+            for i, x in enumerate(stream(rng, kind, 300 if exact else 1200)):
+                want, want_threshold = ref.score(x)
+                if i % 3:
+                    got = win.score(x)
+                    assert (bits(got[0]), got[1], bits(got[2])) == (
+                        bits(want.value), want.degenerate, bits(want_threshold))
+                else:
+                    z = win.observe(x)
+                    assert type(z) is ZScore
+                    assert (bits(z.value), z.degenerate) == (bits(want.value), want.degenerate)
+                observed += 1
+            assert window_state(win) == window_state(ref)
+    assert observed >= 4_800
 
 
 class TestWelford:
