@@ -20,7 +20,7 @@ import sys
 
 from . import harness
 from .cscfg import Cscfg, build_cscfg, patch_with_traces
-from .errors import ConfigError, SpanscopeError
+from .errors import ConfigError, MalformedDocumentError, SpanscopeError
 from .mapping import build_map, load_shared_dictionary
 from .model import read_trace_file, span_from_dict
 from .pipeline import SamplingPipeline, write_timing
@@ -61,15 +61,16 @@ def _setting(args, config: dict, name: str, default):
 
 def _sampling_config(args, config: dict) -> SamplingConfig:
     try:
+        fixed = _setting(args, config, "fixed_threshold", None)
         return SamplingConfig(
             ratio=float(_setting(args, config, "ratio", 0.15)),
             theta_quantile=float(_setting(args, config, "theta", 0.90)),
             window=int(_setting(args, config, "window", 512)),
             min_obs=int(_setting(args, config, "min_obs", 8)),
             lrs_horizon=int(_setting(args, config, "lrs_horizon", 1024)),
-            fixed_threshold=_setting(args, config, "fixed_threshold", None),
+            fixed_threshold=None if fixed is None else float(fixed),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -145,13 +146,17 @@ def cmd_sample(args) -> int:
 def _read_kept(path: str) -> dict[str, list]:
     kept: dict[str, list] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            kept[obj["trace_id"]] = [span_from_dict(s, obj["trace_id"])
-                                     for s in obj["spans"]]
+            try:
+                obj = json.loads(line)
+                trace_id = obj["trace_id"]
+                kept[trace_id] = [span_from_dict(s, trace_id) for s in obj["spans"]]
+            except (ValueError, KeyError, TypeError, MalformedDocumentError) as exc:
+                raise MalformedDocumentError(
+                    f"{path}:{lineno}: bad kept-spans record: {type(exc).__name__}: {exc}") from exc
     return kept
 
 

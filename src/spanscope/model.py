@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import KeysView
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
@@ -54,7 +54,9 @@ class Span:
         }
 
     def with_parent(self, parent_id: SpanId | None) -> "Span":
-        return replace(self, parent_id=parent_id)
+        """A copy under another parent; the attributes dict is shared, not copied."""
+        return Span(self.span_id, self.trace_id, parent_id, self.operation, self.service,
+                    self.start_time, self.duration, self.attributes)
 
 
 class Trace:

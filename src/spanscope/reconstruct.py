@@ -23,9 +23,11 @@ span, else under the root.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cscfg import Cscfg, parse_function_key
 from .errors import (
@@ -47,9 +49,11 @@ _SEARCH_BUDGET = 8000  # fork-choice prefixes one search may try
 # depth 10,000 fits with room, and a function that calls itself forever fails
 _WALK_BUDGET = 50_000
 
+# keys are written in the order they are built; to_dict builds them sorted
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
-@dataclass(frozen=True)
-class ReconstructedSpan:
+
+class ReconstructedSpan(NamedTuple):
     span: Span
     origin: str  # sampled | inferred
     function: str | None  # function key; None for unmapped sampled spans
@@ -57,12 +61,20 @@ class ReconstructedSpan:
     uncertainty_std: float | None = None
 
     def to_dict(self) -> dict:
-        d = self.span.to_dict()
-        d["origin"] = self.origin
+        """The span's record plus its origin, every key (attributes too) sorted."""
+        s = self.span
+        attrs = s.attributes
+        attrs = dict(sorted(attrs.items())) if attrs else {}
         if self.origin == ORIGIN_INFERRED:
-            d["duration_source"] = self.duration_source
-            d["uncertainty_std"] = self.uncertainty_std
-        return d
+            return {"attributes": attrs, "duration": s.duration,
+                    "duration_source": self.duration_source, "operation": s.operation,
+                    "origin": ORIGIN_INFERRED, "parent_id": s.parent_id,
+                    "service": s.service, "span_id": s.span_id,
+                    "start_time": s.start_time, "trace_id": s.trace_id,
+                    "uncertainty_std": self.uncertainty_std}
+        return {"attributes": attrs, "duration": s.duration, "operation": s.operation,
+                "origin": self.origin, "parent_id": s.parent_id, "service": s.service,
+                "span_id": s.span_id, "start_time": s.start_time, "trace_id": s.trace_id}
 
 
 @dataclass(frozen=True)
@@ -78,12 +90,8 @@ class ReconstructedTrace:
         return [r for r in self.spans if r.origin == ORIGIN_INFERRED]
 
     def serialize(self) -> str:
-        import json
-
-        return json.dumps(
-            {"trace_id": self.trace_id, "spans": [r.to_dict() for r in self.spans]},
-            sort_keys=True, separators=(",", ":"),
-        )
+        return _ENCODER.encode(
+            {"spans": [r.to_dict() for r in self.spans], "trace_id": self.trace_id})
 
 
 class _Node:
@@ -322,42 +330,28 @@ def _measure(root: _Node, stats: dict) -> None:
         node.width = width
 
 
-def _place(root: _Node, lo: int, hi: int) -> None:
-    """Assign [lo, hi) to the root and an interval to every node below it.
-
-    Needs _measure first. Each node is visited once and places its children
-    from its own interval and their stored anchors and widths alone. Sampled
-    spans keep their times; inferred ones are packed left to right, bending
-    around the anchors of later siblings.
-    """
-    root.lo, root.hi = lo, hi
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        kids = node.children
-        if not kids:
-            continue
-        lo, hi = node.lo, node.hi
-        # limits[i]: start of the first anchored sibling after kids[i], else hi
-        limits = [hi] * len(kids)
-        nxt = hi
-        for idx in range(len(kids) - 1, 0, -1):
-            if kids[idx].alo is not None:
-                nxt = kids[idx].alo
-            limits[idx - 1] = nxt
-        cursor = lo
-        for child, limit in zip(kids, limits):
-            if child.span is not None:
-                clo, chi = child.span.start_time, child.span.end_time
-            elif child.alo is not None:
-                clo = child.alo
-                chi = max(child.ahi, min(clo + child.width, hi) if hi > clo else child.ahi)
-            else:
-                clo = cursor
-                chi = clo + min(child.width, max(0, limit - cursor))
-            child.lo, child.hi = clo, chi
-            cursor = max(cursor, chi)
-        stack.extend(kids)
+def _attach_orphans(orphans: list[Span], kept_spans: list[Span],
+                    rspans: list[ReconstructedSpan], sampled: list[Span]) -> None:
+    """Append each unmapped kept span under its kept parent, else under the
+    shortest sampled span that contains it, else under the root."""
+    root_id = rspans[0].span.span_id
+    sampled.sort(key=lambda s: (s.duration, s.span_id))
+    # orphans are kept spans, so this set holds the ids appended below too
+    known_ids = {s.span_id for s in kept_spans} | {r.span.span_id for r in rspans}
+    for orphan in orphans:
+        if orphan.parent_id in known_ids:
+            parent = orphan.parent_id
+        else:
+            parent = None
+            for cand in sampled:
+                if cand.span_id != orphan.span_id and \
+                        cand.start_time <= orphan.start_time and orphan.end_time <= cand.end_time:
+                    parent = cand.span_id
+                    break
+            if parent is None:
+                parent = root_id
+        span = orphan if orphan.parent_id == parent else orphan.with_parent(parent)
+        rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, None))
 
 
 def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg,
@@ -395,65 +389,70 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     # root interval: verbatim when sampled, otherwise anchored left on the
     # earliest sampled evidence (orphans included so they stay containable)
     if root.span is not None:
-        lo, hi = root.span.start_time, root.span.end_time
+        root.lo, root.hi = root.span.start_time, root.span.end_time
     else:
         alo = root.alo
         for o in orphans:
             alo = o.start_time if alo is None else min(alo, o.start_time)
-        lo = alo if alo is not None else 0
-        hi = lo + root.width
+        root.lo = alo if alo is not None else 0
+        root.hi = root.lo + root.width
         for o in orphans:
-            hi = max(hi, o.end_time)
-    _place(root, lo, hi)
+            root.hi = max(root.hi, o.end_time)
 
-    # preorder; an inferred span's id carries its preorder index
+    # one preorder pass: emit each node (an inferred span's id carries its
+    # preorder index), then place its children inside its interval before
+    # pushing them. Sampled spans keep their times; inferred ones are packed
+    # left to right, bending around the anchors of later siblings.
+    trace_id = decision.trace_id
+    functions = graph.functions
     rspans: list[ReconstructedSpan] = []
+    sampled: list[Span] = []
     stack: list[tuple[_Node, str | None]] = [(root, None)]
     while stack:
         node, parent_id = stack.pop()
-        if node.span is not None:
-            span = node.span if node.span.parent_id == parent_id else node.span.with_parent(parent_id)
+        span = node.span
+        if span is not None:
+            if span.parent_id != parent_id:
+                span = span.with_parent(parent_id)
             rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, node.fn))
+            sampled.append(span)
             sid = span.span_id
         else:
-            ref = parse_function_key(node.fn)
-            sid = f"{decision.trace_id}:inf:{len(rspans)}"
-            span = Span(
-                span_id=sid,
-                trace_id=decision.trace_id,
-                parent_id=parent_id,
-                operation=ref.operation,
-                service=ref.service,
-                start_time=node.lo,
-                duration=node.hi - node.lo,
-                attributes={},
-            )
-            rspans.append(ReconstructedSpan(span, ORIGIN_INFERRED, node.fn,
-                                            node.source, node.std))
-        stack.extend((c, sid) for c in reversed(node.children))
+            fn = node.fn
+            # the graph holds a FunctionRef for every function but external ones
+            ref = functions.get(fn) or parse_function_key(fn)
+            sid = f"{trace_id}:inf:{len(rspans)}"
+            rspans.append(ReconstructedSpan(
+                Span(sid, trace_id, parent_id, ref.operation, ref.service,
+                     node.lo, node.hi - node.lo, {}),
+                ORIGIN_INFERRED, fn, node.source, node.std))
+        kids = node.children
+        if not kids:
+            continue
+        lo, hi = node.lo, node.hi
+        # limits[i]: start of the first anchored sibling after kids[i], else hi
+        limits = [hi] * len(kids)
+        nxt = hi
+        for idx in range(len(kids) - 1, 0, -1):
+            if kids[idx].alo is not None:
+                nxt = kids[idx].alo
+            limits[idx - 1] = nxt
+        cursor = lo
+        for child, limit in zip(kids, limits):
+            if child.span is not None:
+                clo, chi = child.span.start_time, child.span.end_time
+            elif child.alo is not None:
+                clo = child.alo
+                chi = max(child.ahi, min(clo + child.width, hi) if hi > clo else child.ahi)
+            else:
+                clo = cursor
+                chi = clo + min(child.width, max(0, limit - cursor))
+            child.lo, child.hi = clo, chi
+            cursor = max(cursor, chi)
+        stack.extend((c, sid) for c in reversed(kids))
 
-    root_id = rspans[0].span.span_id
-    sampled_sorted = sorted(
-        (r.span for r in rspans if r.origin == ORIGIN_SAMPLED),
-        key=lambda s: (s.duration, s.span_id),
-    )
-    # orphans are kept spans, so this set holds the ids appended below too
-    known_ids = {s.span_id for s in kept_spans} | {r.span.span_id for r in rspans}
-    for orphan in orphans:
-        if orphan.parent_id in known_ids:
-            parent = orphan.parent_id
-        else:
-            parent = None
-            for cand in sampled_sorted:
-                if cand.span_id != orphan.span_id and \
-                        cand.start_time <= orphan.start_time and orphan.end_time <= cand.end_time:
-                    parent = cand.span_id
-                    break
-            if parent is None:
-                parent = root_id
-        span = orphan if orphan.parent_id == parent else orphan.with_parent(parent)
-        rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, None))
-
+    if orphans:
+        _attach_orphans(orphans, kept_spans, rspans, sampled)
     return ReconstructedTrace(decision.trace_id, tuple(rspans))
 
 

@@ -20,6 +20,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cscfg import FunctionRef
 from .errors import EmptyPartitionError, PartitionMismatchError
@@ -45,8 +46,7 @@ class SamplingConfig:
             raise ValueError("theta_quantile must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class DssReport:
+class DssReport(NamedTuple):
     dss_id: str
     branch_tag: str
     size: int

@@ -732,3 +732,147 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
     )
     ledger.note(decision.kept_keys)
     return decision
+
+
+# Rebuild emit as it was before children were placed while emitting: a
+# separate layout pass (_place) over the measured tree, then a preorder emit
+# that parses every inferred span's function key, then a serialization that
+# sorts keys in the encoder. The one-pass emit must give the same bytes.
+# These copies reuse the package's path derivation and _measure, which tests
+# check on their own.
+
+
+def _oracle_place(root, lo: int, hi: int) -> None:
+    """Assign [lo, hi) to the root and an interval to every node below it."""
+    root.lo, root.hi = lo, hi
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = node.children
+        if not kids:
+            continue
+        lo, hi = node.lo, node.hi
+        # limits[i]: start of the first anchored sibling after kids[i], else hi
+        limits = [hi] * len(kids)
+        nxt = hi
+        for idx in range(len(kids) - 1, 0, -1):
+            if kids[idx].alo is not None:
+                nxt = kids[idx].alo
+            limits[idx - 1] = nxt
+        cursor = lo
+        for child, limit in zip(kids, limits):
+            if child.span is not None:
+                clo, chi = child.span.start_time, child.span.end_time
+            elif child.alo is not None:
+                clo = child.alo
+                chi = max(child.ahi, min(clo + child.width, hi) if hi > clo else child.ahi)
+            else:
+                clo = cursor
+                chi = clo + min(child.width, max(0, limit - cursor))
+            child.lo, child.hi = clo, chi
+            cursor = max(cursor, chi)
+        stack.extend(kids)
+
+
+def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping):
+    """reconstruct() as a layout pass followed by a separate emit pass."""
+    import dataclasses
+
+    import spanscope.reconstruct as recon
+    from spanscope.cscfg import parse_function_key
+    from spanscope.mapping import Unmapped
+    from spanscope.model import Span
+
+    ordered = sorted(kept_spans, key=lambda s: (s.start_time, s.span_id))
+    kept_seq, orphans = [], []
+    for span in ordered:
+        r = mapping.resolve(span)
+        if isinstance(r, Unmapped):
+            orphans.append(span)
+        else:
+            kept_seq.append((span, r.key))
+    if decision.forks is not None:
+        root = recon._derive_replay(graph, decision.entry, list(decision.forks),
+                                    kept_seq, decision.trace_id)
+    else:
+        root = recon._derive_search(graph, decision.entry, kept_seq, decision.trace_id)
+
+    recon._measure(root, stats)
+    if root.span is not None:
+        lo, hi = root.span.start_time, root.span.end_time
+    else:
+        alo = root.alo
+        for o in orphans:
+            alo = o.start_time if alo is None else min(alo, o.start_time)
+        lo = alo if alo is not None else 0
+        hi = lo + root.width
+        for o in orphans:
+            hi = max(hi, o.end_time)
+    _oracle_place(root, lo, hi)
+
+    rspans = []
+    stack = [(root, None)]
+    while stack:
+        node, parent_id = stack.pop()
+        if node.span is not None:
+            span = node.span
+            if span.parent_id != parent_id:
+                span = dataclasses.replace(span, parent_id=parent_id)
+            rspans.append(recon.ReconstructedSpan(span, recon.ORIGIN_SAMPLED, node.fn))
+            sid = span.span_id
+        else:
+            ref = parse_function_key(node.fn)
+            sid = f"{decision.trace_id}:inf:{len(rspans)}"
+            span = Span(
+                span_id=sid,
+                trace_id=decision.trace_id,
+                parent_id=parent_id,
+                operation=ref.operation,
+                service=ref.service,
+                start_time=node.lo,
+                duration=node.hi - node.lo,
+                attributes={},
+            )
+            rspans.append(recon.ReconstructedSpan(span, recon.ORIGIN_INFERRED, node.fn,
+                                                  node.source, node.std))
+        stack.extend((c, sid) for c in reversed(node.children))
+
+    root_id = rspans[0].span.span_id
+    sampled_sorted = sorted(
+        (r.span for r in rspans if r.origin == recon.ORIGIN_SAMPLED),
+        key=lambda s: (s.duration, s.span_id),
+    )
+    known_ids = {s.span_id for s in kept_spans} | {r.span.span_id for r in rspans}
+    for orphan in orphans:
+        if orphan.parent_id in known_ids:
+            parent = orphan.parent_id
+        else:
+            parent = None
+            for cand in sampled_sorted:
+                if cand.span_id != orphan.span_id and \
+                        cand.start_time <= orphan.start_time and orphan.end_time <= cand.end_time:
+                    parent = cand.span_id
+                    break
+            if parent is None:
+                parent = root_id
+        span = orphan if orphan.parent_id == parent else \
+            dataclasses.replace(orphan, parent_id=parent)
+        rspans.append(recon.ReconstructedSpan(span, recon.ORIGIN_SAMPLED, None))
+
+    return recon.ReconstructedTrace(decision.trace_id, tuple(rspans))
+
+
+def oracle_serialize(rebuilt) -> str:
+    """One rebuilt trace as a JSON line, keys sorted by the encoder."""
+    import json
+
+    records = []
+    for r in rebuilt.spans:
+        d = r.span.to_dict()
+        d["origin"] = r.origin
+        if r.origin == "inferred":
+            d["duration_source"] = r.duration_source
+            d["uncertainty_std"] = r.uncertainty_std
+        records.append(d)
+    return json.dumps({"trace_id": rebuilt.trace_id, "spans": records},
+                      sort_keys=True, separators=(",", ":"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -237,6 +238,13 @@ class TestSpanRecords:
         monkeypatch.setattr(model, "_checked_span_from_dict", itemised)
         span = span_from_dict(dict(GOOD_RECORD))
         assert span.to_dict() == GOOD_RECORD
+
+    def test_with_parent_equals_replace_and_shares_attributes(self):
+        span = make_span("b", parent="a", start=3, duration=7, attributes={"k": "v"})
+        moved = span.with_parent("root")
+        assert moved == dataclasses.replace(span, parent_id="root")
+        assert moved.attributes is span.attributes
+        assert span.with_parent(None) == dataclasses.replace(span, parent_id=None)
 
     def test_bool_for_an_integer_field_is_still_accepted(self):
         span = span_from_dict({**GOOD_RECORD, "start_time": True, "duration": False})

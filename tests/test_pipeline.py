@@ -173,3 +173,40 @@ def test_reconstruct_rates_only_the_traces_it_compared(workload, tmp_path, capsy
     assert reconstruct(none, tmp_path / "none") == 0
     assert not (tmp_path / "none" / "fidelity.json").exists()
     assert "structure_exact_rate" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value,code", [("3.0", 0), ("high", 2), ([3.0], 2)])
+def test_sample_converts_the_fixed_threshold(workload, tmp_path, capsys, value, code):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 20)
+
+    def sample(threshold, dest):
+        config = tmp_path / f"{dest}.json"
+        config.write_text(json.dumps({"fixed_threshold": threshold}), encoding="utf-8")
+        return cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                         "--out", str(tmp_path / dest), "--config", str(config)])
+
+    assert sample(value, "given") == code
+    if code:
+        assert capsys.readouterr().err.startswith("config error: ")
+    else:
+        assert sample(3.0, "float") == 0
+        decisions = [(tmp_path / d / "decisions.ndjson").read_bytes() for d in ("given", "float")]
+        assert decisions[0] == decisions[1]
+
+
+def test_reconstruct_names_the_malformed_kept_line(workload, tmp_path, capsys):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    good = (out / "kept.ndjson").read_text(encoding="utf-8").splitlines()[0]
+    bad_lines = ['{"trace_id": "t", "spans": [', '{"spans": []}', '[1, 2]',
+                 '{"trace_id": "t", "spans": 5}', '{"trace_id": "t", "spans": [{"span_id": 1}]}']
+    for bad in bad_lines:
+        kept = tmp_path / "kept.ndjson"
+        kept.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--graph", graph_path,
+                         "--decisions", str(out / "decisions.ndjson"), "--kept", str(kept),
+                         "--stats", str(out / "stats.json"), "--out", str(out)]) == 1, bad
+        assert capsys.readouterr().err.startswith(f"error: {kept}:3: "), bad

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -22,9 +23,14 @@ from spanscope.reconstruct import (
     reconstruct,
     structural_fidelity,
 )
-from spanscope.sampler import SamplingConfig, SamplingDecision
+from spanscope.sampler import SamplingConfig, SamplingDecision, decision_from_dict
 
-from .oracles import oracle_layout, oracle_structural_fidelity
+from .oracles import (
+    oracle_layout,
+    oracle_reconstruct,
+    oracle_serialize,
+    oracle_structural_fidelity,
+)
 
 
 def fresh_copy(node):
@@ -100,6 +106,45 @@ def test_layout_matches_the_recursive_reference(measured_trees, seed, n, ratio):
     assert inferred > 0
     if spec.url_span_probability > 0:
         assert with_orphans > 0
+
+
+@pytest.mark.parametrize("seed,n,ratio", WORKLOADS)
+def test_rebuilt_bytes_match_the_two_pass_reference(seed, n, ratio):
+    spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
+    with_orphans = 0
+    for result in results:
+        # the decision as the reconstruct command reads it back
+        decision = decision_from_dict(json.loads(result.decision.serialize()))
+        kept = [result.trace.span(sid) for sid in decision.kept]
+        rebuilt = reconstruct(decision, kept, pipeline.graph, stats, mapping)
+        expected = oracle_reconstruct(decision, kept, pipeline.graph, stats, mapping)
+        assert rebuilt == expected, decision.trace_id
+        assert rebuilt.serialize() == oracle_serialize(expected), decision.trace_id
+        with_orphans += any(r.function is None for r in rebuilt.spans)
+    if spec.url_span_probability > 0:
+        assert with_orphans > 0
+
+
+def test_serialize_matches_the_sort_keys_reference_on_a_hand_built_trace():
+    attrs = {"zeta": "z", "alpha": "\u00fc", "mid": "\u540d\u524d", "Beta": "\U0001f600"}
+    root = Span("r", "t\u00e9", None, "Front.handle", "svc\u00e9", 0, 100, attrs)
+    inferred = Span("t\u00e9:inf:1", "t\u00e9", "r", "Store.get", "svc", 10, 5, {})
+    measured = Span("t\u00e9:inf:2", "t\u00e9", "r", "Store.put", "svc", 20, 5, {})
+    orphan = Span("o", "t\u00e9", "r", "GET /caf\u00e9", "svc", 30, 3, {"b": "2", "a": "1"})
+    rebuilt = recon.ReconstructedTrace("t\u00e9", (
+        recon.ReconstructedSpan(root, ORIGIN_SAMPLED, "svc\u00e9:Front.handle"),
+        recon.ReconstructedSpan(inferred, ORIGIN_INFERRED, "svc:Store.get",
+                                recon.SOURCE_ZERO, None),
+        recon.ReconstructedSpan(measured, ORIGIN_INFERRED, "svc:Store.put",
+                                recon.SOURCE_HISTORICAL, 1.25),
+        recon.ReconstructedSpan(orphan, ORIGIN_SAMPLED, None),
+    ))
+    line = rebuilt.serialize()
+    assert line == oracle_serialize(rebuilt)
+    assert '"uncertainty_std":null' in line and '"uncertainty_std":1.25' in line
+    # records are built sorted without reordering the span's own attributes
+    assert list(root.attributes) == ["zeta", "alpha", "mid", "Beta"]
+    assert list(rebuilt.spans[0].to_dict()["attributes"]) == ["Beta", "alpha", "mid", "zeta"]
 
 
 def chain_system(depth):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from spanscope.mapping import build_map
 from spanscope.partition import DominantSpanSet
 from spanscope.pipeline import SamplingPipeline
 from spanscope.sampler import (
+    DssReport,
     LrsLedger,
     SamplingConfig,
     SamplingDecision,
@@ -187,6 +189,24 @@ class TestSampleTrace:
         assert back.entry == decision.entry
         assert back.forks == decision.forks
         assert back.dss_reports == decision.dss_reports
+
+    def test_dss_report_fields_and_decision_bytes(self):
+        assert DssReport._fields == ("dss_id", "branch_tag", "size", "budget",
+                                     "picked_by_z", "picked_by_lrs")
+        report = DssReport(dss_id="d0", branch_tag="svc:A.f#b1", size=4, budget=2,
+                           picked_by_z=1, picked_by_lrs=1)
+        assert report == DssReport("d0", "svc:A.f#b1", 4, 2, 1, 1)
+        decision = SamplingDecision("t", ("s1", "s2"), "svc:A.f", (report,), 0.5,
+                                    forks=("svc:A.f#b1",))
+        line = decision.serialize()
+        assert line == (
+            '{"dss":[{"branch_tag":"svc:A.f#b1","budget":2,"dss_id":"d0",'
+            '"picked_by_lrs":1,"picked_by_z":1,"size":4}],"effective_ratio":0.5,'
+            '"entry":"svc:A.f","forks":["svc:A.f#b1"],"kept":["s1","s2"],"trace_id":"t"}')
+        back = decision_from_dict(json.loads(line))
+        assert back.dss_reports == (report,)
+        assert type(back.dss_reports[0]) is DssReport
+        assert back.serialize() == line
 
 
 class TestLedger:
