@@ -15,17 +15,22 @@ Ties are broken deterministically: lower cost, then fewer insertions, then a
 fixed action preference (match, patched match, skip, insert, move to the
 smallest successor id), which keeps repeated runs byte-identical.
 
+A path names spans by slot, their index in `Trace.preorder`, so it depends
+on the trace's shape only. Forks are recorded as alignment finds them: a
+move out of a node with more than one flow successor puts its target on the
+step it follows and on the path; every other flow move is dropped.
+
 A PathCache memoises alignment at two levels. The trace level is keyed by
 the trace's shape signature (each span's function key and child count, in
-`Trace.preorder`) and stores the whole path with span slots (preorder
-indexes) in place of ids, so a hit rehydrates to a value identical to a fresh
-alignment. The invocation level is keyed by a function and the callee key of
-each symbol aligned against it (None for an inserted unmapped span), which is
-everything the solver reads besides the graph; it stores the solver's action
-sequence, so a trace whose whole shape is new still reuses the invocations it
-shares with earlier traces. Both levels hold at most `capacity` entries each.
-Neither key names the graph, so a cache serves one frozen graph: align
-refuses a cache with a graph that can still change.
+`Trace.preorder`) and stores the path itself, so a hit returns the very path
+a fresh alignment of that shape gives. The invocation level is keyed by a
+function and the callee key of each symbol aligned against it (None for an
+inserted unmapped span), which is everything the solver reads besides the
+graph; it stores the solver's action sequence, forks included, so a trace
+whose whole shape is new still reuses the invocations it shares with
+earlier traces. Both levels hold at most `capacity` entries each. Neither
+key names the graph, so a cache serves one frozen graph: align refuses a
+cache with a graph that can still change.
 """
 
 from __future__ import annotations
@@ -47,40 +52,38 @@ KIND_INSERT = "insert"
 KIND_SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class TransitEdge:
-    """One flow move taken after a step, inside one function's graph."""
-
-    function: str
-    src: str
-    dst: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathStep:
+    """One step; `slot` indexes `Trace.preorder` (None for a skip).
+
+    `forks` holds the targets of the fork moves taken after this step, in
+    order.
+    """
+
     kind: str
     block_id: str | None
     callee: str | None
-    span_id: str | None
-    transit: tuple[TransitEdge, ...] = ()
+    slot: int | None
+    forks: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class ExecutionPath:
+    """Aligned steps of one trace shape; `forks` lists every fork target in order."""
+
     steps: tuple[PathStep, ...]
     cost: int
     insertions: int
-
-    def span_ids(self) -> list[str]:
-        return [s.span_id for s in self.steps if s.span_id is not None]
+    forks: tuple[str, ...]
 
 
 class PathCache:
     """Two bounded LRU maps of alignment results for one frozen graph.
 
-    `lookup`/`store` hold whole-trace path templates keyed by
-    `trace_signature` (preorder function keys and child counts); `hits`,
-    `misses` and `len()` count this level.
+    `lookup`/`store` hold whole-trace `ExecutionPath`s keyed by
+    `trace_signature` (preorder function keys and child counts). A path
+    names spans by preorder slot and carries its forks, so a hit hands back
+    the stored path as it is; `hits`, `misses` and `len()` count this level.
     `lookup_solve`/`store_solve` hold per-invocation solver results keyed by
     `(function key, callee key or None per symbol)`, counted by `solve_hits`
     and `solve_misses`. Each map holds at most `capacity` entries. Neither key
@@ -112,16 +115,16 @@ class PathCache:
             data.popitem(last=False)
 
     def lookup(self, key):
-        """Hit returns the stored template, miss returns None."""
-        tmpl = self._get(self._data, key)
-        if tmpl is None:
+        """Hit returns the stored path, miss returns None."""
+        path = self._get(self._data, key)
+        if path is None:
             self.misses += 1
         else:
             self.hits += 1
-        return tmpl
+        return path
 
-    def store(self, key, template) -> None:
-        self._put(self._data, key, template)
+    def store(self, key, path) -> None:
+        self._put(self._data, key, path)
 
     def lookup_solve(self, key):
         solved = self._get(self._solves, key)
@@ -191,9 +194,11 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
 
     sym_fn holds the callee key of each symbol, None for an inserted unmapped
     span. Returns (cost, insertions, actions) with actions a tuple of tuples,
-    or None when no path exists. Cost tuples order by total cost then
-    insertion count; the greedy replay over goal distances applies the fixed
-    action preference, so the result is deterministic.
+    or None when no path exists. Of the flow moves, only those out of a node
+    with more than one successor appear, as ("fork", target). Cost tuples
+    order by total cost then insertion count; the greedy replay over goal
+    distances applies the fixed action preference, so the result is
+    deterministic.
     """
     sub = graph.subgraph(fn_key)
     mandatory = graph.dominance(fn_key).mandatory
@@ -284,25 +289,10 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
             acts.append(("skip", node, sub.emissions[node][k]))
         elif name == "ins":
             acts.append(("ins", i))
-        else:
-            acts.append(("move", node, name.split(">", 1)[1]))
+        elif len(sub.succ[node]) > 1:
+            acts.append(("fork", name.split(">", 1)[1]))
         state = nxt
     return total[0], total[1], tuple(acts)
-
-
-class _StepDraft:
-    __slots__ = ("kind", "block_id", "callee", "span_id", "transit")
-
-    def __init__(self, kind, block_id, callee, span_id):
-        self.kind = kind
-        self.block_id = block_id
-        self.callee = callee
-        self.span_id = span_id
-        self.transit: list[TransitEdge] = []
-
-    def freeze(self) -> PathStep:
-        return PathStep(self.kind, self.block_id, self.callee, self.span_id,
-                        tuple(self.transit))
 
 
 def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache | None):
@@ -318,8 +308,9 @@ def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache | N
     return solved
 
 
-def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inserts, cache):
-    """Realize one invocation's alignment into the step builder.
+def _emit_invocation(graph, trace, fn_key, children, resolutions, slot, steps, forks,
+                     inserts, cache):
+    """Realize one invocation's alignment into `steps` and `forks`.
 
     A generator: yields (callee key, child spans) for each nested invocation,
     which the caller emits completely before resuming this one, and returns
@@ -328,7 +319,7 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
     syms = _build_symbols(trace, children, resolutions)
 
     def emit_insert(sym):
-        builder.append(_StepDraft(KIND_INSERT, None, None, sym.span.span_id))
+        steps.append(PathStep(KIND_INSERT, None, None, slot[sym.span.span_id]))
         inserts.append((fn_key, sym.span.operation))
 
     if not graph.has_body(fn_key):
@@ -348,19 +339,22 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, builder, inser
         if act[0] in ("match", "pmatch"):
             _, node, callee, idx = act
             sym = syms[idx]
-            builder.append(_StepDraft(KIND_MATCH, node, callee, sym.span.span_id))
+            steps.append(PathStep(KIND_MATCH, node, callee, slot[sym.span.span_id]))
             yield sym.ref.key, sym.children
         elif act[0] == "skip":
             _, node, callee = act
-            builder.append(_StepDraft(KIND_SKIP, node, callee, None))
+            steps.append(PathStep(KIND_SKIP, node, callee, None))
         elif act[0] == "ins":
             sym = syms[act[1]]
             emit_insert(sym)
             if isinstance(sym, _SymCall):
                 yield sym.ref.key, sym.children
         else:
-            _, src, dst = act
-            builder[-1].transit.append(TransitEdge(fn_key, src, dst))
+            dst = act[1]
+            last = steps[-1]
+            steps[-1] = PathStep(last.kind, last.block_id, last.callee, last.slot,
+                                 last.forks + (dst,))
+            forks.append(dst)
     return cost, ins
 
 
@@ -370,7 +364,7 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
 
     Raises NoPathError when the root span does not resolve to a function the
     graph knows, and ValueError when given a cache with a graph that is not
-    frozen. Every span of the trace links to exactly one step.
+    frozen. Every slot of the trace's preorder lies on exactly one step.
     """
     if cache is not None and not graph.frozen:
         raise ValueError("a PathCache needs a frozen graph")
@@ -378,9 +372,9 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
         resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
     sig = trace_signature(trace, resolutions)
     if cache is not None:
-        tmpl = cache.lookup(sig)
-        if tmpl is not None:
-            return _rehydrate(tmpl, trace)
+        path = cache.lookup(sig)
+        if path is not None:
+            return path
 
     root = trace.root
     r = resolutions[root.span_id]
@@ -389,15 +383,15 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
     if not graph.knows(r.key):
         raise NoPathError(root.span_id, f"entry function {r.key!r} absent from graph")
 
-    builder: list[_StepDraft] = [
-        _StepDraft(KIND_ENTER, entry_node(r.key), r.key, root.span_id)
-    ]
+    slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
+    steps = [PathStep(KIND_ENTER, entry_node(r.key), r.key, slot[root.span_id])]
+    forks: list[str] = []
     inserts: list[tuple[str, str]] = []
     # one frame per open invocation; a nested one runs to its end before its
     # caller resumes, so steps land in the order a recursive walk gives
     cost = ins = 0
     stack = [_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
-                              resolutions, builder, inserts, cache)]
+                              resolutions, slot, steps, forks, inserts, cache)]
     while stack:
         try:
             fn_key, children = next(stack[-1])
@@ -406,37 +400,16 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
             cost += done.value[0]
             ins += done.value[1]
         else:
-            stack.append(_emit_invocation(graph, trace, fn_key, children,
-                                          resolutions, builder, inserts, cache))
-    path = ExecutionPath(tuple(s.freeze() for s in builder), cost, ins)
+            stack.append(_emit_invocation(graph, trace, fn_key, children, resolutions,
+                                          slot, steps, forks, inserts, cache))
 
-    linked = path.span_ids()
-    if len(linked) != len(trace) or set(linked) != set(trace.span_ids()):
+    linked = sorted(s.slot for s in steps if s.slot is not None)
+    if linked != list(range(len(trace))):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
     for fn, op in inserts:
         graph.record_alignment_insert(fn, op)
+    path = ExecutionPath(tuple(steps), cost, ins, tuple(forks))
     if cache is not None:
-        cache.store(sig, _template(path, trace))
+        cache.store(sig, path)
     return path
-
-
-def _template(path: ExecutionPath, trace: Trace):
-    slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
-    steps = tuple(
-        (s.kind, s.block_id, s.callee,
-         slot[s.span_id] if s.span_id is not None else None, s.transit)
-        for s in path.steps
-    )
-    return (steps, path.cost, path.insertions)
-
-
-def _rehydrate(template, trace: Trace) -> ExecutionPath:
-    steps_t, cost, ins = template
-    order = trace.preorder
-    steps = tuple(
-        PathStep(kind, block_id, callee,
-                 order[slot].span_id if slot is not None else None, transit)
-        for kind, block_id, callee, slot, transit in steps_t
-    )
-    return ExecutionPath(steps, cost, ins)

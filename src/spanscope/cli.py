@@ -155,9 +155,13 @@ def _read_kept(path: str) -> dict[str, list]:
                 trace_id = obj["trace_id"]
                 kept[trace_id] = [span_from_dict(s, trace_id) for s in obj["spans"]]
             except (ValueError, KeyError, TypeError, MalformedDocumentError) as exc:
-                raise MalformedDocumentError(
-                    f"{path}:{lineno}: bad kept-spans record: {type(exc).__name__}: {exc}") from exc
+                raise _bad_record(path, lineno, "kept-spans", exc) from exc
     return kept
+
+
+def _bad_record(path: str, lineno: int, kind: str, exc: Exception) -> MalformedDocumentError:
+    return MalformedDocumentError(
+        f"{path}:{lineno}: bad {kind} record: {type(exc).__name__}: {exc}")
 
 
 def cmd_reconstruct(args) -> int:
@@ -175,11 +179,14 @@ def cmd_reconstruct(args) -> int:
     err_sum = 0.0
     with open(out_path, "w", encoding="utf-8") as fh:
         with open(args.decisions, "r", encoding="utf-8") as dfh:
-            for line in dfh:
+            for lineno, line in enumerate(dfh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                decision = decision_from_dict(json.loads(line))
+                try:
+                    decision = decision_from_dict(json.loads(line))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise _bad_record(args.decisions, lineno, "decision", exc) from exc
                 rebuilt = reconstruct(decision, kept.get(decision.trace_id, []),
                                       graph, stats, mapping)
                 fh.write(rebuilt.serialize() + "\n")
@@ -212,8 +219,12 @@ def cmd_eval(args) -> int:
             spec_fields[name] = config[name]
     if args.seed is not None:
         spec_fields["seed"] = args.seed
-    spec = harness.SystemSpec(**spec_fields)
-    n = args.n if args.n is not None else int(config.get("n_traces", 2000))
+    try:
+        spec = harness.SystemSpec(**spec_fields)
+        spec.validate()
+        n = args.n if args.n is not None else int(config.get("n_traces", 2000))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     doc, meta = harness.generate_system(spec)
     cfg = _sampling_config(args, config)
     report = harness.evaluate(doc, meta, spec, n, cfg=cfg, ratio=args.ratio)

@@ -225,9 +225,6 @@ class Cscfg:
     def successors(self, fn_key: str, node: str) -> tuple[str, ...]:
         return self._succ.get(fn_key, {}).get(node, ())
 
-    def flow_out_degree(self, fn_key: str, node: str) -> int:
-        return len(self.successors(fn_key, node))
-
     def nodes_of(self, fn_key: str) -> list[str]:
         return sorted(self._succ.get(fn_key, {}))
 

@@ -58,6 +58,9 @@ class SystemSpec:
     duration_sigma_range: tuple = (0.2, 0.5)
 
     def validate(self) -> None:
+        for name in ("n_services", "n_functions_per_service", "max_call_depth"):
+            if not isinstance(getattr(self, name), int):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("branch_probability", "shared_library_fraction", "url_span_probability"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -1,13 +1,13 @@
 """Segmentation of an aligned trace into dominant span sets.
 
-Walking the execution path in order, a cut is made whenever the control flow
-passes a fork, i.e. a transfer out of a node with more than one flow
-successor. The forked step and everything accumulated since the previous cut
-form one set; spans inserted by alignment join the set of the step they
-follow. Entering a callee and returning from it are not branches, so only
-flow moves are examined. Each set is tagged with the first block entered
-through the fork edge, which identifies the branch taken; the leading
-segment is tagged "trunk".
+Walking the execution path in order, a cut is made after every step that
+alignment marked with forks, i.e. a step followed by a transfer out of a node
+with more than one flow successor. The forked step and everything
+accumulated since the previous cut form one set; spans inserted by alignment
+join the set of the step they follow. Each set is tagged with the step's
+first fork target, the first block entered through the fork edge, which
+identifies the branch taken; the leading segment is tagged "trunk". Steps
+name spans by preorder slot, so one path serves every trace of its shape.
 
 A segment that contains only skipped blocks witnesses no spans and yields no
 set; this only happens on alignments with positive cost.
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .align import ExecutionPath
-from .cscfg import Cscfg
 from .errors import PartitionMismatchError
 from .model import Trace
 
@@ -38,14 +37,15 @@ class DominantSpanSet:
         return len(self.spans)
 
 
-def partition(path: ExecutionPath, graph: Cscfg, trace: Trace) -> list[DominantSpanSet]:
-    """Cut the path at forks; pure function of (path, graph)."""
+def partition(path: ExecutionPath, trace: Trace) -> list[DominantSpanSet]:
+    """Cut the path after each forked step; pure function of (path, trace)."""
+    order = trace.preorder
     sets: list[DominantSpanSet] = []
     spans: list[str] = []
     seg_start = 0
     tag = TRUNK_TAG
 
-    def close(end_index: int) -> str | None:
+    def close(end_index: int) -> None:
         nonlocal spans, seg_start
         if spans:
             sets.append(DominantSpanSet(
@@ -56,19 +56,13 @@ def partition(path: ExecutionPath, graph: Cscfg, trace: Trace) -> list[DominantS
             ))
         spans = []
         seg_start = end_index + 1
-        return None
 
     for index, step in enumerate(path.steps):
-        if step.span_id is not None:
-            spans.append(step.span_id)
-        fork_dst = None
-        for move in step.transit:
-            if graph.flow_out_degree(move.function, move.src) > 1:
-                fork_dst = move.dst
-                break
-        if fork_dst is not None:
+        if step.slot is not None:
+            spans.append(order[step.slot].span_id)
+        if step.forks:
             close(index)
-            tag = fork_dst
+            tag = step.forks[0]
     close(len(path.steps) - 1)
 
     covered = [s for d in sets for s in d.spans]

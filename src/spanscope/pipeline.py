@@ -39,16 +39,6 @@ class TraceResult:
     path: ExecutionPath
 
 
-def path_forks(path: ExecutionPath, graph: Cscfg) -> tuple[str, ...]:
-    """Ordered fork targets taken along a path; recorded on decisions."""
-    forks = []
-    for step in path.steps:
-        for move in step.transit:
-            if graph.flow_out_degree(move.function, move.src) > 1:
-                forks.append(move.dst)
-    return tuple(forks)
-
-
 class SamplingPipeline:
     def __init__(self, graph: Cscfg, mapping: SpanFunctionMap, cfg: SamplingConfig,
                  use_cache: bool = True):
@@ -86,7 +76,7 @@ class SamplingPipeline:
         resolutions, keys, exclusive = self._timed(STAGE_MAP, self._map_stage, trace)
         path = self._timed(STAGE_ALIGN, align, self.graph, trace, self.mapping,
                            self.cache, resolutions)
-        dss_list = self._timed(STAGE_PARTITION, partition, path, self.graph, trace)
+        dss_list = self._timed(STAGE_PARTITION, partition, path, trace)
         return path, dss_list, resolutions, keys, exclusive
 
     def process(self, trace: Trace) -> TraceResult:
@@ -96,7 +86,7 @@ class SamplingPipeline:
         decision = self._timed(
             STAGE_SELECT, sample_trace, trace, dss_list, self.scorebook,
             self.ledger, self.cfg, keys, exclusive,
-            entry=entry, forks=path_forks(path, self.graph),
+            entry=entry, forks=path.forks,
         )
         self.traces_seen += 1
         return TraceResult(trace, decision, dss_list, path)

@@ -876,3 +876,321 @@ def oracle_serialize(rebuilt) -> str:
         records.append(d)
     return json.dumps({"trace_id": rebuilt.trace_id, "spans": records},
                       sort_keys=True, separators=(",", ":"))
+
+
+# -- alignment with recorded flow moves --------------------------------------
+#
+# The aligner as it stood before paths named slots and recorded forks: every
+# flow move is kept on the step it follows, the trace-level cache stores a
+# slot template that is rehydrated per hit, and partition and the decision's
+# fork record each rescan the moves and ask the graph for the out-degree.
+# It shares the symbol builder and `trace_signature` with the package; the
+# signature has its own oracle above.
+
+
+class OracleTransitEdge:
+    """One flow move taken after a step, inside one function's graph."""
+
+    __slots__ = ("function", "src", "dst")
+
+    def __init__(self, function, src, dst):
+        self.function, self.src, self.dst = function, src, dst
+
+
+class OracleStep:
+    __slots__ = ("kind", "block_id", "callee", "span_id", "transit")
+
+    def __init__(self, kind, block_id, callee, span_id, transit=()):
+        self.kind = kind
+        self.block_id = block_id
+        self.callee = callee
+        self.span_id = span_id
+        self.transit = transit
+
+
+class OraclePath:
+    __slots__ = ("steps", "cost", "insertions")
+
+    def __init__(self, steps, cost, insertions):
+        self.steps, self.cost, self.insertions = steps, cost, insertions
+
+
+def _oracle_solve(graph, fn_key: str, sym_fn: tuple):
+    """Optimal action sequence for one invocation, every flow move included."""
+    from spanscope.align import PROHIBITIVE_COST
+
+    sub = graph.subgraph(fn_key)
+    mandatory = graph.dominance(fn_key).mandatory
+    n = len(sym_fn)
+    start = (sub.entry, 0, 0)
+    goal = (sub.exit, 0, n)
+
+    def actions(state):
+        node, k, i = state
+        em = sub.emissions[node]
+        out = []
+        if k < len(em):
+            if i < n and sym_fn[i] == em[k]:
+                out.append(("match", (node, k + 1, i + 1), (0, 0)))
+        if i < n and sym_fn[i] is not None and sym_fn[i] in sub.patched.get(node, ()):
+            out.append(("pmatch", (node, k, i + 1), (0, 0)))
+        if k < len(em):
+            skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
+            out.append(("skip", (node, k + 1, i), (skip_cost, 0)))
+        if i < n:
+            out.append(("ins", (node, k, i + 1), (1, 1)))
+        if k == len(em):
+            for w in sub.succ.get(node, ()):
+                out.append((f"move>{w}", (w, 0, i), (0, 0)))
+        return out
+
+    edges = []
+    seen = {start}
+    dq = deque([start])
+    while dq:
+        state = dq.popleft()
+        for name, nxt, cost in actions(state):
+            edges.append((state, name, nxt, cost))
+            if nxt not in seen:
+                seen.add(nxt)
+                dq.append(nxt)
+    if goal not in seen:
+        return None
+
+    rev: dict = {}
+    for src, _name, dst, cost in edges:
+        rev.setdefault(dst, []).append((src, cost))
+
+    dist = {goal: (0, 0)}
+    heap = [((0, 0), 0, goal)]
+    seq = 0
+    while heap:
+        d, _, state = heapq.heappop(heap)
+        if dist.get(state, None) != d or state not in seen:
+            continue
+        for src, cost in rev.get(state, ()):
+            cand = (d[0] + cost[0], d[1] + cost[1])
+            if cand < dist.get(src, (PROHIBITIVE_COST * 4, PROHIBITIVE_COST * 4)):
+                dist[src] = cand
+                seq += 1
+                heapq.heappush(heap, (cand, seq, src))
+
+    if start not in dist:
+        return None
+
+    order = {"match": 0, "pmatch": 1, "skip": 2, "ins": 3}
+    total = dist[start]
+    acts = []
+    state = start
+    while state != goal:
+        best = None
+        here = dist[state]
+        for name, nxt, cost in sorted(
+            actions(state), key=lambda a: (order.get(a[0].split(">")[0], 4), a[0])
+        ):
+            nd = dist.get(nxt)
+            if nd is None:
+                continue
+            if (cost[0] + nd[0], cost[1] + nd[1]) == here:
+                best = (name, nxt)
+                break
+        if best is None:
+            raise RuntimeError("alignment replay lost the optimal path")
+        name, nxt = best
+        node, k, i = state
+        if name == "match":
+            acts.append(("match", node, sub.emissions[node][k], i))
+        elif name == "pmatch":
+            acts.append(("pmatch", node, sym_fn[i], i))
+        elif name == "skip":
+            acts.append(("skip", node, sub.emissions[node][k]))
+        elif name == "ins":
+            acts.append(("ins", i))
+        else:
+            acts.append(("move", node, name.split(">", 1)[1]))
+        state = nxt
+    return total[0], total[1], tuple(acts)
+
+
+def _oracle_solve_cached(graph, fn_key, sym_fn, cache):
+    if cache is None:
+        return _oracle_solve(graph, fn_key, sym_fn)
+    key = (fn_key, sym_fn)
+    solved = cache.lookup_solve(key)
+    if solved is None:
+        solved = _oracle_solve(graph, fn_key, sym_fn)
+        if solved is not None:
+            cache.store_solve(key, solved)
+    return solved
+
+
+def _oracle_emit_invocation(graph, trace, fn_key, children, resolutions, builder,
+                            inserts, cache):
+    from spanscope.align import KIND_INSERT, KIND_MATCH, KIND_SKIP, _build_symbols, _SymCall
+    from spanscope.errors import NoPathError
+
+    syms = _build_symbols(trace, children, resolutions)
+
+    def emit_insert(sym):
+        builder.append(OracleStep(KIND_INSERT, None, None, sym.span.span_id, []))
+        inserts.append((fn_key, sym.span.operation))
+
+    if not graph.has_body(fn_key):
+        for sym in syms:
+            emit_insert(sym)
+            if isinstance(sym, _SymCall):
+                yield sym.ref.key, sym.children
+        return len(syms), len(syms)
+
+    sym_fn = tuple(s.ref.key if isinstance(s, _SymCall) else None for s in syms)
+    solved = _oracle_solve_cached(graph, fn_key, sym_fn, cache)
+    if solved is None:
+        raise NoPathError(children[0].span_id if children else fn_key,
+                          f"no path through function {fn_key!r}")
+    cost, ins, acts = solved
+    for act in acts:
+        if act[0] in ("match", "pmatch"):
+            _, node, callee, idx = act
+            sym = syms[idx]
+            builder.append(OracleStep(KIND_MATCH, node, callee, sym.span.span_id, []))
+            yield sym.ref.key, sym.children
+        elif act[0] == "skip":
+            _, node, callee = act
+            builder.append(OracleStep(KIND_SKIP, node, callee, None, []))
+        elif act[0] == "ins":
+            sym = syms[act[1]]
+            emit_insert(sym)
+            if isinstance(sym, _SymCall):
+                yield sym.ref.key, sym.children
+        else:
+            _, src, dst = act
+            builder[-1].transit.append(OracleTransitEdge(fn_key, src, dst))
+    return cost, ins
+
+
+def oracle_align(graph, trace, mapping, cache=None, resolutions=None) -> OraclePath:
+    """align() with every flow move on its step and a rehydrated template per hit.
+
+    `cache` is a PathCache of its own: its solve memo holds this aligner's
+    action sequences, which keep every move.
+    """
+    from spanscope.align import KIND_ENTER, trace_signature
+    from spanscope.cscfg import entry_node
+    from spanscope.errors import NoPathError
+    from spanscope.mapping import Unmapped
+
+    if resolutions is None:
+        resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
+    sig = trace_signature(trace, resolutions)
+    if cache is not None:
+        tmpl = cache.lookup(sig)
+        if tmpl is not None:
+            return _oracle_rehydrate(tmpl, trace)
+
+    root = trace.root
+    r = resolutions[root.span_id]
+    if isinstance(r, Unmapped):
+        raise NoPathError(root.span_id, f"root span does not map to a function ({r.reason})")
+    if not graph.knows(r.key):
+        raise NoPathError(root.span_id, f"entry function {r.key!r} absent from graph")
+
+    builder = [OracleStep(KIND_ENTER, entry_node(r.key), r.key, root.span_id, [])]
+    inserts: list = []
+    cost = ins = 0
+    stack = [_oracle_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
+                                     resolutions, builder, inserts, cache)]
+    while stack:
+        try:
+            fn_key, children = next(stack[-1])
+        except StopIteration as done:
+            stack.pop()
+            cost += done.value[0]
+            ins += done.value[1]
+        else:
+            stack.append(_oracle_emit_invocation(graph, trace, fn_key, children,
+                                                 resolutions, builder, inserts, cache))
+    for step in builder:
+        step.transit = tuple(step.transit)
+    path = OraclePath(tuple(builder), cost, ins)
+
+    linked = [s.span_id for s in path.steps if s.span_id is not None]
+    if len(linked) != len(trace) or set(linked) != set(trace.span_ids()):
+        raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
+
+    for fn, op in inserts:
+        graph.record_alignment_insert(fn, op)
+    if cache is not None:
+        cache.store(sig, _oracle_template(path, trace))
+    return path
+
+
+def _oracle_template(path: OraclePath, trace):
+    slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
+    steps = tuple(
+        (s.kind, s.block_id, s.callee,
+         slot[s.span_id] if s.span_id is not None else None, s.transit)
+        for s in path.steps
+    )
+    return (steps, path.cost, path.insertions)
+
+
+def _oracle_rehydrate(template, trace) -> OraclePath:
+    steps_t, cost, ins = template
+    order = trace.preorder
+    steps = tuple(
+        OracleStep(kind, block_id, callee,
+                   order[slot].span_id if slot is not None else None, transit)
+        for kind, block_id, callee, slot, transit in steps_t
+    )
+    return OraclePath(steps, cost, ins)
+
+
+def _oracle_is_fork(graph, move) -> bool:
+    return len(graph.successors(move.function, move.src)) > 1
+
+
+def oracle_partition(path: OraclePath, graph, trace) -> list:
+    """Cut at forks found by rescanning every flow move against the graph."""
+    from spanscope.errors import PartitionMismatchError
+    from spanscope.partition import TRUNK_TAG, DominantSpanSet
+
+    sets: list = []
+    spans: list = []
+    seg_start = 0
+    tag = TRUNK_TAG
+
+    def close(end_index: int) -> None:
+        nonlocal spans, seg_start
+        if spans:
+            sets.append(DominantSpanSet(
+                dss_id=f"{trace.trace_id}:d{len(sets)}",
+                spans=tuple(spans),
+                anchor=(seg_start, end_index),
+                branch_tag=tag,
+            ))
+        spans = []
+        seg_start = end_index + 1
+
+    for index, step in enumerate(path.steps):
+        if step.span_id is not None:
+            spans.append(step.span_id)
+        fork_dst = None
+        for move in step.transit:
+            if _oracle_is_fork(graph, move):
+                fork_dst = move.dst
+                break
+        if fork_dst is not None:
+            close(index)
+            tag = fork_dst
+    close(len(path.steps) - 1)
+
+    covered = [s for d in sets for s in d.spans]
+    if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):
+        raise PartitionMismatchError(f"partition does not cover trace {trace.trace_id!r}")
+    return sets
+
+
+def oracle_path_forks(path: OraclePath, graph) -> tuple:
+    """Ordered fork targets taken along a path, by rescanning every move."""
+    return tuple(move.dst for step in path.steps for move in step.transit
+                 if _oracle_is_fork(graph, move))

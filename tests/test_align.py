@@ -85,18 +85,19 @@ class TestAlign:
         mapping = build_map(graph)
         trace = linear_trace(with_url=True)
         path = align(graph, trace, mapping)
-        linked = path.span_ids()
-        assert sorted(linked) == sorted(trace.span_ids())
+        linked = [s.slot for s in path.steps if s.slot is not None]
+        assert sorted(linked) == list(range(len(trace.preorder)))
 
     def test_url_span_costs_one_insertion(self):
         graph = linear_graph().freeze()
         mapping = build_map(graph)
-        path = align(graph, linear_trace(with_url=True), mapping)
+        trace = linear_trace(with_url=True)
+        path = align(graph, trace, mapping)
         assert path.cost == 1
         assert path.insertions == 1
         inserted = [s for s in path.steps if s.kind == "insert"]
         assert len(inserted) == 1
-        assert inserted[0].span_id == "u"
+        assert trace.preorder[inserted[0].slot].span_id == "u"
         assert inserted[0].block_id is None
 
     def test_insert_recorded_on_graph_sink(self):
@@ -261,13 +262,14 @@ class TestCache:
         r2 = {s.span_id: self.mapping.resolve(s) for s in nested.spans}
         assert trace_signature(flat, r1) != trace_signature(nested, r2)
 
-    def test_rehydrated_equals_fresh(self):
+    def test_cached_path_equals_fresh(self):
         cache = PathCache()
         fresh = align(self.graph, linear_trace(trace_id="t1"), self.mapping, cache)
         cached = align(self.graph, linear_trace(trace_id="t2"), self.mapping, cache)
         no_cache = align(self.graph, linear_trace(trace_id="t2"), self.mapping, None)
         assert cached == no_cache
         assert fresh.cost == cached.cost
+        assert cached is fresh
 
     def test_lru_eviction_capacity_one(self):
         cache = PathCache(capacity=1)

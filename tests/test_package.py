@@ -14,6 +14,39 @@ def test_submodule_imports_bind_modules():
         assert isinstance(mod, types.ModuleType), mod
 
 
+def test_pipeline_calls_the_stages_through_module_globals(comfort_samples, monkeypatch):
+    # bench/tracer.py times these stages by replacing exactly these globals
+    import spanscope.align as align_mod
+    import spanscope.pipeline as pipeline_mod
+    from spanscope.sampler import SamplingConfig
+
+    calls: dict[str, list] = {}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("align", "partition", "sample_trace"):
+        counting(pipeline_mod, name)
+    counting(align_mod, "trace_signature")
+
+    graph, mapping, _meta, samples = comfort_samples
+    first, second = [s.trace for s in samples if len(s.trace) == 4][:2]
+    pipeline = pipeline_mod.SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3))
+    pipeline.process(first)
+    assert (pipeline.cache.hits, pipeline.cache.misses) == (0, 1)
+    pipeline.process(second)
+    assert (pipeline.cache.hits, pipeline.cache.misses) == (1, 1)
+    assert {name: len(args) for name, args in calls.items()} == {
+        "align": 2, "partition": 2, "sample_trace": 2, "trace_signature": 2}
+    assert all(any(a is pipeline.cache for a in args) for args in calls["align"])
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports and never references.
 

@@ -2,15 +2,21 @@ import dataclasses
 
 import pytest
 
-from spanscope.align import align
+from spanscope.align import PathCache, align
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import PartitionMismatchError
-from spanscope.harness import comfort_economy_system
+from spanscope.harness import (
+    SystemSpec,
+    comfort_economy_system,
+    generate_system,
+    generate_traces,
+    variable_depth_system,
+)
 from spanscope.mapping import build_map
 from spanscope.partition import TRUNK_TAG, dss_signature, partition
 
 from .conftest import make_span, make_trace, single_function_doc
-from .oracles import enumerate_simple_paths
+from .oracles import enumerate_simple_paths, oracle_align, oracle_partition, oracle_path_forks
 
 FN = "svc:Main.run"
 
@@ -36,7 +42,7 @@ class TestPartition:
         ]
         trace = make_trace(spans)
         path = align(graph, trace, mapping)
-        dss = partition(path, graph, trace)
+        dss = partition(path, trace)
         assert len(dss) == 1
         assert dss[0].branch_tag == TRUNK_TAG
         assert set(dss[0].spans) == {"r", "a", "b"}
@@ -45,7 +51,7 @@ class TestPartition:
         graph, mapping, meta, samples = comfort_samples
         comfort = next(s for s in samples if len(s.trace) == 4)
         path = align(graph, comfort.trace, mapping)
-        dss = partition(path, graph, comfort.trace)
+        dss = partition(path, comfort.trace)
         assert len(dss) == 2
         assert dss[0].branch_tag == TRUNK_TAG
         assert len(dss[0].spans) == 1  # the entry span alone
@@ -57,7 +63,7 @@ class TestPartition:
         sigs = {}
         for sample in samples:
             path = align(graph, sample.trace, mapping)
-            sig = dss_signature(partition(path, graph, sample.trace))
+            sig = dss_signature(partition(path, sample.trace))
             sigs.setdefault(len(sample.trace), set()).add(sig)
         assert len(sigs[4]) == 1  # all comfort traces agree
         assert len(sigs[3]) == 1  # all economy traces agree
@@ -66,8 +72,8 @@ class TestPartition:
     def test_identical_traces_identical_signatures(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         trace = samples[0].trace
-        p1 = partition(align(graph, trace, mapping), graph, trace)
-        p2 = partition(align(graph, trace, mapping), graph, trace)
+        p1 = partition(align(graph, trace, mapping), trace)
+        p2 = partition(align(graph, trace, mapping), trace)
         assert dss_signature(p1) == dss_signature(p2)
         assert [d.spans for d in p1] == [d.spans for d in p2]
 
@@ -98,7 +104,7 @@ class TestPartition:
                                    start=10 * (i + 1), duration=5))
         trace = make_trace(spans)
         path = align(graph, trace, mapping)
-        dss = partition(path, graph, trace)
+        dss = partition(path, trace)
         assert len(dss) == 3
         assert sum(len(d.spans) for d in dss) == len(trace)
         all_spans = [s for d in dss for s in d.spans]
@@ -109,20 +115,17 @@ class TestPartition:
         trace = samples[0].trace
         path = align(graph, trace, mapping)
         steps = list(path.steps)
-        last = max(i for i, step in enumerate(steps) if step.span_id is not None)
-        steps[last] = dataclasses.replace(steps[last], span_id=None)
+        last = max(i for i, step in enumerate(steps) if step.slot is not None)
+        steps[last] = dataclasses.replace(steps[last], slot=None)
         with pytest.raises(PartitionMismatchError, match=trace.trace_id):
-            partition(dataclasses.replace(path, steps=tuple(steps)), graph, trace)
+            partition(dataclasses.replace(path, steps=tuple(steps)), trace)
 
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         for sample in samples[:20]:
             path = align(graph, sample.trace, mapping)
-            dss = partition(path, graph, sample.trace)
-            gaps = 0
-            for step in path.steps:
-                if any(graph.flow_out_degree(m.function, m.src) > 1 for m in step.transit):
-                    gaps += 1
+            dss = partition(path, sample.trace)
+            gaps = sum(1 for step in path.steps if step.forks)
             assert len(dss) == 1 + gaps
 
     def test_inserted_spans_join_preceding_set(self):
@@ -140,39 +143,18 @@ class TestPartition:
             make_span("u", parent="r", operation="GET /x", start=30, duration=10),
         ]
         trace = make_trace(spans)
-        dss = partition(align(graph, trace, mapping), graph, trace)
+        dss = partition(align(graph, trace, mapping), trace)
         assert len(dss) == 1
         assert "u" in dss[0].spans
 
     def test_loop_iterations_cut_per_occurrence(self):
         # body block loops back on itself: each iteration is separately kept
-        doc = single_function_doc(
-            fn=FN,
-            blocks=[{"id": "h", "callees": ["svc:L.h"]},
-                    {"id": "w", "callees": ["svc:L.w"]}],
-            edges=[["h", "w"], ["w", "w"], ["w", "h"]],
-            entry="h", exits=["h"],
-        )
-        # exits via returning to h is awkward; use a simpler shape instead
-        doc = single_function_doc(
-            fn=FN,
-            blocks=[{"id": "h", "callees": ["svc:L.h"]},
-                    {"id": "w", "callees": ["svc:L.w"]}],
-            edges=[["h", "w"], ["w", "w"]],
-            entry="h", exits=["w"],
-            extra_functions=[{"function": "svc:L.h"}, {"function": "svc:L.w"}],
-        )
-        graph = build_cscfg(doc).freeze()
+        graph = self_loop_graph()
         mapping = build_map(graph)
-        spans = [make_span("r", operation="Main.run", start=0, duration=1000),
-                 make_span("s0", parent="r", operation="L.h", start=1, duration=5)]
-        for i in range(3):
-            spans.append(make_span(f"w{i}", parent="r", operation="L.w",
-                                   start=10 * (i + 1), duration=5))
-        trace = make_trace(spans)
+        trace = self_loop_trace(3)
         path = align(graph, trace, mapping)
         assert path.cost == 0
-        dss = partition(path, graph, trace)
+        dss = partition(path, trace)
         # the re-enter decision is taken when leaving w, so the first
         # iteration groups with the trunk and each later one is its own set
         tags = dss_signature(dss)
@@ -199,9 +181,10 @@ class TestPartition:
         graph.freeze()
         for sample in samples:
             path = align(graph, sample.trace, mapping)
-            for d in partition(path, graph, sample.trace):
+            order = sample.trace.preorder
+            for d in partition(path, sample.trace):
                 blocks = {s.block_id for s in path.steps
-                          if s.span_id in set(d.spans) and s.kind == "match"}
+                          if s.kind == "match" and order[s.slot].span_id in set(d.spans)}
                 if not blocks:
                     continue
                 for p in paths:
@@ -209,9 +192,129 @@ class TestPartition:
                     assert onpath == blocks or not onpath
 
 
+def self_loop_graph():
+    """Main.run calls L.h once, then L.w in a block that may loop on itself."""
+    doc = single_function_doc(
+        fn=FN,
+        blocks=[{"id": "h", "callees": ["svc:L.h"]},
+                {"id": "w", "callees": ["svc:L.w"]}],
+        edges=[["h", "w"], ["w", "w"]],
+        entry="h", exits=["w"],
+        extra_functions=[{"function": "svc:L.h"}, {"function": "svc:L.w"}],
+    )
+    return build_cscfg(doc).freeze()
+
+
+def self_loop_trace(iterations, trace_id="t1", url=False):
+    spans = [make_span("r", trace_id=trace_id, operation="Main.run", start=0, duration=1000),
+             make_span("s0", trace_id=trace_id, parent="r", operation="L.h", start=1,
+                       duration=5)]
+    for i in range(iterations):
+        spans.append(make_span(f"w{i}", trace_id=trace_id, parent="r", operation="L.w",
+                               start=10 * (i + 1), duration=5))
+    if url:
+        spans.append(make_span("u", trace_id=trace_id, parent="r", operation="GET /x",
+                               start=500, duration=5))
+    return make_trace(spans, trace_id=trace_id)
+
+
+def nested_loop_graph():
+    """Main.run calls Inner.h, whose body loops; the loop's exit is a fork too.
+
+    Leaving the callee's last block and then the caller's block puts two
+    forks on one step.
+    """
+    inner = "svc:Inner.h"
+    doc = single_function_doc(
+        fn=FN,
+        blocks=[{"id": "a", "callees": [inner]}, {"id": "c", "callees": ["svc:X.c"]},
+                {"id": "d", "callees": ["svc:X.d"]}],
+        edges=[["a", "c"], ["a", "d"]],
+        entry="a", exits=["c", "d"],
+        extra_functions=[{
+            "function": inner,
+            "blocks": [{"id": "w", "callees": ["svc:X.w"]}],
+            "flow_edges": [["w", "w"]], "entry": "w", "exits": ["w"],
+        }, *({"function": f"svc:X.{n}"} for n in ("c", "d", "w"))],
+    )
+    return build_cscfg(doc).freeze()
+
+
+def nested_loop_trace(i):
+    tid = f"t{i}"
+    spans = [make_span("r", trace_id=tid, operation="Main.run", start=0, duration=1000),
+             make_span("h", trace_id=tid, parent="r", operation="Inner.h", start=1,
+                       duration=100)]
+    for k in range(1 + i % 3):
+        spans.append(make_span(f"w{k}", trace_id=tid, parent="h", operation="X.w",
+                               start=2 + 10 * k, duration=5))
+    spans.append(make_span("e", trace_id=tid, parent="r", operation="X.c" if i % 2 else "X.d",
+                           start=200, duration=5))
+    if i % 4 == 0:
+        spans.append(make_span("u", trace_id=tid, parent="h", operation="GET /x",
+                               start=90, duration=5))
+    return make_trace(spans, trace_id=tid)
+
+
+def oracle_inputs(which):
+    """Frozen graph, mapping and traces of one oracle input."""
+    if which == "self-loop":
+        graph = self_loop_graph()
+        traces = [self_loop_trace(1 + i % 4, f"t{i}", url=i % 3 == 0) for i in range(24)]
+        return graph, build_map(graph), traces
+    if which == "nested-loop":
+        graph = nested_loop_graph()
+        return graph, build_map(graph), [nested_loop_trace(i) for i in range(24)]
+    if which == "deep-chains":
+        spec = SystemSpec(seed=5, url_span_probability=0.0)
+        doc, meta = variable_depth_system()
+        n = 120
+    else:
+        spec = SystemSpec(seed=which, n_services=6, n_functions_per_service=8,
+                          branch_probability=0.3, url_span_probability=0.1)
+        doc, meta = generate_system(spec)
+        n = 200
+    graph = build_cscfg(doc)
+    traces = [s.trace for s in generate_traces(graph, meta, spec, n)]
+    return graph.freeze(), build_map(graph), traces
+
+
+class TestRecordedForksOracle:
+    """Slot steps with recorded forks against rescanned flow moves."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize("which", [7, 11, 23, "deep-chains", "self-loop", "nested-loop"])
+    def test_steps_sets_and_forks_equal_the_rescan(self, which, shared):
+        graph, mapping, traces = oracle_inputs(which)
+        cache = PathCache() if shared else None
+        oracle_cache = PathCache() if shared else None
+        inserted = forked = multi = 0
+        for trace in traces:
+            path = align(graph, trace, mapping, cache)
+            ref = oracle_align(graph, trace, mapping, oracle_cache)
+            order = trace.preorder
+            assert [(s.kind, s.block_id, s.callee,
+                     None if s.slot is None else order[s.slot].span_id)
+                    for s in path.steps] == [(s.kind, s.block_id, s.callee, s.span_id)
+                                             for s in ref.steps]
+            assert (path.cost, path.insertions) == (ref.cost, ref.insertions)
+            assert partition(path, trace) == oracle_partition(ref, graph, trace)
+            assert path.forks == oracle_path_forks(ref, graph)
+            inserted += path.insertions
+            forked += len(path.forks)
+            multi += sum(1 for s in path.steps if len(s.forks) > 1)
+        assert forked > 0
+        if which == "nested-loop":
+            assert multi > 0
+        if which != "deep-chains":
+            assert inserted > 0
+        if shared:
+            assert cache.hits > 0 and cache.hits == oracle_cache.hits
+
+
 class TestStability:
     def test_partition_pure_function(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         trace = samples[1].trace
         path = align(graph, trace, mapping)
-        assert partition(path, graph, trace) == partition(path, graph, trace)
+        assert partition(path, trace) == partition(path, trace)

@@ -210,3 +210,29 @@ def test_reconstruct_names_the_malformed_kept_line(workload, tmp_path, capsys):
                          "--decisions", str(out / "decisions.ndjson"), "--kept", str(kept),
                          "--stats", str(out / "stats.json"), "--out", str(out)]) == 1, bad
         assert capsys.readouterr().err.startswith(f"error: {kept}:3: "), bad
+
+
+def test_reconstruct_names_the_malformed_decision_line(workload, tmp_path, capsys):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    good = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()[0]
+    for bad in ['{"kept": []}', '{"trace_id": "t", "kept": [', '[1, 2]']:
+        decisions = tmp_path / "decisions.ndjson"
+        decisions.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--graph", graph_path, "--decisions", str(decisions),
+                         "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                         "--out", str(out)]) == 1, bad
+        assert capsys.readouterr().err.startswith(
+            f"error: {decisions}:3: bad decision record: "), bad
+
+
+@pytest.mark.parametrize("config", [{"n_services": "4"}, {"n_services": 4.5},
+                                    {"n_traces": "many"}])
+def test_eval_rejects_mistyped_config_values(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["eval", "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
