@@ -148,13 +148,14 @@ def trace_signature(trace: Trace, resolutions: dict) -> tuple:
     differing only in timing share a signature; a preorder with child counts
     fixes the tree, so equal signatures imply identical alignments.
     """
-    kids = trace.child_spans
+    # every preorder span has a child list, so read them without the check
+    kids = trace._children
     parts: list = []
     for span in trace.preorder:
         sid = span.span_id
         r = resolutions[sid]
         parts.append(r.key if isinstance(r, FunctionRef) else "?")
-        parts.append(len(kids(sid)))
+        parts.append(len(kids[sid]))
     return tuple(parts)
 
 

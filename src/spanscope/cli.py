@@ -222,9 +222,12 @@ def cmd_eval(args) -> int:
     try:
         spec = harness.SystemSpec(**spec_fields)
         spec.validate()
-        n = args.n if args.n is not None else int(config.get("n_traces", 2000))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    n = args.n if args.n is not None else config.get("n_traces", 2000)
+    # bool is an int subclass, so compare the type itself
+    if type(n) is not int or n < 1:
+        raise ConfigError(f"n_traces must be a positive integer, got {n!r}")
     doc, meta = harness.generate_system(spec)
     cfg = _sampling_config(args, config)
     report = harness.evaluate(doc, meta, spec, n, cfg=cfg, ratio=args.ratio)

@@ -8,13 +8,20 @@ A trace file is newline-delimited JSON, one trace per line:
       "attributes": {...}}, ...]}
 
 Traces are immutable after parsing and safe to share across threads.
+
+``Span`` is a frozen slotted record. Its one constructor writes each slot
+through the slot's member descriptor, past the frozen ``__setattr__``, so
+parse, rebuild and the generators all build spans the same cheap way.
+A trace's child lists come in arrival order, by (start_time, span_id);
+``_exclusive`` relies on that order to take the union of child intervals
+without sorting them.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import KeysView
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from .errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
@@ -24,7 +31,7 @@ SpanId = str
 _arrival_key = attrgetter("start_time", "span_id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Span:
     """One timed operation; part of exactly one trace."""
 
@@ -36,6 +43,20 @@ class Span:
     start_time: int
     duration: int
     attributes: dict[str, str] = field(default_factory=dict)
+
+    def __init__(self, span_id: SpanId, trace_id: str, parent_id: SpanId | None,
+                 operation: str, service: str, start_time: int, duration: int,
+                 attributes: dict[str, str] | None = None):
+        # the frozen __setattr__ raises, so each slot is written through its
+        # member descriptor (bound below the class), one call per field
+        _set_span_id(self, span_id)
+        _set_trace_id(self, trace_id)
+        _set_parent_id(self, parent_id)
+        _set_operation(self, operation)
+        _set_service(self, service)
+        _set_start_time(self, start_time)
+        _set_duration(self, duration)
+        _set_attributes(self, {} if attributes is None else attributes)
 
     @property
     def end_time(self) -> int:
@@ -57,6 +78,11 @@ class Span:
         """A copy under another parent; the attributes dict is shared, not copied."""
         return Span(self.span_id, self.trace_id, parent_id, self.operation, self.service,
                     self.start_time, self.duration, self.attributes)
+
+
+(_set_span_id, _set_trace_id, _set_parent_id, _set_operation, _set_service,
+ _set_start_time, _set_duration, _set_attributes) = (
+    Span.__dict__[f.name].__set__ for f in fields(Span))
 
 
 class Trace:
@@ -139,7 +165,9 @@ class Trace:
             if s.parent_id is None:
                 continue
             parent = by_id[s.parent_id]
-            if s.start_time < parent.start_time - slack or s.end_time > parent.end_time + slack:
+            start = s.start_time
+            if (start < parent.start_time - slack
+                    or start + s.duration > parent.start_time + parent.duration + slack):
                 raise InvariantViolationError(
                     s.span_id, "interval extends beyond parent beyond allowed clock skew"
                 )
@@ -179,25 +207,25 @@ def children_of(trace: Trace, span_id: SpanId) -> list[SpanId]:
     return [c.span_id for c in trace.child_spans(span_id)]
 
 
-def _interval_union(intervals: list[tuple[int, int]]) -> int:
-    total = 0
-    last_end = None
-    for lo, hi in sorted(intervals):
-        if hi <= lo:
-            continue
-        if last_end is None or lo >= last_end:
-            total += hi - lo
-            last_end = hi
-        elif hi > last_end:
-            total += hi - last_end
-            last_end = hi
-    return total
-
-
 def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
-    lo, hi = span.start_time, span.end_time
-    covered = _interval_union([(max(c.start_time, lo), min(c.end_time, hi)) for c in children])
-    return max(0, span.duration - covered)
+    # children come in start order, so their intervals clipped to the span
+    # do too: one sweep adds the part of each that lies past the furthest end
+    # so far. Every added part lies inside the span, so the result is >= 0.
+    duration = span.duration
+    covered_to = span.start_time
+    hi = covered_to + duration
+    covered = 0
+    for c in children:
+        lo = c.start_time
+        end = lo + c.duration
+        if end > hi:
+            end = hi
+        if lo < covered_to:
+            lo = covered_to
+        if end > lo:
+            covered += end - lo
+            covered_to = end
+    return duration - covered
 
 
 def exclusive_duration(trace: Trace, span_id: SpanId) -> int:

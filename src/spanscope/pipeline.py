@@ -67,8 +67,12 @@ class SamplingPipeline:
         # per-span inputs for the rest of the pipeline: function resolution,
         # scoring key and exclusive duration
         resolve = self.mapping.resolve
-        resolutions = {s.span_id: resolve(s) for s in trace.spans}
-        keys = {s.span_id: span_key(resolutions[s.span_id], s) for s in trace.spans}
+        resolutions: dict = {}
+        keys: dict[str, str] = {}
+        for s in trace.spans:
+            sid = s.span_id
+            r = resolutions[sid] = resolve(s)
+            keys[sid] = span_key(r, s)
         return resolutions, keys, exclusive_durations(trace)
 
     def partition_trace(self, trace: Trace):

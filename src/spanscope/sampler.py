@@ -29,6 +29,10 @@ from .partition import DominantSpanSet
 from .scoring import DEFAULT_MIN_OBS, DEFAULT_THETA, DEFAULT_WINDOW, Z_CAP, ScoreBook
 
 
+# keys are written in the order they are built; to_dict builds them sorted
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     ratio: float = 0.15
@@ -67,28 +71,28 @@ class SamplingDecision:
 
     def to_dict(self) -> dict:
         out = {
-            "trace_id": self.trace_id,
-            "kept": list(self.kept),
-            "entry": self.entry,
             "dss": [
                 {
-                    "dss_id": r.dss_id,
                     "branch_tag": r.branch_tag,
-                    "size": r.size,
                     "budget": r.budget,
-                    "picked_by_z": r.picked_by_z,
+                    "dss_id": r.dss_id,
                     "picked_by_lrs": r.picked_by_lrs,
+                    "picked_by_z": r.picked_by_z,
+                    "size": r.size,
                 }
                 for r in self.dss_reports
             ],
             "effective_ratio": round(self.effective_ratio, 6),
+            "entry": self.entry,
         }
         if self.forks is not None:
             out["forks"] = list(self.forks)
+        out["kept"] = list(self.kept)
+        out["trace_id"] = self.trace_id
         return out
 
     def serialize(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(self.to_dict())
 
 
 def decision_from_dict(obj: dict) -> SamplingDecision:

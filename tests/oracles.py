@@ -664,6 +664,32 @@ class OracleScoreBook:
         return win
 
 
+def oracle_decision_serialize(decision) -> str:
+    """One sampling decision as a JSON line, keys sorted by the encoder."""
+    import json
+
+    out = {
+        "trace_id": decision.trace_id,
+        "kept": list(decision.kept),
+        "entry": decision.entry,
+        "dss": [
+            {
+                "dss_id": r.dss_id,
+                "branch_tag": r.branch_tag,
+                "size": r.size,
+                "budget": r.budget,
+                "picked_by_z": r.picked_by_z,
+                "picked_by_lrs": r.picked_by_lrs,
+            }
+            for r in decision.dss_reports
+        ],
+        "effective_ratio": round(decision.effective_ratio, 6),
+    }
+    if decision.forks is not None:
+        out["forks"] = list(decision.forks)
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
 def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, exclusive,
                         entry=None, forks=None):
     """Budgeted selection with a flag per span and a sort per set."""

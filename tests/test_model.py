@@ -7,6 +7,7 @@ import pytest
 import spanscope.model as model
 from spanscope.errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
 from spanscope.model import (
+    Span,
     _checked_span_from_dict,
     children_of,
     exclusive_duration,
@@ -245,6 +246,29 @@ class TestSpanRecords:
         assert moved == dataclasses.replace(span, parent_id="root")
         assert moved.attributes is span.attributes
         assert span.with_parent(None) == dataclasses.replace(span, parent_id=None)
+
+    def test_span_stays_a_frozen_dataclass_record(self):
+        span = Span("b", "t1", "a", "C.f", "svc", 3, 7, {"k": "v"})
+        assert [f.name for f in dataclasses.fields(Span)] == \
+            ["span_id", "trace_id", "parent_id", "operation", "service",
+             "start_time", "duration", "attributes"]
+        assert repr(span) == ("Span(span_id='b', trace_id='t1', parent_id='a', "
+                              "operation='C.f', service='svc', start_time=3, duration=7, "
+                              "attributes={'k': 'v'})")
+        for name in ("span_id", "duration", "attributes"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(span, name, "x")
+        assert span == Span("b", "t1", "a", "C.f", "svc", 3, 7, {"k": "v"})
+        for name, other in (("span_id", "c"), ("trace_id", "t2"), ("parent_id", None),
+                            ("operation", "C.g"), ("service", "svc2"), ("start_time", 4),
+                            ("duration", 8), ("attributes", {"k": "w"})):
+            assert span != dataclasses.replace(span, **{name: other}), name
+        keyword = Span(span_id="b", trace_id="t1", parent_id="a", operation="C.f",
+                       service="svc", start_time=3, duration=7, attributes={"k": "v"})
+        assert keyword == span and dataclasses.astuple(keyword) == \
+            ("b", "t1", "a", "C.f", "svc", 3, 7, {"k": "v"})
+        bare, twin = (Span("r", "t1", None, "C.f", "svc", 0, 1) for _ in range(2))
+        assert bare.attributes == {} and bare.attributes is not twin.attributes
 
     def test_bool_for_an_integer_field_is_still_accepted(self):
         span = span_from_dict({**GOOD_RECORD, "start_time": True, "duration": False})

@@ -236,3 +236,16 @@ def test_eval_rejects_mistyped_config_values(tmp_path, capsys, config):
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli.main(["eval", "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("n_traces", [-5, 0, 2.5, True, "many"])
+def test_eval_requires_a_positive_integer_trace_count(tmp_path, capsys, n_traces):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_traces": n_traces}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--out", str(out), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: n_traces ")
+    assert not out.exists()
+    if isinstance(n_traces, int) and not isinstance(n_traces, bool):
+        assert cli.main(["eval", "--out", str(out), "--n", str(n_traces)]) == 2
+        assert capsys.readouterr().err.startswith("config error: n_traces ")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -21,7 +22,12 @@ from spanscope.sampler import (
 from spanscope.scoring import ScoreBook
 
 from .conftest import make_span, make_trace
-from .oracles import OracleScoreBook, alg1_budgets, oracle_sample_trace
+from .oracles import (
+    OracleScoreBook,
+    alg1_budgets,
+    oracle_decision_serialize,
+    oracle_sample_trace,
+)
 
 
 def dss(dss_id, spans, tag="trunk"):
@@ -291,3 +297,43 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_thresh
         assert ledger._picks == ref_ledger._picks
     # each branch of the select loop ran
     assert min(z_cut, lrs_cut, lrs_all) > 0, (z_cut, lrs_cut, lrs_all)
+
+
+def assert_encodes_like_the_sort_keys_reference(decision):
+    line = decision.serialize()
+    assert line == oracle_decision_serialize(decision), decision.trace_id
+    back = decision_from_dict(json.loads(line))
+    # kept_keys is not written, and the ratio is written rounded
+    assert back == dataclasses.replace(decision, kept_keys=(),
+                                       effective_ratio=round(decision.effective_ratio, 6))
+    assert back.serialize() == line
+
+
+class TestDecisionEncoder:
+    """Decision bytes against the sort_keys encoder they replaced."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_generated_decisions_match_the_reference(self, seed):
+        spec = SystemSpec(seed=seed, n_services=6, n_functions_per_service=8,
+                          branch_probability=0.3, url_span_probability=0.1)
+        doc, meta = generate_system(spec)
+        graph = build_cscfg(doc)
+        pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig(ratio=0.3))
+        forked = 0
+        for sample in generate_traces(graph, meta, spec, 200, make_default_faults(meta, 200)):
+            decision = pipeline.process(sample.trace).decision
+            assert_encodes_like_the_sort_keys_reference(decision)
+            forked += bool(decision.forks)
+        assert forked > 0
+
+    @pytest.mark.parametrize("forks", [None, (), ("svc:A.f#b1", "svc:B.g#\u00e9")],
+                             ids=["no-forks", "empty-forks", "forks"])
+    @pytest.mark.parametrize("entry", [None, "svc:A.f", "sv\u00e7:\u540d.f"])
+    def test_hand_built_decisions_match_the_reference(self, forks, entry):
+        reports = (DssReport("t\u00e9:0", "trunk", 3, 2, 1, 1),
+                   DssReport("t\u00e9:1", "svc:A.f#\U0001f600", 1, 1, 0, 1))
+        decision = SamplingDecision("t\u00e9", ("s\u00fc1", "s2", "\u540d"), entry, reports,
+                                    0.1234567, kept_keys=("k",), forks=forks)
+        assert_encodes_like_the_sort_keys_reference(decision)
+        empty = SamplingDecision("t", (), entry, (), 0.0, forks=forks)
+        assert_encodes_like_the_sort_keys_reference(empty)
