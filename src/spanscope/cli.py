@@ -6,6 +6,15 @@ which wins over defaults. Each command runs one single-threaded pipeline,
 so outputs are deterministic for fixed inputs and seed; wall-clock timings
 go to a separate timing.txt that is expected to differ between runs.
 
+`sample` writes one decision per trace to decisions.ndjson: a record of
+what `reconstruct` reads, the trace id, the entry function, the fork
+targets of the aligned path and the sorted kept span ids. kept.ndjson
+holds the kept spans themselves. The per-set DSS reports stay in memory
+and are not stored; older decision records that carry them still read.
+`sample` prints the stored bytes ratio, the bytes of those two files over
+the bytes of the trace file. `reconstruct` checks that each trace's kept
+spans are the ones its decision lists.
+
 Exit codes: 0 success, 1 input or pipeline error, 2 configuration error.
 Set SPANSCOPE_LOG=debug|info|warning to control verbosity.
 """
@@ -133,7 +142,11 @@ def cmd_sample(args) -> int:
     timing = pipeline.timing_report()
     write_timing(timing, os.path.join(args.out, "timing.txt"))
     ratio = total_kept / total_spans if total_spans else 0.0
+    input_bytes = os.path.getsize(args.traces)
+    stored = os.path.getsize(decisions_path) + os.path.getsize(kept_path)
     print(f"sampled {timing['traces']} traces, effective ratio {ratio:.4f}")
+    print(f"stored bytes ratio {stored / input_bytes if input_bytes else 0.0:.4f} "
+          f"(decisions and kept spans over the trace file)")
     print(f"partition side {timing['partition_side_s']}s, "
           f"selection side {timing['selection_side_s']}s, "
           f"{timing['per_trace_ms']} ms/trace")
@@ -187,8 +200,12 @@ def cmd_reconstruct(args) -> int:
                     decision = decision_from_dict(json.loads(line))
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise _bad_record(args.decisions, lineno, "decision", exc) from exc
-                rebuilt = reconstruct(decision, kept.get(decision.trace_id, []),
-                                      graph, stats, mapping)
+                spans = kept.get(decision.trace_id, [])
+                if tuple(sorted(s.span_id for s in spans)) != decision.kept:
+                    raise MalformedDocumentError(
+                        f"{args.decisions}:{lineno}: the {len(decision.kept)} kept span ids of "
+                        f"trace {decision.trace_id!r} differ from the {len(spans)} in {args.kept}")
+                rebuilt = reconstruct(decision, spans, graph, stats, mapping)
                 fh.write(rebuilt.serialize() + "\n")
                 n += 1
                 if decision.trace_id in originals:

@@ -59,7 +59,8 @@ class SystemSpec:
 
     def validate(self) -> None:
         for name in ("n_services", "n_functions_per_service", "max_call_depth"):
-            if not isinstance(getattr(self, name), int):
+            # bool is an int subclass, so compare the type itself
+            if type(getattr(self, name)) is not int:
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("branch_probability", "shared_library_fraction", "url_span_probability"):
             v = getattr(self, name)

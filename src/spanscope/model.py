@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import KeysView
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from operator import attrgetter
 
 from .errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
@@ -83,6 +83,22 @@ class Span:
 (_set_span_id, _set_trace_id, _set_parent_id, _set_operation, _set_service,
  _set_start_time, _set_duration, _set_attributes) = (
     Span.__dict__[f.name].__set__ for f in fields(Span))
+
+
+# The __setattr__ and __delattr__ that dataclass writes for a frozen slotted
+# class call super() with the class as it was before slots were added, which
+# raises TypeError for a name that is not a field; these refuse every name
+# alike. __init__ writes through the slot descriptors and never calls them.
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to {name!r}: Span is frozen")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete {name!r}: Span is frozen")
+
+
+Span.__setattr__ = _refuse_set
+Span.__delattr__ = _refuse_delete
 
 
 class Trace:

@@ -27,6 +27,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .cscfg import Cscfg, parse_function_key
@@ -49,8 +50,24 @@ _SEARCH_BUDGET = 8000  # fork-choice prefixes one search may try
 # depth 10,000 fits with room, and a function that calls itself forever fails
 _WALK_BUDGET = 50_000
 
-# keys are written in the order they are built; to_dict builds them sorted
+# encodes what the fragment writer leaves to it: bools, non-finite floats,
+# subclasses of str and int, and non-empty attribute maps
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _json(value) -> str:
+    """One value as _ENCODER writes it. Exact str, int and finite float and
+    None are written directly, by the functions the encoder itself uses."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _ENCODER.encode(value)
 
 
 class ReconstructedSpan(NamedTuple):
@@ -59,22 +76,6 @@ class ReconstructedSpan(NamedTuple):
     function: str | None  # function key; None for unmapped sampled spans
     duration_source: str | None = None
     uncertainty_std: float | None = None
-
-    def to_dict(self) -> dict:
-        """The span's record plus its origin, every key (attributes too) sorted."""
-        s = self.span
-        attrs = s.attributes
-        attrs = dict(sorted(attrs.items())) if attrs else {}
-        if self.origin == ORIGIN_INFERRED:
-            return {"attributes": attrs, "duration": s.duration,
-                    "duration_source": self.duration_source, "operation": s.operation,
-                    "origin": ORIGIN_INFERRED, "parent_id": s.parent_id,
-                    "service": s.service, "span_id": s.span_id,
-                    "start_time": s.start_time, "trace_id": s.trace_id,
-                    "uncertainty_std": self.uncertainty_std}
-        return {"attributes": attrs, "duration": s.duration, "operation": s.operation,
-                "origin": self.origin, "parent_id": s.parent_id, "service": s.service,
-                "span_id": s.span_id, "start_time": s.start_time, "trace_id": s.trace_id}
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,37 @@ class ReconstructedTrace:
         return [r for r in self.spans if r.origin == ORIGIN_INFERRED]
 
     def serialize(self) -> str:
-        return _ENCODER.encode(
-            {"spans": [r.to_dict() for r in self.spans], "trace_id": self.trace_id})
+        """One JSON line: each span's record plus its origin, with keys and
+        attributes in sorted order, as a sort_keys encoder with compact
+        separators writes it. Each record is one f-string over its values'
+        JSON; the trace's own id is quoted once."""
+        trace_id = self.trace_id
+        own_id = _json(trace_id)
+        q, j = _quote, _json
+        records = []
+        for span, origin, _fn, source, std in self.spans:
+            if origin == ORIGIN_INFERRED:
+                source = f'"duration_source":{j(source)},'
+                std = f',"uncertainty_std":{j(std)}'
+            else:
+                source = std = ""
+            attrs = span.attributes
+            attrs = _ENCODER.encode(dict(sorted(attrs.items()))) if attrs else "{}"
+            tid = span.trace_id
+            tid = own_id if tid is trace_id or tid == trace_id and type(tid) is str else j(tid)
+            # the exact types every span carries are tested inline, which
+            # saves a call per value; _json writes anything else
+            sid, parent, op, svc = span.span_id, span.parent_id, span.operation, span.service
+            start, dur = span.start_time, span.duration
+            records.append(
+                f'{{"attributes":{attrs},"duration":{dur if type(dur) is int else j(dur)},'
+                f'{source}"operation":{q(op) if type(op) is str else j(op)},'
+                f'"origin":{j(origin)},'
+                f'"parent_id":{q(parent) if type(parent) is str else j(parent)},'
+                f'"service":{q(svc) if type(svc) is str else j(svc)},'
+                f'"span_id":{q(sid) if type(sid) is str else j(sid)},'
+                f'"start_time":{start if type(start) is int else j(start)},"trace_id":{tid}{std}}}')
+        return f'{{"spans":[{",".join(records)}],"trace_id":{own_id}}}'
 
 
 class _Node:

@@ -12,6 +12,13 @@ recently sampled span types. Scoring observes in arrival order, so a span is
 judged against statistics that do not yet include it. Only these flagged
 spans are sorted by Z, and only when a set has more of them than its quota;
 the ledger is read and the rest sorted only when the rest must be cut.
+
+A decision is stored as what rebuild reads: the trace id, the entry
+function, the fork targets of the aligned path (no "forks" key when forks
+is None) and the sorted kept span ids, which rebuild checks the kept spans
+against. The per-set DSS reports and the effective ratio stay on the
+in-memory SamplingDecision; decision_from_dict still reads the older
+records that carry them.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .partition import DominantSpanSet
 from .scoring import DEFAULT_MIN_OBS, DEFAULT_THETA, DEFAULT_WINDOW, Z_CAP, ScoreBook
 
 
-# keys are written in the order they are built; to_dict builds them sorted
+# keys are written in the order they are built; serialize builds them sorted
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -69,43 +76,34 @@ class SamplingDecision:
     kept_keys: tuple[str, ...] = ()  # span-type keys of kept spans, for the ledger
     forks: tuple[str, ...] | None = None  # fork targets of the aligned path, in order
 
-    def to_dict(self) -> dict:
-        out = {
-            "dss": [
-                {
-                    "branch_tag": r.branch_tag,
-                    "budget": r.budget,
-                    "dss_id": r.dss_id,
-                    "picked_by_lrs": r.picked_by_lrs,
-                    "picked_by_z": r.picked_by_z,
-                    "size": r.size,
-                }
-                for r in self.dss_reports
-            ],
-            "effective_ratio": round(self.effective_ratio, 6),
-            "entry": self.entry,
-        }
+    def serialize(self) -> str:
+        """The stored record: what rebuild reads, keys sorted, no "forks" key
+        when forks is None. The DSS reports and the effective ratio stay in
+        memory only."""
+        out = {"entry": self.entry}
         if self.forks is not None:
             out["forks"] = list(self.forks)
         out["kept"] = list(self.kept)
         out["trace_id"] = self.trace_id
-        return out
-
-    def serialize(self) -> str:
-        return _ENCODER.encode(self.to_dict())
+        return _ENCODER.encode(out)
 
 
 def decision_from_dict(obj: dict) -> SamplingDecision:
+    """A decision from its stored record; older records that also carry the
+    DSS reports and the effective ratio are read with them."""
     reports = tuple(
         DssReport(r["dss_id"], r["branch_tag"], r["size"], r["budget"],
                   r["picked_by_z"], r["picked_by_lrs"])
         for r in obj.get("dss", [])
     )
-    forks = obj.get("forks")
+    trace_id, entry, forks = obj["trace_id"], obj.get("entry"), obj.get("forks")
+    # both are used as keys, so an unhashable value would fail far from here
+    if type(trace_id) is not str or not (entry is None or type(entry) is str):
+        raise TypeError("trace_id must be a string and entry a string or null")
     return SamplingDecision(
-        trace_id=obj["trace_id"],
+        trace_id=trace_id,
         kept=tuple(obj["kept"]),
-        entry=obj.get("entry"),
+        entry=entry,
         dss_reports=reports,
         effective_ratio=obj.get("effective_ratio", 0.0),
         forks=tuple(forks) if forks is not None else None,

@@ -664,8 +664,21 @@ class OracleScoreBook:
         return win
 
 
+def oracle_stored_decision(decision) -> str:
+    """The stored decision record, what rebuild reads, keys sorted by the encoder."""
+    import json
+
+    out = {"trace_id": decision.trace_id, "kept": list(decision.kept),
+           "entry": decision.entry}
+    if decision.forks is not None:
+        out["forks"] = list(decision.forks)
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
 def oracle_decision_serialize(decision) -> str:
-    """One sampling decision as a JSON line, keys sorted by the encoder."""
+    """One sampling decision as the older, longer record with the DSS reports
+    and the effective ratio, keys sorted by the encoder; the read path still
+    accepts it."""
     import json
 
     out = {

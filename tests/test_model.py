@@ -255,9 +255,12 @@ class TestSpanRecords:
         assert repr(span) == ("Span(span_id='b', trace_id='t1', parent_id='a', "
                               "operation='C.f', service='svc', start_time=3, duration=7, "
                               "attributes={'k': 'v'})")
-        for name in ("span_id", "duration", "attributes"):
+        # a name that is not a field is refused the same way
+        for name in ("span_id", "duration", "attributes", "extra"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(span, name, "x")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(span, name)
         assert span == Span("b", "t1", "a", "C.f", "svc", 3, 7, {"k": "v"})
         for name, other in (("span_id", "c"), ("trace_id", "t2"), ("parent_id", None),
                             ("operation", "C.g"), ("service", "svc2"), ("start_time", 4),

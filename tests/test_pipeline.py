@@ -94,6 +94,17 @@ def write_cli_inputs(workload, tmp_path, n):
     return str(graph_path), str(trace_path)
 
 
+def test_sample_command_prints_the_stored_bytes_ratio(workload, tmp_path, capsys):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 50)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("stored bytes ratio "))
+    stored = sum((out / name).stat().st_size for name in ("decisions.ndjson", "kept.ndjson"))
+    assert line.split()[3] == f"{stored / Path(trace_path).stat().st_size:.4f}"
+
+
 def test_sample_command_repeats_byte_identical(workload, tmp_path):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 100)
     outputs = []
@@ -212,13 +223,40 @@ def test_reconstruct_names_the_malformed_kept_line(workload, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {kept}:3: "), bad
 
 
+def test_reconstruct_checks_each_kept_record_against_its_decision(workload, tmp_path, capsys):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = (out / "kept.ndjson").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    variants = {
+        "a span missing": dict(record, spans=record["spans"][:-1]),
+        "a span twice": dict(record, spans=record["spans"] + record["spans"][:1]),
+        "no record": None,
+    }
+    decisions = out / "decisions.ndjson"
+    for name, changed in variants.items():
+        kept = tmp_path / "kept.ndjson"
+        second = [] if changed is None else [json.dumps(changed)]
+        kept.write_text("\n".join(lines[:1] + second + lines[2:]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--graph", graph_path, "--decisions", str(decisions),
+                         "--kept", str(kept), "--stats", str(out / "stats.json"),
+                         "--out", str(tmp_path / "rebuilt")]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {decisions}:2: "), name
+        assert repr(record["trace_id"]) in err and str(kept) in err, name
+
+
 def test_reconstruct_names_the_malformed_decision_line(workload, tmp_path, capsys):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
     out = tmp_path / "out"
     assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
                      "--out", str(out)]) == 0
     good = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()[0]
-    for bad in ['{"kept": []}', '{"trace_id": "t", "kept": [', '[1, 2]']:
+    for bad in ['{"kept": []}', '{"trace_id": "t", "kept": [', '[1, 2]',
+                '{"trace_id": ["t"], "kept": []}', '{"trace_id": "t", "kept": [], "entry": {}}']:
         decisions = tmp_path / "decisions.ndjson"
         decisions.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
         capsys.readouterr()
@@ -230,12 +268,16 @@ def test_reconstruct_names_the_malformed_decision_line(workload, tmp_path, capsy
 
 
 @pytest.mark.parametrize("config", [{"n_services": "4"}, {"n_services": 4.5},
-                                    {"n_traces": "many"}])
+                                    {"n_traces": "many"}, {"n_services": True},
+                                    {"n_functions_per_service": True},
+                                    {"max_call_depth": True}])
 def test_eval_rejects_mistyped_config_values(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli.main(["eval", "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert next(iter(config)) in err
 
 
 @pytest.mark.parametrize("n_traces", [-5, 0, 2.5, True, "many"])

@@ -26,6 +26,7 @@ from spanscope.reconstruct import (
 from spanscope.sampler import SamplingConfig, SamplingDecision, decision_from_dict
 
 from .oracles import (
+    oracle_decision_serialize,
     oracle_layout,
     oracle_reconstruct,
     oracle_serialize,
@@ -119,7 +120,12 @@ def test_rebuilt_bytes_match_the_two_pass_reference(seed, n, ratio):
         rebuilt = reconstruct(decision, kept, pipeline.graph, stats, mapping)
         expected = oracle_reconstruct(decision, kept, pipeline.graph, stats, mapping)
         assert rebuilt == expected, decision.trace_id
-        assert rebuilt.serialize() == oracle_serialize(expected), decision.trace_id
+        line = rebuilt.serialize()
+        assert line == oracle_serialize(expected), decision.trace_id
+        # an older decision record, with the DSS reports, rebuilds the same bytes
+        old = decision_from_dict(json.loads(oracle_decision_serialize(result.decision)))
+        assert old.dss_reports == result.decision.dss_reports
+        assert reconstruct(old, kept, pipeline.graph, stats, mapping).serialize() == line
         with_orphans += any(r.function is None for r in rebuilt.spans)
     if spec.url_span_probability > 0:
         assert with_orphans > 0
@@ -142,9 +148,51 @@ def test_serialize_matches_the_sort_keys_reference_on_a_hand_built_trace():
     line = rebuilt.serialize()
     assert line == oracle_serialize(rebuilt)
     assert '"uncertainty_std":null' in line and '"uncertainty_std":1.25' in line
-    # records are built sorted without reordering the span's own attributes
+    # records are written sorted without reordering the span's own attributes
     assert list(root.attributes) == ["zeta", "alpha", "mid", "Beta"]
-    assert list(rebuilt.spans[0].to_dict()["attributes"]) == ["Beta", "alpha", "mid", "zeta"]
+    assert line.startswith('{"spans":[{"attributes":{"Beta":"\\ud83d\\ude00",'
+                           '"alpha":"\\u00fc","mid":"\\u540d\\u524d","zeta":"z"},')
+
+
+class Count(int):
+    pass
+
+
+class Name(str):
+    pass
+
+
+# ids with a quote, a backslash, control characters and non-ASCII text
+ODD_IDS = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t\x7f", "caf\u00e9\U0001f600"]
+
+
+@pytest.mark.parametrize("trace_id", ['t"\\\x07', Name('t"\\\x07')], ids=["str", "str-subclass"])
+def test_serialize_matches_the_reference_on_values_the_encoder_writes(trace_id):
+    root = Span('r"', trace_id, None, "Front.handle", "svc", 0, 100, {})
+    spans = [recon.ReconstructedSpan(root, ORIGIN_SAMPLED, "svc:Front.handle")]
+    stds = [float("nan"), float("inf"), float("-inf"), -0.0]
+    for i, (sid, std) in enumerate(zip(ODD_IDS, stds)):
+        span = Span(sid, trace_id, 'r"', "Store.get", "svc\n", i, 1, {})
+        spans.append(recon.ReconstructedSpan(span, ORIGIN_INFERRED, "svc:Store.get",
+                                             recon.SOURCE_HISTORICAL, std))
+    odd = [
+        # a bool for an integer field, as the checked parse path accepts it
+        Span("b", trace_id, 'r"', "C.f", "svc", True, False, {}),
+        # trace ids that differ from the record's, or equal it as another object
+        Span("o", "other\u2028", 'r"', "C.f", "svc", 5, 1, {}),
+        Span("e", "".join(list(trace_id)), 'r"', "C.f", "svc", 6, 1, {}),
+        # subclasses of str and int, and attributes that need escapes
+        Span(Name("n"), Name(trace_id), Name('r"'), Name("C.g"), Name("svc"),
+             Count(7), Count(1), {"k\\": 'v"', "\x01": "\u00e9"}),
+    ]
+    spans += [recon.ReconstructedSpan(s, ORIGIN_SAMPLED, None) for s in odd]
+    rebuilt = recon.ReconstructedTrace(trace_id, tuple(spans))
+    line = rebuilt.serialize()
+    assert line == oracle_serialize(rebuilt)
+    for text in ('"uncertainty_std":NaN', '"uncertainty_std":Infinity',
+                 '"uncertainty_std":-Infinity', '"uncertainty_std":-0.0',
+                 '"duration":false', '"start_time":true'):
+        assert text in line
 
 
 def chain_system(depth):

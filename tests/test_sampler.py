@@ -27,6 +27,7 @@ from .oracles import (
     alg1_budgets,
     oracle_decision_serialize,
     oracle_sample_trace,
+    oracle_stored_decision,
 )
 
 
@@ -189,12 +190,16 @@ class TestSampleTrace:
         cfg, book, ledger = setup_state(ratio=0.5)
         t = trace_of(4)
         decision = run_sample(t, [dss("d0", list(t.span_ids()))], cfg, book, ledger)
-        back = decision_from_dict(__import__("json").loads(decision.serialize()))
+        record = json.loads(decision.serialize())
+        assert list(record) == ["entry", "forks", "kept", "trace_id"]
+        back = decision_from_dict(record)
         assert back.trace_id == decision.trace_id
         assert back.kept == decision.kept
         assert back.entry == decision.entry
         assert back.forks == decision.forks
-        assert back.dss_reports == decision.dss_reports
+        # the DSS reports and the ratio are not stored
+        assert decision.dss_reports and back.dss_reports == ()
+        assert back.effective_ratio == 0.0
 
     def test_dss_report_fields_and_decision_bytes(self):
         assert DssReport._fields == ("dss_id", "branch_tag", "size", "budget",
@@ -205,14 +210,22 @@ class TestSampleTrace:
         decision = SamplingDecision("t", ("s1", "s2"), "svc:A.f", (report,), 0.5,
                                     forks=("svc:A.f#b1",))
         line = decision.serialize()
-        assert line == (
+        assert line == ('{"entry":"svc:A.f","forks":["svc:A.f#b1"],"kept":["s1","s2"],'
+                        '"trace_id":"t"}')
+        back = decision_from_dict(json.loads(line))
+        assert back == SamplingDecision("t", ("s1", "s2"), "svc:A.f", (), 0.0,
+                                        forks=("svc:A.f#b1",))
+        assert back.serialize() == line
+        # an older record that carries the reports and the ratio still reads
+        old_line = (
             '{"dss":[{"branch_tag":"svc:A.f#b1","budget":2,"dss_id":"d0",'
             '"picked_by_lrs":1,"picked_by_z":1,"size":4}],"effective_ratio":0.5,'
             '"entry":"svc:A.f","forks":["svc:A.f#b1"],"kept":["s1","s2"],"trace_id":"t"}')
-        back = decision_from_dict(json.loads(line))
-        assert back.dss_reports == (report,)
-        assert type(back.dss_reports[0]) is DssReport
-        assert back.serialize() == line
+        old = decision_from_dict(json.loads(old_line))
+        assert old.dss_reports == (report,)
+        assert type(old.dss_reports[0]) is DssReport
+        assert old == decision
+        assert old.serialize() == line
 
 
 class TestLedger:
@@ -301,16 +314,22 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_thresh
 
 def assert_encodes_like_the_sort_keys_reference(decision):
     line = decision.serialize()
-    assert line == oracle_decision_serialize(decision), decision.trace_id
+    assert line == oracle_stored_decision(decision), decision.trace_id
     back = decision_from_dict(json.loads(line))
-    # kept_keys is not written, and the ratio is written rounded
-    assert back == dataclasses.replace(decision, kept_keys=(),
-                                       effective_ratio=round(decision.effective_ratio, 6))
+    # only what rebuild reads is stored
+    assert back == dataclasses.replace(decision, kept_keys=(), dss_reports=(),
+                                       effective_ratio=0.0)
     assert back.serialize() == line
+    # the older record with the DSS reports and the rounded ratio reads back
+    # to the same decision and the same stored line
+    old = decision_from_dict(json.loads(oracle_decision_serialize(decision)))
+    assert old == dataclasses.replace(decision, kept_keys=(),
+                                      effective_ratio=round(decision.effective_ratio, 6))
+    assert old.serialize() == line
 
 
 class TestDecisionEncoder:
-    """Decision bytes against the sort_keys encoder they replaced."""
+    """Stored decision bytes against a sort_keys encoder, and older records read back."""
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_generated_decisions_match_the_reference(self, seed):
