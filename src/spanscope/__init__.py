@@ -15,7 +15,6 @@ from .mapping import SpanFunctionMap, Unmapped, build_map
 from .model import (
     Span,
     Trace,
-    exclusive_duration,
     parse_trace,
     serialize_trace,
 )
@@ -29,7 +28,7 @@ from .sampler import (
     allocate_budget,
     sample_trace,
 )
-from .scoring import P2Quantile, RunningMedian, ScoreBook, SpanStatWindow, ZScore
+from .scoring import P2Quantile, RunningMedian, ScoreBook, SpanStatWindow
 
 __version__ = "0.1.0"
 
@@ -39,11 +38,11 @@ __all__ = [
     "parse_function_key", "patch_with_traces",
     "SpanscopeError",
     "SpanFunctionMap", "Unmapped", "build_map",
-    "Span", "Trace", "exclusive_duration", "parse_trace", "serialize_trace",
+    "Span", "Trace", "parse_trace", "serialize_trace",
     "DominantSpanSet",
     "SamplingPipeline",
     "ReconstructedTrace", "structural_fidelity",
     "LrsLedger", "SamplingConfig", "SamplingDecision", "allocate_budget",
     "sample_trace",
-    "P2Quantile", "RunningMedian", "ScoreBook", "SpanStatWindow", "ZScore",
+    "P2Quantile", "RunningMedian", "ScoreBook", "SpanStatWindow",
 ]

@@ -31,11 +31,11 @@ from . import harness
 from .cscfg import Cscfg, build_cscfg, patch_with_traces
 from .errors import ConfigError, MalformedDocumentError, SpanscopeError
 from .mapping import build_map, load_shared_dictionary
-from .model import read_trace_file, span_from_dict
+from .model import exclusive_durations, read_trace_file, span_from_dict
 from .pipeline import SamplingPipeline, write_timing
 from .reconstruct import reconstruct, structural_fidelity
-from .sampler import SamplingConfig, decision_from_dict
-from .scoring import load_snapshot, save_snapshot
+from .sampler import SamplingConfig, decision_from_dict, span_key
+from .scoring import ScoreBook, load_snapshot, save_snapshot
 
 log = logging.getLogger("spanscope")
 
@@ -260,18 +260,15 @@ def cmd_stats_export(args) -> int:
     cfg = _sampling_config(args, config)
     graph = Cscfg.load_artifact(args.graph)
     mapping = _load_mapping(graph, args.shared_dict)
-    pipeline = SamplingPipeline(graph, mapping, cfg)
-    from .model import exclusive_durations
-    from .sampler import span_key
-
+    # scored as `sample` scores: same keys, same int durations, same order
+    book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, theta=cfg.theta_quantile)
     n = 0
     for trace in read_trace_file(args.traces):
         excl = exclusive_durations(trace)
         for span in trace.arrival:
-            res = mapping.resolve(span)
-            pipeline.scorebook.observe(span_key(res, span), float(excl[span.span_id]))
+            book.window_for(span_key(mapping.resolve(span), span)).score(excl[span.span_id])
         n += 1
-    save_snapshot(pipeline.stats_snapshot(), args.out)
+    save_snapshot(book.snapshot(), args.out)
     print(f"statistics over {n} traces written to {args.out}")
     return 0
 

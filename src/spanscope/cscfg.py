@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DanglingCalleeError,
@@ -100,8 +100,6 @@ class DominanceInfo:
     """Per-function dominance facts over the contracted node graph."""
 
     function: str
-    idom: dict[str, str | None]
-    ipdom: dict[str, str | None]
     equiv_class: dict[str, str]  # call-site block -> class id (min member)
     dom_sets: dict[str, frozenset[str]]
     pdom_sets: dict[str, frozenset[str]]
@@ -350,7 +348,12 @@ class Cscfg:
     @classmethod
     def load_artifact(cls, path) -> "Cscfg":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_artifact_dict(json.load(fh))
+            try:
+                return cls.from_artifact_dict(json.load(fh))
+            except (MalformedDocumentError, ValueError, KeyError, TypeError,
+                    AttributeError) as exc:
+                raise MalformedDocumentError(
+                    f"{path}: bad cscfg artifact: {type(exc).__name__}: {exc}") from exc
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -488,23 +491,12 @@ def _dominator_sets(nodes: list[str], preds: dict[str, list[str]], root: str) ->
     return dom
 
 
-def _immediate(dom: dict[str, frozenset[str]], root: str) -> dict[str, str | None]:
-    idom: dict[str, str | None] = {root: None}
-    for n, ds in dom.items():
-        if n == root:
-            continue
-        strict = ds - {n}
-        idom[n] = max(strict, key=lambda c: (len(dom[c]), c))
-    return idom
-
-
-def compute_dominance(graph: Cscfg, fn_key) -> DominanceInfo:
+def compute_dominance(graph: Cscfg, key: str) -> DominanceInfo:
     """Dominators, post-dominators and mutual-dominance classes for one function.
 
     Intraprocedural: call edges are opaque. Raises UnreachableBlockError when
     blocks are cut off from the entry or cannot reach the exit.
     """
-    key = fn_key.key if isinstance(fn_key, FunctionRef) else fn_key
     if key not in graph._succ:
         raise MalformedDocumentError(f"function {key!r} has no blocks in the graph")
     ent, ext = entry_node(key), exit_node(key)
@@ -524,8 +516,6 @@ def compute_dominance(graph: Cscfg, fn_key) -> DominanceInfo:
 
     dom = _dominator_sets(nodes, preds, ent)
     pdom = _dominator_sets(nodes, succ, ext)
-    idom = _immediate(dom, ent)
-    ipdom = _immediate(pdom, ext)
 
     blocks = [n for n in nodes if n != ent and n != ext]
     parent = {b: b for b in blocks}
@@ -547,7 +537,7 @@ def compute_dominance(graph: Cscfg, fn_key) -> DominanceInfo:
 
     mandatory = frozenset(b for b in blocks if b in dom[ext])
     return DominanceInfo(
-        function=key, idom=idom, ipdom=ipdom, equiv_class=equiv,
+        function=key, equiv_class=equiv,
         dom_sets=dom, pdom_sets=pdom, mandatory=mandatory,
     )
 
@@ -564,11 +554,6 @@ def _bfs(root: str, adjacency: dict[str, list[str]]) -> set[str]:
     return seen
 
 
-def mutual_dominance_classes(graph: Cscfg, fn_key) -> list[frozenset[str]]:
-    """Partition of a function's call-site blocks into mutual-dominance classes."""
-    return graph.dominance(fn_key.key if isinstance(fn_key, FunctionRef) else fn_key).classes()
-
-
 @dataclass
 class PatchReport:
     """Outcome of patching a graph with runtime traces."""
@@ -576,8 +561,6 @@ class PatchReport:
     edges_added: int = 0
     synthetic_blocks: int = 0
     unresolved_pairs: int = 0
-    pairs_seen: int = 0
-    details: list = field(default_factory=list)
 
 
 def patch_with_traces(graph: Cscfg, traces, mapping) -> PatchReport:
@@ -599,7 +582,6 @@ def patch_with_traces(graph: Cscfg, traces, mapping) -> PatchReport:
             children = trace.child_spans(parent.span_id)
             for child in children:
                 rc = resolved[child.span_id]
-                report.pairs_seen += 1
                 if isinstance(rp, Unmapped) or isinstance(rc, Unmapped):
                     report.unresolved_pairs += 1
                     continue
@@ -613,10 +595,8 @@ def patch_with_traces(graph: Cscfg, traces, mapping) -> PatchReport:
                 if block_id is None:
                     block_id = _append_synthetic_block(graph, pkey, ckey)
                     report.synthetic_blocks += 1
-                    report.details.append(("synthetic", block_id, ckey))
                 else:
                     graph.add_call_edge(block_id, ckey, PROV_DYNAMIC)
-                    report.details.append(("edge", block_id, ckey))
                 report.edges_added += 1
     return report
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .cscfg import SHARED_SERVICE, Cscfg, build_cscfg, entry_node
+from .cscfg import SHARED_SERVICE, Cscfg, build_cscfg
 from .errors import InvalidSpecError, UnknownFaultTargetError
 from .mapping import build_map
 from .model import Span, Trace, exclusive_durations
@@ -41,6 +41,8 @@ BASELINE_UNIFORM = "uniform-span"
 BASELINE_TOPK = "latency-topk"
 BASELINE_WHOLE_TRACE = "whole-trace-anomaly"
 BASELINES = (BASELINE_UNIFORM, BASELINE_TOPK, BASELINE_WHOLE_TRACE)
+_BASELINE_SEED = 1234  # seeds the uniform baseline's draws
+_LSR_PROBE = 300  # leading traces whose sets and spans give the LSR
 
 TraceSample = namedtuple("TraceSample", "trace labels")
 
@@ -259,52 +261,6 @@ def _assign_fork_probs(graph: Cscfg, meta: SystemMeta, error_candidates: dict,
             ]
 
 
-def comfort_economy_system() -> tuple[dict, SystemMeta]:
-    """Trunk plus a two-arm fork: three comfort calls versus two economy calls."""
-    svc = "ts-preserve"
-    entry = _fn_key(svc, "OrderService", "createOrder")
-    comfort = [
-        _fn_key(svc, "SeatService", "getComfortClass"),
-        _fn_key(svc, "DispatchService", "dispatchComfort"),
-        _fn_key(svc, "PriceService", "getPrice"),
-    ]
-    economy = [
-        _fn_key(svc, "SeatService", "getEconomyClass"),
-        _fn_key(svc, "PriceService", "getPrice"),
-    ]
-    leaves = sorted(set(comfort + economy))
-    doc = {
-        "schema_version": 1,
-        "functions": [
-            {
-                "function": entry,
-                "blocks": [
-                    {"id": "start", "callees": []},
-                    {"id": "c1", "callees": [comfort[0]]},
-                    {"id": "c2", "callees": [comfort[1]]},
-                    {"id": "c3", "callees": [comfort[2]]},
-                    {"id": "e1", "callees": [economy[0]]},
-                    {"id": "e2", "callees": [economy[1]]},
-                    {"id": "end", "callees": []},
-                ],
-                "flow_edges": [
-                    ["start", "c1"], ["c1", "c2"], ["c2", "c3"], ["c3", "end"],
-                    ["start", "e1"], ["e1", "e2"], ["e2", "end"],
-                ],
-                "entry": "start",
-                "exits": ["end"],
-            },
-        ] + [{"function": f} for f in leaves],
-        "external_functions": [],
-    }
-    meta = SystemMeta(entry=entry)
-    ent = entry_node(entry)
-    meta.fork_probs[(entry, ent)] = [(f"{entry}#c1", 0.5), (f"{entry}#e1", 0.5)]
-    for key in [entry] + leaves:
-        meta.durations[key] = (6.0, 0.3)
-    return doc, meta
-
-
 def variable_depth_system(seed: int = 3) -> tuple[dict, SystemMeta]:
     """Two forks with chain arms of fixed lengths; span counts vary, set counts do not."""
     svc = "svcchain"
@@ -502,15 +458,15 @@ def generate_traces(graph_or_doc, meta: SystemMeta, spec: SystemSpec, n: int,
 
 
 def run_baseline(name: str, samples: list[TraceSample], p: float,
-                 cfg: SamplingConfig | None = None, seed: int = 99) -> dict[str, frozenset]:
-    """Per-trace kept span sets for one baseline at budget p."""
+                 cfg: SamplingConfig) -> dict[str, frozenset]:
+    """Per-trace kept span sets for one baseline at budget p; the scoring
+    baselines use cfg's window, min_obs and theta."""
     if not 0 < p <= 1:
         raise InvalidSpecError("baseline budget must be in (0, 1]")
-    cfg = cfg or SamplingConfig(ratio=p)
     kept: dict[str, frozenset] = {}
 
     if name == BASELINE_UNIFORM:
-        rng = random.Random(seed)
+        rng = random.Random(_BASELINE_SEED)
         for sample in samples:
             kept[sample.trace.trace_id] = frozenset(
                 s.span_id for s in sample.trace.spans if rng.random() < p
@@ -518,23 +474,21 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
         return kept
 
     if name == BASELINE_TOPK:
-        book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs,
-                         z_cap=cfg.z_cap, theta=cfg.theta_quantile)
+        book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, theta=cfg.theta_quantile)
         for sample in samples:
             trace = sample.trace
             excl = exclusive_durations(trace)
             scores = {}
             for span in trace.arrival:
                 key = f"{span.service}|{span.operation}"
-                scores[span.span_id] = book.observe(key, float(excl[span.span_id])).value
+                scores[span.span_id] = book.window_for(key).score(float(excl[span.span_id]))[0]
             k = math.floor(p * len(trace))
             top = sorted(scores, key=lambda sid: (-scores[sid], sid))[:k]
             kept[trace.trace_id] = frozenset(top)
         return kept
 
     if name == BASELINE_WHOLE_TRACE:
-        book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs,
-                         z_cap=cfg.z_cap, theta=cfg.theta_quantile)
+        book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, theta=cfg.theta_quantile)
         threshold_est = P2Quantile(cfg.theta_quantile)
         pool = 0.0
         for sample in samples:
@@ -543,7 +497,7 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
             max_z = -math.inf
             for span in trace.arrival:
                 key = f"{span.service}|{span.operation}"
-                max_z = max(max_z, book.observe(key, float(excl[span.span_id])).value)
+                max_z = max(max_z, book.window_for(key).score(float(excl[span.span_id]))[0])
             threshold = threshold_est.value() if threshold_est.n >= cfg.min_obs else math.inf
             pool += p * len(trace)
             if max_z >= threshold and pool >= len(trace):
@@ -619,9 +573,13 @@ class EvalReport:
 
 def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
              cfg: SamplingConfig | None = None, faults="default",
-             ratio: float | None = None, lsr_probe: int = 300,
-             reconstruct_traces: bool = True, seed_baselines: int = 1234) -> EvalReport:
-    """Full pipeline against all baselines on one synthetic workload."""
+             ratio: float | None = None) -> EvalReport:
+    """Full pipeline against all baselines on one synthetic workload.
+
+    Without a ratio, the run samples at the LSR (sets over spans of the
+    leading _LSR_PROBE traces) plus 0.05. Every trace is sampled and then rebuilt for the
+    fidelity figures, and the baselines run at the same ratio.
+    """
     graph = doc_or_graph if isinstance(doc_or_graph, Cscfg) else build_cscfg(doc_or_graph)
     mapping = build_map(graph)
     if faults == "default":
@@ -630,7 +588,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
 
     base_cfg = cfg or SamplingConfig(ratio=0.2)
     probe = SamplingPipeline(graph, mapping, base_cfg)
-    probe_n = min(lsr_probe, len(samples))
+    probe_n = min(_LSR_PROBE, len(samples))
     dss_total = span_total = 0
     for sample in samples[:probe_n]:
         _, dss_list, _, _, _ = probe.partition_trace(sample.trace)
@@ -639,11 +597,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
     lsr = dss_total / span_total if span_total else 0.0
 
     p = ratio if ratio is not None else min(1.0, lsr + 0.05)
-    run_cfg = SamplingConfig(
-        ratio=p, theta_quantile=base_cfg.theta_quantile, window=base_cfg.window,
-        min_obs=base_cfg.min_obs, z_cap=base_cfg.z_cap,
-        lrs_horizon=base_cfg.lrs_horizon, fixed_threshold=base_cfg.fixed_threshold,
-    )
+    run_cfg = replace(base_cfg, ratio=p)
     pipeline = SamplingPipeline(graph, mapping, run_cfg)
 
     results = []
@@ -663,19 +617,18 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
     err_n = 0
     bound_sum = 0.0
     bound_n = 0
-    if reconstruct_traces:
-        stats = pipeline.stats_snapshot()
-        for res in results:
-            rebuilt = pipeline.reconstruct_result(res, stats)
-            report = pipeline.fidelity(res, rebuilt)
-            exact += 1 if report.structure_exact else 0
-            if report.inferred_count:
-                err_sum += report.duration_error * report.inferred_count
-                err_n += report.inferred_count
-                for rspan in rebuilt.inferred():
-                    sigma = meta.durations.get(rspan.function, (6.0, 0.3))[1]
-                    bound_sum += lognormal_relative_error(sigma)
-                    bound_n += 1
+    stats = pipeline.stats_snapshot()
+    for res in results:
+        rebuilt = pipeline.reconstruct_result(res, stats)
+        report = pipeline.fidelity(res, rebuilt)
+        exact += 1 if report.structure_exact else 0
+        if report.inferred_count:
+            err_sum += report.duration_error * report.inferred_count
+            err_n += report.inferred_count
+            for rspan in rebuilt.inferred():
+                sigma = meta.durations.get(rspan.function, (6.0, 0.3))[1]
+                bound_sum += lognormal_relative_error(sigma)
+                bound_n += 1
 
     labeled = set()
     for sample in samples:
@@ -692,7 +645,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
 
     coverage = {"autoscope": coverage_of(kept_auto)}
     for name in BASELINES:
-        kept = run_baseline(name, samples, p, run_cfg, seed=seed_baselines)
+        kept = run_baseline(name, samples, p, run_cfg)
         coverage[name] = coverage_of(kept)
 
     total_spans = sum(len(s.trace) for s in samples)
@@ -716,7 +669,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
         sampling_ratio=total_kept / total_spans if total_spans else 0.0,
         coverage=coverage,
         labeled_spans=len(labeled),
-        structure_exact_rate=exact / len(results) if results and reconstruct_traces else 0.0,
+        structure_exact_rate=exact / len(results) if results else 0.0,
         mean_duration_error=err_sum / err_n if err_n else 0.0,
         duration_error_bound=(2.0 * bound_sum / bound_n + 0.02) if bound_n else 0.0,
         buckets=buckets,

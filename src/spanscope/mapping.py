@@ -154,12 +154,19 @@ def load_shared_dictionary(path) -> list[FunctionRef]:
     from .errors import MalformedDocumentError
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise MalformedDocumentError(f"{path}: bad shared dictionary: {exc}") from exc
     if not isinstance(data, list):
-        raise MalformedDocumentError("shared dictionary must be a JSON list")
+        raise MalformedDocumentError(f"{path}: shared dictionary must be a JSON list")
     refs = []
     for item in data:
-        if not isinstance(item, dict) or "class_name" not in item or "function_name" not in item:
-            raise MalformedDocumentError(f"bad shared dictionary entry: {item!r}")
+        if not (isinstance(item, dict) and type(item.get("class_name")) is str
+                and type(item.get("function_name")) is str
+                and item["class_name"] and item["function_name"]):
+            raise MalformedDocumentError(
+                f"{path}: bad shared dictionary entry {item!r}: class_name and "
+                f"function_name must be non-empty strings")
         refs.append(FunctionRef(SHARED_SERVICE, item["class_name"], item["function_name"]))
     return refs

@@ -218,11 +218,6 @@ class Trace:
         return self._by_id.keys()
 
 
-def children_of(trace: Trace, span_id: SpanId) -> list[SpanId]:
-    """Direct children ordered by start time, ties broken by span id."""
-    return [c.span_id for c in trace.child_spans(span_id)]
-
-
 def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
     # children come in start order, so their intervals clipped to the span
     # do too: one sweep adds the part of each that lies past the furthest end
@@ -244,17 +239,11 @@ def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
     return duration - covered
 
 
-def exclusive_duration(trace: Trace, span_id: SpanId) -> int:
-    """Duration minus the union of direct children's intervals, clamped to >= 0.
-
-    Children may overlap (async fan-out), so coverage is the interval union,
-    clipped to the span's own interval.
-    """
-    return _exclusive(trace.span(span_id), trace.child_spans(span_id))
-
-
 def exclusive_durations(trace: Trace) -> dict[SpanId, int]:
-    """exclusive_duration() of every span, in one pass over the child lists."""
+    """Each span's duration minus the union of its direct children's
+    intervals, clipped to the span's own interval, in one pass over the
+    child lists. Children may overlap (async fan-out), so coverage is the
+    interval union, and the result is never negative."""
     out: dict[SpanId, int] = {}
     for span in trace.spans:
         kids = trace._children[span.span_id]

@@ -26,11 +26,11 @@ TRUNK_TAG = "trunk"
 
 @dataclass(frozen=True)
 class DominantSpanSet:
-    """Spans that witness one branch decision; keeping any one keeps the branch."""
+    """The spans of one path segment, in path order, and the tag of the
+    branch that opened the segment; the sampler keeps at least one of them."""
 
     dss_id: str
     spans: tuple[str, ...]
-    anchor: tuple[int, int]  # first and last step index covered
     branch_tag: str
 
     def __len__(self) -> int:
@@ -42,35 +42,19 @@ def partition(path: ExecutionPath, trace: Trace) -> list[DominantSpanSet]:
     order = trace.preorder
     sets: list[DominantSpanSet] = []
     spans: list[str] = []
-    seg_start = 0
     tag = TRUNK_TAG
-
-    def close(end_index: int) -> None:
-        nonlocal spans, seg_start
-        if spans:
-            sets.append(DominantSpanSet(
-                dss_id=f"{trace.trace_id}:d{len(sets)}",
-                spans=tuple(spans),
-                anchor=(seg_start, end_index),
-                branch_tag=tag,
-            ))
-        spans = []
-        seg_start = end_index + 1
-
-    for index, step in enumerate(path.steps):
+    for step in path.steps:
         if step.slot is not None:
             spans.append(order[step.slot].span_id)
         if step.forks:
-            close(index)
+            if spans:
+                sets.append(DominantSpanSet(f"{trace.trace_id}:d{len(sets)}", tuple(spans), tag))
+                spans = []
             tag = step.forks[0]
-    close(len(path.steps) - 1)
+    if spans:
+        sets.append(DominantSpanSet(f"{trace.trace_id}:d{len(sets)}", tuple(spans), tag))
 
     covered = [s for d in sets for s in d.spans]
     if len(covered) != len(trace) or set(covered) != trace.span_ids():
         raise PartitionMismatchError(f"partition does not cover trace {trace.trace_id!r}")
     return sets
-
-
-def dss_signature(dss_list: list[DominantSpanSet]) -> tuple[str, ...]:
-    """Ordered branch tags; equal signatures mean the same branches were taken."""
-    return tuple(d.branch_tag for d in dss_list)

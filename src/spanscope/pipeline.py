@@ -40,16 +40,15 @@ class TraceResult:
 
 
 class SamplingPipeline:
-    def __init__(self, graph: Cscfg, mapping: SpanFunctionMap, cfg: SamplingConfig,
-                 use_cache: bool = True):
+    def __init__(self, graph: Cscfg, mapping: SpanFunctionMap, cfg: SamplingConfig):
         if not graph.frozen:
             graph.freeze()
         self.graph = graph
         self.mapping = mapping
         self.cfg = cfg
-        self.cache = PathCache() if use_cache else None
+        self.cache = PathCache()
         self.scorebook = ScoreBook(window=cfg.window, min_obs=cfg.min_obs,
-                                   z_cap=cfg.z_cap, theta=cfg.theta_quantile)
+                                   theta=cfg.theta_quantile)
         self.ledger = LrsLedger(cfg.lrs_horizon)
         self.timings: dict[str, float] = {
             STAGE_MAP: 0.0, STAGE_ALIGN: 0.0, STAGE_PARTITION: 0.0,

@@ -83,10 +83,6 @@ class ReconstructedTrace:
     trace_id: str
     spans: tuple[ReconstructedSpan, ...]  # preorder
 
-    def to_trace(self, clock_skew_slack: int = 0) -> Trace:
-        return Trace(self.trace_id, [r.span for r in self.spans],
-                     clock_skew_slack=clock_skew_slack)
-
     def inferred(self) -> list[ReconstructedSpan]:
         return [r for r in self.spans if r.origin == ORIGIN_INFERRED]
 
@@ -488,8 +484,14 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
 
 @dataclass(frozen=True)
 class FidelityReport:
+    """How one rebuilt trace compares with its original.
+
+    structure_exact: the two function trees are equal. duration_error: the
+    mean relative duration error over the inferred spans matched by position.
+    inferred_count: the inferred spans of the rebuilt trace.
+    """
+
     structure_exact: bool
-    span_recall: float
     duration_error: float
     inferred_count: int
 
@@ -522,9 +524,8 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
 
     Unmapped spans have no function and are transparent on both sides: their
     children are promoted, so structure compares what the graph can explain.
-    span_recall counts original spans present verbatim or re-inferred at the
-    matching position; duration_error is the mean relative error over the
-    positionally matched inferred spans.
+    The trees are walked in step from the roots; a pair whose labels differ
+    is not descended into.
     """
     if original.trace_id != rebuilt.trace_id:
         raise ValueError("trace ids differ")
@@ -537,7 +538,6 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
     otree = _label_tree(original.preorder, olabels, original.preorder)
     rtree = _label_tree(rspans, [r.function for r in rebuilt.spans], rebuilt.spans)
 
-    matched_ids: set[str] = set()
     inferred_pairs: list[tuple[Span, ReconstructedSpan]] = []
     exact = True
     # children pushed in reverse, so pairs are visited (and inferred_pairs
@@ -548,19 +548,11 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
         if olabel != rlabel:
             exact = False
             continue
-        matched_ids.add(ospan.span_id)
         if rspan.origin == ORIGIN_INFERRED:
             inferred_pairs.append((ospan, rspan))
         if len(okids) != len(rkids):
             exact = False
         stack.extend(reversed(list(zip(okids, rkids))))
-
-    kept_ids = {r.span.span_id for r in rebuilt.spans if r.origin == ORIGIN_SAMPLED}
-    represented = set(matched_ids)
-    for span in original.spans:
-        if span.span_id in kept_ids:
-            represented.add(span.span_id)
-    recall = len(represented) / len(original)
 
     errors = [
         abs(ospan.duration - rspan.span.duration) / ospan.duration
@@ -573,7 +565,6 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
 
     return FidelityReport(
         structure_exact=exact,
-        span_recall=recall,
         duration_error=mean_err,
         inferred_count=len(rebuilt.inferred()),
     )

@@ -33,7 +33,7 @@ from .cscfg import FunctionRef
 from .errors import EmptyPartitionError, PartitionMismatchError
 from .model import Trace
 from .partition import DominantSpanSet
-from .scoring import DEFAULT_MIN_OBS, DEFAULT_THETA, DEFAULT_WINDOW, Z_CAP, ScoreBook
+from .scoring import DEFAULT_MIN_OBS, DEFAULT_THETA, DEFAULT_WINDOW, ScoreBook
 
 
 # keys are written in the order they are built; serialize builds them sorted
@@ -46,7 +46,6 @@ class SamplingConfig:
     theta_quantile: float = DEFAULT_THETA
     window: int = DEFAULT_WINDOW
     min_obs: int = DEFAULT_MIN_OBS
-    z_cap: float = Z_CAP
     lrs_horizon: int = 1024
     fixed_threshold: float | None = None  # overrides the quantile threshold when set
 
@@ -144,13 +143,10 @@ class LrsLedger:
             self._prune(key)
 
 
-def allocate_budget(dss_list, p: float) -> list[int]:
-    """Per-set budgets; follows the allocation arithmetic literally.
-
-    Accepts DominantSpanSet objects or raw sizes. Floor rounding uses IEEE
-    float semantics on p * total.
+def allocate_budget(sizes: list[int], p: float) -> list[int]:
+    """Per-set budgets from the set sizes; follows the allocation arithmetic
+    literally. Floor rounding uses IEEE float semantics on p * total.
     """
-    sizes = [len(d) if isinstance(d, DominantSpanSet) else int(d) for d in dss_list]
     if not sizes:
         raise EmptyPartitionError("no dominant span sets to allocate over")
     if any(s < 1 for s in sizes):
@@ -190,7 +186,7 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
         if z >= (threshold if fixed is None else fixed):
             z_of[sid] = z
 
-    budgets = allocate_budget(dss_list, cfg.ratio)
+    budgets = allocate_budget([len(d) for d in dss_list], cfg.ratio)
     kept: list[str] = []
     reports: list[DssReport] = []
     key_stats: dict[str, tuple[int, int]] = {}

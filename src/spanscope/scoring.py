@@ -11,19 +11,16 @@ serves as the selection threshold.
 Z = (x - median) / MAD. With MAD = 0 the score degenerates: it is 0 when the
 observation sits on the median and a capped sentinel otherwise.
 
-SpanStatWindow.score(x) is the one body that updates a window: it returns
+SpanStatWindow.score(x) is the one way to feed a window: it returns
 (z, degenerate, threshold), the threshold being the one in force before x,
-and then folds x into every statistic. observe(x) wraps the same score in a
-ZScore.
+and then folds x into every statistic.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left, insort
 from collections import deque
-from typing import NamedTuple
 
 DEFAULT_WINDOW = 512
 DEFAULT_MIN_OBS = 8
@@ -192,36 +189,24 @@ class Welford:
         return math.sqrt(self._m2 / (self.count - 1))
 
 
-class ZScore(NamedTuple):
-    """Robust anomaly score; degenerate marks a zero-MAD window."""
-
-    value: float
-    degenerate: bool = False
-
-
 class SpanStatWindow:
     """Sliding window of exclusive durations for one span type.
 
-    score(x) is the one body that updates a window. It reads the threshold in
-    force, scores x against the median and MAD in place before x is inserted,
-    then feeds the Z quantile, the Welford moments, the MAD estimator and the
-    window, and returns (z, degenerate, threshold); observe(x) returns the
-    same score as a ZScore. The first min_obs observations score 0 and see an
-    infinite threshold, so cold windows flag nothing. Exact mode recomputes
-    median and MAD by sorting and exists for oracle tests. Distinct keys are
-    independent.
+    score(x) reads the threshold in force, scores x against the median and
+    MAD in place before x is inserted, then feeds the Z quantile, the Welford
+    moments, the MAD estimator and the window, and returns (z, degenerate,
+    threshold). The first min_obs observations score 0 and see an infinite
+    threshold, so cold windows flag nothing. Distinct keys are independent.
     """
 
     def __init__(self, key: str, window: int = DEFAULT_WINDOW, min_obs: int = DEFAULT_MIN_OBS,
-                 z_cap: float = Z_CAP, theta: float = DEFAULT_THETA, exact: bool = False):
+                 theta: float = DEFAULT_THETA):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.key = key
         self.window = window
         self.min_obs = min_obs
-        self.z_cap = z_cap
         self.theta = theta
-        self.exact = exact
         self.count = 0
         self._values: deque[float] = deque()
         self._median = RunningMedian()
@@ -240,18 +225,6 @@ class SpanStatWindow:
         self._zq_heights = self._zq_est.heights
         self._wf_add = self._welford.add
 
-    def _current_median(self) -> float | None:
-        if not self._values:
-            return None
-        if self.exact:
-            return statistics.median(self._values)
-        return self._median.median()
-
-    def _current_mad(self, med: float) -> float:
-        if self.exact:
-            return statistics.median(abs(v - med) for v in self._values)
-        return self._mad_est.value()
-
     def score(self, x: float) -> tuple[float, bool, float]:
         """Score x, then add it; returns (z, degenerate, threshold in force)."""
         count = self.count
@@ -264,17 +237,13 @@ class SpanStatWindow:
         if not count:
             deviation = 0.0
         else:
-            med = statistics.median(values) if self.exact else self._median_value()
-            dev = x - med
+            dev = x - self._median_value()
             if not cold:
-                if count >= 5 and not self.exact:
-                    mad = self._mad_heights[2]
-                else:
-                    mad = self._current_mad(med)
+                mad = self._mad_heights[2] if count >= 5 else self._mad_est.value()
                 if dev == 0:
                     degenerate = mad == 0
                 elif mad <= 0:
-                    z = math.copysign(self.z_cap, dev)
+                    z = math.copysign(Z_CAP, dev)
                     degenerate = True
                 else:
                     z = dev / mad
@@ -290,9 +259,6 @@ class SpanStatWindow:
         self.count = count + 1
         return z, degenerate, threshold
 
-    def observe(self, x: float) -> ZScore:
-        return ZScore(*self.score(x)[:2])
-
     def z_threshold(self) -> float:
         """Current estimate of the theta quantile of emitted Z-scores.
 
@@ -304,11 +270,11 @@ class SpanStatWindow:
         return self._zq_est.value()
 
     def stats(self) -> dict:
-        med = self._current_median()
+        count = self.count
         return {
-            "count": self.count,
-            "median": med if med is not None else 0.0,
-            "mad": self._current_mad(med) if med is not None else 0.0,
+            "count": count,
+            "median": self._median.median() if count else 0.0,
+            "mad": self._mad_est.value() if count else 0.0,
             "z_quantile": self._zq_est.value(),
             "mean": self._welford.mean,
             "std": self._welford.std,
@@ -323,22 +289,18 @@ class ScoreBook:
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW, min_obs: int = DEFAULT_MIN_OBS,
-                 z_cap: float = Z_CAP, theta: float = DEFAULT_THETA):
+                 theta: float = DEFAULT_THETA):
         self.window = window
         self.min_obs = min_obs
-        self.z_cap = z_cap
         self.theta = theta
         self._windows: dict[str, SpanStatWindow] = {}
 
     def window_for(self, key: str) -> SpanStatWindow:
         win = self._windows.get(key)
         if win is None:
-            win = SpanStatWindow(key, self.window, self.min_obs, self.z_cap, self.theta)
+            win = SpanStatWindow(key, self.window, self.min_obs, self.theta)
             self._windows[key] = win
         return win
-
-    def observe(self, key: str, x: float) -> ZScore:
-        return self.window_for(key).observe(x)
 
     def snapshot(self) -> dict:
         keys = {}
@@ -356,12 +318,28 @@ def save_snapshot(snapshot: dict, path) -> None:
 
 
 def load_snapshot(path) -> dict:
+    """A statistics snapshot, checked for what rebuild reads of it: `keys`
+    maps each key to an object whose count, mean and std are finite numbers."""
     import json
 
     from .errors import MalformedDocumentError
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise MalformedDocumentError(f"{path}: bad statistics snapshot: {exc}") from exc
     if not isinstance(data, dict) or data.get("kind") != "stats-snapshot":
-        raise MalformedDocumentError("not a statistics snapshot")
+        raise MalformedDocumentError(f"{path}: not a statistics snapshot")
+    keys = data.get("keys")
+    if not isinstance(keys, dict):
+        raise MalformedDocumentError(f"{path}: snapshot keys must be an object")
+    for key, entry in keys.items():
+        # bool is an int subclass, so compare the type itself
+        if not isinstance(entry, dict) or not all(
+                type(entry.get(name)) is int
+                or type(entry.get(name)) is float and math.isfinite(entry[name])
+                for name in ("count", "mean", "std")):
+            raise MalformedDocumentError(
+                f"{path}: snapshot entry {key!r} needs finite numeric count, mean and std")
     return data

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from spanscope.cscfg import build_cscfg
-from spanscope.harness import SystemSpec, comfort_economy_system, generate_traces
+from spanscope.cscfg import build_cscfg, entry_node
+from spanscope.harness import SystemMeta, SystemSpec, generate_traces
 from spanscope.mapping import build_map
 from spanscope.model import Span, Trace
 
@@ -40,6 +40,52 @@ def single_function_doc(fn="svc:C.f", blocks=None, edges=None, entry=None, exits
             declared.add(c)
     return {"schema_version": 1, "functions": functions,
             "external_functions": list(external)}
+
+
+def comfort_economy_system() -> tuple[dict, SystemMeta]:
+    """Trunk plus a two-arm fork: three comfort calls versus two economy calls."""
+    svc = "ts-preserve"
+    entry = f"{svc}:OrderService.createOrder"
+    comfort = [
+        f"{svc}:SeatService.getComfortClass",
+        f"{svc}:DispatchService.dispatchComfort",
+        f"{svc}:PriceService.getPrice",
+    ]
+    economy = [
+        f"{svc}:SeatService.getEconomyClass",
+        f"{svc}:PriceService.getPrice",
+    ]
+    leaves = sorted(set(comfort + economy))
+    doc = {
+        "schema_version": 1,
+        "functions": [
+            {
+                "function": entry,
+                "blocks": [
+                    {"id": "start", "callees": []},
+                    {"id": "c1", "callees": [comfort[0]]},
+                    {"id": "c2", "callees": [comfort[1]]},
+                    {"id": "c3", "callees": [comfort[2]]},
+                    {"id": "e1", "callees": [economy[0]]},
+                    {"id": "e2", "callees": [economy[1]]},
+                    {"id": "end", "callees": []},
+                ],
+                "flow_edges": [
+                    ["start", "c1"], ["c1", "c2"], ["c2", "c3"], ["c3", "end"],
+                    ["start", "e1"], ["e1", "e2"], ["e2", "end"],
+                ],
+                "entry": "start",
+                "exits": ["end"],
+            },
+        ] + [{"function": f} for f in leaves],
+        "external_functions": [],
+    }
+    meta = SystemMeta(entry=entry)
+    ent = entry_node(entry)
+    meta.fork_probs[(entry, ent)] = [(f"{entry}#c1", 0.5), (f"{entry}#e1", 0.5)]
+    for key in [entry] + leaves:
+        meta.durations[key] = (6.0, 0.3)
+    return doc, meta
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 import statistics
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 
 
 def enumerate_simple_paths(succ: dict, src: str, dst: str, cap: int = 50000) -> list[list[str]]:
@@ -453,11 +453,10 @@ def _oracle_label_tree_rebuilt(rebuilt):
 
 
 def oracle_structural_fidelity(original, rebuilt, mapping):
-    """(structure_exact, span_recall, duration_error, inferred_count)."""
+    """(structure_exact, duration_error, inferred_count)."""
     otree = _oracle_label_tree_original(original, mapping)
     rtree = _oracle_label_tree_rebuilt(rebuilt)
 
-    matched_ids: set = set()
     inferred_pairs: list = []
     exact = True
 
@@ -468,26 +467,14 @@ def oracle_structural_fidelity(original, rebuilt, mapping):
         if olabel != rlabel:
             exact = False
             return
-        if rspan.origin == "sampled" and rspan.span.span_id == ospan.span_id:
-            matched_ids.add(ospan.span_id)
-        elif rspan.origin == "inferred":
-            matched_ids.add(ospan.span_id)
+        if rspan.origin == "inferred":
             inferred_pairs.append((ospan, rspan))
-        else:
-            matched_ids.add(ospan.span_id)
         if len(okids) != len(rkids):
             exact = False
         for oc, rc in zip(okids, rkids):
             walk(oc, rc)
 
     walk(otree, rtree)
-
-    kept_ids = {r.span.span_id for r in rebuilt.spans if r.origin == "sampled"}
-    represented = set(matched_ids)
-    for span in original.spans:
-        if span.span_id in kept_ids:
-            represented.add(span.span_id)
-    recall = len(represented) / len(original)
 
     errors = [
         abs(ospan.duration - rspan.span.duration) / ospan.duration
@@ -497,12 +484,12 @@ def oracle_structural_fidelity(original, rebuilt, mapping):
     mean_err = sum(errors) / len(errors) if errors else 0.0
     if math.isnan(mean_err):  # pragma: no cover
         mean_err = 0.0
-    return (exact, recall, mean_err, len(rebuilt.inferred()))
+    return (exact, mean_err, len(rebuilt.inferred()))
 
 
 # Score and select as they were before the fused window update: the marker
-# search is a scan with a `while` loop, every window observation builds a
-# ZScore and reads its threshold through z_threshold(), and the select loop
+# search is a scan with a `while` loop, every window observation builds an
+# OracleZ and reads its threshold through z_threshold(), and the select loop
 # keeps a flag for every span and sorts every set. The fused versions must
 # give the same bits. These copies reuse the package's RunningMedian, Welford
 # and allocate_budget, which tests check on their own.
@@ -581,16 +568,22 @@ class OracleP2Quantile:
         return self.heights[2]
 
 
-class OracleSpanStatWindow:
-    """A score window whose observe() and z_threshold() are separate reads."""
+OracleZ = namedtuple("OracleZ", "value degenerate")
+ORACLE_Z_CAP = 1e6  # the score of a deviation from a zero-MAD window
 
-    def __init__(self, key, window, min_obs, z_cap, theta, exact=False):
+
+class OracleSpanStatWindow:
+    """A score window whose observe() and z_threshold() are separate reads.
+
+    With exact=True the median and MAD are recomputed by sorting the window.
+    """
+
+    def __init__(self, key, window, min_obs, theta, exact=False):
         from spanscope.scoring import RunningMedian, Welford
 
         self.key = key
         self.window = window
         self.min_obs = min_obs
-        self.z_cap = z_cap
         self.exact = exact
         self.count = 0
         self._values = deque()
@@ -605,8 +598,6 @@ class OracleSpanStatWindow:
         return self._mad_est.value()
 
     def observe(self, x):
-        from spanscope.scoring import ZScore
-
         values = self._values
         if not values:
             med = None
@@ -616,20 +607,20 @@ class OracleSpanStatWindow:
             med = self._median.median()
 
         if med is None:
-            z = ZScore(0.0, False)
+            z = OracleZ(0.0, False)
             deviation = 0.0
         elif self.count < self.min_obs:
-            z = ZScore(0.0, False)
+            z = OracleZ(0.0, False)
             deviation = abs(x - med)
         else:
             mad = self._current_mad(med)
             dev = x - med
             if dev == 0:
-                z = ZScore(0.0, mad == 0)
+                z = OracleZ(0.0, mad == 0)
             elif mad <= 0:
-                z = ZScore(math.copysign(self.z_cap, dev), True)
+                z = OracleZ(math.copysign(ORACLE_Z_CAP, dev), True)
             else:
-                z = ZScore(dev / mad, False)
+                z = OracleZ(dev / mad, False)
             deviation = abs(dev)
 
         self._zq_est.update(z.value)
@@ -648,13 +639,14 @@ class OracleSpanStatWindow:
         return self._zq_est.value()
 
     def score(self, x):
+        """(z, degenerate, threshold in force before x), as the package's."""
         threshold = self.z_threshold()
-        return self.observe(x), threshold
+        return (*self.observe(x), threshold)
 
 
 class OracleScoreBook:
-    def __init__(self, window, min_obs, z_cap, theta):
-        self.args = (window, min_obs, z_cap, theta)
+    def __init__(self, window, min_obs, theta):
+        self.args = (window, min_obs, theta)
         self.windows: dict = {}
 
     def window_for(self, key):
@@ -721,13 +713,13 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
     window_for = scorebook.window_for
     for span in trace.arrival:
         sid = span.span_id
-        z, threshold = window_for(span_keys[sid]).score(exclusive[sid])
+        z, _degenerate, threshold = window_for(span_keys[sid]).score(exclusive[sid])
         if fixed is not None:
             threshold = fixed
-        z_of[sid] = z.value
-        flagged[sid] = z.value >= threshold
+        z_of[sid] = z
+        flagged[sid] = z >= threshold
 
-    budgets = allocate_budget(dss_list, cfg.ratio)
+    budgets = allocate_budget([len(d) for d in dss_list], cfg.ratio)
     kept: list[str] = []
     reports: list = []
     key_stats: dict[str, tuple[int, int]] = {}
@@ -1195,22 +1187,19 @@ def oracle_partition(path: OraclePath, graph, trace) -> list:
 
     sets: list = []
     spans: list = []
-    seg_start = 0
     tag = TRUNK_TAG
 
-    def close(end_index: int) -> None:
-        nonlocal spans, seg_start
+    def close() -> None:
+        nonlocal spans
         if spans:
             sets.append(DominantSpanSet(
                 dss_id=f"{trace.trace_id}:d{len(sets)}",
                 spans=tuple(spans),
-                anchor=(seg_start, end_index),
                 branch_tag=tag,
             ))
         spans = []
-        seg_start = end_index + 1
 
-    for index, step in enumerate(path.steps):
+    for step in path.steps:
         if step.span_id is not None:
             spans.append(step.span_id)
         fork_dst = None
@@ -1219,9 +1208,9 @@ def oracle_partition(path: OraclePath, graph, trace) -> list:
                 fork_dst = move.dst
                 break
         if fork_dst is not None:
-            close(index)
+            close()
             tag = fork_dst
-    close(len(path.steps) - 1)
+    close()
 
     covered = [s for d in sets for s in d.spans]
     if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):

@@ -11,7 +11,6 @@ from spanscope.cscfg import (
     compute_dominance,
     entry_node,
     exit_node,
-    mutual_dominance_classes,
     parse_function_key,
     patch_with_traces,
 )
@@ -155,7 +154,7 @@ class TestDominance:
             entry="b1", exits=["b3"],
         )
         graph = build_cscfg(doc)
-        classes = mutual_dominance_classes(graph, FN)
+        classes = graph.dominance(FN).classes()
         assert classes == [frozenset({f"{FN}#b1", f"{FN}#b2", f"{FN}#b3"})]
 
     def test_diamond_three_classes_entry_join_equivalent(self):
@@ -167,7 +166,7 @@ class TestDominance:
             entry="e", exits=["j"],
         )
         graph = build_cscfg(doc)
-        classes = mutual_dominance_classes(graph, FN)
+        classes = graph.dominance(FN).classes()
         assert len(classes) == 3
         assert frozenset({f"{FN}#e", f"{FN}#j"}) in classes
         assert frozenset({f"{FN}#L"}) in classes
@@ -178,7 +177,7 @@ class TestDominance:
             fn=FN, blocks=[blk("b0", "x:F.x")], edges=[], entry="b0", exits=["b0"],
         )
         graph = build_cscfg(doc)
-        assert mutual_dominance_classes(graph, FN) == [frozenset({f"{FN}#b0"})]
+        assert graph.dominance(FN).classes() == [frozenset({f"{FN}#b0"})]
 
     def test_conditional_loop_body_in_own_class(self):
         # header h, loop body b entered conditionally, exit via h
@@ -189,7 +188,7 @@ class TestDominance:
             entry="h", exits=["h"],
         )
         graph = build_cscfg(doc)
-        classes = mutual_dominance_classes(graph, FN)
+        classes = graph.dominance(FN).classes()
         assert frozenset({f"{FN}#b"}) in classes
         assert frozenset({f"{FN}#h"}) in classes
 

@@ -9,8 +9,6 @@ from spanscope.errors import InvariantViolationError, MalformedDocumentError, Un
 from spanscope.model import (
     Span,
     _checked_span_from_dict,
-    children_of,
-    exclusive_duration,
     exclusive_durations,
     parse_trace,
     serialize_trace,
@@ -19,6 +17,10 @@ from spanscope.model import (
 
 from .conftest import make_span, make_trace
 from .oracles import interval_union_length, oracle_preorder_spans
+
+
+def child_ids(trace, span_id):
+    return [c.span_id for c in trace.child_spans(span_id)]
 
 
 def fig2_trace():
@@ -42,7 +44,7 @@ class TestParse:
         trace = fig2_trace()
         doc = serialize_trace(trace)
         parsed = parse_trace(doc)
-        assert len(children_of(parsed, "s1")) == 2
+        assert len(child_ids(parsed, "s1")) == 2
         assert parsed.root.span_id == "s1"
 
     def test_dangling_parent_names_span(self):
@@ -103,7 +105,7 @@ class TestParse:
 class TestExclusiveDuration:
     def test_leaf(self):
         trace = make_trace([make_span("a", duration=100)])
-        assert exclusive_duration(trace, "a") == 100
+        assert exclusive_durations(trace)["a"] == 100
 
     def test_two_disjoint_children(self):
         spans = [
@@ -112,7 +114,7 @@ class TestExclusiveDuration:
             make_span("c2", parent="p", start=50, duration=20),
         ]
         trace = make_trace(spans)
-        assert exclusive_duration(trace, "p") == 50
+        assert exclusive_durations(trace)["p"] == 50
 
     def test_overlapping_children_use_union(self):
         spans = [
@@ -121,12 +123,13 @@ class TestExclusiveDuration:
             make_span("c2", parent="p", start=30, duration=30),  # [30, 60]
         ]
         trace = make_trace(spans)
-        assert exclusive_duration(trace, "p") == 100 - 50
+        assert exclusive_durations(trace)["p"] == 100 - 50
 
     def test_unknown_span(self):
         trace = make_trace([make_span("a")])
+        assert "zzz" not in exclusive_durations(trace)
         with pytest.raises(UnknownSpanError):
-            exclusive_duration(trace, "zzz")
+            trace.child_spans("zzz")
 
     def test_against_interval_union_oracle_random(self):
         rng = random.Random(11)
@@ -141,7 +144,7 @@ class TestExclusiveDuration:
                 intervals.append((start, start + width))
             trace = make_trace(spans)
             expected = max(0, dur - interval_union_length(intervals))
-            assert exclusive_duration(trace, "p") == expected
+            assert exclusive_durations(trace)["p"] == expected
 
     def test_exclusive_never_exceeds_duration_and_sums_bounded(self):
         rng = random.Random(7)
@@ -168,11 +171,11 @@ class TestExclusiveDuration:
 class TestChildren:
     def test_order_by_start_time(self):
         trace = fig2_trace()
-        assert children_of(trace, "s1") == ["s2", "s3"]
+        assert child_ids(trace, "s1") == ["s2", "s3"]
 
     def test_leaf_has_no_children(self):
         trace = fig2_trace()
-        assert children_of(trace, "s2") == []
+        assert child_ids(trace, "s2") == []
 
     def test_tie_broken_by_span_id(self):
         spans = [
@@ -181,7 +184,7 @@ class TestChildren:
             make_span("aa", parent="p", start=10, duration=5),
         ]
         trace = make_trace(spans)
-        assert children_of(trace, "p") == ["aa", "zz"]
+        assert child_ids(trace, "p") == ["aa", "zz"]
 
     def test_preorder_contains_all_spans_once(self):
         trace = fig2_trace()
@@ -323,5 +326,3 @@ class TestArrival:
                            for c in trace.spans if c.parent_id == s.span_id]
                 expected[s.span_id] = max(0, s.duration - interval_union_length(clipped))
             assert exclusive_durations(trace) == expected
-            assert {s.span_id: exclusive_duration(trace, s.span_id)
-                    for s in trace.spans} == expected

@@ -95,3 +95,57 @@ def test_unused_import_scan_sees_each_kind():
         "print(os, b)\n"
     )
     assert unused_imports(source) == ["d (line 4)", "j (line 3)"]
+
+
+def unreferenced_definitions(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Module-level functions and classes of `package` that no file reads.
+
+    Both maps take a file name to its source. A name is read where a file
+    loads it, reads it as an attribute or imports it by name, outside its own
+    definition. A package's `__init__.py` only re-exports, so it reads nothing.
+    """
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for path, source in [*package.items(), *readers.items()]:
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if path in package:
+                    defined[stmt.name] = path
+            if Path(path).name != "__init__.py":
+                read |= names
+    return sorted(f"{name} ({path})" for name, path in defined.items() if name not in read)
+
+
+def test_every_package_definition_has_a_reader_outside_the_tests():
+    def sources(paths):
+        return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+
+    package = sources(sorted((ROOT / "src" / "spanscope").glob("*.py")))
+    readers = sources(sorted((ROOT / "bench").rglob("*.py")))
+    assert len(package) > 10 and len(readers) > 3
+    assert unreferenced_definitions(package, readers) == []
+
+
+def test_unreferenced_definition_scan_sees_each_kind():
+    package = {
+        "pkg/__init__.py": "from .a import C, D, f, g, h\n",
+        "pkg/a.py": (
+            "def f():\n    return f()\n"  # reads only itself
+            "def g():\n    return D\n"  # read by nothing
+            "def h():\n    pass\n"  # imported by name elsewhere
+            "class C:\n    pass\n"  # read as an attribute elsewhere
+            "class D:\n    pass\n"
+            "e = 1\n"  # not a function or class
+        ),
+    }
+    readers = {"bench/b.py": "import pkg.a\nfrom pkg.a import h\nprint(pkg.a.C)\n"}
+    assert unreferenced_definitions(package, readers) == ["f (pkg/a.py)", "g (pkg/a.py)"]

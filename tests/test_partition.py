@@ -7,15 +7,14 @@ from spanscope.cscfg import build_cscfg
 from spanscope.errors import PartitionMismatchError
 from spanscope.harness import (
     SystemSpec,
-    comfort_economy_system,
     generate_system,
     generate_traces,
     variable_depth_system,
 )
 from spanscope.mapping import build_map
-from spanscope.partition import TRUNK_TAG, dss_signature, partition
+from spanscope.partition import TRUNK_TAG, partition
 
-from .conftest import make_span, make_trace, single_function_doc
+from .conftest import comfort_economy_system, make_span, make_trace, single_function_doc
 from .oracles import enumerate_simple_paths, oracle_align, oracle_partition, oracle_path_forks
 
 FN = "svc:Main.run"
@@ -63,7 +62,7 @@ class TestPartition:
         sigs = {}
         for sample in samples:
             path = align(graph, sample.trace, mapping)
-            sig = dss_signature(partition(path, sample.trace))
+            sig = tuple(d.branch_tag for d in partition(path, sample.trace))
             sigs.setdefault(len(sample.trace), set()).add(sig)
         assert len(sigs[4]) == 1  # all comfort traces agree
         assert len(sigs[3]) == 1  # all economy traces agree
@@ -74,7 +73,7 @@ class TestPartition:
         trace = samples[0].trace
         p1 = partition(align(graph, trace, mapping), trace)
         p2 = partition(align(graph, trace, mapping), trace)
-        assert dss_signature(p1) == dss_signature(p2)
+        assert [d.branch_tag for d in p1] == [d.branch_tag for d in p2]
         assert [d.spans for d in p1] == [d.spans for d in p2]
 
     def test_two_forks_three_sets_covering_all_spans(self):
@@ -157,7 +156,7 @@ class TestPartition:
         dss = partition(path, trace)
         # the re-enter decision is taken when leaving w, so the first
         # iteration groups with the trunk and each later one is its own set
-        tags = dss_signature(dss)
+        tags = tuple(d.branch_tag for d in dss)
         assert tags[0] == TRUNK_TAG
         assert len(dss) == 3
         assert set(dss[0].spans) == {"r", "s0", "w0"}

@@ -32,8 +32,9 @@ def run(workload, use_cache):
     """Decision and rebuilt-trace lines of one fresh pipeline, plus its report."""
     doc, traces = workload
     graph = build_cscfg(doc)
-    pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig(ratio=0.3),
-                                use_cache=use_cache)
+    pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig(ratio=0.3))
+    if not use_cache:
+        pipeline.cache = None
     results = [pipeline.process(t) for t in traces]
     stats = pipeline.stats_snapshot()
     decisions = [r.decision.serialize() for r in results]
@@ -291,3 +292,69 @@ def test_eval_requires_a_positive_integer_trace_count(tmp_path, capsys, n_traces
     if isinstance(n_traces, int) and not isinstance(n_traces, bool):
         assert cli.main(["eval", "--out", str(out), "--n", str(n_traces)]) == 2
         assert capsys.readouterr().err.startswith("config error: n_traces ")
+
+
+def test_stats_export_writes_the_snapshot_sample_writes(workload, tmp_path):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 30)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    exported = tmp_path / "exported.json"
+    assert cli.main(["stats-export", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(exported)]) == 0
+    assert exported.read_bytes() == (out / "stats.json").read_bytes()
+
+
+def assert_names_the_bad_file(capsys, code, path):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err, err
+
+
+@pytest.mark.parametrize("stats", [
+    '{"kind": "stats-snapshot", "keys": {"k": {"count": 3, "std": 1.0}}}',
+    '{"kind": "stats-snapshot", "keys": {"k": {"count": 3, "mean": true, "std": 1.0}}}',
+    '{"kind": "stats-snapshot", "keys": {"k": 5}}',
+    '{"kind": "stats-snapshot", "keys": []}',
+    '{"kind": "stats-snapshot", "keys": {',
+], ids=["no-mean", "bool-mean", "entry-not-object", "keys-list", "bad-json"])
+def test_reconstruct_names_a_malformed_stats_file(workload, tmp_path, capsys, stats):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    bad = tmp_path / "stats.json"
+    bad.write_text(stats, encoding="utf-8")
+    capsys.readouterr()
+    code = cli.main(["reconstruct", "--graph", graph_path,
+                     "--decisions", str(out / "decisions.ndjson"),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(bad),
+                     "--out", str(tmp_path / "rebuilt")])
+    assert_names_the_bad_file(capsys, code, bad)
+
+
+@pytest.mark.parametrize("artifact", [
+    '{"schema_version": 1, "kind": "cscfg-artifact", "external_functions": [], "graphs": []}',
+    '{"schema_version": 1, "kind": "cscfg-artifact", "functions": [',
+], ids=["no-functions", "bad-json"])
+def test_sample_names_a_malformed_graph_artifact(workload, tmp_path, capsys, artifact):
+    _graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    bad = tmp_path / "bad-graph.json"
+    bad.write_text(artifact, encoding="utf-8")
+    code = cli.main(["sample", "--graph", str(bad), "--traces", trace_path,
+                     "--out", str(tmp_path / "out")])
+    assert_names_the_bad_file(capsys, code, bad)
+
+
+@pytest.mark.parametrize("entries", [
+    '[{"class_name": "", "function_name": "f"}]',
+    '[{"class_name": "Lib", "function_name": 5}]',
+    '[{"class_name": "Lib", ',
+], ids=["empty-class", "function-not-string", "bad-json"])
+def test_sample_names_a_malformed_shared_dictionary(workload, tmp_path, capsys, entries):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    bad = tmp_path / "shared.json"
+    bad.write_text(entries, encoding="utf-8")
+    code = cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--shared-dict", str(bad), "--out", str(tmp_path / "out")])
+    assert_names_the_bad_file(capsys, code, bad)

@@ -11,7 +11,6 @@ from spanscope.scoring import (
     ScoreBook,
     SpanStatWindow,
     Welford,
-    ZScore,
 )
 
 from .oracles import HeapRunningMedian, OracleP2Quantile, OracleSpanStatWindow, exact_quantile
@@ -151,8 +150,7 @@ def test_window_outputs_bit_identical_to_heap_median(kind):
         assert isinstance(ref._median, HeapRunningMedian)
         for i, x in enumerate(stream(rng, kind, 2 * window + 2000)):
             assert bits(win.z_threshold()) == bits(ref.z_threshold())
-            z, want = win.observe(x), ref.observe(x)
-            assert (bits(z.value), z.degenerate) == (bits(want.value), want.degenerate)
+            assert [bits(v) for v in win.score(x)] == [bits(v) for v in ref.score(x)]
             assert bits(win._median.median()) == bits(ref._median.median())
             if i % 97 == 0:
                 assert stats_bits(win) == stats_bits(ref)
@@ -214,27 +212,25 @@ def window_state(win):
             (wf.count, bits(wf._mean), bits(wf._m2)))
 
 
-@pytest.mark.parametrize("exact", [False, True])
+# via_book: the window comes from ScoreBook.window_for, which passes window,
+# min_obs and theta on by position, rather than from SpanStatWindow itself
+@pytest.mark.parametrize("via_book", [False, True])
 @pytest.mark.parametrize("kind", ["few-ints", "ints", "few-floats", "floats"])
-def test_score_bit_identical_to_observe_then_threshold(kind, exact):
-    rng = random.Random(f"score-{kind}-{exact}")
+def test_score_bit_identical_to_observe_then_threshold(kind, via_book):
+    rng = random.Random(f"score-{kind}-{via_book}")
     observed = 0
     for window in (1, 4, 16, 512):
         for min_obs in (0, 1, 3, 8):
             theta = rng.choice((0.5, 0.9, 0.99))
-            win = SpanStatWindow("k", window=window, min_obs=min_obs, theta=theta,
-                                 exact=exact)
-            ref = OracleSpanStatWindow("k", window, min_obs, scoring.Z_CAP, theta, exact)
-            for i, x in enumerate(stream(rng, kind, 300 if exact else 1200)):
-                want, want_threshold = ref.score(x)
-                if i % 3:
-                    got = win.score(x)
-                    assert (bits(got[0]), got[1], bits(got[2])) == (
-                        bits(want.value), want.degenerate, bits(want_threshold))
-                else:
-                    z = win.observe(x)
-                    assert type(z) is ZScore
-                    assert (bits(z.value), z.degenerate) == (bits(want.value), want.degenerate)
+            if via_book:
+                win = ScoreBook(window=window, min_obs=min_obs, theta=theta).window_for("k")
+            else:
+                win = SpanStatWindow("k", window=window, min_obs=min_obs, theta=theta)
+            ref = OracleSpanStatWindow("k", window, min_obs, theta)
+            for x in stream(rng, kind, 1200):
+                got, want = win.score(x), ref.score(x)
+                assert (bits(got[0]), got[1], bits(got[2])) == (
+                    bits(want[0]), want[1], bits(want[2]))
                 observed += 1
             assert window_state(win) == window_state(ref)
     assert observed >= 4_800
@@ -251,59 +247,51 @@ class TestWelford:
         assert math.isclose(wf.std, statistics.stdev(data), rel_tol=1e-9)
 
 
-def warmed_window(values, window=5, min_obs=8, exact=True):
-    """Feed enough history that the final window holds exactly `values`."""
-    win = SpanStatWindow("k", window=window, min_obs=min_obs, exact=exact)
-    prefix = list(values)[: max(0, min_obs + 1 - len(values))] * 2
-    for x in prefix + list(values):
-        win.observe(x)
-    return win
-
-
 class TestSpanStatWindow:
     def test_exact_mode_hand_example(self):
-        # window {8, 9, 10, 11, 12}: median 10, MAD 1, so 14 scores 4.0
-        win = SpanStatWindow("k", window=5, min_obs=8, exact=True)
+        # window {8, 9, 10, 11, 12}: median 10, MAD 1, so 14 scores 4.0 in
+        # the exact reference; the streaming MAD estimate reads 3.0 here
+        win = OracleSpanStatWindow("k", window=5, min_obs=8, theta=0.9, exact=True)
         for x in [8, 9, 10, 11, 8, 9, 10, 11, 12]:
-            win.observe(x)
+            win.score(x)
         assert list(win._values) == [8, 9, 10, 11, 12]
-        z = win.observe(14)
-        assert z.value == 4.0
-        assert not z.degenerate
+        z, degenerate, _threshold = win.score(14)
+        assert z == 4.0
+        assert not degenerate
 
     def test_constant_window_degenerate_zero(self):
-        win = SpanStatWindow("k", window=8, min_obs=4, exact=True)
+        win = SpanStatWindow("k", window=8, min_obs=4)
         for _ in range(8):
-            win.observe(10)
-        z = win.observe(10)
-        assert z.value == 0.0
-        assert z.degenerate
+            win.score(10)
+        z, degenerate, _threshold = win.score(10)
+        assert z == 0.0
+        assert degenerate
 
     def test_constant_window_outlier_capped(self):
-        win = SpanStatWindow("k", window=8, min_obs=4, exact=True, z_cap=1e6)
+        win = SpanStatWindow("k", window=8, min_obs=4)
         for _ in range(8):
-            win.observe(10)
-        z = win.observe(99)
-        assert z.value == 1e6
-        assert z.degenerate
-        z2 = SpanStatWindow("k2", window=8, min_obs=4, exact=True)
+            win.score(10)
+        z, degenerate, _threshold = win.score(99)
+        assert z == scoring.Z_CAP == 1e6
+        assert degenerate
+        z2 = SpanStatWindow("k2", window=8, min_obs=4)
         for _ in range(8):
-            z2.observe(10)
-        assert z2.observe(3).value == -1e6
+            z2.score(10)
+        assert z2.score(3)[0] == -1e6
 
     def test_cold_start_returns_zero_non_degenerate(self):
         win = SpanStatWindow("k", window=16, min_obs=8)
         for i in range(8):
-            z = win.observe(100 + i * 50)
-            assert z.value == 0.0
-            assert not z.degenerate
+            z, degenerate, _threshold = win.score(100 + i * 50)
+            assert z == 0.0
+            assert not degenerate
 
     def test_majority_identical_values_score_zero(self):
-        win = SpanStatWindow("k", window=9, min_obs=4, exact=True)
+        win = SpanStatWindow("k", window=9, min_obs=4)
         data = [7, 7, 7, 7, 7, 1, 2, 3, 4]
         for x in data:
-            win.observe(x)
-        assert win.observe(7).value == 0.0
+            win.score(x)
+        assert win.score(7)[0] == 0.0
 
     def test_shift_and_scale_invariance_exact_values(self):
         rng = random.Random(11)
@@ -315,8 +303,8 @@ class TestSpanStatWindow:
         def run(xs, x):
             win = SpanStatWindow("k", window=32, min_obs=8)
             for v in xs:
-                win.observe(v)
-            return win.observe(x).value
+                win.score(v)
+            return win.score(x)[0]
 
         z0 = run(base, probe)
         assert run([v + shift for v in base], probe + shift) == z0
@@ -325,9 +313,9 @@ class TestSpanStatWindow:
     def test_sliding_window_matches_fresh_window_exact_mode(self):
         rng = random.Random(12)
         stream = [rng.randint(1, 100) for _ in range(50)]
-        win = SpanStatWindow("k", window=16, min_obs=1, exact=True)
+        win = SpanStatWindow("k", window=16, min_obs=1)
         for x in stream:
-            win.observe(x)
+            win.score(x)
         survivors = stream[-16:]
         assert statistics.median(win._values) == statistics.median(survivors)
         med = statistics.median(survivors)
@@ -341,7 +329,7 @@ class TestSpanStatWindow:
         for _ in range(200):
             x = rng.uniform(0, 1000)
             seen.append(x)
-            win.observe(x)
+            win.score(x)
             assert win._median.median() == statistics.median(seen[-32:])
 
     def test_robust_z_resists_outliers_better_than_classic(self):
@@ -371,13 +359,13 @@ class TestThreshold:
     def test_cold_start_threshold_infinite(self):
         win = SpanStatWindow("k", window=16, min_obs=8)
         for _ in range(7):
-            win.observe(10)
+            win.score(10)
         assert win.z_threshold() == math.inf
 
     def test_all_zero_stream_threshold_zero(self):
         win = SpanStatWindow("k", window=16, min_obs=8)
         for _ in range(20):
-            win.observe(10)
+            win.score(10)
         assert win.z_threshold() == 0.0
 
     def test_threshold_tracks_upper_quantile(self):
@@ -385,17 +373,16 @@ class TestThreshold:
         win = SpanStatWindow("k", window=128, min_obs=8, theta=0.9)
         zs = []
         for _ in range(3000):
-            z = win.observe(rng.lognormvariate(5, 0.4))
-            zs.append(z.value)
+            zs.append(win.score(rng.lognormvariate(5, 0.4))[0])
         thr = win.z_threshold()
         exact = exact_quantile(zs, 0.9)
         assert abs(thr - exact) <= max(0.35, 0.25 * abs(exact))
 
     def test_scorebook_snapshot_shape(self):
         book = ScoreBook(window=8, min_obs=2)
-        book.observe("a", 10)
-        book.observe("a", 12)
-        book.observe("b", 5)
+        book.window_for("a").score(10)
+        book.window_for("a").score(12)
+        book.window_for("b").score(5)
         snap = book.snapshot()
         assert snap["kind"] == "stats-snapshot"
         assert set(snap["keys"]) == {"a", "b"}
