@@ -310,7 +310,7 @@ def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache | N
 
 
 def _emit_invocation(graph, trace, fn_key, children, resolutions, slot, steps, forks,
-                     inserts, cache):
+                     cache):
     """Realize one invocation's alignment into `steps` and `forks`.
 
     A generator: yields (callee key, child spans) for each nested invocation,
@@ -321,7 +321,6 @@ def _emit_invocation(graph, trace, fn_key, children, resolutions, slot, steps, f
 
     def emit_insert(sym):
         steps.append(PathStep(KIND_INSERT, None, None, slot[sym.span.span_id]))
-        inserts.append((fn_key, sym.span.operation))
 
     if not graph.has_body(fn_key):
         for sym in syms:
@@ -387,12 +386,11 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
     slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
     steps = [PathStep(KIND_ENTER, entry_node(r.key), r.key, slot[root.span_id])]
     forks: list[str] = []
-    inserts: list[tuple[str, str]] = []
     # one frame per open invocation; a nested one runs to its end before its
     # caller resumes, so steps land in the order a recursive walk gives
     cost = ins = 0
     stack = [_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
-                              resolutions, slot, steps, forks, inserts, cache)]
+                              resolutions, slot, steps, forks, cache)]
     while stack:
         try:
             fn_key, children = next(stack[-1])
@@ -402,14 +400,13 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
             ins += done.value[1]
         else:
             stack.append(_emit_invocation(graph, trace, fn_key, children, resolutions,
-                                          slot, steps, forks, inserts, cache))
+                                          slot, steps, forks, cache))
 
     linked = sorted(s.slot for s in steps if s.slot is not None)
     if linked != list(range(len(trace))):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
-    for fn, op in inserts:
-        graph.record_alignment_insert(fn, op)
+    graph.alignment_inserts += ins
     path = ExecutionPath(tuple(steps), cost, ins, tuple(forks))
     if cache is not None:
         cache.store(sig, path)

@@ -89,7 +89,10 @@ def _load_mapping(graph: Cscfg, shared_dict_path: str | None):
 
 
 def cmd_build_graph(args) -> int:
-    graph = build_cscfg(_read_text(args.graph))
+    try:
+        graph = build_cscfg(_read_text(args.graph))
+    except MalformedDocumentError as exc:
+        raise MalformedDocumentError(f"{args.graph}: bad call-graph document: {exc}") from exc
     if args.patch:
         mapping = _load_mapping(graph, args.shared_dict)
         report = patch_with_traces(graph, read_trace_file(args.patch), mapping)

@@ -6,6 +6,11 @@ its call-site blocks; flow edges are contracted across call-free blocks of
 the original control flow. Call edges link a block to the callee's entry and
 are kept separate from flow edges, so dominance stays intraprocedural.
 
+A graph loaded from an artifact checks the whole artifact at load but reads
+each function's body (its blocks, flow edges and successors) from the parsed
+record only when a query first needs that function; whole-graph readers and
+mutations read every body first.
+
 Block A dominates B when every entry-to-B path passes through A;
 post-dominance is the dual from the exit. Two blocks are mutually dominant
 (control equivalent) when each entry-to-exit path contains either both or
@@ -126,8 +131,16 @@ class Cscfg:
     Built and patched, then frozen before alignment uses it; like the
     pipeline that owns it, a graph is used from one thread. Subgraphs and
     dominance results are cached per function and cleared by every
-    mutation. The alignment-insert sink stays mutable after freeze; it
+    mutation. The alignment-insert count stays mutable after freeze; it
     records observational facts, not control flow.
+
+    A graph from ``from_artifact_dict`` holds each function's parsed record
+    until a per-function query (``blocks_of``, ``successors``, ``nodes_of``,
+    ``flow_edges_of``, ``subgraph``, ``dominance``, ``has_call_edge``,
+    ``patched_callees``) first needs that body; reading a body is not a
+    mutation, so it works on a frozen graph. ``to_artifact_dict``,
+    ``provenance_counts`` and every mutation read all bodies first. Call
+    edges, synthetic blocks, ``has_body`` and ``knows`` come from load.
     """
 
     def __init__(self):
@@ -140,17 +153,23 @@ class Cscfg:
         self.call_edges: dict[tuple[str, str], str] = {}  # (block_id, callee key) -> provenance
         self._frozen = False
         self._dom_cache: dict[str, DominanceInfo] = {}
-        self.alignment_inserts: Counter = Counter()  # (function key, operation) -> count
+        self.alignment_inserts = 0  # spans that alignment inserted, over all traces
         self._synthetic_blocks: set[str] = set()
         self._sub_cache: dict[str, "FunctionSubgraph"] = {}
         # block id -> callees of its dynamic call edges; built on first use
         self._dynamic_callees: dict[str, list[str]] | None = None
+        # function key -> artifact record whose body is not read yet, and
+        # block id -> function key of every block an artifact listed
+        self._unread: dict[str, dict] = {}
+        self._block_owner: dict[str, str] = {}
 
     # -- construction ----------------------------------------------------
 
     def _check_mutable(self):
         if self._frozen:
             raise GraphFrozenError("graph is frozen")
+        if self._unread:
+            self._read_all()
         self._sub_cache.clear()
         self._dom_cache.clear()
         self._dynamic_callees = None
@@ -171,6 +190,16 @@ class Cscfg:
     def add_block(self, fn_key: str, block_id: str, callees: tuple[str, ...],
                   provenance: str = PROV_STATIC) -> None:
         self._check_mutable()
+        self._put_block(fn_key, block_id, callees)
+        self._put_calls(block_id, callees, provenance)
+
+    def _put_calls(self, block_id: str, callees, provenance: str) -> None:
+        if provenance == PROV_DYNAMIC:
+            self._synthetic_blocks.add(block_id)
+        for c in callees:
+            self.call_edges[(block_id, c)] = provenance
+
+    def _put_block(self, fn_key: str, block_id: str, callees) -> None:
         if not callees:
             raise MalformedDocumentError(f"block {block_id!r} has no callees")
         if block_id in self.blocks:
@@ -179,14 +208,13 @@ class Cscfg:
         self.blocks[block_id] = CallSiteBlock(block_id, fn_key, tuple(callees))
         self._fn_blocks[fn_key].append(block_id)
         self._succ[fn_key][block_id] = ()
-        if provenance == PROV_DYNAMIC:
-            self._synthetic_blocks.add(block_id)
-        for c in callees:
-            self.call_edges[(block_id, c)] = provenance
 
     def add_flow_edge(self, fn_key: str, src: str, dst: str,
                       provenance: str = PROV_STATIC) -> None:
         self._check_mutable()
+        self._put_flow_edge(fn_key, src, dst, provenance)
+
+    def _put_flow_edge(self, fn_key: str, src: str, dst: str, provenance: str) -> None:
         succ = self._succ[fn_key]
         if src not in succ or dst not in succ:
             raise MalformedDocumentError(f"flow edge {src!r}->{dst!r} names unknown node")
@@ -200,6 +228,20 @@ class Cscfg:
             return False
         self.call_edges[(block_id, callee_key)] = provenance
         return True
+
+    def _read(self, fn_key: str) -> None:
+        """Build fn_key's body from its artifact record; a no-op once read."""
+        fn = self._unread.pop(fn_key, None)
+        if fn is not None:
+            self._add_nodes_for(fn_key)
+            for b in fn["blocks"]:
+                self._put_block(fn_key, b["id"], b["callees"])
+            for src, dst, prov in fn["edges"]:
+                self._put_flow_edge(fn_key, src, dst, prov)
+
+    def _read_all(self) -> None:
+        for fn_key in list(self._unread):
+            self._read(fn_key)
 
     def freeze(self) -> "Cscfg":
         self._frozen = True
@@ -215,15 +257,21 @@ class Cscfg:
         return fn_key in self.functions or fn_key in self.external
 
     def has_body(self, fn_key: str) -> bool:
+        fn = self._unread.get(fn_key)
+        if fn is not None:
+            return bool(fn["blocks"])
         return bool(self._fn_blocks.get(fn_key))
 
     def blocks_of(self, fn_key: str) -> list[str]:
+        self._read(fn_key)
         return list(self._fn_blocks.get(fn_key, []))
 
     def successors(self, fn_key: str, node: str) -> tuple[str, ...]:
+        self._read(fn_key)
         return self._succ.get(fn_key, {}).get(node, ())
 
     def nodes_of(self, fn_key: str) -> list[str]:
+        self._read(fn_key)
         return sorted(self._succ.get(fn_key, {}))
 
     def flow_edges_of(self, fn_key: str):
@@ -232,6 +280,8 @@ class Cscfg:
                 yield src, dst, self._flow_prov.get((src, dst), PROV_STATIC)
 
     def patched_callees(self, block_id: str) -> frozenset[str]:
+        if self._unread:
+            self._read(self._block_owner.get(block_id))
         index = self._dynamic_callees
         if index is None:
             # one scan indexes every block, so subgraph() stays linear
@@ -245,6 +295,7 @@ class Cscfg:
         return frozenset(c for c in index.get(block_id, ()) if c not in statics)
 
     def has_call_edge(self, caller_key: str, callee_key: str) -> bool:
+        self._read(caller_key)
         for bid in self._fn_blocks.get(caller_key, []):
             if (bid, callee_key) in self.call_edges:
                 return True
@@ -273,13 +324,11 @@ class Cscfg:
         self._sub_cache[fn_key] = sub
         return sub
 
-    def record_alignment_insert(self, fn_key: str, operation: str) -> None:
-        self.alignment_inserts[(fn_key, operation)] += 1
-
     def provenance_counts(self) -> dict[str, int]:
+        self._read_all()
         counts = Counter(self.call_edges.values())
         counts.update(self._flow_prov.values())
-        counts[PROV_ALIGNMENT] += sum(self.alignment_inserts.values())
+        counts[PROV_ALIGNMENT] += self.alignment_inserts
         return dict(counts)
 
     # -- dominance -------------------------------------------------------
@@ -294,6 +343,7 @@ class Cscfg:
     # -- serialization ---------------------------------------------------
 
     def to_artifact_dict(self) -> dict:
+        self._read_all()
         fns = []
         for key in sorted(self._succ):
             fns.append({
@@ -319,6 +369,12 @@ class Cscfg:
 
     @classmethod
     def from_artifact_dict(cls, obj: dict) -> "Cscfg":
+        """The graph of an artifact dict, with every function body unread.
+
+        Checks the whole artifact and builds the function index, the call
+        edges and the synthetic blocks now; each body is built from its
+        record (kept as given, so obj must not change afterwards) on first use.
+        """
         if obj.get("schema_version") != SCHEMA_VERSION or obj.get("kind") != "cscfg-artifact":
             raise MalformedDocumentError("not a cscfg artifact")
         graph = cls()
@@ -326,16 +382,27 @@ class Cscfg:
             graph.add_function(parse_function_key(key))
         for key in obj["external_functions"]:
             graph.declare_external(key)
+        owner, unread = graph._block_owner, graph._unread
         for fn in obj["graphs"]:
             key = fn["function"]
-            graph._add_nodes_for(key)
+            known = (entry_node(key), exit_node(key))
+            if key in unread:
+                raise MalformedDocumentError(f"function {key!r} listed twice")
             for b in fn["blocks"]:
-                graph.add_block(
-                    key, b["id"], tuple(b["callees"]),
-                    provenance=PROV_DYNAMIC if b.get("synthetic") else PROV_STATIC,
-                )
-            for src, dst, prov in fn["edges"]:
-                graph.add_flow_edge(key, src, dst, provenance=prov)
+                bid, callees = b["id"], b["callees"]
+                if type(bid) is not str:
+                    raise MalformedDocumentError(f"block id {bid!r} is not a string")
+                if type(callees) is not list or not callees:
+                    raise MalformedDocumentError(f"block {bid!r} has no callee list")
+                if bid in owner:
+                    raise MalformedDocumentError(f"duplicate block id {bid!r}")
+                owner[bid] = key
+                graph._put_calls(bid, callees, PROV_DYNAMIC if b.get("synthetic") else PROV_STATIC)
+            for src, dst, _prov in fn["edges"]:
+                if not ((src in known or owner.get(src) == key)
+                        and (dst in known or owner.get(dst) == key)):
+                    raise MalformedDocumentError(f"flow edge {src!r}->{dst!r} names unknown node")
+            unread[key] = fn
         for bid, callee, prov in obj.get("call_edges", []):
             graph.call_edges[(bid, callee)] = prov
         return graph
@@ -402,7 +469,10 @@ def build_cscfg(call_graph_doc) -> Cscfg:
         for b in blocks:
             _require(isinstance(b, dict) and "id" in b, f"{key}: block missing id")
             _require(b["id"] not in local_callees, f"{key}: duplicate block {b['id']!r}")
-            callees = tuple(b.get("callees", []))
+            callees = b.get("callees", [])
+            _require(isinstance(callees, list) and all(isinstance(c, str) for c in callees),
+                     f"{key}: block {b['id']!r}: callees must be a list of strings")
+            callees = tuple(callees)
             for c in callees:
                 if c not in defined and c not in graph.external:
                     raise DanglingCalleeError(c, key)
@@ -497,6 +567,7 @@ def compute_dominance(graph: Cscfg, key: str) -> DominanceInfo:
     Intraprocedural: call edges are opaque. Raises UnreachableBlockError when
     blocks are cut off from the entry or cannot reach the exit.
     """
+    graph._read(key)
     if key not in graph._succ:
         raise MalformedDocumentError(f"function {key!r} has no blocks in the graph")
     ent, ext = entry_node(key), exit_node(key)

@@ -54,6 +54,11 @@ class SamplingConfig:
             raise ValueError("ratio must be in (0, 1]")
         if not 0 < self.theta_quantile < 1:
             raise ValueError("theta_quantile must be in (0, 1)")
+        # what SpanStatWindow and LrsLedger reject, refused before either exists
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.lrs_horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
 
 class DssReport(NamedTuple):

@@ -104,7 +104,28 @@ class TestAlign:
         graph = linear_graph().freeze()
         mapping = build_map(graph)
         align(graph, linear_trace(with_url=True), mapping)
-        assert graph.alignment_inserts[(FN, "GET /api/x")] == 1
+        assert graph.alignment_inserts == 1
+
+    def test_distinct_inserted_operations_leave_the_insert_state_flat(self):
+        graph = linear_graph().freeze()
+        mapping = build_map(graph)
+
+        def url_trace(i):
+            trace = linear_trace(trace_id=f"t{i}")
+            url = make_span("u", trace_id=f"t{i}", parent="r",
+                            operation=f"GET /api/orders/{i}", start=50, duration=5)
+            return make_trace(list(trace.spans) + [url], trace_id=f"t{i}")
+
+        def state_size():
+            return sum(len(v) for v in vars(graph).values() if hasattr(v, "__len__"))
+
+        for i in range(10):
+            align(graph, url_trace(i), mapping)
+        before = state_size()
+        for i in range(10, 5010):
+            align(graph, url_trace(i), mapping)
+        assert state_size() == before
+        assert graph.alignment_inserts == 5010
 
     def test_comfort_branch_cost_zero(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples

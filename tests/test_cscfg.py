@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import random
 
 import pytest
@@ -20,7 +22,10 @@ from spanscope.errors import (
     MalformedDocumentError,
     UnreachableBlockError,
 )
-from spanscope.mapping import build_map
+from spanscope.harness import SystemSpec, generate_system, generate_traces
+from spanscope.mapping import Unmapped, build_map
+from spanscope.pipeline import SamplingPipeline
+from spanscope.sampler import SamplingConfig
 
 from .conftest import make_span, make_trace, random_cscfg_doc, single_function_doc
 from .oracles import oracle_dom_sets, oracle_equiv_classes, oracle_pdom_sets
@@ -324,3 +329,217 @@ class TestPatch:
         graph.freeze()
         with pytest.raises(GraphFrozenError):
             patch_with_traces(graph, [trace], mapping)
+
+
+def merged_random_doc(seeds):
+    """One document holding the random single-function graph of each seed."""
+    functions, external = [], set()
+    for seed in seeds:
+        doc = random_cscfg_doc(random.Random(seed))
+        for fn in doc["functions"]:
+            if fn["function"] == "svc:R.f":
+                fn["function"] = f"svc:R.f{seed}"
+            functions.append(fn)
+        external.update(doc["external_functions"])
+    return {"schema_version": 1, "functions": functions,
+            "external_functions": sorted(external)}
+
+
+def drifted_patched_graph():
+    """A generated system whose graph lags its traffic, patched from 200 traces.
+
+    The bodies of the functions the entry calls are missing and one call of
+    the entry is dropped, so patching adds synthetic blocks and dynamic edges
+    on both synthetic and static blocks.
+    """
+    spec = SystemSpec(seed=5)
+    doc, meta = generate_system(spec)
+    traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 200)]
+    drifted = copy.deepcopy(doc)
+    records = {fn["function"]: fn for fn in drifted["functions"]}
+    entry = records[meta.entry]
+    for block in entry["blocks"]:
+        for callee in block["callees"]:
+            if records[callee].get("blocks"):
+                records[callee]["blocks"] = []
+    last = next(b for b in reversed(entry["blocks"]) if len(b["callees"]) > 1)
+    last["callees"].pop()
+    graph = build_cscfg(drifted)
+    report = patch_with_traces(graph, traces, build_map(graph))
+    assert report.synthetic_blocks > 0
+    return graph
+
+
+def without_synthetic_call_edges(artifact):
+    """The artifact without the call-edge entries of synthetic blocks' own
+    callees, which the blocks' provenance restores at load."""
+    own = {(b["id"], c) for fn in artifact["graphs"] for b in fn["blocks"] if b["synthetic"]
+           for c in b["callees"]}
+    out = copy.deepcopy(artifact)
+    out["call_edges"] = [e for e in out["call_edges"] if (e[0], e[1]) not in own]
+    assert len(out["call_edges"]) < len(artifact["call_edges"])
+    return out
+
+
+def answers(graph, keys, shape):
+    """Every per-function query over keys, as {query: answer}.
+
+    shape maps each key to its node and block ids in the eager graph, so no
+    query has to read the body first. The first query asked rotates with the
+    key, so each kind of query is the first to read some body.
+    """
+    every = sorted(graph.functions) + sorted(graph.external)
+
+    def dominance(fn):
+        info = graph.dominance(fn)
+        return info.mandatory, info.equiv_class
+
+    out = {}
+    for i, fn in enumerate(keys):
+        nodes, blocks = shape[fn]
+        asks = [
+            lambda: {("has_body", fn): graph.has_body(fn)},
+            lambda: {("blocks_of", fn): graph.blocks_of(fn)},
+            lambda: {("nodes_of", fn): graph.nodes_of(fn)},
+            lambda: {("successors", fn, n): graph.successors(fn, n) for n in nodes + ["no#such"]},
+            lambda: {("flow_edges_of", fn): list(graph.flow_edges_of(fn))},
+            lambda: {("subgraph", fn): graph.subgraph(fn)},
+            lambda: {("dominance", fn): dominance(fn)} if blocks else {},
+            lambda: {("has_call_edge", fn, c): graph.has_call_edge(fn, c) for c in every},
+            lambda: {("patched_callees", b): graph.patched_callees(b) for b in blocks},
+        ]
+        k = i % len(asks)
+        for ask in asks[k:] + asks[:k]:
+            out.update(ask())
+    return out
+
+
+@pytest.fixture(scope="module")
+def eager_graphs():
+    """(graph, artifact dicts that load to it): random shapes, then a patched system."""
+    random_graph = build_cscfg(merged_random_doc(range(12)))
+    patched = drifted_patched_graph()
+    return [
+        (random_graph, [random_graph.to_artifact_dict()]),
+        (patched, [patched.to_artifact_dict(),
+                   without_synthetic_call_edges(patched.to_artifact_dict())]),
+    ]
+
+
+class TestLazyLoad:
+    @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
+    @pytest.mark.parametrize("freeze_at", [None, 0, "half"])
+    def test_loaded_graph_answers_like_the_eager_graph(self, eager_graphs, order, freeze_at):
+        for eager, artifacts in eager_graphs:
+            keys = sorted(eager.functions) + sorted(eager.external) + ["svc:No.such"]
+            shape = {fn: (eager.nodes_of(fn), eager.blocks_of(fn)) for fn in keys}
+            expected = answers(eager, keys, shape)
+            if order == "reverse":
+                keys.reverse()
+            elif order == "shuffled":
+                random.Random(9).shuffle(keys)
+            cut = {None: len(keys), 0: 0, "half": len(keys) // 2}[freeze_at]
+            for artifact in artifacts:
+                loaded = Cscfg.from_artifact_dict(json.loads(json.dumps(artifact)))
+                assert loaded.call_edges == eager.call_edges
+                got = answers(loaded, keys[:cut], shape)
+                subgraphs = {fn: loaded.subgraph(fn) for fn in keys[:cut]}
+                if freeze_at is not None:
+                    loaded.freeze()
+                got.update(answers(loaded, keys[cut:], shape))
+                assert got == expected
+                assert loaded.call_edges == eager.call_edges
+                # reading a body is not a mutation: cached subgraphs survive it
+                assert all(loaded.subgraph(fn) is sub for fn, sub in subgraphs.items())
+                assert loaded.provenance_counts() == eager.provenance_counts()
+                assert loaded.to_artifact_dict() == eager.to_artifact_dict()
+
+    def test_whole_graph_readers_and_mutations_read_every_body(self, eager_graphs):
+        eager, (artifact, omitted) = eager_graphs[1]
+        for source in (artifact, omitted):
+            assert Cscfg.from_artifact_dict(copy.deepcopy(source)).provenance_counts() == \
+                eager.provenance_counts()
+            assert Cscfg.from_artifact_dict(copy.deepcopy(source)).to_artifact_dict() == \
+                eager.to_artifact_dict()
+            loaded = Cscfg.from_artifact_dict(copy.deepcopy(source))
+            loaded.add_function(parse_function_key("svc:New.fn"))
+            assert {b.owner for b in loaded.blocks.values()} == \
+                {b.owner for b in eager.blocks.values()}
+
+    def test_save_of_a_fresh_load_writes_the_input_bytes(self, eager_graphs, tmp_path):
+        for n, (eager, _artifacts) in enumerate(eager_graphs):
+            src, out = tmp_path / f"in{n}.json", tmp_path / f"out{n}.json"
+            eager.save_artifact(src)
+            loaded = Cscfg.load_artifact(src)
+            loaded.save_artifact(out)
+            assert out.read_bytes() == src.read_bytes()
+
+    def test_a_pass_reads_exactly_the_bodies_its_traffic_enters(self, tmp_path):
+        spec = SystemSpec(seed=5)
+        doc, meta = generate_system(spec)
+        graph = build_cscfg(doc)
+        path = tmp_path / "graph.json"
+        graph.save_artifact(path)
+        traces = [s.trace for s in generate_traces(graph, meta, spec, 300)]
+
+        loaded = Cscfg.load_artifact(path)
+        assert loaded.blocks == {}
+        pipeline = SamplingPipeline(loaded, build_map(loaded), SamplingConfig(ratio=0.3))
+        for trace in traces:
+            pipeline.process(trace)
+        resolved = (pipeline.mapping.resolve(s) for t in traces for s in t.spans)
+        entered = {r.key for r in resolved
+                   if not isinstance(r, Unmapped) and loaded.has_body(r.key)}
+        read = {b.owner for b in loaded.blocks.values()}
+        assert read == entered
+        assert len(read) < sum(1 for fn in graph.functions if graph.has_body(fn))
+
+
+def _bad_block(art, **fields):
+    art["graphs"][0]["blocks"][0].update(fields)
+
+
+def _edge(art, src, dst):
+    art["graphs"][0]["edges"].append([src, dst, "static"])
+
+
+# one case per load-time rejection; each edits a valid two-body artifact
+LOAD_REJECTIONS = {
+    "schema-version": lambda a: a.update(schema_version=2),
+    "kind": lambda a: a.update(kind="cscfg-doc"),
+    "no-graphs": lambda a: a.pop("graphs"),
+    "no-edges-key": lambda a: a["graphs"][0].pop("edges"),
+    "block-without-id": lambda a: a["graphs"][0]["blocks"][0].pop("id"),
+    "blocks-not-a-list": lambda a: a["graphs"][0].update(blocks=5),
+    "bad-function-key": lambda a: a["functions"].append("no-colon"),
+    "no-callees": lambda a: _bad_block(a, callees=[]),
+    "callees-int": lambda a: _bad_block(a, callees=5),
+    "callees-string": lambda a: _bad_block(a, callees="x:A.b"),
+    "block-id-twice": lambda a: a["graphs"][0]["blocks"].append(
+        dict(a["graphs"][0]["blocks"][0])),
+    "block-id-twice-across-functions": lambda a: a["graphs"][1]["blocks"][0].update(
+        id=a["graphs"][0]["blocks"][0]["id"]),
+    "function-twice": lambda a: a["graphs"].append(dict(a["graphs"][0], blocks=[], edges=[])),
+    "edge-of-two-items": lambda a: a["graphs"][0]["edges"][0].pop(),
+    "edge-to-unknown-node": lambda a: _edge(a, a["graphs"][0]["edges"][0][0], "nowhere"),
+    "edge-to-another-functions-block": lambda a: _edge(
+        a, a["graphs"][0]["edges"][0][0], a["graphs"][1]["blocks"][0]["id"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_REJECTIONS))
+def test_load_rejects_a_bad_artifact_and_names_it(tmp_path, case):
+    doc = single_function_doc(
+        fn=FN, blocks=[blk("b0", "svc:Sub.g"), blk("b1", "x:F.a")], edges=[["b0", "b1"]],
+        entry="b0", exits=["b1"],
+        extra_functions=[{"function": "svc:Sub.g", "blocks": [blk("c0", "x:F.b")],
+                          "flow_edges": [], "entry": "c0", "exits": ["c0"]}, "x:F.b"],
+    )
+    artifact = build_cscfg(doc).to_artifact_dict()
+    Cscfg.from_artifact_dict(copy.deepcopy(artifact))  # the unedited artifact loads
+    LOAD_REJECTIONS[case](artifact)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(artifact), encoding="utf-8")
+    with pytest.raises(MalformedDocumentError) as err:
+        Cscfg.load_artifact(path)
+    assert str(path) in str(err.value)

@@ -358,3 +358,39 @@ def test_sample_names_a_malformed_shared_dictionary(workload, tmp_path, capsys, 
     code = cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
                      "--shared-dict", str(bad), "--out", str(tmp_path / "out")])
     assert_names_the_bad_file(capsys, code, bad)
+
+
+@pytest.mark.parametrize("command", ["sample", "stats-export", "eval"])
+@pytest.mark.parametrize("setting", ["--window 0", '{"lrs_horizon": 0}'])
+def test_a_window_or_horizon_below_one_is_a_config_error(workload, tmp_path, capsys,
+                                                         command, setting):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = str(tmp_path / "out")
+    argv = {"sample": ["sample", "--graph", graph_path, "--traces", trace_path, "--out", out],
+            "stats-export": ["stats-export", "--graph", graph_path, "--traces", trace_path,
+                             "--out", out],
+            "eval": ["eval", "--out", out, "--n", "5"]}[command]
+    if setting.startswith("--"):
+        argv += setting.split()
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(setting, encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("edit", ["callees-int", "callees-not-all-strings", "edge-to-unknown"])
+def test_build_graph_names_a_malformed_call_graph_document(tmp_path, capsys, edit):
+    doc, _meta = generate_system(SystemSpec(seed=5))
+    fn = next(f for f in doc["functions"] if f.get("blocks"))
+    if edit == "callees-int":
+        fn["blocks"][0]["callees"] = 5
+    elif edit == "callees-not-all-strings":
+        fn["blocks"][0]["callees"] = ["x:A.b", 3]
+    else:
+        fn["flow_edges"].append([fn["blocks"][0]["id"], "no-such-block"])
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["build-graph", "--graph", str(bad), "--out", str(tmp_path / "g.json")])
+    assert_names_the_bad_file(capsys, code, bad)
