@@ -10,34 +10,42 @@ forced insertions and are transparent: their children are spliced into the
 surrounding invocation, which is how URL-style wrapper spans behave.
 
 Search is a shortest-path sweep over (node, emission index, symbols consumed)
-states obtained with Dijkstra, so loops in the graph need no special casing.
-Ties are broken deterministically: lower cost, then fewer insertions, then a
-fixed action preference (match, patched match, skip, insert, move to the
-smallest successor id), which keeps repeated runs byte-identical.
+states, so loops in the graph need no special casing: one backward Dijkstra
+from the goal state generates predecessors as it goes and stops once every
+state no farther from the goal than the start is settled, then a greedy
+replay walks forward from the start over those goal distances. Ties are
+broken deterministically: lower cost, then fewer insertions, then a fixed
+action preference (match, patched match, skip, insert, move to the smallest
+successor id), which keeps repeated runs byte-identical.
 
 A path names spans by slot, their index in `Trace.preorder`, so it depends
 on the trace's shape only. Forks are recorded as alignment finds them: a
 move out of a node with more than one flow successor puts its target on the
 step it follows and on the path; every other flow move is dropped.
 
-A PathCache memoises alignment at two levels. The trace level is keyed by
-the trace's shape signature (each span's function key and child count, in
-`Trace.preorder`) and stores the path itself, so a hit returns the very path
-a fresh alignment of that shape gives. The invocation level is keyed by a
-function and the callee key of each symbol aligned against it (None for an
-inserted unmapped span), which is everything the solver reads besides the
-graph; it stores the solver's action sequence, forks included, so a trace
-whose whole shape is new still reuses the invocations it shares with
-earlier traces. Both levels hold at most `capacity` entries each. Neither
-key names the graph, so a cache serves one frozen graph: align refuses a
-cache with a graph that can still change.
+A PathCache memoises alignment at three levels, each an LRU map of at most
+`capacity` entries. The trace level is keyed by the trace's shape signature
+(each span's function key and child count, in `Trace.preorder`) and stores
+the path itself, so a hit returns the very path a fresh alignment of that
+shape gives. On a trace-level miss each span gets a hash-consed shape id,
+keyed by its function key (None when unmapped) and its children's ids; the
+subtree level stores, per shape, that id and the fragment of path a mapped
+span's subtree emits below the span's own step, with slots relative to the
+span's slot and child fragments held by reference. A new trace shape is so
+composed from the subtrees already aligned, and only subtrees never seen
+before are aligned. The invocation level is keyed by a function and the
+callee key of each symbol aligned against it (None for an inserted unmapped
+span), which is everything the solver reads besides the graph; it stores the
+solver's action sequence, forks included. No key names the graph, so a
+cache serves one frozen graph: align refuses a cache with a graph that can
+still change.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, fields
 
 from .cscfg import Cscfg, FunctionRef, entry_node
 from .errors import NoPathError
@@ -52,7 +60,7 @@ KIND_INSERT = "insert"
 KIND_SKIP = "skip"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PathStep:
     """One step; `slot` indexes `Trace.preorder` (None for a skip).
 
@@ -66,6 +74,20 @@ class PathStep:
     slot: int | None
     forks: tuple[str, ...] = ()
 
+    def __init__(self, kind: str, block_id: str | None, callee: str | None,
+                 slot: int | None, forks: tuple[str, ...] = ()):
+        # the frozen __setattr__ raises, so each slot is written through its
+        # member descriptor (bound below the class), one call per field
+        _set_kind(self, kind)
+        _set_block_id(self, block_id)
+        _set_callee(self, callee)
+        _set_slot(self, slot)
+        _set_forks(self, forks)
+
+
+(_set_kind, _set_block_id, _set_callee, _set_slot, _set_forks) = (
+    PathStep.__dict__[f.name].__set__ for f in fields(PathStep))
+
 
 @dataclass(frozen=True)
 class ExecutionPath:
@@ -77,18 +99,54 @@ class ExecutionPath:
     forks: tuple[str, ...]
 
 
+class _Fragment:
+    """The path a mapped span's subtree emits after the span's own step.
+
+    `items` holds, in path order, a step as (kind, block_id, callee, slot,
+    forks) with the slot relative to the span's (None for a skip); a child's
+    fragment as (fragment, the child's relative slot), referenced and not
+    copied; or a run of forks as (forks,), which land on the step before:
+    the caller's step when the run leads, else the last step of the child
+    fragment it follows. `cost` and `insertions` cover the whole subtree.
+    """
+
+    __slots__ = ("items", "cost", "insertions")
+
+    def __init__(self, items: tuple, cost: int, insertions: int):
+        self.items = items
+        self.cost = cost
+        self.insertions = insertions
+
+
+class _Shape:
+    """A hash-consed subtree shape: its id and, once aligned, its fragment."""
+
+    __slots__ = ("id", "fragment")
+
+    def __init__(self, shape_id: int):
+        self.id = shape_id
+        self.fragment: _Fragment | None = None
+
+
 class PathCache:
-    """Two bounded LRU maps of alignment results for one frozen graph.
+    """Three bounded LRU maps of alignment results for one frozen graph.
 
     `lookup`/`store` hold whole-trace `ExecutionPath`s keyed by
     `trace_signature` (preorder function keys and child counts). A path
     names spans by preorder slot and carries its forks, so a hit hands back
     the stored path as it is; `hits`, `misses` and `len()` count this level.
-    `lookup_solve`/`store_solve` hold per-invocation solver results keyed by
-    `(function key, callee key or None per symbol)`, counted by `solve_hits`
-    and `solve_misses`. Each map holds at most `capacity` entries. Neither key
-    names the graph, so one cache must only ever see one frozen graph. Like
-    the pipeline that owns it, a cache is used from one thread.
+    `shapes` hash-conses the subtree shapes of a trace into the second map,
+    keyed by (function key or None, the children's shape ids); an entry
+    holds the shape's id and, once aligned, the fragment of path its mapped
+    root emits, with slots relative to that root's slot. A trace-level miss
+    counts each fragment it finds or builds in `subtree_hits` or
+    `subtree_misses`. `lookup_solve`/`store_solve` hold per-invocation
+    solver results keyed by `(function key, callee key or None per symbol)`,
+    counted by `solve_hits` and `solve_misses`. Each map holds at most `capacity` entries. Shape ids
+    come from a counter and are never reused, so an evicted shape's id never
+    names another shape. No key names the graph, so one cache must only
+    ever see one frozen graph. Like the pipeline that owns it, a cache is
+    used from one thread.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -96,9 +154,13 @@ class PathCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
+        self._shapes: OrderedDict = OrderedDict()
         self._solves: OrderedDict = OrderedDict()
+        self._next_shape_id = 0
         self.hits = 0
         self.misses = 0
+        self.subtree_hits = 0
+        self.subtree_misses = 0
         self.solve_hits = 0
         self.solve_misses = 0
 
@@ -125,6 +187,44 @@ class PathCache:
 
     def store(self, key, path) -> None:
         self._put(self._data, key, path)
+
+    def shapes(self, keys: list, counts) -> tuple[list, list]:
+        """The shape and the subtree end of each preorder slot, bottom-up.
+
+        keys[i] is slot i's function key (None when unmapped), counts[i] its
+        child count. Slot i's subtree covers slots i up to ends[i].
+        """
+        data, capacity = self._shapes, self.capacity
+        n = len(keys)
+        shapes: list = [None] * n
+        ends = [0] * n
+        # ids and ends of the subtrees not yet claimed by a parent; a span's
+        # children are the top counts[i] entries, its last child deepest
+        ids: list = []
+        tails: list = []
+        push_id, push_tail = ids.append, tails.append
+        for i in range(n - 1, -1, -1):
+            c = counts[i]
+            if c:
+                key = (keys[i], tuple(ids[-c:]))
+                end = tails[-c]
+                del ids[-c:], tails[-c:]
+            else:
+                key = (keys[i], ())
+                end = i + 1
+            shape = data.get(key)
+            if shape is None:
+                shape = data[key] = _Shape(self._next_shape_id)
+                self._next_shape_id += 1
+                if len(data) > capacity:
+                    data.popitem(last=False)
+            else:
+                data.move_to_end(key)
+            shapes[i] = shape
+            ends[i] = end
+            push_id(shape.id)
+            push_tail(end)
+        return shapes, ends
 
     def lookup_solve(self, key):
         solved = self._get(self._solves, key)
@@ -159,37 +259,6 @@ def trace_signature(trace: Trace, resolutions: dict) -> tuple:
     return tuple(parts)
 
 
-class _SymCall:
-    __slots__ = ("ref", "span", "children")
-
-    def __init__(self, ref, span, children):
-        self.ref = ref
-        self.span = span
-        self.children = children
-
-
-class _SymIns:
-    __slots__ = ("span",)
-
-    def __init__(self, span):
-        self.span = span
-
-
-def _build_symbols(trace: Trace, spans, resolutions) -> list:
-    """Symbols of one invocation; an unmapped span is followed by its subtree's."""
-    syms = []
-    stack = list(reversed(spans))
-    while stack:
-        s = stack.pop()
-        r = resolutions[s.span_id]
-        if isinstance(r, Unmapped):
-            syms.append(_SymIns(s))
-            stack.extend(reversed(trace.child_spans(s.span_id)))
-        else:
-            syms.append(_SymCall(r, s, trace.child_spans(s.span_id)))
-    return syms
-
-
 def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
     """Optimal action sequence for one invocation.
 
@@ -197,24 +266,26 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
     span. Returns (cost, insertions, actions) with actions a tuple of tuples,
     or None when no path exists. Of the flow moves, only those out of a node
     with more than one successor appear, as ("fork", target). Cost tuples
-    order by total cost then insertion count; the greedy replay over goal
-    distances applies the fixed action preference, so the result is
-    deterministic.
+    order by total cost then insertion count, and a state at least
+    (4, 4) * PROHIBITIVE_COST from the goal counts as unreachable; the greedy
+    replay over goal distances applies the fixed action preference, so the
+    result is deterministic.
     """
     sub = graph.subgraph(fn_key)
     mandatory = graph.dominance(fn_key).mandatory
+    emissions, succ, patched = sub.emissions, sub.succ, sub.patched
     n = len(sym_fn)
     start = (sub.entry, 0, 0)
     goal = (sub.exit, 0, n)
 
     def actions(state):
         node, k, i = state
-        em = sub.emissions[node]
+        em = emissions[node]
         out = []
         if k < len(em):
             if i < n and sym_fn[i] == em[k]:
                 out.append(("match", (node, k + 1, i + 1), (0, 0)))
-        if i < n and sym_fn[i] is not None and sym_fn[i] in sub.patched.get(node, ()):
+        if i < n and sym_fn[i] is not None and sym_fn[i] in patched.get(node, ()):
             out.append(("pmatch", (node, k, i + 1), (0, 0)))
         if k < len(em):
             skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
@@ -222,44 +293,55 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
         if i < n:
             out.append(("ins", (node, k, i + 1), (1, 1)))
         if k == len(em):
-            for w in sub.succ.get(node, ()):
+            for w in succ.get(node, ()):
                 out.append((f"move>{w}", (w, 0, i), (0, 0)))
         return out
 
-    # reachable state space and its edges
-    edges = []
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        state = dq.popleft()
-        for name, nxt, cost in actions(state):
-            edges.append((state, name, nxt, cost))
-            if nxt not in seen:
-                seen.add(nxt)
-                dq.append(nxt)
-    if goal not in seen:
-        return None
-
-    rev: dict = {}
-    for src, _name, dst, cost in edges:
-        rev.setdefault(dst, []).append((src, cost))
-
-    # distance to goal over reversed edges
+    # distance to goal: Dijkstra from the goal over the reversed actions
+    # above, each state's sources generated when it is settled; it stops
+    # once every state at most as far as the start is settled, which is all
+    # the replay reads (a state still queued is farther than any it visits)
+    preds: dict = {}
+    for v, ws in succ.items():
+        for w in ws:
+            preds.setdefault(w, []).append(v)
+    unreachable = (PROHIBITIVE_COST * 4, PROHIBITIVE_COST * 4)
     dist = {goal: (0, 0)}
     heap = [((0, 0), 0, goal)]
     seq = 0
+    bound = None
     while heap:
         d, _, state = heapq.heappop(heap)
-        if dist.get(state, None) != d or state not in seen:
+        if bound is not None and d > bound:
+            break
+        if dist[state] != d:
             continue
-        for src, cost in rev.get(state, ()):
-            cand = (d[0] + cost[0], d[1] + cost[1])
-            if cand < dist.get(src, (PROHIBITIVE_COST * 4, PROHIBITIVE_COST * 4)):
+        if state == start:
+            bound = d
+        node, k, i = state
+        cost, ins = d
+        em = emissions[node]
+        sources = []
+        if k:
+            if i and sym_fn[i - 1] == em[k - 1]:
+                sources.append(((node, k - 1, i - 1), d))
+            skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
+            sources.append(((node, k - 1, i), (cost + skip_cost, ins)))
+        else:
+            for v in preds.get(node, ()):
+                sources.append(((v, len(emissions[v]), i), d))
+        if i:
+            sym = sym_fn[i - 1]
+            if sym is not None and sym in patched.get(node, ()):
+                sources.append(((node, k, i - 1), d))
+            sources.append(((node, k, i - 1), (cost + 1, ins + 1)))
+        for src, cand in sources:
+            if cand < dist.get(src, unreachable):
                 dist[src] = cand
                 seq += 1
                 heapq.heappush(heap, (cand, seq, src))
 
-    if start not in dist:
+    if bound is None:
         return None
 
     order = {"match": 0, "pmatch": 1, "skip": 2, "ins": 3}
@@ -283,22 +365,20 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
         name, nxt = best
         node, k, i = state
         if name == "match":
-            acts.append(("match", node, sub.emissions[node][k], i))
+            acts.append(("match", node, emissions[node][k], i))
         elif name == "pmatch":
             acts.append(("pmatch", node, sym_fn[i], i))
         elif name == "skip":
-            acts.append(("skip", node, sub.emissions[node][k]))
+            acts.append(("skip", node, emissions[node][k]))
         elif name == "ins":
             acts.append(("ins", i))
-        elif len(sub.succ[node]) > 1:
+        elif len(succ[node]) > 1:
             acts.append(("fork", name.split(">", 1)[1]))
         state = nxt
     return total[0], total[1], tuple(acts)
 
 
-def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache | None):
-    if cache is None:
-        return _solve(graph, fn_key, sym_fn)
+def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache):
     key = (fn_key, sym_fn)
     solved = cache.lookup_solve(key)
     if solved is None:
@@ -309,53 +389,79 @@ def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache | N
     return solved
 
 
-def _emit_invocation(graph, trace, fn_key, children, resolutions, slot, steps, forks,
-                     cache):
-    """Realize one invocation's alignment into `steps` and `forks`.
+def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
+    """Slot i's fragment from its symbols' slots and its `_solve` result.
 
-    A generator: yields (callee key, child spans) for each nested invocation,
-    which the caller emits completely before resuming this one, and returns
-    this invocation's own (cost, insertions).
+    solved is None for a function without a body: every symbol is inserted.
+    The fragments of the mapped symbols are already in frags.
     """
-    syms = _build_symbols(trace, children, resolutions)
+    items: list = []
+    cost = ins = 0
 
-    def emit_insert(sym):
-        steps.append(PathStep(KIND_INSERT, None, None, slot[sym.span.span_id]))
+    def emit(kind, node, callee, j):
+        nonlocal cost, ins
+        items.append((kind, node, callee, j - i, ()))
+        if keys[j] is not None:
+            child = frags[j]
+            cost += child.cost
+            ins += child.insertions
+            if child.items:
+                items.append((child, j - i))
 
-    if not graph.has_body(fn_key):
-        for sym in syms:
-            emit_insert(sym)
-            if isinstance(sym, _SymCall):
-                yield sym.ref.key, sym.children
-        return len(syms), len(syms)
-
-    sym_fn = tuple(s.ref.key if isinstance(s, _SymCall) else None for s in syms)
-    solved = _solve_cached(graph, fn_key, sym_fn, cache)
     if solved is None:
-        raise NoPathError(children[0].span_id if children else fn_key,
-                          f"no path through function {fn_key!r}")
-    cost, ins, acts = solved
+        for j in syms:
+            emit(KIND_INSERT, None, None, j)
+        return _Fragment(tuple(items), cost + len(syms), ins + len(syms))
+    own_cost, own_ins, acts = solved
     for act in acts:
-        if act[0] in ("match", "pmatch"):
-            _, node, callee, idx = act
-            sym = syms[idx]
-            steps.append(PathStep(KIND_MATCH, node, callee, slot[sym.span.span_id]))
-            yield sym.ref.key, sym.children
-        elif act[0] == "skip":
-            _, node, callee = act
-            steps.append(PathStep(KIND_SKIP, node, callee, None))
-        elif act[0] == "ins":
-            sym = syms[act[1]]
-            emit_insert(sym)
-            if isinstance(sym, _SymCall):
-                yield sym.ref.key, sym.children
+        tag = act[0]
+        if tag == "match" or tag == "pmatch":
+            emit(KIND_MATCH, act[1], act[2], syms[act[3]])
+        elif tag == "skip":
+            items.append((KIND_SKIP, act[1], act[2], None, ()))
+        elif tag == "ins":
+            emit(KIND_INSERT, None, None, syms[act[1]])
         else:
-            dst = act[1]
-            last = steps[-1]
-            steps[-1] = PathStep(last.kind, last.block_id, last.callee, last.slot,
-                                 last.forks + (dst,))
-            forks.append(dst)
-    return cost, ins
+            # a fork lands on the last step emitted so far
+            last = items[-1] if items else None
+            if last is None or len(last) == 2:
+                items.append(((act[1],),))
+            elif len(last) == 1:
+                items[-1] = (last[0] + (act[1],),)
+            else:
+                items[-1] = last[:4] + (last[4] + (act[1],),)
+    return _Fragment(tuple(items), cost + own_cost, ins + own_ins)
+
+
+def _compose(root_key: str, frag: _Fragment) -> tuple[list, list]:
+    """Steps and forks of the path: the entry step, then frag flattened."""
+    steps: list = []
+    forks: list = []
+    # the step under construction: a fork lands on it until the next begins
+    kind, block, callee, slot, fk = KIND_ENTER, entry_node(root_key), root_key, 0, ()
+    append = steps.append
+    frames = [(iter(frag.items), 0)]
+    while frames:
+        items, base = frames[-1]
+        for item in items:
+            size = len(item)
+            if size == 5:
+                append(PathStep(kind, block, callee, slot, fk))
+                if fk:
+                    forks += fk
+                kind, block, callee, slot, fk = item
+                if slot is not None:
+                    slot += base
+            elif size == 2:
+                frames.append((iter(item[0].items), base + item[1]))
+                break
+            else:
+                fk += item[0]
+        else:
+            frames.pop()
+    steps.append(PathStep(kind, block, callee, slot, fk))
+    forks += fk
+    return steps, forks
 
 
 def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
@@ -363,8 +469,12 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
     """Minimum-cost alignment of a trace onto the graph.
 
     Raises NoPathError when the root span does not resolve to a function the
-    graph knows, and ValueError when given a cache with a graph that is not
-    frozen. Every slot of the trace's preorder lies on exactly one step.
+    graph knows, or when an invocation has no path (naming its first child
+    span, or the function key of a leaf); the first such invocation in
+    preorder is named. Raises ValueError when given a cache with a graph
+    that is not frozen. Every slot of the trace's preorder lies on exactly
+    one step. Without a cache, subtrees and solves are shared within the
+    trace only.
     """
     if cache is not None and not graph.frozen:
         raise ValueError("a PathCache needs a frozen graph")
@@ -383,31 +493,56 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
     if not graph.knows(r.key):
         raise NoPathError(root.span_id, f"entry function {r.key!r} absent from graph")
 
-    slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
-    steps = [PathStep(KIND_ENTER, entry_node(r.key), r.key, slot[root.span_id])]
-    forks: list[str] = []
-    # one frame per open invocation; a nested one runs to its end before its
-    # caller resumes, so steps land in the order a recursive walk gives
-    cost = ins = 0
-    stack = [_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
-                              resolutions, slot, steps, forks, cache)]
-    while stack:
-        try:
-            fn_key, children = next(stack[-1])
-        except StopIteration as done:
-            stack.pop()
-            cost += done.value[0]
-            ins += done.value[1]
-        else:
-            stack.append(_emit_invocation(graph, trace, fn_key, children, resolutions,
-                                          slot, steps, forks, cache))
+    memo = cache if cache is not None else PathCache()
+    keys = [None if k == "?" else k for k in sig[::2]]
+    counts = sig[1::2]
+    shapes, ends = memo.shapes(keys, counts)
+    n = len(keys)
+    frags: list = [None] * n
+    # preorder scan: a subtree whose shape has a fragment is skipped whole;
+    # each other mapped span is solved now, so the first invocation without
+    # a path in preorder raises, and its fragment is built below
+    todo = []
+    i = 0
+    while i < n:
+        fn_key = keys[i]
+        if fn_key is None:
+            i += 1
+            continue
+        frag = shapes[i].fragment
+        if frag is not None:
+            memo.subtree_hits += 1
+            frags[i] = frag
+            i = ends[i]
+            continue
+        memo.subtree_misses += 1
+        # symbols: the subtree's spans in preorder, through unmapped spans
+        # and not into mapped ones
+        syms = []
+        j, end = i + 1, ends[i]
+        while j < end:
+            syms.append(j)
+            j = j + 1 if keys[j] is None else ends[j]
+        solved = None
+        if graph.has_body(fn_key):
+            solved = _solve_cached(graph, fn_key, tuple([keys[j] for j in syms]), memo)
+            if solved is None:
+                raise NoPathError(trace.preorder[i + 1].span_id if counts[i] else fn_key,
+                                  f"no path through function {fn_key!r}")
+        todo.append((i, syms, solved))
+        i += 1
+    # children before parents, so each child fragment is ready for its caller
+    for i, syms, solved in reversed(todo):
+        frags[i] = shapes[i].fragment = _fragment(i, syms, solved, keys, frags)
 
+    root_frag = frags[0]
+    steps, forks = _compose(r.key, root_frag)
     linked = sorted(s.slot for s in steps if s.slot is not None)
-    if linked != list(range(len(trace))):
+    if linked != list(range(n)):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
-    graph.alignment_inserts += ins
-    path = ExecutionPath(tuple(steps), cost, ins, tuple(forks))
+    graph.alignment_inserts += root_frag.insertions
+    path = ExecutionPath(tuple(steps), root_frag.cost, root_frag.insertions, tuple(forks))
     if cache is not None:
         cache.store(sig, path)
     return path

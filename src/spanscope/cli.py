@@ -29,7 +29,7 @@ import sys
 
 from . import harness
 from .cscfg import Cscfg, build_cscfg, patch_with_traces
-from .errors import ConfigError, MalformedDocumentError, SpanscopeError
+from .errors import ConfigError, DanglingCalleeError, MalformedDocumentError, SpanscopeError
 from .mapping import build_map, load_shared_dictionary
 from .model import exclusive_durations, read_trace_file, span_from_dict
 from .pipeline import SamplingPipeline, write_timing
@@ -91,7 +91,7 @@ def _load_mapping(graph: Cscfg, shared_dict_path: str | None):
 def cmd_build_graph(args) -> int:
     try:
         graph = build_cscfg(_read_text(args.graph))
-    except MalformedDocumentError as exc:
+    except (MalformedDocumentError, DanglingCalleeError) as exc:
         raise MalformedDocumentError(f"{args.graph}: bad call-graph document: {exc}") from exc
     if args.patch:
         mapping = _load_mapping(graph, args.shared_dict)
@@ -154,8 +154,10 @@ def cmd_sample(args) -> int:
           f"selection side {timing['selection_side_s']}s, "
           f"{timing['per_trace_ms']} ms/trace")
     paths, solves = timing["path_cache"], timing["solve_cache"]
+    subtrees = timing["subtree_cache"]
     print(f"align cache: trace hits {paths['hits']}/{paths['hits'] + paths['misses']}, "
-          f"invocation hits {solves['hits']}/{solves['hits'] + solves['misses']}")
+          f"invocation hits {solves['hits']}/{solves['hits'] + solves['misses']}, "
+          f"subtree hits {subtrees['hits']}/{subtrees['hits'] + subtrees['misses']}")
     return 0
 
 

@@ -428,6 +428,12 @@ def _require(cond: bool, msg: str) -> None:
         raise MalformedDocumentError(msg)
 
 
+def _names_block(ref, local_callees: dict) -> bool:
+    # a block reference must be a string before it is looked up: a list
+    # from JSON is unhashable
+    return type(ref) is str and ref in local_callees
+
+
 def build_cscfg(call_graph_doc) -> Cscfg:
     """Build the graph from a declarative call-graph document.
 
@@ -453,21 +459,27 @@ def build_cscfg(call_graph_doc) -> Cscfg:
     for fn in doc["functions"]:
         _require(isinstance(fn, dict) and "function" in fn, "function entry missing 'function'")
         key = fn["function"]
+        _require(type(key) is str, f"function key {key!r} is not a string")
         _require(key not in defined, f"function {key!r} defined twice")
         defined.add(key)
         graph.add_function(parse_function_key(key))
-    for key in doc.get("external_functions", []):
+    external = doc.get("external_functions", [])
+    _require(isinstance(external, list), "external_functions must be a list")
+    for key in external:
+        _require(type(key) is str, f"external function key {key!r} is not a string")
         parse_function_key(key)
         graph.declare_external(key)
 
     for fn in doc["functions"]:
         key = fn["function"]
         blocks = fn.get("blocks", [])
+        _require(isinstance(blocks, list), f"{key}: blocks must be a list")
         if not blocks:
             continue  # function with zero call sites contributes no blocks
         local_callees: dict[str, tuple[str, ...]] = {}
         for b in blocks:
             _require(isinstance(b, dict) and "id" in b, f"{key}: block missing id")
+            _require(type(b["id"]) is str, f"{key}: block id {b['id']!r} is not a string")
             _require(b["id"] not in local_callees, f"{key}: duplicate block {b['id']!r}")
             callees = b.get("callees", [])
             _require(isinstance(callees, list) and all(isinstance(c, str) for c in callees),
@@ -478,16 +490,18 @@ def build_cscfg(call_graph_doc) -> Cscfg:
                     raise DanglingCalleeError(c, key)
             local_callees[b["id"]] = callees
         entry = fn.get("entry")
-        _require(entry in local_callees, f"{key}: entry {entry!r} is not a block")
+        _require(_names_block(entry, local_callees), f"{key}: entry {entry!r} is not a block")
         exits = fn.get("exits", [])
         _require(isinstance(exits, list) and exits, f"{key}: missing exits")
         for e in exits:
-            _require(e in local_callees, f"{key}: exit {e!r} is not a block")
+            _require(_names_block(e, local_callees), f"{key}: exit {e!r} is not a block")
         adj: dict[str, list[str]] = {lid: [] for lid in local_callees}
-        for edge in fn.get("flow_edges", []):
+        edges = fn.get("flow_edges", [])
+        _require(isinstance(edges, list), f"{key}: flow_edges must be a list")
+        for edge in edges:
             _require(isinstance(edge, list) and len(edge) == 2, f"{key}: bad flow edge {edge!r}")
             src, dst = edge
-            _require(src in local_callees and dst in local_callees,
+            _require(_names_block(src, local_callees) and _names_block(dst, local_callees),
                      f"{key}: flow edge {src!r}->{dst!r} names unknown block")
             adj[src].append(dst)
 
@@ -642,9 +656,14 @@ def patch_with_traces(graph: Cscfg, traces, mapping) -> PatchReport:
     whose existing callees' spans appear nearest before the child span; when
     no block qualifies, a synthetic call-site block is appended to the
     parent's exit region. Idempotent and monotone: edges are only added.
+    Raises GraphFrozenError on a frozen graph before it changes anything.
     """
     from .mapping import Unmapped  # local import to avoid a module cycle
 
+    # the caches of a frozen graph rely on it never changing, so refuse
+    # before anything is written
+    if graph.frozen:
+        raise GraphFrozenError("graph is frozen")
     report = PatchReport()
     for trace in traces:
         resolved = {s.span_id: mapping.resolve(s) for s in trace.spans}

@@ -30,6 +30,7 @@ from .errors import InvalidSpecError, UnknownFaultTargetError
 from .mapping import build_map
 from .model import Span, Trace, exclusive_durations
 from .pipeline import SamplingPipeline, write_timing
+from .reconstruct import structural_fidelity
 from .sampler import SamplingConfig
 from .scoring import P2Quantile, ScoreBook
 
@@ -620,7 +621,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
     stats = pipeline.stats_snapshot()
     for res in results:
         rebuilt = pipeline.reconstruct_result(res, stats)
-        report = pipeline.fidelity(res, rebuilt)
+        report = structural_fidelity(res.trace, rebuilt, pipeline.mapping)
         exact += 1 if report.structure_exact else 0
         if report.inferred_count:
             err_sum += report.duration_error * report.inferred_count

@@ -19,7 +19,7 @@ from .cscfg import Cscfg, FunctionRef
 from .mapping import SpanFunctionMap
 from .model import Trace, exclusive_durations
 from .partition import DominantSpanSet, partition
-from .reconstruct import ReconstructedTrace, reconstruct, structural_fidelity
+from .reconstruct import ReconstructedTrace, reconstruct
 from .sampler import LrsLedger, SamplingConfig, SamplingDecision, sample_trace, span_key
 from .scoring import ScoreBook
 
@@ -102,9 +102,6 @@ class SamplingPipeline:
         return self._timed(STAGE_RECONSTRUCT, reconstruct, result.decision, kept,
                            self.graph, stats, self.mapping)
 
-    def fidelity(self, result: TraceResult, rebuilt: ReconstructedTrace):
-        return structural_fidelity(result.trace, rebuilt, self.mapping)
-
     def stats_snapshot(self) -> dict:
         return self.scorebook.snapshot()
 
@@ -112,14 +109,16 @@ class SamplingPipeline:
         """Wall-clock stage split plus deterministic counters.
 
         `path_cache` counts whole-trace alignment hits and misses,
-        `solve_cache` per-invocation solver hits and misses; both stay 0
-        without a cache.
+        `subtree_cache` the subtree fragments found and aligned anew on
+        whole-trace misses, `solve_cache` per-invocation solver hits and
+        misses; all stay 0 without a cache.
         """
         total = sum(self.timings.values())
         per_trace = total / self.traces_seen if self.traces_seen else 0.0
-        paths = solves = (0, 0)
+        paths = subtrees = solves = (0, 0)
         if self.cache is not None:
             paths = (self.cache.hits, self.cache.misses)
+            subtrees = (self.cache.subtree_hits, self.cache.subtree_misses)
             solves = (self.cache.solve_hits, self.cache.solve_misses)
         return {
             "stages_s": {k: round(v, 6) for k, v in sorted(self.timings.items())},
@@ -128,6 +127,7 @@ class SamplingPipeline:
             "traces": self.traces_seen,
             "per_trace_ms": round(per_trace * 1000, 3),
             "path_cache": {"hits": paths[0], "misses": paths[1]},
+            "subtree_cache": {"hits": subtrees[0], "misses": subtrees[1]},
             "solve_cache": {"hits": solves[0], "misses": solves[1]},
         }
 

@@ -909,14 +909,290 @@ def oracle_serialize(rebuilt) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
+# -- the frame-stack aligner ---------------------------------------------------
+#
+# align, its per-invocation generator and the forward-enumerating solver as
+# they stood before paths were composed from subtree fragments, kept
+# unchanged apart from their names: one generator frame per mapped span, and
+# a solver that lists every reachable state and edge before a reverse
+# Dijkstra. The symbol builder is shared with the recorded-moves oracle below.
+
+
+class _SymCall:
+    __slots__ = ("ref", "span", "children")
+
+    def __init__(self, ref, span, children):
+        self.ref = ref
+        self.span = span
+        self.children = children
+
+
+class _SymIns:
+    __slots__ = ("span",)
+
+    def __init__(self, span):
+        self.span = span
+
+
+def _build_symbols(trace, spans, resolutions) -> list:
+    """Symbols of one invocation; an unmapped span is followed by its subtree's."""
+    from spanscope.mapping import Unmapped
+
+    syms = []
+    stack = list(reversed(spans))
+    while stack:
+        s = stack.pop()
+        r = resolutions[s.span_id]
+        if isinstance(r, Unmapped):
+            syms.append(_SymIns(s))
+            stack.extend(reversed(trace.child_spans(s.span_id)))
+        else:
+            syms.append(_SymCall(r, s, trace.child_spans(s.span_id)))
+    return syms
+
+
+def reference_solve(graph, fn_key: str, sym_fn: tuple):
+    """Optimal action sequence for one invocation.
+
+    sym_fn holds the callee key of each symbol, None for an inserted unmapped
+    span. Returns (cost, insertions, actions) with actions a tuple of tuples,
+    or None when no path exists. Of the flow moves, only those out of a node
+    with more than one successor appear, as ("fork", target). Cost tuples
+    order by total cost then insertion count; the greedy replay over goal
+    distances applies the fixed action preference, so the result is
+    deterministic.
+    """
+    from spanscope.align import PROHIBITIVE_COST
+
+    sub = graph.subgraph(fn_key)
+    mandatory = graph.dominance(fn_key).mandatory
+    n = len(sym_fn)
+    start = (sub.entry, 0, 0)
+    goal = (sub.exit, 0, n)
+
+    def actions(state):
+        node, k, i = state
+        em = sub.emissions[node]
+        out = []
+        if k < len(em):
+            if i < n and sym_fn[i] == em[k]:
+                out.append(("match", (node, k + 1, i + 1), (0, 0)))
+        if i < n and sym_fn[i] is not None and sym_fn[i] in sub.patched.get(node, ()):
+            out.append(("pmatch", (node, k, i + 1), (0, 0)))
+        if k < len(em):
+            skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
+            out.append(("skip", (node, k + 1, i), (skip_cost, 0)))
+        if i < n:
+            out.append(("ins", (node, k, i + 1), (1, 1)))
+        if k == len(em):
+            for w in sub.succ.get(node, ()):
+                out.append((f"move>{w}", (w, 0, i), (0, 0)))
+        return out
+
+    # reachable state space and its edges
+    edges = []
+    seen = {start}
+    dq = deque([start])
+    while dq:
+        state = dq.popleft()
+        for name, nxt, cost in actions(state):
+            edges.append((state, name, nxt, cost))
+            if nxt not in seen:
+                seen.add(nxt)
+                dq.append(nxt)
+    if goal not in seen:
+        return None
+
+    rev: dict = {}
+    for src, _name, dst, cost in edges:
+        rev.setdefault(dst, []).append((src, cost))
+
+    # distance to goal over reversed edges
+    dist = {goal: (0, 0)}
+    heap = [((0, 0), 0, goal)]
+    seq = 0
+    while heap:
+        d, _, state = heapq.heappop(heap)
+        if dist.get(state, None) != d or state not in seen:
+            continue
+        for src, cost in rev.get(state, ()):
+            cand = (d[0] + cost[0], d[1] + cost[1])
+            if cand < dist.get(src, (PROHIBITIVE_COST * 4, PROHIBITIVE_COST * 4)):
+                dist[src] = cand
+                seq += 1
+                heapq.heappush(heap, (cand, seq, src))
+
+    if start not in dist:
+        return None
+
+    order = {"match": 0, "pmatch": 1, "skip": 2, "ins": 3}
+    total = dist[start]
+    acts = []
+    state = start
+    while state != goal:
+        best = None
+        here = dist[state]
+        for name, nxt, cost in sorted(
+            actions(state), key=lambda a: (order.get(a[0].split(">")[0], 4), a[0])
+        ):
+            nd = dist.get(nxt)
+            if nd is None:
+                continue
+            if (cost[0] + nd[0], cost[1] + nd[1]) == here:
+                best = (name, nxt)
+                break
+        if best is None:  # pragma: no cover - dist is consistent by construction
+            raise RuntimeError("alignment replay lost the optimal path")
+        name, nxt = best
+        node, k, i = state
+        if name == "match":
+            acts.append(("match", node, sub.emissions[node][k], i))
+        elif name == "pmatch":
+            acts.append(("pmatch", node, sym_fn[i], i))
+        elif name == "skip":
+            acts.append(("skip", node, sub.emissions[node][k]))
+        elif name == "ins":
+            acts.append(("ins", i))
+        elif len(sub.succ[node]) > 1:
+            acts.append(("fork", name.split(">", 1)[1]))
+        state = nxt
+    return total[0], total[1], tuple(acts)
+
+
+def _reference_solve_cached(graph, fn_key: str, sym_fn: tuple, cache):
+    if cache is None:
+        return reference_solve(graph, fn_key, sym_fn)
+    key = (fn_key, sym_fn)
+    solved = cache.lookup_solve(key)
+    if solved is None:
+        solved = reference_solve(graph, fn_key, sym_fn)
+        # no path is not stored: the trace fails, and None already means a miss
+        if solved is not None:
+            cache.store_solve(key, solved)
+    return solved
+
+
+def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot, steps,
+                               forks, cache):
+    """Realize one invocation's alignment into `steps` and `forks`.
+
+    A generator: yields (callee key, child spans) for each nested invocation,
+    which the caller emits completely before resuming this one, and returns
+    this invocation's own (cost, insertions).
+    """
+    from spanscope.align import KIND_INSERT, KIND_MATCH, KIND_SKIP, PathStep
+    from spanscope.errors import NoPathError
+
+    syms = _build_symbols(trace, children, resolutions)
+
+    def emit_insert(sym):
+        steps.append(PathStep(KIND_INSERT, None, None, slot[sym.span.span_id]))
+
+    if not graph.has_body(fn_key):
+        for sym in syms:
+            emit_insert(sym)
+            if isinstance(sym, _SymCall):
+                yield sym.ref.key, sym.children
+        return len(syms), len(syms)
+
+    sym_fn = tuple(s.ref.key if isinstance(s, _SymCall) else None for s in syms)
+    solved = _reference_solve_cached(graph, fn_key, sym_fn, cache)
+    if solved is None:
+        raise NoPathError(children[0].span_id if children else fn_key,
+                          f"no path through function {fn_key!r}")
+    cost, ins, acts = solved
+    for act in acts:
+        if act[0] in ("match", "pmatch"):
+            _, node, callee, idx = act
+            sym = syms[idx]
+            steps.append(PathStep(KIND_MATCH, node, callee, slot[sym.span.span_id]))
+            yield sym.ref.key, sym.children
+        elif act[0] == "skip":
+            _, node, callee = act
+            steps.append(PathStep(KIND_SKIP, node, callee, None))
+        elif act[0] == "ins":
+            sym = syms[act[1]]
+            emit_insert(sym)
+            if isinstance(sym, _SymCall):
+                yield sym.ref.key, sym.children
+        else:
+            dst = act[1]
+            last = steps[-1]
+            steps[-1] = PathStep(last.kind, last.block_id, last.callee, last.slot,
+                                 last.forks + (dst,))
+            forks.append(dst)
+    return cost, ins
+
+
+def reference_align(graph, trace, mapping, cache=None, resolutions=None):
+    """Minimum-cost alignment of a trace onto the graph.
+
+    Raises NoPathError when the root span does not resolve to a function the
+    graph knows, and ValueError when given a cache with a graph that is not
+    frozen. Every slot of the trace's preorder lies on exactly one step.
+    `cache` is a PathCache of its own: this aligner reads and writes only its
+    whole-trace and solve maps.
+    """
+    from spanscope.align import KIND_ENTER, ExecutionPath, PathStep, trace_signature
+    from spanscope.cscfg import entry_node
+    from spanscope.errors import NoPathError
+    from spanscope.mapping import Unmapped
+
+    if cache is not None and not graph.frozen:
+        raise ValueError("a PathCache needs a frozen graph")
+    if resolutions is None:
+        resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
+    sig = trace_signature(trace, resolutions)
+    if cache is not None:
+        path = cache.lookup(sig)
+        if path is not None:
+            return path
+
+    root = trace.root
+    r = resolutions[root.span_id]
+    if isinstance(r, Unmapped):
+        raise NoPathError(root.span_id, f"root span does not map to a function ({r.reason})")
+    if not graph.knows(r.key):
+        raise NoPathError(root.span_id, f"entry function {r.key!r} absent from graph")
+
+    slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
+    steps = [PathStep(KIND_ENTER, entry_node(r.key), r.key, slot[root.span_id])]
+    forks: list[str] = []
+    # one frame per open invocation; a nested one runs to its end before its
+    # caller resumes, so steps land in the order a recursive walk gives
+    cost = ins = 0
+    stack = [_reference_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
+                                        resolutions, slot, steps, forks, cache)]
+    while stack:
+        try:
+            fn_key, children = next(stack[-1])
+        except StopIteration as done:
+            stack.pop()
+            cost += done.value[0]
+            ins += done.value[1]
+        else:
+            stack.append(_reference_emit_invocation(graph, trace, fn_key, children,
+                                                    resolutions, slot, steps, forks, cache))
+
+    linked = sorted(s.slot for s in steps if s.slot is not None)
+    if linked != list(range(len(trace))):
+        raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
+
+    graph.alignment_inserts += ins
+    path = ExecutionPath(tuple(steps), cost, ins, tuple(forks))
+    if cache is not None:
+        cache.store(sig, path)
+    return path
+
+
 # -- alignment with recorded flow moves --------------------------------------
 #
 # The aligner as it stood before paths named slots and recorded forks: every
 # flow move is kept on the step it follows, the trace-level cache stores a
 # slot template that is rehydrated per hit, and partition and the decision's
 # fork record each rescan the moves and ask the graph for the out-degree.
-# It shares the symbol builder and `trace_signature` with the package; the
-# signature has its own oracle above.
+# It shares the symbol builder with the frame-stack aligner above and
+# `trace_signature` with the package; the signature has its own oracle above.
 
 
 class OracleTransitEdge:
@@ -1057,7 +1333,7 @@ def _oracle_solve_cached(graph, fn_key, sym_fn, cache):
 
 def _oracle_emit_invocation(graph, trace, fn_key, children, resolutions, builder,
                             inserts, cache):
-    from spanscope.align import KIND_INSERT, KIND_MATCH, KIND_SKIP, _build_symbols, _SymCall
+    from spanscope.align import KIND_INSERT, KIND_MATCH, KIND_SKIP
     from spanscope.errors import NoPathError
 
     syms = _build_symbols(trace, children, resolutions)

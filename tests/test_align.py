@@ -2,14 +2,21 @@ import random
 
 import pytest
 
-from spanscope.align import PathCache, align, trace_signature
-from spanscope.cscfg import FunctionRef, build_cscfg
+from spanscope.align import PathCache, _solve, align, trace_signature
+from spanscope.cscfg import PROV_DYNAMIC, FunctionRef, build_cscfg
 from spanscope.errors import NoPathError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import Unmapped, build_map
 
-from .conftest import make_span, make_trace, single_function_doc
-from .oracles import oracle_invocation_cost, oracle_trace_signature
+from .conftest import make_span, make_trace, random_cscfg_doc, single_function_doc
+from .oracles import (
+    oracle_invocation_cost,
+    oracle_trace_signature,
+    reference_align,
+    reference_solve,
+)
+from .test_cscfg import drifted_patched_graph
+from .test_partition import oracle_inputs
 
 FN = "svc:Main.run"
 
@@ -370,10 +377,11 @@ class TestSolveCache:
         cache = PathCache()
         align(graph, nested_trace("t1", with_url=False), mapping, cache)
         second = align(graph, nested_trace("t2", with_url=True), mapping, cache)
-        # the URL span changes Main.run's invocation, not Inner.h's
+        # the URL span changes Main.run's invocation, not Inner.h's: Inner.h's
+        # whole subtree comes back from the subtree map, unsolved
         assert cache.hits == 0
         assert cache.misses == 2
-        assert cache.solve_hits >= 1
+        assert cache.subtree_hits >= 1
         assert second == align(graph, nested_trace("t2", with_url=True), mapping, None)
 
     def test_cache_needs_frozen_graph(self):
@@ -400,9 +408,38 @@ class TestSolveCache:
         for sample in samples:
             cached = align(graph, sample.trace, mapping, cache)
             assert len(cache) <= 1
+            assert len(cache._shapes) <= 1
             assert len(cache._solves) <= 1
             assert cached == align(graph, sample.trace, mapping, None)
         assert cache.solve_misses > 1
+        assert cache.subtree_misses > 1
+
+    def test_a_stream_of_new_shapes_keeps_every_map_bounded(self):
+        # random trees over two callees, a nested caller and unmapped spans:
+        # nearly every trace is a shape not seen before
+        graph = nested_graph().freeze()
+        mapping = build_map(graph)
+        ops = ["Inner.h", "X.deep", "Main.run", "GET /zz"]
+        rng = random.Random(17)
+        cache = PathCache(capacity=8)
+        shapes = set()
+        for i in range(1500):
+            tid = f"t{i}"
+            spans = [make_span("r", trace_id=tid, operation="Main.run", duration=10_000)]
+            for j in range(1, rng.randint(2, 14)):
+                parent = rng.choice(spans)
+                spans.append(make_span(f"s{j}", trace_id=tid, parent=parent.span_id,
+                                       operation=rng.choice(ops), start=parent.start_time + j,
+                                       duration=1))
+            trace = make_trace(spans, trace_id=tid, slack=10_000)
+            res = {s.span_id: mapping.resolve(s) for s in trace.spans}
+            shapes.add(trace_signature(trace, res))
+            align(graph, trace, mapping, cache, res)
+            assert len(cache) <= 8
+            assert len(cache._shapes) <= 8
+            assert len(cache._solves) <= 8
+        assert len(shapes) > 100 * 8
+        assert cache.subtree_hits > 0 and cache.subtree_misses > len(shapes)
 
 
 class TestHarnessTraffic:
@@ -420,3 +457,141 @@ class TestHarnessTraffic:
             url_spans = sum(1 for s in sample.trace.spans if s.operation.startswith("GET "))
             assert path.cost == url_spans
             assert path.insertions == url_spans
+
+
+def reference_inputs(which):
+    """Frozen graph, mapping and traces of one input of the reference comparison."""
+    if which in ("small-40", "drifted"):
+        spec = (SystemSpec(seed=3, n_services=5, n_functions_per_service=8,
+                           branch_probability=0.3)
+                if which == "small-40" else SystemSpec(seed=5))
+        doc, meta = generate_system(spec)
+        traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 200)]
+        graph = build_cscfg(doc) if which == "small-40" else drifted_patched_graph()
+        return graph.freeze(), build_map(graph), traces
+    return oracle_inputs(which)
+
+
+def patched_matches(graph, path) -> int:
+    return sum(1 for s in path.steps
+               if s.kind == "match" and s.callee not in graph.blocks[s.block_id].callees)
+
+
+class TestComposedPathReference:
+    """Paths composed from subtree fragments against the frame-stack aligner."""
+
+    @pytest.mark.parametrize("capacity", [4096, 1], ids=["default", "capacity-1"])
+    @pytest.mark.parametrize("which", [7, 11, 23, "small-40", "deep-chains", "nested-loop",
+                                       "drifted"])
+    def test_composed_path_equals_the_reference(self, which, capacity):
+        graph, mapping, traces = reference_inputs(which)
+        cache = PathCache(capacity=capacity)
+        pmatched = 0
+        for trace in traces:
+            path = align(graph, trace, mapping, cache)
+            ref = reference_align(graph, trace, mapping, None)
+            assert [(s.kind, s.block_id, s.callee, s.slot, s.forks) for s in path.steps] == \
+                [(s.kind, s.block_id, s.callee, s.slot, s.forks) for s in ref.steps]
+            assert (path.cost, path.insertions, path.forks) == \
+                (ref.cost, ref.insertions, ref.forks)
+            pmatched += patched_matches(graph, path)
+            if capacity == 1:
+                assert len(cache._shapes) <= 1
+        assert cache.misses > 0
+        if capacity > 1 and which != "deep-chains":
+            assert cache.subtree_hits > 0
+        if which == "drifted":
+            assert pmatched > 0
+
+    def test_a_missing_path_names_the_same_span(self):
+        # Inner.h is a line of five mandatory calls: an invocation that
+        # witnesses none of them costs 5 * PROHIBITIVE_COST, which is no path
+        inner = "svc:Inner.h"
+        calls = [f"svc:X.c{i}" for i in range(5)]
+        doc = single_function_doc(
+            fn=FN, blocks=[{"id": "b0", "callees": [inner]}], edges=[], entry="b0",
+            exits=["b0"],
+            extra_functions=[{
+                "function": inner,
+                "blocks": [{"id": f"c{i}", "callees": [c]} for i, c in enumerate(calls)],
+                "flow_edges": [[f"c{i}", f"c{i + 1}"] for i in range(4)],
+                "entry": "c0", "exits": ["c4"],
+            }] + [{"function": c} for c in calls],
+        )
+        graph = build_cscfg(doc).freeze()
+        mapping = build_map(graph)
+        full = [make_span(f"f{i}", parent="h0", operation=c.split(":")[1], start=2 + i,
+                          duration=1) for i, c in enumerate(calls)]
+        cases = {
+            "leaf": [make_span("h0", parent="r", operation="Inner.h", start=1, duration=50)],
+            "first-child": [make_span("h0", parent="r", operation="Inner.h", start=1,
+                                      duration=50),
+                            make_span("u", parent="h0", operation="GET /zz", start=2,
+                                      duration=1)],
+            "two-without-path": [make_span("h0", parent="r", operation="Inner.h", start=1,
+                                           duration=50)] + full + [
+                make_span("h1", parent="r", operation="Inner.h", start=60, duration=5),
+                make_span("u1", parent="h1", operation="GET /zz", start=61, duration=1),
+                make_span("h2", parent="r", operation="Inner.h", start=70, duration=5),
+                make_span("u2", parent="h2", operation="GET /zz", start=71, duration=1)],
+        }
+        expected = {"leaf": inner, "first-child": "u", "two-without-path": "u1"}
+        for name, spans in cases.items():
+            trace = make_trace([make_span("r", operation="Main.run", start=0, duration=100)]
+                               + spans)
+            for cache in (PathCache(), None):
+                with pytest.raises(NoPathError) as got:
+                    align(graph, trace, mapping, cache)
+                with pytest.raises(NoPathError) as want:
+                    reference_align(graph, trace, mapping, None)
+                assert got.value.span_id == want.value.span_id == expected[name]
+                assert str(got.value) == str(want.value)
+
+
+def random_solver_graph(seed):
+    """Random loop-carrying function graphs with patched callees, and a line
+    of six mandatory blocks so that some invocations have no path."""
+    rng = random.Random(seed)
+    functions, external = [], set()
+    for k in range(8):
+        doc = random_cscfg_doc(rng)
+        fn = doc["functions"][0]
+        fn["function"] = f"svc:R.f{k}"
+        functions.append(fn)
+        external.update(doc["external_functions"])
+    functions.append({
+        "function": "svc:R.line",
+        "blocks": [{"id": f"l{i}", "callees": [f"x:Leaf.c{i}"]} for i in range(6)],
+        "flow_edges": [[f"l{i}", f"l{i + 1}"] for i in range(5)],
+        "entry": "l0", "exits": ["l5"],
+    })
+    external.update(f"x:Leaf.c{i}" for i in range(10))
+    graph = build_cscfg({"schema_version": 1, "functions": functions,
+                         "external_functions": sorted(external)})
+    leaves = sorted(external)
+    for block_id in sorted(graph.blocks):
+        if rng.random() < 0.3:
+            graph.add_call_edge(block_id, rng.choice(leaves), PROV_DYNAMIC)
+    return graph.freeze(), leaves
+
+
+class TestBackwardSolver:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_solve_equals_the_forward_reference(self, seed):
+        graph, leaves = random_solver_graph(seed)
+        rng = random.Random(seed)
+        pool = leaves + [None, "svc:No.such"]
+        outcomes = {"none": 0, "patched": 0, "forked": 0}
+        for fn in sorted(graph.functions):
+            if not graph.has_body(fn):
+                continue
+            for _ in range(40):
+                syms = tuple(rng.choice(pool) for _ in range(rng.randint(0, 7)))
+                got = _solve(graph, fn, syms)
+                assert got == reference_solve(graph, fn, syms), (fn, syms)
+                if got is None:
+                    outcomes["none"] += 1
+                else:
+                    outcomes["patched"] += any(a[0] == "pmatch" for a in got[2])
+                    outcomes["forked"] += any(a[0] == "fork" for a in got[2])
+        assert all(outcomes.values()), outcomes

@@ -330,6 +330,22 @@ class TestPatch:
         with pytest.raises(GraphFrozenError):
             patch_with_traces(graph, [trace], mapping)
 
+    def test_a_refused_patch_leaves_the_frozen_graph_unchanged(self):
+        # Sub.known has no body, so its call would need a synthetic block
+        graph, mapping, _ = self._patched_setup()
+        graph.freeze()
+        before = graph.to_artifact_dict()
+        assert graph.nodes_of("svc:Sub.known") == []
+        spans = [
+            make_span("r", operation="Main.run", start=0, duration=100),
+            make_span("k", parent="r", operation="Sub.known", start=5, duration=50),
+            make_span("b", parent="k", operation="Remote.bar", start=10, duration=10),
+        ]
+        with pytest.raises(GraphFrozenError):
+            patch_with_traces(graph, [make_trace(spans)], mapping)
+        assert graph.nodes_of("svc:Sub.known") == []
+        assert graph.to_artifact_dict() == before
+
 
 def merged_random_doc(seeds):
     """One document holding the random single-function graph of each seed."""

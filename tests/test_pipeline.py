@@ -65,7 +65,10 @@ def test_timing_report_counts_both_cache_levels(cached_run, plain_run):
     assert paths["hits"] + paths["misses"] == N_TRACES
     assert paths["misses"] > 0
     assert solves["hits"] > 0
+    subtrees = cached_run[2]["subtree_cache"]
+    assert subtrees["hits"] > 0 and subtrees["misses"] > 0
     assert plain_run[2]["path_cache"] == {"hits": 0, "misses": 0}
+    assert plain_run[2]["subtree_cache"] == {"hits": 0, "misses": 0}
     assert plain_run[2]["solve_cache"] == {"hits": 0, "misses": 0}
 
 
@@ -83,6 +86,7 @@ def test_sample_command_prints_cache_counters(workload, tmp_path, capsys):
                 if l.startswith("align cache:"))
     assert line.startswith("align cache: trace hits ")
     assert "/50, invocation hits " in line
+    assert ", subtree hits " in line
 
 
 def write_cli_inputs(workload, tmp_path, n):
@@ -380,7 +384,10 @@ def test_a_window_or_horizon_below_one_is_a_config_error(workload, tmp_path, cap
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("edit", ["callees-int", "callees-not-all-strings", "edge-to-unknown"])
+@pytest.mark.parametrize("edit", ["callees-int", "callees-not-all-strings", "edge-to-unknown",
+                                  "block-id-list", "function-key-list", "entry-list",
+                                  "edge-end-list", "dangling-callee", "blocks-int",
+                                  "flow-edges-int", "external-int"])
 def test_build_graph_names_a_malformed_call_graph_document(tmp_path, capsys, edit):
     doc, _meta = generate_system(SystemSpec(seed=5))
     fn = next(f for f in doc["functions"] if f.get("blocks"))
@@ -388,9 +395,30 @@ def test_build_graph_names_a_malformed_call_graph_document(tmp_path, capsys, edi
         fn["blocks"][0]["callees"] = 5
     elif edit == "callees-not-all-strings":
         fn["blocks"][0]["callees"] = ["x:A.b", 3]
+    elif edit == "block-id-list":
+        fn["blocks"][0]["id"] = ["x"]
+    elif edit == "function-key-list":
+        fn["function"] = [fn["function"]]
+    elif edit == "entry-list":
+        fn["entry"] = [fn["entry"]]
+    elif edit == "edge-end-list":
+        fn["flow_edges"].append([fn["blocks"][0]["id"], ["x"]])
+    elif edit == "dangling-callee":
+        fn["blocks"][0]["callees"] = ["svc:No.such"]
+    elif edit == "blocks-int":
+        fn["blocks"] = 5
+    elif edit == "flow-edges-int":
+        fn["flow_edges"] = 7
+    elif edit == "external-int":
+        doc["external_functions"] = 3
     else:
         fn["flow_edges"].append([fn["blocks"][0]["id"], "no-such-block"])
     bad = tmp_path / "doc.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     code = cli.main(["build-graph", "--graph", str(bad), "--out", str(tmp_path / "g.json")])
-    assert_names_the_bad_file(capsys, code, bad)
+    if edit == "block-id-list":
+        err = capsys.readouterr().err
+        assert code == 1 and str(bad) in err
+        assert f"{fn['function']}: block id ['x'] is not a string" in err, err
+    else:
+        assert_names_the_bad_file(capsys, code, bad)
