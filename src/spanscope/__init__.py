@@ -1,6 +1,6 @@
 """Span-level trace sampling driven by call-site control-flow knowledge."""
 
-from .align import ExecutionPath, PathCache, PathStep, trace_signature
+from .align import ExecutionPath, PathCache, trace_signature
 from .cscfg import (
     Cscfg,
     DominanceInfo,
@@ -33,7 +33,7 @@ from .scoring import P2Quantile, RunningMedian, ScoreBook, SpanStatWindow
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExecutionPath", "PathCache", "PathStep", "trace_signature",
+    "ExecutionPath", "PathCache", "trace_signature",
     "Cscfg", "DominanceInfo", "FunctionRef", "build_cscfg", "compute_dominance",
     "parse_function_key", "patch_with_traces",
     "SpanscopeError",

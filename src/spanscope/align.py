@@ -18,16 +18,20 @@ broken deterministically: lower cost, then fewer insertions, then a fixed
 action preference (match, patched match, skip, insert, move to the smallest
 successor id), which keeps repeated runs byte-identical.
 
-A path names spans by slot, their index in `Trace.preorder`, so it depends
-on the trace's shape only. Forks are recorded as alignment finds them: a
-move out of a node with more than one flow successor puts its target on the
-step it follows and on the path; every other flow move is dropped.
+A path is a sequence of steps, each the pair (slot, forks). The slot names
+a span by its index in `Trace.preorder`, so a path depends on the trace's
+shape only; a skipped block is a step with slot None. Forks are recorded as
+alignment finds them: a move out of a node with more than one flow
+successor puts its target on the step it follows and on the path; every
+other flow move is dropped. The forks alone pin the path through the graph,
+so no step names its block or callee. Every step is kept, skips included:
+a set of partition ends at each step that carries forks.
 
 A PathCache memoises alignment at three levels, each an LRU map of at most
-`capacity` entries. The trace level is keyed by the trace's shape signature
-(each span's function key and child count, in `Trace.preorder`) and stores
-the path itself, so a hit returns the very path a fresh alignment of that
-shape gives. On a trace-level miss each span gets a hash-consed shape id,
+PATH_CACHE_CAPACITY entries. The trace level is keyed by the trace's shape
+signature (each span's function key and child count, in `Trace.preorder`)
+and stores the path itself, so a hit returns the very path a fresh
+alignment of that shape gives. On a trace-level miss each span gets a hash-consed shape id,
 keyed by its function key (None when unmapped) and its children's ids; the
 subtree level stores, per shape, that id and the fragment of path a mapped
 span's subtree emits below the span's own step, with slots relative to the
@@ -45,55 +49,28 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .cscfg import Cscfg, FunctionRef, entry_node
+from .cscfg import Cscfg, FunctionRef
 from .errors import NoPathError
 from .mapping import SpanFunctionMap, Unmapped
 from .model import Trace
 
 PROHIBITIVE_COST = 1_000_000
-
-KIND_ENTER = "enter"
-KIND_MATCH = "match"
-KIND_INSERT = "insert"
-KIND_SKIP = "skip"
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class PathStep:
-    """One step; `slot` indexes `Trace.preorder` (None for a skip).
-
-    `forks` holds the targets of the fork moves taken after this step, in
-    order.
-    """
-
-    kind: str
-    block_id: str | None
-    callee: str | None
-    slot: int | None
-    forks: tuple[str, ...] = ()
-
-    def __init__(self, kind: str, block_id: str | None, callee: str | None,
-                 slot: int | None, forks: tuple[str, ...] = ()):
-        # the frozen __setattr__ raises, so each slot is written through its
-        # member descriptor (bound below the class), one call per field
-        _set_kind(self, kind)
-        _set_block_id(self, block_id)
-        _set_callee(self, callee)
-        _set_slot(self, slot)
-        _set_forks(self, forks)
-
-
-(_set_kind, _set_block_id, _set_callee, _set_slot, _set_forks) = (
-    PathStep.__dict__[f.name].__set__ for f in fields(PathStep))
+# entries each map of a PathCache holds at most
+PATH_CACHE_CAPACITY = 4096
 
 
 @dataclass(frozen=True)
 class ExecutionPath:
-    """Aligned steps of one trace shape; `forks` lists every fork target in order."""
+    """Aligned steps of one trace shape; `forks` lists every fork target in order.
 
-    steps: tuple[PathStep, ...]
+    Each step is a pair (slot, forks): slot indexes `Trace.preorder`, or is
+    None for a skipped block, and forks holds the targets of the fork moves
+    taken after the step, in order.
+    """
+
+    steps: tuple[tuple[int | None, tuple[str, ...]], ...]
     cost: int
     insertions: int
     forks: tuple[str, ...]
@@ -102,12 +79,13 @@ class ExecutionPath:
 class _Fragment:
     """The path a mapped span's subtree emits after the span's own step.
 
-    `items` holds, in path order, a step as (kind, block_id, callee, slot,
-    forks) with the slot relative to the span's (None for a skip); a child's
-    fragment as (fragment, the child's relative slot), referenced and not
-    copied; or a run of forks as (forks,), which land on the step before:
-    the caller's step when the run leads, else the last step of the child
-    fragment it follows. `cost` and `insertions` cover the whole subtree.
+    `items` holds, in path order, a step as (slot, forks) with the slot
+    relative to the span's (None for a skip); a child's fragment as
+    (fragment, the child's relative slot), referenced and not copied, and
+    told from a step by its first field being a _Fragment; or a run of
+    forks as (forks,), which land on the step before: the caller's step
+    when the run leads, else the last step of the child fragment it
+    follows. `cost` and `insertions` cover the whole subtree.
     """
 
     __slots__ = ("items", "cost", "insertions")
@@ -142,17 +120,15 @@ class PathCache:
     counts each fragment it finds or builds in `subtree_hits` or
     `subtree_misses`. `lookup_solve`/`store_solve` hold per-invocation
     solver results keyed by `(function key, callee key or None per symbol)`,
-    counted by `solve_hits` and `solve_misses`. Each map holds at most `capacity` entries. Shape ids
+    counted by `solve_hits` and `solve_misses`. Each map holds at most
+    PATH_CACHE_CAPACITY entries, read when an entry is added. Shape ids
     come from a counter and are never reused, so an evicted shape's id never
     names another shape. No key names the graph, so one cache must only
     ever see one frozen graph. Like the pipeline that owns it, a cache is
     used from one thread.
     """
 
-    def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self):
         self._data: OrderedDict = OrderedDict()
         self._shapes: OrderedDict = OrderedDict()
         self._solves: OrderedDict = OrderedDict()
@@ -173,7 +149,7 @@ class PathCache:
     def _put(self, data: OrderedDict, key, value) -> None:
         data[key] = value
         data.move_to_end(key)
-        while len(data) > self.capacity:
+        while len(data) > PATH_CACHE_CAPACITY:
             data.popitem(last=False)
 
     def lookup(self, key):
@@ -194,7 +170,7 @@ class PathCache:
         keys[i] is slot i's function key (None when unmapped), counts[i] its
         child count. Slot i's subtree covers slots i up to ends[i].
         """
-        data, capacity = self._shapes, self.capacity
+        data, capacity = self._shapes, PATH_CACHE_CAPACITY
         n = len(keys)
         shapes: list = [None] * n
         ends = [0] * n
@@ -264,8 +240,10 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
 
     sym_fn holds the callee key of each symbol, None for an inserted unmapped
     span. Returns (cost, insertions, actions) with actions a tuple of tuples,
-    or None when no path exists. Of the flow moves, only those out of a node
-    with more than one successor appear, as ("fork", target). Cost tuples
+    or None when no path exists. A match, patched match or insertion of
+    symbol i is ("match", i), ("pmatch", i) or ("ins", i), and a skipped call
+    is ("skip",). Of the flow moves, only those out of a node with more than
+    one successor appear, as ("fork", target). Cost tuples
     order by total cost then insertion count, and a state at least
     (4, 4) * PROHIBITIVE_COST from the goal counts as unreachable; the greedy
     replay over goal distances applies the fixed action preference, so the
@@ -363,17 +341,14 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
         if best is None:  # pragma: no cover - dist is consistent by construction
             raise RuntimeError("alignment replay lost the optimal path")
         name, nxt = best
-        node, k, i = state
-        if name == "match":
-            acts.append(("match", node, emissions[node][k], i))
-        elif name == "pmatch":
-            acts.append(("pmatch", node, sym_fn[i], i))
+        node, _, i = state
+        if name.startswith("move>"):
+            if len(succ[node]) > 1:
+                acts.append(("fork", name.split(">", 1)[1]))
         elif name == "skip":
-            acts.append(("skip", node, emissions[node][k]))
-        elif name == "ins":
-            acts.append(("ins", i))
-        elif len(succ[node]) > 1:
-            acts.append(("fork", name.split(">", 1)[1]))
+            acts.append(("skip",))
+        else:
+            acts.append((name, i))
         state = nxt
     return total[0], total[1], tuple(acts)
 
@@ -398,9 +373,9 @@ def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
     items: list = []
     cost = ins = 0
 
-    def emit(kind, node, callee, j):
+    def emit(j):
         nonlocal cost, ins
-        items.append((kind, node, callee, j - i, ()))
+        items.append((j - i, ()))
         if keys[j] is not None:
             child = frags[j]
             cost += child.cost
@@ -410,56 +385,53 @@ def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
 
     if solved is None:
         for j in syms:
-            emit(KIND_INSERT, None, None, j)
+            emit(j)
         return _Fragment(tuple(items), cost + len(syms), ins + len(syms))
     own_cost, own_ins, acts = solved
     for act in acts:
         tag = act[0]
-        if tag == "match" or tag == "pmatch":
-            emit(KIND_MATCH, act[1], act[2], syms[act[3]])
-        elif tag == "skip":
-            items.append((KIND_SKIP, act[1], act[2], None, ()))
-        elif tag == "ins":
-            emit(KIND_INSERT, None, None, syms[act[1]])
-        else:
+        if tag == "skip":
+            items.append((None, ()))
+        elif tag == "fork":
             # a fork lands on the last step emitted so far
             last = items[-1] if items else None
-            if last is None or len(last) == 2:
+            if last is None or type(last[0]) is _Fragment:
                 items.append(((act[1],),))
             elif len(last) == 1:
                 items[-1] = (last[0] + (act[1],),)
             else:
-                items[-1] = last[:4] + (last[4] + (act[1],),)
+                items[-1] = (last[0], last[1] + (act[1],))
+        else:
+            emit(syms[act[1]])
     return _Fragment(tuple(items), cost + own_cost, ins + own_ins)
 
 
-def _compose(root_key: str, frag: _Fragment) -> tuple[list, list]:
-    """Steps and forks of the path: the entry step, then frag flattened."""
+def _compose(frag: _Fragment) -> tuple[list, list]:
+    """Steps and forks of the path: the root's step, then frag flattened."""
     steps: list = []
     forks: list = []
     # the step under construction: a fork lands on it until the next begins
-    kind, block, callee, slot, fk = KIND_ENTER, entry_node(root_key), root_key, 0, ()
+    slot, fk = 0, ()
     append = steps.append
     frames = [(iter(frag.items), 0)]
     while frames:
         items, base = frames[-1]
         for item in items:
-            size = len(item)
-            if size == 5:
-                append(PathStep(kind, block, callee, slot, fk))
-                if fk:
-                    forks += fk
-                kind, block, callee, slot, fk = item
-                if slot is not None:
-                    slot += base
-            elif size == 2:
+            if len(item) == 1:
+                fk += item[0]
+            elif type(item[0]) is _Fragment:
                 frames.append((iter(item[0].items), base + item[1]))
                 break
             else:
-                fk += item[0]
+                append((slot, fk))
+                if fk:
+                    forks += fk
+                slot, fk = item
+                if slot is not None:
+                    slot += base
         else:
             frames.pop()
-    steps.append(PathStep(kind, block, callee, slot, fk))
+    append((slot, fk))
     forks += fk
     return steps, forks
 
@@ -536,8 +508,8 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
         frags[i] = shapes[i].fragment = _fragment(i, syms, solved, keys, frags)
 
     root_frag = frags[0]
-    steps, forks = _compose(r.key, root_frag)
-    linked = sorted(s.slot for s in steps if s.slot is not None)
+    steps, forks = _compose(root_frag)
+    linked = sorted(slot for slot, _ in steps if slot is not None)
     if linked != list(range(n)):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 

@@ -31,7 +31,7 @@ from . import harness
 from .cscfg import Cscfg, build_cscfg, patch_with_traces
 from .errors import ConfigError, DanglingCalleeError, MalformedDocumentError, SpanscopeError
 from .mapping import build_map, load_shared_dictionary
-from .model import exclusive_durations, read_trace_file, span_from_dict
+from .model import bad_record, exclusive_durations, read_trace_file, span_from_dict
 from .pipeline import SamplingPipeline, write_timing
 from .reconstruct import reconstruct, structural_fidelity
 from .sampler import SamplingConfig, decision_from_dict, span_key
@@ -173,13 +173,8 @@ def _read_kept(path: str) -> dict[str, list]:
                 trace_id = obj["trace_id"]
                 kept[trace_id] = [span_from_dict(s, trace_id) for s in obj["spans"]]
             except (ValueError, KeyError, TypeError, MalformedDocumentError) as exc:
-                raise _bad_record(path, lineno, "kept-spans", exc) from exc
+                raise bad_record(path, lineno, "kept-spans", exc) from exc
     return kept
-
-
-def _bad_record(path: str, lineno: int, kind: str, exc: Exception) -> MalformedDocumentError:
-    return MalformedDocumentError(
-        f"{path}:{lineno}: bad {kind} record: {type(exc).__name__}: {exc}")
 
 
 def cmd_reconstruct(args) -> int:
@@ -204,7 +199,7 @@ def cmd_reconstruct(args) -> int:
                 try:
                     decision = decision_from_dict(json.loads(line))
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    raise _bad_record(args.decisions, lineno, "decision", exc) from exc
+                    raise bad_record(args.decisions, lineno, "decision", exc) from exc
                 spans = kept.get(decision.trace_id, [])
                 if tuple(sorted(s.span_id for s in spans)) != decision.kept:
                     raise MalformedDocumentError(

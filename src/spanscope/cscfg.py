@@ -80,19 +80,9 @@ def parse_function_key(key: str) -> FunctionRef:
 
 
 @dataclass(frozen=True)
-class CallSiteBlock:
-    """A basic block that makes at least one call; callees in program order."""
-
-    block_id: str
-    owner: str  # function key
-    callees: tuple[str, ...]  # callee function keys
-
-
-@dataclass(frozen=True)
 class FunctionSubgraph:
     """Read-only view of one function's nodes, used by alignment and replay."""
 
-    function: str
     entry: str
     exit: str
     succ: dict[str, tuple[str, ...]]
@@ -104,10 +94,7 @@ class FunctionSubgraph:
 class DominanceInfo:
     """Per-function dominance facts over the contracted node graph."""
 
-    function: str
     equiv_class: dict[str, str]  # call-site block -> class id (min member)
-    dom_sets: dict[str, frozenset[str]]
-    pdom_sets: dict[str, frozenset[str]]
     mandatory: frozenset[str]  # blocks on every entry-to-exit path
 
     def classes(self) -> list[frozenset[str]]:
@@ -146,7 +133,8 @@ class Cscfg:
     def __init__(self):
         self.functions: dict[str, FunctionRef] = {}
         self.external: set[str] = set()
-        self.blocks: dict[str, CallSiteBlock] = {}
+        # call-site block id -> its callee function keys, in program order
+        self.blocks: dict[str, tuple[str, ...]] = {}
         self._fn_blocks: dict[str, list[str]] = {}
         self._succ: dict[str, dict[str, tuple[str, ...]]] = {}
         self._flow_prov: dict[tuple[str, str], str] = {}
@@ -205,7 +193,7 @@ class Cscfg:
         if block_id in self.blocks:
             raise MalformedDocumentError(f"duplicate block id {block_id!r}")
         self._add_nodes_for(fn_key)
-        self.blocks[block_id] = CallSiteBlock(block_id, fn_key, tuple(callees))
+        self.blocks[block_id] = tuple(callees)
         self._fn_blocks[fn_key].append(block_id)
         self._succ[fn_key][block_id] = ()
 
@@ -290,8 +278,7 @@ class Cscfg:
                 if prov == PROV_DYNAMIC:
                     index.setdefault(bid, []).append(callee)
             self._dynamic_callees = index
-        block = self.blocks.get(block_id)
-        statics = set(block.callees) if block else set()
+        statics = self.blocks.get(block_id, ())
         return frozenset(c for c in index.get(block_id, ()) if c not in statics)
 
     def has_call_edge(self, caller_key: str, callee_key: str) -> bool:
@@ -308,13 +295,12 @@ class Cscfg:
         patched: dict[str, frozenset[str]] = {}
         emissions: dict[str, tuple[str, ...]] = {}
         for node in self.nodes_of(fn_key):
-            block = self.blocks.get(node)
-            emissions[node] = block.callees if block else ()
-            extra = self.patched_callees(node) if block else frozenset()
+            callees = self.blocks.get(node)
+            emissions[node] = callees or ()
+            extra = self.patched_callees(node) if callees else frozenset()
             if extra:
                 patched[node] = extra
         sub = FunctionSubgraph(
-            function=fn_key,
             entry=entry_node(fn_key),
             exit=exit_node(fn_key),
             succ={n: self.successors(fn_key, n) for n in self.nodes_of(fn_key)},
@@ -349,7 +335,7 @@ class Cscfg:
             fns.append({
                 "function": key,
                 "blocks": [
-                    {"id": bid, "callees": list(self.blocks[bid].callees),
+                    {"id": bid, "callees": list(self.blocks[bid]),
                      "synthetic": bid in self._synthetic_blocks}
                     for bid in self._fn_blocks[key]
                 ],
@@ -576,10 +562,12 @@ def _dominator_sets(nodes: list[str], preds: dict[str, list[str]], root: str) ->
 
 
 def compute_dominance(graph: Cscfg, key: str) -> DominanceInfo:
-    """Dominators, post-dominators and mutual-dominance classes for one function.
+    """Mutual-dominance classes and mandatory blocks of one function.
 
-    Intraprocedural: call edges are opaque. Raises UnreachableBlockError when
-    blocks are cut off from the entry or cannot reach the exit.
+    Both come from the dominator and post-dominator sets, which are not
+    kept. Intraprocedural: call edges are opaque. Raises
+    UnreachableBlockError when blocks are cut off from the entry or cannot
+    reach the exit.
     """
     graph._read(key)
     if key not in graph._succ:
@@ -621,10 +609,7 @@ def compute_dominance(graph: Cscfg, key: str) -> DominanceInfo:
     equiv = {b: find(b) for b in blocks}
 
     mandatory = frozenset(b for b in blocks if b in dom[ext])
-    return DominanceInfo(
-        function=key, equiv_class=equiv,
-        dom_sets=dom, pdom_sets=pdom, mandatory=mandatory,
-    )
+    return DominanceInfo(equiv_class=equiv, mandatory=mandatory)
 
 
 def _bfs(root: str, adjacency: dict[str, list[str]]) -> set[str]:
@@ -703,7 +688,7 @@ def _patch_block_for(graph: Cscfg, parent_key: str, parent, child, siblings, res
         if isinstance(rs, Unmapped):
             continue
         for bid in graph.blocks_of(parent_key):
-            if rs.key in graph.blocks[bid].callees:
+            if rs.key in graph.blocks[bid]:
                 cand = (sib.start_time, bid)
                 if best is None or cand[0] > best[0] or (cand[0] == best[0] and bid < best[1]):
                     best = cand

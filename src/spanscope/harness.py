@@ -101,7 +101,6 @@ class SystemMeta:
     fork_probs: dict = field(default_factory=dict)  # (fn, node) -> [(target, prob)]
     error_arms: dict = field(default_factory=dict)  # fn -> (fork node, error block)
     durations: dict = field(default_factory=dict)  # fn -> (mu, sigma)
-    shared_functions: list = field(default_factory=list)
 
 
 def _fn_key(service: str, cls: str, fn: str) -> str:
@@ -131,7 +130,7 @@ def generate_system(spec: SystemSpec) -> tuple[dict, SystemMeta]:
     # dedicated early-return handlers; only error arms call them
     error_fns = {svc: _fn_key(svc, "Err", "fail") for svc in services}
 
-    meta = SystemMeta(entry=all_fns[0], shared_functions=list(shared))
+    meta = SystemMeta(entry=all_fns[0])
     for key in all_fns + shared + sorted(error_fns.values()):
         mu = rng.uniform(*spec.duration_mu_range)
         sigma = rng.uniform(*spec.duration_sigma_range)

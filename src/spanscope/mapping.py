@@ -5,12 +5,13 @@ field names the deployment unit. Exact per-service matches win; functions of
 shared libraries (service sentinel "SHARED") are found through a dictionary
 keyed by class and function alone, because their spans inherit the caller's
 service metadata. Spans that resolve to nothing are reported as Unmapped
-values, never dropped silently.
+values that carry the reason, never dropped silently; the map keeps no
+record of its misses, so counting them by reason is left to whoever holds
+the resolutions.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
 
 from .cscfg import SHARED_SERVICE, Cscfg, FunctionRef
@@ -21,8 +22,6 @@ REASON_NO_FUNCTION_FORM = "no-function-form"
 REASON_UNKNOWN_SERVICE = "unknown-service"
 REASON_UNKNOWN_FUNCTION = "unknown-function"
 
-# most recent misses kept with their ids; older ones survive only as counts
-MISS_LOG_CAPACITY = 256
 # mapped (service, operation) spellings remembered; the memo is emptied when full
 RESOLVE_MEMO_CAPACITY = 4096
 
@@ -65,25 +64,16 @@ class SpanFunctionMap:
     """Immutable resolver built from a graph plus a shared-library dictionary.
 
     resolve() is a pure function of the map and the span. It memoises
-    mapped (service, operation) pairs, up to RESOLVE_MEMO_CAPACITY of them;
-    misses are resolved every time. The only other mutable state is the miss
-    record: `miss_counts` counts every miss by reason and `miss_log` keeps
-    the last MISS_LOG_CAPACITY as (trace_id, span_id, reason). Like the
-    pipeline that owns it, a map is used from one thread.
+    mapped (service, operation) pairs, up to RESOLVE_MEMO_CAPACITY of them,
+    and that memo is its only mutable state; misses are resolved every
+    time. Like the pipeline that owns it, a map is used from one thread.
     """
 
     def __init__(self, service_index: dict[str, dict[tuple[str, str], FunctionRef]],
                  shared: dict[tuple[str, str], FunctionRef]):
         self._service_index = service_index
         self._shared = shared
-        self.miss_log: deque[tuple[str, str, str]] = deque(maxlen=MISS_LOG_CAPACITY)
-        self.miss_counts: Counter = Counter()
         self._memo: dict[tuple[str, str], FunctionRef] = {}
-
-    def _miss(self, span: Span, reason: str) -> Unmapped:
-        self.miss_log.append((span.trace_id, span.span_id, reason))
-        self.miss_counts[reason] += 1
-        return Unmapped(reason)
 
     def resolve(self, span: Span) -> FunctionRef | Unmapped:
         key = (span.service, span.operation)
@@ -99,7 +89,7 @@ class SpanFunctionMap:
     def _lookup(self, span: Span) -> FunctionRef | Unmapped:
         parsed = normalize_operation(span.operation)
         if parsed is None:
-            return self._miss(span, REASON_NO_FUNCTION_FORM)
+            return Unmapped(REASON_NO_FUNCTION_FORM)
         local = self._service_index.get(span.service)
         if local is not None:
             ref = local.get(parsed)
@@ -109,8 +99,8 @@ class SpanFunctionMap:
         if shared_ref is not None:
             return shared_ref
         if local is None:
-            return self._miss(span, REASON_UNKNOWN_SERVICE)
-        return self._miss(span, REASON_UNKNOWN_FUNCTION)
+            return Unmapped(REASON_UNKNOWN_SERVICE)
+        return Unmapped(REASON_UNKNOWN_FUNCTION)
 
 
 def build_map(graph: Cscfg, shared_entries: list[FunctionRef] | None = None) -> SpanFunctionMap:

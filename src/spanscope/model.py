@@ -7,7 +7,8 @@ A trace file is newline-delimited JSON, one trace per line:
       "start_time": <int microseconds>, "duration": <int microseconds>,
       "attributes": {...}}, ...]}
 
-Traces are immutable after parsing and safe to share across threads.
+Traces are immutable after parsing and safe to share across threads. A
+child's interval must lie inside its parent's; no clock skew is tolerated.
 
 ``Span`` is a frozen slotted record. Its one constructor writes each slot
 through the slot's member descriptor, past the frozen ``__setattr__``, so
@@ -104,18 +105,17 @@ Span.__delattr__ = _refuse_delete
 class Trace:
     """A tree of spans with exactly one root.
 
-    Construction validates the tree invariants; use ``clock_skew_slack`` to
-    tolerate bounded child intervals sticking out of their parent.
+    Construction validates the tree invariants, each child's interval
+    inside its parent's included.
     ``arrival`` holds the spans in arrival order, by (start_time, span_id);
     ``child_spans`` lists each span's children in that same order.
     ``preorder`` holds the spans root first, each followed by its subtree,
     siblings in arrival order; it is the one tree walk every consumer reads.
     """
 
-    def __init__(self, trace_id: str, spans: list[Span], clock_skew_slack: int = 0):
+    def __init__(self, trace_id: str, spans: list[Span]):
         self.trace_id = trace_id
         self.spans = tuple(spans)
-        self.clock_skew_slack = clock_skew_slack
         self.arrival: tuple[Span, ...] = ()
         self.preorder: tuple[Span, ...] = ()
         self._by_id: dict[SpanId, Span] = {}
@@ -176,17 +176,14 @@ class Trace:
             missing = sorted(set(by_id) - {s.span_id for s in preorder})
             raise InvariantViolationError(missing[0], "span not reachable from root")
 
-        slack = self.clock_skew_slack
         for s in spans:
             if s.parent_id is None:
                 continue
             parent = by_id[s.parent_id]
             start = s.start_time
-            if (start < parent.start_time - slack
-                    or start + s.duration > parent.start_time + parent.duration + slack):
-                raise InvariantViolationError(
-                    s.span_id, "interval extends beyond parent beyond allowed clock skew"
-                )
+            if (start < parent.start_time
+                    or start + s.duration > parent.start_time + parent.duration):
+                raise InvariantViolationError(s.span_id, "interval extends beyond parent")
 
         self.arrival = tuple(arrival)
         self.preorder = tuple(preorder)
@@ -219,18 +216,15 @@ class Trace:
 
 
 def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
-    # children come in start order, so their intervals clipped to the span
-    # do too: one sweep adds the part of each that lies past the furthest end
+    # children come in start order and lie inside the span (Trace checks
+    # both): one sweep adds the part of each that lies past the furthest end
     # so far. Every added part lies inside the span, so the result is >= 0.
     duration = span.duration
     covered_to = span.start_time
-    hi = covered_to + duration
     covered = 0
     for c in children:
         lo = c.start_time
         end = lo + c.duration
-        if end > hi:
-            end = hi
         if lo < covered_to:
             lo = covered_to
         if end > lo:
@@ -241,8 +235,7 @@ def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
 
 def exclusive_durations(trace: Trace) -> dict[SpanId, int]:
     """Each span's duration minus the union of its direct children's
-    intervals, clipped to the span's own interval, in one pass over the
-    child lists. Children may overlap (async fan-out), so coverage is the
+    intervals, which lie inside it, in one pass over the child lists. Children may overlap (async fan-out), so coverage is the
     interval union, and the result is never negative."""
     out: dict[SpanId, int] = {}
     for span in trace.spans:
@@ -304,7 +297,7 @@ def _checked_span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
     )
 
 
-def parse_trace(document: str, clock_skew_slack: int = 0) -> Trace:
+def parse_trace(document: str) -> Trace:
     """Parse one trace record; raises on bad syntax or broken invariants."""
     try:
         obj = json.loads(document)
@@ -314,7 +307,7 @@ def parse_trace(document: str, clock_skew_slack: int = 0) -> Trace:
     _require("trace_id" in obj and isinstance(obj["trace_id"], str), "missing trace_id")
     _require(isinstance(obj.get("spans"), list), "missing spans array")
     spans = [span_from_dict(s, obj["trace_id"]) for s in obj["spans"]]
-    return Trace(obj["trace_id"], spans, clock_skew_slack=clock_skew_slack)
+    return Trace(obj["trace_id"], spans)
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -325,10 +318,21 @@ def serialize_trace(trace: Trace) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def read_trace_file(path, clock_skew_slack: int = 0):
-    """Yield traces from a newline-delimited file."""
+def bad_record(path, lineno: int, kind: str, exc: Exception) -> MalformedDocumentError:
+    """The error for a bad `kind` record on line `lineno` of file `path`."""
+    return MalformedDocumentError(
+        f"{path}:{lineno}: bad {kind} record: {type(exc).__name__}: {exc}")
+
+
+def read_trace_file(path):
+    """Yield traces from a newline-delimited file; a line that is not a
+    valid trace raises a bad_record error naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                yield parse_trace(line, clock_skew_slack=clock_skew_slack)
+                try:
+                    trace = parse_trace(line)
+                except (MalformedDocumentError, InvariantViolationError) as exc:
+                    raise bad_record(path, lineno, "trace", exc) from exc
+                yield trace

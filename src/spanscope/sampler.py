@@ -17,8 +17,9 @@ A decision is stored as what rebuild reads: the trace id, the entry
 function, the fork targets of the aligned path (no "forks" key when forks
 is None) and the sorted kept span ids, which rebuild checks the kept spans
 against. The per-set DSS reports and the effective ratio stay on the
-in-memory SamplingDecision; decision_from_dict still reads the older
-records that carry them.
+in-memory SamplingDecision. Older records that also carry them ("dss",
+"effective_ratio") still read and rebuild the same, since the fields
+rebuild reads are unchanged; those two are ignored.
 """
 
 from __future__ import annotations
@@ -93,13 +94,8 @@ class SamplingDecision:
 
 
 def decision_from_dict(obj: dict) -> SamplingDecision:
-    """A decision from its stored record; older records that also carry the
-    DSS reports and the effective ratio are read with them."""
-    reports = tuple(
-        DssReport(r["dss_id"], r["branch_tag"], r["size"], r["budget"],
-                  r["picked_by_z"], r["picked_by_lrs"])
-        for r in obj.get("dss", [])
-    )
+    """A decision from its stored record, without DSS reports; keys that
+    rebuild does not read are ignored."""
     trace_id, entry, forks = obj["trace_id"], obj.get("entry"), obj.get("forks")
     # both are used as keys, so an unhashable value would fail far from here
     if type(trace_id) is not str or not (entry is None or type(entry) is str):
@@ -108,8 +104,8 @@ def decision_from_dict(obj: dict) -> SamplingDecision:
         trace_id=trace_id,
         kept=tuple(obj["kept"]),
         entry=entry,
-        dss_reports=reports,
-        effective_ratio=obj.get("effective_ratio", 0.0),
+        dss_reports=(),
+        effective_ratio=0.0,
         forks=tuple(forks) if forks is not None else None,
     )
 

@@ -15,8 +15,8 @@ def make_span(span_id, trace_id="t1", parent=None, operation="C.f", service="svc
                 duration=duration, attributes=attributes or {})
 
 
-def make_trace(spans, trace_id="t1", slack=0):
-    return Trace(trace_id, spans, clock_skew_slack=slack)
+def make_trace(spans, trace_id="t1"):
+    return Trace(trace_id, spans)
 
 
 def single_function_doc(fn="svc:C.f", blocks=None, edges=None, entry=None, exits=None,

@@ -1072,6 +1072,18 @@ def _reference_solve_cached(graph, fn_key: str, sym_fn: tuple, cache):
     return solved
 
 
+# step kinds of the reference aligners; the package's steps carry no kind
+KIND_ENTER = "enter"
+KIND_MATCH = "match"
+KIND_INSERT = "insert"
+KIND_SKIP = "skip"
+
+# one step of reference_align: its kind, block and callee, then the package
+# step's (slot, forks) pair
+ReferenceStep = namedtuple("ReferenceStep", "kind block_id callee slot forks",
+                           defaults=((),))
+
+
 def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot, steps,
                                forks, cache):
     """Realize one invocation's alignment into `steps` and `forks`.
@@ -1080,13 +1092,12 @@ def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot
     which the caller emits completely before resuming this one, and returns
     this invocation's own (cost, insertions).
     """
-    from spanscope.align import KIND_INSERT, KIND_MATCH, KIND_SKIP, PathStep
     from spanscope.errors import NoPathError
 
     syms = _build_symbols(trace, children, resolutions)
 
     def emit_insert(sym):
-        steps.append(PathStep(KIND_INSERT, None, None, slot[sym.span.span_id]))
+        steps.append(ReferenceStep(KIND_INSERT, None, None, slot[sym.span.span_id]))
 
     if not graph.has_body(fn_key):
         for sym in syms:
@@ -1105,11 +1116,11 @@ def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot
         if act[0] in ("match", "pmatch"):
             _, node, callee, idx = act
             sym = syms[idx]
-            steps.append(PathStep(KIND_MATCH, node, callee, slot[sym.span.span_id]))
+            steps.append(ReferenceStep(KIND_MATCH, node, callee, slot[sym.span.span_id]))
             yield sym.ref.key, sym.children
         elif act[0] == "skip":
             _, node, callee = act
-            steps.append(PathStep(KIND_SKIP, node, callee, None))
+            steps.append(ReferenceStep(KIND_SKIP, node, callee, None))
         elif act[0] == "ins":
             sym = syms[act[1]]
             emit_insert(sym)
@@ -1117,9 +1128,7 @@ def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot
                 yield sym.ref.key, sym.children
         else:
             dst = act[1]
-            last = steps[-1]
-            steps[-1] = PathStep(last.kind, last.block_id, last.callee, last.slot,
-                                 last.forks + (dst,))
+            steps[-1] = steps[-1]._replace(forks=steps[-1].forks + (dst,))
             forks.append(dst)
     return cost, ins
 
@@ -1129,11 +1138,12 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
 
     Raises NoPathError when the root span does not resolve to a function the
     graph knows, and ValueError when given a cache with a graph that is not
-    frozen. Every slot of the trace's preorder lies on exactly one step.
+    frozen. Every slot of the trace's preorder lies on exactly one step. The
+    steps are ReferenceSteps; their (slot, forks) pairs are align's steps.
     `cache` is a PathCache of its own: this aligner reads and writes only its
     whole-trace and solve maps.
     """
-    from spanscope.align import KIND_ENTER, ExecutionPath, PathStep, trace_signature
+    from spanscope.align import ExecutionPath, trace_signature
     from spanscope.cscfg import entry_node
     from spanscope.errors import NoPathError
     from spanscope.mapping import Unmapped
@@ -1156,7 +1166,7 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
         raise NoPathError(root.span_id, f"entry function {r.key!r} absent from graph")
 
     slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
-    steps = [PathStep(KIND_ENTER, entry_node(r.key), r.key, slot[root.span_id])]
+    steps = [ReferenceStep(KIND_ENTER, entry_node(r.key), r.key, slot[root.span_id])]
     forks: list[str] = []
     # one frame per open invocation; a nested one runs to its end before its
     # caller resumes, so steps land in the order a recursive walk gives
@@ -1333,7 +1343,6 @@ def _oracle_solve_cached(graph, fn_key, sym_fn, cache):
 
 def _oracle_emit_invocation(graph, trace, fn_key, children, resolutions, builder,
                             inserts, cache):
-    from spanscope.align import KIND_INSERT, KIND_MATCH, KIND_SKIP
     from spanscope.errors import NoPathError
 
     syms = _build_symbols(trace, children, resolutions)
@@ -1381,7 +1390,7 @@ def oracle_align(graph, trace, mapping, cache=None, resolutions=None) -> OracleP
     `cache` is a PathCache of its own: its solve memo holds this aligner's
     action sequences, which keep every move.
     """
-    from spanscope.align import KIND_ENTER, trace_signature
+    from spanscope.align import trace_signature
     from spanscope.cscfg import entry_node
     from spanscope.errors import NoPathError
     from spanscope.mapping import Unmapped
@@ -1491,6 +1500,14 @@ def oracle_partition(path: OraclePath, graph, trace) -> list:
     if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):
         raise PartitionMismatchError(f"partition does not cover trace {trace.trace_id!r}")
     return sets
+
+
+def oracle_step_forks(path: OraclePath, graph) -> list:
+    """Each step's span id (None for a skip) and the fork targets taken
+    after it, by rescanning every move."""
+    return [(step.span_id, tuple(move.dst for move in step.transit
+                                 if _oracle_is_fork(graph, move)))
+            for step in path.steps]
 
 
 def oracle_path_forks(path: OraclePath, graph) -> tuple:

@@ -9,6 +9,7 @@ from spanscope.cscfg import (
     PROV_DYNAMIC,
     Cscfg,
     FunctionRef,
+    _dominator_sets,
     build_cscfg,
     compute_dominance,
     entry_node,
@@ -95,7 +96,7 @@ class TestBuild:
         for _ in range(50):
             graph = build_cscfg(random_cscfg_doc(rng))
             for bid in graph.blocks:
-                assert graph.blocks[bid].callees
+                assert graph.blocks[bid]
 
     def test_diamond_with_calls_only_in_arms(self):
         doc = single_function_doc(
@@ -110,9 +111,9 @@ class TestBuild:
         assert graph.successors(FN, f"{FN}#L") == (exit_node(FN),)
         assert graph.successors(FN, f"{FN}#R") == (exit_node(FN),)
         info = compute_dominance(graph, FN)
-        # neither arm dominates the other; both reachable from the entry
-        assert f"{FN}#L" not in info.dom_sets[f"{FN}#R"]
-        assert f"{FN}#R" not in info.dom_sets[f"{FN}#L"]
+        # neither arm lies on every path, and neither stands in for the other
+        assert info.mandatory == frozenset()
+        assert info.classes() == [frozenset({f"{FN}#L"}), frozenset({f"{FN}#R"})]
 
     def test_dangling_callee_rejected(self):
         doc = {
@@ -219,13 +220,17 @@ class TestDominance:
             info = compute_dominance(graph, fn)
             nodes = graph.nodes_of(fn)
             succ = {n: graph.successors(fn, n) for n in nodes}
+            preds = {n: [m for m in nodes if n in succ[m]] for n in nodes}
             dom = oracle_dom_sets(nodes, succ, entry_node(fn))
             pdom = oracle_pdom_sets(nodes, succ, exit_node(fn))
-            for n in nodes:
-                assert info.dom_sets[n] == dom[n], f"dom mismatch at {n}"
-                assert info.pdom_sets[n] == pdom[n], f"pdom mismatch at {n}"
+            # the sets compute_dominance derives its answers from, and keeps not
+            assert _dominator_sets(nodes, preds, entry_node(fn)) == dom
+            assert _dominator_sets(nodes, {n: list(succ[n]) for n in nodes},
+                                   exit_node(fn)) == pdom
             expected = oracle_equiv_classes(graph.blocks_of(fn), dom, pdom)
             assert set(info.classes()) == expected
+            assert info.mandatory == {b for b in graph.blocks_of(fn)
+                                      if b in dom[exit_node(fn)]}
 
 
 class TestPatch:
@@ -322,7 +327,7 @@ class TestPatch:
         ]
         patch_with_traces(graph, [make_trace(spans)], mapping)
         after = graph.dominance(FN)
-        assert set(after.dom_sets) >= set(before.dom_sets)
+        assert set(after.equiv_class) > set(before.equiv_class)
 
     def test_frozen_graph_rejects_patch(self):
         graph, mapping, trace = self._patched_setup()
@@ -479,8 +484,7 @@ class TestLazyLoad:
                 eager.to_artifact_dict()
             loaded = Cscfg.from_artifact_dict(copy.deepcopy(source))
             loaded.add_function(parse_function_key("svc:New.fn"))
-            assert {b.owner for b in loaded.blocks.values()} == \
-                {b.owner for b in eager.blocks.values()}
+            assert loaded.blocks == eager.blocks
 
     def test_save_of_a_fresh_load_writes_the_input_bytes(self, eager_graphs, tmp_path):
         for n, (eager, _artifacts) in enumerate(eager_graphs):
@@ -506,7 +510,8 @@ class TestLazyLoad:
         resolved = (pipeline.mapping.resolve(s) for t in traces for s in t.spans)
         entered = {r.key for r in resolved
                    if not isinstance(r, Unmapped) and loaded.has_body(r.key)}
-        read = {b.owner for b in loaded.blocks.values()}
+        # a block id is its function key, '#', then the block's local name
+        read = {bid.rsplit("#", 1)[0] for bid in loaded.blocks}
         assert read == entered
         assert len(read) < sum(1 for fn in graph.functions if graph.has_body(fn))
 

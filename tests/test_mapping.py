@@ -3,7 +3,6 @@ import pytest
 from spanscope.cscfg import SHARED_SERVICE, FunctionRef, build_cscfg
 from spanscope.errors import DuplicateSharedEntryError
 from spanscope.mapping import (
-    MISS_LOG_CAPACITY,
     REASON_NO_FUNCTION_FORM,
     REASON_UNKNOWN_FUNCTION,
     REASON_UNKNOWN_SERVICE,
@@ -87,7 +86,7 @@ class TestResolve:
                          service="ts-order-service")
         assert mapping.resolve(span) == mapping.resolve(span)
 
-    def test_every_span_resolved_or_logged(self):
+    def test_every_span_resolves_or_names_its_reason(self):
         mapping = build_map(order_graph())
         spans = [
             make_span("a", operation="OrderService.getTicketListByDateAndTripId",
@@ -95,29 +94,23 @@ class TestResolve:
             make_span("b", operation="GET /x", service="ts-order-service"),
             make_span("c", operation="C.f", service="zzz"),
         ]
-        misses = 0
-        for s in spans:
-            if isinstance(mapping.resolve(s), Unmapped):
-                misses += 1
-        assert misses == 2
-        assert len(mapping.miss_log) == 2
-        assert {m[1] for m in mapping.miss_log} == {"b", "c"}
+        got = [mapping.resolve(s) for s in spans]
+        assert isinstance(got[0], FunctionRef)
+        assert got[1:] == [Unmapped(REASON_NO_FUNCTION_FORM), Unmapped(REASON_UNKNOWN_SERVICE)]
 
-    def test_miss_log_bounded_and_counts_exact(self):
+    def test_misses_leave_the_map_unchanged(self):
         mapping = build_map(order_graph())
+        before = {name: dict(value) for name, value in vars(mapping).items()}
         misses = [("GET /x", "ts-order-service", REASON_NO_FUNCTION_FORM),
                   ("C.f", "zzz", REASON_UNKNOWN_SERVICE),
                   ("OrderService.zzz", "ts-order-service", REASON_UNKNOWN_FUNCTION)]
         for i in range(10_000):
-            op, service, _ = misses[i % 3]
-            mapping.resolve(make_span(f"s{i}", operation=op, service=service))
-        assert len(mapping.miss_log) <= MISS_LOG_CAPACITY
-        assert mapping.miss_log[-1] == ("t1", "s9999", REASON_NO_FUNCTION_FORM)
-        assert mapping.miss_counts == {REASON_NO_FUNCTION_FORM: 3334,
-                                       REASON_UNKNOWN_SERVICE: 3333,
-                                       REASON_UNKNOWN_FUNCTION: 3333}
+            op, service, reason = misses[i % 3]
+            assert mapping.resolve(make_span(f"s{i}", operation=op, service=service)) == \
+                Unmapped(reason)
+        assert vars(mapping) == before
 
-    def test_memo_is_bounded_and_misses_are_counted_every_time(self):
+    def test_memo_is_bounded_and_misses_are_resolved_every_time(self):
         mapping = build_map(order_graph())
         peak = 0
         for i in range(10_000):
@@ -130,12 +123,11 @@ class TestResolve:
             peak = max(peak, len(mapping._memo))
             assert len(mapping._memo) <= RESOLVE_MEMO_CAPACITY
         assert peak == RESOLVE_MEMO_CAPACITY
-        assert not mapping.miss_counts
         miss = make_span("m", operation="OrderService.zzz(x1)", service="ts-order-service")
         for _ in range(5):
+            assert mapping._lookup(miss) == Unmapped(REASON_UNKNOWN_FUNCTION)
             assert mapping.resolve(miss) == Unmapped(REASON_UNKNOWN_FUNCTION)
-        assert mapping.miss_counts == {REASON_UNKNOWN_FUNCTION: 5}
-        assert list(mapping.miss_log) == [("t1", "m", REASON_UNKNOWN_FUNCTION)] * 5
+            assert ("ts-order-service", "OrderService.zzz(x1)") not in mapping._memo
 
 
 class TestBuildMap:

@@ -149,3 +149,61 @@ def test_unreferenced_definition_scan_sees_each_kind():
     }
     readers = {"bench/b.py": "import pkg.a\nfrom pkg.a import h\nprint(pkg.a.C)\n"}
     assert unreferenced_definitions(package, readers) == ["f (pkg/a.py)", "g (pkg/a.py)"]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+                isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def unread_fields(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Fields of the `@dataclass` classes of `package` that no file reads.
+
+    Both maps take a file name to its source. A field is read where any file,
+    the package's own included, loads an attribute of that name; the scan
+    goes by name, so a field shares its readers with every attribute of the
+    same name. Writing the attribute does not read it.
+    """
+    declared: list[tuple[str, str, str]] = []
+    read: set[str] = set()
+    for path, source in [*package.items(), *readers.items()]:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif path in package and isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                declared += [(stmt.target.id, node.name, path) for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign)
+                             and isinstance(stmt.target, ast.Name)]
+    return sorted(f"{cls}.{name} ({path})" for name, cls, path in declared if name not in read)
+
+
+def test_every_dataclass_field_has_a_reader_outside_the_tests():
+    def sources(paths):
+        return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+
+    package = sources(sorted((ROOT / "src" / "spanscope").glob("*.py")))
+    readers = sources(sorted((ROOT / "bench").rglob("*.py")))
+    assert unread_fields(package, readers) == []
+
+
+def test_unread_field_scan_sees_each_kind():
+    package = {
+        "pkg/a.py": (
+            "from dataclasses import dataclass\n"
+            "import dataclasses\n"
+            "@dataclass(frozen=True)\n"
+            "class A:\n    x: int\n    y: int = 0\n"
+            "    def total(self):\n        return self.x\n"  # a method reads x
+            "@dataclasses.dataclass\n"
+            "class B:\n    z: int\n    w: int\n"
+            "class C:\n    v: int\n"  # not a dataclass
+            "def f(b):\n    b.w = 1\n"  # a write is no read
+        ),
+    }
+    readers = {"bench/b.py": "def g(b):\n    return b.z\n"}
+    assert unread_fields(package, readers) == ["A.y (pkg/a.py)", "B.w (pkg/a.py)"]

@@ -12,10 +12,19 @@ from spanscope.harness import (
     variable_depth_system,
 )
 from spanscope.mapping import build_map
+from spanscope.model import exclusive_durations
 from spanscope.partition import TRUNK_TAG, partition
+from spanscope.sampler import LrsLedger, SamplingConfig, sample_trace
+from spanscope.scoring import ScoreBook
 
 from .conftest import comfort_economy_system, make_span, make_trace, single_function_doc
-from .oracles import enumerate_simple_paths, oracle_align, oracle_partition, oracle_path_forks
+from .oracles import (
+    enumerate_simple_paths,
+    oracle_align,
+    oracle_partition,
+    oracle_path_forks,
+    oracle_step_forks,
+)
 
 FN = "svc:Main.run"
 
@@ -114,17 +123,22 @@ class TestPartition:
         trace = samples[0].trace
         path = align(graph, trace, mapping)
         steps = list(path.steps)
-        last = max(i for i, step in enumerate(steps) if step.slot is not None)
-        steps[last] = dataclasses.replace(steps[last], slot=None)
+        last = max(i for i, (slot, _) in enumerate(steps) if slot is not None)
+        steps[last] = (None, steps[last][1])
+        sets = partition(dataclasses.replace(path, steps=tuple(steps)), trace)
+        # partition trusts align to put every span on a step; the sampler
+        # checks the sets it is given
+        keys = {s.span_id: s.operation for s in trace.spans}
         with pytest.raises(PartitionMismatchError, match=trace.trace_id):
-            partition(dataclasses.replace(path, steps=tuple(steps)), trace)
+            sample_trace(trace, sets, ScoreBook(), LrsLedger(), SamplingConfig(), keys,
+                         exclusive_durations(trace))
 
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         for sample in samples[:20]:
             path = align(graph, sample.trace, mapping)
             dss = partition(path, sample.trace)
-            gaps = sum(1 for step in path.steps if step.forks)
+            gaps = sum(1 for _, forks in path.steps if forks)
             assert len(dss) == 1 + gaps
 
     def test_inserted_spans_join_preceding_set(self):
@@ -180,10 +194,11 @@ class TestPartition:
         graph.freeze()
         for sample in samples:
             path = align(graph, sample.trace, mapping)
-            order = sample.trace.preorder
+            # the package's steps name no block; the oracle's name each one
+            ref = oracle_align(graph, sample.trace, mapping)
             for d in partition(path, sample.trace):
-                blocks = {s.block_id for s in path.steps
-                          if s.kind == "match" and order[s.slot].span_id in set(d.spans)}
+                blocks = {s.block_id for s in ref.steps
+                          if s.kind == "match" and s.span_id in set(d.spans)}
                 if not blocks:
                     continue
                 for p in paths:
@@ -292,16 +307,14 @@ class TestRecordedForksOracle:
             path = align(graph, trace, mapping, cache)
             ref = oracle_align(graph, trace, mapping, oracle_cache)
             order = trace.preorder
-            assert [(s.kind, s.block_id, s.callee,
-                     None if s.slot is None else order[s.slot].span_id)
-                    for s in path.steps] == [(s.kind, s.block_id, s.callee, s.span_id)
-                                             for s in ref.steps]
+            assert [(None if slot is None else order[slot].span_id, forks)
+                    for slot, forks in path.steps] == oracle_step_forks(ref, graph)
             assert (path.cost, path.insertions) == (ref.cost, ref.insertions)
             assert partition(path, trace) == oracle_partition(ref, graph, trace)
             assert path.forks == oracle_path_forks(ref, graph)
             inserted += path.insertions
             forked += len(path.forks)
-            multi += sum(1 for s in path.steps if len(s.forks) > 1)
+            multi += sum(1 for _, forks in path.steps if len(forks) > 1)
         assert forked > 0
         if which == "nested-loop":
             assert multi > 0

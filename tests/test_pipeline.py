@@ -309,6 +309,44 @@ def test_stats_export_writes_the_snapshot_sample_writes(workload, tmp_path):
     assert exported.read_bytes() == (out / "stats.json").read_bytes()
 
 
+@pytest.mark.parametrize("fault", ["truncated", "dangling-parent"])
+@pytest.mark.parametrize("command", ["sample", "stats-export", "reconstruct", "build-graph"])
+def test_a_bad_trace_line_is_named_by_file_and_line(workload, tmp_path, capsys, command,
+                                                    fault):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 50)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = Path(trace_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    if fault == "truncated":
+        lines[20] = lines[20][:len(lines[20]) // 2] + "\n"
+    else:
+        record = json.loads(lines[20])
+        record["spans"][1]["parent_id"] = "no-such-span"
+        lines[20] = json.dumps(record) + "\n"
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("".join(lines), encoding="utf-8")
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(workload[0]), encoding="utf-8")
+    argv = {
+        "sample": ["sample", "--graph", graph_path, "--traces", str(bad),
+                   "--out", str(tmp_path / "again")],
+        "stats-export": ["stats-export", "--graph", graph_path, "--traces", str(bad),
+                         "--out", str(tmp_path / "stats.json")],
+        "reconstruct": ["reconstruct", "--graph", graph_path,
+                        "--decisions", str(out / "decisions.ndjson"),
+                        "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                        "--traces", str(bad), "--out", str(tmp_path / "rebuilt")],
+        "build-graph": ["build-graph", "--graph", str(doc), "--patch", str(bad),
+                        "--out", str(tmp_path / "g.json")],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    error = "MalformedDocumentError" if fault == "truncated" else "InvariantViolationError"
+    assert err.startswith(f"error: {bad}:21: bad trace record: {error}: "), err
+
+
 def assert_names_the_bad_file(capsys, code, path):
     assert code == 1
     err = capsys.readouterr().err
