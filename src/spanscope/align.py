@@ -12,11 +12,12 @@ surrounding invocation, which is how URL-style wrapper spans behave.
 Search is a shortest-path sweep over (node, emission index, symbols consumed)
 states, so loops in the graph need no special casing: one backward Dijkstra
 from the goal state generates predecessors as it goes and stops once every
-state no farther from the goal than the start is settled, then a greedy
-replay walks forward from the start over those goal distances. Ties are
-broken deterministically: lower cost, then fewer insertions, then a fixed
-action preference (match, patched match, skip, insert, move to the smallest
-successor id), which keeps repeated runs byte-identical.
+state no farther from the goal than the start is settled. Each state it
+relaxes keeps its preferred optimal move, and the replay follows those
+moves from the start. Ties are broken deterministically: lower cost, then
+fewer insertions, then a fixed move preference (match, patched match, skip,
+insert, move to the smallest successor id), which keeps repeated runs
+byte-identical.
 
 A path is a sequence of steps, each the pair (slot, forks). The slot names
 a span by its index in `Trace.preorder`, so a path depends on the trace's
@@ -41,8 +42,7 @@ before are aligned. The invocation level is keyed by a function and the
 callee key of each symbol aligned against it (None for an inserted unmapped
 span), which is everything the solver reads besides the graph; it stores the
 solver's action sequence, forks included. No key names the graph, so a
-cache serves one frozen graph: align refuses a cache with a graph that can
-still change.
+cache serves one frozen graph: align refuses a graph that can still change.
 """
 
 from __future__ import annotations
@@ -53,12 +53,14 @@ from dataclasses import dataclass
 
 from .cscfg import Cscfg, FunctionRef
 from .errors import NoPathError
-from .mapping import SpanFunctionMap, Unmapped
+from .mapping import Unmapped
 from .model import Trace
 
 PROHIBITIVE_COST = 1_000_000
 # entries each map of a PathCache holds at most
 PATH_CACHE_CAPACITY = 4096
+# the solver's move preference, best first; a flow move ranks (4, target id)
+_MATCH, _PMATCH, _SKIP, _INS = (0,), (1,), (2,), (3,)
 
 
 @dataclass(frozen=True)
@@ -243,11 +245,12 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
     or None when no path exists. A match, patched match or insertion of
     symbol i is ("match", i), ("pmatch", i) or ("ins", i), and a skipped call
     is ("skip",). Of the flow moves, only those out of a node with more than
-    one successor appear, as ("fork", target). Cost tuples
-    order by total cost then insertion count, and a state at least
-    (4, 4) * PROHIBITIVE_COST from the goal counts as unreachable; the greedy
-    replay over goal distances applies the fixed action preference, so the
-    result is deterministic.
+    one successor appear, as ("fork", target). Cost tuples order by total
+    cost then insertion count, and a state at least (4, 4) *
+    PROHIBITIVE_COST from the goal counts as unreachable. Each state keeps
+    its preferred optimal move, ranked match, patched match, skip, insert,
+    then move by target id, and the replay follows those moves from the
+    start, so the result is deterministic.
     """
     sub = graph.subgraph(fn_key)
     mandatory = graph.dominance(fn_key).mandatory
@@ -256,35 +259,22 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
     start = (sub.entry, 0, 0)
     goal = (sub.exit, 0, n)
 
-    def actions(state):
-        node, k, i = state
-        em = emissions[node]
-        out = []
-        if k < len(em):
-            if i < n and sym_fn[i] == em[k]:
-                out.append(("match", (node, k + 1, i + 1), (0, 0)))
-        if i < n and sym_fn[i] is not None and sym_fn[i] in patched.get(node, ()):
-            out.append(("pmatch", (node, k, i + 1), (0, 0)))
-        if k < len(em):
-            skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
-            out.append(("skip", (node, k + 1, i), (skip_cost, 0)))
-        if i < n:
-            out.append(("ins", (node, k, i + 1), (1, 1)))
-        if k == len(em):
-            for w in succ.get(node, ()):
-                out.append((f"move>{w}", (w, 0, i), (0, 0)))
-        return out
-
-    # distance to goal: Dijkstra from the goal over the reversed actions
-    # above, each state's sources generated when it is settled; it stops
-    # once every state at most as far as the start is settled, which is all
-    # the replay reads (a state still queued is farther than any it visits)
+    # distance to goal: Dijkstra from the goal over the reversed moves, each
+    # state's sources generated when it is settled. Relaxing a source keeps
+    # its preferred move to a settled state as (rank, action, next state),
+    # the action None for a flow move out of a node with one successor. It
+    # stops once every state at most as far as the start is settled: every
+    # optimal move of a state on the replay leads to one of those, so each
+    # has relaxed its source (a state still queued is farther than any the
+    # replay visits).
     preds: dict = {}
     for v, ws in succ.items():
         for w in ws:
-            preds.setdefault(w, []).append(v)
+            preds.setdefault(w, []).append(
+                (v, len(emissions[v]), ("fork", w) if len(ws) > 1 else None))
     unreachable = (PROHIBITIVE_COST * 4, PROHIBITIVE_COST * 4)
     dist = {goal: (0, 0)}
+    choice: dict = {}
     heap = [((0, 0), 0, goal)]
     seq = 0
     bound = None
@@ -302,55 +292,37 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
         sources = []
         if k:
             if i and sym_fn[i - 1] == em[k - 1]:
-                sources.append(((node, k - 1, i - 1), d))
+                sources.append(((node, k - 1, i - 1), d, _MATCH, ("match", i - 1)))
             skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
-            sources.append(((node, k - 1, i), (cost + skip_cost, ins)))
+            sources.append(((node, k - 1, i), (cost + skip_cost, ins), _SKIP, ("skip",)))
         else:
-            for v in preds.get(node, ()):
-                sources.append(((v, len(emissions[v]), i), d))
+            rank = (4, node)
+            for v, kv, act in preds.get(node, ()):
+                sources.append(((v, kv, i), d, rank, act))
         if i:
             sym = sym_fn[i - 1]
             if sym is not None and sym in patched.get(node, ()):
-                sources.append(((node, k, i - 1), d))
-            sources.append(((node, k, i - 1), (cost + 1, ins + 1)))
-        for src, cand in sources:
-            if cand < dist.get(src, unreachable):
+                sources.append(((node, k, i - 1), d, _PMATCH, ("pmatch", i - 1)))
+            sources.append(((node, k, i - 1), (cost + 1, ins + 1), _INS, ("ins", i - 1)))
+        for src, cand, rank, act in sources:
+            old = dist.get(src, unreachable)
+            if cand < old:
                 dist[src] = cand
+                choice[src] = (rank, act, state)
                 seq += 1
                 heapq.heappush(heap, (cand, seq, src))
+            elif cand == old and src in choice and rank < choice[src][0]:
+                choice[src] = (rank, act, state)
 
     if bound is None:
         return None
-
-    order = {"match": 0, "pmatch": 1, "skip": 2, "ins": 3}
-    total = dist[start]
     acts = []
     state = start
     while state != goal:
-        best = None
-        here = dist[state]
-        for name, nxt, cost in sorted(
-            actions(state), key=lambda a: (order.get(a[0].split(">")[0], 4), a[0])
-        ):
-            nd = dist.get(nxt)
-            if nd is None:
-                continue
-            if (cost[0] + nd[0], cost[1] + nd[1]) == here:
-                best = (name, nxt)
-                break
-        if best is None:  # pragma: no cover - dist is consistent by construction
-            raise RuntimeError("alignment replay lost the optimal path")
-        name, nxt = best
-        node, _, i = state
-        if name.startswith("move>"):
-            if len(succ[node]) > 1:
-                acts.append(("fork", name.split(">", 1)[1]))
-        elif name == "skip":
-            acts.append(("skip",))
-        else:
-            acts.append((name, i))
-        state = nxt
-    return total[0], total[1], tuple(acts)
+        _, act, state = choice[state]
+        if act is not None:
+            acts.append(act)
+    return bound[0], bound[1], tuple(acts)
 
 
 def _solve_cached(graph: Cscfg, fn_key: str, sym_fn: tuple, cache: PathCache):
@@ -436,27 +408,22 @@ def _compose(frag: _Fragment) -> tuple[list, list]:
     return steps, forks
 
 
-def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
-          cache: PathCache | None = None, resolutions: dict | None = None) -> ExecutionPath:
-    """Minimum-cost alignment of a trace onto the graph.
+def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> ExecutionPath:
+    """Minimum-cost alignment of a trace onto the frozen graph.
 
+    resolutions maps each span id to its `SpanFunctionMap.resolve` result.
     Raises NoPathError when the root span does not resolve to a function the
     graph knows, or when an invocation has no path (naming its first child
     span, or the function key of a leaf); the first such invocation in
-    preorder is named. Raises ValueError when given a cache with a graph
-    that is not frozen. Every slot of the trace's preorder lies on exactly
-    one step. Without a cache, subtrees and solves are shared within the
-    trace only.
+    preorder is named. Raises ValueError when the graph is not frozen.
+    Every slot of the trace's preorder lies on exactly one step.
     """
-    if cache is not None and not graph.frozen:
+    if not graph.frozen:
         raise ValueError("a PathCache needs a frozen graph")
-    if resolutions is None:
-        resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
     sig = trace_signature(trace, resolutions)
-    if cache is not None:
-        path = cache.lookup(sig)
-        if path is not None:
-            return path
+    path = cache.lookup(sig)
+    if path is not None:
+        return path
 
     root = trace.root
     r = resolutions[root.span_id]
@@ -465,10 +432,9 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
     if not graph.knows(r.key):
         raise NoPathError(root.span_id, f"entry function {r.key!r} absent from graph")
 
-    memo = cache if cache is not None else PathCache()
     keys = [None if k == "?" else k for k in sig[::2]]
     counts = sig[1::2]
-    shapes, ends = memo.shapes(keys, counts)
+    shapes, ends = cache.shapes(keys, counts)
     n = len(keys)
     frags: list = [None] * n
     # preorder scan: a subtree whose shape has a fragment is skipped whole;
@@ -483,11 +449,11 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
             continue
         frag = shapes[i].fragment
         if frag is not None:
-            memo.subtree_hits += 1
+            cache.subtree_hits += 1
             frags[i] = frag
             i = ends[i]
             continue
-        memo.subtree_misses += 1
+        cache.subtree_misses += 1
         # symbols: the subtree's spans in preorder, through unmapped spans
         # and not into mapped ones
         syms = []
@@ -497,7 +463,7 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
             j = j + 1 if keys[j] is None else ends[j]
         solved = None
         if graph.has_body(fn_key):
-            solved = _solve_cached(graph, fn_key, tuple([keys[j] for j in syms]), memo)
+            solved = _solve_cached(graph, fn_key, tuple([keys[j] for j in syms]), cache)
             if solved is None:
                 raise NoPathError(trace.preorder[i + 1].span_id if counts[i] else fn_key,
                                   f"no path through function {fn_key!r}")
@@ -513,8 +479,6 @@ def align(graph: Cscfg, trace: Trace, mapping: SpanFunctionMap,
     if linked != list(range(n)):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
-    graph.alignment_inserts += root_frag.insertions
     path = ExecutionPath(tuple(steps), root_frag.cost, root_frag.insertions, tuple(forks))
-    if cache is not None:
-        cache.store(sig, path)
+    cache.store(sig, path)
     return path

@@ -36,7 +36,6 @@ SCHEMA_VERSION = 1
 
 PROV_STATIC = "static"
 PROV_DYNAMIC = "dynamic-patch"
-PROV_ALIGNMENT = "alignment-insert"
 
 _ENTRY_SUFFIX = "#@entry"
 _EXIT_SUFFIX = "#@exit"
@@ -118,8 +117,7 @@ class Cscfg:
     Built and patched, then frozen before alignment uses it; like the
     pipeline that owns it, a graph is used from one thread. Subgraphs and
     dominance results are cached per function and cleared by every
-    mutation. The alignment-insert count stays mutable after freeze; it
-    records observational facts, not control flow.
+    mutation; once frozen, a graph is not mutated.
 
     A graph from ``from_artifact_dict`` holds each function's parsed record
     until a per-function query (``blocks_of``, ``successors``, ``nodes_of``,
@@ -141,7 +139,6 @@ class Cscfg:
         self.call_edges: dict[tuple[str, str], str] = {}  # (block_id, callee key) -> provenance
         self._frozen = False
         self._dom_cache: dict[str, DominanceInfo] = {}
-        self.alignment_inserts = 0  # spans that alignment inserted, over all traces
         self._synthetic_blocks: set[str] = set()
         self._sub_cache: dict[str, "FunctionSubgraph"] = {}
         # block id -> callees of its dynamic call edges; built on first use
@@ -314,7 +311,6 @@ class Cscfg:
         self._read_all()
         counts = Counter(self.call_edges.values())
         counts.update(self._flow_prov.values())
-        counts[PROV_ALIGNMENT] += self.alignment_inserts
         return dict(counts)
 
     # -- dominance -------------------------------------------------------

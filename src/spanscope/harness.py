@@ -37,6 +37,7 @@ from .scoring import P2Quantile, ScoreBook
 BASE_EPOCH = 1_700_000_000_000_000  # microseconds
 
 BUCKETS = ((1, 10), (11, 20), (21, 30), (31, None))
+_BUCKET_LABELS = tuple(f"{lo}-{hi}" if hi else f"{lo}+" for lo, hi in BUCKETS)
 
 BASELINE_UNIFORM = "uniform-span"
 BASELINE_TOPK = "latency-topk"
@@ -389,6 +390,8 @@ def generate_traces(graph_or_doc, meta: SystemMeta, spec: SystemSpec, n: int,
             if fn_key in latency_active:
                 node_rec["exclusive"] = int(node_rec["exclusive"] * latency_active[fn_key])
                 node_rec["label"] = True
+            # the subtree's duration: its own time plus its children's widths
+            node_rec["width"] = node_rec["exclusive"]
             if not graph.has_body(fn_key):
                 return node_rec
             sub = graph.subgraph(fn_key)
@@ -406,10 +409,12 @@ def generate_traces(graph_or_doc, meta: SystemMeta, spec: SystemSpec, n: int,
                     if rng.random() < spec.url_span_probability:
                         child = {
                             "fn": None, "service": service, "children": [child],
-                            "exclusive": 0, "label": False, "url": True,
+                            "exclusive": 0, "width": child["width"], "label": False,
+                            "url": True,
                             "op": f"GET /api/v1/{callee.rsplit('.', 1)[-1].lower()}",
                         }
                     node_rec["children"].append(child)
+                    node_rec["width"] += child["width"]
             return node_rec
 
         root = walk(meta.entry, meta.entry.split(":", 1)[0])
@@ -418,22 +423,17 @@ def generate_traces(graph_or_doc, meta: SystemMeta, spec: SystemSpec, n: int,
         spans: list[Span] = []
         counter = 0
 
-        def pack(node_rec: dict, start: int, parent_id: str | None) -> int:
+        def pack(node_rec: dict, start: int, parent_id: str | None) -> None:
             nonlocal counter
             sid = f"{tid}.{counter:04d}"
             counter += 1
             kids = node_rec["children"]
-            exclusive = node_rec["exclusive"]
-            gap = exclusive // (len(kids) + 1) if kids else 0
+            gap = node_rec["exclusive"] // (len(kids) + 1) if kids else 0
             cursor = start + gap
-            total_children = 0
             child_entries = []
             for child in kids:
                 child_entries.append((child, cursor))
-                d = _node_width(child)
-                cursor += d + gap
-                total_children += d
-            duration = exclusive + total_children
+                cursor += child["width"] + gap
             if node_rec["fn"] is None:
                 operation = node_rec["op"]
             else:
@@ -441,17 +441,13 @@ def generate_traces(graph_or_doc, meta: SystemMeta, spec: SystemSpec, n: int,
             spans.append(Span(
                 span_id=sid, trace_id=tid, parent_id=parent_id,
                 operation=operation, service=node_rec["service"],
-                start_time=start, duration=duration,
+                start_time=start, duration=node_rec["width"],
                 attributes={},
             ))
             if node_rec["label"]:
                 labels.add(sid)
             for child, child_start in child_entries:
                 pack(child, child_start, sid)
-            return duration
-
-        def _node_width(node_rec: dict) -> int:
-            return node_rec["exclusive"] + sum(_node_width(c) for c in node_rec["children"])
 
         pack(root, BASE_EPOCH + idx * 10_000_000, None)
         yield TraceSample(Trace(tid, spans), frozenset(labels))
@@ -512,11 +508,9 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
 
 
 def bucket_of(span_count: int) -> str:
-    for lo, hi in BUCKETS:
+    for (_, hi), label in zip(BUCKETS, _BUCKET_LABELS):
         if hi is None or span_count <= hi:
-            if span_count >= lo or (lo == 1 and span_count >= 1):
-                return f"{lo}-{hi}" if hi else f"{lo}+"
-    return "31+"  # pragma: no cover
+            return label
 
 
 def _phi(x: float) -> float:
@@ -602,8 +596,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
 
     results = []
     kept_auto: dict[str, frozenset] = {}
-    bucket_rows: dict[str, list] = {f"{lo}-{hi}" if hi else f"{lo}+": []
-                                    for lo, hi in BUCKETS}
+    bucket_rows: dict[str, list] = {label: [] for label in _BUCKET_LABELS}
     for sample in samples:
         res = pipeline.process(sample.trace)
         results.append(res)
@@ -651,9 +644,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
     total_spans = sum(len(s.trace) for s in samples)
     total_kept = sum(len(v) for v in kept_auto.values())
     buckets = []
-    for (lo, hi) in BUCKETS:
-        label = f"{lo}-{hi}" if hi else f"{lo}+"
-        rows = bucket_rows[label]
+    for label, rows in bucket_rows.items():
         buckets.append({
             "bucket": label,
             "traces": len(rows),

@@ -77,8 +77,7 @@ class SamplingPipeline:
     def partition_trace(self, trace: Trace):
         """Map, align and partition only; no sampling state is touched."""
         resolutions, keys, exclusive = self._timed(STAGE_MAP, self._map_stage, trace)
-        path = self._timed(STAGE_ALIGN, align, self.graph, trace, self.mapping,
-                           self.cache, resolutions)
+        path = self._timed(STAGE_ALIGN, align, self.graph, trace, self.cache, resolutions)
         dss_list = self._timed(STAGE_PARTITION, partition, path, trace)
         return path, dss_list, resolutions, keys, exclusive
 
@@ -111,24 +110,20 @@ class SamplingPipeline:
         `path_cache` counts whole-trace alignment hits and misses,
         `subtree_cache` the subtree fragments found and aligned anew on
         whole-trace misses, `solve_cache` per-invocation solver hits and
-        misses; all stay 0 without a cache.
+        misses.
         """
         total = sum(self.timings.values())
         per_trace = total / self.traces_seen if self.traces_seen else 0.0
-        paths = subtrees = solves = (0, 0)
-        if self.cache is not None:
-            paths = (self.cache.hits, self.cache.misses)
-            subtrees = (self.cache.subtree_hits, self.cache.subtree_misses)
-            solves = (self.cache.solve_hits, self.cache.solve_misses)
+        cache = self.cache
         return {
             "stages_s": {k: round(v, 6) for k, v in sorted(self.timings.items())},
             "partition_side_s": round(sum(self.timings[s] for s in PARTITION_STAGES), 6),
             "selection_side_s": round(self.timings[STAGE_SELECT], 6),
             "traces": self.traces_seen,
             "per_trace_ms": round(per_trace * 1000, 3),
-            "path_cache": {"hits": paths[0], "misses": paths[1]},
-            "subtree_cache": {"hits": subtrees[0], "misses": subtrees[1]},
-            "solve_cache": {"hits": solves[0], "misses": solves[1]},
+            "path_cache": {"hits": cache.hits, "misses": cache.misses},
+            "subtree_cache": {"hits": cache.subtree_hits, "misses": cache.subtree_misses},
+            "solve_cache": {"hits": cache.solve_hits, "misses": cache.solve_misses},
         }
 
 

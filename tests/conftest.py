@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from spanscope.align import PathCache, align
 from spanscope.cscfg import build_cscfg, entry_node
 from spanscope.harness import SystemMeta, SystemSpec, generate_traces
 from spanscope.mapping import build_map
@@ -17,6 +18,12 @@ def make_span(span_id, trace_id="t1", parent=None, operation="C.f", service="svc
 
 def make_trace(spans, trace_id="t1"):
     return Trace(trace_id, spans)
+
+
+def align_trace(graph, trace, mapping, cache=None):
+    """align() with each span resolved by mapping, through cache or a fresh PathCache."""
+    resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
+    return align(graph, trace, PathCache() if cache is None else cache, resolutions)
 
 
 def single_function_doc(fn="svc:C.f", blocks=None, edges=None, entry=None, exits=None,

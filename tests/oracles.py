@@ -1188,7 +1188,6 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     if linked != list(range(len(trace))):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
-    graph.alignment_inserts += ins
     path = ExecutionPath(tuple(steps), cost, ins, tuple(forks))
     if cache is not None:
         cache.store(sig, path)
@@ -1433,7 +1432,6 @@ def oracle_align(graph, trace, mapping, cache=None, resolutions=None) -> OracleP
     if len(linked) != len(trace) or set(linked) != set(trace.span_ids()):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
-    graph.alignment_inserts += len(inserts)
     if cache is not None:
         cache.store(sig, _oracle_template(path, trace))
     return path

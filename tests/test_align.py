@@ -1,15 +1,22 @@
+import copy
 import random
 
 import pytest
 
 import spanscope.align as align_mod
 from spanscope.align import PathCache, _solve, align, trace_signature
-from spanscope.cscfg import PROV_DYNAMIC, FunctionRef, build_cscfg
+from spanscope.cscfg import PROV_DYNAMIC, FunctionRef, build_cscfg, exit_node
 from spanscope.errors import NoPathError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import Unmapped, build_map
 
-from .conftest import make_span, make_trace, random_cscfg_doc, single_function_doc
+from .conftest import (
+    align_trace,
+    make_span,
+    make_trace,
+    random_cscfg_doc,
+    single_function_doc,
+)
 from .oracles import (
     oracle_invocation_cost,
     oracle_trace_signature,
@@ -82,7 +89,7 @@ class TestAlign:
     def test_exact_match_cost_zero(self):
         graph = linear_graph().freeze()
         mapping = build_map(graph)
-        path = align(graph, linear_trace(), mapping)
+        path = align_trace(graph, linear_trace(), mapping)
         assert path.cost == 0
         assert path.insertions == 0
         assert path.steps == ((0, ()), (1, ()), (2, ()))
@@ -91,7 +98,7 @@ class TestAlign:
         graph = linear_graph().freeze()
         mapping = build_map(graph)
         trace = linear_trace(with_url=True)
-        path = align(graph, trace, mapping)
+        path = align_trace(graph, trace, mapping)
         linked = [slot for slot, _ in path.steps if slot is not None]
         assert sorted(linked) == list(range(len(trace.preorder)))
 
@@ -99,7 +106,7 @@ class TestAlign:
         graph = linear_graph().freeze()
         mapping = build_map(graph)
         trace = linear_trace(with_url=True)
-        path = align(graph, trace, mapping)
+        path = align_trace(graph, trace, mapping)
         assert path.cost == 1
         assert path.insertions == 1
         assert path.steps == ((0, ()), (1, ()), (2, ()), (3, ()))
@@ -111,8 +118,12 @@ class TestAlign:
     def test_insert_recorded_on_graph_sink(self):
         graph = linear_graph().freeze()
         mapping = build_map(graph)
-        align(graph, linear_trace(with_url=True), mapping)
-        assert graph.alignment_inserts == 1
+        align_trace(graph, linear_trace(), mapping)  # fills the graph's caches
+        before = copy.deepcopy(vars(graph))
+        path = align_trace(graph, linear_trace(with_url=True), mapping)
+        assert path.insertions == 1
+        # the insertion lives on the path: the frozen graph is not written
+        assert vars(graph) == before
 
     def test_distinct_inserted_operations_leave_the_insert_state_flat(self):
         graph = linear_graph().freeze()
@@ -124,21 +135,17 @@ class TestAlign:
                             operation=f"GET /api/orders/{i}", start=50, duration=5)
             return make_trace(list(trace.spans) + [url], trace_id=f"t{i}")
 
-        def state_size():
-            return sum(len(v) for v in vars(graph).values() if hasattr(v, "__len__"))
-
         for i in range(10):
-            align(graph, url_trace(i), mapping)
-        before = state_size()
+            assert align_trace(graph, url_trace(i), mapping).insertions == 1
+        before = copy.deepcopy(vars(graph))
         for i in range(10, 5010):
-            align(graph, url_trace(i), mapping)
-        assert state_size() == before
-        assert graph.alignment_inserts == 5010
+            assert align_trace(graph, url_trace(i), mapping).insertions == 1
+        assert vars(graph) == before
 
     def test_comfort_branch_cost_zero(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         for sample in samples[:10]:
-            path = align(graph, sample.trace, mapping)
+            path = align_trace(graph, sample.trace, mapping)
             assert path.cost == 0
 
     def test_missing_span_skips_avoidable_block(self):
@@ -150,7 +157,7 @@ class TestAlign:
             make_span("r", operation="Main.run", start=0, duration=100),
             make_span("b", parent="r", operation="B.b", start=30, duration=10),
         ]
-        path = align(graph, make_trace(spans), mapping)
+        path = align_trace(graph, make_trace(spans), mapping)
         # one skipped block, b0 and its A.a call, before the B.b match
         assert path.steps == ((0, ()), (None, ()), (1, ()))
         assert [a[0] for a in _solve(graph, FN, ("svc:B.b",))[2]] == ["skip", "match"]
@@ -161,7 +168,7 @@ class TestAlign:
         mapping = build_map(graph)
         spans = [make_span("r", operation="GET /", start=0, duration=10)]
         with pytest.raises(NoPathError) as err:
-            align(graph, make_trace(spans), mapping)
+            align_trace(graph, make_trace(spans), mapping)
         assert err.value.span_id == "r"
 
     def test_unknown_entry_function_raises_no_path(self):
@@ -170,13 +177,13 @@ class TestAlign:
         spans = [make_span("r", operation="Main.run", service="elsewhere",
                            start=0, duration=10)]
         with pytest.raises(NoPathError):
-            align(graph, make_trace(spans), mapping)
+            align_trace(graph, make_trace(spans), mapping)
 
     def test_deterministic_repeat(self):
         graph = linear_graph().freeze()
         mapping = build_map(graph)
         trace = linear_trace(with_url=True)
-        assert align(graph, trace, mapping) == align(graph, trace, mapping)
+        assert align_trace(graph, trace, mapping) == align_trace(graph, trace, mapping)
 
 
 class TestOptimality:
@@ -210,7 +217,7 @@ class TestOptimality:
                 spans.append(make_span(f"c{i}", parent="r", operation=op,
                                        start=10 * (i + 1), duration=5))
             trace = make_trace(spans)
-            path = align(graph, trace, mapping)
+            path = align_trace(graph, trace, mapping)
             resolved = [mapping.resolve(s) for s in trace.child_spans("r")]
             symbol_fns = [r.key for r in resolved]
             expected = oracle_invocation_cost(graph, fn, symbol_fns)
@@ -225,7 +232,7 @@ class TestOptimality:
             make_span("d", parent="h", operation="X.deep", start=10, duration=10),
             make_span("u", parent="h", operation="GET /zz", start=30, duration=5),
         ]
-        path = align(graph, make_trace(spans), mapping)
+        path = align_trace(graph, make_trace(spans), mapping)
         assert path.cost == 1  # the URL insertion inside the inner invocation
         assert path.insertions == 1
 
@@ -249,7 +256,7 @@ class TestOptimality:
             make_span("d", parent="h", operation="X.deep", start=10, duration=10),
             make_span("u", parent="r", operation="GET /zz", start=60, duration=5),
         ]
-        path = align(graph, make_trace(spans), build_map(graph))
+        path = align_trace(graph, make_trace(spans), build_map(graph))
         # Main inserts the URL span; Inner.h skips the unwitnessed Y.opt call
         assert (path.cost, path.insertions) == (2, 1)
         # r, h, the skip of Y.opt, d, then u; entering Inner.h forks into ca
@@ -265,8 +272,8 @@ class TestCache:
 
     def test_same_shape_hits(self):
         cache = PathCache()
-        align(self.graph, linear_trace(trace_id="t1"), self.mapping, cache)
-        align(self.graph, linear_trace(trace_id="t2"), self.mapping, cache)
+        align_trace(self.graph, linear_trace(trace_id="t1"), self.mapping, cache)
+        align_trace(self.graph, linear_trace(trace_id="t2"), self.mapping, cache)
         assert cache.hits == 1
         assert cache.misses == 1
 
@@ -296,9 +303,9 @@ class TestCache:
 
     def test_cached_path_equals_fresh(self):
         cache = PathCache()
-        fresh = align(self.graph, linear_trace(trace_id="t1"), self.mapping, cache)
-        cached = align(self.graph, linear_trace(trace_id="t2"), self.mapping, cache)
-        no_cache = align(self.graph, linear_trace(trace_id="t2"), self.mapping, None)
+        fresh = align_trace(self.graph, linear_trace(trace_id="t1"), self.mapping, cache)
+        cached = align_trace(self.graph, linear_trace(trace_id="t2"), self.mapping, cache)
+        no_cache = align_trace(self.graph, linear_trace(trace_id="t2"), self.mapping)
         assert cached == no_cache
         assert fresh.cost == cached.cost
         assert cached is fresh
@@ -308,10 +315,10 @@ class TestCache:
         cache = PathCache()
         t_url = linear_trace(with_url=True, trace_id="t1")
         t_flat = linear_trace(trace_id="t2")
-        align(self.graph, t_url, self.mapping, cache)
-        align(self.graph, t_flat, self.mapping, cache)  # evicts t_url's shape
-        align(self.graph, linear_trace(with_url=True, trace_id="t3"), self.mapping, cache)
-        align(self.graph, linear_trace(trace_id="t4"), self.mapping, cache)
+        align_trace(self.graph, t_url, self.mapping, cache)
+        align_trace(self.graph, t_flat, self.mapping, cache)  # evicts t_url's shape
+        align_trace(self.graph, linear_trace(with_url=True, trace_id="t3"), self.mapping, cache)
+        align_trace(self.graph, linear_trace(trace_id="t4"), self.mapping, cache)
         assert cache.hits == 0
         assert cache.misses == 4
 
@@ -321,7 +328,7 @@ class TestCache:
         res = {s.span_id: self.mapping.resolve(s) for s in trace.spans}
         key = trace_signature(trace, res)
         assert cache.lookup(key) is None
-        align(self.graph, trace, self.mapping, cache)
+        align_trace(self.graph, trace, self.mapping, cache)
         assert cache.lookup(key) is not None
 
 
@@ -382,30 +389,30 @@ class TestSolveCache:
         graph = nested_graph().freeze()
         mapping = build_map(graph)
         cache = PathCache()
-        align(graph, nested_trace("t1", with_url=False), mapping, cache)
-        second = align(graph, nested_trace("t2", with_url=True), mapping, cache)
+        align_trace(graph, nested_trace("t1", with_url=False), mapping, cache)
+        second = align_trace(graph, nested_trace("t2", with_url=True), mapping, cache)
         # the URL span changes Main.run's invocation, not Inner.h's: Inner.h's
         # whole subtree comes back from the subtree map, unsolved
         assert cache.hits == 0
         assert cache.misses == 2
         assert cache.subtree_hits >= 1
-        assert second == align(graph, nested_trace("t2", with_url=True), mapping, None)
+        assert second == align_trace(graph, nested_trace("t2", with_url=True), mapping)
 
     def test_cache_needs_frozen_graph(self):
         graph = linear_graph()
         mapping = build_map(graph)
         trace = linear_trace()
-        assert align(graph, trace, mapping).cost == 0
         with pytest.raises(ValueError):
-            align(graph, trace, mapping, PathCache())
+            align_trace(graph, trace, mapping)
+        assert align_trace(graph.freeze(), trace, mapping).cost == 0
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_shared_cache_equals_uncached(self, seed):
         graph, mapping, samples = generated_samples(seed)
         cache = PathCache()
         for sample in samples:
-            cached = align(graph, sample.trace, mapping, cache)
-            assert cached == align(graph, sample.trace, mapping, None)
+            cached = align_trace(graph, sample.trace, mapping, cache)
+            assert cached == align_trace(graph, sample.trace, mapping)
         assert cache.misses > 0
         assert cache.solve_hits > 0
 
@@ -414,11 +421,11 @@ class TestSolveCache:
         graph, mapping, samples = generated_samples(7, n=60)
         cache = PathCache()
         for sample in samples:
-            cached = align(graph, sample.trace, mapping, cache)
+            cached = align_trace(graph, sample.trace, mapping, cache)
             assert len(cache) <= 1
             assert len(cache._shapes) <= 1
             assert len(cache._solves) <= 1
-            assert cached == align(graph, sample.trace, mapping, None)
+            assert cached == align_trace(graph, sample.trace, mapping)
         assert cache.solve_misses > 1
         assert cache.subtree_misses > 1
 
@@ -445,7 +452,7 @@ class TestSolveCache:
             trace = make_trace(spans, trace_id=tid)
             res = {s.span_id: mapping.resolve(s) for s in trace.spans}
             shapes.add(trace_signature(trace, res))
-            align(graph, trace, mapping, cache, res)
+            align(graph, trace, cache, res)
             assert len(cache) <= 8
             assert len(cache._shapes) <= 8
             assert len(cache._solves) <= 8
@@ -464,7 +471,7 @@ class TestHarnessTraffic:
         samples = list(generate_traces(graph, meta, spec, 40))
         graph.freeze()
         for sample in samples:
-            path = align(graph, sample.trace, mapping)
+            path = align_trace(graph, sample.trace, mapping)
             url_spans = sum(1 for s in sample.trace.spans if s.operation.startswith("GET "))
             assert path.cost == url_spans
             assert path.insertions == url_spans
@@ -501,8 +508,8 @@ class TestComposedPathReference:
         cache = PathCache()
         pmatched = 0
         for trace in traces:
-            path = align(graph, trace, mapping, cache)
-            ref = reference_align(graph, trace, mapping, None)
+            path = align_trace(graph, trace, mapping, cache)
+            ref = reference_align(graph, trace, mapping)
             assert path.steps == tuple((s.slot, s.forks) for s in ref.steps)
             assert (path.cost, path.insertions, path.forks) == \
                 (ref.cost, ref.insertions, ref.forks)
@@ -551,13 +558,12 @@ class TestComposedPathReference:
         for name, spans in cases.items():
             trace = make_trace([make_span("r", operation="Main.run", start=0, duration=100)]
                                + spans)
-            for cache in (PathCache(), None):
-                with pytest.raises(NoPathError) as got:
-                    align(graph, trace, mapping, cache)
-                with pytest.raises(NoPathError) as want:
-                    reference_align(graph, trace, mapping, None)
-                assert got.value.span_id == want.value.span_id == expected[name]
-                assert str(got.value) == str(want.value)
+            with pytest.raises(NoPathError) as got:
+                align_trace(graph, trace, mapping)
+            with pytest.raises(NoPathError) as want:
+                reference_align(graph, trace, mapping)
+            assert got.value.span_id == want.value.span_id == expected[name]
+            assert str(got.value) == str(want.value)
 
 
 def random_solver_graph(seed):
@@ -598,8 +604,51 @@ def solve_projected(solved):
     return cost, ins, tuple(shape[a[0]](a) for a in acts)
 
 
+def tie_graph(blocks, edges, entry, exits, dynamic=()):
+    """A frozen graph of FN alone, with (block, callee) dynamic call edges."""
+    graph = build_cscfg(single_function_doc(
+        fn=FN, blocks=[{"id": b, "callees": [f"svc:X.{c}" for c in cs]} for b, cs in blocks],
+        edges=edges, entry=entry, exits=exits))
+    for block, callee in dynamic:
+        graph.add_call_edge(f"{FN}#{block}", f"svc:X.{callee}", PROV_DYNAMIC)
+    return graph.freeze()
+
+
+# equal-cost choices the move preference settles: (graph, symbols, expected)
+TIES = {
+    # both arms call X.x: the fork to the smaller target id, "a", wins
+    "same-callee-arms": (
+        tie_graph([("s", ""), ("z", "x"), ("a", "x"), ("t", "")],
+                  [["s", "z"], ["s", "a"], ["z", "t"], ["a", "t"]], "s", ["t"]),
+        ("svc:X.x",),
+        (0, 0, (("fork", f"{FN}#a"), ("match", 0)))),
+    # X.b unwitnessed, the URL span unexplained: skipping first and
+    # inserting first both cost (2, 1), and the skip wins
+    "skip-or-insert": (
+        tie_graph([("s", ""), ("b", "abc"), ("t", "")],
+                  [["s", "b"], ["b", "t"], ["s", "t"]], "s", ["t"]),
+        ("svc:X.a", None, "svc:X.c"),
+        (2, 1, (("fork", f"{FN}#b"), ("match", 0), ("skip",), ("ins", 1), ("match", 2)))),
+    # b0 was patched with X.b, the next block's static callee: the patched
+    # match in b0, then the fork past b1 (its empty exit block contracted),
+    # wins over moving on to match in b1
+    "patched-or-next-static": (
+        tie_graph([("b0", "a"), ("b1", "b"), ("t", "")],
+                  [["b0", "b1"], ["b1", "t"], ["b0", "t"]], "b0", ["t"],
+                  dynamic=[("b0", "b")]),
+        ("svc:X.a", "svc:X.b"),
+        (0, 0, (("match", 0), ("pmatch", 1), ("fork", exit_node(FN))))),
+}
+
+
 class TestBackwardSolver:
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", sorted(TIES))
+    def test_ties_follow_the_move_preference(self, case):
+        graph, syms, expected = TIES[case]
+        assert _solve(graph, FN, syms) == expected
+        assert solve_projected(reference_solve(graph, FN, syms)) == expected
+
+    @pytest.mark.parametrize("seed", range(1, 17))
     def test_solve_equals_the_forward_reference(self, seed):
         graph, leaves = random_solver_graph(seed)
         rng = random.Random(seed)

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from spanscope.align import PathCache, align
+from spanscope.align import PathCache
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import PartitionMismatchError
 from spanscope.harness import (
@@ -17,7 +17,13 @@ from spanscope.partition import TRUNK_TAG, partition
 from spanscope.sampler import LrsLedger, SamplingConfig, sample_trace
 from spanscope.scoring import ScoreBook
 
-from .conftest import comfort_economy_system, make_span, make_trace, single_function_doc
+from .conftest import (
+    align_trace,
+    comfort_economy_system,
+    make_span,
+    make_trace,
+    single_function_doc,
+)
 from .oracles import (
     enumerate_simple_paths,
     oracle_align,
@@ -30,7 +36,7 @@ FN = "svc:Main.run"
 
 
 def aligned(graph, trace, mapping):
-    return align(graph, trace, mapping), trace
+    return align_trace(graph, trace, mapping), trace
 
 
 class TestPartition:
@@ -49,7 +55,7 @@ class TestPartition:
             make_span("b", parent="r", operation="B.b", start=30, duration=10),
         ]
         trace = make_trace(spans)
-        path = align(graph, trace, mapping)
+        path = align_trace(graph, trace, mapping)
         dss = partition(path, trace)
         assert len(dss) == 1
         assert dss[0].branch_tag == TRUNK_TAG
@@ -58,7 +64,7 @@ class TestPartition:
     def test_comfort_trace_two_sets(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         comfort = next(s for s in samples if len(s.trace) == 4)
-        path = align(graph, comfort.trace, mapping)
+        path = align_trace(graph, comfort.trace, mapping)
         dss = partition(path, comfort.trace)
         assert len(dss) == 2
         assert dss[0].branch_tag == TRUNK_TAG
@@ -70,7 +76,7 @@ class TestPartition:
         graph, mapping, meta, samples = comfort_samples
         sigs = {}
         for sample in samples:
-            path = align(graph, sample.trace, mapping)
+            path = align_trace(graph, sample.trace, mapping)
             sig = tuple(d.branch_tag for d in partition(path, sample.trace))
             sigs.setdefault(len(sample.trace), set()).add(sig)
         assert len(sigs[4]) == 1  # all comfort traces agree
@@ -80,8 +86,8 @@ class TestPartition:
     def test_identical_traces_identical_signatures(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         trace = samples[0].trace
-        p1 = partition(align(graph, trace, mapping), trace)
-        p2 = partition(align(graph, trace, mapping), trace)
+        p1 = partition(align_trace(graph, trace, mapping), trace)
+        p2 = partition(align_trace(graph, trace, mapping), trace)
         assert [d.branch_tag for d in p1] == [d.branch_tag for d in p2]
         assert [d.spans for d in p1] == [d.spans for d in p2]
 
@@ -111,7 +117,7 @@ class TestPartition:
             spans.append(make_span(f"s{i}", parent="r", operation=op,
                                    start=10 * (i + 1), duration=5))
         trace = make_trace(spans)
-        path = align(graph, trace, mapping)
+        path = align_trace(graph, trace, mapping)
         dss = partition(path, trace)
         assert len(dss) == 3
         assert sum(len(d.spans) for d in dss) == len(trace)
@@ -121,7 +127,7 @@ class TestPartition:
     def test_path_missing_a_span_raises_typed_error(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         trace = samples[0].trace
-        path = align(graph, trace, mapping)
+        path = align_trace(graph, trace, mapping)
         steps = list(path.steps)
         last = max(i for i, (slot, _) in enumerate(steps) if slot is not None)
         steps[last] = (None, steps[last][1])
@@ -136,7 +142,7 @@ class TestPartition:
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         for sample in samples[:20]:
-            path = align(graph, sample.trace, mapping)
+            path = align_trace(graph, sample.trace, mapping)
             dss = partition(path, sample.trace)
             gaps = sum(1 for _, forks in path.steps if forks)
             assert len(dss) == 1 + gaps
@@ -156,7 +162,7 @@ class TestPartition:
             make_span("u", parent="r", operation="GET /x", start=30, duration=10),
         ]
         trace = make_trace(spans)
-        dss = partition(align(graph, trace, mapping), trace)
+        dss = partition(align_trace(graph, trace, mapping), trace)
         assert len(dss) == 1
         assert "u" in dss[0].spans
 
@@ -165,7 +171,7 @@ class TestPartition:
         graph = self_loop_graph()
         mapping = build_map(graph)
         trace = self_loop_trace(3)
-        path = align(graph, trace, mapping)
+        path = align_trace(graph, trace, mapping)
         assert path.cost == 0
         dss = partition(path, trace)
         # the re-enter decision is taken when leaving w, so the first
@@ -193,7 +199,7 @@ class TestPartition:
             graph, meta, SystemSpec(seed=2, url_span_probability=0.0), 10))
         graph.freeze()
         for sample in samples:
-            path = align(graph, sample.trace, mapping)
+            path = align_trace(graph, sample.trace, mapping)
             # the package's steps name no block; the oracle's name each one
             ref = oracle_align(graph, sample.trace, mapping)
             for d in partition(path, sample.trace):
@@ -304,7 +310,7 @@ class TestRecordedForksOracle:
         oracle_cache = PathCache() if shared else None
         inserted = forked = multi = 0
         for trace in traces:
-            path = align(graph, trace, mapping, cache)
+            path = align_trace(graph, trace, mapping, cache)
             ref = oracle_align(graph, trace, mapping, oracle_cache)
             order = trace.preorder
             assert [(None if slot is None else order[slot].span_id, forks)
@@ -328,5 +334,5 @@ class TestStability:
     def test_partition_pure_function(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         trace = samples[1].trace
-        path = align(graph, trace, mapping)
+        path = align_trace(graph, trace, mapping)
         assert partition(path, trace) == partition(path, trace)

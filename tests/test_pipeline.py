@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from spanscope import cli
+from spanscope.align import PathCache
 from spanscope.cscfg import build_cscfg
 from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.mapping import build_map
@@ -11,6 +12,8 @@ from spanscope.model import serialize_trace
 from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import structural_fidelity
 from spanscope.sampler import SamplingConfig
+
+from .conftest import make_span, make_trace, single_function_doc
 
 # many trace shapes and URL wrapper spans, so the trace-level cache misses
 # often and the invocation-level cache does the work
@@ -33,9 +36,11 @@ def run(workload, use_cache):
     doc, traces = workload
     graph = build_cscfg(doc)
     pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig(ratio=0.3))
-    if not use_cache:
-        pipeline.cache = None
-    results = [pipeline.process(t) for t in traces]
+    results = []
+    for t in traces:
+        if not use_cache:
+            pipeline.cache = PathCache()  # nothing aligned earlier is reused
+        results.append(pipeline.process(t))
     stats = pipeline.stats_snapshot()
     decisions = [r.decision.serialize() for r in results]
     rebuilt = [pipeline.reconstruct_result(r, stats).serialize() for r in results]
@@ -67,9 +72,8 @@ def test_timing_report_counts_both_cache_levels(cached_run, plain_run):
     assert solves["hits"] > 0
     subtrees = cached_run[2]["subtree_cache"]
     assert subtrees["hits"] > 0 and subtrees["misses"] > 0
-    assert plain_run[2]["path_cache"] == {"hits": 0, "misses": 0}
-    assert plain_run[2]["subtree_cache"] == {"hits": 0, "misses": 0}
-    assert plain_run[2]["solve_cache"] == {"hits": 0, "misses": 0}
+    # the report reads the last trace's fresh cache
+    assert plain_run[2]["path_cache"] == {"hits": 0, "misses": 1}
 
 
 def test_sample_command_prints_cache_counters(workload, tmp_path, capsys):
@@ -460,3 +464,32 @@ def test_build_graph_names_a_malformed_call_graph_document(tmp_path, capsys, edi
         assert f"{fn['function']}: block id ['x'] is not a string" in err, err
     else:
         assert_names_the_bad_file(capsys, code, bad)
+
+
+def test_build_graph_prints_the_patch_and_provenance_counts(tmp_path, capsys):
+    # Main.run calls Sub.known only; the trace adds a dynamic call to
+    # Remote.bar from Main.run, one from the body-less Sub.known (a synthetic
+    # block) and a URL span that resolves to no function
+    doc = single_function_doc(
+        fn="svc:Main.run", blocks=[{"id": "b0", "callees": ["svc:Sub.known"]}],
+        entry="b0", exits=["b0"],
+        extra_functions=[{"function": "svc:Sub.known"}, {"function": "svc:Remote.bar"}])
+    trace = make_trace([
+        make_span("r", operation="Main.run", start=0, duration=100),
+        make_span("k", parent="r", operation="Sub.known", start=5, duration=20),
+        make_span("kb", parent="k", operation="Remote.bar", start=6, duration=10),
+        make_span("b", parent="r", operation="Remote.bar", start=30, duration=10),
+        make_span("u", parent="r", operation="GET /x", start=50, duration=10),
+    ])
+    doc_path, patch_path, out = tmp_path / "doc.json", tmp_path / "t.ndjson", tmp_path / "g.json"
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    patch_path.write_text(serialize_trace(trace) + "\n", encoding="utf-8")
+    assert cli.main(["build-graph", "--graph", str(doc_path), "--patch", str(patch_path),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "patched: 2 edges, 1 synthetic blocks, 1 unresolved pairs",
+        "svc:Main.run: 1 blocks, 1 mutual-dominance classes",
+        "svc:Sub.known: 1 blocks, 1 mutual-dominance classes",
+        "edge provenance: dynamic-patch=5, static=3",
+        f"artifact written to {out}",
+    ]
