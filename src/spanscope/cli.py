@@ -12,8 +12,9 @@ targets of the aligned path and the sorted kept span ids. kept.ndjson
 holds the kept spans themselves. The per-set DSS reports stay in memory
 and are not stored; older decision records that carry them still read.
 `sample` prints the stored bytes ratio, the bytes of those two files over
-the bytes of the trace file. `reconstruct` checks that each trace's kept
-spans are the ones its decision lists.
+the bytes of the trace file. `reconstruct` reads the two files in step, one
+decision and one kept record at a time, and checks that each kept record
+belongs to its decision's trace and holds the spans the decision lists.
 
 Exit codes: 0 success, 1 input or pipeline error, 2 configuration error.
 Set SPANSCOPE_LOG=debug|info|warning to control verbosity.
@@ -161,27 +162,26 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _read_kept(path: str) -> dict[str, list]:
-    kept: dict[str, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                trace_id = obj["trace_id"]
-                kept[trace_id] = [span_from_dict(s, trace_id) for s in obj["spans"]]
-            except (ValueError, KeyError, TypeError, MalformedDocumentError) as exc:
-                raise bad_record(path, lineno, "kept-spans", exc) from exc
-    return kept
+def _kept_records(fh, path: str):
+    """Yields (line number, trace id, spans) for each record of the open kept
+    file, one at a time; a bad record raises an error naming file and line."""
+    for lineno, line in enumerate(fh, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            trace_id = obj["trace_id"]
+            spans = [span_from_dict(s, trace_id) for s in obj["spans"]]
+        except (ValueError, KeyError, TypeError, MalformedDocumentError) as exc:
+            raise bad_record(path, lineno, "kept-spans", exc) from exc
+        yield lineno, trace_id, spans
 
 
 def cmd_reconstruct(args) -> int:
     graph = Cscfg.load_artifact(args.graph)
     mapping = _load_mapping(graph, args.shared_dict)
     stats = load_snapshot(args.stats)
-    kept = _read_kept(args.kept)
     originals = {}
     if args.traces:
         originals = {t.trace_id: t for t in read_trace_file(args.traces)}
@@ -190,32 +190,43 @@ def cmd_reconstruct(args) -> int:
     out_path = os.path.join(args.out, "reconstructed.ndjson")
     exact = n = compared = err_n = 0
     err_sum = 0.0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        with open(args.decisions, "r", encoding="utf-8") as dfh:
-            for lineno, line in enumerate(dfh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    decision = decision_from_dict(json.loads(line))
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    raise bad_record(args.decisions, lineno, "decision", exc) from exc
-                spans = kept.get(decision.trace_id, [])
-                if tuple(sorted(s.span_id for s in spans)) != decision.kept:
-                    raise MalformedDocumentError(
-                        f"{args.decisions}:{lineno}: the {len(decision.kept)} kept span ids of "
-                        f"trace {decision.trace_id!r} differ from the {len(spans)} in {args.kept}")
-                rebuilt = reconstruct(decision, spans, graph, stats, mapping)
-                fh.write(rebuilt.serialize() + "\n")
-                n += 1
-                if decision.trace_id in originals:
-                    report = structural_fidelity(originals[decision.trace_id],
-                                                 rebuilt, mapping)
-                    compared += 1
-                    exact += 1 if report.structure_exact else 0
-                    # weighted by inferred spans, as in eval and the benchmark
-                    err_sum += report.duration_error * report.inferred_count
-                    err_n += report.inferred_count
+    # sample writes one kept record per decision, in the same order, so the
+    # two files are read in step
+    with open(args.decisions, "r", encoding="utf-8") as dfh, \
+            open(args.kept, "r", encoding="utf-8") as kfh, \
+            open(out_path, "w", encoding="utf-8") as fh:
+        kept_records = _kept_records(kfh, args.kept)
+        for lineno, line in enumerate(dfh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                decision = decision_from_dict(json.loads(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise bad_record(args.decisions, lineno, "decision", exc) from exc
+            where = f"{args.decisions}:{lineno}: trace {decision.trace_id!r}"
+            kept_lineno, kept_id, spans = next(kept_records, (None, None, None))
+            if kept_lineno is None:
+                raise MalformedDocumentError(f"{where} has no kept record in {args.kept}")
+            if kept_id != decision.trace_id:
+                raise MalformedDocumentError(
+                    f"{where} meets the kept record of trace {kept_id!r} "
+                    f"at {args.kept}:{kept_lineno}")
+            if tuple(sorted(s.span_id for s in spans)) != decision.kept:
+                raise MalformedDocumentError(
+                    f"{where}: its {len(decision.kept)} kept span ids differ from the "
+                    f"{len(spans)} at {args.kept}:{kept_lineno}")
+            rebuilt = reconstruct(decision, spans, graph, stats, mapping)
+            fh.write(rebuilt.serialize() + "\n")
+            n += 1
+            if decision.trace_id in originals:
+                report = structural_fidelity(originals[decision.trace_id],
+                                             rebuilt, mapping)
+                compared += 1
+                exact += 1 if report.structure_exact else 0
+                # weighted by inferred spans, as in eval and the benchmark
+                err_sum += report.duration_error * report.inferred_count
+                err_n += report.inferred_count
     if compared:
         fidelity = {"structure_exact_rate": round(exact / compared, 6),
                     "mean_duration_error": round(err_sum / err_n if err_n else 0.0, 6)}

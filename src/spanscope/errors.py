@@ -66,16 +66,6 @@ class PartitionMismatchError(SpanscopeError):
     """The supplied partition does not cover the trace exactly."""
 
 
-class AmbiguousPathError(SpanscopeError):
-    """Kept spans are consistent with more than one path through the graph."""
-
-    def __init__(self, trace_id, branch_tags):
-        tags = sorted(branch_tags)
-        super().__init__(f"trace {trace_id!r}: ambiguous path, candidate branches {tags}")
-        self.trace_id = trace_id
-        self.branch_tags = tags
-
-
 class UnknownEntryError(SpanscopeError):
     """The entry function of a decision is missing or not in the graph."""
 

@@ -1,20 +1,18 @@
 """Rebuilds a full trace skeleton from sampled spans plus the graph.
 
-The execution path is re-derived and every call the path implies becomes a
-span: kept spans appear verbatim, the rest are inferred with durations filled
-from historical statistics (mean exclusive duration per function; the
-standard deviation rides along as an uncertainty annotation, the fill itself
-is deterministic). Inferred intervals are packed left to right inside their
+The execution path is replayed from the decision's entry function and its
+ordered fork records, and every call the path implies becomes a span: kept
+spans appear verbatim, the rest are inferred with durations filled from
+historical statistics (mean exclusive duration per function; the standard
+deviation rides along as an uncertainty annotation, the fill itself is
+deterministic). Inferred intervals are packed left to right inside their
 parent, bending around the real timestamps of sampled spans.
 
-Decisions produced by the sampler carry the entry function and the ordered
-fork choices of the original path, so replay is exact. Decisions without
-fork records fall back to a search over paths consistent with the kept
-spans' functions; if more than one structurally distinct path fits, the
-reconstruction refuses with AmbiguousPathError and reports the candidate
-branches. Keeping one span per dominant span set does not witness every
-branch (a span after a join falls into the branch's set), so the search can
-be ambiguous for sampler decisions stripped of their fork records.
+The replay walk writes the calls to flat lists in preorder, each with the
+end of its subtree, and settles a call's anchor bounds and natural width as
+soon as the walk of its body closes. One forward pass then emits each call
+and places its children inside its interval, which gives each child its
+parent's span id. Neither step keeps a node object per call.
 
 Unmapped kept spans have no place on the graph; they re-attach under their
 original parent when it was kept, else under the tightest containing sampled
@@ -31,11 +29,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .cscfg import Cscfg, parse_function_key
-from .errors import (
-    AmbiguousPathError,
-    ReconstructionError,
-    UnknownEntryError,
-)
+from .errors import ReconstructionError, UnknownEntryError
 from .mapping import SpanFunctionMap, Unmapped
 from .model import Span, Trace
 from .sampler import SamplingDecision
@@ -45,7 +39,6 @@ ORIGIN_INFERRED = "inferred"
 SOURCE_HISTORICAL = "historical-mean"
 SOURCE_ZERO = "zero-fallback"
 
-_SEARCH_BUDGET = 8000  # fork-choice prefixes one search may try
 # flow moves one walk may take: about two per function body, so a chain of
 # depth 10,000 fits with room, and a function that calls itself forever fails
 _WALK_BUDGET = 50_000
@@ -120,240 +113,158 @@ class ReconstructedTrace:
         return f'{{"spans":[{",".join(records)}],"trace_id":{own_id}}}'
 
 
-class _Node:
-    __slots__ = ("fn", "block", "span", "children", "lo", "hi", "alo", "ahi",
-                 "width", "source", "std")
-
-    def __init__(self, fn: str, block: str | None, span: Span | None):
-        self.fn = fn
-        self.block = block
-        self.span = span
-        self.children: list[_Node] = []
-        self.lo = 0
-        self.hi = 0
-        self.alo: int | None = None  # earliest sampled start in the subtree
-        self.ahi: int | None = None  # latest sampled end in the subtree
-        self.width = 0  # natural width, set by _measure
-        self.source: str | None = None
-        self.std: float | None = None
+def _fill(stat: dict | None) -> tuple:
+    """(base width, source, std) of an inferred call from its function's
+    statistics: the historical mean, or zero when there are none."""
+    if stat is None or stat.get("count", 0) == 0:
+        return 0, SOURCE_ZERO, None
+    return max(0, int(round(stat["mean"]))), SOURCE_HISTORICAL, round(float(stat["std"]), 3)
 
 
-def _canonical(root: _Node) -> tuple:
-    """Preorder (fn, block, span id, child count) of every node; fixes the tree."""
-    out = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append((node.fn, node.block, node.span.span_id if node.span else None,
-                     len(node.children)))
-        stack.extend(reversed(node.children))
-    return tuple(out)
+def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tuple[Span, str]],
+            trace_id: str, keys: dict) -> tuple:
+    """Walk the recorded path and list its calls in preorder.
 
+    Returns parallel lists indexed by preorder position: function key, kept
+    span (None when inferred), subtree end, earliest sampled start and latest
+    sampled end in the subtree (None when it holds no sampled span), natural
+    width, and the _fill of an inferred call (None for a sampled one). Call
+    i's children are i+1, end[i+1], ... up to end[i].
 
-class _Walker:
-    """Replays one path through the graph, consuming kept spans greedily.
-
-    choices supplies fork decisions; when it runs dry the walk either follows
-    a recorded script exactly (replay mode raises) or surfaces the open fork
-    to the caller (search mode). run() keeps one frame per open invocation on
-    an explicit stack: each frame is a generator that walks its function's
-    blocks and yields every call it makes, and the callee's frame runs to its
-    end before the caller resumes. The walk stops as soon as any frame
-    surfaces an open fork.
+    One generator per open function body walks its blocks. A fork takes the
+    next recorded branch, and each call the body makes is appended, matched
+    greedily against the next kept span. A callee with a body gets a frame
+    of its own, which runs to its end before the caller resumes; the callee
+    is settled as that walk closes, from its span or statistics and its
+    children's settled values. A callee with no body is settled at once.
     """
+    kept = deque(kept_seq)
+    choices = deque(forks)
+    fns: list[str] = []
+    spans: list[Span | None] = []
+    ends: list[int] = []
+    alo: list[int | None] = []
+    ahi: list[int | None] = []
+    widths: list[int] = []
+    fills: list[tuple | None] = []
+    budget = _WALK_BUDGET
+    has_body, subgraph = graph.has_body, graph.subgraph
 
-    def __init__(self, graph: Cscfg, kept_seq: list[tuple[Span, str]], choices, strict: bool):
-        self.graph = graph
-        self.kept = deque(kept_seq)
-        self.choices = deque(choices)
-        self.strict = strict  # True: exhausted choices at a fork is an error
-        self.pending_fork = None  # (options,) when a fork had no scripted choice
-        self.taken: list[str] = []
-        self.budget = _WALK_BUDGET
+    def call(fn: str, span: Span | None) -> bool:
+        """Append a call; True when its body is still to walk, else it is settled."""
+        i = len(fns)
+        fns.append(fn)
+        spans.append(span)
+        ends.append(i + 1)
+        if has_body(fn):
+            alo.append(None)
+            ahi.append(None)
+            widths.append(0)
+            fills.append(None)
+            return True
+        if span is not None:
+            alo.append(span.start_time)
+            ahi.append(span.end_time)
+            widths.append(span.duration)
+            fills.append(None)
+        else:
+            alo.append(None)
+            ahi.append(None)
+            fill = _fill(keys.get(fn))
+            widths.append(fill[0])
+            fills.append(fill)
+        return False
 
-    def _tick(self):
-        self.budget -= 1
-        if self.budget < 0:
-            raise ReconstructionError("walk step budget exceeded")
-
-    def _choose(self, succs: tuple[str, ...], exit_id: str) -> str | None:
-        if self.choices:
-            choice = self.choices.popleft()
-            if choice not in succs:
-                raise ReconstructionError(
-                    f"recorded branch {choice!r} is not a successor here"
-                )
-            self.taken.append(choice)
-            return choice
-        if self.strict:
-            # a trailing fork after the last witnessed span: the only
-            # consistent continuation produced no spans, so head for the exit
-            if exit_id in succs and not self.kept:
-                self.taken.append(exit_id)
-                return exit_id
-            raise ReconstructionError("ran out of recorded branch choices")
-        self.pending_fork = tuple(sorted(succs))
-        return None
-
-    def _consume_patched(self, holder: _Node, node: str, patched):
-        """Yields a call for each kept span that a dynamic edge of node explains."""
-        kept = self.kept
+    def explained(patched):
+        """Yields each kept span's call that a dynamic edge of the block explains."""
         while kept and kept[0][1] in patched:
             span, fn = kept.popleft()
-            child = _Node(fn, node, span)
-            holder.children.append(child)
-            yield fn, child
+            if call(fn, span):
+                yield len(fns) - 1
 
-    def _walk_into(self, fn_key: str, holder: _Node):
-        """Yields (callee, child node) for each call; returns early at an open fork."""
-        if not self.graph.has_body(fn_key):
-            return
-        sub = self.graph.subgraph(fn_key)
-        node = sub.entry
-        while node != sub.exit:
-            self._tick()
-            succs = sub.succ.get(node, ())
+    def walk(me: int):
+        """Yields the index of each call whose body is to walk; settles `me` at its end."""
+        nonlocal budget
+        fn_key = fns[me]
+        sub = subgraph(fn_key)
+        node, exit_id, succ = sub.entry, sub.exit, sub.succ
+        while node != exit_id:
+            budget -= 1
+            if budget < 0:
+                raise ReconstructionError("walk step budget exceeded")
+            succs = succ.get(node, ())
             if not succs:
                 raise ReconstructionError(f"{fn_key}: dead end at {node!r}")
             if len(succs) == 1:
                 node = succs[0]
+            elif choices:
+                node = choices.popleft()
+                if node not in succs:
+                    raise ReconstructionError(f"recorded branch {node!r} is not a successor here")
+            elif exit_id in succs and not kept:
+                # a trailing fork after the last witnessed span: the only
+                # consistent continuation produced no spans, so head for the exit
+                node = exit_id
             else:
-                node = self._choose(succs, sub.exit)
-                if node is None:
-                    return  # surface the open fork
-            if node == sub.exit:
+                raise ReconstructionError("ran out of recorded branch choices")
+            if node == exit_id:
                 break
             patched = sub.patched.get(node)
             if patched:
-                yield from self._consume_patched(holder, node, patched)
+                yield from explained(patched)
             for callee in sub.emissions.get(node, ()):
                 span = None
-                if self.kept and self.kept[0][1] == callee:
-                    span = self.kept.popleft()[0]
-                child = _Node(callee, node, span)
-                holder.children.append(child)
-                yield callee, child
+                if kept and kept[0][1] == callee:
+                    span = kept.popleft()[0]
+                if call(callee, span):
+                    yield len(fns) - 1
                 if patched:
-                    yield from self._consume_patched(holder, node, patched)
+                    yield from explained(patched)
 
-    def run(self, entry_key: str) -> _Node | None:
-        """The walked tree, or None when the walk stopped at an open fork."""
-        root_span = None
-        if self.kept and self.kept[0][1] == entry_key and self.kept[0][0].parent_id is None:
-            root_span = self.kept.popleft()[0]
-        root = _Node(entry_key, None, root_span)
-        stack = [self._walk_into(entry_key, root)]
-        while stack:
-            call = next(stack[-1], None)
-            if self.pending_fork is not None:
-                return None
-            if call is None:
-                stack.pop()
-            else:
-                stack.append(self._walk_into(*call))
-        return root
-
-
-def _derive_replay(graph, entry_key, forks, kept_seq, trace_id) -> _Node:
-    walker = _Walker(graph, kept_seq, forks, strict=True)
-    root = walker.run(entry_key)
-    if root is None:  # pragma: no cover - strict walker never surfaces forks
-        raise ReconstructionError("replay stalled at a fork")
-    if walker.choices:
-        raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
-    if walker.kept:
-        missing = [s.span_id for s, _ in walker.kept]
-        raise ReconstructionError(
-            f"trace {trace_id!r}: kept spans not explained by the recorded path: {missing}"
-        )
-    return root
-
-
-def _derive_search(graph, entry_key, kept_seq, trace_id) -> _Node:
-    """Enumerate fork choices until two structurally distinct solutions appear."""
-    solutions: dict = {}
-    stack: list[tuple[str, ...]] = [()]
-    explored = 0
-    while stack:
-        prefix = stack.pop()
-        explored += 1
-        if explored > _SEARCH_BUDGET:
-            raise ReconstructionError("path search budget exceeded")
-        walker = _Walker(graph, list(kept_seq), prefix, strict=False)
-        try:
-            root = walker.run(entry_key)
-        except ReconstructionError:
-            continue
-        if root is None:
-            for option in sorted(walker.pending_fork, reverse=True):
-                stack.append(tuple(walker.taken) + (option,))
-            continue
-        if walker.kept:
-            continue  # not all kept spans explained: inconsistent branch
-        key = _canonical(root)
-        if key not in solutions:
-            solutions[key] = (tuple(walker.taken), root)
-            if len(solutions) == 2:
-                break
-    if not solutions:
-        raise ReconstructionError(
-            f"trace {trace_id!r}: kept spans are inconsistent with the graph"
-        )
-    if len(solutions) > 1:
-        (c1, _), (c2, _) = solutions.values()
-        tags = []
-        for a, b in zip(c1, c2):
-            if a != b:
-                tags = [a, b]
-                break
-        if not tags:
-            tags = [c1[len(c2):][:1] or c1[-1:], c2[len(c1):][:1] or c2[-1:]]
-            tags = [t[0] for t in tags if t]
-        raise AmbiguousPathError(trace_id, tags)
-    (_, root), = solutions.values()
-    return root
-
-
-def _measure(root: _Node, stats: dict) -> None:
-    """Store anchor bounds and natural width on every node, children first.
-
-    Each node is visited once and reads only its own span or statistics and
-    what its children already store. An inferred node's width is its
-    historical mean (source and std are set here) plus its children's
-    widths, stretched to cover its sampled descendants.
-    """
-    keys = stats.get("keys", {})
-    order = [root]
-    for node in order:  # breadth-first, so every child follows its parent
-        order.extend(node.children)
-    for node in reversed(order):
-        span = node.span
+        # settle: anchor bounds and natural width, from the listed children
+        span = spans[me]
         lo = hi = None
         if span is not None:
             lo, hi = span.start_time, span.end_time
         kids_width = 0
-        for c in node.children:
-            if c.alo is not None:
-                lo = c.alo if lo is None else min(lo, c.alo)
-                hi = c.ahi if hi is None else max(hi, c.ahi)
-            kids_width += c.width
-        node.alo, node.ahi = lo, hi
+        c = me + 1
+        end = ends[me] = len(fns)
+        while c < end:
+            clo = alo[c]
+            if clo is not None:
+                lo = clo if lo is None else min(lo, clo)
+                hi = ahi[c] if hi is None else max(hi, ahi[c])
+            kids_width += widths[c]
+            c = ends[c]
+        alo[me], ahi[me] = lo, hi
         if span is not None:
-            node.width = span.duration
-            continue
-        entry = keys.get(node.fn)
-        if entry is None or entry.get("count", 0) == 0:
-            base = 0
-            node.source = SOURCE_ZERO
-            node.std = None
-        else:
-            base = max(0, int(round(entry["mean"])))
-            node.source = SOURCE_HISTORICAL
-            node.std = round(float(entry["std"]), 3)
-        width = base + kids_width
+            widths[me] = span.duration
+            return
+        fill = fills[me] = _fill(keys.get(fn_key))
+        width = fill[0] + kids_width
         if lo is not None:
             width = max(width, hi - lo)
-        node.width = width
+        widths[me] = width
+
+    root_span = None
+    if kept and kept[0][1] == entry and kept[0][0].parent_id is None:
+        root_span = kept.popleft()[0]
+    if call(entry, root_span):
+        stack = [walk(0)]
+        while stack:
+            i = next(stack[-1], None)
+            if i is None:
+                stack.pop()
+            else:
+                stack.append(walk(i))
+    if choices:
+        raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
+    if kept:
+        missing = [s.span_id for s, _ in kept]
+        raise ReconstructionError(
+            f"trace {trace_id!r}: kept spans not explained by the recorded path: {missing}"
+        )
+    return fns, spans, ends, alo, ahi, widths, fills
 
 
 def _attach_orphans(orphans: list[Span], kept_spans: list[Span],
@@ -405,81 +316,89 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
         else:
             kept_seq.append((span, r.key))
 
-    if decision.forks is not None:
-        root = _derive_replay(graph, decision.entry, list(decision.forks),
-                              kept_seq, decision.trace_id)
-    else:
-        root = _derive_search(graph, decision.entry, kept_seq, decision.trace_id)
-
-    _measure(root, stats)
+    trace_id = decision.trace_id
+    fns, spans, ends, alo, ahi, widths, fills = _replay(
+        graph, decision.entry, decision.forks, kept_seq, trace_id, stats.get("keys", {}))
+    n = len(fns)
+    los = [0] * n
+    his = [0] * n
     # root interval: verbatim when sampled, otherwise anchored left on the
     # earliest sampled evidence (orphans included so they stay containable)
-    if root.span is not None:
-        root.lo, root.hi = root.span.start_time, root.span.end_time
+    if spans[0] is not None:
+        los[0], his[0] = spans[0].start_time, spans[0].end_time
     else:
-        alo = root.alo
+        lo = alo[0]
         for o in orphans:
-            alo = o.start_time if alo is None else min(alo, o.start_time)
-        root.lo = alo if alo is not None else 0
-        root.hi = root.lo + root.width
+            lo = o.start_time if lo is None else min(lo, o.start_time)
+        lo = los[0] = lo if lo is not None else 0
+        hi = lo + widths[0]
         for o in orphans:
-            root.hi = max(root.hi, o.end_time)
+            hi = max(hi, o.end_time)
+        his[0] = hi
 
-    # one preorder pass: emit each node (an inferred span's id carries its
-    # preorder index), then place its children inside its interval before
-    # pushing them. Sampled spans keep their times; inferred ones are packed
-    # left to right, bending around the anchors of later siblings.
-    trace_id = decision.trace_id
+    # one forward pass in preorder: emit node i (an inferred span's id
+    # carries its preorder index), then place its children inside its
+    # interval. Sampled spans keep their times; inferred ones are packed left
+    # to right, bending around the anchors of later siblings.
     functions = graph.functions
     rspans: list[ReconstructedSpan] = []
     sampled: list[Span] = []
-    stack: list[tuple[_Node, str | None]] = [(root, None)]
-    while stack:
-        node, parent_id = stack.pop()
-        span = node.span
+    psids: list[str | None] = [None] * n
+    for i in range(n):
+        span = spans[i]
+        parent_id = psids[i]
+        fn = fns[i]
         if span is not None:
             if span.parent_id != parent_id:
                 span = span.with_parent(parent_id)
-            rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, node.fn))
+            rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, fn))
             sampled.append(span)
             sid = span.span_id
         else:
-            fn = node.fn
             # the graph holds a FunctionRef for every function but external ones
             ref = functions.get(fn) or parse_function_key(fn)
-            sid = f"{trace_id}:inf:{len(rspans)}"
+            sid = f"{trace_id}:inf:{i}"
+            _base, source, std = fills[i]
             rspans.append(ReconstructedSpan(
                 Span(sid, trace_id, parent_id, ref.operation, ref.service,
-                     node.lo, node.hi - node.lo, {}),
-                ORIGIN_INFERRED, fn, node.source, node.std))
-        kids = node.children
-        if not kids:
+                     los[i], his[i] - los[i], {}),
+                ORIGIN_INFERRED, fn, source, std))
+        end = ends[i]
+        if end == i + 1:
             continue
-        lo, hi = node.lo, node.hi
-        # limits[i]: start of the first anchored sibling after kids[i], else hi
-        limits = [hi] * len(kids)
-        nxt = hi
-        for idx in range(len(kids) - 1, 0, -1):
-            if kids[idx].alo is not None:
-                nxt = kids[idx].alo
-            limits[idx - 1] = nxt
+        lo, hi = los[i], his[i]
+        c = i + 1
+        if ends[c] == end:
+            kids, limits = (c,), (hi,)
+        else:
+            kids = []
+            while c < end:
+                kids.append(c)
+                c = ends[c]
+            # limits[k]: start of the first anchored sibling after kids[k], else hi
+            limits = [hi] * len(kids)
+            nxt = hi
+            for k in range(len(kids) - 1, 0, -1):
+                if alo[kids[k]] is not None:
+                    nxt = alo[kids[k]]
+                limits[k - 1] = nxt
         cursor = lo
-        for child, limit in zip(kids, limits):
-            if child.span is not None:
-                clo, chi = child.span.start_time, child.span.end_time
-            elif child.alo is not None:
-                clo = child.alo
-                chi = max(child.ahi, min(clo + child.width, hi) if hi > clo else child.ahi)
+        for c, limit in zip(kids, limits):
+            span = spans[c]
+            if span is not None:
+                clo, chi = span.start_time, span.end_time
+            elif alo[c] is not None:
+                clo = alo[c]
+                chi = max(ahi[c], min(clo + widths[c], hi) if hi > clo else ahi[c])
             else:
                 clo = cursor
-                chi = clo + min(child.width, max(0, limit - cursor))
-            child.lo, child.hi = clo, chi
+                chi = clo + min(widths[c], max(0, limit - cursor))
+            los[c], his[c], psids[c] = clo, chi, sid
             cursor = max(cursor, chi)
-        stack.extend((c, sid) for c in reversed(kids))
 
     if orphans:
         _attach_orphans(orphans, kept_spans, rspans, sampled)
-    return ReconstructedTrace(decision.trace_id, tuple(rspans))
+    return ReconstructedTrace(trace_id, tuple(rspans))
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ spans are sorted by Z, and only when a set has more of them than its quota;
 the ledger is read and the rest sorted only when the rest must be cut.
 
 A decision is stored as what rebuild reads: the trace id, the entry
-function, the fork targets of the aligned path (no "forks" key when forks
-is None) and the sorted kept span ids, which rebuild checks the kept spans
-against. The per-set DSS reports and the effective ratio stay on the
-in-memory SamplingDecision. Older records that also carry them ("dss",
-"effective_ratio") still read and rebuild the same, since the fields
-rebuild reads are unchanged; those two are ignored.
+function, the fork targets of the aligned path and the sorted kept span
+ids, which rebuild checks the kept spans against. The per-set DSS reports
+and the effective ratio stay on the in-memory SamplingDecision. Older
+records that also carry them ("dss", "effective_ratio") still read and
+rebuild the same, since the fields rebuild reads are unchanged; those two
+are ignored.
 """
 
 from __future__ import annotations
@@ -78,25 +78,22 @@ class SamplingDecision:
     entry: str | None  # function key of the root invocation
     dss_reports: tuple[DssReport, ...]
     effective_ratio: float
+    forks: tuple[str, ...]  # fork targets of the aligned path, in order
     kept_keys: tuple[str, ...] = ()  # span-type keys of kept spans, for the ledger
-    forks: tuple[str, ...] | None = None  # fork targets of the aligned path, in order
 
     def serialize(self) -> str:
-        """The stored record: what rebuild reads, keys sorted, no "forks" key
-        when forks is None. The DSS reports and the effective ratio stay in
-        memory only."""
-        out = {"entry": self.entry}
-        if self.forks is not None:
-            out["forks"] = list(self.forks)
-        out["kept"] = list(self.kept)
-        out["trace_id"] = self.trace_id
-        return _ENCODER.encode(out)
+        """The stored record: what rebuild reads, keys sorted. The DSS reports
+        and the effective ratio stay in memory only."""
+        return _ENCODER.encode({"entry": self.entry, "forks": list(self.forks),
+                                "kept": list(self.kept), "trace_id": self.trace_id})
 
 
 def decision_from_dict(obj: dict) -> SamplingDecision:
     """A decision from its stored record, without DSS reports; keys that
-    rebuild does not read are ignored."""
-    trace_id, entry, forks = obj["trace_id"], obj.get("entry"), obj.get("forks")
+    rebuild does not read are ignored. A record without "forks" is refused:
+    rebuild replays the recorded fork targets and has no other way to find
+    the path."""
+    trace_id, entry, forks = obj["trace_id"], obj.get("entry"), obj["forks"]
     # both are used as keys, so an unhashable value would fail far from here
     if type(trace_id) is not str or not (entry is None or type(entry) is str):
         raise TypeError("trace_id must be a string and entry a string or null")
@@ -106,7 +103,7 @@ def decision_from_dict(obj: dict) -> SamplingDecision:
         entry=entry,
         dss_reports=(),
         effective_ratio=0.0,
-        forks=tuple(forks) if forks is not None else None,
+        forks=tuple(forks),
     )
 
 
@@ -164,12 +161,13 @@ def allocate_budget(sizes: list[int], p: float) -> list[int]:
 def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: ScoreBook,
                  ledger: LrsLedger, cfg: SamplingConfig,
                  span_keys: dict[str, str], exclusive: dict[str, int],
-                 entry: str | None = None,
-                 forks: tuple[str, ...] | None = None) -> SamplingDecision:
+                 entry: str | None, forks: tuple[str, ...]) -> SamplingDecision:
     """Apply the budgeted selection to one trace and update shared state.
 
     span_keys maps span ids to their scoring key; exclusive carries each
-    span's exclusive duration. The ledger is advanced with the kept spans.
+    span's exclusive duration; entry and forks are the aligned path's entry
+    function and fork targets, stored for rebuild. The ledger is advanced
+    with the kept spans.
     """
     covered = [s for d in dss_list for s in d.spans]
     if len(covered) != len(trace) or set(covered) != trace.span_ids():

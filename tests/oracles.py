@@ -661,9 +661,7 @@ def oracle_stored_decision(decision) -> str:
     import json
 
     out = {"trace_id": decision.trace_id, "kept": list(decision.kept),
-           "entry": decision.entry}
-    if decision.forks is not None:
-        out["forks"] = list(decision.forks)
+           "entry": decision.entry, "forks": list(decision.forks)}
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
 
@@ -689,14 +687,13 @@ def oracle_decision_serialize(decision) -> str:
             for r in decision.dss_reports
         ],
         "effective_ratio": round(decision.effective_ratio, 6),
+        "forks": list(decision.forks),
     }
-    if decision.forks is not None:
-        out["forks"] = list(decision.forks)
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
 
 def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, exclusive,
-                        entry=None, forks=None):
+                        entry, forks):
     """Budgeted selection with a flag per span and a sort per set."""
     from spanscope.errors import PartitionMismatchError
     from spanscope.sampler import DssReport, SamplingDecision, allocate_budget
@@ -765,12 +762,249 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
     return decision
 
 
-# Rebuild emit as it was before children were placed while emitting: a
-# separate layout pass (_place) over the measured tree, then a preorder emit
-# that parses every inferred span's function key, then a serialization that
-# sorts keys in the encoder. The one-pass emit must give the same bytes.
-# These copies reuse the package's path derivation and _measure, which tests
-# check on their own.
+# The rebuild as it stood before the replay walk wrote flat preorder lists:
+# a _Node tree from a walker with a replay mode and a search mode, a
+# breadth-first measuring pass (_measure), a separate placing pass, and an
+# emit that parses every inferred span's function key. The search enumerates
+# fork choices until two structurally distinct paths fit the kept spans; it
+# is the witness oracle for dominant span sets, and nothing in the package
+# calls it. Both layouts (the two passes here, or the recursive oracle_layout
+# above) give the emit the same node fields.
+
+ORACLE_WALK_BUDGET = 50_000  # flow moves one walk may take
+ORACLE_SEARCH_BUDGET = 8000  # fork-choice prefixes one search may try
+
+
+class OracleAmbiguousPathError(Exception):
+    """Kept spans are consistent with more than one path through the graph."""
+
+    def __init__(self, trace_id, branch_tags):
+        tags = sorted(branch_tags)
+        super().__init__(f"trace {trace_id!r}: ambiguous path, candidate branches {tags}")
+        self.trace_id = trace_id
+        self.branch_tags = tags
+
+
+class _Node:
+    __slots__ = ("fn", "block", "span", "children", "lo", "hi", "alo", "ahi",
+                 "width", "source", "std")
+
+    def __init__(self, fn, block, span):
+        self.fn = fn
+        self.block = block
+        self.span = span
+        self.children = []
+        self.lo = 0
+        self.hi = 0
+        self.alo = None  # earliest sampled start in the subtree
+        self.ahi = None  # latest sampled end in the subtree
+        self.width = 0  # natural width, set by _measure
+        self.source = None
+        self.std = None
+
+
+def _canonical(root) -> tuple:
+    """Preorder (fn, block, span id, child count) of every node; fixes the tree."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append((node.fn, node.block, node.span.span_id if node.span else None,
+                    len(node.children)))
+        stack.extend(reversed(node.children))
+    return tuple(out)
+
+
+class _Walker:
+    """Replays one path through the graph, consuming kept spans greedily.
+
+    choices supplies fork decisions; when it runs dry the walk either follows
+    a recorded script exactly (replay mode raises) or surfaces the open fork
+    to the caller (search mode). run() keeps one generator frame per open
+    invocation on an explicit stack and stops as soon as any frame surfaces
+    an open fork.
+    """
+
+    def __init__(self, graph, kept_seq, choices, strict):
+        from spanscope.errors import ReconstructionError
+
+        self.error = ReconstructionError
+        self.graph = graph
+        self.kept = deque(kept_seq)
+        self.choices = deque(choices)
+        self.strict = strict  # True: exhausted choices at a fork is an error
+        self.pending_fork = None  # (options,) when a fork had no scripted choice
+        self.taken = []
+        self.budget = ORACLE_WALK_BUDGET
+
+    def _choose(self, succs, exit_id):
+        if self.choices:
+            choice = self.choices.popleft()
+            if choice not in succs:
+                raise self.error(f"recorded branch {choice!r} is not a successor here")
+            self.taken.append(choice)
+            return choice
+        if self.strict:
+            if exit_id in succs and not self.kept:
+                self.taken.append(exit_id)
+                return exit_id
+            raise self.error("ran out of recorded branch choices")
+        self.pending_fork = tuple(sorted(succs))
+        return None
+
+    def _consume_patched(self, holder, node, patched):
+        kept = self.kept
+        while kept and kept[0][1] in patched:
+            span, fn = kept.popleft()
+            child = _Node(fn, node, span)
+            holder.children.append(child)
+            yield fn, child
+
+    def _walk_into(self, fn_key, holder):
+        if not self.graph.has_body(fn_key):
+            return
+        sub = self.graph.subgraph(fn_key)
+        node = sub.entry
+        while node != sub.exit:
+            self.budget -= 1
+            if self.budget < 0:
+                raise self.error("walk step budget exceeded")
+            succs = sub.succ.get(node, ())
+            if not succs:
+                raise self.error(f"{fn_key}: dead end at {node!r}")
+            if len(succs) == 1:
+                node = succs[0]
+            else:
+                node = self._choose(succs, sub.exit)
+                if node is None:
+                    return  # surface the open fork
+            if node == sub.exit:
+                break
+            patched = sub.patched.get(node)
+            if patched:
+                yield from self._consume_patched(holder, node, patched)
+            for callee in sub.emissions.get(node, ()):
+                span = None
+                if self.kept and self.kept[0][1] == callee:
+                    span = self.kept.popleft()[0]
+                child = _Node(callee, node, span)
+                holder.children.append(child)
+                yield callee, child
+                if patched:
+                    yield from self._consume_patched(holder, node, patched)
+
+    def run(self, entry_key):
+        """The walked tree, or None when the walk stopped at an open fork."""
+        root_span = None
+        if self.kept and self.kept[0][1] == entry_key and self.kept[0][0].parent_id is None:
+            root_span = self.kept.popleft()[0]
+        root = _Node(entry_key, None, root_span)
+        stack = [self._walk_into(entry_key, root)]
+        while stack:
+            call = next(stack[-1], None)
+            if self.pending_fork is not None:
+                return None
+            if call is None:
+                stack.pop()
+            else:
+                stack.append(self._walk_into(*call))
+        return root
+
+
+def _derive_replay(graph, entry_key, forks, kept_seq, trace_id):
+    from spanscope.errors import ReconstructionError
+
+    walker = _Walker(graph, kept_seq, forks, strict=True)
+    root = walker.run(entry_key)
+    if walker.choices:
+        raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
+    if walker.kept:
+        missing = [s.span_id for s, _ in walker.kept]
+        raise ReconstructionError(
+            f"trace {trace_id!r}: kept spans not explained by the recorded path: {missing}"
+        )
+    return root
+
+
+def _derive_search(graph, entry_key, kept_seq, trace_id):
+    """Enumerate fork choices until two structurally distinct solutions appear."""
+    from spanscope.errors import ReconstructionError
+
+    solutions = {}
+    stack = [()]
+    explored = 0
+    while stack:
+        prefix = stack.pop()
+        explored += 1
+        if explored > ORACLE_SEARCH_BUDGET:
+            raise ReconstructionError("path search budget exceeded")
+        walker = _Walker(graph, list(kept_seq), prefix, strict=False)
+        try:
+            root = walker.run(entry_key)
+        except ReconstructionError:
+            continue
+        if root is None:
+            for option in sorted(walker.pending_fork, reverse=True):
+                stack.append(tuple(walker.taken) + (option,))
+            continue
+        if walker.kept:
+            continue  # not all kept spans explained: inconsistent branch
+        key = _canonical(root)
+        if key not in solutions:
+            solutions[key] = (tuple(walker.taken), root)
+            if len(solutions) == 2:
+                break
+    if not solutions:
+        raise ReconstructionError(f"trace {trace_id!r}: kept spans are inconsistent with the graph")
+    if len(solutions) > 1:
+        (c1, _), (c2, _) = solutions.values()
+        tags = []
+        for a, b in zip(c1, c2):
+            if a != b:
+                tags = [a, b]
+                break
+        if not tags:
+            tags = [c1[len(c2):][:1] or c1[-1:], c2[len(c1):][:1] or c2[-1:]]
+            tags = [t[0] for t in tags if t]
+        raise OracleAmbiguousPathError(trace_id, tags)
+    (_, root), = solutions.values()
+    return root
+
+
+def _measure(root, stats: dict) -> None:
+    """Store anchor bounds and natural width on every node, children first."""
+    keys = stats.get("keys", {})
+    order = [root]
+    for node in order:  # breadth-first, so every child follows its parent
+        order.extend(node.children)
+    for node in reversed(order):
+        span = node.span
+        lo = hi = None
+        if span is not None:
+            lo, hi = span.start_time, span.end_time
+        kids_width = 0
+        for c in node.children:
+            if c.alo is not None:
+                lo = c.alo if lo is None else min(lo, c.alo)
+                hi = c.ahi if hi is None else max(hi, c.ahi)
+            kids_width += c.width
+        node.alo, node.ahi = lo, hi
+        if span is not None:
+            node.width = span.duration
+            continue
+        entry = keys.get(node.fn)
+        if entry is None or entry.get("count", 0) == 0:
+            base = 0
+            node.source = SOURCE_ZERO
+            node.std = None
+        else:
+            base = max(0, int(round(entry["mean"])))
+            node.source = SOURCE_HISTORICAL
+            node.std = round(float(entry["std"]), 3)
+        width = base + kids_width
+        if lo is not None:
+            width = max(width, hi - lo)
+        node.width = width
 
 
 def _oracle_place(root, lo: int, hi: int) -> None:
@@ -805,8 +1039,15 @@ def _oracle_place(root, lo: int, hi: int) -> None:
         stack.extend(kids)
 
 
-def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping):
-    """reconstruct() as a layout pass followed by a separate emit pass."""
+def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping, search=False,
+                       recursive=False):
+    """reconstruct() on a node tree, from the walker above.
+
+    The tree is laid out by _measure and a separate placing pass, or with
+    recursive=True by oracle_layout; then a preorder emit writes the spans
+    and the unmapped kept spans are attached. search=True finds the path by
+    search instead of replaying the decision's forks.
+    """
     import dataclasses
 
     import spanscope.reconstruct as recon
@@ -822,24 +1063,26 @@ def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping):
             orphans.append(span)
         else:
             kept_seq.append((span, r.key))
-    if decision.forks is not None:
-        root = recon._derive_replay(graph, decision.entry, list(decision.forks),
-                                    kept_seq, decision.trace_id)
+    if search:
+        root = _derive_search(graph, decision.entry, kept_seq, decision.trace_id)
     else:
-        root = recon._derive_search(graph, decision.entry, kept_seq, decision.trace_id)
-
-    recon._measure(root, stats)
-    if root.span is not None:
-        lo, hi = root.span.start_time, root.span.end_time
+        root = _derive_replay(graph, decision.entry, list(decision.forks), kept_seq,
+                              decision.trace_id)
+    if recursive:
+        oracle_layout(root, orphans, stats)
     else:
-        alo = root.alo
-        for o in orphans:
-            alo = o.start_time if alo is None else min(alo, o.start_time)
-        lo = alo if alo is not None else 0
-        hi = lo + root.width
-        for o in orphans:
-            hi = max(hi, o.end_time)
-    _oracle_place(root, lo, hi)
+        _measure(root, stats)
+        if root.span is not None:
+            lo, hi = root.span.start_time, root.span.end_time
+        else:
+            alo = root.alo
+            for o in orphans:
+                alo = o.start_time if alo is None else min(alo, o.start_time)
+            lo = alo if alo is not None else 0
+            hi = lo + root.width
+            for o in orphans:
+                hi = max(hi, o.end_time)
+        _oracle_place(root, lo, hi)
 
     rspans = []
     stack = [(root, None)]
@@ -909,13 +1152,15 @@ def oracle_serialize(rebuilt) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
-# -- the frame-stack aligner ---------------------------------------------------
+# -- the reference aligner -----------------------------------------------------
 #
 # align, its per-invocation generator and the forward-enumerating solver as
-# they stood before paths were composed from subtree fragments, kept
-# unchanged apart from their names: one generator frame per mapped span, and
-# a solver that lists every reachable state and edge before a reverse
-# Dijkstra. The symbol builder is shared with the recorded-moves oracle below.
+# they stood before paths were composed from subtree fragments: one generator
+# frame per mapped span, and a solver that lists every reachable state and
+# edge before a reverse Dijkstra. Every flow move the solver takes is kept on
+# the step it follows. Forks are not recorded here: reference_step_forks finds
+# them by rescanning those moves against the graph's out-degrees, and
+# partition and the decision's fork record are checked against that rescan.
 
 
 class _SymCall:
@@ -956,11 +1201,10 @@ def reference_solve(graph, fn_key: str, sym_fn: tuple):
 
     sym_fn holds the callee key of each symbol, None for an inserted unmapped
     span. Returns (cost, insertions, actions) with actions a tuple of tuples,
-    or None when no path exists. Of the flow moves, only those out of a node
-    with more than one successor appear, as ("fork", target). Cost tuples
-    order by total cost then insertion count; the greedy replay over goal
-    distances applies the fixed action preference, so the result is
-    deterministic.
+    or None when no path exists. Every flow move appears, as ("move", node,
+    target). Cost tuples order by total cost then insertion count; the greedy
+    replay over goal distances applies the fixed action preference, so the
+    result is deterministic.
     """
     from spanscope.align import PROHIBITIVE_COST
 
@@ -1053,8 +1297,8 @@ def reference_solve(graph, fn_key: str, sym_fn: tuple):
             acts.append(("skip", node, sub.emissions[node][k]))
         elif name == "ins":
             acts.append(("ins", i))
-        elif len(sub.succ[node]) > 1:
-            acts.append(("fork", name.split(">", 1)[1]))
+        else:
+            acts.append(("move", node, name.split(">", 1)[1]))
         state = nxt
     return total[0], total[1], tuple(acts)
 
@@ -1078,15 +1322,21 @@ KIND_MATCH = "match"
 KIND_INSERT = "insert"
 KIND_SKIP = "skip"
 
-# one step of reference_align: its kind, block and callee, then the package
-# step's (slot, forks) pair
-ReferenceStep = namedtuple("ReferenceStep", "kind block_id callee slot forks",
+# one step of reference_align: its kind, block, callee and slot, then the
+# (function, source, target) flow moves taken after it
+ReferenceStep = namedtuple("ReferenceStep", "kind block_id callee slot moves",
                            defaults=((),))
 
 
+def reference_step_forks(graph, step) -> tuple:
+    """Targets of the moves after a step that leave a node with more than
+    one successor, in order."""
+    return tuple(dst for fn, src, dst in step.moves if len(graph.successors(fn, src)) > 1)
+
+
 def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot, steps,
-                               forks, cache):
-    """Realize one invocation's alignment into `steps` and `forks`.
+                               cache):
+    """Realize one invocation's alignment into `steps`.
 
     A generator: yields (callee key, child spans) for each nested invocation,
     which the caller emits completely before resuming this one, and returns
@@ -1127,9 +1377,8 @@ def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot
             if isinstance(sym, _SymCall):
                 yield sym.ref.key, sym.children
         else:
-            dst = act[1]
-            steps[-1] = steps[-1]._replace(forks=steps[-1].forks + (dst,))
-            forks.append(dst)
+            _, src, dst = act
+            steps[-1] = steps[-1]._replace(moves=steps[-1].moves + ((fn_key, src, dst),))
     return cost, ins
 
 
@@ -1139,7 +1388,8 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     Raises NoPathError when the root span does not resolve to a function the
     graph knows, and ValueError when given a cache with a graph that is not
     frozen. Every slot of the trace's preorder lies on exactly one step. The
-    steps are ReferenceSteps; their (slot, forks) pairs are align's steps.
+    steps are ReferenceSteps; with reference_step_forks, their (slot, forks)
+    pairs are align's steps, and the path's forks are those of every step.
     `cache` is a PathCache of its own: this aligner reads and writes only its
     whole-trace and solve maps.
     """
@@ -1167,12 +1417,11 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
 
     slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
     steps = [ReferenceStep(KIND_ENTER, entry_node(r.key), r.key, slot[root.span_id])]
-    forks: list[str] = []
     # one frame per open invocation; a nested one runs to its end before its
     # caller resumes, so steps land in the order a recursive walk gives
     cost = ins = 0
     stack = [_reference_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
-                                        resolutions, slot, steps, forks, cache)]
+                                        resolutions, slot, steps, cache)]
     while stack:
         try:
             fn_key, children = next(stack[-1])
@@ -1182,291 +1431,26 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
             ins += done.value[1]
         else:
             stack.append(_reference_emit_invocation(graph, trace, fn_key, children,
-                                                    resolutions, slot, steps, forks, cache))
+                                                    resolutions, slot, steps, cache))
 
     linked = sorted(s.slot for s in steps if s.slot is not None)
     if linked != list(range(len(trace))):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
-    path = ExecutionPath(tuple(steps), cost, ins, tuple(forks))
+    forks = tuple(f for step in steps for f in reference_step_forks(graph, step))
+    path = ExecutionPath(tuple(steps), cost, ins, forks)
     if cache is not None:
         cache.store(sig, path)
     return path
 
 
-# -- alignment with recorded flow moves --------------------------------------
-#
-# The aligner as it stood before paths named slots and recorded forks: every
-# flow move is kept on the step it follows, the trace-level cache stores a
-# slot template that is rehydrated per hit, and partition and the decision's
-# fork record each rescan the moves and ask the graph for the out-degree.
-# It shares the symbol builder with the frame-stack aligner above and
-# `trace_signature` with the package; the signature has its own oracle above.
-
-
-class OracleTransitEdge:
-    """One flow move taken after a step, inside one function's graph."""
-
-    __slots__ = ("function", "src", "dst")
-
-    def __init__(self, function, src, dst):
-        self.function, self.src, self.dst = function, src, dst
-
-
-class OracleStep:
-    __slots__ = ("kind", "block_id", "callee", "span_id", "transit")
-
-    def __init__(self, kind, block_id, callee, span_id, transit=()):
-        self.kind = kind
-        self.block_id = block_id
-        self.callee = callee
-        self.span_id = span_id
-        self.transit = transit
-
-
-class OraclePath:
-    __slots__ = ("steps", "cost", "insertions")
-
-    def __init__(self, steps, cost, insertions):
-        self.steps, self.cost, self.insertions = steps, cost, insertions
-
-
-def _oracle_solve(graph, fn_key: str, sym_fn: tuple):
-    """Optimal action sequence for one invocation, every flow move included."""
-    from spanscope.align import PROHIBITIVE_COST
-
-    sub = graph.subgraph(fn_key)
-    mandatory = graph.dominance(fn_key).mandatory
-    n = len(sym_fn)
-    start = (sub.entry, 0, 0)
-    goal = (sub.exit, 0, n)
-
-    def actions(state):
-        node, k, i = state
-        em = sub.emissions[node]
-        out = []
-        if k < len(em):
-            if i < n and sym_fn[i] == em[k]:
-                out.append(("match", (node, k + 1, i + 1), (0, 0)))
-        if i < n and sym_fn[i] is not None and sym_fn[i] in sub.patched.get(node, ()):
-            out.append(("pmatch", (node, k, i + 1), (0, 0)))
-        if k < len(em):
-            skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
-            out.append(("skip", (node, k + 1, i), (skip_cost, 0)))
-        if i < n:
-            out.append(("ins", (node, k, i + 1), (1, 1)))
-        if k == len(em):
-            for w in sub.succ.get(node, ()):
-                out.append((f"move>{w}", (w, 0, i), (0, 0)))
-        return out
-
-    edges = []
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        state = dq.popleft()
-        for name, nxt, cost in actions(state):
-            edges.append((state, name, nxt, cost))
-            if nxt not in seen:
-                seen.add(nxt)
-                dq.append(nxt)
-    if goal not in seen:
-        return None
-
-    rev: dict = {}
-    for src, _name, dst, cost in edges:
-        rev.setdefault(dst, []).append((src, cost))
-
-    dist = {goal: (0, 0)}
-    heap = [((0, 0), 0, goal)]
-    seq = 0
-    while heap:
-        d, _, state = heapq.heappop(heap)
-        if dist.get(state, None) != d or state not in seen:
-            continue
-        for src, cost in rev.get(state, ()):
-            cand = (d[0] + cost[0], d[1] + cost[1])
-            if cand < dist.get(src, (PROHIBITIVE_COST * 4, PROHIBITIVE_COST * 4)):
-                dist[src] = cand
-                seq += 1
-                heapq.heappush(heap, (cand, seq, src))
-
-    if start not in dist:
-        return None
-
-    order = {"match": 0, "pmatch": 1, "skip": 2, "ins": 3}
-    total = dist[start]
-    acts = []
-    state = start
-    while state != goal:
-        best = None
-        here = dist[state]
-        for name, nxt, cost in sorted(
-            actions(state), key=lambda a: (order.get(a[0].split(">")[0], 4), a[0])
-        ):
-            nd = dist.get(nxt)
-            if nd is None:
-                continue
-            if (cost[0] + nd[0], cost[1] + nd[1]) == here:
-                best = (name, nxt)
-                break
-        if best is None:
-            raise RuntimeError("alignment replay lost the optimal path")
-        name, nxt = best
-        node, k, i = state
-        if name == "match":
-            acts.append(("match", node, sub.emissions[node][k], i))
-        elif name == "pmatch":
-            acts.append(("pmatch", node, sym_fn[i], i))
-        elif name == "skip":
-            acts.append(("skip", node, sub.emissions[node][k]))
-        elif name == "ins":
-            acts.append(("ins", i))
-        else:
-            acts.append(("move", node, name.split(">", 1)[1]))
-        state = nxt
-    return total[0], total[1], tuple(acts)
-
-
-def _oracle_solve_cached(graph, fn_key, sym_fn, cache):
-    if cache is None:
-        return _oracle_solve(graph, fn_key, sym_fn)
-    key = (fn_key, sym_fn)
-    solved = cache.lookup_solve(key)
-    if solved is None:
-        solved = _oracle_solve(graph, fn_key, sym_fn)
-        if solved is not None:
-            cache.store_solve(key, solved)
-    return solved
-
-
-def _oracle_emit_invocation(graph, trace, fn_key, children, resolutions, builder,
-                            inserts, cache):
-    from spanscope.errors import NoPathError
-
-    syms = _build_symbols(trace, children, resolutions)
-
-    def emit_insert(sym):
-        builder.append(OracleStep(KIND_INSERT, None, None, sym.span.span_id, []))
-        inserts.append((fn_key, sym.span.operation))
-
-    if not graph.has_body(fn_key):
-        for sym in syms:
-            emit_insert(sym)
-            if isinstance(sym, _SymCall):
-                yield sym.ref.key, sym.children
-        return len(syms), len(syms)
-
-    sym_fn = tuple(s.ref.key if isinstance(s, _SymCall) else None for s in syms)
-    solved = _oracle_solve_cached(graph, fn_key, sym_fn, cache)
-    if solved is None:
-        raise NoPathError(children[0].span_id if children else fn_key,
-                          f"no path through function {fn_key!r}")
-    cost, ins, acts = solved
-    for act in acts:
-        if act[0] in ("match", "pmatch"):
-            _, node, callee, idx = act
-            sym = syms[idx]
-            builder.append(OracleStep(KIND_MATCH, node, callee, sym.span.span_id, []))
-            yield sym.ref.key, sym.children
-        elif act[0] == "skip":
-            _, node, callee = act
-            builder.append(OracleStep(KIND_SKIP, node, callee, None, []))
-        elif act[0] == "ins":
-            sym = syms[act[1]]
-            emit_insert(sym)
-            if isinstance(sym, _SymCall):
-                yield sym.ref.key, sym.children
-        else:
-            _, src, dst = act
-            builder[-1].transit.append(OracleTransitEdge(fn_key, src, dst))
-    return cost, ins
-
-
-def oracle_align(graph, trace, mapping, cache=None, resolutions=None) -> OraclePath:
-    """align() with every flow move on its step and a rehydrated template per hit.
-
-    `cache` is a PathCache of its own: its solve memo holds this aligner's
-    action sequences, which keep every move.
-    """
-    from spanscope.align import trace_signature
-    from spanscope.cscfg import entry_node
-    from spanscope.errors import NoPathError
-    from spanscope.mapping import Unmapped
-
-    if resolutions is None:
-        resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
-    sig = trace_signature(trace, resolutions)
-    if cache is not None:
-        tmpl = cache.lookup(sig)
-        if tmpl is not None:
-            return _oracle_rehydrate(tmpl, trace)
-
-    root = trace.root
-    r = resolutions[root.span_id]
-    if isinstance(r, Unmapped):
-        raise NoPathError(root.span_id, f"root span does not map to a function ({r.reason})")
-    if not graph.knows(r.key):
-        raise NoPathError(root.span_id, f"entry function {r.key!r} absent from graph")
-
-    builder = [OracleStep(KIND_ENTER, entry_node(r.key), r.key, root.span_id, [])]
-    inserts: list = []
-    cost = ins = 0
-    stack = [_oracle_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
-                                     resolutions, builder, inserts, cache)]
-    while stack:
-        try:
-            fn_key, children = next(stack[-1])
-        except StopIteration as done:
-            stack.pop()
-            cost += done.value[0]
-            ins += done.value[1]
-        else:
-            stack.append(_oracle_emit_invocation(graph, trace, fn_key, children,
-                                                 resolutions, builder, inserts, cache))
-    for step in builder:
-        step.transit = tuple(step.transit)
-    path = OraclePath(tuple(builder), cost, ins)
-
-    linked = [s.span_id for s in path.steps if s.span_id is not None]
-    if len(linked) != len(trace) or set(linked) != set(trace.span_ids()):
-        raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
-
-    if cache is not None:
-        cache.store(sig, _oracle_template(path, trace))
-    return path
-
-
-def _oracle_template(path: OraclePath, trace):
-    slot = {s.span_id: i for i, s in enumerate(trace.preorder)}
-    steps = tuple(
-        (s.kind, s.block_id, s.callee,
-         slot[s.span_id] if s.span_id is not None else None, s.transit)
-        for s in path.steps
-    )
-    return (steps, path.cost, path.insertions)
-
-
-def _oracle_rehydrate(template, trace) -> OraclePath:
-    steps_t, cost, ins = template
-    order = trace.preorder
-    steps = tuple(
-        OracleStep(kind, block_id, callee,
-                   order[slot].span_id if slot is not None else None, transit)
-        for kind, block_id, callee, slot, transit in steps_t
-    )
-    return OraclePath(steps, cost, ins)
-
-
-def _oracle_is_fork(graph, move) -> bool:
-    return len(graph.successors(move.function, move.src)) > 1
-
-
-def oracle_partition(path: OraclePath, graph, trace) -> list:
-    """Cut at forks found by rescanning every flow move against the graph."""
+def oracle_partition(path, graph, trace) -> list:
+    """Cut a reference path after every step whose moves the rescan finds a
+    fork in; the new set's tag is the first fork's target."""
     from spanscope.errors import PartitionMismatchError
     from spanscope.partition import TRUNK_TAG, DominantSpanSet
 
+    order = trace.preorder
     sets: list = []
     spans: list = []
     tag = TRUNK_TAG
@@ -1482,33 +1466,15 @@ def oracle_partition(path: OraclePath, graph, trace) -> list:
         spans = []
 
     for step in path.steps:
-        if step.span_id is not None:
-            spans.append(step.span_id)
-        fork_dst = None
-        for move in step.transit:
-            if _oracle_is_fork(graph, move):
-                fork_dst = move.dst
-                break
-        if fork_dst is not None:
+        if step.slot is not None:
+            spans.append(order[step.slot].span_id)
+        forks = reference_step_forks(graph, step)
+        if forks:
             close()
-            tag = fork_dst
+            tag = forks[0]
     close()
 
     covered = [s for d in sets for s in d.spans]
     if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):
         raise PartitionMismatchError(f"partition does not cover trace {trace.trace_id!r}")
     return sets
-
-
-def oracle_step_forks(path: OraclePath, graph) -> list:
-    """Each step's span id (None for a skip) and the fork targets taken
-    after it, by rescanning every move."""
-    return [(step.span_id, tuple(move.dst for move in step.transit
-                                 if _oracle_is_fork(graph, move)))
-            for step in path.steps]
-
-
-def oracle_path_forks(path: OraclePath, graph) -> tuple:
-    """Ordered fork targets taken along a path, by rescanning every move."""
-    return tuple(move.dst for step in path.steps for move in step.transit
-                 if _oracle_is_fork(graph, move))

@@ -22,6 +22,7 @@ from .oracles import (
     oracle_trace_signature,
     reference_align,
     reference_solve,
+    reference_step_forks,
 )
 from .test_cscfg import drifted_patched_graph
 from .test_partition import oracle_inputs
@@ -510,7 +511,8 @@ class TestComposedPathReference:
         for trace in traces:
             path = align_trace(graph, trace, mapping, cache)
             ref = reference_align(graph, trace, mapping)
-            assert path.steps == tuple((s.slot, s.forks) for s in ref.steps)
+            assert path.steps == tuple((s.slot, reference_step_forks(graph, s))
+                                       for s in ref.steps)
             assert (path.cost, path.insertions, path.forks) == \
                 (ref.cost, ref.insertions, ref.forks)
             pmatched += patched_matches(graph, ref)
@@ -593,15 +595,24 @@ def random_solver_graph(seed):
     return graph.freeze(), leaves
 
 
-def solve_projected(solved):
-    """A reference solve result with each action's node and callee dropped,
-    the shape `_solve` returns."""
+def solve_projected(graph, fn, solved):
+    """A reference solve result in the shape `_solve` returns: each action's
+    node and callee dropped, and of the flow moves only those that the graph
+    shows leave a node with more than one successor, as forks."""
     if solved is None:
         return None
     cost, ins, acts = solved
-    shape = {"match": lambda a: ("match", a[3]), "pmatch": lambda a: ("pmatch", a[3]),
-             "skip": lambda a: ("skip",), "ins": lambda a: a, "fork": lambda a: a}
-    return cost, ins, tuple(shape[a[0]](a) for a in acts)
+    out = []
+    for act in acts:
+        if act[0] in ("match", "pmatch"):
+            out.append((act[0], act[3]))
+        elif act[0] == "skip":
+            out.append(("skip",))
+        elif act[0] == "ins":
+            out.append(act)
+        elif len(graph.successors(fn, act[1])) > 1:
+            out.append(("fork", act[2]))
+    return cost, ins, tuple(out)
 
 
 def tie_graph(blocks, edges, entry, exits, dynamic=()):
@@ -646,7 +657,7 @@ class TestBackwardSolver:
     def test_ties_follow_the_move_preference(self, case):
         graph, syms, expected = TIES[case]
         assert _solve(graph, FN, syms) == expected
-        assert solve_projected(reference_solve(graph, FN, syms)) == expected
+        assert solve_projected(graph, FN, reference_solve(graph, FN, syms)) == expected
 
     @pytest.mark.parametrize("seed", range(1, 17))
     def test_solve_equals_the_forward_reference(self, seed):
@@ -660,7 +671,8 @@ class TestBackwardSolver:
             for _ in range(40):
                 syms = tuple(rng.choice(pool) for _ in range(rng.randint(0, 7)))
                 got = _solve(graph, fn, syms)
-                assert got == solve_projected(reference_solve(graph, fn, syms)), (fn, syms)
+                assert got == solve_projected(graph, fn, reference_solve(graph, fn, syms)), \
+                    (fn, syms)
                 if got is None:
                     outcomes["none"] += 1
                 else:

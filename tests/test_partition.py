@@ -26,10 +26,9 @@ from .conftest import (
 )
 from .oracles import (
     enumerate_simple_paths,
-    oracle_align,
     oracle_partition,
-    oracle_path_forks,
-    oracle_step_forks,
+    reference_align,
+    reference_step_forks,
 )
 
 FN = "svc:Main.run"
@@ -137,7 +136,7 @@ class TestPartition:
         keys = {s.span_id: s.operation for s in trace.spans}
         with pytest.raises(PartitionMismatchError, match=trace.trace_id):
             sample_trace(trace, sets, ScoreBook(), LrsLedger(), SamplingConfig(), keys,
-                         exclusive_durations(trace))
+                         exclusive_durations(trace), None, ())
 
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
@@ -200,11 +199,12 @@ class TestPartition:
         graph.freeze()
         for sample in samples:
             path = align_trace(graph, sample.trace, mapping)
-            # the package's steps name no block; the oracle's name each one
-            ref = oracle_align(graph, sample.trace, mapping)
+            # the package's steps name no block; the reference's name each one
+            ref = reference_align(graph, sample.trace, mapping)
+            order = sample.trace.preorder
             for d in partition(path, sample.trace):
                 blocks = {s.block_id for s in ref.steps
-                          if s.kind == "match" and s.span_id in set(d.spans)}
+                          if s.kind == "match" and order[s.slot].span_id in set(d.spans)}
                 if not blocks:
                     continue
                 for p in paths:
@@ -311,13 +311,12 @@ class TestRecordedForksOracle:
         inserted = forked = multi = 0
         for trace in traces:
             path = align_trace(graph, trace, mapping, cache)
-            ref = oracle_align(graph, trace, mapping, oracle_cache)
-            order = trace.preorder
-            assert [(None if slot is None else order[slot].span_id, forks)
-                    for slot, forks in path.steps] == oracle_step_forks(ref, graph)
+            ref = reference_align(graph, trace, mapping, oracle_cache)
+            assert path.steps == tuple((s.slot, reference_step_forks(graph, s))
+                                       for s in ref.steps)
             assert (path.cost, path.insertions) == (ref.cost, ref.insertions)
             assert partition(path, trace) == oracle_partition(ref, graph, trace)
-            assert path.forks == oracle_path_forks(ref, graph)
+            assert path.forks == ref.forks
             inserted += path.insertions
             forked += len(path.forks)
             multi += sum(1 for _, forks in path.steps if len(forks) > 1)

@@ -258,6 +258,48 @@ def test_reconstruct_checks_each_kept_record_against_its_decision(workload, tmp_
         assert repr(record["trace_id"]) in err and str(kept) in err, name
 
 
+def reconstruct_with_kept(graph_path, out, kept_lines, tmp_path):
+    """Runs reconstruct on out's decisions and the given kept lines; returns
+    the exit code, the kept file and the rebuilt lines written."""
+    kept = tmp_path / "kept.ndjson"
+    kept.write_text("\n".join(kept_lines) + "\n", encoding="utf-8")
+    dest = tmp_path / "rebuilt"
+    code = cli.main(["reconstruct", "--graph", graph_path,
+                     "--decisions", str(out / "decisions.ndjson"), "--kept", str(kept),
+                     "--stats", str(out / "stats.json"), "--out", str(dest)])
+    return code, kept, (dest / "reconstructed.ndjson").read_text(encoding="utf-8").splitlines()
+
+
+def test_reconstruct_keeps_the_lines_rebuilt_before_a_bad_kept_line(workload, tmp_path,
+                                                                     capsys):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 3)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = (out / "kept.ndjson").read_text(encoding="utf-8").splitlines()
+    code, kept, rebuilt = reconstruct_with_kept(
+        graph_path, out, [lines[0], '{"trace_id": "t", "spans": [', lines[2]], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {kept}:2: bad kept-spans record: ")
+    # the kept file is read in step with the decisions, so the first trace was rebuilt
+    assert [json.loads(line)["trace_id"] for line in rebuilt] == [json.loads(lines[0])["trace_id"]]
+
+
+def test_reconstruct_names_both_files_for_swapped_kept_lines(workload, tmp_path, capsys):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 3)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = (out / "kept.ndjson").read_text(encoding="utf-8").splitlines()
+    first, second = (json.loads(line)["trace_id"] for line in lines[:2])
+    code, kept, rebuilt = reconstruct_with_kept(graph_path, out, [lines[1], lines[0], lines[2]],
+                                                tmp_path)
+    assert code == 1 and rebuilt == []
+    assert capsys.readouterr().err == (
+        f"error: {out / 'decisions.ndjson'}:1: trace {first!r} meets the kept record of "
+        f"trace {second!r} at {kept}:1\n")
+
+
 def test_reconstruct_names_the_malformed_decision_line(workload, tmp_path, capsys):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
     out = tmp_path / "out"
@@ -265,7 +307,9 @@ def test_reconstruct_names_the_malformed_decision_line(workload, tmp_path, capsy
                      "--out", str(out)]) == 0
     good = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()[0]
     for bad in ['{"kept": []}', '{"trace_id": "t", "kept": [', '[1, 2]',
-                '{"trace_id": ["t"], "kept": []}', '{"trace_id": "t", "kept": [], "entry": {}}']:
+                '{"trace_id": ["t"], "kept": []}', '{"trace_id": "t", "kept": [], "entry": {}}',
+                # no fork records: rebuild has no other way to the path
+                '{"trace_id": "t", "kept": [], "entry": "svc:A.f"}']:
         decisions = tmp_path / "decisions.ndjson"
         decisions.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
         capsys.readouterr()

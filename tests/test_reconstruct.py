@@ -5,7 +5,7 @@ import pytest
 
 import spanscope.reconstruct as recon
 from spanscope.cscfg import PROV_DYNAMIC, build_cscfg
-from spanscope.errors import AmbiguousPathError, ReconstructionError
+from spanscope.errors import ReconstructionError
 from spanscope.harness import (
     SystemSpec,
     generate_system,
@@ -24,44 +24,14 @@ from spanscope.reconstruct import (
 )
 from spanscope.sampler import SamplingConfig, SamplingDecision, decision_from_dict
 
-from .conftest import comfort_economy_system
+from .conftest import align_trace, comfort_economy_system
 from .oracles import (
+    OracleAmbiguousPathError,
     oracle_decision_serialize,
-    oracle_layout,
     oracle_reconstruct,
     oracle_serialize,
     oracle_structural_fidelity,
 )
-
-
-def fresh_copy(node):
-    """The same tree shape and spans with nothing laid out yet."""
-    twin = recon._Node(node.fn, node.block, node.span)
-    twin.children = [fresh_copy(c) for c in node.children]
-    return twin
-
-
-def layout_of(root):
-    out, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        out.append((node.fn, node.lo, node.hi, node.source, node.std))
-        stack.extend(reversed(node.children))
-    return out
-
-
-@pytest.fixture
-def measured_trees(monkeypatch):
-    """Records a pristine copy and the live tree of every layout run."""
-    seen = []
-    measure = recon._measure
-
-    def spy(root, stats):
-        seen.append((fresh_copy(root), root))
-        measure(root, stats)
-
-    monkeypatch.setattr(recon, "_measure", spy)
-    return seen
 
 
 def sampled_workload(seed, n, ratio):
@@ -91,19 +61,17 @@ WORKLOADS = [(7, 300, 0.3), (11, 300, 0.3), (23, 300, 0.3), (None, 200, 0.1)]
 
 
 @pytest.mark.parametrize("seed,n,ratio", WORKLOADS)
-def test_layout_matches_the_recursive_reference(measured_trees, seed, n, ratio):
+def test_layout_matches_the_recursive_reference(seed, n, ratio):
     spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
     with_orphans = inferred = 0
     for result in results:
         rebuilt = pipeline.reconstruct_result(result, stats)
-        pristine, live = measured_trees.pop()
         kept = [result.trace.span(sid) for sid in result.decision.kept]
-        orphans = [s for s in kept if isinstance(mapping.resolve(s), Unmapped)]
-        oracle_layout(pristine, orphans, stats)
-        assert layout_of(live) == layout_of(pristine), result.trace.trace_id
-        with_orphans += bool(orphans)
+        expected = oracle_reconstruct(result.decision, kept, pipeline.graph, stats, mapping,
+                                      recursive=True)
+        assert rebuilt == expected, result.trace.trace_id
+        with_orphans += any(isinstance(mapping.resolve(s), Unmapped) for s in kept)
         inferred += len(rebuilt.inferred())
-    assert not measured_trees
     assert inferred > 0
     if spec.url_span_probability > 0:
         assert with_orphans > 0
@@ -249,9 +217,8 @@ def test_fidelity_matches_the_recursive_reference(seed, n, ratio):
 
 
 def rebuild_both_ways(doc, trace):
-    """Sample one trace at ratio 0.1, then rebuild it by replay and by search.
-
-    The search gets the decision without its fork records; both rebuilds must
+    """Sample one trace at ratio 0.1, then rebuild it by replay and by the
+    reference search, which ignores the fork records; both rebuilds must
     agree and match the original's structure.
     """
     graph = build_cscfg(doc)
@@ -261,8 +228,7 @@ def rebuild_both_ways(doc, trace):
     kept = [trace.span(sid) for sid in result.decision.kept]
     stats = pipeline.stats_snapshot()
     replayed = reconstruct(result.decision, kept, graph, stats, mapping)
-    searched = reconstruct(dataclasses.replace(result.decision, forks=None),
-                           kept, graph, stats, mapping)
+    searched = oracle_reconstruct(result.decision, kept, graph, stats, mapping, search=True)
     assert searched == replayed
     assert structural_fidelity(trace, replayed, mapping).structure_exact
     return result, replayed
@@ -293,7 +259,7 @@ def test_root_over_deep_unmapped_chain():
     assert {r.span.span_id for r in rebuilt.spans} >= set(result.decision.kept)
 
 
-def decision_for(entry, kept, forks=None, trace_id="t"):
+def decision_for(entry, kept, forks, trace_id="t"):
     return SamplingDecision(trace_id, tuple(sorted(s.span_id for s in kept)), entry, (), 0.0,
                             forks=forks)
 
@@ -305,9 +271,9 @@ def functions_of(rebuilt):
 class TestForkInPatchedCallee:
     """Main's block b0 calls A; a dynamic edge adds b0 -> P; P forks p1 (X) / p2 (Y).
 
-    A walk that goes on past a fork surfaced inside a patched callee rebuilds
-    [Main, P, A] when P's branch is unwitnessed, dropping the branch, and
-    finds no consistent path when X is kept.
+    Replay takes P's branch from the forks that align records for the trace.
+    Without them, the reference search finds both arms when the branch is
+    unwitnessed.
     """
 
     MAIN, P = "svc:Main.run", "svc:P.p"
@@ -332,25 +298,33 @@ class TestForkInPatchedCallee:
             "a": Span("a", "t", "root", "A.a", "svc", 30, 10),
         }
 
-    def rebuild(self, *ids):
-        kept = [self.spans[i] for i in ids]
-        return reconstruct(decision_for(self.MAIN, kept), kept, self.graph, {}, self.mapping)
+    def rebuild(self, spans, *ids):
+        """Replay of the kept spans ids with the forks align records for all of spans."""
+        forks = align_trace(self.graph, Trace("t", list(spans.values())), self.mapping).forks
+        kept = [spans[i] for i in ids]
+        return reconstruct(decision_for(self.MAIN, kept, forks), kept, self.graph, {},
+                           self.mapping)
 
     def test_unwitnessed_branch_is_ambiguous(self):
-        with pytest.raises(AmbiguousPathError) as info:
-            self.rebuild("root", "p", "a")
+        kept = [self.spans[i] for i in ("root", "p", "a")]
+        with pytest.raises(OracleAmbiguousPathError) as info:
+            oracle_reconstruct(decision_for(self.MAIN, kept, ()), kept, self.graph, {},
+                               self.mapping, search=True)
         assert info.value.branch_tags == [f"{self.P}#p1", f"{self.P}#p2"]
+        # the recorded fork settles it
+        assert functions_of(self.rebuild(self.spans, "root", "p", "a")) == [
+            (self.MAIN, ORIGIN_SAMPLED), (self.P, ORIGIN_SAMPLED), ("svc:X.x", ORIGIN_INFERRED),
+            ("svc:A.a", ORIGIN_SAMPLED)]
 
     def test_patched_call_after_the_block_call(self):
         spans = {**self.spans, "p": Span("p", "t", "root", "P.p", "svc", 50, 20),
                  "x": Span("x", "t", "p", "X.x", "svc", 51, 5)}
-        kept = [spans[i] for i in ("root", "a", "p", "x")]
-        rebuilt = reconstruct(decision_for(self.MAIN, kept), kept, self.graph, {}, self.mapping)
+        rebuilt = self.rebuild(spans, "root", "a", "p", "x")
         assert functions_of(rebuilt) == [(self.MAIN, ORIGIN_SAMPLED), ("svc:A.a", ORIGIN_SAMPLED),
                                          (self.P, ORIGIN_SAMPLED), ("svc:X.x", ORIGIN_SAMPLED)]
 
     def test_witnessed_branch_rebuilds(self):
-        rebuilt = self.rebuild("root", "p", "x", "a")
+        rebuilt = self.rebuild(self.spans, "root", "p", "x", "a")
         assert functions_of(rebuilt) == [(self.MAIN, ORIGIN_SAMPLED), (self.P, ORIGIN_SAMPLED),
                                          ("svc:X.x", ORIGIN_SAMPLED), ("svc:A.a", ORIGIN_SAMPLED)]
 
@@ -369,12 +343,13 @@ class TestSearchOnComfortEconomy:
                             if any(s.operation == "SeatService.getComfortClass" for s in t.spans))
 
     def rebuild(self, operations, forks):
+        """Replay of the recorded forks, or without them the reference search."""
         result = self.pipeline.process(self.comfort)
         kept = [s for s in self.comfort.spans if s.operation in operations]
         decision = dataclasses.replace(result.decision, kept=tuple(sorted(s.span_id for s in kept)))
-        if not forks:
-            decision = dataclasses.replace(decision, forks=None)
-        return reconstruct(decision, kept, self.graph, {}, self.mapping)
+        if forks:
+            return reconstruct(decision, kept, self.graph, {}, self.mapping)
+        return oracle_reconstruct(decision, kept, self.graph, {}, self.mapping, search=True)
 
     def test_witnessed_branch_search_equals_replay(self):
         ops = {"OrderService.createOrder", "SeatService.getComfortClass"}
@@ -383,7 +358,7 @@ class TestSearchOnComfortEconomy:
         assert structural_fidelity(self.comfort, replayed, self.mapping).structure_exact
 
     def test_unwitnessed_branch_names_both_arms(self):
-        with pytest.raises(AmbiguousPathError) as info:
+        with pytest.raises(OracleAmbiguousPathError) as info:
             self.rebuild({"OrderService.createOrder", "PriceService.getPrice"}, forks=False)
         assert info.value.branch_tags == [f"{self.entry}#c1", f"{self.entry}#e1"]
 
@@ -395,6 +370,55 @@ def test_endless_self_call_ends_in_reconstruction_error():
     graph = build_cscfg(doc).freeze()
     mapping = build_map(graph)
     root = Span("r", "t", None, "Loop.f", "svc", 0, 10)
-    for forks in ((), None):  # replay, then search
-        with pytest.raises(ReconstructionError):
-            reconstruct(decision_for("svc:Loop.f", [root], forks), [root], graph, {}, mapping)
+    decision = decision_for("svc:Loop.f", [root], ())
+    with pytest.raises(ReconstructionError, match="walk step budget exceeded"):
+        reconstruct(decision, [root], graph, {}, mapping)
+    with pytest.raises(ReconstructionError):  # the reference search finds no path either
+        oracle_reconstruct(decision, [root], graph, {}, mapping, search=True)
+
+
+def outcome(rebuild, decision, kept, graph, stats, mapping):
+    """A rebuilt trace, or the class and text of the error that stopped it."""
+    try:
+        return rebuild(decision, kept, graph, stats, mapping)
+    except ReconstructionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def mutated_decisions(result, donor):
+    """The decision and copies whose fork records or kept spans no longer fit
+    its path; donor is another result whose first kept mapped span is added."""
+    decision, trace = result.decision, result.trace
+    forks = decision.forks
+    kept = [trace.span(sid) for sid in decision.kept]
+    yield decision, kept
+    if forks:
+        yield dataclasses.replace(decision, forks=forks[:-1]), kept
+        yield dataclasses.replace(decision, forks=(f"{decision.entry}#nowhere",) + forks[1:]), kept
+        yield dataclasses.replace(decision, forks=forks[::-1]), kept
+        yield dataclasses.replace(decision, forks=forks[1:]), kept
+    yield dataclasses.replace(decision, forks=forks + forks[-1:] + forks[:1]), kept
+    if len(kept) > 1:
+        yield decision, kept[1:]
+    foreign = dataclasses.replace(donor.trace.spans[-1], trace_id=trace.trace_id,
+                                  span_id="foreign")
+    yield decision, kept + [foreign]
+
+
+@pytest.mark.parametrize("seed,n,ratio", [(7, 120, 0.3), (None, 60, 0.1)])
+def test_replay_errors_match_the_tree_walker(seed, n, ratio):
+    """Every check of the replay walk fires as the tree walker's does: the same
+    error text, or the same rebuilt trace, on decisions that no longer fit."""
+    _spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
+    graph = pipeline.graph
+    errors = set()
+    for i, result in enumerate(results):
+        donor = results[(i + 7) % len(results)]
+        for decision, kept in mutated_decisions(result, donor):
+            got = outcome(reconstruct, decision, kept, graph, stats, mapping)
+            assert got == outcome(oracle_reconstruct, decision, kept, graph, stats, mapping)
+            if isinstance(got, tuple):
+                errors.add(got[1])
+    for check in ("is not a successor here", "ran out of recorded branch choices",
+                  "unused branch records remain", "kept spans not explained"):
+        assert any(check in text for text in errors), check

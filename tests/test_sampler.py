@@ -197,6 +197,15 @@ class TestSampleTrace:
         assert decision.dss_reports and back.dss_reports == ()
         assert back.effective_ratio == 0.0
 
+    def test_a_record_without_forks_is_refused(self):
+        # rebuild replays the recorded forks and has no other way to the path
+        record = {"entry": "svc:A.f", "kept": ["s1"], "trace_id": "t"}
+        with pytest.raises(KeyError, match="forks"):
+            decision_from_dict(record)
+        with pytest.raises(TypeError):
+            decision_from_dict({**record, "forks": None})
+        assert decision_from_dict({**record, "forks": []}).forks == ()
+
     def test_dss_report_fields_and_decision_bytes(self):
         assert DssReport._fields == ("dss_id", "branch_tag", "size", "budget",
                                      "picked_by_z", "picked_by_lrs")
@@ -226,7 +235,7 @@ class TestSampleTrace:
 class TestLedger:
     def test_first_decision_counts_once(self):
         ledger = LrsLedger(100)
-        decision = SamplingDecision("t", ("s1",), "e", (), 1.0, kept_keys=("k1",))
+        decision = SamplingDecision("t", ("s1",), "e", (), 1.0, (), kept_keys=("k1",))
         ledger.note(decision.kept_keys)
         assert ledger.stats("k1") == (1, 1)
         assert ledger.stats("other") == (-1, 0)
@@ -244,14 +253,14 @@ class TestLedger:
         ledger = LrsLedger(2)
         for i in range(3):
             ledger.note(SamplingDecision(
-                f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)).kept_keys)
+                f"t{i}", ("s",), "e", (), 1.0, (), kept_keys=("k",)).kept_keys)
         assert ledger.stats("k") == (3, 2)  # the first decision decayed out
 
     def test_stats_give_last_and_count(self):
         ledger = LrsLedger(50)
         for i in range(5):
             ledger.note(SamplingDecision(
-                f"t{i}", ("s",), "e", (), 1.0, kept_keys=("k",)).kept_keys)
+                f"t{i}", ("s",), "e", (), 1.0, (), kept_keys=("k",)).kept_keys)
         assert ledger.stats("k") == (5, 5)
         assert ledger.stats("none") == (-1, 0)
 
@@ -338,8 +347,8 @@ class TestDecisionEncoder:
             forked += bool(decision.forks)
         assert forked > 0
 
-    @pytest.mark.parametrize("forks", [None, (), ("svc:A.f#b1", "svc:B.g#\u00e9")],
-                             ids=["no-forks", "empty-forks", "forks"])
+    @pytest.mark.parametrize("forks", [(), ("svc:A.f#b1", "svc:B.g#\u00e9")],
+                             ids=["empty-forks", "forks"])
     @pytest.mark.parametrize("entry", [None, "svc:A.f", "sv\u00e7:\u540d.f"])
     def test_hand_built_decisions_match_the_reference(self, forks, entry):
         reports = (DssReport("t\u00e9:0", "trunk", 3, 2, 1, 1),
