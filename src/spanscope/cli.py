@@ -14,7 +14,11 @@ and are not stored; older decision records that carry them still read.
 `sample` prints the stored bytes ratio, the bytes of those two files over
 the bytes of the trace file. `reconstruct` reads the two files in step, one
 decision and one kept record at a time, and checks that each kept record
-belongs to its decision's trace and holds the spans the decision lists.
+belongs to its decision's trace and holds the spans the decision lists; a
+kept record left over after the last decision is an error too. Lines
+rebuilt before an error stay written. Each rebuilt trace is written as the
+rebuild placed it, from its records; its span objects are built only with
+--traces, for the fidelity report.
 
 Exit codes: 0 success, 1 input or pipeline error, 2 configuration error.
 Set SPANSCOPE_LOG=debug|info|warning to control verbosity.
@@ -227,6 +231,11 @@ def cmd_reconstruct(args) -> int:
                 # weighted by inferred spans, as in eval and the benchmark
                 err_sum += report.duration_error * report.inferred_count
                 err_n += report.inferred_count
+        kept_lineno, kept_id, _spans = next(kept_records, (None, None, None))
+        if kept_lineno is not None:
+            raise MalformedDocumentError(
+                f"{args.kept}:{kept_lineno}: the kept record of trace {kept_id!r} "
+                f"follows the last decision in {args.decisions}")
     if compared:
         fidelity = {"structure_exact_rate": round(exact / compared, 6),
                     "mean_duration_error": round(err_sum / err_n if err_n else 0.0, 6)}

@@ -10,9 +10,13 @@ parent, bending around the real timestamps of sampled spans.
 
 The replay walk writes the calls to flat lists in preorder, each with the
 end of its subtree, and settles a call's anchor bounds and natural width as
-soon as the walk of its body closes. One forward pass then emits each call
-and places its children inside its interval, which gives each child its
-parent's span id. Neither step keeps a node object per call.
+soon as the walk of its body closes. One forward pass then writes each
+call's JSON record straight from those columns and places its children
+inside its interval, which gives each child its parent's span id. Neither
+step builds an object per call: the rebuilt trace holds the records, which
+serialize() joins, and builds its Span and ReconstructedSpan objects from
+the same columns only when `spans` is first read, as fidelity and the
+inferred-span reports do.
 
 Unmapped kept spans have no place on the graph; they re-attach under their
 original parent when it was kept, else under the tightest containing sampled
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
@@ -71,46 +75,129 @@ class ReconstructedSpan(NamedTuple):
     uncertainty_std: float | None = None
 
 
-@dataclass(frozen=True)
+def _record(trace_id: str, own_id: str, sid, tid, parent, op, svc, start, dur, attrs,
+            origin: str, source=None, std=None) -> str:
+    """One span's JSON record: its fields, its origin and, when inferred, its
+    fill source and std, with keys and attributes in sorted order, as a
+    sort_keys encoder with compact separators writes it. own_id is trace_id
+    as JSON, written for a span of that trace without encoding it again.
+
+    The record is one f-string over its values' JSON. The two origins and the
+    exact types every span carries are tested inline, which saves a call per
+    value; _json writes anything else.
+    """
+    q, j = _quote, _json
+    if origin == ORIGIN_INFERRED:
+        origin = '"inferred"'
+        source = f'"duration_source":{q(source) if type(source) is str else j(source)},'
+        std = ',"uncertainty_std":' + (float.__repr__(std) if type(std) is float and
+                                        math.isfinite(std) else j(std))
+    else:
+        origin = '"sampled"' if origin == ORIGIN_SAMPLED else j(origin)
+        source = std = ""
+    attrs = _ENCODER.encode(dict(sorted(attrs.items()))) if attrs else "{}"
+    tid = own_id if tid is trace_id or tid == trace_id and type(tid) is str else j(tid)
+    return (f'{{"attributes":{attrs},"duration":{dur if type(dur) is int else j(dur)},'
+            f'{source}"operation":{q(op) if type(op) is str else j(op)},'
+            f'"origin":{origin},'
+            f'"parent_id":{q(parent) if type(parent) is str else j(parent)},'
+            f'"service":{q(svc) if type(svc) is str else j(svc)},'
+            f'"span_id":{q(sid) if type(sid) is str else j(sid)},'
+            f'"start_time":{start if type(start) is int else j(start)},"trace_id":{tid}{std}}}')
+
+
 class ReconstructedTrace:
-    trace_id: str
-    spans: tuple[ReconstructedSpan, ...]  # preorder
+    """A rebuilt trace: its id and its spans, in preorder with orphans last.
+
+    reconstruct writes each span's JSON record as it places the span, from
+    the replay's columns, and builds `spans` from the same columns only on
+    first read; writing a trace out never builds them. A trace made from its
+    spans, ReconstructedTrace(trace_id, spans), writes its records from them
+    through the same record writer. Two traces are equal when their ids and
+    spans are. Like Span, it is frozen: its slots are written only here.
+    """
+
+    __slots__ = ("trace_id", "_spans", "_records", "_columns")
+
+    def __init__(self, trace_id: str, spans: tuple[ReconstructedSpan, ...]):
+        _set = object.__setattr__
+        _set(self, "trace_id", trace_id)
+        _set(self, "_spans", tuple(spans))
+        _set(self, "_records", None)
+        _set(self, "_columns", None)
+
+    @classmethod
+    def _placed(cls, trace_id: str, records: list[str], columns: tuple) -> ReconstructedTrace:
+        """A trace reconstruct placed: its records, and the columns its spans
+        are built from when first read."""
+        self = cls.__new__(cls)
+        _set = object.__setattr__
+        _set(self, "trace_id", trace_id)
+        _set(self, "_spans", None)
+        _set(self, "_records", records)
+        _set(self, "_columns", columns)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to {name!r}: ReconstructedTrace is frozen")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete {name!r}: ReconstructedTrace is frozen")
+
+    @property
+    def spans(self) -> tuple[ReconstructedSpan, ...]:
+        if self._spans is None:
+            object.__setattr__(self, "_spans", _spans_of(self.trace_id, *self._columns))
+            object.__setattr__(self, "_columns", None)
+        return self._spans
 
     def inferred(self) -> list[ReconstructedSpan]:
         return [r for r in self.spans if r.origin == ORIGIN_INFERRED]
 
     def serialize(self) -> str:
-        """One JSON line: each span's record plus its origin, with keys and
-        attributes in sorted order, as a sort_keys encoder with compact
-        separators writes it. Each record is one f-string over its values'
-        JSON; the trace's own id is quoted once."""
+        """One JSON line: each span's record, then the trace id, as a
+        sort_keys encoder with compact separators writes it."""
         trace_id = self.trace_id
         own_id = _json(trace_id)
-        q, j = _quote, _json
-        records = []
-        for span, origin, _fn, source, std in self.spans:
-            if origin == ORIGIN_INFERRED:
-                source = f'"duration_source":{j(source)},'
-                std = f',"uncertainty_std":{j(std)}'
-            else:
-                source = std = ""
-            attrs = span.attributes
-            attrs = _ENCODER.encode(dict(sorted(attrs.items()))) if attrs else "{}"
-            tid = span.trace_id
-            tid = own_id if tid is trace_id or tid == trace_id and type(tid) is str else j(tid)
-            # the exact types every span carries are tested inline, which
-            # saves a call per value; _json writes anything else
-            sid, parent, op, svc = span.span_id, span.parent_id, span.operation, span.service
-            start, dur = span.start_time, span.duration
-            records.append(
-                f'{{"attributes":{attrs},"duration":{dur if type(dur) is int else j(dur)},'
-                f'{source}"operation":{q(op) if type(op) is str else j(op)},'
-                f'"origin":{j(origin)},'
-                f'"parent_id":{q(parent) if type(parent) is str else j(parent)},'
-                f'"service":{q(svc) if type(svc) is str else j(svc)},'
-                f'"span_id":{q(sid) if type(sid) is str else j(sid)},'
-                f'"start_time":{start if type(start) is int else j(start)},"trace_id":{tid}{std}}}')
+        records = self._records
+        if records is None:
+            records = [_record(trace_id, own_id, s.span_id, s.trace_id, s.parent_id,
+                               s.operation, s.service, s.start_time, s.duration,
+                               s.attributes, origin, source, std)
+                       for s, origin, _fn, source, std in self._spans]
         return f'{{"spans":[{",".join(records)}],"trace_id":{own_id}}}'
+
+    def __eq__(self, other):
+        if not isinstance(other, ReconstructedTrace):
+            return NotImplemented
+        return self.trace_id == other.trace_id and self.spans == other.spans
+
+    def __repr__(self) -> str:
+        return f"ReconstructedTrace(trace_id={self.trace_id!r}, spans={self.spans!r})"
+
+
+def _spans_of(trace_id: str, fns, kept, los, his, fills, psids, functions,
+              orphans) -> tuple[ReconstructedSpan, ...]:
+    """The spans whose records reconstruct wrote, from its columns: preorder
+    call i and its placed parent id, then each orphan under its parent."""
+    rspans = []
+    for i, fn in enumerate(fns):
+        span, parent_id = kept[i], psids[i]
+        if span is not None:
+            if span.parent_id != parent_id:
+                span = span.with_parent(parent_id)
+            rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, fn))
+        else:
+            ref = functions.get(fn) or parse_function_key(fn)
+            _base, source, std = fills[i]
+            rspans.append(ReconstructedSpan(
+                Span(f"{trace_id}:inf:{i}", trace_id, parent_id, ref.operation, ref.service,
+                     los[i], his[i] - los[i], {}),
+                ORIGIN_INFERRED, fn, source, std))
+    for orphan, parent_id in orphans:
+        span = orphan if orphan.parent_id == parent_id else orphan.with_parent(parent_id)
+        rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, None))
+    return tuple(rspans)
 
 
 def _fill(stat: dict | None) -> tuple:
@@ -267,14 +354,17 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tup
     return fns, spans, ends, alo, ahi, widths, fills
 
 
-def _attach_orphans(orphans: list[Span], kept_spans: list[Span],
-                    rspans: list[ReconstructedSpan], sampled: list[Span]) -> None:
-    """Append each unmapped kept span under its kept parent, else under the
-    shortest sampled span that contains it, else under the root."""
-    root_id = rspans[0].span.span_id
-    sampled.sort(key=lambda s: (s.duration, s.span_id))
-    # orphans are kept spans, so this set holds the ids appended below too
-    known_ids = {s.span_id for s in kept_spans} | {r.span.span_id for r in rspans}
+def _place_orphans(orphans: list[Span], kept_spans: list[Span], trace_id: str,
+                   spans: list[Span | None]) -> list[tuple[Span, str]]:
+    """Each unmapped kept span with the id it goes under: its kept parent,
+    else the shortest sampled span that contains it, else the root. spans is
+    the replay's kept span per preorder call, None where inferred."""
+    root_id = spans[0].span_id if spans[0] is not None else f"{trace_id}:inf:0"
+    sampled = sorted((s for s in spans if s is not None), key=lambda s: (s.duration, s.span_id))
+    # orphans are kept spans, so this set holds their ids too
+    known_ids = {s.span_id for s in kept_spans}
+    known_ids.update(f"{trace_id}:inf:{i}" for i, s in enumerate(spans) if s is None)
+    placed = []
     for orphan in orphans:
         if orphan.parent_id in known_ids:
             parent = orphan.parent_id
@@ -287,8 +377,8 @@ def _attach_orphans(orphans: list[Span], kept_spans: list[Span],
                     break
             if parent is None:
                 parent = root_id
-        span = orphan if orphan.parent_id == parent else orphan.with_parent(parent)
-        rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, None))
+        placed.append((orphan, parent))
+    return placed
 
 
 def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg,
@@ -336,33 +426,30 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
             hi = max(hi, o.end_time)
         his[0] = hi
 
-    # one forward pass in preorder: emit node i (an inferred span's id
-    # carries its preorder index), then place its children inside its
-    # interval. Sampled spans keep their times; inferred ones are packed left
-    # to right, bending around the anchors of later siblings.
+    # one forward pass in preorder: write call i's record (an inferred
+    # span's id carries its preorder index), then place its children inside
+    # its interval. Sampled spans keep their times; inferred ones are packed
+    # left to right, bending around the anchors of later siblings.
     functions = graph.functions
-    rspans: list[ReconstructedSpan] = []
-    sampled: list[Span] = []
+    own_id = _json(trace_id)
+    records: list[str] = []
     psids: list[str | None] = [None] * n
     for i in range(n):
         span = spans[i]
-        parent_id = psids[i]
-        fn = fns[i]
         if span is not None:
-            if span.parent_id != parent_id:
-                span = span.with_parent(parent_id)
-            rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, fn))
-            sampled.append(span)
             sid = span.span_id
+            records.append(_record(trace_id, own_id, sid, span.trace_id, psids[i],
+                                   span.operation, span.service, span.start_time,
+                                   span.duration, span.attributes, ORIGIN_SAMPLED))
         else:
+            fn = fns[i]
             # the graph holds a FunctionRef for every function but external ones
             ref = functions.get(fn) or parse_function_key(fn)
             sid = f"{trace_id}:inf:{i}"
             _base, source, std = fills[i]
-            rspans.append(ReconstructedSpan(
-                Span(sid, trace_id, parent_id, ref.operation, ref.service,
-                     los[i], his[i] - los[i], {}),
-                ORIGIN_INFERRED, fn, source, std))
+            records.append(_record(trace_id, own_id, sid, trace_id, psids[i], ref.operation,
+                                   ref.service, los[i], his[i] - los[i], None,
+                                   ORIGIN_INFERRED, source, std))
         end = ends[i]
         if end == i + 1:
             continue
@@ -396,9 +483,12 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
             los[c], his[c], psids[c] = clo, chi, sid
             cursor = max(cursor, chi)
 
-    if orphans:
-        _attach_orphans(orphans, kept_spans, rspans, sampled)
-    return ReconstructedTrace(trace_id, tuple(rspans))
+    placed = _place_orphans(orphans, kept_spans, trace_id, spans) if orphans else []
+    records += [_record(trace_id, own_id, o.span_id, o.trace_id, parent, o.operation,
+                        o.service, o.start_time, o.duration, o.attributes, ORIGIN_SAMPLED)
+                for o, parent in placed]
+    return ReconstructedTrace._placed(
+        trace_id, records, (fns, spans, los, his, fills, psids, functions, placed))
 
 
 @dataclass(frozen=True)

@@ -92,19 +92,27 @@ def decision_from_dict(obj: dict) -> SamplingDecision:
     """A decision from its stored record, without DSS reports; keys that
     rebuild does not read are ignored. A record without "forks" is refused:
     rebuild replays the recorded fork targets and has no other way to find
-    the path."""
+    the path. So is one whose forks or kept ids are not a list of strings."""
     trace_id, entry, forks = obj["trace_id"], obj.get("entry"), obj["forks"]
+    kept = obj["kept"]
     # both are used as keys, so an unhashable value would fail far from here
     if type(trace_id) is not str or not (entry is None or type(entry) is str):
         raise TypeError("trace_id must be a string and entry a string or null")
+    # a string would read as its characters, and other values fail in the replay
+    if not (_strings(forks) and _strings(kept)):
+        raise TypeError("forks and kept must be lists of strings")
     return SamplingDecision(
         trace_id=trace_id,
-        kept=tuple(obj["kept"]),
+        kept=tuple(kept),
         entry=entry,
         dss_reports=(),
         effective_ratio=0.0,
         forks=tuple(forks),
     )
+
+
+def _strings(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
 
 
 class LrsLedger:

@@ -8,7 +8,7 @@ from spanscope.align import PathCache
 from spanscope.cscfg import build_cscfg
 from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.mapping import build_map
-from spanscope.model import serialize_trace
+from spanscope.model import Span, serialize_trace
 from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import structural_fidelity
 from spanscope.sampler import SamplingConfig
@@ -318,6 +318,79 @@ def test_reconstruct_names_the_malformed_decision_line(workload, tmp_path, capsy
                          "--out", str(out)]) == 1, bad
         assert capsys.readouterr().err.startswith(
             f"error: {decisions}:3: bad decision record: "), bad
+
+
+@pytest.mark.parametrize("field,value", [("forks", "b3"), ("forks", [1]), ("kept", [None]),
+                                         ("kept", "s1")],
+                         ids=["forks-string", "forks-int", "kept-null", "kept-string"])
+def test_reconstruct_names_a_decision_whose_forks_or_kept_are_not_strings(
+        workload, tmp_path, capsys, field, value):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 3)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()
+    bad = json.dumps(dict(json.loads(lines[1]), **{field: value}))
+    decisions = tmp_path / "decisions.ndjson"
+    decisions.write_text("\n".join([lines[0], bad, lines[2]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--graph", graph_path, "--decisions", str(decisions),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                     "--out", str(tmp_path / "rebuilt")]) == 1
+    assert capsys.readouterr().err == (f"error: {decisions}:2: bad decision record: "
+                                       f"TypeError: forks and kept must be lists of strings\n")
+
+
+def test_reconstruct_refuses_kept_records_past_the_last_decision(workload, tmp_path, capsys):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()
+    decisions = tmp_path / "decisions.ndjson"
+    decisions.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
+    kept = out / "kept.ndjson"
+    dest = tmp_path / "rebuilt"
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--graph", graph_path, "--decisions", str(decisions),
+                     "--kept", str(kept), "--stats", str(out / "stats.json"),
+                     "--out", str(dest)]) == 1
+    fourth = json.loads(kept.read_text(encoding="utf-8").splitlines()[3])["trace_id"]
+    assert capsys.readouterr().err == (
+        f"error: {kept}:4: the kept record of trace {fourth!r} follows the last decision "
+        f"in {decisions}\n")
+    # the three traces with a decision were rebuilt and stay written
+    rebuilt = (dest / "reconstructed.ndjson").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["trace_id"] for line in rebuilt] == \
+        [json.loads(line)["trace_id"] for line in lines[:3]]
+
+
+def test_reconstruct_builds_no_span_per_rebuilt_call(workload, tmp_path, monkeypatch):
+    """Without --traces nothing reads a rebuilt trace's span objects, so the
+    only spans made are the kept spans parsed from kept.ndjson."""
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 50)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out), "--ratio", "0.3"]) == 0
+    kept_lines = (out / "kept.ndjson").read_text(encoding="utf-8").splitlines()
+    kept_ids = [s["span_id"] for line in kept_lines for s in json.loads(line)["spans"]]
+    built = []
+    init = Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["span_id"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counting_init)
+    assert cli.main(["reconstruct", "--graph", graph_path,
+                     "--decisions", str(out / "decisions.ndjson"),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                     "--out", str(tmp_path / "rebuilt")]) == 0
+    monkeypatch.undo()
+    rebuilt = (tmp_path / "rebuilt" / "reconstructed.ndjson").read_text(encoding="utf-8")
+    assert rebuilt.count("\n") == len(kept_lines)
+    assert rebuilt.count('"origin":"inferred"') > 0
+    assert built == kept_ids
 
 
 @pytest.mark.parametrize("config", [{"n_services": "4"}, {"n_services": 4.5},

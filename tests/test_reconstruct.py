@@ -4,8 +4,8 @@ import json
 import pytest
 
 import spanscope.reconstruct as recon
-from spanscope.cscfg import PROV_DYNAMIC, build_cscfg
-from spanscope.errors import ReconstructionError
+from spanscope.cscfg import PROV_DYNAMIC, build_cscfg, patch_with_traces
+from spanscope.errors import ReconstructionError, SpanscopeError
 from spanscope.harness import (
     SystemSpec,
     generate_system,
@@ -19,6 +19,7 @@ from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import (
     ORIGIN_INFERRED,
     ORIGIN_SAMPLED,
+    ReconstructedTrace,
     reconstruct,
     structural_fidelity,
 )
@@ -32,6 +33,7 @@ from .oracles import (
     oracle_serialize,
     oracle_structural_fidelity,
 )
+from .test_drift import drop_call
 
 
 def sampled_workload(seed, n, ratio):
@@ -121,6 +123,65 @@ def test_serialize_matches_the_sort_keys_reference_on_a_hand_built_trace():
     assert list(root.attributes) == ["zeta", "alpha", "mid", "Beta"]
     assert line.startswith('{"spans":[{"attributes":{"Beta":"\\ud83d\\ude00",'
                            '"alpha":"\\u00fc","mid":"\\u540d\\u524d","zeta":"z"},')
+
+
+def non_ascii(trace):
+    """The trace under a non-ASCII trace id, with non-ASCII span ids and
+    attributes that need escapes on every span."""
+    tid = f"{trace.trace_id}\u00e9"
+    ids = {s.span_id: f"{s.span_id}\u540d\U0001f600" for s in trace.spans}
+    return Trace(tid, [Span(ids[s.span_id], tid, ids.get(s.parent_id), s.operation, s.service,
+                            s.start_time, s.duration,
+                            {**s.attributes, "k\u00fc": f"v\u2028{i}", "\x01": '"'})
+                       for i, s in enumerate(trace.spans)])
+
+
+def drifted_patched_graph(doc, traces):
+    """The graph of doc with one call dropped, patched from the traces."""
+    graph = build_cscfg(drop_call(doc, "svc00:C0.op0", "b3", "svc00:C5.op5"))
+    patch_with_traces(graph, traces, build_map(graph))
+    return graph
+
+
+RECORD_SYSTEMS = {
+    "default": (SystemSpec(), False, None),
+    "url-spans": (SystemSpec(seed=7, n_services=6, n_functions_per_service=8,
+                             branch_probability=0.3, url_span_probability=0.1), False, None),
+    "deep-chains": (SystemSpec(seed=5, url_span_probability=0.0), True, None),
+    "drifted-patched": (SystemSpec(), False, drifted_patched_graph),
+}
+
+
+@pytest.mark.parametrize("system", sorted(RECORD_SYSTEMS))
+def test_records_written_from_the_columns_match_the_spans_they_build(system):
+    """A rebuilt trace's line, written from the replay's columns, equals the
+    line of a trace made from the spans those columns build, and a sort_keys
+    dump of their record dicts; kept spans carry non-ASCII ids and attributes."""
+    spec, deep, patched = RECORD_SYSTEMS[system]
+    doc, meta = variable_depth_system() if deep else generate_system(spec)
+    traces = [non_ascii(s.trace) for s in
+              generate_traces(build_cscfg(doc), meta, spec, 150, make_default_faults(meta, 150))]
+    graph = (patched(doc, traces) if patched else build_cscfg(doc)).freeze()
+    mapping = build_map(graph)
+    pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3 if deep else 0.2))
+    rebuilt_n = inferred = orphans = 0
+    for trace in traces:
+        try:
+            result = pipeline.process(trace)
+            rebuilt = pipeline.reconstruct_result(result)
+        except SpanscopeError:
+            assert patched, trace.trace_id  # a drifted graph may not explain a trace
+            continue
+        line = rebuilt.serialize()
+        assert line == ReconstructedTrace(rebuilt.trace_id, rebuilt.spans).serialize()
+        assert line == oracle_serialize(rebuilt), trace.trace_id
+        assert "\\u540d\\ud83d\\ude00" in line and '"\\u0001":"\\""' in line
+        rebuilt_n += 1
+        inferred += len(rebuilt.inferred())
+        orphans += sum(r.function is None for r in rebuilt.spans)
+    assert rebuilt_n > 0 and inferred > 0
+    if spec.url_span_probability > 0:
+        assert orphans > 0
 
 
 class Count(int):
