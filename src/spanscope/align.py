@@ -15,9 +15,8 @@ from the goal state generates predecessors as it goes and stops once every
 state no farther from the goal than the start is settled. Each state it
 relaxes keeps its preferred optimal move, and the replay follows those
 moves from the start. Ties are broken deterministically: lower cost, then
-fewer insertions, then a fixed move preference (match, patched match, skip,
-insert, move to the smallest successor id), which keeps repeated runs
-byte-identical.
+fewer insertions, then a fixed move preference (match, skip, insert, move to
+the smallest successor id), which keeps repeated runs byte-identical.
 
 A path is a sequence of steps, each the pair (slot, forks). The slot names
 a span by its index in `Trace.preorder`, so a path depends on the trace's
@@ -59,8 +58,8 @@ from .model import Trace
 PROHIBITIVE_COST = 1_000_000
 # entries each map of a PathCache holds at most
 PATH_CACHE_CAPACITY = 4096
-# the solver's move preference, best first; a flow move ranks (4, target id)
-_MATCH, _PMATCH, _SKIP, _INS = (0,), (1,), (2,), (3,)
+# the solver's move preference, best first; a flow move ranks (3, target id)
+_MATCH, _SKIP, _INS = (0,), (1,), (2,)
 
 
 @dataclass(frozen=True)
@@ -242,19 +241,18 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
 
     sym_fn holds the callee key of each symbol, None for an inserted unmapped
     span. Returns (cost, insertions, actions) with actions a tuple of tuples,
-    or None when no path exists. A match, patched match or insertion of
-    symbol i is ("match", i), ("pmatch", i) or ("ins", i), and a skipped call
-    is ("skip",). Of the flow moves, only those out of a node with more than
-    one successor appear, as ("fork", target). Cost tuples order by total
-    cost then insertion count, and a state at least (4, 4) *
-    PROHIBITIVE_COST from the goal counts as unreachable. Each state keeps
-    its preferred optimal move, ranked match, patched match, skip, insert,
-    then move by target id, and the replay follows those moves from the
-    start, so the result is deterministic.
+    or None when no path exists. A match or insertion of symbol i is
+    ("match", i) or ("ins", i), and a skipped call is ("skip",). Of the flow
+    moves, only those out of a node with more than one successor appear, as
+    ("fork", target). Cost tuples order by total cost then insertion count,
+    and a state at least (4, 4) * PROHIBITIVE_COST from the goal counts as
+    unreachable. Each state keeps its preferred optimal move, ranked match,
+    skip, insert, then move by target id, and the replay follows those moves
+    from the start, so the result is deterministic.
     """
     sub = graph.subgraph(fn_key)
     mandatory = graph.dominance(fn_key).mandatory
-    emissions, succ, patched = sub.emissions, sub.succ, sub.patched
+    emissions, succ = sub.emissions, sub.succ
     n = len(sym_fn)
     start = (sub.entry, 0, 0)
     goal = (sub.exit, 0, n)
@@ -296,13 +294,10 @@ def _solve(graph: Cscfg, fn_key: str, sym_fn: tuple):
             skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
             sources.append(((node, k - 1, i), (cost + skip_cost, ins), _SKIP, ("skip",)))
         else:
-            rank = (4, node)
+            rank = (3, node)
             for v, kv, act in preds.get(node, ()):
                 sources.append(((v, kv, i), d, rank, act))
         if i:
-            sym = sym_fn[i - 1]
-            if sym is not None and sym in patched.get(node, ()):
-                sources.append(((node, k, i - 1), d, _PMATCH, ("pmatch", i - 1)))
             sources.append(((node, k, i - 1), (cost + 1, ins + 1), _INS, ("ins", i - 1)))
         for src, cand, rank, act in sources:
             old = dist.get(src, unreachable)

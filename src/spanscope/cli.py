@@ -101,8 +101,7 @@ def cmd_build_graph(args) -> int:
     if args.patch:
         mapping = _load_mapping(graph, args.shared_dict)
         report = patch_with_traces(graph, read_trace_file(args.patch), mapping)
-        print(f"patched: {report.edges_added} edges, "
-              f"{report.synthetic_blocks} synthetic blocks, "
+        print(f"patched: {report.calls_added} calls as synthetic blocks, "
               f"{report.unresolved_pairs} unresolved pairs")
     for fn in sorted(graph.functions):
         if not graph.has_body(fn):
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("build-graph", help="build and freeze a call-site graph artifact")
     pb.add_argument("--graph", required=True, help="call-graph document (JSON)")
     pb.add_argument("--out", required=True, help="artifact output path")
-    pb.add_argument("--patch", help="trace file used to patch missing call edges")
+    pb.add_argument("--patch", help="trace file whose missing calls become synthetic blocks")
     pb.add_argument("--shared-dict", help="shared-library dictionary (JSON list)")
     pb.set_defaults(func=cmd_build_graph)
 

@@ -3,8 +3,10 @@
 The graph keeps only blocks that make calls. Each function contributes a
 small node graph consisting of a virtual entry node, a virtual exit node and
 its call-site blocks; flow edges are contracted across call-free blocks of
-the original control flow. Call edges link a block to the callee's entry and
-are kept separate from flow edges, so dominance stays intraprocedural.
+the original control flow. A block's callees are its call edges: they link
+it to each callee's entry and are kept separate from flow edges, so
+dominance stays intraprocedural. A call seen at runtime that no block makes
+is patched in as a synthetic block of its own.
 
 A graph loaded from an artifact checks the whole artifact at load but reads
 each function's body (its blocks, flow edges and successors) from the parsed
@@ -86,7 +88,6 @@ class FunctionSubgraph:
     exit: str
     succ: dict[str, tuple[str, ...]]
     emissions: dict[str, tuple[str, ...]]
-    patched: dict[str, frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,11 @@ class Cscfg:
 
     A graph from ``from_artifact_dict`` holds each function's parsed record
     until a per-function query (``blocks_of``, ``successors``, ``nodes_of``,
-    ``flow_edges_of``, ``subgraph``, ``dominance``, ``has_call_edge``,
-    ``patched_callees``) first needs that body; reading a body is not a
-    mutation, so it works on a frozen graph. ``to_artifact_dict``,
-    ``provenance_counts`` and every mutation read all bodies first. Call
-    edges, synthetic blocks, ``has_body`` and ``knows`` come from load.
+    ``flow_edges_of``, ``subgraph``, ``dominance``, ``has_call_edge``)
+    first needs that body; reading a body is not a mutation, so it works on
+    a frozen graph. ``to_artifact_dict``, ``provenance_counts`` and every
+    mutation read all bodies first. Synthetic blocks, ``has_body`` and
+    ``knows`` come from load.
     """
 
     def __init__(self):
@@ -136,17 +137,13 @@ class Cscfg:
         self._fn_blocks: dict[str, list[str]] = {}
         self._succ: dict[str, dict[str, tuple[str, ...]]] = {}
         self._flow_prov: dict[tuple[str, str], str] = {}
-        self.call_edges: dict[tuple[str, str], str] = {}  # (block_id, callee key) -> provenance
         self._frozen = False
         self._dom_cache: dict[str, DominanceInfo] = {}
+        # blocks patch_with_traces added; their calls are dynamic
         self._synthetic_blocks: set[str] = set()
         self._sub_cache: dict[str, "FunctionSubgraph"] = {}
-        # block id -> callees of its dynamic call edges; built on first use
-        self._dynamic_callees: dict[str, list[str]] | None = None
-        # function key -> artifact record whose body is not read yet, and
-        # block id -> function key of every block an artifact listed
+        # function key -> artifact record whose body is not read yet
         self._unread: dict[str, dict] = {}
-        self._block_owner: dict[str, str] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -157,7 +154,6 @@ class Cscfg:
             self._read_all()
         self._sub_cache.clear()
         self._dom_cache.clear()
-        self._dynamic_callees = None
 
     def add_function(self, ref: FunctionRef) -> None:
         self._check_mutable()
@@ -176,13 +172,8 @@ class Cscfg:
                   provenance: str = PROV_STATIC) -> None:
         self._check_mutable()
         self._put_block(fn_key, block_id, callees)
-        self._put_calls(block_id, callees, provenance)
-
-    def _put_calls(self, block_id: str, callees, provenance: str) -> None:
         if provenance == PROV_DYNAMIC:
             self._synthetic_blocks.add(block_id)
-        for c in callees:
-            self.call_edges[(block_id, c)] = provenance
 
     def _put_block(self, fn_key: str, block_id: str, callees) -> None:
         if not callees:
@@ -206,13 +197,6 @@ class Cscfg:
         if dst not in succ[src]:
             succ[src] = tuple(sorted(succ[src] + (dst,)))
             self._flow_prov[(src, dst)] = provenance
-
-    def add_call_edge(self, block_id: str, callee_key: str, provenance: str) -> bool:
-        self._check_mutable()
-        if (block_id, callee_key) in self.call_edges:
-            return False
-        self.call_edges[(block_id, callee_key)] = provenance
-        return True
 
     def _read(self, fn_key: str) -> None:
         """Build fn_key's body from its artifact record; a no-op once read."""
@@ -264,52 +248,32 @@ class Cscfg:
             for dst in self.successors(fn_key, src):
                 yield src, dst, self._flow_prov.get((src, dst), PROV_STATIC)
 
-    def patched_callees(self, block_id: str) -> frozenset[str]:
-        if self._unread:
-            self._read(self._block_owner.get(block_id))
-        index = self._dynamic_callees
-        if index is None:
-            # one scan indexes every block, so subgraph() stays linear
-            index = {}
-            for (bid, callee), prov in self.call_edges.items():
-                if prov == PROV_DYNAMIC:
-                    index.setdefault(bid, []).append(callee)
-            self._dynamic_callees = index
-        statics = self.blocks.get(block_id, ())
-        return frozenset(c for c in index.get(block_id, ()) if c not in statics)
-
     def has_call_edge(self, caller_key: str, callee_key: str) -> bool:
         self._read(caller_key)
-        for bid in self._fn_blocks.get(caller_key, []):
-            if (bid, callee_key) in self.call_edges:
-                return True
-        return False
+        blocks = self.blocks
+        return any(callee_key in blocks[bid] for bid in self._fn_blocks.get(caller_key, ()))
 
     def subgraph(self, fn_key: str) -> "FunctionSubgraph":
         sub = self._sub_cache.get(fn_key)
         if sub is not None:
             return sub
-        patched: dict[str, frozenset[str]] = {}
-        emissions: dict[str, tuple[str, ...]] = {}
-        for node in self.nodes_of(fn_key):
-            callees = self.blocks.get(node)
-            emissions[node] = callees or ()
-            extra = self.patched_callees(node) if callees else frozenset()
-            if extra:
-                patched[node] = extra
+        nodes = self.nodes_of(fn_key)
         sub = FunctionSubgraph(
             entry=entry_node(fn_key),
             exit=exit_node(fn_key),
-            succ={n: self.successors(fn_key, n) for n in self.nodes_of(fn_key)},
-            emissions=emissions,
-            patched=patched,
+            succ={n: self.successors(fn_key, n) for n in nodes},
+            emissions={n: self.blocks.get(n, ()) for n in nodes},
         )
         self._sub_cache[fn_key] = sub
         return sub
 
     def provenance_counts(self) -> dict[str, int]:
+        """Call and flow edges by provenance; a synthetic block's calls are dynamic."""
         self._read_all()
-        counts = Counter(self.call_edges.values())
+        synthetic = self._synthetic_blocks
+        counts = Counter()
+        for bid, callees in self.blocks.items():
+            counts[PROV_DYNAMIC if bid in synthetic else PROV_STATIC] += len(set(callees))
         counts.update(self._flow_prov.values())
         return dict(counts)
 
@@ -343,19 +307,16 @@ class Cscfg:
             "functions": sorted(self.functions),
             "external_functions": sorted(self.external),
             "graphs": fns,
-            "call_edges": [
-                [bid, callee, prov]
-                for (bid, callee), prov in sorted(self.call_edges.items())
-            ],
         }
 
     @classmethod
     def from_artifact_dict(cls, obj: dict) -> "Cscfg":
         """The graph of an artifact dict, with every function body unread.
 
-        Checks the whole artifact and builds the function index, the call
-        edges and the synthetic blocks now; each body is built from its
-        record (kept as given, so obj must not change afterwards) on first use.
+        Checks the whole artifact and builds the function index and the
+        synthetic blocks now; each body is built from its record (kept as
+        given, so obj must not change afterwards) on first use. An older
+        artifact's ``call_edges`` list may only restate its blocks' callees.
         """
         if obj.get("schema_version") != SCHEMA_VERSION or obj.get("kind") != "cscfg-artifact":
             raise MalformedDocumentError("not a cscfg artifact")
@@ -364,7 +325,10 @@ class Cscfg:
             graph.add_function(parse_function_key(key))
         for key in obj["external_functions"]:
             graph.declare_external(key)
-        owner, unread = graph._block_owner, graph._unread
+        unread = graph._unread
+        # block id -> its function key, and -> its callees
+        owner: dict[str, str] = {}
+        calls: dict[str, list] = {}
         for fn in obj["graphs"]:
             key = fn["function"]
             known = (entry_node(key), exit_node(key))
@@ -379,14 +343,19 @@ class Cscfg:
                 if bid in owner:
                     raise MalformedDocumentError(f"duplicate block id {bid!r}")
                 owner[bid] = key
-                graph._put_calls(bid, callees, PROV_DYNAMIC if b.get("synthetic") else PROV_STATIC)
+                calls[bid] = callees
+                if b.get("synthetic"):
+                    graph._synthetic_blocks.add(bid)
             for src, dst, _prov in fn["edges"]:
                 if not ((src in known or owner.get(src) == key)
                         and (dst in known or owner.get(dst) == key)):
                     raise MalformedDocumentError(f"flow edge {src!r}->{dst!r} names unknown node")
             unread[key] = fn
-        for bid, callee, prov in obj.get("call_edges", []):
-            graph.call_edges[(bid, callee)] = prov
+        for bid, callee, _prov in obj.get("call_edges", ()):
+            if type(bid) is not str or callee not in calls.get(bid, ()):
+                raise MalformedDocumentError(
+                    f"call edge {bid!r} -> {callee!r} is not a callee of that block; "
+                    "build the graph again with build-graph")
         return graph
 
     def save_artifact(self, path) -> None:
@@ -624,20 +593,22 @@ def _bfs(root: str, adjacency: dict[str, list[str]]) -> set[str]:
 class PatchReport:
     """Outcome of patching a graph with runtime traces."""
 
-    edges_added: int = 0
-    synthetic_blocks: int = 0
+    calls_added: int = 0
     unresolved_pairs: int = 0
 
 
 def patch_with_traces(graph: Cscfg, traces, mapping) -> PatchReport:
-    """Add call edges observed at runtime but absent from the static graph.
+    """Add the calls observed at runtime that no block of the graph makes.
 
-    For each parent/child span pair that resolves to known functions without a
-    call edge, an edge tagged dynamic-patch is attached to the parent block
-    whose existing callees' spans appear nearest before the child span; when
-    no block qualifies, a synthetic call-site block is appended to the
-    parent's exit region. Idempotent and monotone: edges are only added.
-    Raises GraphFrozenError on a frozen graph before it changes anything.
+    Each parent/child span pair that resolves to known functions, where no
+    block of the parent's function calls the child's, gets an optional,
+    repeatable synthetic block S calling the child's function. S follows the
+    parent's block whose callees' spans appear nearest before the child
+    span, or the entry node when none does: its edges are after->S, S->S
+    and S to each successor the node after had (to the exit when it had
+    none, as a function without a body), and after keeps its own edges.
+    Idempotent and monotone: blocks and edges are only added. Raises
+    GraphFrozenError on a frozen graph before it changes anything.
     """
     from .mapping import Unmapped  # local import to avoid a module cycle
 
@@ -662,18 +633,14 @@ def patch_with_traces(graph: Cscfg, traces, mapping) -> PatchReport:
                     continue
                 if graph.has_call_edge(pkey, ckey):
                     continue
-                block_id = _patch_block_for(graph, pkey, parent, child, children, resolved)
-                if block_id is None:
-                    block_id = _append_synthetic_block(graph, pkey, ckey)
-                    report.synthetic_blocks += 1
-                else:
-                    graph.add_call_edge(block_id, ckey, PROV_DYNAMIC)
-                report.edges_added += 1
+                after = _patch_block_for(graph, pkey, parent, child, children, resolved)
+                _add_patch_block(graph, pkey, after or entry_node(pkey), ckey)
+                report.calls_added += 1
     return report
 
 
 def _patch_block_for(graph: Cscfg, parent_key: str, parent, child, siblings, resolved):
-    """Block whose static callees' spans appear nearest before the child span."""
+    """Block whose callees' spans appear nearest before the child span."""
     from .mapping import Unmapped
 
     best = None  # (sibling start_time, -ord, block_id)
@@ -691,25 +658,20 @@ def _patch_block_for(graph: Cscfg, parent_key: str, parent, child, siblings, res
     return best[1] if best else None
 
 
-def _append_synthetic_block(graph: Cscfg, fn_key: str, callee_key: str) -> str:
+def _add_patch_block(graph: Cscfg, fn_key: str, after: str, callee_key: str) -> str:
+    """Add a synthetic block calling callee_key that may follow node after
+    any number of times, and return its id."""
     n = sum(1 for b in graph.blocks_of(fn_key) if b in graph._synthetic_blocks)
     block_id = f"{fn_key}#patch{n}"
-    ent, ext = entry_node(fn_key), exit_node(fn_key)
-    had_body = graph.has_body(fn_key)
-    graph._add_nodes_for(fn_key)
-    preds_of_exit = [
-        node for node in graph.nodes_of(fn_key)
-        if ext in graph.successors(fn_key, node) and node != ent
-    ]
+    ext = exit_node(fn_key)
+    succs = graph.successors(fn_key, after)
     graph.add_block(fn_key, block_id, (callee_key,), provenance=PROV_DYNAMIC)
-    if had_body:
-        # keep the direct exit edges: the observed call is not proven mandatory
-        for node in preds_of_exit:
-            graph.add_flow_edge(fn_key, node, block_id, provenance=PROV_DYNAMIC)
-        if not preds_of_exit:
-            graph.add_flow_edge(fn_key, ent, block_id, provenance=PROV_DYNAMIC)
-    else:
-        graph.add_flow_edge(fn_key, ent, block_id, provenance=PROV_DYNAMIC)
-        graph.add_flow_edge(fn_key, ent, ext, provenance=PROV_DYNAMIC)
-    graph.add_flow_edge(fn_key, block_id, ext, provenance=PROV_DYNAMIC)
+    if not succs:
+        # the entry of a function without a body: it returns at once, and
+        # keeps doing so, as the call is not proven mandatory
+        succs = (ext,)
+        graph.add_flow_edge(fn_key, after, ext, provenance=PROV_DYNAMIC)
+    graph.add_flow_edge(fn_key, after, block_id, provenance=PROV_DYNAMIC)
+    for dst in (block_id,) + succs:
+        graph.add_flow_edge(fn_key, block_id, dst, provenance=PROV_DYNAMIC)
     return block_id

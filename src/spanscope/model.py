@@ -277,8 +277,9 @@ def _checked_span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
     _require(isinstance(obj["span_id"], str), "span_id must be a string")
     _require(isinstance(obj["operation"], str), "operation must be a string")
     _require(isinstance(obj["service"], str), "service must be a string")
-    _require(isinstance(obj["start_time"], int), "start_time must be an integer")
-    _require(isinstance(obj["duration"], int), "duration must be an integer")
+    # a JSON boolean is a Python int, so the type is compared, as the fast path does
+    _require(type(obj["start_time"]) is int, "start_time must be an integer")
+    _require(type(obj["duration"]) is int, "duration must be an integer")
     parent = obj.get("parent_id")
     _require(parent is None or isinstance(parent, str), "parent_id must be a string or null")
     attrs = obj.get("attributes", {})

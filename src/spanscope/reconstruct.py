@@ -219,8 +219,9 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tup
     i's children are i+1, end[i+1], ... up to end[i].
 
     One generator per open function body walks its blocks. A fork takes the
-    next recorded branch, and each call the body makes is appended, matched
-    greedily against the next kept span. A callee with a body gets a frame
+    next recorded branch (align records one at every fork it passes, so a
+    fork with none left is an error), and each call the body makes is
+    appended, matched greedily against the next kept span. A callee with a body gets a frame
     of its own, which runs to its end before the caller resumes; the callee
     is settled as that walk closes, from its span or statistics and its
     children's settled values. A callee with no body is settled at once.
@@ -262,13 +263,6 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tup
             fills.append(fill)
         return False
 
-    def explained(patched):
-        """Yields each kept span's call that a dynamic edge of the block explains."""
-        while kept and kept[0][1] in patched:
-            span, fn = kept.popleft()
-            if call(fn, span):
-                yield len(fns) - 1
-
     def walk(me: int):
         """Yields the index of each call whose body is to walk; settles `me` at its end."""
         nonlocal budget
@@ -288,25 +282,16 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tup
                 node = choices.popleft()
                 if node not in succs:
                     raise ReconstructionError(f"recorded branch {node!r} is not a successor here")
-            elif exit_id in succs and not kept:
-                # a trailing fork after the last witnessed span: the only
-                # consistent continuation produced no spans, so head for the exit
-                node = exit_id
             else:
                 raise ReconstructionError("ran out of recorded branch choices")
             if node == exit_id:
                 break
-            patched = sub.patched.get(node)
-            if patched:
-                yield from explained(patched)
             for callee in sub.emissions.get(node, ()):
                 span = None
                 if kept and kept[0][1] == callee:
                     span = kept.popleft()[0]
                 if call(callee, span):
                     yield len(fns) - 1
-                if patched:
-                    yield from explained(patched)
 
         # settle: anchor bounds and natural width, from the listed children
         span = spans[me]

@@ -837,7 +837,7 @@ class _Walker:
         self.taken = []
         self.budget = ORACLE_WALK_BUDGET
 
-    def _choose(self, succs, exit_id):
+    def _choose(self, succs):
         if self.choices:
             choice = self.choices.popleft()
             if choice not in succs:
@@ -845,20 +845,9 @@ class _Walker:
             self.taken.append(choice)
             return choice
         if self.strict:
-            if exit_id in succs and not self.kept:
-                self.taken.append(exit_id)
-                return exit_id
             raise self.error("ran out of recorded branch choices")
         self.pending_fork = tuple(sorted(succs))
         return None
-
-    def _consume_patched(self, holder, node, patched):
-        kept = self.kept
-        while kept and kept[0][1] in patched:
-            span, fn = kept.popleft()
-            child = _Node(fn, node, span)
-            holder.children.append(child)
-            yield fn, child
 
     def _walk_into(self, fn_key, holder):
         if not self.graph.has_body(fn_key):
@@ -875,14 +864,11 @@ class _Walker:
             if len(succs) == 1:
                 node = succs[0]
             else:
-                node = self._choose(succs, sub.exit)
+                node = self._choose(succs)
                 if node is None:
                     return  # surface the open fork
             if node == sub.exit:
                 break
-            patched = sub.patched.get(node)
-            if patched:
-                yield from self._consume_patched(holder, node, patched)
             for callee in sub.emissions.get(node, ()):
                 span = None
                 if self.kept and self.kept[0][1] == callee:
@@ -890,8 +876,6 @@ class _Walker:
                 child = _Node(callee, node, span)
                 holder.children.append(child)
                 yield callee, child
-                if patched:
-                    yield from self._consume_patched(holder, node, patched)
 
     def run(self, entry_key):
         """The walked tree, or None when the walk stopped at an open fork."""
@@ -1221,9 +1205,6 @@ def reference_solve(graph, fn_key: str, sym_fn: tuple):
         if k < len(em):
             if i < n and sym_fn[i] == em[k]:
                 out.append(("match", (node, k + 1, i + 1), (0, 0)))
-        if i < n and sym_fn[i] is not None and sym_fn[i] in sub.patched.get(node, ()):
-            out.append(("pmatch", (node, k, i + 1), (0, 0)))
-        if k < len(em):
             skip_cost = 1 if node not in mandatory else PROHIBITIVE_COST
             out.append(("skip", (node, k + 1, i), (skip_cost, 0)))
         if i < n:
@@ -1269,7 +1250,7 @@ def reference_solve(graph, fn_key: str, sym_fn: tuple):
     if start not in dist:
         return None
 
-    order = {"match": 0, "pmatch": 1, "skip": 2, "ins": 3}
+    order = {"match": 0, "skip": 1, "ins": 2}
     total = dist[start]
     acts = []
     state = start
@@ -1277,7 +1258,7 @@ def reference_solve(graph, fn_key: str, sym_fn: tuple):
         best = None
         here = dist[state]
         for name, nxt, cost in sorted(
-            actions(state), key=lambda a: (order.get(a[0].split(">")[0], 4), a[0])
+            actions(state), key=lambda a: (order.get(a[0].split(">")[0], 3), a[0])
         ):
             nd = dist.get(nxt)
             if nd is None:
@@ -1291,8 +1272,6 @@ def reference_solve(graph, fn_key: str, sym_fn: tuple):
         node, k, i = state
         if name == "match":
             acts.append(("match", node, sub.emissions[node][k], i))
-        elif name == "pmatch":
-            acts.append(("pmatch", node, sym_fn[i], i))
         elif name == "skip":
             acts.append(("skip", node, sub.emissions[node][k]))
         elif name == "ins":
@@ -1363,7 +1342,7 @@ def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot
                           f"no path through function {fn_key!r}")
     cost, ins, acts = solved
     for act in acts:
-        if act[0] in ("match", "pmatch"):
+        if act[0] == "match":
             _, node, callee, idx = act
             sym = syms[idx]
             steps.append(ReferenceStep(KIND_MATCH, node, callee, slot[sym.span.span_id]))

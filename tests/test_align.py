@@ -5,7 +5,7 @@ import pytest
 
 import spanscope.align as align_mod
 from spanscope.align import PathCache, _solve, align, trace_signature
-from spanscope.cscfg import PROV_DYNAMIC, FunctionRef, build_cscfg, exit_node
+from spanscope.cscfg import FunctionRef, _add_patch_block, build_cscfg
 from spanscope.errors import NoPathError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import Unmapped, build_map
@@ -491,10 +491,9 @@ def reference_inputs(which):
     return oracle_inputs(which)
 
 
-def patched_matches(graph, ref) -> int:
-    """Matches of a reference path on a call the block does not make statically."""
-    return sum(1 for s in ref.steps
-               if s.kind == "match" and s.callee not in graph.blocks[s.block_id])
+def patched_matches(ref) -> int:
+    """Matches of a reference path on a synthetic block's call."""
+    return sum(1 for s in ref.steps if s.kind == "match" and "#patch" in s.block_id)
 
 
 class TestComposedPathReference:
@@ -507,7 +506,7 @@ class TestComposedPathReference:
         graph, mapping, traces = reference_inputs(which)
         monkeypatch.setattr(align_mod, "PATH_CACHE_CAPACITY", capacity)
         cache = PathCache()
-        pmatched = 0
+        patched = 0
         for trace in traces:
             path = align_trace(graph, trace, mapping, cache)
             ref = reference_align(graph, trace, mapping)
@@ -515,14 +514,14 @@ class TestComposedPathReference:
                                        for s in ref.steps)
             assert (path.cost, path.insertions, path.forks) == \
                 (ref.cost, ref.insertions, ref.forks)
-            pmatched += patched_matches(graph, ref)
+            patched += patched_matches(ref)
             if capacity == 1:
                 assert len(cache._shapes) <= 1
         assert cache.misses > 0
         if capacity > 1 and which != "deep-chains":
             assert cache.subtree_hits > 0
         if which == "drifted":
-            assert pmatched > 0
+            assert patched > 0
 
     def test_a_missing_path_names_the_same_span(self):
         # Inner.h is a line of five mandatory calls: an invocation that
@@ -569,7 +568,7 @@ class TestComposedPathReference:
 
 
 def random_solver_graph(seed):
-    """Random loop-carrying function graphs with patched callees, and a line
+    """Random loop-carrying function graphs with synthetic blocks, and a line
     of six mandatory blocks so that some invocations have no path."""
     rng = random.Random(seed)
     functions, external = [], set()
@@ -591,7 +590,7 @@ def random_solver_graph(seed):
     leaves = sorted(external)
     for block_id in sorted(graph.blocks):
         if rng.random() < 0.3:
-            graph.add_call_edge(block_id, rng.choice(leaves), PROV_DYNAMIC)
+            _add_patch_block(graph, block_id.rsplit("#", 1)[0], block_id, rng.choice(leaves))
     return graph.freeze(), leaves
 
 
@@ -604,8 +603,8 @@ def solve_projected(graph, fn, solved):
     cost, ins, acts = solved
     out = []
     for act in acts:
-        if act[0] in ("match", "pmatch"):
-            out.append((act[0], act[3]))
+        if act[0] == "match":
+            out.append(("match", act[3]))
         elif act[0] == "skip":
             out.append(("skip",))
         elif act[0] == "ins":
@@ -615,13 +614,14 @@ def solve_projected(graph, fn, solved):
     return cost, ins, tuple(out)
 
 
-def tie_graph(blocks, edges, entry, exits, dynamic=()):
-    """A frozen graph of FN alone, with (block, callee) dynamic call edges."""
+def tie_graph(blocks, edges, entry, exits, patched=()):
+    """A frozen graph of FN alone, with a synthetic block after each
+    (block, callee) of patched."""
     graph = build_cscfg(single_function_doc(
         fn=FN, blocks=[{"id": b, "callees": [f"svc:X.{c}" for c in cs]} for b, cs in blocks],
         edges=edges, entry=entry, exits=exits))
-    for block, callee in dynamic:
-        graph.add_call_edge(f"{FN}#{block}", f"svc:X.{callee}", PROV_DYNAMIC)
+    for block, callee in patched:
+        _add_patch_block(graph, FN, f"{FN}#{block}", f"svc:X.{callee}")
     return graph.freeze()
 
 
@@ -640,15 +640,15 @@ TIES = {
                   [["s", "b"], ["b", "t"], ["s", "t"]], "s", ["t"]),
         ("svc:X.a", None, "svc:X.c"),
         (2, 1, (("fork", f"{FN}#b"), ("match", 0), ("skip",), ("ins", 1), ("match", 2)))),
-    # b0 was patched with X.b, the next block's static callee: the patched
-    # match in b0, then the fork past b1 (its empty exit block contracted),
-    # wins over moving on to match in b1
+    # a synthetic block after b0 calls X.b, the next block's static callee:
+    # the fork to b1 wins over the fork to the synthetic block, as its id,
+    # FN#b1, is the smaller
     "patched-or-next-static": (
         tie_graph([("b0", "a"), ("b1", "b"), ("t", "")],
                   [["b0", "b1"], ["b1", "t"], ["b0", "t"]], "b0", ["t"],
-                  dynamic=[("b0", "b")]),
+                  patched=[("b0", "b")]),
         ("svc:X.a", "svc:X.b"),
-        (0, 0, (("match", 0), ("pmatch", 1), ("fork", exit_node(FN))))),
+        (0, 0, (("match", 0), ("fork", f"{FN}#b1"), ("match", 1)))),
 }
 
 
@@ -676,6 +676,6 @@ class TestBackwardSolver:
                 if got is None:
                     outcomes["none"] += 1
                 else:
-                    outcomes["patched"] += any(a[0] == "pmatch" for a in got[2])
+                    outcomes["patched"] += any(a[0] == "fork" and "#patch" in a[1] for a in got[2])
                     outcomes["forked"] += any(a[0] == "fork" for a in got[2])
         assert all(outcomes.values()), outcomes

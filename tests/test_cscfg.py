@@ -7,6 +7,7 @@ import pytest
 
 from spanscope.cscfg import (
     PROV_DYNAMIC,
+    PROV_STATIC,
     Cscfg,
     FunctionRef,
     _dominator_sets,
@@ -257,26 +258,30 @@ class TestPatch:
     def test_patch_adds_dynamic_edge(self):
         graph, mapping, trace = self._patched_setup()
         report = patch_with_traces(graph, [trace], mapping)
-        assert report.edges_added == 1
-        assert report.synthetic_blocks == 0
-        # attached to the block whose callee span precedes the child
-        assert graph.call_edges[(f"{FN}#b0", "svc:Remote.bar")] == PROV_DYNAMIC
+        assert report.calls_added == 1
+        # placed after the block whose callee span precedes the child, which
+        # keeps its own edges; the new block may repeat, then goes on as b0 did
+        patch, b0, ext = f"{FN}#patch0", f"{FN}#b0", exit_node(FN)
+        assert graph.blocks[patch] == ("svc:Remote.bar",)
+        assert graph.has_call_edge(FN, "svc:Remote.bar")
+        assert graph.successors(FN, b0) == (ext, patch)
+        assert graph.successors(FN, patch) == (ext, patch)
+        assert graph.dominance(FN).mandatory == {b0}
+        assert graph.provenance_counts() == {PROV_DYNAMIC: 4, PROV_STATIC: 3}
 
     def test_subgraph_sees_edges_added_after_it_was_built(self):
         graph, mapping, trace = self._patched_setup()
-        assert graph.subgraph(FN).patched == {}
+        assert f"{FN}#patch0" not in graph.subgraph(FN).emissions
         patch_with_traces(graph, [trace], mapping)
-        assert graph.subgraph(FN).patched == {f"{FN}#b0": frozenset({"svc:Remote.bar"})}
+        assert graph.subgraph(FN).emissions[f"{FN}#patch0"] == ("svc:Remote.bar",)
 
     def test_patch_idempotent_and_monotone(self):
         graph, mapping, trace = self._patched_setup()
         patch_with_traces(graph, [trace], mapping)
-        before_calls = dict(graph.call_edges)
-        before_blocks = set(graph.blocks)
+        before = graph.to_artifact_dict()
         report = patch_with_traces(graph, [trace], mapping)
-        assert report.edges_added == 0
-        assert dict(graph.call_edges) == before_calls
-        assert set(graph.blocks) == before_blocks
+        assert report.calls_added == 0
+        assert graph.to_artifact_dict() == before
 
     def test_all_static_edges_leave_graph_unchanged(self):
         graph, mapping, _ = self._patched_setup()
@@ -285,7 +290,7 @@ class TestPatch:
             make_span("k", parent="r", operation="Sub.known", start=5, duration=10),
         ]
         report = patch_with_traces(graph, [make_trace(spans)], mapping)
-        assert report.edges_added == 0
+        assert report.calls_added == 0
 
     def test_unresolvable_child_counted_not_fatal(self):
         graph, mapping, _ = self._patched_setup()
@@ -294,7 +299,7 @@ class TestPatch:
             make_span("u", parent="r", operation="GET /api/x", start=5, duration=10),
         ]
         report = patch_with_traces(graph, [make_trace(spans)], mapping)
-        assert report.edges_added == 0
+        assert report.calls_added == 0
         assert report.unresolved_pairs == 1
 
     def test_synthetic_block_when_no_sibling_anchor(self):
@@ -310,13 +315,27 @@ class TestPatch:
             make_span("b", parent="r", operation="Remote.bar", start=3, duration=10),
         ]
         report = patch_with_traces(graph, [make_trace(spans)], mapping)
-        assert report.synthetic_blocks == 1
-        new_blocks = [b for b in graph.blocks_of(FN) if "patch" in b]
-        assert len(new_blocks) == 1
-        # original exit edge is preserved: the call is not proven mandatory
-        assert exit_node(FN) in graph.successors(FN, f"{FN}#b0")
-        info = compute_dominance(graph, FN)
-        assert new_blocks[0] not in info.mandatory
+        assert report.calls_added == 1
+        patch, b0 = f"{FN}#patch0", f"{FN}#b0"
+        assert graph.successors(FN, entry_node(FN)) == (b0, patch)
+        assert graph.successors(FN, patch) == (b0, patch)
+        assert graph.successors(FN, b0) == (exit_node(FN),)
+        # the call is not proven mandatory
+        assert compute_dominance(graph, FN).mandatory == {b0}
+
+    def test_a_call_from_a_function_without_a_body_is_optional(self):
+        graph, mapping, _ = self._patched_setup()
+        spans = [
+            make_span("r", operation="Main.run", start=0, duration=100),
+            make_span("k", parent="r", operation="Sub.known", start=5, duration=50),
+            make_span("b", parent="k", operation="Remote.bar", start=10, duration=10),
+        ]
+        assert not graph.has_body("svc:Sub.known")
+        assert patch_with_traces(graph, [make_trace(spans)], mapping).calls_added == 1
+        sub, patch = "svc:Sub.known", "svc:Sub.known#patch0"
+        assert graph.successors(sub, entry_node(sub)) == (exit_node(sub), patch)
+        assert graph.successors(sub, patch) == (exit_node(sub), patch)
+        assert graph.dominance(sub).mandatory == frozenset()
 
     def test_dominance_recomputed_after_patch(self):
         graph, mapping, trace = self._patched_setup()
@@ -370,8 +389,8 @@ def drifted_patched_graph():
     """A generated system whose graph lags its traffic, patched from 200 traces.
 
     The bodies of the functions the entry calls are missing and one call of
-    the entry is dropped, so patching adds synthetic blocks and dynamic edges
-    on both synthetic and static blocks.
+    the entry is dropped, so patching adds synthetic blocks after entry
+    nodes, static blocks and other synthetic blocks.
     """
     spec = SystemSpec(seed=5)
     doc, meta = generate_system(spec)
@@ -387,18 +406,17 @@ def drifted_patched_graph():
     last["callees"].pop()
     graph = build_cscfg(drifted)
     report = patch_with_traces(graph, traces, build_map(graph))
-    assert report.synthetic_blocks > 0
+    assert report.calls_added > 0
     return graph
 
 
-def without_synthetic_call_edges(artifact):
-    """The artifact without the call-edge entries of synthetic blocks' own
-    callees, which the blocks' provenance restores at load."""
-    own = {(b["id"], c) for fn in artifact["graphs"] for b in fn["blocks"] if b["synthetic"]
-           for c in b["callees"]}
+def in_older_format(artifact):
+    """The artifact as older versions wrote it: a call_edges list that
+    restates each block's callees, with the block's provenance."""
     out = copy.deepcopy(artifact)
-    out["call_edges"] = [e for e in out["call_edges"] if (e[0], e[1]) not in own]
-    assert len(out["call_edges"]) < len(artifact["call_edges"])
+    out["call_edges"] = sorted([b["id"], c, PROV_DYNAMIC if b["synthetic"] else PROV_STATIC]
+                               for fn in artifact["graphs"] for b in fn["blocks"]
+                               for c in b["callees"])
     return out
 
 
@@ -427,7 +445,6 @@ def answers(graph, keys, shape):
             lambda: {("subgraph", fn): graph.subgraph(fn)},
             lambda: {("dominance", fn): dominance(fn)} if blocks else {},
             lambda: {("has_call_edge", fn, c): graph.has_call_edge(fn, c) for c in every},
-            lambda: {("patched_callees", b): graph.patched_callees(b) for b in blocks},
         ]
         k = i % len(asks)
         for ask in asks[k:] + asks[:k]:
@@ -442,8 +459,7 @@ def eager_graphs():
     patched = drifted_patched_graph()
     return [
         (random_graph, [random_graph.to_artifact_dict()]),
-        (patched, [patched.to_artifact_dict(),
-                   without_synthetic_call_edges(patched.to_artifact_dict())]),
+        (patched, [patched.to_artifact_dict(), in_older_format(patched.to_artifact_dict())]),
     ]
 
 
@@ -462,22 +478,20 @@ class TestLazyLoad:
             cut = {None: len(keys), 0: 0, "half": len(keys) // 2}[freeze_at]
             for artifact in artifacts:
                 loaded = Cscfg.from_artifact_dict(json.loads(json.dumps(artifact)))
-                assert loaded.call_edges == eager.call_edges
                 got = answers(loaded, keys[:cut], shape)
                 subgraphs = {fn: loaded.subgraph(fn) for fn in keys[:cut]}
                 if freeze_at is not None:
                     loaded.freeze()
                 got.update(answers(loaded, keys[cut:], shape))
                 assert got == expected
-                assert loaded.call_edges == eager.call_edges
                 # reading a body is not a mutation: cached subgraphs survive it
                 assert all(loaded.subgraph(fn) is sub for fn, sub in subgraphs.items())
                 assert loaded.provenance_counts() == eager.provenance_counts()
                 assert loaded.to_artifact_dict() == eager.to_artifact_dict()
 
     def test_whole_graph_readers_and_mutations_read_every_body(self, eager_graphs):
-        eager, (artifact, omitted) = eager_graphs[1]
-        for source in (artifact, omitted):
+        eager, (artifact, older) = eager_graphs[1]
+        for source in (artifact, older):
             assert Cscfg.from_artifact_dict(copy.deepcopy(source)).provenance_counts() == \
                 eager.provenance_counts()
             assert Cscfg.from_artifact_dict(copy.deepcopy(source)).to_artifact_dict() == \
@@ -564,3 +578,46 @@ def test_load_rejects_a_bad_artifact_and_names_it(tmp_path, case):
     with pytest.raises(MalformedDocumentError) as err:
         Cscfg.load_artifact(path)
     assert str(path) in str(err.value)
+
+
+# an artifact as older versions wrote it, by hand: b0 calls Sub.g, and a
+# synthetic block after it calls Sub.h; call_edges restates both calls
+MAIN_B0, MAIN_PATCH = f"{FN}#b0", f"{FN}#patch0"
+OLDER_ARTIFACT = {
+    "schema_version": 1, "kind": "cscfg-artifact",
+    "functions": [FN, "svc:Sub.g", "svc:Sub.h"], "external_functions": [],
+    "graphs": [{
+        "function": FN,
+        "blocks": [{"id": MAIN_B0, "callees": ["svc:Sub.g"], "synthetic": False},
+                   {"id": MAIN_PATCH, "callees": ["svc:Sub.h"], "synthetic": True}],
+        "edges": [[entry_node(FN), MAIN_B0, "static"],
+                  [MAIN_B0, exit_node(FN), "static"],
+                  [MAIN_B0, MAIN_PATCH, "dynamic-patch"],
+                  [MAIN_PATCH, exit_node(FN), "dynamic-patch"],
+                  [MAIN_PATCH, MAIN_PATCH, "dynamic-patch"]],
+    }],
+    "call_edges": [[MAIN_B0, "svc:Sub.g", "static"],
+                   [MAIN_PATCH, "svc:Sub.h", "dynamic-patch"]],
+}
+
+
+def test_an_older_artifact_whose_call_edges_restate_its_blocks_loads_to_the_same_graph():
+    current = {k: v for k, v in OLDER_ARTIFACT.items() if k != "call_edges"}
+    older = Cscfg.from_artifact_dict(copy.deepcopy(OLDER_ARTIFACT))
+    assert older.to_artifact_dict() == Cscfg.from_artifact_dict(current).to_artifact_dict() \
+        == current
+    assert older.subgraph(FN).emissions[MAIN_PATCH] == ("svc:Sub.h",)
+    assert older.provenance_counts() == {PROV_STATIC: 3, PROV_DYNAMIC: 4}
+
+
+def test_load_refuses_a_dynamic_call_edge_on_a_static_block_and_names_it(tmp_path):
+    # older versions matched such a call anywhere in the block; a graph
+    # places each call it knows as a block callee, so the entry is refused
+    artifact = copy.deepcopy(OLDER_ARTIFACT)
+    artifact["call_edges"].append([MAIN_B0, "svc:Sub.h", "dynamic-patch"])
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(artifact), encoding="utf-8")
+    with pytest.raises(MalformedDocumentError) as err:
+        Cscfg.load_artifact(path)
+    assert str(path) in str(err.value)
+    assert f"{MAIN_B0!r} -> 'svc:Sub.h'" in str(err.value)

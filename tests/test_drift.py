@@ -10,13 +10,15 @@ import copy
 
 import pytest
 
-from spanscope.cscfg import build_cscfg
+from spanscope.cscfg import build_cscfg, patch_with_traces
 from spanscope.errors import SpanscopeError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import build_map
 from spanscope.pipeline import SamplingPipeline
-from spanscope.reconstruct import reconstruct
+from spanscope.reconstruct import reconstruct, structural_fidelity
 from spanscope.sampler import SamplingConfig
+
+from .test_cscfg import drifted_patched_graph
 
 
 def _block(doc, fn, block_id):
@@ -75,32 +77,34 @@ DRIFTS = {
     "drop-a-call": lambda doc: drop_call(doc, "svc00:C0.op0", "b3", "svc00:C5.op5"),
     "move-a-call": lambda doc: move_call(doc, "svc00:C0.op0", "b3", "svc00:C5.op5", "b6"),
 }
-# ROADMAP item 13: align records forks inside calls that the rebuild walk cannot enter
+# a drift whose graph is patched from the first PATCH_TRACES traces of its traffic
+PATCHED = {f"{name}-patched": name for name in ("drop-a-call", "move-a-call")}
+PATCH_TRACES = 200
+# ROADMAP item 13: a call the graph does not make where the code does is an
+# insertion, and the rebuild walk never enters an inserted call. Patching adds
+# only calls that no block makes, so the moved call stays an insertion.
 ITEM_13 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 13")
+FAILING = {"drop-a-call", "move-a-call", "move-a-call-patched"}
 
 
-@pytest.mark.parametrize("drift", [pytest.param(name, marks=() if name == "none" else ITEM_13)
-                                   for name in sorted(DRIFTS)])
-def test_every_written_decision_rebuilds_or_fails_at_sample_time(drift):
-    """A decision that sample writes rebuilds on the same graph, with every
-    kept span unchanged; a trace the graph cannot explain must fail in sample."""
-    spec = SystemSpec()
-    doc, meta = generate_system(spec)
-    traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
-    graph = build_cscfg(DRIFTS[drift](doc)).freeze()
+def rebuild_failures(graph, traces):
+    """Written decisions on the frozen graph, and a line for each that does
+    not rebuild, changes a kept span, or rebuilds another structure."""
     mapping = build_map(graph)
     pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3))
-    written, broken = 0, []
+    results = []
     for trace in traces:
         try:
-            result = pipeline.process(trace)
+            results.append(pipeline.process(trace))
         except SpanscopeError:
             continue  # reported at sample time
-        written += 1
+    stats = pipeline.stats_snapshot()
+    broken = []
+    for result in results:
+        trace = result.trace
         kept = [trace.span(sid) for sid in result.decision.kept]
         try:
-            rebuilt = reconstruct(result.decision, kept, graph, pipeline.stats_snapshot(),
-                                  mapping)
+            rebuilt = reconstruct(result.decision, kept, graph, stats, mapping)
         except SpanscopeError as exc:
             broken.append(f"{trace.trace_id}: {type(exc).__name__}: {exc}")
             continue
@@ -110,5 +114,34 @@ def test_every_written_decision_rebuilds_or_fails_at_sample_time(drift):
             if got is None or got.with_parent(span.parent_id) != span:
                 broken.append(f"{trace.trace_id}: kept span {span.span_id!r} changed")
                 break
+        else:
+            if not structural_fidelity(trace, rebuilt, mapping).structure_exact:
+                broken.append(f"{trace.trace_id}: rebuilt structure differs")
+    return len(results), broken
+
+
+@pytest.mark.parametrize("drift", [pytest.param(name, marks=ITEM_13 if name in FAILING else ())
+                                   for name in sorted(DRIFTS) + sorted(PATCHED)])
+def test_every_written_decision_rebuilds_or_fails_at_sample_time(drift):
+    """A decision that sample writes rebuilds on the same graph, with every
+    kept span unchanged and the original's structure; a trace the graph
+    cannot explain must fail in sample."""
+    spec = SystemSpec()
+    doc, meta = generate_system(spec)
+    traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
+    graph = build_cscfg(DRIFTS[PATCHED.get(drift, drift)](doc))
+    if drift in PATCHED:
+        patch_with_traces(graph, traces[:PATCH_TRACES], build_map(graph))
+    written, broken = rebuild_failures(graph.freeze(), traces)
     assert written > 0
+    assert not broken, f"{len(broken)} of {written} written decisions: {broken[0]}"
+
+
+def test_every_decision_on_the_drifted_patched_graph_rebuilds_exactly():
+    """Its traffic: the 200 traces the graph was patched from, then 100 more."""
+    spec = SystemSpec(seed=5)
+    doc, meta = generate_system(spec)
+    traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
+    written, broken = rebuild_failures(drifted_patched_graph().freeze(), traces)
+    assert written == len(traces)
     assert not broken, f"{len(broken)} of {written} written decisions: {broken[0]}"

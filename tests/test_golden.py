@@ -2,12 +2,14 @@
 
 Each case is a small run of one benchmark system: its graph, 200 traces of
 its traffic with the default fault windows, then `sample` and `reconstruct`
-through `cli.main`. A change that moves a decision, a kept span, a statistic
-or a rebuilt span fails here. When a change means to move them, say why and
-update the hashes with it.
+through `cli.main`. One more run starts from a graph that lags the code and
+is patched by `build-graph --patch`. A change that moves a decision, a kept
+span, a statistic or a rebuilt span fails here. When a change means to move
+them, say why and update the hashes with it.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -15,6 +17,8 @@ import pytest
 from spanscope import cli, harness
 from spanscope.cscfg import build_cscfg
 from spanscope.model import serialize_trace
+
+from .test_drift import DRIFTS
 
 N_TRACES = 200
 TRAFFIC_SEED = 5
@@ -78,3 +82,48 @@ def test_sample_and_reconstruct_write_the_golden_bytes(tmp_path, system):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN[system]}
     assert got == GOLDEN[system]
+
+
+# the default system's graph without one call its traffic makes, patched by
+# build-graph from the first PATCH_TRACES traces of that traffic
+PATCH_TRACES = 100
+DRIFTED = {
+    "graph.json": "fdc421ffad8451c3796a867d07968dc814f03fbe00afec69289de8989e2d1c66",
+    "decisions.ndjson": "57e53b8e62229ae412bc5d7e863c8a82aa003137aad09d71249671dad871508a",
+    "kept.ndjson": "4da25650907c757623a1835ce468b09a48cf984360c0aab5bd869a7ba3b34379",
+    "stats.json": "e56caf2fa85bdc6bbfe300ed49d66783550c7a9f204529990e601e68d0b4e1d5",
+    "reconstructed.ndjson":
+        "07bf2b5bab4464c1bdca0c40490bca23729b1f746afe03e8086d487a7a76b19c",
+    "fidelity.json": "54fc863fd99e8352e61118868f429efcb114b5215b59704571a9ef6ee18322f4",
+}
+
+
+def test_a_graph_patched_by_build_graph_rebuilds_every_trace_exactly(tmp_path, capsys):
+    spec = harness.SystemSpec()
+    doc, meta = harness.generate_system(spec)
+    faults = harness.make_default_faults(meta, N_TRACES)
+    samples = harness.generate_traces(build_cscfg(doc), meta, replace(spec, seed=TRAFFIC_SEED),
+                                      N_TRACES, faults)
+    lines = [serialize_trace(s.trace) + "\n" for s in samples]
+    doc_path, patch_path, trace_path = (tmp_path / name for name in
+                                        ("doc.json", "patch.ndjson", "traces.ndjson"))
+    doc_path.write_text(json.dumps(DRIFTS["drop-a-call"](doc)), encoding="utf-8")
+    patch_path.write_text("".join(lines[:PATCH_TRACES]), encoding="utf-8")
+    trace_path.write_text("".join(lines), encoding="utf-8")
+
+    out = tmp_path / "out"
+    graph_path = str(out / "graph.json")
+    out.mkdir()
+    assert cli.main(["build-graph", "--graph", str(doc_path), "--patch", str(patch_path),
+                     "--out", graph_path]) == 0
+    assert cli.main(["sample", "--graph", graph_path, "--traces", str(trace_path),
+                     "--out", str(out), "--ratio", "0.3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--graph", graph_path,
+                     "--decisions", str(out / "decisions.ndjson"),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                     "--traces", str(trace_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "structure_exact_rate 1.0"
+
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DRIFTED}
+    assert got == DRIFTED

@@ -271,9 +271,13 @@ class TestSpanRecords:
         bare, twin = (Span("r", "t1", None, "C.f", "svc", 0, 1) for _ in range(2))
         assert bare.attributes == {} and bare.attributes is not twin.attributes
 
-    def test_bool_for_an_integer_field_is_still_accepted(self):
-        span = span_from_dict({**GOOD_RECORD, "start_time": True, "duration": False})
-        assert span.start_time is True and span.duration is False
+    def test_bool_for_an_integer_field_is_refused(self):
+        # a JSON boolean is a Python int, so an isinstance check would let it by
+        for field in ("start_time", "duration"):
+            record = {"trace_id": "t1", "spans": [{**GOOD_RECORD, "parent_id": None,
+                                                   field: True}]}
+            with pytest.raises(MalformedDocumentError, match=f"{field} must be an integer"):
+                parse_trace(json.dumps(record))
 
 
 def random_tree(rng, n):

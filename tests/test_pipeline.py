@@ -430,7 +430,7 @@ def test_stats_export_writes_the_snapshot_sample_writes(workload, tmp_path):
     assert exported.read_bytes() == (out / "stats.json").read_bytes()
 
 
-@pytest.mark.parametrize("fault", ["truncated", "dangling-parent"])
+@pytest.mark.parametrize("fault", ["truncated", "dangling-parent", "bool-time"])
 @pytest.mark.parametrize("command", ["sample", "stats-export", "reconstruct", "build-graph"])
 def test_a_bad_trace_line_is_named_by_file_and_line(workload, tmp_path, capsys, command,
                                                     fault):
@@ -443,7 +443,10 @@ def test_a_bad_trace_line_is_named_by_file_and_line(workload, tmp_path, capsys, 
         lines[20] = lines[20][:len(lines[20]) // 2] + "\n"
     else:
         record = json.loads(lines[20])
-        record["spans"][1]["parent_id"] = "no-such-span"
+        if fault == "bool-time":
+            record["spans"][1]["start_time"] = True
+        else:
+            record["spans"][1]["parent_id"] = "no-such-span"
         lines[20] = json.dumps(record) + "\n"
     bad = tmp_path / "bad.ndjson"
     bad.write_text("".join(lines), encoding="utf-8")
@@ -464,7 +467,7 @@ def test_a_bad_trace_line_is_named_by_file_and_line(workload, tmp_path, capsys, 
     capsys.readouterr()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    error = "MalformedDocumentError" if fault == "truncated" else "InvariantViolationError"
+    error = "InvariantViolationError" if fault == "dangling-parent" else "MalformedDocumentError"
     assert err.startswith(f"error: {bad}:21: bad trace record: {error}: "), err
 
 
@@ -584,9 +587,9 @@ def test_build_graph_names_a_malformed_call_graph_document(tmp_path, capsys, edi
 
 
 def test_build_graph_prints_the_patch_and_provenance_counts(tmp_path, capsys):
-    # Main.run calls Sub.known only; the trace adds a dynamic call to
-    # Remote.bar from Main.run, one from the body-less Sub.known (a synthetic
-    # block) and a URL span that resolves to no function
+    # Main.run calls Sub.known only; the trace adds a call to Remote.bar
+    # after Sub.known's block in Main.run, one from the body-less Sub.known
+    # (each a synthetic block) and a URL span that resolves to no function
     doc = single_function_doc(
         fn="svc:Main.run", blocks=[{"id": "b0", "callees": ["svc:Sub.known"]}],
         entry="b0", exits=["b0"],
@@ -604,9 +607,9 @@ def test_build_graph_prints_the_patch_and_provenance_counts(tmp_path, capsys):
     assert cli.main(["build-graph", "--graph", str(doc_path), "--patch", str(patch_path),
                      "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "patched: 2 edges, 1 synthetic blocks, 1 unresolved pairs",
-        "svc:Main.run: 1 blocks, 1 mutual-dominance classes",
+        "patched: 2 calls as synthetic blocks, 1 unresolved pairs",
+        "svc:Main.run: 2 blocks, 2 mutual-dominance classes",
         "svc:Sub.known: 1 blocks, 1 mutual-dominance classes",
-        "edge provenance: dynamic-patch=5, static=3",
+        "edge provenance: dynamic-patch=9, static=3",
         f"artifact written to {out}",
     ]

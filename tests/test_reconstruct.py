@@ -4,7 +4,7 @@ import json
 import pytest
 
 import spanscope.reconstruct as recon
-from spanscope.cscfg import PROV_DYNAMIC, build_cscfg, patch_with_traces
+from spanscope.cscfg import build_cscfg, patch_with_traces
 from spanscope.errors import ReconstructionError, SpanscopeError
 from spanscope.harness import (
     SystemSpec,
@@ -330,16 +330,27 @@ def functions_of(rebuilt):
 
 
 class TestForkInPatchedCallee:
-    """Main's block b0 calls A; a dynamic edge adds b0 -> P; P forks p1 (X) / p2 (Y).
+    """Main's block b0 calls A; patching with the trace adds a synthetic block
+    calling P, before b0 or after it as the trace shows; P forks p1 (X) / p2 (Y).
 
     Replay takes P's branch from the forks that align records for the trace.
-    Without them, the reference search finds both arms when the branch is
-    unwitnessed.
+    Without them, the reference search finds more than one path when the
+    branch is unwitnessed.
     """
 
     MAIN, P = "svc:Main.run", "svc:P.p"
 
     def setup_method(self):
+        self.spans = {
+            "root": Span("root", "t", None, "Main.run", "svc", 0, 100),
+            "p": Span("p", "t", "root", "P.p", "svc", 1, 20),
+            "x": Span("x", "t", "p", "X.x", "svc", 2, 5),
+            "a": Span("a", "t", "root", "A.a", "svc", 30, 10),
+        }
+        self.graph, self.mapping = self.patched(self.spans)
+
+    def patched(self, spans):
+        """The frozen graph patched from the trace of spans, and its mapping."""
         doc = {"schema_version": 1, "external_functions": [], "functions": [
             {"function": self.MAIN, "blocks": [{"id": "b0", "callees": ["svc:A.a"]}],
              "flow_edges": [], "entry": "b0", "exits": ["b0"]},
@@ -348,31 +359,28 @@ class TestForkInPatchedCallee:
                                             {"id": "p2", "callees": ["svc:Y.y"]}],
              "flow_edges": [["s", "p1"], ["s", "p2"]], "entry": "s", "exits": ["p1", "p2"]},
             {"function": "svc:A.a"}, {"function": "svc:X.x"}, {"function": "svc:Y.y"}]}
-        self.graph = build_cscfg(doc)
-        assert self.graph.add_call_edge(f"{self.MAIN}#b0", self.P, PROV_DYNAMIC)
-        self.graph.freeze()
-        self.mapping = build_map(self.graph)
-        self.spans = {
-            "root": Span("root", "t", None, "Main.run", "svc", 0, 100),
-            "p": Span("p", "t", "root", "P.p", "svc", 1, 20),
-            "x": Span("x", "t", "p", "X.x", "svc", 2, 5),
-            "a": Span("a", "t", "root", "A.a", "svc", 30, 10),
-        }
+        graph = build_cscfg(doc)
+        report = patch_with_traces(graph, [Trace("t", list(spans.values()))], build_map(graph))
+        assert report.calls_added == 1
+        return graph.freeze(), build_map(graph)
 
     def rebuild(self, spans, *ids):
-        """Replay of the kept spans ids with the forks align records for all of spans."""
-        forks = align_trace(self.graph, Trace("t", list(spans.values())), self.mapping).forks
+        """Replay of the kept spans ids on the graph patched from all of spans,
+        with the forks align records for them."""
+        graph, mapping = self.patched(spans)
+        forks = align_trace(graph, Trace("t", list(spans.values())), mapping).forks
         kept = [spans[i] for i in ids]
-        return reconstruct(decision_for(self.MAIN, kept, forks), kept, self.graph, {},
-                           self.mapping)
+        return reconstruct(decision_for(self.MAIN, kept, forks), kept, graph, {}, mapping)
 
     def test_unwitnessed_branch_is_ambiguous(self):
         kept = [self.spans[i] for i in ("root", "p", "a")]
         with pytest.raises(OracleAmbiguousPathError) as info:
             oracle_reconstruct(decision_for(self.MAIN, kept, ()), kept, self.graph, {},
                                self.mapping, search=True)
-        assert info.value.branch_tags == [f"{self.P}#p1", f"{self.P}#p2"]
-        # the recorded fork settles it
+        # the first two solutions take P's arm p1 and differ in how often the
+        # repeatable synthetic block ran before b0
+        assert info.value.branch_tags == [f"{self.MAIN}#b0", f"{self.MAIN}#patch0"]
+        # the recorded forks settle both
         assert functions_of(self.rebuild(self.spans, "root", "p", "a")) == [
             (self.MAIN, ORIGIN_SAMPLED), (self.P, ORIGIN_SAMPLED), ("svc:X.x", ORIGIN_INFERRED),
             ("svc:A.a", ORIGIN_SAMPLED)]
@@ -478,6 +486,10 @@ def test_replay_errors_match_the_tree_walker(seed, n, ratio):
         for decision, kept in mutated_decisions(result, donor):
             got = outcome(reconstruct, decision, kept, graph, stats, mapping)
             assert got == outcome(oracle_reconstruct, decision, kept, graph, stats, mapping)
+            if result.decision.forks and decision.forks == result.decision.forks[:-1]:
+                # align records every fork, so a walk never heads for the exit
+                # on its own
+                assert got[1] == "ran out of recorded branch choices", got
             if isinstance(got, tuple):
                 errors.add(got[1])
     for check in ("is not a successor here", "ran out of recorded branch choices",
