@@ -18,14 +18,15 @@ moves from the start. Ties are broken deterministically: lower cost, then
 fewer insertions, then a fixed move preference (match, skip, insert, move to
 the smallest successor id), which keeps repeated runs byte-identical.
 
-A path is a sequence of steps, each the pair (slot, forks). The slot names
-a span by its index in `Trace.preorder`, so a path depends on the trace's
-shape only; a skipped block is a step with slot None. Forks are recorded as
-alignment finds them: a move out of a node with more than one flow
-successor puts its target on the step it follows and on the path; every
-other flow move is dropped. The forks alone pin the path through the graph,
-so no step names its block or callee. Every step is kept, skips included:
-a set of partition ends at each step that carries forks.
+A path is cached as its dominant span sets and its forks. A slot names a
+span by its index in `Trace.preorder`, so a path depends on the trace's
+shape only. Forks are recorded as alignment finds them: a move out of a
+node with more than one flow successor records its target, and every other
+flow move is dropped. The forks alone pin the path through the graph, so
+no set names a block or callee. Sets are cut as the path is laid out in
+order, each span a step and each skipped block a step without a span: a
+set ends at the first fork after a step, that fork's target tags the next
+set (the first is tagged TRUNK_TAG), and a set with no span is dropped.
 
 A PathCache memoises alignment at three levels, each an LRU map of at most
 PATH_CACHE_CAPACITY entries. The trace level is keyed by the trace's shape
@@ -34,7 +35,7 @@ and stores the path itself, so a hit returns the very path a fresh
 alignment of that shape gives. On a trace-level miss each span gets a hash-consed shape id,
 keyed by its function key (None when unmapped) and its children's ids; the
 subtree level stores, per shape, that id and the fragment of path a mapped
-span's subtree emits below the span's own step, with slots relative to the
+span's subtree emits after the span itself, with slots relative to the
 span's slot and child fragments held by reference. A new trace shape is so
 composed from the subtrees already aligned, and only subtrees never seen
 before are aligned. The invocation level is keyed by a function and the
@@ -56,6 +57,8 @@ from .mapping import Unmapped
 from .model import Trace
 
 PROHIBITIVE_COST = 1_000_000
+# the tag of a path's first set, which no fork opens
+TRUNK_TAG = "trunk"
 # entries each map of a PathCache holds at most
 PATH_CACHE_CAPACITY = 4096
 # the solver's move preference, best first; a flow move ranks (3, target id)
@@ -64,29 +67,30 @@ _MATCH, _SKIP, _INS = (0,), (1,), (2,)
 
 @dataclass(frozen=True)
 class ExecutionPath:
-    """Aligned steps of one trace shape; `forks` lists every fork target in order.
+    """Aligned path of one trace shape, as its sets and its forks.
 
-    Each step is a pair (slot, forks): slot indexes `Trace.preorder`, or is
-    None for a skipped block, and forks holds the targets of the fork moves
-    taken after the step, in order.
+    Each set is a pair (slots, tag): slots index `Trace.preorder` in path
+    order, and tag is the fork target that opened the set, or TRUNK_TAG.
+    `forks` lists every fork target in path order. `leaves_graph` is True
+    when the path skips a block's call or inserts a mapped span, that is
+    when its cost exceeds its unmapped spans: the replay of its forks then
+    does not give the trace back, so its decisions do not rebuild exactly.
     """
 
-    steps: tuple[tuple[int | None, tuple[str, ...]], ...]
+    sets: tuple[tuple[tuple[int, ...], str], ...]
     cost: int
     insertions: int
     forks: tuple[str, ...]
+    leaves_graph: bool
 
 
 class _Fragment:
-    """The path a mapped span's subtree emits after the span's own step.
+    """The path a mapped span's subtree emits after the span itself.
 
-    `items` holds, in path order, a step as (slot, forks) with the slot
-    relative to the span's (None for a skip); a child's fragment as
-    (fragment, the child's relative slot), referenced and not copied, and
-    told from a step by its first field being a _Fragment; or a run of
-    forks as (forks,), which land on the step before: the caller's step
-    when the run leads, else the last step of the child fragment it
-    follows. `cost` and `insertions` cover the whole subtree.
+    `items` is flat, in path order: a span's slot relative to the mapped
+    span's; None for a skipped block; a fork target; or (fragment, relative
+    slot) for a mapped child, its step and then its fragment, referenced and
+    not copied. `cost` and `insertions` cover the whole subtree.
     """
 
     __slots__ = ("items", "cost", "insertions")
@@ -342,13 +346,14 @@ def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
 
     def emit(j):
         nonlocal cost, ins
-        items.append((j - i, ()))
         if keys[j] is not None:
             child = frags[j]
             cost += child.cost
             ins += child.insertions
             if child.items:
                 items.append((child, j - i))
+                return
+        items.append(j - i)
 
     if solved is None:
         for j in syms:
@@ -358,49 +363,51 @@ def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
     for act in acts:
         tag = act[0]
         if tag == "skip":
-            items.append((None, ()))
+            items.append(None)
         elif tag == "fork":
-            # a fork lands on the last step emitted so far
-            last = items[-1] if items else None
-            if last is None or type(last[0]) is _Fragment:
-                items.append(((act[1],),))
-            elif len(last) == 1:
-                items[-1] = (last[0] + (act[1],),)
-            else:
-                items[-1] = (last[0], last[1] + (act[1],))
+            items.append(act[1])
         else:
             emit(syms[act[1]])
     return _Fragment(tuple(items), cost + own_cost, ins + own_ins)
 
 
 def _compose(frag: _Fragment) -> tuple[list, list]:
-    """Steps and forks of the path: the root's step, then frag flattened."""
-    steps: list = []
+    """Sets and forks of the path: the root's step, then frag flattened."""
+    sets: list = []
     forks: list = []
-    # the step under construction: a fork lands on it until the next begins
-    slot, fk = 0, ()
-    append = steps.append
+    slots = [0]
+    tag = TRUNK_TAG
+    # whether a step came since the last fork: only such a fork cuts
+    stepped = True
     frames = [(iter(frag.items), 0)]
     while frames:
         items, base = frames[-1]
         for item in items:
-            if len(item) == 1:
-                fk += item[0]
-            elif type(item[0]) is _Fragment:
-                frames.append((iter(item[0].items), base + item[1]))
-                break
+            kind = type(item)
+            if kind is int:
+                slots.append(base + item)
+                stepped = True
+            elif kind is str:
+                forks.append(item)
+                if stepped:
+                    if slots:
+                        sets.append((tuple(slots), tag))
+                        slots = []
+                    tag = item
+                    stepped = False
+            elif item is None:
+                stepped = True
             else:
-                append((slot, fk))
-                if fk:
-                    forks += fk
-                slot, fk = item
-                if slot is not None:
-                    slot += base
+                child, rel = item
+                slots.append(base + rel)
+                stepped = True
+                frames.append((iter(child.items), base + rel))
+                break
         else:
             frames.pop()
-    append((slot, fk))
-    forks += fk
-    return steps, forks
+    if slots:
+        sets.append((tuple(slots), tag))
+    return sets, forks
 
 
 def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> ExecutionPath:
@@ -411,7 +418,7 @@ def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> Ex
     graph knows, or when an invocation has no path (naming its first child
     span, or the function key of a leaf); the first such invocation in
     preorder is named. Raises ValueError when the graph is not frozen.
-    Every slot of the trace's preorder lies on exactly one step.
+    Every slot of the trace's preorder lies in exactly one set.
     """
     if not graph.frozen:
         raise ValueError("a PathCache needs a frozen graph")
@@ -469,11 +476,14 @@ def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> Ex
         frags[i] = shapes[i].fragment = _fragment(i, syms, solved, keys, frags)
 
     root_frag = frags[0]
-    steps, forks = _compose(root_frag)
-    linked = sorted(slot for slot, _ in steps if slot is not None)
+    sets, forks = _compose(root_frag)
+    linked = sorted(slot for slots, _ in sets for slot in slots)
     if linked != list(range(n)):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
-    path = ExecutionPath(tuple(steps), root_frag.cost, root_frag.insertions, tuple(forks))
+    # every unmapped span is inserted at cost 1: any cost beyond them is a
+    # skipped call or an inserted mapped span
+    path = ExecutionPath(tuple(sets), root_frag.cost, root_frag.insertions, tuple(forks),
+                         root_frag.cost > keys.count(None))
     cache.store(sig, path)
     return path

@@ -12,13 +12,14 @@ targets of the aligned path and the sorted kept span ids. kept.ndjson
 holds the kept spans themselves. The per-set DSS reports stay in memory
 and are not stored; older decision records that carry them still read.
 `sample` prints the stored bytes ratio, the bytes of those two files over
-the bytes of the trace file. `reconstruct` reads the two files in step, one
-decision and one kept record at a time, and checks that each kept record
-belongs to its decision's trace and holds the spans the decision lists; a
-kept record left over after the last decision is an error too. Lines
-rebuilt before an error stay written. Each rebuilt trace is written as the
-rebuild placed it, from its records; its span objects are built only with
---traces, for the fidelity report.
+the bytes of the trace file, and how many decisions leave the graph (their
+path skips or inserts a call), which will not rebuild exactly.
+`reconstruct` reads the two files in step, one decision and one kept record
+at a time, and checks that each kept record belongs to its decision's trace
+and holds the spans the decision lists; a kept record left over after the
+last decision is an error too. Lines rebuilt before an error stay written.
+Each rebuilt trace is written as the rebuild placed it, from its records;
+its span objects are built only with --traces, for the fidelity report.
 
 Exit codes: 0 success, 1 input or pipeline error, 2 configuration error.
 Set SPANSCOPE_LOG=debug|info|warning to control verbosity.
@@ -44,6 +45,13 @@ from .scoring import ScoreBook, load_snapshot, save_snapshot
 
 log = logging.getLogger("spanscope")
 
+# the config keys of the system that `eval` generates
+_SYSTEM_KEYS = ("seed", "n_services", "n_functions_per_service", "branch_probability",
+                "max_call_depth", "shared_library_fraction", "url_span_probability")
+# every key that `sample`, `eval` or `stats-export` reads, so one file serves all three
+_CONFIG_KEYS = frozenset(_SYSTEM_KEYS + (
+    "n_traces", "ratio", "theta", "window", "min_obs", "lrs_horizon", "fixed_threshold"))
+
 
 def _setup_logging() -> None:
     level = os.environ.get("SPANSCOPE_LOG", "warning").upper()
@@ -61,6 +69,9 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
     return cfg
 
 
@@ -162,6 +173,8 @@ def cmd_sample(args) -> int:
     print(f"align cache: trace hits {paths['hits']}/{paths['hits'] + paths['misses']}, "
           f"invocation hits {solves['hits']}/{solves['hits'] + solves['misses']}, "
           f"subtree hits {subtrees['hits']}/{subtrees['hits'] + subtrees['misses']}")
+    print(f"{timing['decisions_leaving_graph']} of {timing['traces']} decisions leave the "
+          f"graph (skipped or inserted calls); they will not rebuild exactly")
     return 0
 
 
@@ -249,8 +262,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     spec_fields = {}
-    for name in ("seed", "n_services", "n_functions_per_service", "branch_probability",
-                 "max_call_depth", "shared_library_fraction", "url_span_probability"):
+    for name in _SYSTEM_KEYS:
         if name in config:
             spec_fields[name] = config[name]
     if args.seed is not None:

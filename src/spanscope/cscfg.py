@@ -476,7 +476,7 @@ def _contract_into(graph: Cscfg, fn_key: str, local_callees: dict[str, tuple[str
     for lid in call_ids:
         graph.add_block(fn_key, gid(lid), local_callees[lid])
 
-    def targets(seeds: list[str], seed_is_origin: bool) -> set[str]:
+    def targets(seeds: list[str]) -> set[str]:
         # BFS through call-free blocks; a call-site block or the function
         # exit terminates the walk in that direction.
         out: set[str] = set()
@@ -495,13 +495,13 @@ def _contract_into(graph: Cscfg, fn_key: str, local_callees: dict[str, tuple[str
             dq.extend(adj[b])
         return out
 
-    for dst in sorted(targets([entry_local], True)):
+    for dst in sorted(targets([entry_local])):
         graph.add_flow_edge(fn_key, ent, dst)
     for lid in call_ids:
         outs: set[str] = set()
         if lid in exits:
             outs.add(ext)
-        outs |= targets(list(adj[lid]), False)
+        outs |= targets(list(adj[lid]))
         for dst in sorted(outs):
             graph.add_flow_edge(fn_key, gid(lid), dst)
 
@@ -633,13 +633,13 @@ def patch_with_traces(graph: Cscfg, traces, mapping) -> PatchReport:
                     continue
                 if graph.has_call_edge(pkey, ckey):
                     continue
-                after = _patch_block_for(graph, pkey, parent, child, children, resolved)
+                after = _patch_block_for(graph, pkey, child, children, resolved)
                 _add_patch_block(graph, pkey, after or entry_node(pkey), ckey)
                 report.calls_added += 1
     return report
 
 
-def _patch_block_for(graph: Cscfg, parent_key: str, parent, child, siblings, resolved):
+def _patch_block_for(graph: Cscfg, parent_key: str, child, siblings, resolved):
     """Block whose callees' spans appear nearest before the child span."""
     from .mapping import Unmapped
 
@@ -660,8 +660,12 @@ def _patch_block_for(graph: Cscfg, parent_key: str, parent, child, siblings, res
 
 def _add_patch_block(graph: Cscfg, fn_key: str, after: str, callee_key: str) -> str:
     """Add a synthetic block calling callee_key that may follow node after
-    any number of times, and return its id."""
-    n = sum(1 for b in graph.blocks_of(fn_key) if b in graph._synthetic_blocks)
+    any number of times, and return its id, `<fn_key>#patch<n>` with the
+    first n that no block of fn_key has."""
+    taken = set(graph.blocks_of(fn_key))
+    n = 0
+    while f"{fn_key}#patch{n}" in taken:
+        n += 1
     block_id = f"{fn_key}#patch{n}"
     ext = exit_node(fn_key)
     succs = graph.successors(fn_key, after)

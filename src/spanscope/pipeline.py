@@ -55,6 +55,7 @@ class SamplingPipeline:
             STAGE_SELECT: 0.0, STAGE_RECONSTRUCT: 0.0,
         }
         self.traces_seen = 0
+        self.decisions_leaving_graph = 0
 
     def _timed(self, stage: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
@@ -91,6 +92,7 @@ class SamplingPipeline:
             entry=entry, forks=path.forks,
         )
         self.traces_seen += 1
+        self.decisions_leaving_graph += path.leaves_graph
         return TraceResult(trace, decision, dss_list, path)
 
     def reconstruct_result(self, result: TraceResult,
@@ -110,7 +112,9 @@ class SamplingPipeline:
         `path_cache` counts whole-trace alignment hits and misses,
         `subtree_cache` the subtree fragments found and aligned anew on
         whole-trace misses, `solve_cache` per-invocation solver hits and
-        misses.
+        misses. `decisions_leaving_graph` counts the decisions whose path
+        leaves the graph (`ExecutionPath.leaves_graph`): they do not rebuild
+        exactly.
         """
         total = sum(self.timings.values())
         per_trace = total / self.traces_seen if self.traces_seen else 0.0
@@ -124,6 +128,7 @@ class SamplingPipeline:
             "path_cache": {"hits": cache.hits, "misses": cache.misses},
             "subtree_cache": {"hits": cache.subtree_hits, "misses": cache.subtree_misses},
             "solve_cache": {"hits": cache.solve_hits, "misses": cache.solve_misses},
+            "decisions_leaving_graph": self.decisions_leaving_graph,
         }
 
 

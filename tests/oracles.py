@@ -1295,7 +1295,7 @@ def _reference_solve_cached(graph, fn_key: str, sym_fn: tuple, cache):
     return solved
 
 
-# step kinds of the reference aligners; the package's steps carry no kind
+# step kinds of the reference aligner; the package's paths hold no steps
 KIND_ENTER = "enter"
 KIND_MATCH = "match"
 KIND_INSERT = "insert"
@@ -1305,6 +1305,8 @@ KIND_SKIP = "skip"
 # (function, source, target) flow moves taken after it
 ReferenceStep = namedtuple("ReferenceStep", "kind block_id callee slot moves",
                            defaults=((),))
+# a reference_align result: its ReferenceSteps, cost, insertions and forks
+ReferencePath = namedtuple("ReferencePath", "steps cost insertions forks")
 
 
 def reference_step_forks(graph, step) -> tuple:
@@ -1367,12 +1369,12 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     Raises NoPathError when the root span does not resolve to a function the
     graph knows, and ValueError when given a cache with a graph that is not
     frozen. Every slot of the trace's preorder lies on exactly one step. The
-    steps are ReferenceSteps; with reference_step_forks, their (slot, forks)
-    pairs are align's steps, and the path's forks are those of every step.
+    result is a ReferencePath of ReferenceSteps, whose forks are
+    reference_step_forks of every step; oracle_partition cuts it into sets.
     `cache` is a PathCache of its own: this aligner reads and writes only its
     whole-trace and solve maps.
     """
-    from spanscope.align import ExecutionPath, trace_signature
+    from spanscope.align import trace_signature
     from spanscope.cscfg import entry_node
     from spanscope.errors import NoPathError
     from spanscope.mapping import Unmapped
@@ -1417,7 +1419,7 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
     forks = tuple(f for step in steps for f in reference_step_forks(graph, step))
-    path = ExecutionPath(tuple(steps), cost, ins, forks)
+    path = ReferencePath(tuple(steps), cost, ins, forks)
     if cache is not None:
         cache.store(sig, path)
     return path

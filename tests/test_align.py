@@ -4,11 +4,12 @@ import random
 import pytest
 
 import spanscope.align as align_mod
-from spanscope.align import PathCache, _solve, align, trace_signature
+from spanscope.align import TRUNK_TAG, PathCache, _solve, align, trace_signature
 from spanscope.cscfg import FunctionRef, _add_patch_block, build_cscfg
 from spanscope.errors import NoPathError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import Unmapped, build_map
+from spanscope.partition import partition
 
 from .conftest import (
     align_trace,
@@ -19,10 +20,10 @@ from .conftest import (
 )
 from .oracles import (
     oracle_invocation_cost,
+    oracle_partition,
     oracle_trace_signature,
     reference_align,
     reference_solve,
-    reference_step_forks,
 )
 from .test_cscfg import drifted_patched_graph
 from .test_partition import oracle_inputs
@@ -93,14 +94,15 @@ class TestAlign:
         path = align_trace(graph, linear_trace(), mapping)
         assert path.cost == 0
         assert path.insertions == 0
-        assert path.steps == ((0, ()), (1, ()), (2, ()))
+        assert path.sets == (((0, 1, 2), TRUNK_TAG),)
+        assert path.forks == ()
 
     def test_every_span_on_exactly_one_step(self):
         graph = linear_graph().freeze()
         mapping = build_map(graph)
         trace = linear_trace(with_url=True)
         path = align_trace(graph, trace, mapping)
-        linked = [slot for slot, _ in path.steps if slot is not None]
+        linked = [slot for slots, _ in path.sets for slot in slots]
         assert sorted(linked) == list(range(len(trace.preorder)))
 
     def test_url_span_costs_one_insertion(self):
@@ -110,7 +112,7 @@ class TestAlign:
         path = align_trace(graph, trace, mapping)
         assert path.cost == 1
         assert path.insertions == 1
-        assert path.steps == ((0, ()), (1, ()), (2, ()), (3, ()))
+        assert path.sets == (((0, 1, 2, 3), TRUNK_TAG),)
         assert trace.preorder[3].span_id == "u"
         # the URL span is the one symbol the solver inserts
         assert _solve(graph, FN, ("svc:A.a", "svc:B.b", None)) == \
@@ -159,8 +161,9 @@ class TestAlign:
             make_span("b", parent="r", operation="B.b", start=30, duration=10),
         ]
         path = align_trace(graph, make_trace(spans), mapping)
-        # one skipped block, b0 and its A.a call, before the B.b match
-        assert path.steps == ((0, ()), (None, ()), (1, ()))
+        # one skipped block, b0 and its A.a call, before the B.b match; a
+        # skip with no fork after it cuts no set
+        assert path.sets == (((0, 1), TRUNK_TAG),)
         assert [a[0] for a in _solve(graph, FN, ("svc:B.b",))[2]] == ["skip", "match"]
         assert path.cost >= 1
 
@@ -260,8 +263,10 @@ class TestOptimality:
         path = align_trace(graph, make_trace(spans), build_map(graph))
         # Main inserts the URL span; Inner.h skips the unwitnessed Y.opt call
         assert (path.cost, path.insertions) == (2, 1)
-        # r, h, the skip of Y.opt, d, then u; entering Inner.h forks into ca
-        assert path.steps == ((0, ()), (1, (f"{inner}#ca",)), (None, ()), (2, ()), (3, ()))
+        # r, h, the skip of Y.opt, d, then u; entering Inner.h forks into ca,
+        # which cuts after h and tags the set of d and u
+        assert path.sets == (((0, 1), TRUNK_TAG), ((2, 3), f"{inner}#ca"))
+        assert path.forks == (f"{inner}#ca",)
         assert _solve(graph, inner, ("svc:X.deep",)) == \
             (1, 0, (("fork", f"{inner}#ca"), ("skip",), ("match", 0)))
 
@@ -510,8 +515,7 @@ class TestComposedPathReference:
         for trace in traces:
             path = align_trace(graph, trace, mapping, cache)
             ref = reference_align(graph, trace, mapping)
-            assert path.steps == tuple((s.slot, reference_step_forks(graph, s))
-                                       for s in ref.steps)
+            assert partition(path, trace) == oracle_partition(ref, graph, trace)
             assert (path.cost, path.insertions, path.forks) == \
                 (ref.cost, ref.insertions, ref.forks)
             patched += patched_matches(ref)

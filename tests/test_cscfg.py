@@ -337,6 +337,29 @@ class TestPatch:
         assert graph.successors(sub, patch) == (exit_node(sub), patch)
         assert graph.dominance(sub).mandatory == frozenset()
 
+    def test_a_synthetic_block_takes_the_first_free_patch_name(self):
+        # the document's own block is named patch0, and a second call needs
+        # a second synthetic block
+        doc = single_function_doc(
+            fn=FN, blocks=[blk("patch0", "svc:Sub.known")], edges=[],
+            entry="patch0", exits=["patch0"],
+            extra_functions=[{"function": "svc:Sub.known"}, {"function": "svc:Remote.bar"},
+                             {"function": "svc:Remote.baz"}],
+        )
+        graph = build_cscfg(doc)
+        spans = [
+            make_span("r", operation="Main.run", start=0, duration=100),
+            make_span("k", parent="r", operation="Sub.known", start=5, duration=10),
+            make_span("b", parent="r", operation="Remote.bar", start=30, duration=10),
+            make_span("z", parent="r", operation="Remote.baz", start=50, duration=10),
+        ]
+        assert patch_with_traces(graph, [make_trace(spans)], build_map(graph)).calls_added == 2
+        assert {b: graph.blocks[b] for b in graph.blocks_of(FN)} == {
+            f"{FN}#patch0": ("svc:Sub.known",),
+            f"{FN}#patch1": ("svc:Remote.bar",),
+            f"{FN}#patch2": ("svc:Remote.baz",),
+        }
+
     def test_dominance_recomputed_after_patch(self):
         graph, mapping, trace = self._patched_setup()
         before = compute_dominance(graph, FN)

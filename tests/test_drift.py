@@ -10,10 +10,12 @@ import copy
 
 import pytest
 
+from spanscope import cli
 from spanscope.cscfg import build_cscfg, patch_with_traces
 from spanscope.errors import SpanscopeError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import build_map
+from spanscope.model import serialize_trace
 from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import reconstruct, structural_fidelity
 from spanscope.sampler import SamplingConfig
@@ -44,6 +46,37 @@ def move_call(doc, fn, block_id, callee, to_block):
     return out
 
 
+def add_call(doc, fn, block_id, callee):
+    """A copy of doc in which block_id of fn also calls callee, after its
+    other calls there."""
+    out = copy.deepcopy(doc)
+    callees = _block(out, fn, block_id)["callees"]
+    if callee in callees:
+        raise ValueError(f"{fn}#{block_id} already calls {callee}")
+    callees.append(callee)
+    return out
+
+
+def drop_arm(doc, fn, src, dst):
+    """A copy of doc without fn's flow edge src->dst, and without the blocks
+    that the entry no longer reaches, their edges and their exits."""
+    out = copy.deepcopy(doc)
+    function = next(f for f in out["functions"] if f["function"] == fn)
+    if [src, dst] not in function["flow_edges"]:
+        raise ValueError(f"{fn} has no flow edge {src}->{dst}")
+    function["flow_edges"].remove([src, dst])
+    reached, todo = set(), [function["entry"]]
+    while todo:
+        b = todo.pop()
+        if b not in reached:
+            reached.add(b)
+            todo += [t for s, t in function["flow_edges"] if s == b]
+    function["blocks"] = [b for b in function["blocks"] if b["id"] in reached]
+    function["flow_edges"] = [e for e in function["flow_edges"] if e[0] in reached]
+    function["exits"] = [e for e in function["exits"] if e in reached]
+    return out
+
+
 def calls_of(doc):
     return sorted((f["function"], b["id"], c) for f in doc["functions"]
                   for b in f.get("blocks", ()) for c in b["callees"])
@@ -71,25 +104,66 @@ def test_mutators_edit_one_call_and_keep_the_document_valid():
         drop_call(doc, *before[0][:2], "svc:No.such")
 
 
-# the entry's block b3 calls svc00:C5.op5 on the default system's common path
+def test_add_call_and_drop_arm_keep_the_document_valid():
+    doc, _meta = generate_system(SystemSpec())
+    before = calls_of(doc)
+    added = add_call(doc, ENTRY, "b3", "svc03:C5.op5")
+    assert calls_of(added) == sorted(before + [(ENTRY, "b3", "svc03:C5.op5")])
+    build_cscfg(added)
+    # b4, the error arm, calls svc00:Err.fail and is an exit
+    dropped = drop_arm(doc, ENTRY, "b0", "b4")
+    assert calls_of(dropped) == [c for c in before if c != (ENTRY, "b4", "svc00:Err.fail")]
+    entry = next(f for f in dropped["functions"] if f["function"] == ENTRY)
+    assert entry["exits"] == ["b5"] and ["b0", "b4"] not in entry["flow_edges"]
+    build_cscfg(dropped).dominance(ENTRY)  # every block reaches the exit
+    assert calls_of(doc) == before
+    with pytest.raises(ValueError):
+        add_call(doc, ENTRY, "b3", "svc00:C5.op5")
+    with pytest.raises(ValueError):
+        drop_arm(doc, ENTRY, "b0", "b5")
+
+
+# the entry's block b3 calls svc00:C5.op5 on the default system's common
+# path; b0 forks to b2 on that path and to b4, the error arm, else
+ENTRY = "svc00:C0.op0"
 DRIFTS = {
     "none": lambda doc: doc,
-    "drop-a-call": lambda doc: drop_call(doc, "svc00:C0.op0", "b3", "svc00:C5.op5"),
-    "move-a-call": lambda doc: move_call(doc, "svc00:C0.op0", "b3", "svc00:C5.op5", "b6"),
+    "drop-a-call": lambda doc: drop_call(doc, ENTRY, "b3", "svc00:C5.op5"),
+    "move-a-call": lambda doc: move_call(doc, ENTRY, "b3", "svc00:C5.op5", "b6"),
+    "add-a-call": lambda doc: add_call(doc, ENTRY, "b3", "svc03:C5.op5"),
+    "drop-an-arm": lambda doc: drop_arm(doc, ENTRY, "b0", "b4"),
 }
 # a drift whose graph is patched from the first PATCH_TRACES traces of its traffic
-PATCHED = {f"{name}-patched": name for name in ("drop-a-call", "move-a-call")}
+PATCHED = {f"{name}-patched": name for name in ("add-a-call", "drop-a-call", "move-a-call")}
 PATCH_TRACES = 200
 # ROADMAP item 13: a call the graph does not make where the code does is an
 # insertion, and the rebuild walk never enters an inserted call. Patching adds
-# only calls that no block makes, so the moved call stays an insertion.
+# only calls that no block makes, so the moved call stays an insertion. A call
+# the graph makes where the code does not is skipped by align, but the walk
+# emits it and walks its body with forks that belong to later calls; patching
+# adds nothing there.
 ITEM_13 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 13")
-FAILING = {"drop-a-call", "move-a-call", "move-a-call-patched"}
+FAILING = {"add-a-call", "add-a-call-patched", "drop-a-call", "move-a-call",
+           "move-a-call-patched"}
+ALL_DRIFTS = sorted(DRIFTS) + sorted(PATCHED)
+
+
+def drift_inputs(drift):
+    """The frozen graph of a drift and its traffic: 300 traces of the true
+    document."""
+    spec = SystemSpec()
+    doc, meta = generate_system(spec)
+    traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
+    graph = build_cscfg(DRIFTS[PATCHED.get(drift, drift)](doc))
+    if drift in PATCHED:
+        patch_with_traces(graph, traces[:PATCH_TRACES], build_map(graph))
+    return graph.freeze(), traces
 
 
 def rebuild_failures(graph, traces):
-    """Written decisions on the frozen graph, and a line for each that does
-    not rebuild, changes a kept span, or rebuilds another structure."""
+    """The pipeline that samples traces on the frozen graph, its written
+    results, and by trace id a line for each written decision that does not
+    rebuild, changes a kept span, or rebuilds another structure."""
     mapping = build_map(graph)
     pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3))
     results = []
@@ -99,42 +173,69 @@ def rebuild_failures(graph, traces):
         except SpanscopeError:
             continue  # reported at sample time
     stats = pipeline.stats_snapshot()
-    broken = []
+    broken = {}
     for result in results:
         trace = result.trace
         kept = [trace.span(sid) for sid in result.decision.kept]
         try:
             rebuilt = reconstruct(result.decision, kept, graph, stats, mapping)
         except SpanscopeError as exc:
-            broken.append(f"{trace.trace_id}: {type(exc).__name__}: {exc}")
+            broken[trace.trace_id] = f"{type(exc).__name__}: {exc}"
             continue
         spans = {r.span.span_id: r.span for r in rebuilt.spans}
         for span in kept:
             got = spans.get(span.span_id)
             if got is None or got.with_parent(span.parent_id) != span:
-                broken.append(f"{trace.trace_id}: kept span {span.span_id!r} changed")
+                broken[trace.trace_id] = f"kept span {span.span_id!r} changed"
                 break
         else:
             if not structural_fidelity(trace, rebuilt, mapping).structure_exact:
-                broken.append(f"{trace.trace_id}: rebuilt structure differs")
-    return len(results), broken
+                broken[trace.trace_id] = "rebuilt structure differs"
+    return pipeline, results, broken
+
+
+def first(broken):
+    return next(f"{tid}: {line}" for tid, line in broken.items())
 
 
 @pytest.mark.parametrize("drift", [pytest.param(name, marks=ITEM_13 if name in FAILING else ())
-                                   for name in sorted(DRIFTS) + sorted(PATCHED)])
+                                   for name in ALL_DRIFTS])
 def test_every_written_decision_rebuilds_or_fails_at_sample_time(drift):
     """A decision that sample writes rebuilds on the same graph, with every
     kept span unchanged and the original's structure; a trace the graph
     cannot explain must fail in sample."""
-    spec = SystemSpec()
-    doc, meta = generate_system(spec)
-    traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
-    graph = build_cscfg(DRIFTS[PATCHED.get(drift, drift)](doc))
-    if drift in PATCHED:
-        patch_with_traces(graph, traces[:PATCH_TRACES], build_map(graph))
-    written, broken = rebuild_failures(graph.freeze(), traces)
-    assert written > 0
-    assert not broken, f"{len(broken)} of {written} written decisions: {broken[0]}"
+    _pipeline, results, broken = rebuild_failures(*drift_inputs(drift))
+    assert results
+    assert not broken, f"{len(broken)} of {len(results)} written decisions: {first(broken)}"
+
+
+@pytest.mark.parametrize("drift", ALL_DRIFTS)
+def test_every_written_decision_rebuilds_exactly_or_is_counted(drift):
+    """sample counts exactly the written decisions that will not rebuild
+    exactly, those whose path leaves the graph; it counts none where the
+    graph holds every call of the traffic."""
+    pipeline, results, broken = rebuild_failures(*drift_inputs(drift))
+    counted = {r.trace.trace_id for r in results if r.path.leaves_graph}
+    assert pipeline.timing_report()["decisions_leaving_graph"] == len(counted)
+    assert counted == set(broken)
+    assert bool(counted) == (drift in FAILING)
+
+
+@pytest.mark.parametrize("drift", ["none", "drop-a-call"])
+def test_sample_prints_how_many_decisions_leave_the_graph(drift, tmp_path, capsys):
+    graph, traces = drift_inputs(drift)
+    traces = traces[:60]
+    graph.save_artifact(str(tmp_path / "graph.json"))
+    (tmp_path / "traces.ndjson").write_text(
+        "".join(serialize_trace(t) + "\n" for t in traces), encoding="utf-8")
+    assert cli.main(["sample", "--graph", str(tmp_path / "graph.json"), "--traces",
+                     str(tmp_path / "traces.ndjson"), "--out", str(tmp_path / "out")]) == 0
+    pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig())
+    leaving = sum(pipeline.process(t).path.leaves_graph for t in traces)
+    assert (leaving > 0) == (drift in FAILING)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{leaving} of 60 decisions leave the graph (skipped or inserted calls); "
+        "they will not rebuild exactly")
 
 
 def test_every_decision_on_the_drifted_patched_graph_rebuilds_exactly():
@@ -142,6 +243,7 @@ def test_every_decision_on_the_drifted_patched_graph_rebuilds_exactly():
     spec = SystemSpec(seed=5)
     doc, meta = generate_system(spec)
     traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
-    written, broken = rebuild_failures(drifted_patched_graph().freeze(), traces)
-    assert written == len(traces)
-    assert not broken, f"{len(broken)} of {written} written decisions: {broken[0]}"
+    pipeline, results, broken = rebuild_failures(drifted_patched_graph().freeze(), traces)
+    assert len(results) == len(traces)
+    assert not broken, f"{len(broken)} of {len(results)} written decisions: {first(broken)}"
+    assert pipeline.timing_report()["decisions_leaving_graph"] == 0

@@ -207,3 +207,58 @@ def test_unread_field_scan_sees_each_kind():
     }
     readers = {"bench/b.py": "def g(b):\n    return b.z\n"}
     assert unread_fields(package, readers) == ["A.y (pkg/a.py)", "B.w (pkg/a.py)"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of the functions in `source` that their bodies never read.
+
+    `self` and `cls` are exempt, and so are protocol signatures: a dunder
+    method, or a module-level function installed as one (`X.__setattr__ =
+    f`). A nested function's read counts for the function around it.
+    """
+    tree = ast.parse(source)
+    protocol = set()
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name)
+                and any(isinstance(t, ast.Attribute) and t.attr.startswith("__")
+                        and t.attr.endswith("__") for t in stmt.targets)):
+            protocol.add(stmt.value.id)
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name in protocol or (name.startswith("__") and name.endswith("__")):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}({p}) (line {node.lineno})" for p in params
+                   if p not in read and p not in ("self", "cls")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = {}
+    for path in sorted((ROOT / "src" / "spanscope").glob("*.py")):
+        names = unread_parameters(path.read_text(encoding="utf-8"))
+        if names:
+            unread[str(path.relative_to(ROOT))] = names
+    assert unread == {}
+
+
+def test_unread_parameter_scan_sees_each_kind():
+    source = (
+        "def f(a, b, *c, d=1, **e):\n    return a, c, e\n"  # b and d unread
+        "def g(x):\n    def h():\n        return x\n    return h\n"  # read when nested
+        "class K:\n    def m(self, y):\n        pass\n"  # y unread, self exempt
+        "    def __eq__(self, other):\n        return True\n"  # protocol
+        "def _set(self, name, value):\n    raise TypeError(name)\n"
+        "K.__setattr__ = _set\n"  # installed as a protocol method
+        "k = lambda z: 0\n"  # z unread
+    )
+    assert unread_parameters(source) == [
+        "f(b) (line 1)", "f(d) (line 1)", "m(y) (line 8)", "<lambda>(z) (line 15)"]

@@ -127,10 +127,10 @@ class TestPartition:
         graph, mapping, meta, samples = comfort_samples
         trace = samples[0].trace
         path = align_trace(graph, trace, mapping)
-        steps = list(path.steps)
-        last = max(i for i, (slot, _) in enumerate(steps) if slot is not None)
-        steps[last] = (None, steps[last][1])
-        sets = partition(dataclasses.replace(path, steps=tuple(steps)), trace)
+        # the path loses its last slot, and its last set if that was the only one
+        slots, tag = path.sets[-1]
+        lost = path.sets[:-1] + (((slots[:-1], tag),) if len(slots) > 1 else ())
+        sets = partition(dataclasses.replace(path, sets=lost), trace)
         # partition trusts align to put every span on a step; the sampler
         # checks the sets it is given
         keys = {s.span_id: s.operation for s in trace.spans}
@@ -143,7 +143,8 @@ class TestPartition:
         for sample in samples[:20]:
             path = align_trace(graph, sample.trace, mapping)
             dss = partition(path, sample.trace)
-            gaps = sum(1 for _, forks in path.steps if forks)
+            ref = reference_align(graph, sample.trace, mapping)
+            gaps = sum(1 for s in ref.steps if reference_step_forks(graph, s))
             assert len(dss) == 1 + gaps
 
     def test_inserted_spans_join_preceding_set(self):
@@ -164,6 +165,29 @@ class TestPartition:
         dss = partition(align_trace(graph, trace, mapping), trace)
         assert len(dss) == 1
         assert "u" in dss[0].spans
+
+    def test_a_fork_after_a_skipped_block_tags_the_next_set(self):
+        # a forks to b, whose X.b call the trace skips, and b forks to c: the
+        # set between the two forks holds no span and is dropped, and the
+        # second fork tags the set of the X.c span
+        doc = single_function_doc(
+            fn=FN,
+            blocks=[{"id": n, "callees": [f"svc:X.{n}"]} for n in "abcde"],
+            edges=[["a", "b"], ["a", "e"], ["b", "c"], ["b", "d"]],
+            entry="a", exits=["c", "d", "e"],
+        )
+        graph = build_cscfg(doc).freeze()
+        mapping = build_map(graph)
+        spans = [make_span("r", operation="Main.run", start=0, duration=100),
+                 make_span("x", parent="r", operation="X.a", start=5, duration=10),
+                 make_span("z", parent="r", operation="X.c", start=30, duration=10)]
+        trace = make_trace(spans)
+        path = align_trace(graph, trace, mapping)
+        assert (path.cost, path.insertions) == (1, 0)
+        assert path.sets == (((0, 1), TRUNK_TAG), ((2,), f"{FN}#c"))
+        assert path.forks == (f"{FN}#b", f"{FN}#c")
+        ref = reference_align(graph, trace, mapping)
+        assert partition(path, trace) == oracle_partition(ref, graph, trace)
 
     def test_loop_iterations_cut_per_occurrence(self):
         # body block loops back on itself: each iteration is separately kept
@@ -199,7 +223,7 @@ class TestPartition:
         graph.freeze()
         for sample in samples:
             path = align_trace(graph, sample.trace, mapping)
-            # the package's steps name no block; the reference's name each one
+            # the package's sets name no block; the reference's steps name each one
             ref = reference_align(graph, sample.trace, mapping)
             order = sample.trace.preorder
             for d in partition(path, sample.trace):
@@ -300,7 +324,7 @@ def oracle_inputs(which):
 
 
 class TestRecordedForksOracle:
-    """Slot steps with recorded forks against rescanned flow moves."""
+    """Sets and recorded forks against a partition of rescanned flow moves."""
 
     @pytest.mark.parametrize("shared", [True, False], ids=["cache", "no-cache"])
     @pytest.mark.parametrize("which", [7, 11, 23, "deep-chains", "self-loop", "nested-loop"])
@@ -312,14 +336,12 @@ class TestRecordedForksOracle:
         for trace in traces:
             path = align_trace(graph, trace, mapping, cache)
             ref = reference_align(graph, trace, mapping, oracle_cache)
-            assert path.steps == tuple((s.slot, reference_step_forks(graph, s))
-                                       for s in ref.steps)
             assert (path.cost, path.insertions) == (ref.cost, ref.insertions)
             assert partition(path, trace) == oracle_partition(ref, graph, trace)
             assert path.forks == ref.forks
             inserted += path.insertions
             forked += len(path.forks)
-            multi += sum(1 for _, forks in path.steps if len(forks) > 1)
+            multi += sum(1 for s in ref.steps if len(reference_step_forks(graph, s)) > 1)
         assert forked > 0
         if which == "nested-loop":
             assert multi > 0

@@ -526,16 +526,20 @@ def test_sample_names_a_malformed_shared_dictionary(workload, tmp_path, capsys, 
     assert_names_the_bad_file(capsys, code, bad)
 
 
+def config_command(command, graph_path, trace_path, out):
+    """The argv of a small run of one of the commands that read --config."""
+    return {"sample": ["sample", "--graph", graph_path, "--traces", trace_path, "--out", out],
+            "stats-export": ["stats-export", "--graph", graph_path, "--traces", trace_path,
+                             "--out", out],
+            "eval": ["eval", "--out", out, "--n", "5"]}[command]
+
+
 @pytest.mark.parametrize("command", ["sample", "stats-export", "eval"])
 @pytest.mark.parametrize("setting", ["--window 0", '{"lrs_horizon": 0}'])
 def test_a_window_or_horizon_below_one_is_a_config_error(workload, tmp_path, capsys,
                                                          command, setting):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
-    out = str(tmp_path / "out")
-    argv = {"sample": ["sample", "--graph", graph_path, "--traces", trace_path, "--out", out],
-            "stats-export": ["stats-export", "--graph", graph_path, "--traces", trace_path,
-                             "--out", out],
-            "eval": ["eval", "--out", out, "--n", "5"]}[command]
+    argv = config_command(command, graph_path, trace_path, str(tmp_path / "out"))
     if setting.startswith("--"):
         argv += setting.split()
     else:
@@ -544,6 +548,23 @@ def test_a_window_or_horizon_below_one_is_a_config_error(workload, tmp_path, cap
         argv += ["--config", str(config)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", ["sample", "stats-export", "eval"])
+def test_an_unknown_config_key_is_a_config_error(workload, tmp_path, capsys, command):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = tmp_path / "out"
+    argv = config_command(command, graph_path, trace_path, str(out))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ratoi": 0.2}), encoding="utf-8")
+    assert cli.main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'ratoi'" in err
+    assert not out.exists()
+    # one file serves all three commands, each reading only its own keys
+    config.write_text(json.dumps({"seed": 3, "n_traces": 5, "ratio": 0.2, "window": 64}),
+                      encoding="utf-8")
+    assert cli.main(argv + ["--config", str(config)]) == 0
 
 
 @pytest.mark.parametrize("edit", ["callees-int", "callees-not-all-strings", "edge-to-unknown",
