@@ -8,16 +8,18 @@ go to a separate timing.txt that is expected to differ between runs.
 
 `sample` writes one decision per trace to decisions.ndjson: a record of
 what `reconstruct` reads, the trace id, the entry function, the fork
-targets of the aligned path and the sorted kept span ids. kept.ndjson
-holds the kept spans themselves. The per-set DSS reports stay in memory
-and are not stored; older decision records that carry them still read.
+targets of the aligned path, the sorted kept span ids and "at", the
+replay call where each kept span goes. kept.ndjson holds the kept spans
+themselves. The per-set DSS reports stay in memory and are not stored.
 `sample` prints the stored bytes ratio, the bytes of those two files over
 the bytes of the trace file, and how many decisions leave the graph (their
 path skips or inserts a call), which will not rebuild exactly.
 `reconstruct` reads the two files in step, one decision and one kept record
 at a time, and checks that each kept record belongs to its decision's trace
 and holds the spans the decision lists; a kept record left over after the
-last decision is an error too. Lines rebuilt before an error stay written.
+last decision is an error too, and so is a decision whose "at" places a
+kept span past the replay's calls or at a call of another function; each
+names its file and line. Lines rebuilt before an error stay written.
 Each rebuilt trace is written as the rebuild placed it, from its records;
 its span objects are built only with --traces, for the fidelity report.
 
@@ -39,7 +41,7 @@ from .errors import ConfigError, DanglingCalleeError, MalformedDocumentError, Sp
 from .mapping import build_map, load_shared_dictionary
 from .model import bad_record, exclusive_durations, read_trace_file, span_from_dict
 from .pipeline import SamplingPipeline, write_timing
-from .reconstruct import reconstruct, structural_fidelity
+from .reconstruct import fidelity_means, reconstruct, structural_fidelity
 from .sampler import SamplingConfig, decision_from_dict, span_key
 from .scoring import ScoreBook, load_snapshot, save_snapshot
 
@@ -204,8 +206,8 @@ def cmd_reconstruct(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "reconstructed.ndjson")
-    exact = n = compared = err_n = 0
-    err_sum = 0.0
+    n = 0
+    reports = []
     # sample writes one kept record per decision, in the same order, so the
     # two files are read in step
     with open(args.decisions, "r", encoding="utf-8") as dfh, \
@@ -232,25 +234,24 @@ def cmd_reconstruct(args) -> int:
                 raise MalformedDocumentError(
                     f"{where}: its {len(decision.kept)} kept span ids differ from the "
                     f"{len(spans)} at {args.kept}:{kept_lineno}")
-            rebuilt = reconstruct(decision, spans, graph, stats, mapping)
+            try:
+                rebuilt = reconstruct(decision, spans, graph, stats, mapping)
+            except SpanscopeError as exc:  # the decision does not fit the graph
+                raise MalformedDocumentError(f"{where}: {exc}") from exc
             fh.write(rebuilt.serialize() + "\n")
             n += 1
             if decision.trace_id in originals:
-                report = structural_fidelity(originals[decision.trace_id],
-                                             rebuilt, mapping)
-                compared += 1
-                exact += 1 if report.structure_exact else 0
-                # weighted by inferred spans, as in eval and the benchmark
-                err_sum += report.duration_error * report.inferred_count
-                err_n += report.inferred_count
+                reports.append(structural_fidelity(originals[decision.trace_id],
+                                                   rebuilt, mapping))
         kept_lineno, kept_id, _spans = next(kept_records, (None, None, None))
         if kept_lineno is not None:
             raise MalformedDocumentError(
                 f"{args.kept}:{kept_lineno}: the kept record of trace {kept_id!r} "
                 f"follows the last decision in {args.decisions}")
-    if compared:
-        fidelity = {"structure_exact_rate": round(exact / compared, 6),
-                    "mean_duration_error": round(err_sum / err_n if err_n else 0.0, 6)}
+    if reports:
+        exact_rate, duration_error = fidelity_means(reports)
+        fidelity = {"structure_exact_rate": round(exact_rate, 6),
+                    "mean_duration_error": round(duration_error, 6)}
         with open(os.path.join(args.out, "fidelity.json"), "w", encoding="utf-8") as fh:
             json.dump(fidelity, fh, sort_keys=True, indent=1)
             fh.write("\n")

@@ -30,7 +30,7 @@ from .errors import InvalidSpecError, UnknownFaultTargetError
 from .mapping import build_map
 from .model import Span, Trace, exclusive_durations
 from .pipeline import SamplingPipeline, write_timing
-from .reconstruct import structural_fidelity
+from .reconstruct import fidelity_means, structural_fidelity
 from .sampler import SamplingConfig
 from .scoring import P2Quantile, ScoreBook
 
@@ -605,23 +605,15 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
             (res.decision.effective_ratio, len(res.dss_list), len(sample.trace))
         )
 
-    exact = 0
-    err_sum = 0.0
-    err_n = 0
-    bound_sum = 0.0
-    bound_n = 0
+    reports = []
+    bounds = []  # per inferred span, the relative error an ideal filler expects
     stats = pipeline.stats_snapshot()
     for res in results:
         rebuilt = pipeline.reconstruct_result(res, stats)
-        report = structural_fidelity(res.trace, rebuilt, pipeline.mapping)
-        exact += 1 if report.structure_exact else 0
-        if report.inferred_count:
-            err_sum += report.duration_error * report.inferred_count
-            err_n += report.inferred_count
-            for rspan in rebuilt.inferred():
-                sigma = meta.durations.get(rspan.function, (6.0, 0.3))[1]
-                bound_sum += lognormal_relative_error(sigma)
-                bound_n += 1
+        reports.append(structural_fidelity(res.trace, rebuilt, pipeline.mapping))
+        bounds += [lognormal_relative_error(meta.durations.get(r.function, (6.0, 0.3))[1])
+                   for r in rebuilt.inferred()]
+    structure_exact_rate, mean_duration_error = fidelity_means(reports)
 
     labeled = set()
     for sample in samples:
@@ -660,9 +652,9 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
         sampling_ratio=total_kept / total_spans if total_spans else 0.0,
         coverage=coverage,
         labeled_spans=len(labeled),
-        structure_exact_rate=exact / len(results) if results else 0.0,
-        mean_duration_error=err_sum / err_n if err_n else 0.0,
-        duration_error_bound=(2.0 * bound_sum / bound_n + 0.02) if bound_n else 0.0,
+        structure_exact_rate=structure_exact_rate,
+        mean_duration_error=mean_duration_error,
+        duration_error_bound=(2.0 * sum(bounds) / len(bounds) + 0.02) if bounds else 0.0,
         buckets=buckets,
         timings=pipeline.timing_report(),
     )

@@ -39,6 +39,21 @@ class TraceResult:
     path: ExecutionPath
 
 
+def _calls(trace: Trace, resolutions: dict) -> dict[str, int]:
+    """Each span's call in the replay's preorder: a mapped span's index among
+    the mapped spans in preorder, an unmapped span its nearest mapped
+    ancestor's (align passes unmapped spans through; the root is mapped)."""
+    calls: dict[str, int] = {}
+    n = 0
+    for span in trace.preorder:
+        sid = span.span_id
+        if isinstance(resolutions[sid], FunctionRef):
+            calls[sid], n = n, n + 1
+        else:
+            calls[sid] = calls[span.parent_id]
+    return calls
+
+
 class SamplingPipeline:
     def __init__(self, graph: Cscfg, mapping: SpanFunctionMap, cfg: SamplingConfig):
         if not graph.frozen:
@@ -89,7 +104,7 @@ class SamplingPipeline:
         decision = self._timed(
             STAGE_SELECT, sample_trace, trace, dss_list, self.scorebook,
             self.ledger, self.cfg, keys, exclusive,
-            entry=entry, forks=path.forks,
+            entry=entry, forks=path.forks, calls=_calls(trace, resolutions),
         )
         self.traces_seen += 1
         self.decisions_leaving_graph += path.leaves_graph

@@ -18,16 +18,19 @@ serialize() joins, and builds its Span and ReconstructedSpan objects from
 the same columns only when `spans` is first read, as fidelity and the
 inferred-span reports do.
 
-Unmapped kept spans have no place on the graph; they re-attach under their
-original parent when it was kept, else under the tightest containing sampled
-span, else under the root.
+Each kept span goes to the call its decision records: "at", parallel to
+the kept ids, indexes the replay's preorder of calls. A mapped kept span is
+that call, which must be a call of its function, so a mapped span under a
+kept unmapped wrapper goes under its mapped caller. An unmapped kept span
+(an orphan) names the call of its nearest mapped ancestor, widens that
+call's anchor bounds, and goes under its original parent when that was
+kept, else under that call.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -130,9 +133,8 @@ class ReconstructedTrace:
     def _placed(cls, trace_id: str, records: list[str], columns: tuple) -> ReconstructedTrace:
         """A trace reconstruct placed: its records, and the columns its spans
         are built from when first read."""
-        self = cls.__new__(cls)
+        self = cls(trace_id, ())
         _set = object.__setattr__
-        _set(self, "trace_id", trace_id)
         _set(self, "_spans", None)
         _set(self, "_records", records)
         _set(self, "_columns", columns)
@@ -208,26 +210,28 @@ def _fill(stat: dict | None) -> tuple:
     return max(0, int(round(stat["mean"]))), SOURCE_HISTORICAL, round(float(stat["std"]), 3)
 
 
-def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tuple[Span, str]],
+def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], placed: dict, boxes: dict,
             trace_id: str, keys: dict) -> tuple:
     """Walk the recorded path and list its calls in preorder.
 
+    placed maps a preorder index to the kept span recorded at that call and
+    its function key; boxes maps it to the interval its orphans span.
     Returns parallel lists indexed by preorder position: function key, kept
-    span (None when inferred), subtree end, earliest sampled start and latest
-    sampled end in the subtree (None when it holds no sampled span), natural
-    width, and the _fill of an inferred call (None for a sampled one). Call
-    i's children are i+1, end[i+1], ... up to end[i].
+    span (None when inferred), subtree end, earliest sampled start and
+    latest sampled end in the subtree, orphans included (None when it holds
+    no sampled span), natural width, and the _fill of an inferred call (None
+    for a sampled one). Call i's children are i+1, end[i+1], ... up to end[i].
 
     One generator per open function body walks its blocks. A fork takes the
     next recorded branch (align records one at every fork it passes, so a
     fork with none left is an error), and each call the body makes is
-    appended, matched greedily against the next kept span. A callee with a body gets a frame
-    of its own, which runs to its end before the caller resumes; the callee
-    is settled as that walk closes, from its span or statistics and its
-    children's settled values. A callee with no body is settled at once.
+    appended with the kept span recorded at its index. A callee with a body
+    gets a frame of its own, which runs to its end before the caller
+    resumes. A call is settled when its body is walked, or at once, from its
+    span (which holds its orphans) or its orphans' box and statistics, and
+    its children's settled values.
     """
-    kept = deque(kept_seq)
-    choices = deque(forks)
+    choices = iter(forks)
     fns: list[str] = []
     spans: list[Span | None] = []
     ends: list[int] = []
@@ -238,30 +242,53 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tup
     budget = _WALK_BUDGET
     has_body, subgraph = graph.has_body, graph.subgraph
 
-    def call(fn: str, span: Span | None) -> bool:
+    def call(fn: str) -> bool:
         """Append a call; True when its body is still to walk, else it is settled."""
         i = len(fns)
+        span = None
+        got = placed.get(i)
+        if got is not None:
+            span, key = got
+            if key != fn:
+                raise ReconstructionError(
+                    f"trace {trace_id!r}: kept span {span.span_id!r} of {key!r} is recorded "
+                    f"at call {i}, a call of {fn!r}")
         fns.append(fn)
         spans.append(span)
         ends.append(i + 1)
+        alo.append(None)
+        ahi.append(None)
+        widths.append(0)
+        fills.append(None)
         if has_body(fn):
-            alo.append(None)
-            ahi.append(None)
-            widths.append(0)
-            fills.append(None)
             return True
-        if span is not None:
-            alo.append(span.start_time)
-            ahi.append(span.end_time)
-            widths.append(span.duration)
-            fills.append(None)
-        else:
-            alo.append(None)
-            ahi.append(None)
-            fill = _fill(keys.get(fn))
-            widths.append(fill[0])
-            fills.append(fill)
+        settle(i)
         return False
+
+    def settle(me: int) -> None:
+        """Anchor bounds and natural width of call me, from its listed children."""
+        span = spans[me]
+        lo, hi = (span.start_time, span.end_time) if span is not None else \
+            boxes.get(me, (None, None))
+        kids_width = 0
+        c = me + 1
+        end = ends[me] = len(fns)
+        while c < end:
+            clo = alo[c]
+            if clo is not None:
+                lo = clo if lo is None else min(lo, clo)
+                hi = ahi[c] if hi is None else max(hi, ahi[c])
+            kids_width += widths[c]
+            c = ends[c]
+        alo[me], ahi[me] = lo, hi
+        if span is not None:
+            widths[me] = span.duration
+            return
+        fill = fills[me] = _fill(keys.get(fns[me]))
+        width = fill[0] + kids_width
+        if lo is not None:
+            width = max(width, hi - lo)
+        widths[me] = width
 
     def walk(me: int):
         """Yields the index of each call whose body is to walk; settles `me` at its end."""
@@ -278,50 +305,20 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tup
                 raise ReconstructionError(f"{fn_key}: dead end at {node!r}")
             if len(succs) == 1:
                 node = succs[0]
-            elif choices:
-                node = choices.popleft()
+            else:
+                node = next(choices, None)
+                if node is None:
+                    raise ReconstructionError("ran out of recorded branch choices")
                 if node not in succs:
                     raise ReconstructionError(f"recorded branch {node!r} is not a successor here")
-            else:
-                raise ReconstructionError("ran out of recorded branch choices")
             if node == exit_id:
                 break
             for callee in sub.emissions.get(node, ()):
-                span = None
-                if kept and kept[0][1] == callee:
-                    span = kept.popleft()[0]
-                if call(callee, span):
+                if call(callee):
                     yield len(fns) - 1
+        settle(me)
 
-        # settle: anchor bounds and natural width, from the listed children
-        span = spans[me]
-        lo = hi = None
-        if span is not None:
-            lo, hi = span.start_time, span.end_time
-        kids_width = 0
-        c = me + 1
-        end = ends[me] = len(fns)
-        while c < end:
-            clo = alo[c]
-            if clo is not None:
-                lo = clo if lo is None else min(lo, clo)
-                hi = ahi[c] if hi is None else max(hi, ahi[c])
-            kids_width += widths[c]
-            c = ends[c]
-        alo[me], ahi[me] = lo, hi
-        if span is not None:
-            widths[me] = span.duration
-            return
-        fill = fills[me] = _fill(keys.get(fn_key))
-        width = fill[0] + kids_width
-        if lo is not None:
-            width = max(width, hi - lo)
-        widths[me] = width
-
-    root_span = None
-    if kept and kept[0][1] == entry and kept[0][0].parent_id is None:
-        root_span = kept.popleft()[0]
-    if call(entry, root_span):
+    if call(entry):
         stack = [walk(0)]
         while stack:
             i = next(stack[-1], None)
@@ -329,41 +326,9 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], kept_seq: list[tup
                 stack.pop()
             else:
                 stack.append(walk(i))
-    if choices:
+    if next(choices, None) is not None:
         raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
-    if kept:
-        missing = [s.span_id for s, _ in kept]
-        raise ReconstructionError(
-            f"trace {trace_id!r}: kept spans not explained by the recorded path: {missing}"
-        )
     return fns, spans, ends, alo, ahi, widths, fills
-
-
-def _place_orphans(orphans: list[Span], kept_spans: list[Span], trace_id: str,
-                   spans: list[Span | None]) -> list[tuple[Span, str]]:
-    """Each unmapped kept span with the id it goes under: its kept parent,
-    else the shortest sampled span that contains it, else the root. spans is
-    the replay's kept span per preorder call, None where inferred."""
-    root_id = spans[0].span_id if spans[0] is not None else f"{trace_id}:inf:0"
-    sampled = sorted((s for s in spans if s is not None), key=lambda s: (s.duration, s.span_id))
-    # orphans are kept spans, so this set holds their ids too
-    known_ids = {s.span_id for s in kept_spans}
-    known_ids.update(f"{trace_id}:inf:{i}" for i, s in enumerate(spans) if s is None)
-    placed = []
-    for orphan in orphans:
-        if orphan.parent_id in known_ids:
-            parent = orphan.parent_id
-        else:
-            parent = None
-            for cand in sampled:
-                if cand.span_id != orphan.span_id and \
-                        cand.start_time <= orphan.start_time and orphan.end_time <= cand.end_time:
-                    parent = cand.span_id
-                    break
-            if parent is None:
-                parent = root_id
-        placed.append((orphan, parent))
-    return placed
 
 
 def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg,
@@ -371,45 +336,54 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     """Rebuild the full trace implied by a decision.
 
     stats is a statistics snapshot as produced by ScoreBook.snapshot(). Kept
-    spans appear with id, timing and attributes untouched; their parent link
-    is rewired when the original parent was not kept.
+    spans keep their id, timing and attributes, and each goes where its
+    recorded call places it (see above): a mapped span's parent is its
+    call's parent in the replay, its original parent only when that was
+    mapped.
     """
+    trace_id = decision.trace_id
     if not kept_spans:
         raise ReconstructionError("no kept spans to reconstruct from")
     if decision.entry is None:
-        raise UnknownEntryError(f"decision for {decision.trace_id!r} carries no entry function")
+        raise UnknownEntryError(f"decision for {trace_id!r} carries no entry function")
     if not graph.knows(decision.entry):
         raise UnknownEntryError(f"entry function {decision.entry!r} absent from graph")
+    at = decision.at
+    if len(at) != len(decision.kept):
+        raise ReconstructionError(
+            f"trace {trace_id!r}: {len(at)} recorded calls for {len(decision.kept)} kept spans")
 
-    ordered = sorted(kept_spans, key=lambda s: (s.start_time, s.span_id))
-    kept_seq: list[tuple[Span, str]] = []
-    orphans: list[Span] = []
-    for span in ordered:
+    call_of = dict(zip(decision.kept, at))
+    placed: dict[int, tuple[Span, str]] = {}
+    boxes: dict[int, tuple[int, int]] = {}  # per call, the interval its orphans span
+    orphans: list[tuple[Span, int]] = []
+    for span in kept_spans:
+        i = call_of.get(span.span_id)
+        if i is None:
+            raise ReconstructionError(
+                f"trace {trace_id!r}: kept span {span.span_id!r} is not in the decision")
         r = mapping.resolve(span)
         if isinstance(r, Unmapped):
-            orphans.append(span)
-        else:
-            kept_seq.append((span, r.key))
+            orphans.append((span, i))
+            lo, hi = boxes.get(i, (span.start_time, span.end_time))
+            boxes[i] = (min(lo, span.start_time), max(hi, span.end_time))
+        elif placed.setdefault(i, (span, r.key))[0] is not span:
+            raise ReconstructionError(
+                f"trace {trace_id!r}: kept spans {placed[i][0].span_id!r} and "
+                f"{span.span_id!r} are recorded at one call {i}")
 
-    trace_id = decision.trace_id
     fns, spans, ends, alo, ahi, widths, fills = _replay(
-        graph, decision.entry, decision.forks, kept_seq, trace_id, stats.get("keys", {}))
+        graph, decision.entry, decision.forks, placed, boxes, trace_id, stats.get("keys", {}))
     n = len(fns)
+    if not 0 <= min(at) <= max(at) < n:
+        raise ReconstructionError(f"trace {trace_id!r}: a kept span is recorded at a call "
+                                  f"outside the {n} calls of the recorded path")
     los = [0] * n
     his = [0] * n
-    # root interval: verbatim when sampled, otherwise anchored left on the
-    # earliest sampled evidence (orphans included so they stay containable)
-    if spans[0] is not None:
-        los[0], his[0] = spans[0].start_time, spans[0].end_time
-    else:
-        lo = alo[0]
-        for o in orphans:
-            lo = o.start_time if lo is None else min(lo, o.start_time)
-        lo = los[0] = lo if lo is not None else 0
-        hi = lo + widths[0]
-        for o in orphans:
-            hi = max(hi, o.end_time)
-        his[0] = hi
+    # root interval: from the earliest sampled evidence, orphans included,
+    # and wide enough to hold every anchor; a sampled root's is its own
+    lo = los[0] = alo[0] if alo[0] is not None else 0
+    his[0] = lo + widths[0]
 
     # one forward pass in preorder: write call i's record (an inferred
     # span's id carries its preorder index), then place its children inside
@@ -468,20 +442,25 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
             los[c], his[c], psids[c] = clo, chi, sid
             cursor = max(cursor, chi)
 
-    placed = _place_orphans(orphans, kept_spans, trace_id, spans) if orphans else []
+    # each orphan under its kept parent, else under the call it is recorded at
+    present = {s.span_id for s in kept_spans} if orphans else ()
+    placed_orphans = [(o, o.parent_id if o.parent_id in present else
+                       f"{trace_id}:inf:{i}" if spans[i] is None else spans[i].span_id)
+                      for o, i in orphans]
     records += [_record(trace_id, own_id, o.span_id, o.trace_id, parent, o.operation,
                         o.service, o.start_time, o.duration, o.attributes, ORIGIN_SAMPLED)
-                for o, parent in placed]
+                for o, parent in placed_orphans]
     return ReconstructedTrace._placed(
-        trace_id, records, (fns, spans, los, his, fills, psids, functions, placed))
+        trace_id, records, (fns, spans, los, his, fills, psids, functions, placed_orphans))
 
 
 @dataclass(frozen=True)
 class FidelityReport:
     """How one rebuilt trace compares with its original.
 
-    structure_exact: the two function trees are equal. duration_error: the
-    mean relative duration error over the inferred spans matched by position.
+    structure_exact: the two function trees are equal, and each sampled span
+    sits at its own original node. duration_error: the mean relative
+    duration error over the inferred spans matched by position.
     inferred_count: the inferred spans of the rebuilt trace.
     """
 
@@ -519,7 +498,9 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
     Unmapped spans have no function and are transparent on both sides: their
     children are promoted, so structure compares what the graph can explain.
     The trees are walked in step from the roots; a pair whose labels differ
-    is not descended into.
+    is not descended into. The structure is exact when every pair has equal
+    labels and child counts, and every sampled rebuilt span is paired with
+    the original node of its own span.
     """
     if original.trace_id != rebuilt.trace_id:
         raise ValueError("trace ids differ")
@@ -544,6 +525,8 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
             continue
         if rspan.origin == ORIGIN_INFERRED:
             inferred_pairs.append((ospan, rspan))
+        elif rspan.span.span_id != ospan.span_id:
+            exact = False  # a kept span at another span's place
         if len(okids) != len(rkids):
             exact = False
         stack.extend(reversed(list(zip(okids, rkids))))
@@ -553,12 +536,15 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
         for ospan, rspan in inferred_pairs
         if ospan.duration > 0
     ]
-    mean_err = sum(errors) / len(errors) if errors else 0.0
-    if math.isnan(mean_err):  # pragma: no cover
-        mean_err = 0.0
+    mean_error = sum(errors) / len(errors) if errors else 0.0
+    return FidelityReport(exact, mean_error, len(rebuilt.inferred()))
 
-    return FidelityReport(
-        structure_exact=exact,
-        duration_error=mean_err,
-        inferred_count=len(rebuilt.inferred()),
-    )
+
+def fidelity_means(reports: list[FidelityReport]) -> tuple[float, float]:
+    """The share of reports whose structure is exact, and the duration error
+    over every inferred span: each report's mean weighted by its inferred
+    count. Each is 0.0 when there is nothing to average."""
+    exact = sum(r.structure_exact for r in reports)
+    inferred = sum(r.inferred_count for r in reports)
+    err_sum = sum(r.duration_error * r.inferred_count for r in reports)
+    return exact / len(reports) if reports else 0.0, err_sum / inferred if inferred else 0.0

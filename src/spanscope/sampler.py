@@ -14,12 +14,12 @@ spans are sorted by Z, and only when a set has more of them than its quota;
 the ledger is read and the rest sorted only when the rest must be cut.
 
 A decision is stored as what rebuild reads: the trace id, the entry
-function, the fork targets of the aligned path and the sorted kept span
-ids, which rebuild checks the kept spans against. The per-set DSS reports
-and the effective ratio stay on the in-memory SamplingDecision. Older
-records that also carry them ("dss", "effective_ratio") still read and
-rebuild the same, since the fields rebuild reads are unchanged; those two
-are ignored.
+function, the fork targets of the aligned path, the sorted kept span ids
+and "at", the call where rebuild places each kept span, as an index into
+the preorder of the replay's calls: a mapped span's own call, an unmapped
+span's nearest mapped ancestor's. The per-set DSS reports and the
+effective ratio stay on the in-memory SamplingDecision; a record that
+carries them ("dss", "effective_ratio") reads the same, those two ignored.
 """
 
 from __future__ import annotations
@@ -79,36 +79,37 @@ class SamplingDecision:
     dss_reports: tuple[DssReport, ...]
     effective_ratio: float
     forks: tuple[str, ...]  # fork targets of the aligned path, in order
+    at: tuple[int, ...]  # replay call of each kept span, parallel to kept
     kept_keys: tuple[str, ...] = ()  # span-type keys of kept spans, for the ledger
 
     def serialize(self) -> str:
         """The stored record: what rebuild reads, keys sorted. The DSS reports
         and the effective ratio stay in memory only."""
-        return _ENCODER.encode({"entry": self.entry, "forks": list(self.forks),
-                                "kept": list(self.kept), "trace_id": self.trace_id})
+        return _ENCODER.encode({"at": list(self.at), "entry": self.entry,
+                                "forks": list(self.forks), "kept": list(self.kept),
+                                "trace_id": self.trace_id})
 
 
 def decision_from_dict(obj: dict) -> SamplingDecision:
     """A decision from its stored record, without DSS reports; keys that
-    rebuild does not read are ignored. A record without "forks" is refused:
-    rebuild replays the recorded fork targets and has no other way to find
-    the path. So is one whose forks or kept ids are not a list of strings."""
+    rebuild does not read are ignored. A record without "forks" or "at" is
+    refused, as rebuild has no other way to the path or the kept spans'
+    calls; so is one whose forks or kept ids are not lists of strings, or
+    whose "at" is not one call index per kept id."""
     trace_id, entry, forks = obj["trace_id"], obj.get("entry"), obj["forks"]
-    kept = obj["kept"]
+    kept, at = obj["kept"], obj["at"]
     # both are used as keys, so an unhashable value would fail far from here
     if type(trace_id) is not str or not (entry is None or type(entry) is str):
         raise TypeError("trace_id must be a string and entry a string or null")
     # a string would read as its characters, and other values fail in the replay
     if not (_strings(forks) and _strings(kept)):
         raise TypeError("forks and kept must be lists of strings")
-    return SamplingDecision(
-        trace_id=trace_id,
-        kept=tuple(kept),
-        entry=entry,
-        dss_reports=(),
-        effective_ratio=0.0,
-        forks=tuple(forks),
-    )
+    # bool is an int subclass, so compare the type itself
+    if type(at) is not list or len(at) != len(kept) or \
+            not all(type(i) is int and i >= 0 for i in at):
+        raise TypeError('"at" must be a list of one call index (an int >= 0) per kept id')
+    # a record holds no DSS reports and no ratio
+    return SamplingDecision(trace_id, tuple(kept), entry, (), 0.0, tuple(forks), tuple(at))
 
 
 def _strings(value) -> bool:
@@ -169,12 +170,14 @@ def allocate_budget(sizes: list[int], p: float) -> list[int]:
 def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: ScoreBook,
                  ledger: LrsLedger, cfg: SamplingConfig,
                  span_keys: dict[str, str], exclusive: dict[str, int],
-                 entry: str | None, forks: tuple[str, ...]) -> SamplingDecision:
+                 entry: str | None, forks: tuple[str, ...],
+                 calls: dict[str, int]) -> SamplingDecision:
     """Apply the budgeted selection to one trace and update shared state.
 
     span_keys maps span ids to their scoring key; exclusive carries each
     span's exclusive duration; entry and forks are the aligned path's entry
-    function and fork targets, stored for rebuild. The ledger is advanced
+    function and fork targets, and calls maps each span id to the replay
+    call it is placed at, all stored for rebuild. The ledger is advanced
     with the kept spans.
     """
     covered = [s for d in dss_list for s in d.spans]
@@ -235,6 +238,7 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
         effective_ratio=len(kept_sorted) / len(trace),
         kept_keys=tuple(sorted({span_keys[s] for s in kept_sorted})),
         forks=forks,
+        at=tuple([calls[s] for s in kept_sorted]),
     )
     ledger.note(decision.kept_keys)
     return decision

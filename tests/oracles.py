@@ -310,6 +310,9 @@ def _anchor_bounds(node):
     lo = hi = None
     if node.span is not None:
         lo, hi = node.span.start_time, node.span.end_time
+    for o in node.orphans:
+        lo = o.start_time if lo is None else min(lo, o.start_time)
+        hi = o.end_time if hi is None else max(hi, o.end_time)
     for c in node.children:
         clo, chi = _anchor_bounds(c)
         if clo is not None:
@@ -360,7 +363,7 @@ def _collect_widths(node, stats: dict, widths: dict) -> None:
         _collect_widths(c, stats, widths)
 
 
-def oracle_layout(root, orphans, stats: dict) -> None:
+def oracle_layout(root, stats: dict) -> None:
     """Set lo/hi (and source/std on inferred nodes) on every node of a tree."""
     widths: dict[int, int] = {}
     _collect_widths(root, stats, widths)
@@ -368,13 +371,8 @@ def oracle_layout(root, orphans, stats: dict) -> None:
         _place_children_of_sampled(root, stats, widths)
     else:
         alo, _ahi = _anchor_bounds(root)
-        for o in orphans:
-            alo = o.start_time if alo is None else min(alo, o.start_time)
         lo = alo if alo is not None else 0
-        hi = lo + widths[id(root)]
-        for o in orphans:
-            hi = max(hi, o.end_time)
-        _place(root, lo, hi, stats, widths)
+        _place(root, lo, lo + widths[id(root)], stats, widths)
 
 
 # Reference tree walks: the recursive preorder, shape signature and fidelity
@@ -469,6 +467,8 @@ def oracle_structural_fidelity(original, rebuilt, mapping):
             return
         if rspan.origin == "inferred":
             inferred_pairs.append((ospan, rspan))
+        elif rspan.span.span_id != ospan.span_id:
+            exact = False
         if len(okids) != len(rkids):
             exact = False
         for oc, rc in zip(okids, rkids):
@@ -661,14 +661,14 @@ def oracle_stored_decision(decision) -> str:
     import json
 
     out = {"trace_id": decision.trace_id, "kept": list(decision.kept),
-           "entry": decision.entry, "forks": list(decision.forks)}
+           "entry": decision.entry, "forks": list(decision.forks), "at": list(decision.at)}
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
 
 def oracle_decision_serialize(decision) -> str:
-    """One sampling decision as the older, longer record with the DSS reports
-    and the effective ratio, keys sorted by the encoder; the read path still
-    accepts it."""
+    """One sampling decision as the older, longer record that also carries
+    the DSS reports and the effective ratio, keys sorted by the encoder; the
+    read path still accepts it and ignores those two."""
     import json
 
     out = {
@@ -688,12 +688,13 @@ def oracle_decision_serialize(decision) -> str:
         ],
         "effective_ratio": round(decision.effective_ratio, 6),
         "forks": list(decision.forks),
+        "at": list(decision.at),
     }
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
 
 def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, exclusive,
-                        entry, forks):
+                        entry, forks, calls):
     """Budgeted selection with a flag per span and a sort per set."""
     from spanscope.errors import PartitionMismatchError
     from spanscope.sampler import DssReport, SamplingDecision, allocate_budget
@@ -757,6 +758,7 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
         effective_ratio=len(kept_sorted) / len(trace),
         kept_keys=tuple(sorted({span_keys[s] for s in kept_sorted})),
         forks=forks,
+        at=tuple(calls[s] for s in kept_sorted),
     )
     ledger.note(decision.kept_keys)
     return decision
@@ -765,11 +767,13 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
 # The rebuild as it stood before the replay walk wrote flat preorder lists:
 # a _Node tree from a walker with a replay mode and a search mode, a
 # breadth-first measuring pass (_measure), a separate placing pass, and an
-# emit that parses every inferred span's function key. The search enumerates
-# fork choices until two structurally distinct paths fit the kept spans; it
-# is the witness oracle for dominant span sets, and nothing in the package
-# calls it. Both layouts (the two passes here, or the recursive oracle_layout
-# above) give the emit the same node fields.
+# emit that parses every inferred span's function key. Like the package, the
+# walker places each kept span at the preorder call its decision records.
+# The search enumerates fork choices until two structurally distinct paths
+# fit the kept spans at their recorded calls; it is the witness oracle for
+# dominant span sets, and nothing in the package calls it. Both layouts (the
+# two passes here, or the recursive oracle_layout above) give the emit the
+# same node fields.
 
 ORACLE_WALK_BUDGET = 50_000  # flow moves one walk may take
 ORACLE_SEARCH_BUDGET = 8000  # fork-choice prefixes one search may try
@@ -786,7 +790,7 @@ class OracleAmbiguousPathError(Exception):
 
 
 class _Node:
-    __slots__ = ("fn", "block", "span", "children", "lo", "hi", "alo", "ahi",
+    __slots__ = ("fn", "block", "span", "children", "orphans", "lo", "hi", "alo", "ahi",
                  "width", "source", "std")
 
     def __init__(self, fn, block, span):
@@ -794,6 +798,7 @@ class _Node:
         self.block = block
         self.span = span
         self.children = []
+        self.orphans = []  # unmapped kept spans recorded at this call
         self.lo = 0
         self.hi = 0
         self.alo = None  # earliest sampled start in the subtree
@@ -816,26 +821,43 @@ def _canonical(root) -> tuple:
 
 
 class _Walker:
-    """Replays one path through the graph, consuming kept spans greedily.
+    """Replays one path through the graph, placing kept spans by their calls.
 
-    choices supplies fork decisions; when it runs dry the walk either follows
-    a recorded script exactly (replay mode raises) or surfaces the open fork
-    to the caller (search mode). run() keeps one generator frame per open
-    invocation on an explicit stack and stops as soon as any frame surfaces
-    an open fork.
+    placed maps a preorder call index to the kept span recorded there and
+    its function key. choices supplies fork decisions; when it runs dry the
+    walk either follows a recorded script exactly (replay mode raises) or
+    surfaces the open fork to the caller (search mode). run() keeps one
+    generator frame per open invocation on an explicit stack and stops as
+    soon as any frame surfaces an open fork. `nodes` lists the calls in
+    preorder.
     """
 
-    def __init__(self, graph, kept_seq, choices, strict):
+    def __init__(self, graph, placed, choices, strict, trace_id):
         from spanscope.errors import ReconstructionError
 
         self.error = ReconstructionError
         self.graph = graph
-        self.kept = deque(kept_seq)
+        self.placed = placed
+        self.trace_id = trace_id
+        self.nodes = []
         self.choices = deque(choices)
         self.strict = strict  # True: exhausted choices at a fork is an error
         self.pending_fork = None  # (options,) when a fork had no scripted choice
         self.taken = []
         self.budget = ORACLE_WALK_BUDGET
+
+    def _node(self, fn_key, block):
+        i = len(self.nodes)
+        span = None
+        if i in self.placed:
+            span, key = self.placed[i]
+            if key != fn_key:
+                raise self.error(
+                    f"trace {self.trace_id!r}: kept span {span.span_id!r} of {key!r} is "
+                    f"recorded at call {i}, a call of {fn_key!r}")
+        node = _Node(fn_key, block, span)
+        self.nodes.append(node)
+        return node
 
     def _choose(self, succs):
         if self.choices:
@@ -870,19 +892,13 @@ class _Walker:
             if node == sub.exit:
                 break
             for callee in sub.emissions.get(node, ()):
-                span = None
-                if self.kept and self.kept[0][1] == callee:
-                    span = self.kept.popleft()[0]
-                child = _Node(callee, node, span)
+                child = self._node(callee, node)
                 holder.children.append(child)
                 yield callee, child
 
     def run(self, entry_key):
         """The walked tree, or None when the walk stopped at an open fork."""
-        root_span = None
-        if self.kept and self.kept[0][1] == entry_key and self.kept[0][0].parent_id is None:
-            root_span = self.kept.popleft()[0]
-        root = _Node(entry_key, None, root_span)
+        root = self._node(entry_key, None)
         stack = [self._walk_into(entry_key, root)]
         while stack:
             call = next(stack[-1], None)
@@ -895,23 +911,19 @@ class _Walker:
         return root
 
 
-def _derive_replay(graph, entry_key, forks, kept_seq, trace_id):
+def _derive_replay(graph, entry_key, forks, placed, trace_id):
     from spanscope.errors import ReconstructionError
 
-    walker = _Walker(graph, kept_seq, forks, strict=True)
-    root = walker.run(entry_key)
+    walker = _Walker(graph, placed, forks, strict=True, trace_id=trace_id)
+    walker.run(entry_key)
     if walker.choices:
         raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
-    if walker.kept:
-        missing = [s.span_id for s, _ in walker.kept]
-        raise ReconstructionError(
-            f"trace {trace_id!r}: kept spans not explained by the recorded path: {missing}"
-        )
-    return root
+    return walker.nodes
 
 
-def _derive_search(graph, entry_key, kept_seq, trace_id):
-    """Enumerate fork choices until two structurally distinct solutions appear."""
+def _derive_search(graph, entry_key, placed, last, trace_id):
+    """Enumerate fork choices until two structurally distinct solutions
+    appear; a solution has a call at every recorded index up to last."""
     from spanscope.errors import ReconstructionError
 
     solutions = {}
@@ -922,7 +934,7 @@ def _derive_search(graph, entry_key, kept_seq, trace_id):
         explored += 1
         if explored > ORACLE_SEARCH_BUDGET:
             raise ReconstructionError("path search budget exceeded")
-        walker = _Walker(graph, list(kept_seq), prefix, strict=False)
+        walker = _Walker(graph, placed, prefix, strict=False, trace_id=trace_id)
         try:
             root = walker.run(entry_key)
         except ReconstructionError:
@@ -931,11 +943,11 @@ def _derive_search(graph, entry_key, kept_seq, trace_id):
             for option in sorted(walker.pending_fork, reverse=True):
                 stack.append(tuple(walker.taken) + (option,))
             continue
-        if walker.kept:
-            continue  # not all kept spans explained: inconsistent branch
+        if len(walker.nodes) <= last:
+            continue  # a recorded call is past the path: inconsistent branch
         key = _canonical(root)
         if key not in solutions:
-            solutions[key] = (tuple(walker.taken), root)
+            solutions[key] = (tuple(walker.taken), walker.nodes)
             if len(solutions) == 2:
                 break
     if not solutions:
@@ -951,8 +963,8 @@ def _derive_search(graph, entry_key, kept_seq, trace_id):
             tags = [c1[len(c2):][:1] or c1[-1:], c2[len(c1):][:1] or c2[-1:]]
             tags = [t[0] for t in tags if t]
         raise OracleAmbiguousPathError(trace_id, tags)
-    (_, root), = solutions.values()
-    return root
+    (_, nodes), = solutions.values()
+    return nodes
 
 
 def _measure(root, stats: dict) -> None:
@@ -966,6 +978,9 @@ def _measure(root, stats: dict) -> None:
         lo = hi = None
         if span is not None:
             lo, hi = span.start_time, span.end_time
+        for o in node.orphans:
+            lo = o.start_time if lo is None else min(lo, o.start_time)
+            hi = o.end_time if hi is None else max(hi, o.end_time)
         kids_width = 0
         for c in node.children:
             if c.alo is not None:
@@ -1036,39 +1051,59 @@ def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping, search
 
     import spanscope.reconstruct as recon
     from spanscope.cscfg import parse_function_key
+    from spanscope.errors import ReconstructionError, UnknownEntryError
     from spanscope.mapping import Unmapped
     from spanscope.model import Span
 
-    ordered = sorted(kept_spans, key=lambda s: (s.start_time, s.span_id))
-    kept_seq, orphans = [], []
-    for span in ordered:
+    trace_id = decision.trace_id
+    if not kept_spans:
+        raise ReconstructionError("no kept spans to reconstruct from")
+    if decision.entry is None:
+        raise UnknownEntryError(f"decision for {trace_id!r} carries no entry function")
+    if not graph.knows(decision.entry):
+        raise UnknownEntryError(f"entry function {decision.entry!r} absent from graph")
+    if len(decision.at) != len(decision.kept):
+        raise ReconstructionError(f"trace {trace_id!r}: {len(decision.at)} recorded calls "
+                                  f"for {len(decision.kept)} kept spans")
+    call_of = dict(zip(decision.kept, decision.at))
+    placed, orphans = {}, []
+    for span in kept_spans:
+        if span.span_id not in call_of:
+            raise ReconstructionError(
+                f"trace {trace_id!r}: kept span {span.span_id!r} is not in the decision")
+        i = call_of[span.span_id]
         r = mapping.resolve(span)
         if isinstance(r, Unmapped):
-            orphans.append(span)
+            orphans.append((span, i))
+        elif i in placed:
+            raise ReconstructionError(
+                f"trace {trace_id!r}: kept spans {placed[i][0].span_id!r} and "
+                f"{span.span_id!r} are recorded at one call {i}")
         else:
-            kept_seq.append((span, r.key))
+            placed[i] = (span, r.key)
     if search:
-        root = _derive_search(graph, decision.entry, kept_seq, decision.trace_id)
+        nodes = _derive_search(graph, decision.entry, placed, max(decision.at), trace_id)
     else:
-        root = _derive_replay(graph, decision.entry, list(decision.forks), kept_seq,
-                              decision.trace_id)
+        nodes = _derive_replay(graph, decision.entry, list(decision.forks), placed, trace_id)
+    if any(not 0 <= i < len(nodes) for i in decision.at):
+        raise ReconstructionError(f"trace {trace_id!r}: a kept span is recorded at a call "
+                                  f"outside the {len(nodes)} calls of the recorded path")
+    for orphan, i in orphans:
+        nodes[i].orphans.append(orphan)
+    root = nodes[0]
     if recursive:
-        oracle_layout(root, orphans, stats)
+        oracle_layout(root, stats)
     else:
         _measure(root, stats)
         if root.span is not None:
             lo, hi = root.span.start_time, root.span.end_time
         else:
-            alo = root.alo
-            for o in orphans:
-                alo = o.start_time if alo is None else min(alo, o.start_time)
-            lo = alo if alo is not None else 0
+            lo = root.alo if root.alo is not None else 0
             hi = lo + root.width
-            for o in orphans:
-                hi = max(hi, o.end_time)
         _oracle_place(root, lo, hi)
 
     rspans = []
+    node_ids = {}
     stack = [(root, None)]
     while stack:
         node, parent_id = stack.pop()
@@ -1080,10 +1115,10 @@ def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping, search
             sid = span.span_id
         else:
             ref = parse_function_key(node.fn)
-            sid = f"{decision.trace_id}:inf:{len(rspans)}"
+            sid = f"{trace_id}:inf:{len(rspans)}"
             span = Span(
                 span_id=sid,
-                trace_id=decision.trace_id,
+                trace_id=trace_id,
                 parent_id=parent_id,
                 operation=ref.operation,
                 service=ref.service,
@@ -1093,31 +1128,18 @@ def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping, search
             )
             rspans.append(recon.ReconstructedSpan(span, recon.ORIGIN_INFERRED, node.fn,
                                                   node.source, node.std))
+        node_ids[id(node)] = sid
         stack.extend((c, sid) for c in reversed(node.children))
 
-    root_id = rspans[0].span.span_id
-    sampled_sorted = sorted(
-        (r.span for r in rspans if r.origin == recon.ORIGIN_SAMPLED),
-        key=lambda s: (s.duration, s.span_id),
-    )
-    known_ids = {s.span_id for s in kept_spans} | {r.span.span_id for r in rspans}
-    for orphan in orphans:
-        if orphan.parent_id in known_ids:
-            parent = orphan.parent_id
-        else:
-            parent = None
-            for cand in sampled_sorted:
-                if cand.span_id != orphan.span_id and \
-                        cand.start_time <= orphan.start_time and orphan.end_time <= cand.end_time:
-                    parent = cand.span_id
-                    break
-            if parent is None:
-                parent = root_id
+    # each orphan under its kept parent, else under the call it is recorded at
+    kept_ids = {s.span_id for s in kept_spans}
+    for orphan, i in orphans:
+        parent = orphan.parent_id if orphan.parent_id in kept_ids else node_ids[id(nodes[i])]
         span = orphan if orphan.parent_id == parent else \
             dataclasses.replace(orphan, parent_id=parent)
         rspans.append(recon.ReconstructedSpan(span, recon.ORIGIN_SAMPLED, None))
 
-    return recon.ReconstructedTrace(decision.trace_id, tuple(rspans))
+    return recon.ReconstructedTrace(trace_id, tuple(rspans))
 
 
 def oracle_serialize(rebuilt) -> str:

@@ -35,21 +35,21 @@ SYSTEMS = {
 
 GOLDEN = {
     "default": {
-        "decisions.ndjson": "9efdbf8591cfa3aa606fcd45fff264c9e01f01fcf104453c91fd9f85390bab48",
+        "decisions.ndjson": "480baafaba35eaf34cc99e3fcbe6c6347c5a84d693a8cb37f77e456e471d172a",
         "kept.ndjson": "4b8a09b79ae9ef53a8581813debf7d80bd9656952a8a6c66113d5dc8a1d4a92e",
         "stats.json": "e56caf2fa85bdc6bbfe300ed49d66783550c7a9f204529990e601e68d0b4e1d5",
         "reconstructed.ndjson":
-            "e74105f214a60cefb3f1650d2dd4954577d9cd8208c0de071dafca2229e92678",
+            "c2db510c3dbc82466543d3f7ec983fbc4c2240c6e54b433fb9397111a9b5fa59",
     },
     "shape-churn": {
-        "decisions.ndjson": "77ed4d75a176c9b77cbb1f80d1aa7ca18ebae1a8f7edf13918ae2e649cb8c352",
+        "decisions.ndjson": "7628866ccf900a91476bc079bfb901dc3dee586be7758cc6b5b058b272384d1a",
         "kept.ndjson": "244bf7b18fa205d3967e4aed21d8385803e65c86837c321c0f9638b39c93fb5b",
         "stats.json": "ee91e35f2aec1e96ec70b2466f17a709d012ec5dde975d466950550d307fde3f",
         "reconstructed.ndjson":
-            "bd906640e4e7c224d181b0f926b81a0795840832c183b619cfeab4b22e3f9f5d",
+            "830986ec06776abc7c8fdf90f7d5ac4fefdf78af1d60503af68ef73b93ed7045",
     },
     "deep-chains": {
-        "decisions.ndjson": "b403f5a9bacc65dcf48133ea572aa5b73c1dc4c52fc23ab3622a9cfdb4a600c8",
+        "decisions.ndjson": "26bca81168a0fd557f2225464d5bb464751e0237f1eee18076ea9ea37e70ed2b",
         "kept.ndjson": "fa69853905aea5dcb810c786b8bb86c733c632745270c6d2f22f87e2ee97ee08",
         "stats.json": "2f91b8258d871deea3e2feb0453720d588fa5aca3821e52daf61c559e318888b",
         "reconstructed.ndjson":
@@ -89,12 +89,12 @@ def test_sample_and_reconstruct_write_the_golden_bytes(tmp_path, system):
 PATCH_TRACES = 100
 DRIFTED = {
     "graph.json": "fdc421ffad8451c3796a867d07968dc814f03fbe00afec69289de8989e2d1c66",
-    "decisions.ndjson": "57e53b8e62229ae412bc5d7e863c8a82aa003137aad09d71249671dad871508a",
+    "decisions.ndjson": "03bbd206c01bc0134700abac8f8172b9ade382a1943d66a6138d9df8bf5544b7",
     "kept.ndjson": "4da25650907c757623a1835ce468b09a48cf984360c0aab5bd869a7ba3b34379",
     "stats.json": "e56caf2fa85bdc6bbfe300ed49d66783550c7a9f204529990e601e68d0b4e1d5",
     "reconstructed.ndjson":
-        "07bf2b5bab4464c1bdca0c40490bca23729b1f746afe03e8086d487a7a76b19c",
-    "fidelity.json": "54fc863fd99e8352e61118868f429efcb114b5215b59704571a9ef6ee18322f4",
+        "7d61e6558a9fd1f1965258779088f6b8b5f5dc205b06ed4b830d2fa3ae5bb6b4",
+    "fidelity.json": "bb849d338c7e33b4b47a112c2f1a8bb9f65769b9c56a6d7d49a36964b746dda8",
 }
 
 

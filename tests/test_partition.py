@@ -136,7 +136,7 @@ class TestPartition:
         keys = {s.span_id: s.operation for s in trace.spans}
         with pytest.raises(PartitionMismatchError, match=trace.trace_id):
             sample_trace(trace, sets, ScoreBook(), LrsLedger(), SamplingConfig(), keys,
-                         exclusive_durations(trace), None, ())
+                         exclusive_durations(trace), None, (), {})
 
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples

@@ -5,10 +5,10 @@ import pytest
 
 from spanscope import cli
 from spanscope.align import PathCache
-from spanscope.cscfg import build_cscfg
+from spanscope.cscfg import Cscfg, FunctionRef, build_cscfg
 from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.mapping import build_map
-from spanscope.model import Span, serialize_trace
+from spanscope.model import Span, serialize_trace, span_from_dict
 from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import structural_fidelity
 from spanscope.sampler import SamplingConfig
@@ -363,6 +363,69 @@ def test_reconstruct_refuses_kept_records_past_the_last_decision(workload, tmp_p
     rebuilt = (dest / "reconstructed.ndjson").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["trace_id"] for line in rebuilt] == \
         [json.loads(line)["trace_id"] for line in lines[:3]]
+
+
+def misplaced_at(record, kept_record, mapping):
+    """record's "at" with one mapped kept span moved to call 0, a call of
+    the entry function and not of its own, or None when record has no such
+    span or keeps a mapped span at call 0 already."""
+    functions = {s["span_id"]: mapping.resolve(span_from_dict(s, record["trace_id"]))
+                 for s in kept_record["spans"]}
+    mapped = [(k, i) for k, (sid, i) in enumerate(zip(record["kept"], record["at"]))
+              if isinstance(functions[sid], FunctionRef)]
+    if any(i == 0 for _k, i in mapped):
+        return None
+    for k, _i in mapped:
+        if functions[record["kept"][k]].key != record["entry"]:
+            return record["at"][:k] + [0] + record["at"][k + 1:]
+    return None
+
+
+# each changes "at" of one decision, and the error text it gives
+BAD_AT = {
+    "missing": (lambda at, moved: None, "bad decision record: KeyError: 'at'"),
+    "not-a-list": (lambda at, moved: 3, 'bad decision record: TypeError: "at" must be a list'),
+    "bool": (lambda at, moved: [True] + at[1:], 'TypeError: "at" must be a list'),
+    "negative": (lambda at, moved: at[:-1] + [-1], 'TypeError: "at" must be a list'),
+    "float": (lambda at, moved: at[:-1] + [1.5], 'TypeError: "at" must be a list'),
+    "short": (lambda at, moved: at[:-1], 'TypeError: "at" must be a list'),
+    "past-the-calls": (lambda at, moved: at[:-1] + [10_000], "outside the"),
+    "another-function": (lambda at, moved: moved, ", a call of "),
+}
+
+
+@pytest.mark.parametrize("change", sorted(BAD_AT))
+def test_reconstruct_names_a_decision_whose_recorded_calls_do_not_fit(
+        workload, tmp_path, capsys, change):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 20)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out), "--ratio", "0.3"]) == 0
+    lines = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()
+    kept_lines = (out / "kept.ndjson").read_text(encoding="utf-8").splitlines()
+    mapping = build_map(Cscfg.load_artifact(graph_path))
+    # the first decision with a mapped kept span that can be moved
+    k, record, moved = next(
+        (k, record, moved) for k, record in enumerate(map(json.loads, lines))
+        if (moved := misplaced_at(record, json.loads(kept_lines[k]), mapping)) is not None)
+    make, text = BAD_AT[change]
+    at = make(record["at"], moved)
+    bad = {key: value for key, value in record.items() if key != "at"}
+    if at is not None:
+        bad["at"] = at
+    decisions = tmp_path / "decisions.ndjson"
+    decisions.write_text("\n".join(lines[:k] + [json.dumps(bad)] + lines[k + 1:]) + "\n",
+                         encoding="utf-8")
+    dest = tmp_path / "rebuilt"
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--graph", graph_path, "--decisions", str(decisions),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                     "--out", str(dest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {decisions}:{k + 1}: ") and text in err, err
+    # the decisions before it were rebuilt and stay written
+    rebuilt = (dest / "reconstructed.ndjson").read_text(encoding="utf-8").splitlines()
+    assert len(rebuilt) == k
 
 
 def test_reconstruct_builds_no_span_per_rebuilt_call(workload, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from spanscope.harness import (
 )
 from spanscope.mapping import Unmapped, build_map
 from spanscope.model import Span, Trace
-from spanscope.pipeline import SamplingPipeline
+from spanscope.pipeline import SamplingPipeline, _calls
 from spanscope.reconstruct import (
     ORIGIN_INFERRED,
     ORIGIN_SAMPLED,
@@ -34,6 +34,7 @@ from .oracles import (
     oracle_structural_fidelity,
 )
 from .test_drift import drop_call
+from .test_golden import SYSTEMS
 
 
 def sampled_workload(seed, n, ratio):
@@ -100,6 +101,101 @@ def test_rebuilt_bytes_match_the_two_pass_reference(seed, n, ratio):
         with_orphans += any(r.function is None for r in rebuilt.spans)
     if spec.url_span_probability > 0:
         assert with_orphans > 0
+
+
+def mapped_positions(spans, labels):
+    """Each span's position among the labelled spans: the path of child
+    indexes from the root, unlabelled spans being transparent (an unlabelled
+    span has its nearest labelled ancestor's position). Spans are given
+    with every parent before its children, each sibling list in order."""
+    positions, kid_count = {}, {}
+    for span, label in zip(spans, labels):
+        at = positions.get(span.parent_id, ())
+        if label is not None:
+            k = kid_count.get(at, 0)
+            kid_count[at] = k + 1
+            at += (k,)
+        positions[span.span_id] = at
+    return positions
+
+
+# the three benchmark systems and two more generated systems, with the
+# traffic seed and ratios of the benchmark
+PLACEMENT_SYSTEMS = {
+    **SYSTEMS,
+    "seed-3": (SystemSpec(seed=3), False, 0.3),
+    "seed-19": (SystemSpec(seed=19, n_services=6, n_functions_per_service=8,
+                           branch_probability=0.3, url_span_probability=0.2), False, 0.2),
+}
+
+
+@pytest.mark.parametrize("system", sorted(PLACEMENT_SYSTEMS))
+def test_every_rebuilt_trace_is_a_trace_with_each_kept_span_in_place(system):
+    """A rebuilt trace parses back as a Trace; a kept span whose parent was
+    kept and mapped sits under that parent; and each kept mapped span sits
+    at its own node of the original's tree of mapped spans."""
+    spec, deep, ratio = PLACEMENT_SYSTEMS[system]
+    doc, meta = variable_depth_system() if deep else generate_system(spec)
+    graph = build_cscfg(doc).freeze()
+    mapping = build_map(graph)
+    n = 400
+    traces = [s.trace for s in generate_traces(graph, meta, dataclasses.replace(spec, seed=47),
+                                               n, make_default_faults(meta, n))]
+    pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=ratio))
+    results = [pipeline.process(t) for t in traces]
+    stats = pipeline.stats_snapshot()
+    invalid, misparented, misplaced = [], [], []
+    under_kept_parent = 0
+    for result in results:
+        trace = result.trace
+        rebuilt = pipeline.reconstruct_result(result, stats)
+        spans = [r.span for r in rebuilt.spans]
+        try:
+            Trace(trace.trace_id, spans)
+        except SpanscopeError:
+            invalid.append(trace.trace_id)
+        parent_of = {s.span_id: s.parent_id for s in spans}
+        resolved = [mapping.resolve(s) for s in trace.preorder]
+        labels = [None if isinstance(r, Unmapped) else r.key for r in resolved]
+        want = mapped_positions(trace.preorder, labels)
+        got = mapped_positions(spans, [r.function for r in rebuilt.spans])
+        for sid in result.decision.kept:
+            span = trace.span(sid)
+            parent = span.parent_id
+            if parent in result.decision.kept and \
+                    not isinstance(mapping.resolve(trace.span(parent)), Unmapped):
+                under_kept_parent += 1
+                if parent_of[sid] != parent:
+                    misparented.append(sid)
+            if not isinstance(mapping.resolve(span), Unmapped) and got[sid] != want[sid]:
+                misplaced.append(sid)
+    assert under_kept_parent > 0
+    assert (invalid[:3], misparented[:3], misplaced[:3]) == ([], [], []), (
+        f"{len(invalid)} invalid, {len(misparented)} kept spans off their kept parent and "
+        f"{len(misplaced)} kept spans off their node, of {n} traces")
+
+
+def test_an_inferred_root_covers_an_orphan_that_starts_before_every_anchor():
+    """The root is inferred; the earliest evidence is a kept unmapped span
+    that starts and ends before the one sampled call starts."""
+    front, store = "svc:Front.handle", "svc:Store.get"
+    doc = {"schema_version": 1, "external_functions": [], "functions": [
+        {"function": front, "blocks": [{"id": "b0", "callees": [store]}],
+         "flow_edges": [], "entry": "b0", "exits": ["b0"]},
+        {"function": store}]}
+    graph = build_cscfg(doc).freeze()
+    mapping = build_map(graph)
+    trace = Trace("t", [Span("r", "t", None, "Front.handle", "svc", 0, 100),
+                        Span("u", "t", "r", "GET /items/1", "svc", 5, 10),
+                        Span("leaf", "t", "r", "Store.get", "svc", 60, 30)])
+    kept = [trace.span("u"), trace.span("leaf")]
+    decision = decision_for(front, trace, mapping, kept, ())
+    assert decision.at == (1, 0)  # leaf is call 1; u goes under call 0, the root
+    rebuilt = reconstruct(decision, kept, graph, {}, mapping)
+    root, leaf, orphan = (r.span for r in rebuilt.spans)
+    assert (root.start_time, root.end_time) == (5, 90)
+    assert (leaf.parent_id, orphan.parent_id) == (root.span_id, root.span_id)
+    Trace("t", [root, leaf, orphan])  # every interval lies inside its parent's
 
 
 def test_serialize_matches_the_sort_keys_reference_on_a_hand_built_trace():
@@ -320,9 +416,17 @@ def test_root_over_deep_unmapped_chain():
     assert {r.span.span_id for r in rebuilt.spans} >= set(result.decision.kept)
 
 
-def decision_for(entry, kept, forks, trace_id="t"):
-    return SamplingDecision(trace_id, tuple(sorted(s.span_id for s in kept)), entry, (), 0.0,
-                            forks=forks)
+def recorded_calls(trace, mapping, kept_ids):
+    """The replay call of each of the kept span ids, as sample records it."""
+    calls = _calls(trace, {s.span_id: mapping.resolve(s) for s in trace.spans})
+    return tuple(calls[sid] for sid in kept_ids)
+
+
+def decision_for(entry, trace, mapping, kept, forks):
+    """A decision of trace that keeps the spans kept, each at its call."""
+    ids = tuple(sorted(s.span_id for s in kept))
+    return SamplingDecision(trace.trace_id, ids, entry, (), 0.0, forks=forks,
+                            at=recorded_calls(trace, mapping, ids))
 
 
 def functions_of(rebuilt):
@@ -368,18 +472,21 @@ class TestForkInPatchedCallee:
         """Replay of the kept spans ids on the graph patched from all of spans,
         with the forks align records for them."""
         graph, mapping = self.patched(spans)
-        forks = align_trace(graph, Trace("t", list(spans.values())), mapping).forks
+        trace = Trace("t", list(spans.values()))
+        forks = align_trace(graph, trace, mapping).forks
         kept = [spans[i] for i in ids]
-        return reconstruct(decision_for(self.MAIN, kept, forks), kept, graph, {}, mapping)
+        return reconstruct(decision_for(self.MAIN, trace, mapping, kept, forks), kept, graph,
+                           {}, mapping)
 
     def test_unwitnessed_branch_is_ambiguous(self):
         kept = [self.spans[i] for i in ("root", "p", "a")]
         with pytest.raises(OracleAmbiguousPathError) as info:
-            oracle_reconstruct(decision_for(self.MAIN, kept, ()), kept, self.graph, {},
-                               self.mapping, search=True)
-        # the first two solutions take P's arm p1 and differ in how often the
-        # repeatable synthetic block ran before b0
-        assert info.value.branch_tags == [f"{self.MAIN}#b0", f"{self.MAIN}#patch0"]
+            oracle_reconstruct(decision_for(self.MAIN, Trace("t", list(self.spans.values())),
+                                            self.mapping, kept, ()),
+                               kept, self.graph, {}, self.mapping, search=True)
+        # the recorded calls put P at call 1 and A at call 3, which fixes how
+        # often the repeatable synthetic block ran; only P's arm stays open
+        assert info.value.branch_tags == [f"{self.P}#p1", f"{self.P}#p2"]
         # the recorded forks settle both
         assert functions_of(self.rebuild(self.spans, "root", "p", "a")) == [
             (self.MAIN, ORIGIN_SAMPLED), (self.P, ORIGIN_SAMPLED), ("svc:X.x", ORIGIN_INFERRED),
@@ -415,7 +522,9 @@ class TestSearchOnComfortEconomy:
         """Replay of the recorded forks, or without them the reference search."""
         result = self.pipeline.process(self.comfort)
         kept = [s for s in self.comfort.spans if s.operation in operations]
-        decision = dataclasses.replace(result.decision, kept=tuple(sorted(s.span_id for s in kept)))
+        ids = tuple(sorted(s.span_id for s in kept))
+        decision = dataclasses.replace(result.decision, kept=ids,
+                                       at=recorded_calls(self.comfort, self.mapping, ids))
         if forks:
             return reconstruct(decision, kept, self.graph, {}, self.mapping)
         return oracle_reconstruct(decision, kept, self.graph, {}, self.mapping, search=True)
@@ -428,8 +537,16 @@ class TestSearchOnComfortEconomy:
 
     def test_unwitnessed_branch_names_both_arms(self):
         with pytest.raises(OracleAmbiguousPathError) as info:
-            self.rebuild({"OrderService.createOrder", "PriceService.getPrice"}, forks=False)
+            self.rebuild({"OrderService.createOrder"}, forks=False)
         assert info.value.branch_tags == [f"{self.entry}#c1", f"{self.entry}#e1"]
+
+    def test_the_recorded_call_of_a_shared_callee_witnesses_its_arm(self):
+        # both arms call getPrice, but only the comfort arm has a fourth call,
+        # where the decision records it
+        ops = {"OrderService.createOrder", "PriceService.getPrice"}
+        replayed = self.rebuild(ops, forks=True)
+        assert self.rebuild(ops, forks=False) == replayed
+        assert structural_fidelity(self.comfort, replayed, self.mapping).structure_exact
 
 
 def test_endless_self_call_ends_in_reconstruction_error():
@@ -439,7 +556,7 @@ def test_endless_self_call_ends_in_reconstruction_error():
     graph = build_cscfg(doc).freeze()
     mapping = build_map(graph)
     root = Span("r", "t", None, "Loop.f", "svc", 0, 10)
-    decision = decision_for("svc:Loop.f", [root], ())
+    decision = decision_for("svc:Loop.f", Trace("t", [root]), mapping, [root], ())
     with pytest.raises(ReconstructionError, match="walk step budget exceeded"):
         reconstruct(decision, [root], graph, {}, mapping)
     with pytest.raises(ReconstructionError):  # the reference search finds no path either
@@ -455,10 +572,11 @@ def outcome(rebuild, decision, kept, graph, stats, mapping):
 
 
 def mutated_decisions(result, donor):
-    """The decision and copies whose fork records or kept spans no longer fit
-    its path; donor is another result whose first kept mapped span is added."""
+    """The decision and copies whose fork records, recorded calls or kept
+    spans no longer fit its path; donor is another result whose last span is
+    added."""
     decision, trace = result.decision, result.trace
-    forks = decision.forks
+    forks, at = decision.forks, decision.at
     kept = [trace.span(sid) for sid in decision.kept]
     yield decision, kept
     if forks:
@@ -469,6 +587,10 @@ def mutated_decisions(result, donor):
     yield dataclasses.replace(decision, forks=forks + forks[-1:] + forks[:1]), kept
     if len(kept) > 1:
         yield decision, kept[1:]
+        yield dataclasses.replace(decision, at=(0,) * len(at)), kept
+    yield dataclasses.replace(decision, at=tuple(i + 1 for i in at)), kept
+    yield dataclasses.replace(decision, at=at[:-1] + (at[-1] + 1_000,)), kept
+    yield dataclasses.replace(decision, at=at[1:]), kept
     foreign = dataclasses.replace(donor.trace.spans[-1], trace_id=trace.trace_id,
                                   span_id="foreign")
     yield decision, kept + [foreign]
@@ -493,5 +615,6 @@ def test_replay_errors_match_the_tree_walker(seed, n, ratio):
             if isinstance(got, tuple):
                 errors.add(got[1])
     for check in ("is not a successor here", "ran out of recorded branch choices",
-                  "unused branch records remain", "kept spans not explained"):
+                  "unused branch records remain", "is not in the decision", ", a call of",
+                  "outside the", "recorded calls for", "are recorded at one call"):
         assert any(check in text for text in errors), check

@@ -106,7 +106,8 @@ def run_sample(trace, dss_list, cfg, book, ledger, exclusive=None):
     keys = keys_for(trace)
     excl = exclusive or {s.span_id: s.duration for s in trace.spans}
     return sample_trace(trace, dss_list, book, ledger, cfg, keys, excl,
-                        entry="svc:C.f0", forks=())
+                        entry="svc:C.f0", forks=(),
+                        calls={s.span_id: i for i, s in enumerate(trace.preorder)})
 
 
 class TestSampleTrace:
@@ -187,19 +188,20 @@ class TestSampleTrace:
         t = trace_of(4)
         decision = run_sample(t, [dss("d0", list(t.span_ids()))], cfg, book, ledger)
         record = json.loads(decision.serialize())
-        assert list(record) == ["entry", "forks", "kept", "trace_id"]
+        assert list(record) == ["at", "entry", "forks", "kept", "trace_id"]
         back = decision_from_dict(record)
         assert back.trace_id == decision.trace_id
         assert back.kept == decision.kept
         assert back.entry == decision.entry
         assert back.forks == decision.forks
+        assert back.at == decision.at == tuple(int(sid[1:]) for sid in decision.kept)
         # the DSS reports and the ratio are not stored
         assert decision.dss_reports and back.dss_reports == ()
         assert back.effective_ratio == 0.0
 
     def test_a_record_without_forks_is_refused(self):
         # rebuild replays the recorded forks and has no other way to the path
-        record = {"entry": "svc:A.f", "kept": ["s1"], "trace_id": "t"}
+        record = {"at": [0], "entry": "svc:A.f", "kept": ["s1"], "trace_id": "t"}
         with pytest.raises(KeyError, match="forks"):
             decision_from_dict(record)
         with pytest.raises(TypeError):
@@ -213,20 +215,21 @@ class TestSampleTrace:
                            picked_by_z=1, picked_by_lrs=1)
         assert report == DssReport("d0", "svc:A.f#b1", 4, 2, 1, 1)
         decision = SamplingDecision("t", ("s1", "s2"), "svc:A.f", (report,), 0.5,
-                                    forks=("svc:A.f#b1",))
+                                    forks=("svc:A.f#b1",), at=(0, 2))
         line = decision.serialize()
-        assert line == ('{"entry":"svc:A.f","forks":["svc:A.f#b1"],"kept":["s1","s2"],'
-                        '"trace_id":"t"}')
+        assert line == ('{"at":[0,2],"entry":"svc:A.f","forks":["svc:A.f#b1"],'
+                        '"kept":["s1","s2"],"trace_id":"t"}')
         back = decision_from_dict(json.loads(line))
         assert back == SamplingDecision("t", ("s1", "s2"), "svc:A.f", (), 0.0,
-                                        forks=("svc:A.f#b1",))
+                                        forks=("svc:A.f#b1",), at=(0, 2))
         assert back.serialize() == line
         # an older record that carries the reports and the ratio still reads;
         # those two fields are ignored
         old_line = (
             '{"dss":[{"branch_tag":"svc:A.f#b1","budget":2,"dss_id":"d0",'
             '"picked_by_lrs":1,"picked_by_z":1,"size":4}],"effective_ratio":0.5,'
-            '"entry":"svc:A.f","forks":["svc:A.f#b1"],"kept":["s1","s2"],"trace_id":"t"}')
+            '"at":[0,2],"entry":"svc:A.f","forks":["svc:A.f#b1"],"kept":["s1","s2"],'
+            '"trace_id":"t"}')
         old = decision_from_dict(json.loads(old_line))
         assert old == back
         assert old.serialize() == line
@@ -235,7 +238,7 @@ class TestSampleTrace:
 class TestLedger:
     def test_first_decision_counts_once(self):
         ledger = LrsLedger(100)
-        decision = SamplingDecision("t", ("s1",), "e", (), 1.0, (), kept_keys=("k1",))
+        decision = SamplingDecision("t", ("s1",), "e", (), 1.0, (), (0,), kept_keys=("k1",))
         ledger.note(decision.kept_keys)
         assert ledger.stats("k1") == (1, 1)
         assert ledger.stats("other") == (-1, 0)
@@ -253,14 +256,14 @@ class TestLedger:
         ledger = LrsLedger(2)
         for i in range(3):
             ledger.note(SamplingDecision(
-                f"t{i}", ("s",), "e", (), 1.0, (), kept_keys=("k",)).kept_keys)
+                f"t{i}", ("s",), "e", (), 1.0, (), (0,), kept_keys=("k",)).kept_keys)
         assert ledger.stats("k") == (3, 2)  # the first decision decayed out
 
     def test_stats_give_last_and_count(self):
         ledger = LrsLedger(50)
         for i in range(5):
             ledger.note(SamplingDecision(
-                f"t{i}", ("s",), "e", (), 1.0, (), kept_keys=("k",)).kept_keys)
+                f"t{i}", ("s",), "e", (), 1.0, (), (0,), kept_keys=("k",)).kept_keys)
         assert ledger.stats("k") == (5, 5)
         assert ledger.stats("none") == (-1, 0)
 
@@ -295,10 +298,11 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_thresh
         ref_book = OracleScoreBook(cfg.window, cfg.min_obs, cfg.theta_quantile)
         ledger, ref_ledger = LrsLedger(cfg.lrs_horizon), LrsLedger(cfg.lrs_horizon)
         for trace, dss_list, keys, exclusive in rows:
+            calls = {sid: i for i, sid in enumerate(keys)}
             got = sample_trace(trace, dss_list, book, ledger, cfg, keys, exclusive,
-                               entry="e", forks=("f",))
+                               entry="e", forks=("f",), calls=calls)
             want = oracle_sample_trace(trace, dss_list, ref_book, ref_ledger, cfg, keys,
-                                       exclusive, entry="e", forks=("f",))
+                                       exclusive, entry="e", forks=("f",), calls=calls)
             assert got == want  # kept, dss_reports, kept_keys and the rest
             for r in got.dss_reports:
                 z_cut += r.picked_by_z == r.budget and r.picked_by_z > 0
@@ -354,7 +358,7 @@ class TestDecisionEncoder:
         reports = (DssReport("t\u00e9:0", "trunk", 3, 2, 1, 1),
                    DssReport("t\u00e9:1", "svc:A.f#\U0001f600", 1, 1, 0, 1))
         decision = SamplingDecision("t\u00e9", ("s\u00fc1", "s2", "\u540d"), entry, reports,
-                                    0.1234567, kept_keys=("k",), forks=forks)
+                                    0.1234567, kept_keys=("k",), forks=forks, at=(0, 12, 3))
         assert_encodes_like_the_sort_keys_reference(decision)
-        empty = SamplingDecision("t", (), entry, (), 0.0, forks=forks)
+        empty = SamplingDecision("t", (), entry, (), 0.0, forks=forks, at=())
         assert_encodes_like_the_sort_keys_reference(empty)
