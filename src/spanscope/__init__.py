@@ -8,7 +8,6 @@ from .cscfg import (
     build_cscfg,
     compute_dominance,
     parse_function_key,
-    patch_with_traces,
 )
 from .errors import SpanscopeError
 from .mapping import SpanFunctionMap, Unmapped, build_map
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExecutionPath", "PathCache", "trace_signature",
     "Cscfg", "DominanceInfo", "FunctionRef", "build_cscfg", "compute_dominance",
-    "parse_function_key", "patch_with_traces",
+    "parse_function_key",
     "SpanscopeError",
     "SpanFunctionMap", "Unmapped", "build_map",
     "Span", "Trace", "parse_trace", "serialize_trace",

@@ -22,11 +22,17 @@ A path is cached as its dominant span sets and its forks. A slot names a
 span by its index in `Trace.preorder`, so a path depends on the trace's
 shape only. Forks are recorded as alignment finds them: a move out of a
 node with more than one flow successor records its target, and every other
-flow move is dropped. The forks alone pin the path through the graph, so
-no set names a block or callee. Sets are cut as the path is laid out in
-order, each span a step and each skipped block a step without a span: a
-set ends at the first fork after a step, that fork's target tags the next
-set (the first is tagged TRUNK_TAG), and a set with no span is dropped.
+flow move is dropped. Where the path leaves the graph, the forks also hold
+its edits, at their place in the path, as tuples of call indexes into the
+preorder of the mapped spans (the replay's calls): a mapped span that
+alignment inserts is (parent call, its own call, function key), and a
+block's call that it skips is (parent call, the call it would have been).
+Unmapped spans are calls of no function and need no edit. Forks and edits
+together pin the path through the graph, so no set names a block or
+callee. Sets are cut as the path is laid out in order, each span a step and
+each skipped call a step without a span: a set ends at the first fork after
+a step, that fork's target tags the next set (the first is tagged
+TRUNK_TAG), and a set with no span is dropped; an edit cuts nothing.
 
 A PathCache memoises alignment at three levels, each an LRU map of at most
 PATH_CACHE_CAPACITY entries. The trace level is keyed by the trace's shape
@@ -71,16 +77,16 @@ class ExecutionPath:
 
     Each set is a pair (slots, tag): slots index `Trace.preorder` in path
     order, and tag is the fork target that opened the set, or TRUNK_TAG.
-    `forks` lists every fork target in path order. `leaves_graph` is True
-    when the path skips a block's call or inserts a mapped span, that is
-    when its cost exceeds its unmapped spans: the replay of its forks then
-    does not give the trace back, so its decisions do not rebuild exactly.
+    `forks` lists every fork target and every edit in path order.
+    `leaves_graph` is True when the path skips a block's call or inserts a
+    mapped span, that is when its forks hold an edit and its cost exceeds
+    its unmapped spans.
     """
 
     sets: tuple[tuple[tuple[int, ...], str], ...]
     cost: int
     insertions: int
-    forks: tuple[str, ...]
+    forks: tuple[str | tuple, ...]
     leaves_graph: bool
 
 
@@ -88,9 +94,11 @@ class _Fragment:
     """The path a mapped span's subtree emits after the span itself.
 
     `items` is flat, in path order: a span's slot relative to the mapped
-    span's; None for a skipped block; a fork target; or (fragment, relative
-    slot) for a mapped child, its step and then its fragment, referenced and
-    not copied. `cost` and `insertions` cover the whole subtree.
+    span's; None for a skipped call; a fork target; (fragment, relative
+    slot) for a mapped child, its step and then its fragment, referenced
+    and not copied; or (fragment, relative slot, function key) for a mapped
+    child that alignment inserted. `cost` and `insertions` cover the whole
+    subtree.
     """
 
     __slots__ = ("items", "cost", "insertions")
@@ -344,12 +352,16 @@ def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
     items: list = []
     cost = ins = 0
 
-    def emit(j):
+    def emit(j, inserted):
         nonlocal cost, ins
-        if keys[j] is not None:
+        key = keys[j]
+        if key is not None:
             child = frags[j]
             cost += child.cost
             ins += child.insertions
+            if inserted:
+                items.append((child, j - i, key))
+                return
             if child.items:
                 items.append((child, j - i))
                 return
@@ -357,7 +369,7 @@ def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
 
     if solved is None:
         for j in syms:
-            emit(j)
+            emit(j, True)
         return _Fragment(tuple(items), cost + len(syms), ins + len(syms))
     own_cost, own_ins, acts = solved
     for act in acts:
@@ -367,25 +379,34 @@ def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
         elif tag == "fork":
             items.append(act[1])
         else:
-            emit(syms[act[1]])
+            emit(syms[act[1]], tag == "ins")
     return _Fragment(tuple(items), cost + own_cost, ins + own_ins)
 
 
-def _compose(frag: _Fragment) -> tuple[list, list]:
-    """Sets and forks of the path: the root's step, then frag flattened."""
+def _compose(frag: _Fragment, keys: list) -> tuple[list, list]:
+    """Sets and forks of the path: the root's step, then frag flattened.
+
+    keys[slot] is the slot's function key, None when unmapped. The mapped
+    slots are counted in path order, which is preorder, so each edit gets
+    the call indexes the replay gives its calls.
+    """
     sets: list = []
     forks: list = []
     slots = [0]
     tag = TRUNK_TAG
     # whether a step came since the last fork: only such a fork cuts
     stepped = True
-    frames = [(iter(frag.items), 0)]
+    calls = 1  # the root is call 0
+    # per open fragment: its items, its span's slot and that span's call
+    frames = [(iter(frag.items), 0, 0)]
     while frames:
-        items, base = frames[-1]
+        items, base, me = frames[-1]
         for item in items:
             kind = type(item)
             if kind is int:
-                slots.append(base + item)
+                slot = base + item
+                slots.append(slot)
+                calls += keys[slot] is not None
                 stepped = True
             elif kind is str:
                 forks.append(item)
@@ -396,12 +417,16 @@ def _compose(frag: _Fragment) -> tuple[list, list]:
                     tag = item
                     stepped = False
             elif item is None:
+                forks.append((me, calls))
                 stepped = True
             else:
-                child, rel = item
+                if len(item) == 3:
+                    forks.append((me, calls, item[2]))
+                rel = item[1]
                 slots.append(base + rel)
                 stepped = True
-                frames.append((iter(child.items), base + rel))
+                frames.append((iter(item[0].items), base + rel, calls))
+                calls += 1
                 break
         else:
             frames.pop()
@@ -476,7 +501,7 @@ def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> Ex
         frags[i] = shapes[i].fragment = _fragment(i, syms, solved, keys, frags)
 
     root_frag = frags[0]
-    sets, forks = _compose(root_frag)
+    sets, forks = _compose(root_frag, keys)
     linked = sorted(slot for slots, _ in sets for slot in slots)
     if linked != list(range(n)):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")

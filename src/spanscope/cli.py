@@ -7,19 +7,22 @@ so outputs are deterministic for fixed inputs and seed; wall-clock timings
 go to a separate timing.txt that is expected to differ between runs.
 
 `sample` writes one decision per trace to decisions.ndjson: a record of
-what `reconstruct` reads, the trace id, the entry function, the fork
-targets of the aligned path, the sorted kept span ids and "at", the
-replay call where each kept span goes. kept.ndjson holds the kept spans
-themselves. The per-set DSS reports stay in memory and are not stored.
-`sample` prints the stored bytes ratio, the bytes of those two files over
-the bytes of the trace file, and how many decisions leave the graph (their
-path skips or inserts a call), which will not rebuild exactly.
-`reconstruct` reads the two files in step, one decision and one kept record
-at a time, and checks that each kept record belongs to its decision's trace
-and holds the spans the decision lists; a kept record left over after the
-last decision is an error too, and so is a decision whose "at" places a
-kept span past the replay's calls or at a call of another function; each
-names its file and line. Lines rebuilt before an error stay written.
+what `reconstruct` reads, the trace id, the entry function, the forks of
+the aligned path, the sorted kept span ids and "at", the replay call where
+each kept span goes. kept.ndjson holds the kept spans themselves. The
+per-set DSS reports stay in memory and are not stored. Where the graph
+lags the code, align inserts a call the graph lacks or skips a call the
+trace does not make; "forks" then also holds each such edit, at its place
+in the path, and `reconstruct` replays it. `sample` prints the stored bytes
+ratio, the bytes of those two files over the bytes of the trace file, and
+how many decisions record edits, the one sign in a run that its graph lags
+the code. `reconstruct` reads the two files in step, one decision and one
+kept record at a time, and checks that each kept record belongs to its
+decision's trace and holds the spans the decision lists; a kept record left
+over after the last decision is an error too, and so is a decision whose
+"at" places a kept span past the replay's calls or at a call of another
+function, or whose edits do not fit its path; each names its file and line.
+Lines rebuilt before an error stay written.
 Each rebuilt trace is written as the rebuild placed it, from its records;
 its span objects are built only with --traces, for the fidelity report.
 
@@ -36,7 +39,7 @@ import os
 import sys
 
 from . import harness
-from .cscfg import Cscfg, build_cscfg, patch_with_traces
+from .cscfg import Cscfg, build_cscfg
 from .errors import ConfigError, DanglingCalleeError, MalformedDocumentError, SpanscopeError
 from .mapping import build_map, load_shared_dictionary
 from .model import bad_record, exclusive_durations, read_trace_file, span_from_dict
@@ -111,19 +114,12 @@ def cmd_build_graph(args) -> int:
         graph = build_cscfg(_read_text(args.graph))
     except (MalformedDocumentError, DanglingCalleeError) as exc:
         raise MalformedDocumentError(f"{args.graph}: bad call-graph document: {exc}") from exc
-    if args.patch:
-        mapping = _load_mapping(graph, args.shared_dict)
-        report = patch_with_traces(graph, read_trace_file(args.patch), mapping)
-        print(f"patched: {report.calls_added} calls as synthetic blocks, "
-              f"{report.unresolved_pairs} unresolved pairs")
     for fn in sorted(graph.functions):
         if not graph.has_body(fn):
             continue
         classes = graph.dominance(fn).classes()
         print(f"{fn}: {len(graph.blocks_of(fn))} blocks, "
               f"{len(classes)} mutual-dominance classes")
-    counts = graph.provenance_counts()
-    print("edge provenance: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     graph.freeze()
     graph.save_artifact(args.out)
     print(f"artifact written to {args.out}")
@@ -175,8 +171,8 @@ def cmd_sample(args) -> int:
     print(f"align cache: trace hits {paths['hits']}/{paths['hits'] + paths['misses']}, "
           f"invocation hits {solves['hits']}/{solves['hits'] + solves['misses']}, "
           f"subtree hits {subtrees['hits']}/{subtrees['hits'] + subtrees['misses']}")
-    print(f"{timing['decisions_leaving_graph']} of {timing['traces']} decisions leave the "
-          f"graph (skipped or inserted calls); they will not rebuild exactly")
+    print(f"{timing['decisions_leaving_graph']} of {timing['traces']} decisions record edits "
+          f"(calls the graph lacks or the trace skips)")
     return 0
 
 
@@ -315,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("build-graph", help="build and freeze a call-site graph artifact")
     pb.add_argument("--graph", required=True, help="call-graph document (JSON)")
     pb.add_argument("--out", required=True, help="artifact output path")
-    pb.add_argument("--patch", help="trace file whose missing calls become synthetic blocks")
-    pb.add_argument("--shared-dict", help="shared-library dictionary (JSON list)")
     pb.set_defaults(func=cmd_build_graph)
 
     ps = sub.add_parser("sample", help="run map/align/partition/select over traces")

@@ -1,12 +1,13 @@
-"""Call-site control flow graph: construction, dominance, runtime patching.
+"""Call-site control flow graph: construction, dominance, artifacts.
 
 The graph keeps only blocks that make calls. Each function contributes a
 small node graph consisting of a virtual entry node, a virtual exit node and
 its call-site blocks; flow edges are contracted across call-free blocks of
 the original control flow. A block's callees are its call edges: they link
 it to each callee's entry and are kept separate from flow edges, so
-dominance stays intraprocedural. A call seen at runtime that no block makes
-is patched in as a synthetic block of its own.
+dominance stays intraprocedural. The graph holds what the document states
+and nothing seen at run time: where a trace makes a call the graph lacks,
+or skips one it has, alignment records the edit with the trace's decision.
 
 A graph loaded from an artifact checks the whole artifact at load but reads
 each function's body (its blocks, flow edges and successors) from the parsed
@@ -22,7 +23,7 @@ neither, which is exactly (A dom B and B pdom A) or the converse.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -35,9 +36,6 @@ from .errors import (
 SHARED_SERVICE = "SHARED"
 
 SCHEMA_VERSION = 1
-
-PROV_STATIC = "static"
-PROV_DYNAMIC = "dynamic-patch"
 
 _ENTRY_SUFFIX = "#@entry"
 _EXIT_SUFFIX = "#@exit"
@@ -115,18 +113,17 @@ def exit_node(function_key: str) -> str:
 class Cscfg:
     """The shared code-knowledge substrate.
 
-    Built and patched, then frozen before alignment uses it; like the
-    pipeline that owns it, a graph is used from one thread. Subgraphs and
-    dominance results are cached per function and cleared by every
-    mutation; once frozen, a graph is not mutated.
+    Built, then frozen before alignment uses it; like the pipeline that
+    owns it, a graph is used from one thread. Subgraphs and dominance
+    results are cached per function and cleared by every mutation; once
+    frozen, a graph is not mutated.
 
     A graph from ``from_artifact_dict`` holds each function's parsed record
     until a per-function query (``blocks_of``, ``successors``, ``nodes_of``,
-    ``flow_edges_of``, ``subgraph``, ``dominance``, ``has_call_edge``)
-    first needs that body; reading a body is not a mutation, so it works on
-    a frozen graph. ``to_artifact_dict``, ``provenance_counts`` and every
-    mutation read all bodies first. Synthetic blocks, ``has_body`` and
-    ``knows`` come from load.
+    ``flow_edges_of``, ``subgraph``, ``dominance``) first needs that body;
+    reading a body is not a mutation, so it works on a frozen graph.
+    ``to_artifact_dict`` and every mutation read all bodies first.
+    ``has_body`` and ``knows`` come from load.
     """
 
     def __init__(self):
@@ -136,11 +133,8 @@ class Cscfg:
         self.blocks: dict[str, tuple[str, ...]] = {}
         self._fn_blocks: dict[str, list[str]] = {}
         self._succ: dict[str, dict[str, tuple[str, ...]]] = {}
-        self._flow_prov: dict[tuple[str, str], str] = {}
         self._frozen = False
         self._dom_cache: dict[str, DominanceInfo] = {}
-        # blocks patch_with_traces added; their calls are dynamic
-        self._synthetic_blocks: set[str] = set()
         self._sub_cache: dict[str, "FunctionSubgraph"] = {}
         # function key -> artifact record whose body is not read yet
         self._unread: dict[str, dict] = {}
@@ -168,12 +162,9 @@ class Cscfg:
             self._fn_blocks.setdefault(fn_key, [])
             self._succ[fn_key] = {entry_node(fn_key): (), exit_node(fn_key): ()}
 
-    def add_block(self, fn_key: str, block_id: str, callees: tuple[str, ...],
-                  provenance: str = PROV_STATIC) -> None:
+    def add_block(self, fn_key: str, block_id: str, callees: tuple[str, ...]) -> None:
         self._check_mutable()
         self._put_block(fn_key, block_id, callees)
-        if provenance == PROV_DYNAMIC:
-            self._synthetic_blocks.add(block_id)
 
     def _put_block(self, fn_key: str, block_id: str, callees) -> None:
         if not callees:
@@ -185,18 +176,16 @@ class Cscfg:
         self._fn_blocks[fn_key].append(block_id)
         self._succ[fn_key][block_id] = ()
 
-    def add_flow_edge(self, fn_key: str, src: str, dst: str,
-                      provenance: str = PROV_STATIC) -> None:
+    def add_flow_edge(self, fn_key: str, src: str, dst: str) -> None:
         self._check_mutable()
-        self._put_flow_edge(fn_key, src, dst, provenance)
+        self._put_flow_edge(fn_key, src, dst)
 
-    def _put_flow_edge(self, fn_key: str, src: str, dst: str, provenance: str) -> None:
+    def _put_flow_edge(self, fn_key: str, src: str, dst: str) -> None:
         succ = self._succ[fn_key]
         if src not in succ or dst not in succ:
             raise MalformedDocumentError(f"flow edge {src!r}->{dst!r} names unknown node")
         if dst not in succ[src]:
             succ[src] = tuple(sorted(succ[src] + (dst,)))
-            self._flow_prov[(src, dst)] = provenance
 
     def _read(self, fn_key: str) -> None:
         """Build fn_key's body from its artifact record; a no-op once read."""
@@ -205,8 +194,8 @@ class Cscfg:
             self._add_nodes_for(fn_key)
             for b in fn["blocks"]:
                 self._put_block(fn_key, b["id"], b["callees"])
-            for src, dst, prov in fn["edges"]:
-                self._put_flow_edge(fn_key, src, dst, prov)
+            for edge in fn["edges"]:
+                self._put_flow_edge(fn_key, edge[0], edge[1])
 
     def _read_all(self) -> None:
         for fn_key in list(self._unread):
@@ -246,12 +235,7 @@ class Cscfg:
     def flow_edges_of(self, fn_key: str):
         for src in self.nodes_of(fn_key):
             for dst in self.successors(fn_key, src):
-                yield src, dst, self._flow_prov.get((src, dst), PROV_STATIC)
-
-    def has_call_edge(self, caller_key: str, callee_key: str) -> bool:
-        self._read(caller_key)
-        blocks = self.blocks
-        return any(callee_key in blocks[bid] for bid in self._fn_blocks.get(caller_key, ()))
+                yield src, dst
 
     def subgraph(self, fn_key: str) -> "FunctionSubgraph":
         sub = self._sub_cache.get(fn_key)
@@ -266,16 +250,6 @@ class Cscfg:
         )
         self._sub_cache[fn_key] = sub
         return sub
-
-    def provenance_counts(self) -> dict[str, int]:
-        """Call and flow edges by provenance; a synthetic block's calls are dynamic."""
-        self._read_all()
-        synthetic = self._synthetic_blocks
-        counts = Counter()
-        for bid, callees in self.blocks.items():
-            counts[PROV_DYNAMIC if bid in synthetic else PROV_STATIC] += len(set(callees))
-        counts.update(self._flow_prov.values())
-        return dict(counts)
 
     # -- dominance -------------------------------------------------------
 
@@ -294,12 +268,9 @@ class Cscfg:
         for key in sorted(self._succ):
             fns.append({
                 "function": key,
-                "blocks": [
-                    {"id": bid, "callees": list(self.blocks[bid]),
-                     "synthetic": bid in self._synthetic_blocks}
-                    for bid in self._fn_blocks[key]
-                ],
-                "edges": [[src, dst, prov] for src, dst, prov in self.flow_edges_of(key)],
+                "blocks": [{"id": bid, "callees": list(self.blocks[bid])}
+                           for bid in self._fn_blocks[key]],
+                "edges": [[src, dst] for src, dst in self.flow_edges_of(key)],
             })
         return {
             "schema_version": SCHEMA_VERSION,
@@ -313,10 +284,12 @@ class Cscfg:
     def from_artifact_dict(cls, obj: dict) -> "Cscfg":
         """The graph of an artifact dict, with every function body unread.
 
-        Checks the whole artifact and builds the function index and the
-        synthetic blocks now; each body is built from its record (kept as
-        given, so obj must not change afterwards) on first use. An older
-        artifact's ``call_edges`` list may only restate its blocks' callees.
+        Checks the whole artifact and builds the function index now; each
+        body is built from its record (kept as given, so obj must not change
+        afterwards) on first use. An older artifact reads as the current one:
+        its ``call_edges`` list may only restate its blocks' callees, a
+        block's ``synthetic`` flag is ignored, and an edge's third item, its
+        provenance, too.
         """
         if obj.get("schema_version") != SCHEMA_VERSION or obj.get("kind") != "cscfg-artifact":
             raise MalformedDocumentError("not a cscfg artifact")
@@ -344,9 +317,10 @@ class Cscfg:
                     raise MalformedDocumentError(f"duplicate block id {bid!r}")
                 owner[bid] = key
                 calls[bid] = callees
-                if b.get("synthetic"):
-                    graph._synthetic_blocks.add(bid)
-            for src, dst, _prov in fn["edges"]:
+            for edge in fn["edges"]:
+                if type(edge) is not list or len(edge) not in (2, 3):
+                    raise MalformedDocumentError(f"flow edge {edge!r} is not [src, dst]")
+                src, dst = edge[0], edge[1]
                 if not ((src in known or owner.get(src) == key)
                         and (dst in known or owner.get(dst) == key)):
                     raise MalformedDocumentError(f"flow edge {src!r}->{dst!r} names unknown node")
@@ -587,95 +561,3 @@ def _bfs(root: str, adjacency: dict[str, list[str]]) -> set[str]:
                 seen.add(m)
                 dq.append(m)
     return seen
-
-
-@dataclass
-class PatchReport:
-    """Outcome of patching a graph with runtime traces."""
-
-    calls_added: int = 0
-    unresolved_pairs: int = 0
-
-
-def patch_with_traces(graph: Cscfg, traces, mapping) -> PatchReport:
-    """Add the calls observed at runtime that no block of the graph makes.
-
-    Each parent/child span pair that resolves to known functions, where no
-    block of the parent's function calls the child's, gets an optional,
-    repeatable synthetic block S calling the child's function. S follows the
-    parent's block whose callees' spans appear nearest before the child
-    span, or the entry node when none does: its edges are after->S, S->S
-    and S to each successor the node after had (to the exit when it had
-    none, as a function without a body), and after keeps its own edges.
-    Idempotent and monotone: blocks and edges are only added. Raises
-    GraphFrozenError on a frozen graph before it changes anything.
-    """
-    from .mapping import Unmapped  # local import to avoid a module cycle
-
-    # the caches of a frozen graph rely on it never changing, so refuse
-    # before anything is written
-    if graph.frozen:
-        raise GraphFrozenError("graph is frozen")
-    report = PatchReport()
-    for trace in traces:
-        resolved = {s.span_id: mapping.resolve(s) for s in trace.spans}
-        for parent in trace.spans:
-            rp = resolved[parent.span_id]
-            children = trace.child_spans(parent.span_id)
-            for child in children:
-                rc = resolved[child.span_id]
-                if isinstance(rp, Unmapped) or isinstance(rc, Unmapped):
-                    report.unresolved_pairs += 1
-                    continue
-                pkey, ckey = rp.key, rc.key
-                if not graph.knows(pkey) or not graph.knows(ckey):
-                    report.unresolved_pairs += 1
-                    continue
-                if graph.has_call_edge(pkey, ckey):
-                    continue
-                after = _patch_block_for(graph, pkey, child, children, resolved)
-                _add_patch_block(graph, pkey, after or entry_node(pkey), ckey)
-                report.calls_added += 1
-    return report
-
-
-def _patch_block_for(graph: Cscfg, parent_key: str, child, siblings, resolved):
-    """Block whose callees' spans appear nearest before the child span."""
-    from .mapping import Unmapped
-
-    best = None  # (sibling start_time, -ord, block_id)
-    for sib in siblings:
-        if sib.span_id == child.span_id or sib.start_time >= child.start_time:
-            continue
-        rs = resolved[sib.span_id]
-        if isinstance(rs, Unmapped):
-            continue
-        for bid in graph.blocks_of(parent_key):
-            if rs.key in graph.blocks[bid]:
-                cand = (sib.start_time, bid)
-                if best is None or cand[0] > best[0] or (cand[0] == best[0] and bid < best[1]):
-                    best = cand
-    return best[1] if best else None
-
-
-def _add_patch_block(graph: Cscfg, fn_key: str, after: str, callee_key: str) -> str:
-    """Add a synthetic block calling callee_key that may follow node after
-    any number of times, and return its id, `<fn_key>#patch<n>` with the
-    first n that no block of fn_key has."""
-    taken = set(graph.blocks_of(fn_key))
-    n = 0
-    while f"{fn_key}#patch{n}" in taken:
-        n += 1
-    block_id = f"{fn_key}#patch{n}"
-    ext = exit_node(fn_key)
-    succs = graph.successors(fn_key, after)
-    graph.add_block(fn_key, block_id, (callee_key,), provenance=PROV_DYNAMIC)
-    if not succs:
-        # the entry of a function without a body: it returns at once, and
-        # keeps doing so, as the call is not proven mandatory
-        succs = (ext,)
-        graph.add_flow_edge(fn_key, after, ext, provenance=PROV_DYNAMIC)
-    graph.add_flow_edge(fn_key, after, block_id, provenance=PROV_DYNAMIC)
-    for dst in (block_id,) + succs:
-        graph.add_flow_edge(fn_key, block_id, dst, provenance=PROV_DYNAMIC)
-    return block_id

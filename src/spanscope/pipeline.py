@@ -128,8 +128,8 @@ class SamplingPipeline:
         `subtree_cache` the subtree fragments found and aligned anew on
         whole-trace misses, `solve_cache` per-invocation solver hits and
         misses. `decisions_leaving_graph` counts the decisions whose path
-        leaves the graph (`ExecutionPath.leaves_graph`): they do not rebuild
-        exactly.
+        leaves the graph (`ExecutionPath.leaves_graph`), those that record
+        an edit: the one count in a run that shows its graph lags the code.
         """
         total = sum(self.timings.values())
         per_trace = total / self.traces_seen if self.traces_seen else 0.0

@@ -1,7 +1,9 @@
 """Rebuilds a full trace skeleton from sampled spans plus the graph.
 
 The execution path is replayed from the decision's entry function and its
-ordered fork records, and every call the path implies becomes a span: kept
+ordered fork records, with the edits align made where the graph lags the
+code (a call the graph lacks is inserted, a call the trace skips is
+dropped), and every call the path implies becomes a span: kept
 spans appear verbatim, the rest are inferred with durations filled from
 historical statistics (mean exclusive duration per function; the standard
 deviation rides along as an uncertainty annotation, the fill itself is
@@ -113,32 +115,21 @@ class ReconstructedTrace:
     """A rebuilt trace: its id and its spans, in preorder with orphans last.
 
     reconstruct writes each span's JSON record as it places the span, from
-    the replay's columns, and builds `spans` from the same columns only on
-    first read; writing a trace out never builds them. A trace made from its
-    spans, ReconstructedTrace(trace_id, spans), writes its records from them
-    through the same record writer. Two traces are equal when their ids and
-    spans are. Like Span, it is frozen: its slots are written only here.
+    the replay's columns, and hands both over: `records` are what
+    serialize() joins, and `spans` are built from the columns only on first
+    read, so writing a trace out never builds them. Two traces are equal
+    when their ids and spans are. Like Span, it is frozen: its slots are
+    written only here.
     """
 
     __slots__ = ("trace_id", "_spans", "_records", "_columns")
 
-    def __init__(self, trace_id: str, spans: tuple[ReconstructedSpan, ...]):
+    def __init__(self, trace_id: str, records: list[str], columns: tuple):
         _set = object.__setattr__
         _set(self, "trace_id", trace_id)
-        _set(self, "_spans", tuple(spans))
-        _set(self, "_records", None)
-        _set(self, "_columns", None)
-
-    @classmethod
-    def _placed(cls, trace_id: str, records: list[str], columns: tuple) -> ReconstructedTrace:
-        """A trace reconstruct placed: its records, and the columns its spans
-        are built from when first read."""
-        self = cls(trace_id, ())
-        _set = object.__setattr__
         _set(self, "_spans", None)
         _set(self, "_records", records)
         _set(self, "_columns", columns)
-        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to {name!r}: ReconstructedTrace is frozen")
@@ -159,15 +150,7 @@ class ReconstructedTrace:
     def serialize(self) -> str:
         """One JSON line: each span's record, then the trace id, as a
         sort_keys encoder with compact separators writes it."""
-        trace_id = self.trace_id
-        own_id = _json(trace_id)
-        records = self._records
-        if records is None:
-            records = [_record(trace_id, own_id, s.span_id, s.trace_id, s.parent_id,
-                               s.operation, s.service, s.start_time, s.duration,
-                               s.attributes, origin, source, std)
-                       for s, origin, _fn, source, std in self._spans]
-        return f'{{"spans":[{",".join(records)}],"trace_id":{own_id}}}'
+        return f'{{"spans":[{",".join(self._records)}],"trace_id":{_json(self.trace_id)}}}'
 
     def __eq__(self, other):
         if not isinstance(other, ReconstructedTrace):
@@ -210,7 +193,7 @@ def _fill(stat: dict | None) -> tuple:
     return max(0, int(round(stat["mean"]))), SOURCE_HISTORICAL, round(float(stat["std"]), 3)
 
 
-def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], placed: dict, boxes: dict,
+def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
             trace_id: str, keys: dict) -> tuple:
     """Walk the recorded path and list its calls in preorder.
 
@@ -222,16 +205,23 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], placed: dict, boxe
     no sampled span), natural width, and the _fill of an inferred call (None
     for a sampled one). Call i's children are i+1, end[i+1], ... up to end[i].
 
-    One generator per open function body walks its blocks. A fork takes the
-    next recorded branch (align records one at every fork it passes, so a
-    fork with none left is an error), and each call the body makes is
-    appended with the kept span recorded at its index. A callee with a body
-    gets a frame of its own, which runs to its end before the caller
-    resumes. A call is settled when its body is walked, or at once, from its
-    span (which holds its orphans) or its orphans' box and statistics, and
-    its children's settled values.
+    One generator per open function body walks its blocks, and reads the
+    recorded forks in order. A fork takes the next item, which must be a
+    branch (align records one at every fork it passes, so a fork with none
+    left is an error), and each call the body makes is appended with the
+    kept span recorded at its index. A callee with a body gets a frame of
+    its own, which runs to its end before the caller resumes. A call is
+    settled when its body is walked, or at once, from its span (which holds
+    its orphans) or its orphans' box and statistics, and its children's
+    settled values.
+
+    An edit (parent, index[, function]) is replayed where the walk of call
+    parent has listed index calls: before a call of a block, before a fork
+    and at the end of the body. An insertion appends a call of its function
+    there, and a skip drops the block's next call. A call of a function
+    without a body gets a frame, which replays only edits, when the next
+    item is an insertion under it.
     """
-    choices = iter(forks)
     fns: list[str] = []
     spans: list[Span | None] = []
     ends: list[int] = []
@@ -241,6 +231,17 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], placed: dict, boxe
     fills: list[tuple | None] = []
     budget = _WALK_BUDGET
     has_body, subgraph = graph.has_body, graph.subgraph
+    items = iter(forks)
+
+    def take() -> None:
+        """Moves to the next item; edit_at is the call index it applies at
+        when it is an edit, else -1."""
+        nonlocal head, edit_at
+        head = next(items, None)
+        edit_at = -1 if head is None or type(head) is str else head[1]
+
+    head = edit_at = None
+    take()
 
     def call(fn: str) -> bool:
         """Append a call; True when its body is still to walk, else it is settled."""
@@ -261,6 +262,8 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], placed: dict, boxe
         widths.append(0)
         fills.append(None)
         if has_body(fn):
+            return True
+        if edit_at == i + 1 and head[0] == i:
             return True
         settle(i)
         return False
@@ -290,12 +293,31 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], placed: dict, boxe
             width = max(width, hi - lo)
         widths[me] = width
 
+    def edits(me: int, before_call: bool):
+        """Replays the edits of call me at this point: yields each inserted
+        call whose body is to walk, and returns True when a skip drops the
+        block's next call (only before_call)."""
+        while edit_at == len(fns) and head[0] == me:
+            if len(head) == 2:
+                if not before_call:
+                    return False
+                take()
+                return True
+            fn = head[2]
+            take()
+            if call(fn):
+                yield len(fns) - 1
+        return False
+
     def walk(me: int):
         """Yields the index of each call whose body is to walk; settles `me` at its end."""
         nonlocal budget
         fn_key = fns[me]
-        sub = subgraph(fn_key)
-        node, exit_id, succ = sub.entry, sub.exit, sub.succ
+        if has_body(fn_key):
+            sub = subgraph(fn_key)
+            node, exit_id, succ, emissions = sub.entry, sub.exit, sub.succ, sub.emissions
+        else:
+            node = exit_id = None  # a frame for edits only
         while node != exit_id:
             budget -= 1
             if budget < 0:
@@ -306,16 +328,23 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], placed: dict, boxe
             if len(succs) == 1:
                 node = succs[0]
             else:
-                node = next(choices, None)
+                if edit_at == len(fns):
+                    yield from edits(me, False)
+                node = head
                 if node is None:
                     raise ReconstructionError("ran out of recorded branch choices")
                 if node not in succs:
                     raise ReconstructionError(f"recorded branch {node!r} is not a successor here")
+                take()
             if node == exit_id:
                 break
-            for callee in sub.emissions.get(node, ()):
+            for callee in emissions.get(node, ()):
+                if edit_at == len(fns) and (yield from edits(me, True)):
+                    continue
                 if call(callee):
                     yield len(fns) - 1
+        if edit_at == len(fns):
+            yield from edits(me, False)
         settle(me)
 
     if call(entry):
@@ -326,8 +355,15 @@ def _replay(graph: Cscfg, entry: str, forks: tuple[str, ...], placed: dict, boxe
                 stack.pop()
             else:
                 stack.append(walk(i))
-    if next(choices, None) is not None:
-        raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
+    if head is not None:
+        if type(head) is str:
+            raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
+        # a call without a body walked nothing unless an edit gave it calls
+        parent = head[0]
+        walked = parent < len(fns) and (has_body(fns[parent]) or ends[parent] > parent + 1)
+        raise ReconstructionError(
+            f"trace {trace_id!r}: recorded edit {list(head)} " +
+            ("is left unused" if walked else f"names call {parent}, which the walk never enters"))
     return fns, spans, ends, alo, ahi, widths, fills
 
 
@@ -450,7 +486,7 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     records += [_record(trace_id, own_id, o.span_id, o.trace_id, parent, o.operation,
                         o.service, o.start_time, o.duration, o.attributes, ORIGIN_SAMPLED)
                 for o, parent in placed_orphans]
-    return ReconstructedTrace._placed(
+    return ReconstructedTrace(
         trace_id, records, (fns, spans, los, his, fills, psids, functions, placed_orphans))
 
 

@@ -14,10 +14,13 @@ spans are sorted by Z, and only when a set has more of them than its quota;
 the ledger is read and the rest sorted only when the rest must be cut.
 
 A decision is stored as what rebuild reads: the trace id, the entry
-function, the fork targets of the aligned path, the sorted kept span ids
-and "at", the call where rebuild places each kept span, as an index into
-the preorder of the replay's calls: a mapped span's own call, an unmapped
-span's nearest mapped ancestor's. The per-set DSS reports and the
+function, the forks of the aligned path, the sorted kept span ids and "at",
+the call where rebuild places each kept span, as an index into the
+preorder of the replay's calls: a mapped span's own call, an unmapped
+span's nearest mapped ancestor's. The forks are fork targets (strings) and,
+where the path leaves the graph, align's edits (arrays): [parent call, call
+index, function key] for a call the graph lacks, [parent call, call index]
+for a call the trace skips. The per-set DSS reports and the
 effective ratio stay on the in-memory SamplingDecision; a record that
 carries them ("dss", "effective_ratio") reads the same, those two ignored.
 """
@@ -78,7 +81,7 @@ class SamplingDecision:
     entry: str | None  # function key of the root invocation
     dss_reports: tuple[DssReport, ...]
     effective_ratio: float
-    forks: tuple[str, ...]  # fork targets of the aligned path, in order
+    forks: tuple[str | tuple, ...]  # fork targets and edits of the aligned path, in order
     at: tuple[int, ...]  # replay call of each kept span, parallel to kept
     kept_keys: tuple[str, ...] = ()  # span-type keys of kept spans, for the ledger
 
@@ -94,26 +97,43 @@ def decision_from_dict(obj: dict) -> SamplingDecision:
     """A decision from its stored record, without DSS reports; keys that
     rebuild does not read are ignored. A record without "forks" or "at" is
     refused, as rebuild has no other way to the path or the kept spans'
-    calls; so is one whose forks or kept ids are not lists of strings, or
-    whose "at" is not one call index per kept id."""
+    calls; so is one whose kept ids are not a list of strings, whose forks
+    are not a list of strings and edits, or whose "at" is not one call index
+    per kept id. A bad edit is named."""
     trace_id, entry, forks = obj["trace_id"], obj.get("entry"), obj["forks"]
     kept, at = obj["kept"], obj["at"]
     # both are used as keys, so an unhashable value would fail far from here
     if type(trace_id) is not str or not (entry is None or type(entry) is str):
         raise TypeError("trace_id must be a string and entry a string or null")
     # a string would read as its characters, and other values fail in the replay
-    if not (_strings(forks) and _strings(kept)):
+    if not (type(forks) is list and _strings(kept)):
         raise TypeError("forks and kept must be lists of strings")
-    # bool is an int subclass, so compare the type itself
-    if type(at) is not list or len(at) != len(kept) or \
-            not all(type(i) is int and i >= 0 for i in at):
+    if not _indexes(at) or len(at) != len(kept):
         raise TypeError('"at" must be a list of one call index (an int >= 0) per kept id')
     # a record holds no DSS reports and no ratio
-    return SamplingDecision(trace_id, tuple(kept), entry, (), 0.0, tuple(forks), tuple(at))
+    return SamplingDecision(trace_id, tuple(kept), entry, (), 0.0,
+                            tuple(f if type(f) is str else _edit(f) for f in forks), tuple(at))
 
 
 def _strings(value) -> bool:
     return type(value) is list and all(type(v) is str for v in value)
+
+
+def _indexes(value) -> bool:
+    # bool is an int subclass, so compare the type itself
+    return type(value) is list and all(type(i) is int and i >= 0 for i in value)
+
+
+def _edit(value) -> tuple:
+    """An edit of the forks: [parent call, call index] or [parent call,
+    call index, function key], call indexes as ints >= 0."""
+    if type(value) is not list:
+        raise TypeError("forks and kept must be lists of strings")
+    if not (2 <= len(value) <= 3 and _indexes(value[:2])
+            and (len(value) == 2 or type(value[2]) is str)):
+        raise TypeError(f"fork {value!r} is not an edit [parent call, call index] or "
+                        "[parent call, call index, function key]")
+    return tuple(value)
 
 
 class LrsLedger:

@@ -153,3 +153,38 @@ def random_cscfg_doc(rng: random.Random, max_blocks=10, allow_cycles=True):
         entry="b0", exits=sorted(exit_set),
         external=sorted({f"x:Leaf.c{i}" for i in ids}),
     )
+
+
+def add_repeatable_call(doc, fn, after, callee) -> str:
+    """Write into doc an optional, repeatable block of fn that calls callee.
+
+    The block may follow block `after` (None: fn's start) any number of
+    times, then goes on as `after` does; `after` keeps its own edges. Its
+    id is the first `patch<n>` that fn's blocks leave free, which it
+    returns. Where after is None, a call-free block `<id>-from` becomes
+    fn's entry, and goes on to the old entry or, in a function without
+    blocks, returns.
+    """
+    function = next(f for f in doc["functions"] if f["function"] == fn)
+    blocks = function.setdefault("blocks", [])
+    edges = function.setdefault("flow_edges", [])
+    exits = function.setdefault("exits", [])
+    taken = {b["id"] for b in blocks}
+    n = 0
+    while f"patch{n}" in taken:
+        n += 1
+    block = f"patch{n}"
+    if after is None:
+        after = f"{block}-from"
+        blocks.append({"id": after, "callees": []})
+        if function.get("entry") is None:
+            exits.append(after)
+        else:
+            edges.append([after, function["entry"]])
+        function["entry"] = after
+    succs = [dst for src, dst in edges if src == after]
+    blocks.append({"id": block, "callees": [callee]})
+    edges += [[after, block], [block, block]] + [[block, dst] for dst in succs]
+    if after in exits:
+        exits.append(block)
+    return block

@@ -826,10 +826,13 @@ class _Walker:
     placed maps a preorder call index to the kept span recorded there and
     its function key. choices supplies fork decisions; when it runs dry the
     walk either follows a recorded script exactly (replay mode raises) or
-    surfaces the open fork to the caller (search mode). run() keeps one
-    generator frame per open invocation on an explicit stack and stops as
-    soon as any frame surfaces an open fork. `nodes` lists the calls in
-    preorder.
+    surfaces the open fork to the caller (search mode). A recorded script
+    may hold edits, (parent, index) and (parent, index, function): every
+    call gets a frame, which applies the edits at the head of the script
+    that name it while it has listed index calls, before each call of a
+    block, before each fork and at its end. run() keeps one generator frame
+    per open invocation on an explicit stack and stops as soon as any frame
+    surfaces an open fork. `nodes` lists the calls in preorder.
     """
 
     def __init__(self, graph, placed, choices, strict, trace_id):
@@ -871,8 +874,25 @@ class _Walker:
         self.pending_fork = tuple(sorted(succs))
         return None
 
-    def _walk_into(self, fn_key, holder):
+    def _edits(self, me, holder, before_call):
+        """Applies the script's edits of call me here: yields each inserted
+        call as run() takes it, and returns True when a skip drops the
+        block's next call (only before_call)."""
+        choices = self.choices
+        while choices and type(choices[0]) is tuple and choices[0][:2] == (me, len(self.nodes)):
+            if len(choices[0]) == 2:
+                if before_call:
+                    choices.popleft()
+                return before_call
+            callee = choices.popleft()[2]
+            child = self._node(callee, None)
+            holder.children.append(child)
+            yield callee, child, len(self.nodes) - 1
+        return False
+
+    def _walk_into(self, fn_key, holder, me):
         if not self.graph.has_body(fn_key):
+            yield from self._edits(me, holder, False)
             return
         sub = self.graph.subgraph(fn_key)
         node = sub.entry
@@ -886,20 +906,24 @@ class _Walker:
             if len(succs) == 1:
                 node = succs[0]
             else:
+                yield from self._edits(me, holder, False)
                 node = self._choose(succs)
                 if node is None:
                     return  # surface the open fork
             if node == sub.exit:
                 break
             for callee in sub.emissions.get(node, ()):
+                if (yield from self._edits(me, holder, True)):
+                    continue
                 child = self._node(callee, node)
                 holder.children.append(child)
-                yield callee, child
+                yield callee, child, len(self.nodes) - 1
+        yield from self._edits(me, holder, False)
 
     def run(self, entry_key):
         """The walked tree, or None when the walk stopped at an open fork."""
         root = self._node(entry_key, None)
-        stack = [self._walk_into(entry_key, root)]
+        stack = [self._walk_into(entry_key, root, 0)]
         while stack:
             call = next(stack[-1], None)
             if self.pending_fork is not None:
@@ -917,7 +941,16 @@ def _derive_replay(graph, entry_key, forks, placed, trace_id):
     walker = _Walker(graph, placed, forks, strict=True, trace_id=trace_id)
     walker.run(entry_key)
     if walker.choices:
-        raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
+        head = walker.choices[0]
+        if type(head) is str:
+            raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
+        # a call without a body walked nothing unless an edit gave it calls
+        nodes, parent = walker.nodes, head[0]
+        walked = parent < len(nodes) and (graph.has_body(nodes[parent].fn)
+                                          or bool(nodes[parent].children))
+        raise ReconstructionError(
+            f"trace {trace_id!r}: recorded edit {list(head)} " +
+            ("is left unused" if walked else f"names call {parent}, which the walk never enters"))
     return walker.nodes
 
 
@@ -1038,6 +1071,11 @@ def _oracle_place(root, lo: int, hi: int) -> None:
         stack.extend(kids)
 
 
+# a rebuilt trace as oracle_reconstruct gives it: its id and its
+# ReconstructedSpans, which a ReconstructedTrace's `spans` must equal
+OracleRebuilt = namedtuple("OracleRebuilt", "trace_id spans")
+
+
 def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping, search=False,
                        recursive=False):
     """reconstruct() on a node tree, from the walker above.
@@ -1139,11 +1177,12 @@ def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping, search
             dataclasses.replace(orphan, parent_id=parent)
         rspans.append(recon.ReconstructedSpan(span, recon.ORIGIN_SAMPLED, None))
 
-    return recon.ReconstructedTrace(trace_id, tuple(rspans))
+    return OracleRebuilt(trace_id, tuple(rspans))
 
 
 def oracle_serialize(rebuilt) -> str:
-    """One rebuilt trace as a JSON line, keys sorted by the encoder."""
+    """One rebuilt trace, or an OracleRebuilt, as a JSON line, keys sorted
+    by the encoder."""
     import json
 
     records = []
@@ -1167,6 +1206,9 @@ def oracle_serialize(rebuilt) -> str:
 # the step it follows. Forks are not recorded here: reference_step_forks finds
 # them by rescanning those moves against the graph's out-degrees, and
 # partition and the decision's fork record are checked against that rescan.
+# Edits are numbered here from the steps alone: each step knows the slot of
+# the span whose invocation made it, and the mapped spans are counted as
+# their steps come.
 
 
 class _SymCall:
@@ -1324,10 +1366,12 @@ KIND_INSERT = "insert"
 KIND_SKIP = "skip"
 
 # one step of reference_align: its kind, block, callee and slot, then the
-# (function, source, target) flow moves taken after it
-ReferenceStep = namedtuple("ReferenceStep", "kind block_id callee slot moves",
-                           defaults=((),))
-# a reference_align result: its ReferenceSteps, cost, insertions and forks
+# (function, source, target) flow moves taken after it, and the slot of the
+# span whose invocation made it (None for the entry)
+ReferenceStep = namedtuple("ReferenceStep", "kind block_id callee slot moves owner",
+                           defaults=((), None))
+# a reference_align result: its ReferenceSteps, cost, insertions and forks,
+# edits included
 ReferencePath = namedtuple("ReferencePath", "steps cost insertions forks")
 
 
@@ -1337,26 +1381,27 @@ def reference_step_forks(graph, step) -> tuple:
     return tuple(dst for fn, src, dst in step.moves if len(graph.successors(fn, src)) > 1)
 
 
-def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot, steps,
-                               cache):
-    """Realize one invocation's alignment into `steps`.
+def _reference_emit_invocation(graph, trace, fn_key, owner, children, resolutions, slot,
+                               steps, cache):
+    """Realize the alignment of the invocation of slot owner into `steps`.
 
-    A generator: yields (callee key, child spans) for each nested invocation,
-    which the caller emits completely before resuming this one, and returns
-    this invocation's own (cost, insertions).
+    A generator: yields (callee key, slot, child spans) for each nested
+    invocation, which the caller emits completely before resuming this one,
+    and returns this invocation's own (cost, insertions).
     """
     from spanscope.errors import NoPathError
 
     syms = _build_symbols(trace, children, resolutions)
 
     def emit_insert(sym):
-        steps.append(ReferenceStep(KIND_INSERT, None, None, slot[sym.span.span_id]))
+        steps.append(ReferenceStep(KIND_INSERT, None, None, slot[sym.span.span_id],
+                                   owner=owner))
 
     if not graph.has_body(fn_key):
         for sym in syms:
             emit_insert(sym)
             if isinstance(sym, _SymCall):
-                yield sym.ref.key, sym.children
+                yield sym.ref.key, slot[sym.span.span_id], sym.children
         return len(syms), len(syms)
 
     sym_fn = tuple(s.ref.key if isinstance(s, _SymCall) else None for s in syms)
@@ -1369,16 +1414,17 @@ def _reference_emit_invocation(graph, trace, fn_key, children, resolutions, slot
         if act[0] == "match":
             _, node, callee, idx = act
             sym = syms[idx]
-            steps.append(ReferenceStep(KIND_MATCH, node, callee, slot[sym.span.span_id]))
-            yield sym.ref.key, sym.children
+            steps.append(ReferenceStep(KIND_MATCH, node, callee, slot[sym.span.span_id],
+                                       owner=owner))
+            yield sym.ref.key, slot[sym.span.span_id], sym.children
         elif act[0] == "skip":
             _, node, callee = act
-            steps.append(ReferenceStep(KIND_SKIP, node, callee, None))
+            steps.append(ReferenceStep(KIND_SKIP, node, callee, None, owner=owner))
         elif act[0] == "ins":
             sym = syms[act[1]]
             emit_insert(sym)
             if isinstance(sym, _SymCall):
-                yield sym.ref.key, sym.children
+                yield sym.ref.key, slot[sym.span.span_id], sym.children
         else:
             _, src, dst = act
             steps[-1] = steps[-1]._replace(moves=steps[-1].moves + ((fn_key, src, dst),))
@@ -1392,7 +1438,8 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     graph knows, and ValueError when given a cache with a graph that is not
     frozen. Every slot of the trace's preorder lies on exactly one step. The
     result is a ReferencePath of ReferenceSteps, whose forks are
-    reference_step_forks of every step; oracle_partition cuts it into sets.
+    reference_step_forks of every step with each step's edit before them;
+    oracle_partition cuts it into sets.
     `cache` is a PathCache of its own: this aligner reads and writes only its
     whole-trace and solve maps.
     """
@@ -1423,25 +1470,39 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     # one frame per open invocation; a nested one runs to its end before its
     # caller resumes, so steps land in the order a recursive walk gives
     cost = ins = 0
-    stack = [_reference_emit_invocation(graph, trace, r.key, trace.child_spans(root.span_id),
-                                        resolutions, slot, steps, cache)]
+    stack = [_reference_emit_invocation(graph, trace, r.key, slot[root.span_id],
+                                        trace.child_spans(root.span_id), resolutions, slot,
+                                        steps, cache)]
     while stack:
         try:
-            fn_key, children = next(stack[-1])
+            fn_key, owner, children = next(stack[-1])
         except StopIteration as done:
             stack.pop()
             cost += done.value[0]
             ins += done.value[1]
         else:
-            stack.append(_reference_emit_invocation(graph, trace, fn_key, children,
+            stack.append(_reference_emit_invocation(graph, trace, fn_key, owner, children,
                                                     resolutions, slot, steps, cache))
 
     linked = sorted(s.slot for s in steps if s.slot is not None)
     if linked != list(range(len(trace))):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
-    forks = tuple(f for step in steps for f in reference_step_forks(graph, step))
-    path = ReferencePath(tuple(steps), cost, ins, forks)
+    # each step's edit, then the forks after it; a mapped span's call is its
+    # place among the mapped steps
+    forks = []
+    calls = {}
+    for step in steps:
+        if step.kind == KIND_SKIP:
+            forks.append((calls[step.owner], len(calls)))
+        elif step.slot is not None:
+            res = resolutions[trace.preorder[step.slot].span_id]
+            if not isinstance(res, Unmapped):
+                if step.kind == KIND_INSERT:
+                    forks.append((calls[step.owner], len(calls), res.key))
+                calls[step.slot] = len(calls)
+        forks += reference_step_forks(graph, step)
+    path = ReferencePath(tuple(steps), cost, ins, tuple(forks))
     if cache is not None:
         cache.store(sig, path)
     return path

@@ -5,13 +5,14 @@ import pytest
 
 import spanscope.align as align_mod
 from spanscope.align import TRUNK_TAG, PathCache, _solve, align, trace_signature
-from spanscope.cscfg import FunctionRef, _add_patch_block, build_cscfg
+from spanscope.cscfg import FunctionRef, build_cscfg
 from spanscope.errors import NoPathError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import Unmapped, build_map
 from spanscope.partition import partition
 
 from .conftest import (
+    add_repeatable_call,
     align_trace,
     make_span,
     make_trace,
@@ -25,7 +26,7 @@ from .oracles import (
     reference_align,
     reference_solve,
 )
-from .test_cscfg import drifted_patched_graph
+from .test_cscfg import drifted_graph_with_repeatable_blocks
 from .test_partition import oracle_inputs
 
 FN = "svc:Main.run"
@@ -264,9 +265,10 @@ class TestOptimality:
         # Main inserts the URL span; Inner.h skips the unwitnessed Y.opt call
         assert (path.cost, path.insertions) == (2, 1)
         # r, h, the skip of Y.opt, d, then u; entering Inner.h forks into ca,
-        # which cuts after h and tags the set of d and u
+        # which cuts after h and tags the set of d and u. The skip is an edit:
+        # call 1 (h) skips the call that would have been call 2, which d is
         assert path.sets == (((0, 1), TRUNK_TAG), ((2, 3), f"{inner}#ca"))
-        assert path.forks == (f"{inner}#ca",)
+        assert path.forks == (f"{inner}#ca", (1, 2))
         assert _solve(graph, inner, ("svc:X.deep",)) == \
             (1, 0, (("fork", f"{inner}#ca"), ("skip",), ("match", 0)))
 
@@ -491,13 +493,14 @@ def reference_inputs(which):
                 if which == "small-40" else SystemSpec(seed=5))
         doc, meta = generate_system(spec)
         traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 200)]
-        graph = build_cscfg(doc) if which == "small-40" else drifted_patched_graph()
+        graph = build_cscfg(doc) if which == "small-40" else \
+            drifted_graph_with_repeatable_blocks()
         return graph.freeze(), build_map(graph), traces
     return oracle_inputs(which)
 
 
 def patched_matches(ref) -> int:
-    """Matches of a reference path on a synthetic block's call."""
+    """Matches of a reference path on a repeatable block's call."""
     return sum(1 for s in ref.steps if s.kind == "match" and "#patch" in s.block_id)
 
 
@@ -572,8 +575,9 @@ class TestComposedPathReference:
 
 
 def random_solver_graph(seed):
-    """Random loop-carrying function graphs with synthetic blocks, and a line
-    of six mandatory blocks so that some invocations have no path."""
+    """Random loop-carrying function graphs with optional, repeatable blocks,
+    and a line of six mandatory blocks so that some invocations have no
+    path."""
     rng = random.Random(seed)
     functions, external = [], set()
     for k in range(8):
@@ -589,13 +593,13 @@ def random_solver_graph(seed):
         "entry": "l0", "exits": ["l5"],
     })
     external.update(f"x:Leaf.c{i}" for i in range(10))
-    graph = build_cscfg({"schema_version": 1, "functions": functions,
-                         "external_functions": sorted(external)})
+    doc = {"schema_version": 1, "functions": functions, "external_functions": sorted(external)}
     leaves = sorted(external)
-    for block_id in sorted(graph.blocks):
+    for block_id in sorted(build_cscfg(doc).blocks):
         if rng.random() < 0.3:
-            _add_patch_block(graph, block_id.rsplit("#", 1)[0], block_id, rng.choice(leaves))
-    return graph.freeze(), leaves
+            fn, local = block_id.rsplit("#", 1)
+            add_repeatable_call(doc, fn, local, rng.choice(leaves))
+    return build_cscfg(doc).freeze(), leaves
 
 
 def solve_projected(graph, fn, solved):
@@ -619,14 +623,14 @@ def solve_projected(graph, fn, solved):
 
 
 def tie_graph(blocks, edges, entry, exits, patched=()):
-    """A frozen graph of FN alone, with a synthetic block after each
+    """A frozen graph of FN alone, with a repeatable block after each
     (block, callee) of patched."""
-    graph = build_cscfg(single_function_doc(
+    doc = single_function_doc(
         fn=FN, blocks=[{"id": b, "callees": [f"svc:X.{c}" for c in cs]} for b, cs in blocks],
-        edges=edges, entry=entry, exits=exits))
+        edges=edges, entry=entry, exits=exits)
     for block, callee in patched:
-        _add_patch_block(graph, FN, f"{FN}#{block}", f"svc:X.{callee}")
-    return graph.freeze()
+        add_repeatable_call(doc, FN, block, f"svc:X.{callee}")
+    return build_cscfg(doc).freeze()
 
 
 # equal-cost choices the move preference settles: (graph, symbols, expected)
@@ -644,8 +648,8 @@ TIES = {
                   [["s", "b"], ["b", "t"], ["s", "t"]], "s", ["t"]),
         ("svc:X.a", None, "svc:X.c"),
         (2, 1, (("fork", f"{FN}#b"), ("match", 0), ("skip",), ("ins", 1), ("match", 2)))),
-    # a synthetic block after b0 calls X.b, the next block's static callee:
-    # the fork to b1 wins over the fork to the synthetic block, as its id,
+    # a repeatable block after b0 calls X.b, the next block's callee: the
+    # fork to b1 wins over the fork to the repeatable block, as its id,
     # FN#b1, is the smaller
     "patched-or-next-static": (
         tie_graph([("b0", "a"), ("b1", "b"), ("t", "")],

@@ -6,8 +6,6 @@ import random
 import pytest
 
 from spanscope.cscfg import (
-    PROV_DYNAMIC,
-    PROV_STATIC,
     Cscfg,
     FunctionRef,
     _dominator_sets,
@@ -16,7 +14,6 @@ from spanscope.cscfg import (
     entry_node,
     exit_node,
     parse_function_key,
-    patch_with_traces,
 )
 from spanscope.errors import (
     DanglingCalleeError,
@@ -29,7 +26,7 @@ from spanscope.mapping import Unmapped, build_map
 from spanscope.pipeline import SamplingPipeline
 from spanscope.sampler import SamplingConfig
 
-from .conftest import make_span, make_trace, random_cscfg_doc, single_function_doc
+from .conftest import add_repeatable_call, random_cscfg_doc, single_function_doc
 from .oracles import oracle_dom_sets, oracle_equiv_classes, oracle_pdom_sets
 
 FN = "svc:Main.run"
@@ -235,7 +232,10 @@ class TestDominance:
 
 
 class TestPatch:
-    def _patched_setup(self):
+    """A built graph changed by add_block and add_flow_edge: its caches
+    follow the change, and a frozen graph refuses it."""
+
+    def _setup(self):
         doc = single_function_doc(
             fn=FN,
             blocks=[blk("b0", "svc:Sub.known")],
@@ -246,150 +246,47 @@ class TestPatch:
                 {"function": "svc:Remote.bar"},
             ],
         )
-        graph = build_cscfg(doc)
-        mapping = build_map(graph)
-        spans = [
-            make_span("r", operation="Main.run", start=0, duration=100),
-            make_span("k", parent="r", operation="Sub.known", start=5, duration=10),
-            make_span("b", parent="r", operation="Remote.bar", start=30, duration=10),
-        ]
-        return graph, mapping, make_trace(spans)
+        return build_cscfg(doc)
 
-    def test_patch_adds_dynamic_edge(self):
-        graph, mapping, trace = self._patched_setup()
-        report = patch_with_traces(graph, [trace], mapping)
-        assert report.calls_added == 1
-        # placed after the block whose callee span precedes the child, which
-        # keeps its own edges; the new block may repeat, then goes on as b0 did
-        patch, b0, ext = f"{FN}#patch0", f"{FN}#b0", exit_node(FN)
-        assert graph.blocks[patch] == ("svc:Remote.bar",)
-        assert graph.has_call_edge(FN, "svc:Remote.bar")
-        assert graph.successors(FN, b0) == (ext, patch)
-        assert graph.successors(FN, patch) == (ext, patch)
-        assert graph.dominance(FN).mandatory == {b0}
-        assert graph.provenance_counts() == {PROV_DYNAMIC: 4, PROV_STATIC: 3}
+    def add_repeatable_call(self, graph):
+        """An optional, repeatable block after b0 that calls Remote.bar."""
+        block, b0, ext = f"{FN}#x", f"{FN}#b0", exit_node(FN)
+        graph.add_block(FN, block, ("svc:Remote.bar",))
+        for src, dst in ((b0, block), (block, block), (block, ext)):
+            graph.add_flow_edge(FN, src, dst)
+        return block
 
     def test_subgraph_sees_edges_added_after_it_was_built(self):
-        graph, mapping, trace = self._patched_setup()
-        assert f"{FN}#patch0" not in graph.subgraph(FN).emissions
-        patch_with_traces(graph, [trace], mapping)
-        assert graph.subgraph(FN).emissions[f"{FN}#patch0"] == ("svc:Remote.bar",)
-
-    def test_patch_idempotent_and_monotone(self):
-        graph, mapping, trace = self._patched_setup()
-        patch_with_traces(graph, [trace], mapping)
-        before = graph.to_artifact_dict()
-        report = patch_with_traces(graph, [trace], mapping)
-        assert report.calls_added == 0
-        assert graph.to_artifact_dict() == before
-
-    def test_all_static_edges_leave_graph_unchanged(self):
-        graph, mapping, _ = self._patched_setup()
-        spans = [
-            make_span("r", operation="Main.run", start=0, duration=100),
-            make_span("k", parent="r", operation="Sub.known", start=5, duration=10),
-        ]
-        report = patch_with_traces(graph, [make_trace(spans)], mapping)
-        assert report.calls_added == 0
-
-    def test_unresolvable_child_counted_not_fatal(self):
-        graph, mapping, _ = self._patched_setup()
-        spans = [
-            make_span("r", operation="Main.run", start=0, duration=100),
-            make_span("u", parent="r", operation="GET /api/x", start=5, duration=10),
-        ]
-        report = patch_with_traces(graph, [make_trace(spans)], mapping)
-        assert report.calls_added == 0
-        assert report.unresolved_pairs == 1
-
-    def test_synthetic_block_when_no_sibling_anchor(self):
-        doc = single_function_doc(
-            fn=FN, blocks=[blk("b0", "svc:Sub.known")], edges=[],
-            entry="b0", exits=["b0"],
-            extra_functions=[{"function": "svc:Sub.known"}, {"function": "svc:Remote.bar"}],
-        )
-        graph = build_cscfg(doc)
-        mapping = build_map(graph)
-        spans = [
-            make_span("r", operation="Main.run", start=0, duration=100),
-            make_span("b", parent="r", operation="Remote.bar", start=3, duration=10),
-        ]
-        report = patch_with_traces(graph, [make_trace(spans)], mapping)
-        assert report.calls_added == 1
-        patch, b0 = f"{FN}#patch0", f"{FN}#b0"
-        assert graph.successors(FN, entry_node(FN)) == (b0, patch)
-        assert graph.successors(FN, patch) == (b0, patch)
-        assert graph.successors(FN, b0) == (exit_node(FN),)
-        # the call is not proven mandatory
-        assert compute_dominance(graph, FN).mandatory == {b0}
-
-    def test_a_call_from_a_function_without_a_body_is_optional(self):
-        graph, mapping, _ = self._patched_setup()
-        spans = [
-            make_span("r", operation="Main.run", start=0, duration=100),
-            make_span("k", parent="r", operation="Sub.known", start=5, duration=50),
-            make_span("b", parent="k", operation="Remote.bar", start=10, duration=10),
-        ]
-        assert not graph.has_body("svc:Sub.known")
-        assert patch_with_traces(graph, [make_trace(spans)], mapping).calls_added == 1
-        sub, patch = "svc:Sub.known", "svc:Sub.known#patch0"
-        assert graph.successors(sub, entry_node(sub)) == (exit_node(sub), patch)
-        assert graph.successors(sub, patch) == (exit_node(sub), patch)
-        assert graph.dominance(sub).mandatory == frozenset()
-
-    def test_a_synthetic_block_takes_the_first_free_patch_name(self):
-        # the document's own block is named patch0, and a second call needs
-        # a second synthetic block
-        doc = single_function_doc(
-            fn=FN, blocks=[blk("patch0", "svc:Sub.known")], edges=[],
-            entry="patch0", exits=["patch0"],
-            extra_functions=[{"function": "svc:Sub.known"}, {"function": "svc:Remote.bar"},
-                             {"function": "svc:Remote.baz"}],
-        )
-        graph = build_cscfg(doc)
-        spans = [
-            make_span("r", operation="Main.run", start=0, duration=100),
-            make_span("k", parent="r", operation="Sub.known", start=5, duration=10),
-            make_span("b", parent="r", operation="Remote.bar", start=30, duration=10),
-            make_span("z", parent="r", operation="Remote.baz", start=50, duration=10),
-        ]
-        assert patch_with_traces(graph, [make_trace(spans)], build_map(graph)).calls_added == 2
-        assert {b: graph.blocks[b] for b in graph.blocks_of(FN)} == {
-            f"{FN}#patch0": ("svc:Sub.known",),
-            f"{FN}#patch1": ("svc:Remote.bar",),
-            f"{FN}#patch2": ("svc:Remote.baz",),
-        }
+        graph = self._setup()
+        assert f"{FN}#x" not in graph.subgraph(FN).emissions
+        block = self.add_repeatable_call(graph)
+        sub = graph.subgraph(FN)
+        assert sub.emissions[block] == ("svc:Remote.bar",)
+        assert sub.succ[f"{FN}#b0"] == (exit_node(FN), block)
 
     def test_dominance_recomputed_after_patch(self):
-        graph, mapping, trace = self._patched_setup()
-        before = compute_dominance(graph, FN)
-        spans = [
-            make_span("r", operation="Main.run", start=0, duration=100),
-            make_span("b", parent="r", operation="Remote.bar", start=3, duration=10),
-        ]
-        patch_with_traces(graph, [make_trace(spans)], mapping)
+        graph = self._setup()
+        before = graph.dominance(FN)
+        self.add_repeatable_call(graph)
         after = graph.dominance(FN)
         assert set(after.equiv_class) > set(before.equiv_class)
+        # the new call is not mandatory
+        assert after.mandatory == before.mandatory == {f"{FN}#b0"}
 
     def test_frozen_graph_rejects_patch(self):
-        graph, mapping, trace = self._patched_setup()
-        graph.freeze()
+        graph = self._setup().freeze()
         with pytest.raises(GraphFrozenError):
-            patch_with_traces(graph, [trace], mapping)
+            self.add_repeatable_call(graph)
+        with pytest.raises(GraphFrozenError):
+            graph.add_flow_edge(FN, f"{FN}#b0", f"{FN}#b0")
 
     def test_a_refused_patch_leaves_the_frozen_graph_unchanged(self):
-        # Sub.known has no body, so its call would need a synthetic block
-        graph, mapping, _ = self._patched_setup()
-        graph.freeze()
+        # Sub.known has no body, and a frozen graph refuses to give it one
+        graph = self._setup().freeze()
         before = graph.to_artifact_dict()
         assert graph.nodes_of("svc:Sub.known") == []
-        spans = [
-            make_span("r", operation="Main.run", start=0, duration=100),
-            make_span("k", parent="r", operation="Sub.known", start=5, duration=50),
-            make_span("b", parent="k", operation="Remote.bar", start=10, duration=10),
-        ]
         with pytest.raises(GraphFrozenError):
-            patch_with_traces(graph, [make_trace(spans)], mapping)
+            graph.add_block("svc:Sub.known", "svc:Sub.known#x", ("svc:Remote.bar",))
         assert graph.nodes_of("svc:Sub.known") == []
         assert graph.to_artifact_dict() == before
 
@@ -408,38 +305,54 @@ def merged_random_doc(seeds):
             "external_functions": sorted(external)}
 
 
-def drifted_patched_graph():
-    """A generated system whose graph lags its traffic, patched from 200 traces.
+def drifted_graph_with_repeatable_blocks():
+    """A generated system whose graph lags its traffic, with optional,
+    repeatable blocks written into its document.
 
-    The bodies of the functions the entry calls are missing and one call of
-    the entry is dropped, so patching adds synthetic blocks after entry
-    nodes, static blocks and other synthetic blocks.
+    The bodies of the functions the entry calls are missing, and one call of
+    the entry is dropped. Each of those functions gets a chain of repeatable
+    blocks from its start, one per function its body called, and the entry
+    gets one for the dropped call after the block it was dropped from. So
+    the graph has repeatable blocks after entry nodes, static blocks and
+    other repeatable blocks.
     """
-    spec = SystemSpec(seed=5)
-    doc, meta = generate_system(spec)
-    traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 200)]
+    doc, meta = generate_system(SystemSpec(seed=5))
     drifted = copy.deepcopy(doc)
     records = {fn["function"]: fn for fn in drifted["functions"]}
     entry = records[meta.entry]
+    stripped = {}
     for block in entry["blocks"]:
         for callee in block["callees"]:
-            if records[callee].get("blocks"):
-                records[callee]["blocks"] = []
+            record = records[callee]
+            if record.get("blocks"):
+                stripped[callee] = dict.fromkeys(c for b in record["blocks"]
+                                                 for c in b["callees"])
+                record.clear()
+                record["function"] = callee
     last = next(b for b in reversed(entry["blocks"]) if len(b["callees"]) > 1)
-    last["callees"].pop()
-    graph = build_cscfg(drifted)
-    report = patch_with_traces(graph, traces, build_map(graph))
-    assert report.calls_added > 0
-    return graph
+    dropped = last["callees"].pop()
+    for fn, callees in stripped.items():
+        after = None
+        for callee in callees:
+            after = add_repeatable_call(drifted, fn, after, callee)
+    add_repeatable_call(drifted, meta.entry, last["id"], dropped)
+    return build_cscfg(drifted)
 
 
 def in_older_format(artifact):
-    """The artifact as older versions wrote it: a call_edges list that
-    restates each block's callees, with the block's provenance."""
+    """The artifact as older versions wrote it: each block flagged synthetic
+    or not, each edge with its provenance, and a call_edges list that
+    restates each block's callees with its block's provenance."""
     out = copy.deepcopy(artifact)
-    out["call_edges"] = sorted([b["id"], c, PROV_DYNAMIC if b["synthetic"] else PROV_STATIC]
-                               for fn in artifact["graphs"] for b in fn["blocks"]
-                               for c in b["callees"])
+    call_edges = []
+    for fn in out["graphs"]:
+        for b in fn["blocks"]:
+            b["synthetic"] = "#patch" in b["id"]
+            call_edges += [[b["id"], c, "dynamic-patch" if b["synthetic"] else "static"]
+                           for c in b["callees"]]
+        fn["edges"] = [[src, dst, "dynamic-patch" if "#patch" in src + dst else "static"]
+                       for src, dst in fn["edges"]]
+    out["call_edges"] = sorted(call_edges)
     return out
 
 
@@ -450,8 +363,6 @@ def answers(graph, keys, shape):
     query has to read the body first. The first query asked rotates with the
     key, so each kind of query is the first to read some body.
     """
-    every = sorted(graph.functions) + sorted(graph.external)
-
     def dominance(fn):
         info = graph.dominance(fn)
         return info.mandatory, info.equiv_class
@@ -467,7 +378,6 @@ def answers(graph, keys, shape):
             lambda: {("flow_edges_of", fn): list(graph.flow_edges_of(fn))},
             lambda: {("subgraph", fn): graph.subgraph(fn)},
             lambda: {("dominance", fn): dominance(fn)} if blocks else {},
-            lambda: {("has_call_edge", fn, c): graph.has_call_edge(fn, c) for c in every},
         ]
         k = i % len(asks)
         for ask in asks[k:] + asks[:k]:
@@ -477,12 +387,13 @@ def answers(graph, keys, shape):
 
 @pytest.fixture(scope="module")
 def eager_graphs():
-    """(graph, artifact dicts that load to it): random shapes, then a patched system."""
+    """(graph, artifact dicts that load to it): random shapes, then a system
+    with repeatable blocks."""
     random_graph = build_cscfg(merged_random_doc(range(12)))
-    patched = drifted_patched_graph()
+    looped = drifted_graph_with_repeatable_blocks()
     return [
         (random_graph, [random_graph.to_artifact_dict()]),
-        (patched, [patched.to_artifact_dict(), in_older_format(patched.to_artifact_dict())]),
+        (looped, [looped.to_artifact_dict(), in_older_format(looped.to_artifact_dict())]),
     ]
 
 
@@ -509,14 +420,11 @@ class TestLazyLoad:
                 assert got == expected
                 # reading a body is not a mutation: cached subgraphs survive it
                 assert all(loaded.subgraph(fn) is sub for fn, sub in subgraphs.items())
-                assert loaded.provenance_counts() == eager.provenance_counts()
                 assert loaded.to_artifact_dict() == eager.to_artifact_dict()
 
     def test_whole_graph_readers_and_mutations_read_every_body(self, eager_graphs):
         eager, (artifact, older) = eager_graphs[1]
         for source in (artifact, older):
-            assert Cscfg.from_artifact_dict(copy.deepcopy(source)).provenance_counts() == \
-                eager.provenance_counts()
             assert Cscfg.from_artifact_dict(copy.deepcopy(source)).to_artifact_dict() == \
                 eager.to_artifact_dict()
             loaded = Cscfg.from_artifact_dict(copy.deepcopy(source))
@@ -604,7 +512,8 @@ def test_load_rejects_a_bad_artifact_and_names_it(tmp_path, case):
 
 
 # an artifact as older versions wrote it, by hand: b0 calls Sub.g, and a
-# synthetic block after it calls Sub.h; call_edges restates both calls
+# synthetic block after it calls Sub.h; call_edges restates both calls, and
+# each edge carries its provenance
 MAIN_B0, MAIN_PATCH = f"{FN}#b0", f"{FN}#patch0"
 OLDER_ARTIFACT = {
     "schema_version": 1, "kind": "cscfg-artifact",
@@ -625,12 +534,21 @@ OLDER_ARTIFACT = {
 
 
 def test_an_older_artifact_whose_call_edges_restate_its_blocks_loads_to_the_same_graph():
-    current = {k: v for k, v in OLDER_ARTIFACT.items() if k != "call_edges"}
+    # the same graph as the current format writes it: [src, dst] edges, and
+    # a synthetic block is an ordinary block
+    current = {**OLDER_ARTIFACT, "graphs": [{
+        "function": FN,
+        "blocks": [{"id": b["id"], "callees": b["callees"]}
+                   for b in OLDER_ARTIFACT["graphs"][0]["blocks"]],
+        "edges": [edge[:2] for edge in OLDER_ARTIFACT["graphs"][0]["edges"]],
+    }]}
+    del current["call_edges"]
     older = Cscfg.from_artifact_dict(copy.deepcopy(OLDER_ARTIFACT))
-    assert older.to_artifact_dict() == Cscfg.from_artifact_dict(current).to_artifact_dict() \
-        == current
+    fresh = Cscfg.from_artifact_dict(copy.deepcopy(current))
+    assert older.to_artifact_dict() == fresh.to_artifact_dict() == current
+    assert older.subgraph(FN) == fresh.subgraph(FN)
     assert older.subgraph(FN).emissions[MAIN_PATCH] == ("svc:Sub.h",)
-    assert older.provenance_counts() == {PROV_STATIC: 3, PROV_DYNAMIC: 4}
+    assert older.dominance(FN) == fresh.dominance(FN)
 
 
 def test_load_refuses_a_dynamic_call_edge_on_a_static_block_and_names_it(tmp_path):

@@ -1,26 +1,28 @@
 """Graphs that lag the code: drift mutators over call-graph documents, and the
-rebuild property they break.
+rebuild property that holds on them.
 
 Traffic comes from the true document and the graph from an edited copy, as
 when static analysis misses a call or the code moved on after the graph was
-built.
+built. Each decision records align's edits, the calls the graph lacks or
+the trace skips, and rebuilds from them.
 """
 
 import copy
+import json
 
 import pytest
 
 from spanscope import cli
-from spanscope.cscfg import build_cscfg, patch_with_traces
+from spanscope.cscfg import build_cscfg
 from spanscope.errors import SpanscopeError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import build_map
 from spanscope.model import serialize_trace
 from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import reconstruct, structural_fidelity
-from spanscope.sampler import SamplingConfig
+from spanscope.sampler import SamplingConfig, decision_from_dict
 
-from .test_cscfg import drifted_patched_graph
+from .test_cscfg import drifted_graph_with_repeatable_blocks
 
 
 def _block(doc, fn, block_id):
@@ -74,6 +76,17 @@ def drop_arm(doc, fn, src, dst):
     function["blocks"] = [b for b in function["blocks"] if b["id"] in reached]
     function["flow_edges"] = [e for e in function["flow_edges"] if e[0] in reached]
     function["exits"] = [e for e in function["exits"] if e in reached]
+    return out
+
+
+def strip_body(doc, fn):
+    """A copy of doc in which fn makes no call: the graph then holds fn
+    without a body, as when the extractor resolves none of its calls."""
+    out = copy.deepcopy(doc)
+    function = next(f for f in out["functions"] if f["function"] == fn)
+    if not any(b["callees"] for b in function.get("blocks", ())):
+        raise ValueError(f"{fn} makes no call")
+    out["functions"][out["functions"].index(function)] = {"function": fn}
     return out
 
 
@@ -133,19 +146,13 @@ DRIFTS = {
     "add-a-call": lambda doc: add_call(doc, ENTRY, "b3", "svc03:C5.op5"),
     "drop-an-arm": lambda doc: drop_arm(doc, ENTRY, "b0", "b4"),
 }
-# a drift whose graph is patched from the first PATCH_TRACES traces of its traffic
-PATCHED = {f"{name}-patched": name for name in ("add-a-call", "drop-a-call", "move-a-call")}
-PATCH_TRACES = 200
-# ROADMAP item 13: a call the graph does not make where the code does is an
-# insertion, and the rebuild walk never enters an inserted call. Patching adds
-# only calls that no block makes, so the moved call stays an insertion. A call
-# the graph makes where the code does not is skipped by align, but the walk
-# emits it and walks its body with forks that belong to later calls; patching
-# adds nothing there.
-ITEM_13 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 13")
-FAILING = {"add-a-call", "add-a-call-patched", "drop-a-call", "move-a-call",
-           "move-a-call-patched"}
-ALL_DRIFTS = sorted(DRIFTS) + sorted(PATCHED)
+# three functions with a body on the default system's common paths
+for _fn in ("svc00:C5.op5", "svc00:C4.op4", "svc02:C6.op6"):
+    DRIFTS[f"strip-{_fn}"] = lambda doc, fn=_fn: strip_body(doc, fn)
+ALL_DRIFTS = sorted(DRIFTS)
+# the drifts whose written decisions need no edit: the graph holds every call
+# of the traces it can explain
+IN_STEP = {"none", "drop-an-arm"}
 
 
 def drift_inputs(drift):
@@ -154,10 +161,7 @@ def drift_inputs(drift):
     spec = SystemSpec()
     doc, meta = generate_system(spec)
     traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
-    graph = build_cscfg(DRIFTS[PATCHED.get(drift, drift)](doc))
-    if drift in PATCHED:
-        patch_with_traces(graph, traces[:PATCH_TRACES], build_map(graph))
-    return graph.freeze(), traces
+    return build_cscfg(DRIFTS[drift](doc)).freeze(), traces
 
 
 def rebuild_failures(graph, traces):
@@ -198,8 +202,11 @@ def first(broken):
     return next(f"{tid}: {line}" for tid, line in broken.items())
 
 
-@pytest.mark.parametrize("drift", [pytest.param(name, marks=ITEM_13 if name in FAILING else ())
-                                   for name in ALL_DRIFTS])
+def has_edit(decision) -> bool:
+    return any(type(f) is not str for f in decision.forks)
+
+
+@pytest.mark.parametrize("drift", ALL_DRIFTS)
 def test_every_written_decision_rebuilds_or_fails_at_sample_time(drift):
     """A decision that sample writes rebuilds on the same graph, with every
     kept span unchanged and the original's structure; a trace the graph
@@ -211,14 +218,16 @@ def test_every_written_decision_rebuilds_or_fails_at_sample_time(drift):
 
 @pytest.mark.parametrize("drift", ALL_DRIFTS)
 def test_every_written_decision_rebuilds_exactly_or_is_counted(drift):
-    """sample counts exactly the written decisions that will not rebuild
-    exactly, those whose path leaves the graph; it counts none where the
-    graph holds every call of the traffic."""
+    """sample counts exactly the written decisions whose path leaves the
+    graph, those whose record carries an edit, and each of them rebuilds
+    exactly; it counts none where the graph holds every call of the traffic."""
     pipeline, results, broken = rebuild_failures(*drift_inputs(drift))
     counted = {r.trace.trace_id for r in results if r.path.leaves_graph}
     assert pipeline.timing_report()["decisions_leaving_graph"] == len(counted)
-    assert counted == set(broken)
-    assert bool(counted) == (drift in FAILING)
+    records = [decision_from_dict(json.loads(r.decision.serialize())) for r in results]
+    assert counted == {d.trace_id for d in records if has_edit(d)}
+    assert not broken
+    assert bool(counted) == (drift not in IN_STEP)
 
 
 @pytest.mark.parametrize("drift", ["none", "drop-a-call"])
@@ -232,18 +241,19 @@ def test_sample_prints_how_many_decisions_leave_the_graph(drift, tmp_path, capsy
                      str(tmp_path / "traces.ndjson"), "--out", str(tmp_path / "out")]) == 0
     pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig())
     leaving = sum(pipeline.process(t).path.leaves_graph for t in traces)
-    assert (leaving > 0) == (drift in FAILING)
+    assert (leaving > 0) == (drift not in IN_STEP)
     assert capsys.readouterr().out.splitlines()[-1] == (
-        f"{leaving} of 60 decisions leave the graph (skipped or inserted calls); "
-        "they will not rebuild exactly")
+        f"{leaving} of 60 decisions record edits (calls the graph lacks or the trace skips)")
 
 
 def test_every_decision_on_the_drifted_patched_graph_rebuilds_exactly():
-    """Its traffic: the 200 traces the graph was patched from, then 100 more."""
+    """A drifted graph patched in its document with optional, repeatable
+    blocks, which follow entry nodes, static blocks and each other; its
+    traffic still leaves it in places."""
     spec = SystemSpec(seed=5)
     doc, meta = generate_system(spec)
     traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
-    pipeline, results, broken = rebuild_failures(drifted_patched_graph().freeze(), traces)
+    _pipeline, results, broken = rebuild_failures(
+        drifted_graph_with_repeatable_blocks().freeze(), traces)
     assert len(results) == len(traces)
     assert not broken, f"{len(broken)} of {len(results)} written decisions: {first(broken)}"
-    assert pipeline.timing_report()["decisions_leaving_graph"] == 0

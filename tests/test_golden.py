@@ -2,10 +2,11 @@
 
 Each case is a small run of one benchmark system: its graph, 200 traces of
 its traffic with the default fault windows, then `sample` and `reconstruct`
-through `cli.main`. One more run starts from a graph that lags the code and
-is patched by `build-graph --patch`. A change that moves a decision, a kept
-span, a statistic or a rebuilt span fails here. When a change means to move
-them, say why and update the hashes with it.
+through `cli.main`. One more run starts from a graph that `build-graph`
+builds from a document that lags the code, so that its decisions record
+align's edits, and every trace still rebuilds exactly. A change that moves a
+decision, a kept span, a statistic or a rebuilt span fails here. When a
+change means to move them, say why and update the hashes with it.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from spanscope import cli, harness
 from spanscope.cscfg import build_cscfg
 from spanscope.model import serialize_trace
 
-from .test_drift import DRIFTS
+from .test_drift import DRIFTS, strip_body
 
 N_TRACES = 200
 TRAFFIC_SEED = 5
@@ -84,41 +85,41 @@ def test_sample_and_reconstruct_write_the_golden_bytes(tmp_path, system):
     assert got == GOLDEN[system]
 
 
-# the default system's graph without one call its traffic makes, patched by
-# build-graph from the first PATCH_TRACES traces of that traffic
-PATCH_TRACES = 100
+# the default system's graph without one call its traffic makes, and
+# without the body of the function that call calls
 DRIFTED = {
-    "graph.json": "fdc421ffad8451c3796a867d07968dc814f03fbe00afec69289de8989e2d1c66",
-    "decisions.ndjson": "03bbd206c01bc0134700abac8f8172b9ade382a1943d66a6138d9df8bf5544b7",
-    "kept.ndjson": "4da25650907c757623a1835ce468b09a48cf984360c0aab5bd869a7ba3b34379",
+    "graph.json": "49a9558ff52b79673fb50d589a910a024d06d801c815ef874559ce45a9b929c9",
+    "decisions.ndjson": "dd702cf383778fe0fd066043bf98a4165cae09d62ff31e1038c623b7ffa9f63c",
+    "kept.ndjson": "f5fea33401ef53a715bd3fe5937b428bee370a451af530c1afe8b56af743a45b",
     "stats.json": "e56caf2fa85bdc6bbfe300ed49d66783550c7a9f204529990e601e68d0b4e1d5",
     "reconstructed.ndjson":
-        "7d61e6558a9fd1f1965258779088f6b8b5f5dc205b06ed4b830d2fa3ae5bb6b4",
-    "fidelity.json": "bb849d338c7e33b4b47a112c2f1a8bb9f65769b9c56a6d7d49a36964b746dda8",
+        "74e26948fe1d9edb91c4fadc1d289a01ec0c8fc295a86c3401247ff90a2034ee",
+    "fidelity.json": "98d5ade330496568a06e01a1bb59504e850381897274be110c00a0e27f82c93b",
 }
 
 
-def test_a_graph_patched_by_build_graph_rebuilds_every_trace_exactly(tmp_path, capsys):
+def test_a_lagging_graph_built_by_build_graph_rebuilds_every_trace_exactly(tmp_path, capsys):
     spec = harness.SystemSpec()
     doc, meta = harness.generate_system(spec)
     faults = harness.make_default_faults(meta, N_TRACES)
     samples = harness.generate_traces(build_cscfg(doc), meta, replace(spec, seed=TRAFFIC_SEED),
                                       N_TRACES, faults)
-    lines = [serialize_trace(s.trace) + "\n" for s in samples]
-    doc_path, patch_path, trace_path = (tmp_path / name for name in
-                                        ("doc.json", "patch.ndjson", "traces.ndjson"))
-    doc_path.write_text(json.dumps(DRIFTS["drop-a-call"](doc)), encoding="utf-8")
-    patch_path.write_text("".join(lines[:PATCH_TRACES]), encoding="utf-8")
-    trace_path.write_text("".join(lines), encoding="utf-8")
+    doc_path, trace_path = tmp_path / "doc.json", tmp_path / "traces.ndjson"
+    doc_path.write_text(json.dumps(strip_body(DRIFTS["drop-a-call"](doc), "svc00:C5.op5")),
+                        encoding="utf-8")
+    trace_path.write_text("".join(serialize_trace(s.trace) + "\n" for s in samples),
+                          encoding="utf-8")
 
     out = tmp_path / "out"
     graph_path = str(out / "graph.json")
     out.mkdir()
-    assert cli.main(["build-graph", "--graph", str(doc_path), "--patch", str(patch_path),
-                     "--out", graph_path]) == 0
+    assert cli.main(["build-graph", "--graph", str(doc_path), "--out", graph_path]) == 0
     assert cli.main(["sample", "--graph", graph_path, "--traces", str(trace_path),
                      "--out", str(out), "--ratio", "0.3"]) == 0
-    capsys.readouterr()
+    edited = capsys.readouterr().out.splitlines()[-1]
+    assert edited.endswith(f"of {N_TRACES} decisions record edits "
+                           "(calls the graph lacks or the trace skips)")
+    assert int(edited.split()[0]) > 0
     assert cli.main(["reconstruct", "--graph", graph_path,
                      "--decisions", str(out / "decisions.ndjson"),
                      "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),

@@ -185,7 +185,8 @@ class TestPartition:
         path = align_trace(graph, trace, mapping)
         assert (path.cost, path.insertions) == (1, 0)
         assert path.sets == (((0, 1), TRUNK_TAG), ((2,), f"{FN}#c"))
-        assert path.forks == (f"{FN}#b", f"{FN}#c")
+        # the skip of X.b by call 0 is an edit, where call 2 would have been
+        assert path.forks == (f"{FN}#b", (0, 2), f"{FN}#c")
         ref = reference_align(graph, trace, mapping)
         assert partition(path, trace) == oracle_partition(ref, graph, trace)
 

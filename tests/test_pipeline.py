@@ -13,7 +13,7 @@ from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import structural_fidelity
 from spanscope.sampler import SamplingConfig
 
-from .conftest import make_span, make_trace, single_function_doc
+from .conftest import single_function_doc
 
 # many trace shapes and URL wrapper spans, so the trace-level cache misses
 # often and the invocation-level cache does the work
@@ -428,6 +428,46 @@ def test_reconstruct_names_a_decision_whose_recorded_calls_do_not_fit(
     assert len(rebuilt) == k
 
 
+# each appends one fork to a decision's record, and the error text it gives
+BAD_EDITS = {
+    "one-item": ([0], "bad decision record: TypeError: fork [0] is not an edit"),
+    "four-items": ([0, 1, "svc:A.f", 2], "TypeError: fork [0, 1, 'svc:A.f', 2] is not an edit"),
+    "object": ({"parent": 0}, "TypeError: forks and kept must be lists of strings"),
+    "bool-index": ([0, True], "TypeError: fork [0, True] is not an edit"),
+    "negative-parent": ([-1, 1], "TypeError: fork [-1, 1] is not an edit"),
+    "float-index": ([0, 1.0], "TypeError: fork [0, 1.0] is not an edit"),
+    "string-index": ([0, "1"], "TypeError: fork [0, '1'] is not an edit"),
+    "key-not-a-string": ([0, 1, 5], "TypeError: fork [0, 1, 5] is not an edit"),
+    "parent-never-walked": ([999, 1, "svc:A.f"],
+                            "recorded edit [999, 1, 'svc:A.f'] names call 999, "
+                            "which the walk never enters"),
+    "left-unused": ([0, 999], "recorded edit [0, 999] is left unused"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EDITS))
+def test_reconstruct_names_a_decision_whose_edits_do_not_fit(workload, tmp_path, capsys, case):
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 3)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()
+    edit, text = BAD_EDITS[case]
+    record = json.loads(lines[1])
+    record["forks"].append(edit)
+    decisions = tmp_path / "decisions.ndjson"
+    decisions.write_text("\n".join([lines[0], json.dumps(record), lines[2]]) + "\n",
+                         encoding="utf-8")
+    dest = tmp_path / "rebuilt"
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--graph", graph_path, "--decisions", str(decisions),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                     "--out", str(dest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {decisions}:2: ") and text in err, err
+    assert len((dest / "reconstructed.ndjson").read_text(encoding="utf-8").splitlines()) == 1
+
+
 def test_reconstruct_builds_no_span_per_rebuilt_call(workload, tmp_path, monkeypatch):
     """Without --traces nothing reads a rebuilt trace's span objects, so the
     only spans made are the kept spans parsed from kept.ndjson."""
@@ -494,7 +534,7 @@ def test_stats_export_writes_the_snapshot_sample_writes(workload, tmp_path):
 
 
 @pytest.mark.parametrize("fault", ["truncated", "dangling-parent", "bool-time"])
-@pytest.mark.parametrize("command", ["sample", "stats-export", "reconstruct", "build-graph"])
+@pytest.mark.parametrize("command", ["sample", "stats-export", "reconstruct"])
 def test_a_bad_trace_line_is_named_by_file_and_line(workload, tmp_path, capsys, command,
                                                     fault):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 50)
@@ -524,8 +564,6 @@ def test_a_bad_trace_line_is_named_by_file_and_line(workload, tmp_path, capsys, 
                         "--decisions", str(out / "decisions.ndjson"),
                         "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
                         "--traces", str(bad), "--out", str(tmp_path / "rebuilt")],
-        "build-graph": ["build-graph", "--graph", str(doc), "--patch", str(bad),
-                        "--out", str(tmp_path / "g.json")],
     }[command]
     capsys.readouterr()
     assert cli.main(argv) == 1
@@ -670,30 +708,28 @@ def test_build_graph_names_a_malformed_call_graph_document(tmp_path, capsys, edi
         assert_names_the_bad_file(capsys, code, bad)
 
 
-def test_build_graph_prints_the_patch_and_provenance_counts(tmp_path, capsys):
-    # Main.run calls Sub.known only; the trace adds a call to Remote.bar
-    # after Sub.known's block in Main.run, one from the body-less Sub.known
-    # (each a synthetic block) and a URL span that resolves to no function
+def test_build_graph_prints_each_body_and_the_artifact(tmp_path, capsys):
+    # Main.run calls Sub.known from one block; Sub.known has no body
     doc = single_function_doc(
         fn="svc:Main.run", blocks=[{"id": "b0", "callees": ["svc:Sub.known"]}],
-        entry="b0", exits=["b0"],
-        extra_functions=[{"function": "svc:Sub.known"}, {"function": "svc:Remote.bar"}])
-    trace = make_trace([
-        make_span("r", operation="Main.run", start=0, duration=100),
-        make_span("k", parent="r", operation="Sub.known", start=5, duration=20),
-        make_span("kb", parent="k", operation="Remote.bar", start=6, duration=10),
-        make_span("b", parent="r", operation="Remote.bar", start=30, duration=10),
-        make_span("u", parent="r", operation="GET /x", start=50, duration=10),
-    ])
-    doc_path, patch_path, out = tmp_path / "doc.json", tmp_path / "t.ndjson", tmp_path / "g.json"
+        entry="b0", exits=["b0"], extra_functions=[{"function": "svc:Sub.known"}])
+    doc_path, out = tmp_path / "doc.json", tmp_path / "g.json"
     doc_path.write_text(json.dumps(doc), encoding="utf-8")
-    patch_path.write_text(serialize_trace(trace) + "\n", encoding="utf-8")
-    assert cli.main(["build-graph", "--graph", str(doc_path), "--patch", str(patch_path),
-                     "--out", str(out)]) == 0
+    assert cli.main(["build-graph", "--graph", str(doc_path), "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "patched: 2 calls as synthetic blocks, 1 unresolved pairs",
-        "svc:Main.run: 2 blocks, 2 mutual-dominance classes",
-        "svc:Sub.known: 1 blocks, 1 mutual-dominance classes",
-        "edge provenance: dynamic-patch=9, static=3",
+        "svc:Main.run: 1 blocks, 1 mutual-dominance classes",
         f"artifact written to {out}",
     ]
+    artifact = json.loads(out.read_text(encoding="utf-8"))
+    main = next(g for g in artifact["graphs"] if g["function"] == "svc:Main.run")
+    assert main["blocks"] == [{"id": "svc:Main.run#b0", "callees": ["svc:Sub.known"]}]
+    assert main["edges"] == [["svc:Main.run#@entry", "svc:Main.run#b0"],
+                             ["svc:Main.run#b0", "svc:Main.run#@exit"]]
+
+
+@pytest.mark.parametrize("flag", [["--patch", "traces.ndjson"], ["--shared-dict", "d.json"]])
+def test_build_graph_rejects_removed_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build-graph", "--graph", "doc.json", "--out", str(tmp_path / "g.json")]
+                 + flag)
+    assert exc.value.code == 2

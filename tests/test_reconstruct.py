@@ -4,7 +4,7 @@ import json
 import pytest
 
 import spanscope.reconstruct as recon
-from spanscope.cscfg import build_cscfg, patch_with_traces
+from spanscope.cscfg import build_cscfg
 from spanscope.errors import ReconstructionError, SpanscopeError
 from spanscope.harness import (
     SystemSpec,
@@ -19,48 +19,63 @@ from spanscope.pipeline import SamplingPipeline, _calls
 from spanscope.reconstruct import (
     ORIGIN_INFERRED,
     ORIGIN_SAMPLED,
-    ReconstructedTrace,
     reconstruct,
     structural_fidelity,
 )
 from spanscope.sampler import SamplingConfig, SamplingDecision, decision_from_dict
 
-from .conftest import align_trace, comfort_economy_system
+from .conftest import add_repeatable_call, align_trace, comfort_economy_system
 from .oracles import (
     OracleAmbiguousPathError,
+    OracleRebuilt,
     oracle_decision_serialize,
     oracle_reconstruct,
     oracle_serialize,
     oracle_structural_fidelity,
 )
-from .test_drift import drop_call
+from .test_drift import DRIFTS, strip_body
 from .test_golden import SYSTEMS
+
+
+# drifts whose decisions record edits: move-a-call inserts a call with a
+# body and skips one; the other inserts a call whose function has no body in
+# the graph, but calls others at run time
+EDITING_DRIFTS = {
+    "move-a-call": DRIFTS["move-a-call"],
+    "drop-a-call-and-its-body": lambda doc: strip_body(DRIFTS["drop-a-call"](doc),
+                                                       "svc00:C5.op5"),
+}
 
 
 def sampled_workload(seed, n, ratio):
     """A generated system's traces through a fresh pipeline, with its stats snapshot.
 
-    seed None picks the deep-chain system; otherwise URL wrapper spans occur
-    and stay unmapped.
+    seed None picks the deep-chain system, and the name of one of
+    EDITING_DRIFTS the default system, whose traces run on the graph of that
+    drift; otherwise URL wrapper spans occur and stay unmapped.
     """
     if seed is None:
         spec = SystemSpec(seed=5, url_span_probability=0.0)
         doc, meta = variable_depth_system()
+    elif seed in EDITING_DRIFTS:
+        spec = SystemSpec()
+        doc, meta = generate_system(spec)
     else:
         spec = SystemSpec(seed=seed, n_services=6, n_functions_per_service=8,
                           branch_probability=0.3, url_span_probability=0.1)
         doc, meta = generate_system(spec)
-    graph = build_cscfg(doc)
     traces = [s.trace for s in
-              generate_traces(graph, meta, spec, n, make_default_faults(meta, n))]
+              generate_traces(build_cscfg(doc), meta, spec, n, make_default_faults(meta, n))]
+    graph = build_cscfg(EDITING_DRIFTS[seed](doc) if seed in EDITING_DRIFTS else doc)
     mapping = build_map(graph)
     pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=ratio))
     results = [pipeline.process(t) for t in traces]
     return spec, mapping, pipeline, results, pipeline.stats_snapshot()
 
 
-# 1,100 traces; URL wrapper spans in the generated systems stay unmapped
-WORKLOADS = [(7, 300, 0.3), (11, 300, 0.3), (23, 300, 0.3), (None, 200, 0.1)]
+# 1,500 traces; URL wrapper spans in the generated systems stay unmapped
+WORKLOADS = [(7, 300, 0.3), (11, 300, 0.3), (23, 300, 0.3), (None, 200, 0.1),
+             ("move-a-call", 200, 0.3), ("drop-a-call-and-its-body", 200, 0.3)]
 
 
 @pytest.mark.parametrize("seed,n,ratio", WORKLOADS)
@@ -72,7 +87,7 @@ def test_layout_matches_the_recursive_reference(seed, n, ratio):
         kept = [result.trace.span(sid) for sid in result.decision.kept]
         expected = oracle_reconstruct(result.decision, kept, pipeline.graph, stats, mapping,
                                       recursive=True)
-        assert rebuilt == expected, result.trace.trace_id
+        assert rebuilt.spans == expected.spans, result.trace.trace_id
         with_orphans += any(isinstance(mapping.resolve(s), Unmapped) for s in kept)
         inferred += len(rebuilt.inferred())
     assert inferred > 0
@@ -83,14 +98,14 @@ def test_layout_matches_the_recursive_reference(seed, n, ratio):
 @pytest.mark.parametrize("seed,n,ratio", WORKLOADS)
 def test_rebuilt_bytes_match_the_two_pass_reference(seed, n, ratio):
     spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
-    with_orphans = 0
+    with_orphans = edited = 0
     for result in results:
         # the decision as the reconstruct command reads it back
         decision = decision_from_dict(json.loads(result.decision.serialize()))
         kept = [result.trace.span(sid) for sid in decision.kept]
         rebuilt = reconstruct(decision, kept, pipeline.graph, stats, mapping)
         expected = oracle_reconstruct(decision, kept, pipeline.graph, stats, mapping)
-        assert rebuilt == expected, decision.trace_id
+        assert rebuilt.spans == expected.spans, decision.trace_id
         line = rebuilt.serialize()
         assert line == oracle_serialize(expected), decision.trace_id
         # an older decision record, with the DSS reports, reads as the stored
@@ -99,8 +114,10 @@ def test_rebuilt_bytes_match_the_two_pass_reference(seed, n, ratio):
         assert old == decision
         assert reconstruct(old, kept, pipeline.graph, stats, mapping).serialize() == line
         with_orphans += any(r.function is None for r in rebuilt.spans)
+        edited += any(type(f) is not str for f in decision.forks)
     if spec.url_span_probability > 0:
         assert with_orphans > 0
+    assert bool(edited) == (seed in EDITING_DRIFTS)
 
 
 def mapped_positions(spans, labels):
@@ -198,13 +215,24 @@ def test_an_inferred_root_covers_an_orphan_that_starts_before_every_anchor():
     Trace("t", [root, leaf, orphan])  # every interval lies inside its parent's
 
 
+def written(trace_id, rspans) -> str:
+    """The line of a rebuilt trace of rspans: each span's record as the
+    record writer of reconstruct writes it, joined as serialize() joins them."""
+    own_id = recon._json(trace_id)
+    records = [recon._record(trace_id, own_id, s.span_id, s.trace_id, s.parent_id, s.operation,
+                             s.service, s.start_time, s.duration, s.attributes, origin, source,
+                             std)
+               for s, origin, _fn, source, std in rspans]
+    return recon.ReconstructedTrace(trace_id, records, None).serialize()
+
+
 def test_serialize_matches_the_sort_keys_reference_on_a_hand_built_trace():
     attrs = {"zeta": "z", "alpha": "\u00fc", "mid": "\u540d\u524d", "Beta": "\U0001f600"}
     root = Span("r", "t\u00e9", None, "Front.handle", "svc\u00e9", 0, 100, attrs)
     inferred = Span("t\u00e9:inf:1", "t\u00e9", "r", "Store.get", "svc", 10, 5, {})
     measured = Span("t\u00e9:inf:2", "t\u00e9", "r", "Store.put", "svc", 20, 5, {})
     orphan = Span("o", "t\u00e9", "r", "GET /caf\u00e9", "svc", 30, 3, {"b": "2", "a": "1"})
-    rebuilt = recon.ReconstructedTrace("t\u00e9", (
+    rebuilt = OracleRebuilt("t\u00e9", (
         recon.ReconstructedSpan(root, ORIGIN_SAMPLED, "svc\u00e9:Front.handle"),
         recon.ReconstructedSpan(inferred, ORIGIN_INFERRED, "svc:Store.get",
                                 recon.SOURCE_ZERO, None),
@@ -212,7 +240,7 @@ def test_serialize_matches_the_sort_keys_reference_on_a_hand_built_trace():
                                 recon.SOURCE_HISTORICAL, 1.25),
         recon.ReconstructedSpan(orphan, ORIGIN_SAMPLED, None),
     ))
-    line = rebuilt.serialize()
+    line = written(*rebuilt)
     assert line == oracle_serialize(rebuilt)
     assert '"uncertainty_std":null' in line and '"uncertainty_std":1.25' in line
     # records are written sorted without reordering the span's own attributes
@@ -232,32 +260,37 @@ def non_ascii(trace):
                        for i, s in enumerate(trace.spans)])
 
 
-def drifted_patched_graph(doc, traces):
-    """The graph of doc with one call dropped, patched from the traces."""
-    graph = build_cscfg(drop_call(doc, "svc00:C0.op0", "b3", "svc00:C5.op5"))
-    patch_with_traces(graph, traces, build_map(graph))
-    return graph
+def drop_a_call_patched(doc):
+    """drop-a-call, with the dropped call written back into the document as
+    an optional, repeatable block after the block it was dropped from."""
+    out = DRIFTS["drop-a-call"](doc)
+    add_repeatable_call(out, "svc00:C0.op0", "b3", "svc00:C5.op5")
+    return out
 
 
+# (traffic spec, whether the system is variable_depth_system, the drift of
+# its graph or None)
 RECORD_SYSTEMS = {
     "default": (SystemSpec(), False, None),
     "url-spans": (SystemSpec(seed=7, n_services=6, n_functions_per_service=8,
                              branch_probability=0.3, url_span_probability=0.1), False, None),
     "deep-chains": (SystemSpec(seed=5, url_span_probability=0.0), True, None),
-    "drifted-patched": (SystemSpec(), False, drifted_patched_graph),
+    "drifted": (SystemSpec(), False, DRIFTS["drop-a-call"]),
+    "drifted-patched": (SystemSpec(), False, drop_a_call_patched),
 }
 
 
 @pytest.mark.parametrize("system", sorted(RECORD_SYSTEMS))
 def test_records_written_from_the_columns_match_the_spans_they_build(system):
     """A rebuilt trace's line, written from the replay's columns, equals the
-    line of a trace made from the spans those columns build, and a sort_keys
-    dump of their record dicts; kept spans carry non-ASCII ids and attributes."""
-    spec, deep, patched = RECORD_SYSTEMS[system]
+    line the record writer gives the spans those columns build, and a
+    sort_keys dump of their record dicts; kept spans carry non-ASCII ids and
+    attributes. The decisions on the drifted graph carry edits."""
+    spec, deep, drift = RECORD_SYSTEMS[system]
     doc, meta = variable_depth_system() if deep else generate_system(spec)
     traces = [non_ascii(s.trace) for s in
               generate_traces(build_cscfg(doc), meta, spec, 150, make_default_faults(meta, 150))]
-    graph = (patched(doc, traces) if patched else build_cscfg(doc)).freeze()
+    graph = build_cscfg(drift(doc) if drift else doc).freeze()
     mapping = build_map(graph)
     pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3 if deep else 0.2))
     rebuilt_n = inferred = orphans = 0
@@ -266,10 +299,10 @@ def test_records_written_from_the_columns_match_the_spans_they_build(system):
             result = pipeline.process(trace)
             rebuilt = pipeline.reconstruct_result(result)
         except SpanscopeError:
-            assert patched, trace.trace_id  # a drifted graph may not explain a trace
+            assert drift, trace.trace_id  # a drifted graph may not explain a trace
             continue
         line = rebuilt.serialize()
-        assert line == ReconstructedTrace(rebuilt.trace_id, rebuilt.spans).serialize()
+        assert line == written(rebuilt.trace_id, rebuilt.spans)
         assert line == oracle_serialize(rebuilt), trace.trace_id
         assert "\\u540d\\ud83d\\ude00" in line and '"\\u0001":"\\""' in line
         rebuilt_n += 1
@@ -278,6 +311,7 @@ def test_records_written_from_the_columns_match_the_spans_they_build(system):
     assert rebuilt_n > 0 and inferred > 0
     if spec.url_span_probability > 0:
         assert orphans > 0
+    assert (system == "drifted") == (pipeline.decisions_leaving_graph > 0)
 
 
 class Count(int):
@@ -312,9 +346,8 @@ def test_serialize_matches_the_reference_on_values_the_encoder_writes(trace_id):
              Count(7), Count(1), {"k\\": 'v"', "\x01": "\u00e9"}),
     ]
     spans += [recon.ReconstructedSpan(s, ORIGIN_SAMPLED, None) for s in odd]
-    rebuilt = recon.ReconstructedTrace(trace_id, tuple(spans))
-    line = rebuilt.serialize()
-    assert line == oracle_serialize(rebuilt)
+    line = written(trace_id, spans)
+    assert line == oracle_serialize(OracleRebuilt(trace_id, tuple(spans)))
     for text in ('"uncertainty_std":NaN', '"uncertainty_std":Infinity',
                  '"uncertainty_std":-Infinity', '"uncertainty_std":-0.0',
                  '"duration":false', '"start_time":true'):
@@ -386,7 +419,7 @@ def rebuild_both_ways(doc, trace):
     stats = pipeline.stats_snapshot()
     replayed = reconstruct(result.decision, kept, graph, stats, mapping)
     searched = oracle_reconstruct(result.decision, kept, graph, stats, mapping, search=True)
-    assert searched == replayed
+    assert searched.spans == replayed.spans
     assert structural_fidelity(trace, replayed, mapping).structure_exact
     return result, replayed
 
@@ -433,13 +466,13 @@ def functions_of(rebuilt):
     return [(r.function, r.origin) for r in rebuilt.spans]
 
 
-class TestForkInPatchedCallee:
-    """Main's block b0 calls A; patching with the trace adds a synthetic block
-    calling P, before b0 or after it as the trace shows; P forks p1 (X) / p2 (Y).
+class TestForkInInsertedCallee:
+    """Main's block b0 calls A, and the trace also calls P, before A or after
+    it as the trace shows, so align inserts P; P's own body forks p1 (X) /
+    p2 (Y).
 
-    Replay takes P's branch from the forks that align records for the trace.
-    Without them, the reference search finds more than one path when the
-    branch is unwitnessed.
+    The decision records the insertion as an edit and P's branch as a fork,
+    and replay rebuilds P where the trace made it, on the graph as it is.
     """
 
     MAIN, P = "svc:Main.run", "svc:P.p"
@@ -451,10 +484,6 @@ class TestForkInPatchedCallee:
             "x": Span("x", "t", "p", "X.x", "svc", 2, 5),
             "a": Span("a", "t", "root", "A.a", "svc", 30, 10),
         }
-        self.graph, self.mapping = self.patched(self.spans)
-
-    def patched(self, spans):
-        """The frozen graph patched from the trace of spans, and its mapping."""
         doc = {"schema_version": 1, "external_functions": [], "functions": [
             {"function": self.MAIN, "blocks": [{"id": "b0", "callees": ["svc:A.a"]}],
              "flow_edges": [], "entry": "b0", "exits": ["b0"]},
@@ -463,44 +492,36 @@ class TestForkInPatchedCallee:
                                             {"id": "p2", "callees": ["svc:Y.y"]}],
              "flow_edges": [["s", "p1"], ["s", "p2"]], "entry": "s", "exits": ["p1", "p2"]},
             {"function": "svc:A.a"}, {"function": "svc:X.x"}, {"function": "svc:Y.y"}]}
-        graph = build_cscfg(doc)
-        report = patch_with_traces(graph, [Trace("t", list(spans.values()))], build_map(graph))
-        assert report.calls_added == 1
-        return graph.freeze(), build_map(graph)
+        self.graph = build_cscfg(doc).freeze()
+        self.mapping = build_map(self.graph)
 
     def rebuild(self, spans, *ids):
-        """Replay of the kept spans ids on the graph patched from all of spans,
-        with the forks align records for them."""
-        graph, mapping = self.patched(spans)
+        """The forks align records for the trace of spans, and the replay of
+        the kept spans ids with them."""
         trace = Trace("t", list(spans.values()))
-        forks = align_trace(graph, trace, mapping).forks
+        forks = align_trace(self.graph, trace, self.mapping).forks
         kept = [spans[i] for i in ids]
-        return reconstruct(decision_for(self.MAIN, trace, mapping, kept, forks), kept, graph,
-                           {}, mapping)
+        return forks, reconstruct(decision_for(self.MAIN, trace, self.mapping, kept, forks),
+                                  kept, self.graph, {}, self.mapping)
 
-    def test_unwitnessed_branch_is_ambiguous(self):
-        kept = [self.spans[i] for i in ("root", "p", "a")]
-        with pytest.raises(OracleAmbiguousPathError) as info:
-            oracle_reconstruct(decision_for(self.MAIN, Trace("t", list(self.spans.values())),
-                                            self.mapping, kept, ()),
-                               kept, self.graph, {}, self.mapping, search=True)
-        # the recorded calls put P at call 1 and A at call 3, which fixes how
-        # often the repeatable synthetic block ran; only P's arm stays open
-        assert info.value.branch_tags == [f"{self.P}#p1", f"{self.P}#p2"]
-        # the recorded forks settle both
-        assert functions_of(self.rebuild(self.spans, "root", "p", "a")) == [
+    def test_unwitnessed_branch_rebuilds_from_its_fork(self):
+        forks, rebuilt = self.rebuild(self.spans, "root", "p", "a")
+        # call 0 inserts P as call 1, and P forks into p1
+        assert forks == ((0, 1, self.P), f"{self.P}#p1")
+        assert functions_of(rebuilt) == [
             (self.MAIN, ORIGIN_SAMPLED), (self.P, ORIGIN_SAMPLED), ("svc:X.x", ORIGIN_INFERRED),
             ("svc:A.a", ORIGIN_SAMPLED)]
 
-    def test_patched_call_after_the_block_call(self):
+    def test_inserted_call_after_the_block_call(self):
         spans = {**self.spans, "p": Span("p", "t", "root", "P.p", "svc", 50, 20),
                  "x": Span("x", "t", "p", "X.x", "svc", 51, 5)}
-        rebuilt = self.rebuild(spans, "root", "a", "p", "x")
+        forks, rebuilt = self.rebuild(spans, "root", "a", "p", "x")
+        assert forks == ((0, 2, self.P), f"{self.P}#p1")
         assert functions_of(rebuilt) == [(self.MAIN, ORIGIN_SAMPLED), ("svc:A.a", ORIGIN_SAMPLED),
                                          (self.P, ORIGIN_SAMPLED), ("svc:X.x", ORIGIN_SAMPLED)]
 
     def test_witnessed_branch_rebuilds(self):
-        rebuilt = self.rebuild(self.spans, "root", "p", "x", "a")
+        _forks, rebuilt = self.rebuild(self.spans, "root", "p", "x", "a")
         assert functions_of(rebuilt) == [(self.MAIN, ORIGIN_SAMPLED), (self.P, ORIGIN_SAMPLED),
                                          ("svc:X.x", ORIGIN_SAMPLED), ("svc:A.a", ORIGIN_SAMPLED)]
 
@@ -532,7 +553,7 @@ class TestSearchOnComfortEconomy:
     def test_witnessed_branch_search_equals_replay(self):
         ops = {"OrderService.createOrder", "SeatService.getComfortClass"}
         replayed = self.rebuild(ops, forks=True)
-        assert self.rebuild(ops, forks=False) == replayed
+        assert self.rebuild(ops, forks=False).spans == replayed.spans
         assert structural_fidelity(self.comfort, replayed, self.mapping).structure_exact
 
     def test_unwitnessed_branch_names_both_arms(self):
@@ -545,7 +566,7 @@ class TestSearchOnComfortEconomy:
         # where the decision records it
         ops = {"OrderService.createOrder", "PriceService.getPrice"}
         replayed = self.rebuild(ops, forks=True)
-        assert self.rebuild(ops, forks=False) == replayed
+        assert self.rebuild(ops, forks=False).spans == replayed.spans
         assert structural_fidelity(self.comfort, replayed, self.mapping).structure_exact
 
 
@@ -564,9 +585,10 @@ def test_endless_self_call_ends_in_reconstruction_error():
 
 
 def outcome(rebuild, decision, kept, graph, stats, mapping):
-    """A rebuilt trace, or the class and text of the error that stopped it."""
+    """("rebuilt", the rebuilt spans), or the class and text of the error
+    that stopped the rebuild."""
     try:
-        return rebuild(decision, kept, graph, stats, mapping)
+        return "rebuilt", rebuild(decision, kept, graph, stats, mapping).spans
     except ReconstructionError as exc:
         return type(exc).__name__, str(exc)
 
@@ -594,9 +616,25 @@ def mutated_decisions(result, donor):
     foreign = dataclasses.replace(donor.trace.spans[-1], trace_id=trace.trace_id,
                                   span_id="foreign")
     yield decision, kept + [foreign]
+    edits = [k for k, f in enumerate(forks) if type(f) is not str]
+    if edits:
+        # the first edit dropped, one call later, under the next call, turned
+        # into the other kind, repeated at the end; and an edit under no call
+        k = edits[0]
+        edit, before, after = forks[k], forks[:k], forks[k + 1:]
+        other = edit[:2] if len(edit) == 3 else edit + (decision.entry,)
+        for changed in [before + after,
+                        before + ((edit[0], edit[1] + 1) + edit[2:],) + after,
+                        before + ((edit[0] + 1,) + edit[1:],) + after,
+                        before + (other,) + after,
+                        forks + (edit,),
+                        forks + ((10_000, 1),)]:
+            yield dataclasses.replace(decision, forks=changed), kept
 
 
-@pytest.mark.parametrize("seed,n,ratio", [(7, 120, 0.3), (None, 60, 0.1)])
+@pytest.mark.parametrize("seed,n,ratio", [(7, 120, 0.3), (None, 60, 0.1),
+                                          ("move-a-call", 60, 0.3),
+                                          ("drop-a-call-and-its-body", 60, 0.3)])
 def test_replay_errors_match_the_tree_walker(seed, n, ratio):
     """Every check of the replay walk fires as the tree walker's does: the same
     error text, or the same rebuilt trace, on decisions that no longer fit."""
@@ -608,13 +646,18 @@ def test_replay_errors_match_the_tree_walker(seed, n, ratio):
         for decision, kept in mutated_decisions(result, donor):
             got = outcome(reconstruct, decision, kept, graph, stats, mapping)
             assert got == outcome(oracle_reconstruct, decision, kept, graph, stats, mapping)
-            if result.decision.forks and decision.forks == result.decision.forks[:-1]:
+            if result.decision.forks and decision.forks == result.decision.forks[:-1] \
+                    and type(result.decision.forks[-1]) is str:
                 # align records every fork, so a walk never heads for the exit
                 # on its own
                 assert got[1] == "ran out of recorded branch choices", got
-            if isinstance(got, tuple):
+            if got[0] != "rebuilt":
                 errors.add(got[1])
-    for check in ("is not a successor here", "ran out of recorded branch choices",
-                  "unused branch records remain", "is not in the decision", ", a call of",
-                  "outside the", "recorded calls for", "are recorded at one call"):
+    checks = ["is not a successor here", "ran out of recorded branch choices",
+              "unused branch records remain", "is not in the decision", ", a call of",
+              "outside the", "recorded calls for", "are recorded at one call"]
+    if seed in EDITING_DRIFTS:
+        checks += ["is left unused", "which the walk never enters"]
+    for check in checks:
         assert any(check in text for text in errors), check
+
