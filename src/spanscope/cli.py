@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: build-graph, sample, reconstruct, eval, stats-export. A JSON
+Subcommands: build-graph, sample, reconstruct, eval. A JSON
 configuration file may supply any option; explicit flags win over the file,
 which wins over defaults. Each command runs one single-threaded pipeline,
 so outputs are deterministic for fixed inputs and seed; wall-clock timings
@@ -42,18 +42,18 @@ from . import harness
 from .cscfg import Cscfg, build_cscfg
 from .errors import ConfigError, DanglingCalleeError, MalformedDocumentError, SpanscopeError
 from .mapping import build_map, load_shared_dictionary
-from .model import bad_record, exclusive_durations, read_trace_file, span_from_dict
+from .model import bad_record, read_trace_file, span_from_dict
 from .pipeline import SamplingPipeline, write_timing
 from .reconstruct import fidelity_means, reconstruct, structural_fidelity
-from .sampler import SamplingConfig, decision_from_dict, span_key
-from .scoring import ScoreBook, load_snapshot, save_snapshot
+from .sampler import SamplingConfig, decision_from_dict
+from .scoring import load_snapshot, save_snapshot
 
 log = logging.getLogger("spanscope")
 
 # the config keys of the system that `eval` generates
 _SYSTEM_KEYS = ("seed", "n_services", "n_functions_per_service", "branch_probability",
                 "max_call_depth", "shared_library_fraction", "url_span_probability")
-# every key that `sample`, `eval` or `stats-export` reads, so one file serves all three
+# every key that `sample` or `eval` reads, so one file serves both
 _CONFIG_KEYS = frozenset(_SYSTEM_KEYS + (
     "n_traces", "ratio", "theta", "window", "min_obs", "lrs_horizon", "fixed_threshold"))
 
@@ -283,24 +283,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_stats_export(args) -> int:
-    config = _load_config(args.config)
-    cfg = _sampling_config(args, config)
-    graph = Cscfg.load_artifact(args.graph)
-    mapping = _load_mapping(graph, args.shared_dict)
-    # scored as `sample` scores: same keys, same int durations, same order
-    book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, theta=cfg.theta_quantile)
-    n = 0
-    for trace in read_trace_file(args.traces):
-        excl = exclusive_durations(trace)
-        for span in trace.arrival:
-            book.window_for(span_key(mapping.resolve(span), span)).score(excl[span.span_id])
-        n += 1
-    save_snapshot(book.snapshot(), args.out)
-    print(f"statistics over {n} traces written to {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanscope",
@@ -343,15 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--window", type=int)
     pe.add_argument("--config", help="JSON config file (system and sampling fields)")
     pe.set_defaults(func=cmd_eval)
-
-    px = sub.add_parser("stats-export", help="export per-key statistics from traces")
-    px.add_argument("--graph", required=True)
-    px.add_argument("--traces", required=True)
-    px.add_argument("--out", required=True)
-    px.add_argument("--shared-dict")
-    px.add_argument("--window", type=int)
-    px.add_argument("--config")
-    px.set_defaults(func=cmd_stats_export)
 
     return parser
 

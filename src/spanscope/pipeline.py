@@ -21,7 +21,7 @@ from .model import Trace, exclusive_durations
 from .partition import DominantSpanSet, partition
 from .reconstruct import ReconstructedTrace, reconstruct
 from .sampler import LrsLedger, SamplingConfig, SamplingDecision, sample_trace, span_key
-from .scoring import ScoreBook
+from .scoring import ScoreBook, StatsSnapshot
 
 STAGE_MAP = "map"
 STAGE_ALIGN = "align"
@@ -111,14 +111,12 @@ class SamplingPipeline:
         return TraceResult(trace, decision, dss_list, path)
 
     def reconstruct_result(self, result: TraceResult,
-                           stats: dict | None = None) -> ReconstructedTrace:
+                           stats: StatsSnapshot) -> ReconstructedTrace:
         kept = [result.trace.span(sid) for sid in result.decision.kept]
-        if stats is None:
-            stats = self.scorebook.snapshot()
         return self._timed(STAGE_RECONSTRUCT, reconstruct, result.decision, kept,
                            self.graph, stats, self.mapping)
 
-    def stats_snapshot(self) -> dict:
+    def stats_snapshot(self) -> StatsSnapshot:
         return self.scorebook.snapshot()
 
     def timing_report(self) -> dict:

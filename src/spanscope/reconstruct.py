@@ -20,6 +20,15 @@ serialize() joins, and builds its Span and ReconstructedSpan objects from
 the same columns only when `spans` is first read, as fidelity and the
 inferred-span reports do.
 
+What an inferred call takes from its function is fixed for as long as the
+statistics snapshot is: its fill (base width, source and std) and every
+field of its record but the span's own duration, parent id, span id and
+start time, and the trace id. The rebuild table holds these per function,
+each row made on the function's first inferred call (see _row). The table
+lives on the snapshot, so a run that passes one snapshot to every rebuild
+makes each row once, and a record of an inferred span joins its row's text
+with the span's own values.
+
 Each kept span goes to the call its decision records: "at", parallel to
 the kept ids, indexes the replay's preorder of calls. A mapped kept span is
 that call, which must be a call of its function, so a mapped span under a
@@ -42,6 +51,7 @@ from .errors import ReconstructionError, UnknownEntryError
 from .mapping import SpanFunctionMap, Unmapped
 from .model import Span, Trace
 from .sampler import SamplingDecision
+from .scoring import StatsSnapshot
 
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_INFERRED = "inferred"
@@ -80,35 +90,62 @@ class ReconstructedSpan(NamedTuple):
     uncertainty_std: float | None = None
 
 
-def _record(trace_id: str, own_id: str, sid, tid, parent, op, svc, start, dur, attrs,
-            origin: str, source=None, std=None) -> str:
-    """One span's JSON record: its fields, its origin and, when inferred, its
-    fill source and std, with keys and attributes in sorted order, as a
-    sort_keys encoder with compact separators writes it. own_id is trace_id
-    as JSON, written for a span of that trace without encoding it again.
+def _record(trace_id: str, own_id: str, sid, tid, parent, op, svc, start, dur, attrs) -> str:
+    """A sampled span's JSON record: its fields and its origin, with keys
+    and attributes in sorted order, as a sort_keys encoder with compact
+    separators writes it. own_id is trace_id as JSON, written for a span of
+    that trace without encoding it again.
 
-    The record is one f-string over its values' JSON. The two origins and the
-    exact types every span carries are tested inline, which saves a call per
-    value; _json writes anything else.
+    The record is one f-string over its values' JSON. The exact types every
+    span carries are tested inline, which saves a call per value; _json
+    writes anything else.
     """
     q, j = _quote, _json
-    if origin == ORIGIN_INFERRED:
-        origin = '"inferred"'
-        source = f'"duration_source":{q(source) if type(source) is str else j(source)},'
-        std = ',"uncertainty_std":' + (float.__repr__(std) if type(std) is float and
-                                        math.isfinite(std) else j(std))
-    else:
-        origin = '"sampled"' if origin == ORIGIN_SAMPLED else j(origin)
-        source = std = ""
     attrs = _ENCODER.encode(dict(sorted(attrs.items()))) if attrs else "{}"
     tid = own_id if tid is trace_id or tid == trace_id and type(tid) is str else j(tid)
     return (f'{{"attributes":{attrs},"duration":{dur if type(dur) is int else j(dur)},'
-            f'{source}"operation":{q(op) if type(op) is str else j(op)},'
-            f'"origin":{origin},'
+            f'"operation":{q(op) if type(op) is str else j(op)},"origin":"sampled",'
             f'"parent_id":{q(parent) if type(parent) is str else j(parent)},'
             f'"service":{q(svc) if type(svc) is str else j(svc)},'
             f'"span_id":{q(sid) if type(sid) is str else j(sid)},'
-            f'"start_time":{start if type(start) is int else j(start)},"trace_id":{tid}{std}}}')
+            f'"start_time":{start if type(start) is int else j(start)},"trace_id":{tid}}}')
+
+
+def _row(fn: str, stat: dict | None) -> tuple:
+    """fn's row of the rebuild table: (base width, source, std, FunctionRef,
+    record text) of an inferred call of fn. The fill is fn's historical
+    mean, or zero when its statistics are missing or count nothing; the
+    text is what _inferred_text gives fn's operation, service and fill."""
+    if stat is None or stat.get("count", 0) == 0:
+        base, source, std = 0, SOURCE_ZERO, None
+    else:
+        base, source = max(0, int(round(stat["mean"]))), SOURCE_HISTORICAL
+        std = round(float(stat["std"]), 3)
+    # a graph's FunctionRef of a key is the key parsed, external or not, so
+    # a row depends on the snapshot alone
+    ref = parse_function_key(fn)
+    return base, source, std, ref, _inferred_text(ref.operation, ref.service, source, std)
+
+
+def _inferred_text(op, svc, source, std) -> tuple[str, str, str]:
+    """The three parts of an inferred record that its function and fill fix:
+    the fields that sort between duration and parent_id, between parent_id
+    and span_id, and after trace_id."""
+    return (f',"duration_source":{_json(source)},"operation":{_json(op)},"origin":"inferred",'
+            f'"parent_id":',
+            f',"service":{_json(svc)},"span_id":',
+            f',"uncertainty_std":{_json(std)}}}')
+
+
+def _inferred(text: tuple, own_id: str, sid: str, parent, start, dur) -> str:
+    """An inferred span's JSON record, keys sorted as _record sorts them: the
+    three parts of text joined with the span's own values. own_id is its
+    trace id as JSON."""
+    head, mid, tail = text
+    return (f'{{"attributes":{{}},"duration":{dur if type(dur) is int else _json(dur)}{head}'
+            f'{_quote(parent) if type(parent) is str else _json(parent)}{mid}{_quote(sid)},'
+            f'"start_time":{start if type(start) is int else _json(start)},'
+            f'"trace_id":{own_id}{tail}')
 
 
 class ReconstructedTrace:
@@ -161,7 +198,7 @@ class ReconstructedTrace:
         return f"ReconstructedTrace(trace_id={self.trace_id!r}, spans={self.spans!r})"
 
 
-def _spans_of(trace_id: str, fns, kept, los, his, fills, psids, functions,
+def _spans_of(trace_id: str, fns, kept, los, his, rows, psids,
               orphans) -> tuple[ReconstructedSpan, ...]:
     """The spans whose records reconstruct wrote, from its columns: preorder
     call i and its placed parent id, then each orphan under its parent."""
@@ -173,8 +210,7 @@ def _spans_of(trace_id: str, fns, kept, los, his, fills, psids, functions,
                 span = span.with_parent(parent_id)
             rspans.append(ReconstructedSpan(span, ORIGIN_SAMPLED, fn))
         else:
-            ref = functions.get(fn) or parse_function_key(fn)
-            _base, source, std = fills[i]
+            _base, source, std, ref, _text = rows[i]
             rspans.append(ReconstructedSpan(
                 Span(f"{trace_id}:inf:{i}", trace_id, parent_id, ref.operation, ref.service,
                      los[i], his[i] - los[i], {}),
@@ -185,16 +221,8 @@ def _spans_of(trace_id: str, fns, kept, los, his, fills, psids, functions,
     return tuple(rspans)
 
 
-def _fill(stat: dict | None) -> tuple:
-    """(base width, source, std) of an inferred call from its function's
-    statistics: the historical mean, or zero when there are none."""
-    if stat is None or stat.get("count", 0) == 0:
-        return 0, SOURCE_ZERO, None
-    return max(0, int(round(stat["mean"]))), SOURCE_HISTORICAL, round(float(stat["std"]), 3)
-
-
 def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
-            trace_id: str, keys: dict) -> tuple:
+            trace_id: str, keys: dict, table: dict) -> tuple:
     """Walk the recorded path and list its calls in preorder.
 
     placed maps a preorder index to the kept span recorded at that call and
@@ -202,8 +230,10 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
     Returns parallel lists indexed by preorder position: function key, kept
     span (None when inferred), subtree end, earliest sampled start and
     latest sampled end in the subtree, orphans included (None when it holds
-    no sampled span), natural width, and the _fill of an inferred call (None
-    for a sampled one). Call i's children are i+1, end[i+1], ... up to end[i].
+    no sampled span), natural width, and the row of the rebuild table of an
+    inferred call (None for a sampled one), which table holds by function
+    key, rows made from keys as they are first needed. Call i's children
+    are i+1, end[i+1], ... up to end[i].
 
     One generator per open function body walks its blocks, and reads the
     recorded forks in order. A fork takes the next item, which must be a
@@ -228,7 +258,7 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
     alo: list[int | None] = []
     ahi: list[int | None] = []
     widths: list[int] = []
-    fills: list[tuple | None] = []
+    rows: list[tuple | None] = []
     budget = _WALK_BUDGET
     has_body, subgraph = graph.has_body, graph.subgraph
     items = iter(forks)
@@ -260,7 +290,7 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
         alo.append(None)
         ahi.append(None)
         widths.append(0)
-        fills.append(None)
+        rows.append(None)
         if has_body(fn):
             return True
         if edit_at == i + 1 and head[0] == i:
@@ -287,8 +317,12 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
         if span is not None:
             widths[me] = span.duration
             return
-        fill = fills[me] = _fill(keys.get(fns[me]))
-        width = fill[0] + kids_width
+        fn = fns[me]
+        row = table.get(fn)
+        if row is None:
+            row = table[fn] = _row(fn, keys.get(fn))
+        rows[me] = row
+        width = row[0] + kids_width
         if lo is not None:
             width = max(width, hi - lo)
         widths[me] = width
@@ -364,18 +398,20 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
         raise ReconstructionError(
             f"trace {trace_id!r}: recorded edit {list(head)} " +
             ("is left unused" if walked else f"names call {parent}, which the walk never enters"))
-    return fns, spans, ends, alo, ahi, widths, fills
+    return fns, spans, ends, alo, ahi, widths, rows
 
 
 def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg,
-                stats: dict, mapping: SpanFunctionMap) -> ReconstructedTrace:
+                stats: StatsSnapshot, mapping: SpanFunctionMap) -> ReconstructedTrace:
     """Rebuild the full trace implied by a decision.
 
-    stats is a statistics snapshot as produced by ScoreBook.snapshot(). Kept
-    spans keep their id, timing and attributes, and each goes where its
-    recorded call places it (see above): a mapped span's parent is its
-    call's parent in the replay, its original parent only when that was
-    mapped.
+    stats is a statistics snapshot, as ScoreBook.snapshot() or
+    load_snapshot() gives it, and holds the rebuild table: the rows this
+    rebuild makes stay on it for every later rebuild from it, so a run
+    passes one snapshot to all its rebuilds. Kept spans keep their id,
+    timing and attributes, and each goes where its recorded call places it
+    (see above): a mapped span's parent is its call's parent in the replay,
+    its original parent only when that was mapped.
     """
     trace_id = decision.trace_id
     if not kept_spans:
@@ -408,8 +444,14 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
                 f"trace {trace_id!r}: kept spans {placed[i][0].span_id!r} and "
                 f"{span.span_id!r} are recorded at one call {i}")
 
-    fns, spans, ends, alo, ahi, widths, fills = _replay(
-        graph, decision.entry, decision.forks, placed, boxes, trace_id, stats.get("keys", {}))
+    try:
+        table = stats._table
+    except AttributeError:
+        raise TypeError("stats must be a snapshot from ScoreBook.snapshot() or "
+                        "load_snapshot()") from None
+    fns, spans, ends, alo, ahi, widths, rows = _replay(
+        graph, decision.entry, decision.forks, placed, boxes, trace_id, stats.get("keys", {}),
+        table)
     n = len(fns)
     if not 0 <= min(at) <= max(at) < n:
         raise ReconstructionError(f"trace {trace_id!r}: a kept span is recorded at a call "
@@ -425,7 +467,6 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     # span's id carries its preorder index), then place its children inside
     # its interval. Sampled spans keep their times; inferred ones are packed
     # left to right, bending around the anchors of later siblings.
-    functions = graph.functions
     own_id = _json(trace_id)
     records: list[str] = []
     psids: list[str | None] = [None] * n
@@ -435,16 +476,10 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
             sid = span.span_id
             records.append(_record(trace_id, own_id, sid, span.trace_id, psids[i],
                                    span.operation, span.service, span.start_time,
-                                   span.duration, span.attributes, ORIGIN_SAMPLED))
+                                   span.duration, span.attributes))
         else:
-            fn = fns[i]
-            # the graph holds a FunctionRef for every function but external ones
-            ref = functions.get(fn) or parse_function_key(fn)
             sid = f"{trace_id}:inf:{i}"
-            _base, source, std = fills[i]
-            records.append(_record(trace_id, own_id, sid, trace_id, psids[i], ref.operation,
-                                   ref.service, los[i], his[i] - los[i], None,
-                                   ORIGIN_INFERRED, source, std))
+            records.append(_inferred(rows[i][4], own_id, sid, psids[i], los[i], his[i] - los[i]))
         end = ends[i]
         if end == i + 1:
             continue
@@ -484,10 +519,10 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
                        f"{trace_id}:inf:{i}" if spans[i] is None else spans[i].span_id)
                       for o, i in orphans]
     records += [_record(trace_id, own_id, o.span_id, o.trace_id, parent, o.operation,
-                        o.service, o.start_time, o.duration, o.attributes, ORIGIN_SAMPLED)
+                        o.service, o.start_time, o.duration, o.attributes)
                 for o, parent in placed_orphans]
     return ReconstructedTrace(
-        trace_id, records, (fns, spans, los, his, fills, psids, functions, placed_orphans))
+        trace_id, records, (fns, spans, los, his, rows, psids, placed_orphans))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,13 @@ observation sits on the median and a capped sentinel otherwise.
 SpanStatWindow.score(x) is the one way to feed a window: it returns
 (z, degenerate, threshold), the threshold being the one in force before x,
 and then folds x into every statistic.
+
+ScoreBook.snapshot() and load_snapshot() give a StatsSnapshot: the dict that
+save_snapshot() writes, with each key's count, mean and std among its
+statistics, which rebuild reads to fill inferred spans. It is read-only once
+made. A snapshot also carries the table rebuild derives from it, so that
+table lives as long as the snapshot: built once for a run that passes one
+snapshot to every rebuild, and never shared by two snapshots.
 """
 
 from __future__ import annotations
@@ -302,11 +309,24 @@ class ScoreBook:
             self._windows[key] = win
         return win
 
-    def snapshot(self) -> dict:
+    def snapshot(self) -> StatsSnapshot:
         keys = {}
         for key in sorted(self._windows):
             keys[key] = self._windows[key].stats()
-        return {"schema_version": 1, "kind": "stats-snapshot", "keys": keys}
+        return StatsSnapshot({"schema_version": 1, "kind": "stats-snapshot", "keys": keys})
+
+
+class StatsSnapshot(dict):
+    """A statistics snapshot: its document, as a dict, plus one private slot
+    that holds the rebuild table, which reconstruct fills from this
+    snapshot. The slot is no part of the document: equality, json.dump and
+    save_snapshot see the dict alone."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._table = {}
 
 
 def save_snapshot(snapshot: dict, path) -> None:
@@ -317,7 +337,7 @@ def save_snapshot(snapshot: dict, path) -> None:
         fh.write("\n")
 
 
-def load_snapshot(path) -> dict:
+def load_snapshot(path) -> StatsSnapshot:
     """A statistics snapshot, checked for what rebuild reads of it: `keys`
     maps each key to an object whose count, mean and std are finite numbers."""
     import json
@@ -342,4 +362,4 @@ def load_snapshot(path) -> dict:
                 for name in ("count", "mean", "std")):
             raise MalformedDocumentError(
                 f"{path}: snapshot entry {key!r} needs finite numeric count, mean and std")
-    return data
+    return StatsSnapshot(data)

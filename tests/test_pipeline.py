@@ -522,19 +522,8 @@ def test_eval_requires_a_positive_integer_trace_count(tmp_path, capsys, n_traces
         assert capsys.readouterr().err.startswith("config error: n_traces ")
 
 
-def test_stats_export_writes_the_snapshot_sample_writes(workload, tmp_path):
-    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 30)
-    out = tmp_path / "out"
-    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
-                     "--out", str(out)]) == 0
-    exported = tmp_path / "exported.json"
-    assert cli.main(["stats-export", "--graph", graph_path, "--traces", trace_path,
-                     "--out", str(exported)]) == 0
-    assert exported.read_bytes() == (out / "stats.json").read_bytes()
-
-
 @pytest.mark.parametrize("fault", ["truncated", "dangling-parent", "bool-time"])
-@pytest.mark.parametrize("command", ["sample", "stats-export", "reconstruct"])
+@pytest.mark.parametrize("command", ["sample", "reconstruct"])
 def test_a_bad_trace_line_is_named_by_file_and_line(workload, tmp_path, capsys, command,
                                                     fault):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 50)
@@ -558,8 +547,6 @@ def test_a_bad_trace_line_is_named_by_file_and_line(workload, tmp_path, capsys, 
     argv = {
         "sample": ["sample", "--graph", graph_path, "--traces", str(bad),
                    "--out", str(tmp_path / "again")],
-        "stats-export": ["stats-export", "--graph", graph_path, "--traces", str(bad),
-                         "--out", str(tmp_path / "stats.json")],
         "reconstruct": ["reconstruct", "--graph", graph_path,
                         "--decisions", str(out / "decisions.ndjson"),
                         "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
@@ -630,12 +617,10 @@ def test_sample_names_a_malformed_shared_dictionary(workload, tmp_path, capsys, 
 def config_command(command, graph_path, trace_path, out):
     """The argv of a small run of one of the commands that read --config."""
     return {"sample": ["sample", "--graph", graph_path, "--traces", trace_path, "--out", out],
-            "stats-export": ["stats-export", "--graph", graph_path, "--traces", trace_path,
-                             "--out", out],
             "eval": ["eval", "--out", out, "--n", "5"]}[command]
 
 
-@pytest.mark.parametrize("command", ["sample", "stats-export", "eval"])
+@pytest.mark.parametrize("command", ["sample", "eval"])
 @pytest.mark.parametrize("setting", ["--window 0", '{"lrs_horizon": 0}'])
 def test_a_window_or_horizon_below_one_is_a_config_error(workload, tmp_path, capsys,
                                                          command, setting):
@@ -651,7 +636,7 @@ def test_a_window_or_horizon_below_one_is_a_config_error(workload, tmp_path, cap
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("command", ["sample", "stats-export", "eval"])
+@pytest.mark.parametrize("command", ["sample", "eval"])
 def test_an_unknown_config_key_is_a_config_error(workload, tmp_path, capsys, command):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
     out = tmp_path / "out"
@@ -662,7 +647,7 @@ def test_an_unknown_config_key_is_a_config_error(workload, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "'ratoi'" in err
     assert not out.exists()
-    # one file serves all three commands, each reading only its own keys
+    # one file serves both commands, each reading only its own keys
     config.write_text(json.dumps({"seed": 3, "n_traces": 5, "ratio": 0.2, "window": 64}),
                       encoding="utf-8")
     assert cli.main(argv + ["--config", str(config)]) == 0

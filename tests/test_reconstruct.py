@@ -23,6 +23,7 @@ from spanscope.reconstruct import (
     structural_fidelity,
 )
 from spanscope.sampler import SamplingConfig, SamplingDecision, decision_from_dict
+from spanscope.scoring import ScoreBook, StatsSnapshot, load_snapshot, save_snapshot
 
 from .conftest import add_repeatable_call, align_trace, comfort_economy_system
 from .oracles import (
@@ -120,6 +121,108 @@ def test_rebuilt_bytes_match_the_two_pass_reference(seed, n, ratio):
     assert bool(edited) == (seed in EDITING_DRIFTS)
 
 
+@pytest.mark.parametrize("lifetime", ["shared", "per-trace", "saved"])
+@pytest.mark.parametrize("seed,n,ratio", WORKLOADS[:4])
+def test_rebuilt_bytes_match_the_reference_whatever_the_snapshot_lifetime(seed, n, ratio,
+                                                                          lifetime, tmp_path):
+    """Every rebuild from one snapshot, each trace rebuilt from the snapshot
+    taken right after it, whose means move from trace to trace, or every
+    rebuild from one snapshot saved and loaded back: each writes the bytes
+    the reference gives its own snapshot."""
+    _spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
+    graph = pipeline.graph
+    if lifetime == "per-trace":
+        again = SamplingPipeline(graph, mapping, SamplingConfig(ratio=ratio))
+        pairs = [(again.process(r.trace), again.stats_snapshot()) for r in results]
+    else:
+        if lifetime == "saved":
+            save_snapshot(stats, tmp_path / "stats.json")
+            stats = load_snapshot(tmp_path / "stats.json")
+        pairs = [(r, stats) for r in results]
+    stds: dict[str, set] = {}
+    for result, snapshot in pairs:
+        kept = [result.trace.span(sid) for sid in result.decision.kept]
+        rebuilt = reconstruct(result.decision, kept, graph, snapshot, mapping)
+        expected = oracle_reconstruct(result.decision, kept, graph, snapshot, mapping)
+        assert rebuilt.serialize() == oracle_serialize(expected), result.trace.trace_id
+        for r in rebuilt.inferred():
+            stds.setdefault(r.function, set()).add(r.uncertainty_std)
+    # one std per function from one snapshot; several from the moving ones
+    assert (max(map(len, stds.values())) > 1) == (lifetime == "per-trace")
+
+
+def front_and_callees(callees, external=()):
+    """A graph whose svc:Front.handle calls each of callees in turn, the
+    ones in external being declared external, with its map, and a decision
+    that keeps the root span of a trace of Front.handle alone."""
+    front = "svc:Front.handle"
+    doc = {"schema_version": 1, "external_functions": list(external), "functions": [
+        {"function": front, "blocks": [{"id": "b0", "callees": list(callees)}],
+         "flow_edges": [], "entry": "b0", "exits": ["b0"]},
+        *({"function": key} for key in callees if key not in external)]}
+    graph = build_cscfg(doc).freeze()
+    mapping = build_map(graph)
+    root = Span("r", "t", None, "Front.handle", "svc", 0, 100)
+    return graph, mapping, decision_for(front, Trace("t", [root]), mapping, [root], ()), [root]
+
+
+def inferred_fills(line):
+    """operation -> (service, duration, source, std) of each inferred record of a line."""
+    return {r["operation"]: (r["service"], r["duration"], r["duration_source"],
+                             r["uncertainty_std"])
+            for r in json.loads(line)["spans"] if r["origin"] == ORIGIN_INFERRED}
+
+
+def test_two_snapshots_used_in_turn_each_give_their_own_records():
+    store = "svc:Store.get"
+    graph, mapping, decision, kept = front_and_callees([store])
+    book = ScoreBook()
+    book.window_for(store).score(10.0)
+    first = book.snapshot()
+    book.window_for(store).score(70.0)
+    second = book.snapshot()
+    fills = []
+    for snapshot in (first, second, first, second):
+        line = reconstruct(decision, kept, graph, snapshot, mapping).serialize()
+        assert line == oracle_serialize(oracle_reconstruct(decision, kept, graph, snapshot,
+                                                           mapping))
+        fills.append(inferred_fills(line)["Store.get"][1:])
+    assert fills == [(10, recon.SOURCE_HISTORICAL, 0.0), (40, recon.SOURCE_HISTORICAL, 42.426)] * 2
+
+
+def test_edge_entries_of_a_snapshot_rebuild_as_the_reference():
+    """count 0 and a missing entry fill zero; an int std is written as a
+    float and a long one is rounded to 3 places; a non-ASCII operation is
+    escaped; an external callee, which the graph has no FunctionRef of,
+    takes its operation and service from its key."""
+    cafe = "svc:Caf\u00e9.r\u00e9sum\u00e9"
+    callees = ["svc:A.zero", "svc:B.none", "svc:C.whole", "svc:D.long", cafe, "ext:Lib.call"]
+    graph, mapping, decision, kept = front_and_callees(callees, external=["ext:Lib.call"])
+    assert "ext:Lib.call" not in graph.functions
+    edge = StatsSnapshot({"schema_version": 1, "kind": "stats-snapshot", "keys": {
+        "svc:A.zero": {"count": 0, "mean": 50.0, "std": 3.0},
+        "svc:C.whole": {"count": 3, "mean": 12.4, "std": 2},
+        "svc:D.long": {"count": 5, "mean": 7.6, "std": 1.23456789},
+        cafe: {"count": 2, "mean": 3.0, "std": 0.5},
+        "ext:Lib.call": {"count": 4, "mean": 9.0, "std": 0.25}}})
+    zero, mean = (0, recon.SOURCE_ZERO, None), recon.SOURCE_HISTORICAL
+    want = {"A.zero": ("svc", *zero), "B.none": ("svc", *zero),
+            "C.whole": ("svc", 12, mean, 2.0), "D.long": ("svc", 8, mean, 1.235),
+            "Caf\u00e9.r\u00e9sum\u00e9": ("svc", 3, mean, 0.5),
+            "Lib.call": ("ext", 9, mean, 0.25)}
+    # the empty snapshot between the two uses of edge fills every call with zero
+    for snapshot in (edge, ScoreBook().snapshot(), edge):
+        line = reconstruct(decision, kept, graph, snapshot, mapping).serialize()
+        assert line == oracle_serialize(oracle_reconstruct(decision, kept, graph, snapshot,
+                                                           mapping))
+        assert inferred_fills(line) == (want if snapshot is edge else
+                                        {op: (svc, *zero) for op, (svc, *_) in want.items()})
+    assert '"operation":"Caf\\u00e9.r\\u00e9sum\\u00e9"' in line
+    assert '"uncertainty_std":2.0' in line
+    with pytest.raises(TypeError, match="snapshot"):
+        reconstruct(decision, kept, graph, dict(edge), mapping)
+
+
 def mapped_positions(spans, labels):
     """Each span's position among the labelled spans: the path of child
     indexes from the root, unlabelled spans being transparent (an unlabelled
@@ -208,7 +311,7 @@ def test_an_inferred_root_covers_an_orphan_that_starts_before_every_anchor():
     kept = [trace.span("u"), trace.span("leaf")]
     decision = decision_for(front, trace, mapping, kept, ())
     assert decision.at == (1, 0)  # leaf is call 1; u goes under call 0, the root
-    rebuilt = reconstruct(decision, kept, graph, {}, mapping)
+    rebuilt = reconstruct(decision, kept, graph, ScoreBook().snapshot(), mapping)
     root, leaf, orphan = (r.span for r in rebuilt.spans)
     assert (root.start_time, root.end_time) == (5, 90)
     assert (leaf.parent_id, orphan.parent_id) == (root.span_id, root.span_id)
@@ -217,11 +320,13 @@ def test_an_inferred_root_covers_an_orphan_that_starts_before_every_anchor():
 
 def written(trace_id, rspans) -> str:
     """The line of a rebuilt trace of rspans: each span's record as the
-    record writer of reconstruct writes it, joined as serialize() joins them."""
+    record writers of reconstruct write it, joined as serialize() joins them."""
     own_id = recon._json(trace_id)
     records = [recon._record(trace_id, own_id, s.span_id, s.trace_id, s.parent_id, s.operation,
-                             s.service, s.start_time, s.duration, s.attributes, origin, source,
-                             std)
+                             s.service, s.start_time, s.duration, s.attributes)
+               if origin == ORIGIN_SAMPLED else
+               recon._inferred(recon._inferred_text(s.operation, s.service, source, std),
+                               own_id, s.span_id, s.parent_id, s.start_time, s.duration)
                for s, origin, _fn, source, std in rspans]
     return recon.ReconstructedTrace(trace_id, records, None).serialize()
 
@@ -297,7 +402,7 @@ def test_records_written_from_the_columns_match_the_spans_they_build(system):
     for trace in traces:
         try:
             result = pipeline.process(trace)
-            rebuilt = pipeline.reconstruct_result(result)
+            rebuilt = pipeline.reconstruct_result(result, pipeline.stats_snapshot())
         except SpanscopeError:
             assert drift, trace.trace_id  # a drifted graph may not explain a trace
             continue
@@ -376,7 +481,7 @@ def test_deep_chain_rebuilds_exactly(depth, ratio):
     mapping = build_map(graph)
     pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=ratio))
     result = pipeline.process(trace)
-    rebuilt = pipeline.reconstruct_result(result)
+    rebuilt = pipeline.reconstruct_result(result, pipeline.stats_snapshot())
     assert len(rebuilt.spans) == depth
     assert structural_fidelity(trace, rebuilt, mapping).structure_exact
     if ratio < 1.0:
@@ -502,7 +607,7 @@ class TestForkInInsertedCallee:
         forks = align_trace(self.graph, trace, self.mapping).forks
         kept = [spans[i] for i in ids]
         return forks, reconstruct(decision_for(self.MAIN, trace, self.mapping, kept, forks),
-                                  kept, self.graph, {}, self.mapping)
+                                  kept, self.graph, ScoreBook().snapshot(), self.mapping)
 
     def test_unwitnessed_branch_rebuilds_from_its_fork(self):
         forks, rebuilt = self.rebuild(self.spans, "root", "p", "a")
@@ -547,7 +652,7 @@ class TestSearchOnComfortEconomy:
         decision = dataclasses.replace(result.decision, kept=ids,
                                        at=recorded_calls(self.comfort, self.mapping, ids))
         if forks:
-            return reconstruct(decision, kept, self.graph, {}, self.mapping)
+            return reconstruct(decision, kept, self.graph, ScoreBook().snapshot(), self.mapping)
         return oracle_reconstruct(decision, kept, self.graph, {}, self.mapping, search=True)
 
     def test_witnessed_branch_search_equals_replay(self):
@@ -579,7 +684,7 @@ def test_endless_self_call_ends_in_reconstruction_error():
     root = Span("r", "t", None, "Loop.f", "svc", 0, 10)
     decision = decision_for("svc:Loop.f", Trace("t", [root]), mapping, [root], ())
     with pytest.raises(ReconstructionError, match="walk step budget exceeded"):
-        reconstruct(decision, [root], graph, {}, mapping)
+        reconstruct(decision, [root], graph, ScoreBook().snapshot(), mapping)
     with pytest.raises(ReconstructionError):  # the reference search finds no path either
         oracle_reconstruct(decision, [root], graph, {}, mapping, search=True)
 
