@@ -6,7 +6,6 @@ from .cscfg import (
     DominanceInfo,
     FunctionRef,
     build_cscfg,
-    compute_dominance,
     parse_function_key,
 )
 from .errors import SpanscopeError
@@ -33,8 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExecutionPath", "PathCache", "trace_signature",
-    "Cscfg", "DominanceInfo", "FunctionRef", "build_cscfg", "compute_dominance",
-    "parse_function_key",
+    "Cscfg", "DominanceInfo", "FunctionRef", "build_cscfg", "parse_function_key",
     "SpanscopeError",
     "SpanFunctionMap", "Unmapped", "build_map",
     "Span", "Trace", "parse_trace", "serialize_trace",

@@ -48,7 +48,7 @@ before are aligned. The invocation level is keyed by a function and the
 callee key of each symbol aligned against it (None for an inserted unmapped
 span), which is everything the solver reads besides the graph; it stores the
 solver's action sequence, forks included. No key names the graph, so a
-cache serves one frozen graph: align refuses a graph that can still change.
+cache serves one graph, which cannot change once built.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class _Shape:
 
 
 class PathCache:
-    """Three bounded LRU maps of alignment results for one frozen graph.
+    """Three bounded LRU maps of alignment results for one graph.
 
     `lookup`/`store` hold whole-trace `ExecutionPath`s keyed by
     `trace_signature` (preorder function keys and child counts). A path
@@ -137,7 +137,7 @@ class PathCache:
     PATH_CACHE_CAPACITY entries, read when an entry is added. Shape ids
     come from a counter and are never reused, so an evicted shape's id never
     names another shape. No key names the graph, so one cache must only
-    ever see one frozen graph. Like the pipeline that owns it, a cache is
+    ever see one graph. Like the pipeline that owns it, a cache is
     used from one thread.
     """
 
@@ -436,17 +436,15 @@ def _compose(frag: _Fragment, keys: list) -> tuple[list, list]:
 
 
 def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> ExecutionPath:
-    """Minimum-cost alignment of a trace onto the frozen graph.
+    """Minimum-cost alignment of a trace onto the graph.
 
     resolutions maps each span id to its `SpanFunctionMap.resolve` result.
     Raises NoPathError when the root span does not resolve to a function the
     graph knows, or when an invocation has no path (naming its first child
     span, or the function key of a leaf); the first such invocation in
-    preorder is named. Raises ValueError when the graph is not frozen.
-    Every slot of the trace's preorder lies in exactly one set.
+    preorder is named. Every slot of the trace's preorder lies in exactly
+    one set.
     """
-    if not graph.frozen:
-        raise ValueError("a PathCache needs a frozen graph")
     sig = trace_signature(trace, resolutions)
     path = cache.lookup(sig)
     if path is not None:

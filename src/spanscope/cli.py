@@ -27,14 +27,12 @@ Each rebuilt trace is written as the rebuild placed it, from its records;
 its span objects are built only with --traces, for the fidelity report.
 
 Exit codes: 0 success, 1 input or pipeline error, 2 configuration error.
-Set SPANSCOPE_LOG=debug|info|warning to control verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
@@ -48,20 +46,12 @@ from .reconstruct import fidelity_means, reconstruct, structural_fidelity
 from .sampler import SamplingConfig, decision_from_dict
 from .scoring import load_snapshot, save_snapshot
 
-log = logging.getLogger("spanscope")
-
 # the config keys of the system that `eval` generates
 _SYSTEM_KEYS = ("seed", "n_services", "n_functions_per_service", "branch_probability",
                 "max_call_depth", "shared_library_fraction", "url_span_probability")
 # every key that `sample` or `eval` reads, so one file serves both
 _CONFIG_KEYS = frozenset(_SYSTEM_KEYS + (
     "n_traces", "ratio", "theta", "window", "min_obs", "lrs_horizon", "fixed_threshold"))
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("SPANSCOPE_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load_config(path: str | None) -> dict:
@@ -118,9 +108,8 @@ def cmd_build_graph(args) -> int:
         if not graph.has_body(fn):
             continue
         classes = graph.dominance(fn).classes()
-        print(f"{fn}: {len(graph.blocks_of(fn))} blocks, "
+        print(f"{fn}: {len(graph.subgraph(fn).blocks)} blocks, "
               f"{len(classes)} mutual-dominance classes")
-    graph.freeze()
     graph.save_artifact(args.out)
     print(f"artifact written to {args.out}")
     return 0
@@ -290,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pb = sub.add_parser("build-graph", help="build and freeze a call-site graph artifact")
+    pb = sub.add_parser("build-graph", help="build a call-site graph artifact")
     pb.add_argument("--graph", required=True, help="call-graph document (JSON)")
     pb.add_argument("--out", required=True, help="artifact output path")
     pb.set_defaults(func=cmd_build_graph)
@@ -330,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

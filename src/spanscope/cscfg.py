@@ -9,10 +9,11 @@ dominance stays intraprocedural. The graph holds what the document states
 and nothing seen at run time: where a trace makes a call the graph lacks,
 or skips one it has, alignment records the edit with the trace's decision.
 
-A graph loaded from an artifact checks the whole artifact at load but reads
-each function's body (its blocks, flow edges and successors) from the parsed
-record only when a query first needs that function; whole-graph readers and
-mutations read every body first.
+A graph is fixed once built. Both ways to build one, contracting a
+document and loading an artifact, give the constructor the same
+per-function records, which it checks whole; each function's body is read
+from its record only when a query first needs it, and whole-graph readers
+read every body.
 
 Block A dominates B when every entry-to-B path passes through A;
 post-dominance is the dual from the exit. Two blocks are mutually dominant
@@ -26,12 +27,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import (
-    DanglingCalleeError,
-    GraphFrozenError,
-    MalformedDocumentError,
-    UnreachableBlockError,
-)
+from .errors import DanglingCalleeError, MalformedDocumentError, UnreachableBlockError
 
 SHARED_SERVICE = "SHARED"
 
@@ -80,12 +76,19 @@ def parse_function_key(key: str) -> FunctionRef:
 
 @dataclass(frozen=True)
 class FunctionSubgraph:
-    """Read-only view of one function's nodes, used by alignment and replay."""
+    """One function's body, shared by every reader and changed by none.
+
+    succ and emissions map each node, in sorted order, to its sorted flow
+    successors and to its callees (none for the virtual entry and exit);
+    blocks lists the call-site blocks in program order. A function without
+    a body has no nodes.
+    """
 
     entry: str
     exit: str
     succ: dict[str, tuple[str, ...]]
     emissions: dict[str, tuple[str, ...]]
+    blocks: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -111,103 +114,67 @@ def exit_node(function_key: str) -> str:
 
 
 class Cscfg:
-    """The shared code-knowledge substrate.
+    """The shared code-knowledge substrate, fixed once built.
 
-    Built, then frozen before alignment uses it; like the pipeline that
-    owns it, a graph is used from one thread. Subgraphs and dominance
-    results are cached per function and cleared by every mutation; once
-    frozen, a graph is not mutated.
-
-    A graph from ``from_artifact_dict`` holds each function's parsed record
-    until a per-function query (``blocks_of``, ``successors``, ``nodes_of``,
-    ``flow_edges_of``, ``subgraph``, ``dominance``) first needs that body;
-    reading a body is not a mutation, so it works on a frozen graph.
-    ``to_artifact_dict`` and every mutation read all bodies first.
-    ``has_body`` and ``knows`` come from load.
+    A graph is made from its function keys, its external function keys and
+    one record per function body in the artifact's own form (``function``,
+    ``blocks``, ``edges``): ``build_cscfg`` contracts a document into such
+    records and ``from_artifact_dict`` reads them from an artifact. The
+    constructor checks every record and indexes the keys now, and reads a
+    body into its FunctionSubgraph only when a query first needs it;
+    ``has_body`` and ``knows`` read no body. No method changes a built
+    graph, so subgraphs and dominance results are cached per function for
+    the graph's lifetime. Like the pipeline that owns it, a graph is used
+    from one thread.
     """
 
-    def __init__(self):
-        self.functions: dict[str, FunctionRef] = {}
-        self.external: set[str] = set()
-        # call-site block id -> its callee function keys, in program order
-        self.blocks: dict[str, tuple[str, ...]] = {}
-        self._fn_blocks: dict[str, list[str]] = {}
-        self._succ: dict[str, dict[str, tuple[str, ...]]] = {}
-        self._frozen = False
-        self._dom_cache: dict[str, DominanceInfo] = {}
-        self._sub_cache: dict[str, "FunctionSubgraph"] = {}
-        # function key -> artifact record whose body is not read yet
+    def __init__(self, functions, external, graphs):
+        # keyed by each ref's own key, so the caller's strings are not kept
+        self.functions: dict[str, FunctionRef] = {
+            ref.key: ref for ref in map(parse_function_key, functions)}
+        self.external: dict[str, FunctionRef] = {
+            ref.key: ref for ref in map(parse_function_key, external)}
+        # function key -> its record until a query first reads the body,
+        # then -> that body, in _subgraphs
         self._unread: dict[str, dict] = {}
-
-    # -- construction ----------------------------------------------------
-
-    def _check_mutable(self):
-        if self._frozen:
-            raise GraphFrozenError("graph is frozen")
-        if self._unread:
-            self._read_all()
-        self._sub_cache.clear()
-        self._dom_cache.clear()
-
-    def add_function(self, ref: FunctionRef) -> None:
-        self._check_mutable()
-        self.functions.setdefault(ref.key, ref)
-
-    def declare_external(self, key: str) -> None:
-        self._check_mutable()
-        self.external.add(key)
-
-    def _add_nodes_for(self, fn_key: str) -> None:
-        if fn_key not in self._succ:
-            self._fn_blocks.setdefault(fn_key, [])
-            self._succ[fn_key] = {entry_node(fn_key): (), exit_node(fn_key): ()}
-
-    def add_block(self, fn_key: str, block_id: str, callees: tuple[str, ...]) -> None:
-        self._check_mutable()
-        self._put_block(fn_key, block_id, callees)
-
-    def _put_block(self, fn_key: str, block_id: str, callees) -> None:
-        if not callees:
-            raise MalformedDocumentError(f"block {block_id!r} has no callees")
-        if block_id in self.blocks:
-            raise MalformedDocumentError(f"duplicate block id {block_id!r}")
-        self._add_nodes_for(fn_key)
-        self.blocks[block_id] = tuple(callees)
-        self._fn_blocks[fn_key].append(block_id)
-        self._succ[fn_key][block_id] = ()
-
-    def add_flow_edge(self, fn_key: str, src: str, dst: str) -> None:
-        self._check_mutable()
-        self._put_flow_edge(fn_key, src, dst)
-
-    def _put_flow_edge(self, fn_key: str, src: str, dst: str) -> None:
-        succ = self._succ[fn_key]
-        if src not in succ or dst not in succ:
-            raise MalformedDocumentError(f"flow edge {src!r}->{dst!r} names unknown node")
-        if dst not in succ[src]:
-            succ[src] = tuple(sorted(succ[src] + (dst,)))
-
-    def _read(self, fn_key: str) -> None:
-        """Build fn_key's body from its artifact record; a no-op once read."""
-        fn = self._unread.pop(fn_key, None)
-        if fn is not None:
-            self._add_nodes_for(fn_key)
+        self._subgraphs: dict[str, FunctionSubgraph] = {}
+        self._dom_cache: dict[str, DominanceInfo] = {}
+        unread, functions, external = self._unread, self.functions, self.external
+        owner: dict[str, str] = {}  # block id -> its function key
+        for fn in graphs:
+            key = fn["function"]
+            known = (entry_node(key), exit_node(key))
+            if key in unread:
+                raise MalformedDocumentError(f"function {key!r} listed twice")
+            if key not in functions:
+                raise MalformedDocumentError(f"graph of {key!r}, which is not a listed function")
             for b in fn["blocks"]:
-                self._put_block(fn_key, b["id"], b["callees"])
+                bid, callees = b["id"], b["callees"]
+                if type(bid) is not str:
+                    raise MalformedDocumentError(f"block id {bid!r} is not a string")
+                if type(callees) is not list or not callees:
+                    raise MalformedDocumentError(f"block {bid!r} has no callee list")
+                for callee in callees:
+                    # keys are strings, so a callee of another type is in neither
+                    if callee not in functions and callee not in external:
+                        raise MalformedDocumentError(
+                            f"block {bid!r} calls {callee!r}, which is not a listed "
+                            "or external function")
+                if bid in owner:
+                    raise MalformedDocumentError(f"duplicate block id {bid!r}")
+                owner[bid] = key
             for edge in fn["edges"]:
-                self._put_flow_edge(fn_key, edge[0], edge[1])
-
-    def _read_all(self) -> None:
-        for fn_key in list(self._unread):
-            self._read(fn_key)
+                if type(edge) is not list or len(edge) not in (2, 3):
+                    raise MalformedDocumentError(f"flow edge {edge!r} is not [src, dst]")
+                src, dst = edge[0], edge[1]
+                if not ((src in known or owner.get(src) == key)
+                        and (dst in known or owner.get(dst) == key)):
+                    raise MalformedDocumentError(f"flow edge {src!r}->{dst!r} names unknown node")
+            unread[key] = fn
 
     def freeze(self) -> "Cscfg":
-        self._frozen = True
+        """The graph itself: a built graph cannot change, so this does nothing."""
         return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     # -- queries ---------------------------------------------------------
 
@@ -215,40 +182,19 @@ class Cscfg:
         return fn_key in self.functions or fn_key in self.external
 
     def has_body(self, fn_key: str) -> bool:
-        fn = self._unread.get(fn_key)
-        if fn is not None:
-            return bool(fn["blocks"])
-        return bool(self._fn_blocks.get(fn_key))
-
-    def blocks_of(self, fn_key: str) -> list[str]:
-        self._read(fn_key)
-        return list(self._fn_blocks.get(fn_key, []))
-
-    def successors(self, fn_key: str, node: str) -> tuple[str, ...]:
-        self._read(fn_key)
-        return self._succ.get(fn_key, {}).get(node, ())
-
-    def nodes_of(self, fn_key: str) -> list[str]:
-        self._read(fn_key)
-        return sorted(self._succ.get(fn_key, {}))
-
-    def flow_edges_of(self, fn_key: str):
-        for src in self.nodes_of(fn_key):
-            for dst in self.successors(fn_key, src):
-                yield src, dst
-
-    def subgraph(self, fn_key: str) -> "FunctionSubgraph":
-        sub = self._sub_cache.get(fn_key)
+        sub = self._subgraphs.get(fn_key)
         if sub is not None:
-            return sub
-        nodes = self.nodes_of(fn_key)
-        sub = FunctionSubgraph(
-            entry=entry_node(fn_key),
-            exit=exit_node(fn_key),
-            succ={n: self.successors(fn_key, n) for n in nodes},
-            emissions={n: self.blocks.get(n, ()) for n in nodes},
-        )
-        self._sub_cache[fn_key] = sub
+            return bool(sub.blocks)
+        fn = self._unread.get(fn_key)
+        return fn is not None and bool(fn["blocks"])
+
+    def subgraph(self, fn_key: str) -> FunctionSubgraph:
+        sub = self._subgraphs.get(fn_key)
+        if sub is None:
+            fn = self._unread.pop(fn_key, None)
+            sub = _read_body(fn_key, fn)
+            if fn is not None:
+                self._subgraphs[fn_key] = sub
         return sub
 
     # -- dominance -------------------------------------------------------
@@ -263,14 +209,14 @@ class Cscfg:
     # -- serialization ---------------------------------------------------
 
     def to_artifact_dict(self) -> dict:
-        self._read_all()
         fns = []
-        for key in sorted(self._succ):
+        for key in sorted(self._unread.keys() | self._subgraphs.keys()):
+            sub = self.subgraph(key)
             fns.append({
                 "function": key,
-                "blocks": [{"id": bid, "callees": list(self.blocks[bid])}
-                           for bid in self._fn_blocks[key]],
-                "edges": [[src, dst] for src, dst in self.flow_edges_of(key)],
+                "blocks": [{"id": bid, "callees": list(sub.emissions[bid])}
+                           for bid in sub.blocks],
+                "edges": [[src, dst] for src, outs in sub.succ.items() for dst in outs],
             })
         return {
             "schema_version": SCHEMA_VERSION,
@@ -284,52 +230,23 @@ class Cscfg:
     def from_artifact_dict(cls, obj: dict) -> "Cscfg":
         """The graph of an artifact dict, with every function body unread.
 
-        Checks the whole artifact and builds the function index now; each
-        body is built from its record (kept as given, so obj must not change
-        afterwards) on first use. An older artifact reads as the current one:
-        its ``call_edges`` list may only restate its blocks' callees, a
-        block's ``synthetic`` flag is ignored, and an edge's third item, its
-        provenance, too.
+        Each body is read from its record (kept as given, so obj must not
+        change afterwards) on first use. An older artifact reads as the
+        current one: its ``call_edges`` list may only restate its blocks'
+        callees, a block's ``synthetic`` flag is ignored, and an edge's
+        third item, its provenance, too.
         """
         if obj.get("schema_version") != SCHEMA_VERSION or obj.get("kind") != "cscfg-artifact":
             raise MalformedDocumentError("not a cscfg artifact")
-        graph = cls()
-        for key in obj["functions"]:
-            graph.add_function(parse_function_key(key))
-        for key in obj["external_functions"]:
-            graph.declare_external(key)
-        unread = graph._unread
-        # block id -> its function key, and -> its callees
-        owner: dict[str, str] = {}
-        calls: dict[str, list] = {}
-        for fn in obj["graphs"]:
-            key = fn["function"]
-            known = (entry_node(key), exit_node(key))
-            if key in unread:
-                raise MalformedDocumentError(f"function {key!r} listed twice")
-            for b in fn["blocks"]:
-                bid, callees = b["id"], b["callees"]
-                if type(bid) is not str:
-                    raise MalformedDocumentError(f"block id {bid!r} is not a string")
-                if type(callees) is not list or not callees:
-                    raise MalformedDocumentError(f"block {bid!r} has no callee list")
-                if bid in owner:
-                    raise MalformedDocumentError(f"duplicate block id {bid!r}")
-                owner[bid] = key
-                calls[bid] = callees
-            for edge in fn["edges"]:
-                if type(edge) is not list or len(edge) not in (2, 3):
-                    raise MalformedDocumentError(f"flow edge {edge!r} is not [src, dst]")
-                src, dst = edge[0], edge[1]
-                if not ((src in known or owner.get(src) == key)
-                        and (dst in known or owner.get(dst) == key)):
-                    raise MalformedDocumentError(f"flow edge {src!r}->{dst!r} names unknown node")
-            unread[key] = fn
-        for bid, callee, _prov in obj.get("call_edges", ()):
-            if type(bid) is not str or callee not in calls.get(bid, ()):
-                raise MalformedDocumentError(
-                    f"call edge {bid!r} -> {callee!r} is not a callee of that block; "
-                    "build the graph again with build-graph")
+        graph = cls(obj["functions"], obj["external_functions"], obj["graphs"])
+        call_edges = obj.get("call_edges", ())
+        if call_edges:
+            calls = {b["id"]: b["callees"] for fn in obj["graphs"] for b in fn["blocks"]}
+            for bid, callee, _prov in call_edges:
+                if type(bid) is not str or callee not in calls.get(bid, ()):
+                    raise MalformedDocumentError(
+                        f"call edge {bid!r} -> {callee!r} is not a callee of that block; "
+                        "build the graph again with build-graph")
         return graph
 
     def save_artifact(self, path) -> None:
@@ -346,6 +263,23 @@ class Cscfg:
                     AttributeError) as exc:
                 raise MalformedDocumentError(
                     f"{path}: bad cscfg artifact: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_body(fn_key: str, fn: dict | None) -> FunctionSubgraph:
+    """fn_key's body from its checked record; with none, a body without nodes."""
+    ent, ext = entry_node(fn_key), exit_node(fn_key)
+    if fn is None:
+        return FunctionSubgraph(ent, ext, {}, {}, ())
+    calls = {ent: (), ext: ()}
+    for b in fn["blocks"]:
+        calls[b["id"]] = tuple(b["callees"])
+    outs: dict[str, set[str]] = {n: set() for n in calls}
+    for edge in fn["edges"]:
+        outs[edge[0]].add(edge[1])
+    nodes = sorted(calls)
+    return FunctionSubgraph(ent, ext, {n: tuple(sorted(outs[n])) for n in nodes},
+                            {n: calls[n] for n in nodes},
+                            tuple(b["id"] for b in fn["blocks"]))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -365,7 +299,8 @@ def build_cscfg(call_graph_doc) -> Cscfg:
     The document lists functions with their blocks (id plus ordered callees,
     possibly empty), intraprocedural flow edges, entry/exit designation and
     an external-functions list. Blocks without calls are dropped and flow
-    edges are contracted across them.
+    edges are contracted across them, which gives each function with a call
+    site its artifact record.
     """
     if isinstance(call_graph_doc, str):
         try:
@@ -379,7 +314,6 @@ def build_cscfg(call_graph_doc) -> Cscfg:
              f"unsupported schema_version {doc.get('schema_version')!r}")
     _require(isinstance(doc.get("functions"), list), "missing functions list")
 
-    graph = Cscfg()
     defined: set[str] = set()
     for fn in doc["functions"]:
         _require(isinstance(fn, dict) and "function" in fn, "function entry missing 'function'")
@@ -387,14 +321,13 @@ def build_cscfg(call_graph_doc) -> Cscfg:
         _require(type(key) is str, f"function key {key!r} is not a string")
         _require(key not in defined, f"function {key!r} defined twice")
         defined.add(key)
-        graph.add_function(parse_function_key(key))
     external = doc.get("external_functions", [])
     _require(isinstance(external, list), "external_functions must be a list")
     for key in external:
         _require(type(key) is str, f"external function key {key!r} is not a string")
-        parse_function_key(key)
-        graph.declare_external(key)
+    callable_keys = defined.union(external)
 
+    graphs = []
     for fn in doc["functions"]:
         key = fn["function"]
         blocks = fn.get("blocks", [])
@@ -411,7 +344,7 @@ def build_cscfg(call_graph_doc) -> Cscfg:
                      f"{key}: block {b['id']!r}: callees must be a list of strings")
             callees = tuple(callees)
             for c in callees:
-                if c not in defined and c not in graph.external:
+                if c not in callable_keys:
                     raise DanglingCalleeError(c, key)
             local_callees[b["id"]] = callees
         entry = fn.get("entry")
@@ -433,22 +366,20 @@ def build_cscfg(call_graph_doc) -> Cscfg:
         if not any(local_callees.values()):
             continue  # all blocks call-free: nothing to retain
 
-        _contract_into(graph, key, local_callees, adj, entry, set(exits))
+        graphs.append(_contract(key, local_callees, adj, entry, set(exits)))
 
-    return graph
+    return Cscfg([fn["function"] for fn in doc["functions"]], external, graphs)
 
 
-def _contract_into(graph: Cscfg, fn_key: str, local_callees: dict[str, tuple[str, ...]],
-                   adj: dict[str, list[str]], entry_local: str, exits: set[str]) -> None:
-    """Retain call-site blocks; wire contracted flow edges through virtual nodes."""
-    graph._add_nodes_for(fn_key)
+def _contract(fn_key: str, local_callees: dict[str, tuple[str, ...]],
+              adj: dict[str, list[str]], entry_local: str, exits: set[str]) -> dict:
+    """fn_key's artifact record: its call-site blocks, and flow edges
+    contracted across call-free blocks and wired through virtual nodes."""
     gid = lambda lid: f"{fn_key}#{lid}"
     ent = entry_node(fn_key)
     ext = exit_node(fn_key)
 
     call_ids = [lid for lid in local_callees if local_callees[lid]]
-    for lid in call_ids:
-        graph.add_block(fn_key, gid(lid), local_callees[lid])
 
     def targets(seeds: list[str]) -> set[str]:
         # BFS through call-free blocks; a call-site block or the function
@@ -469,15 +400,17 @@ def _contract_into(graph: Cscfg, fn_key: str, local_callees: dict[str, tuple[str
             dq.extend(adj[b])
         return out
 
-    for dst in sorted(targets([entry_local])):
-        graph.add_flow_edge(fn_key, ent, dst)
+    edges = [[ent, dst] for dst in sorted(targets([entry_local]))]
     for lid in call_ids:
         outs: set[str] = set()
         if lid in exits:
             outs.add(ext)
         outs |= targets(list(adj[lid]))
-        for dst in sorted(outs):
-            graph.add_flow_edge(fn_key, gid(lid), dst)
+        edges += [[gid(lid), dst] for dst in sorted(outs)]
+    return {"function": fn_key,
+            "blocks": [{"id": gid(lid), "callees": list(local_callees[lid])}
+                       for lid in call_ids],
+            "edges": edges}
 
 
 def _dominator_sets(nodes: list[str], preds: dict[str, list[str]], root: str) -> dict[str, frozenset[str]]:
@@ -508,12 +441,11 @@ def compute_dominance(graph: Cscfg, key: str) -> DominanceInfo:
     UnreachableBlockError when blocks are cut off from the entry or cannot
     reach the exit.
     """
-    graph._read(key)
-    if key not in graph._succ:
+    sub = graph.subgraph(key)
+    if not sub.succ:
         raise MalformedDocumentError(f"function {key!r} has no blocks in the graph")
-    ent, ext = entry_node(key), exit_node(key)
-    nodes = graph.nodes_of(key)
-    succ = {n: list(graph.successors(key, n)) for n in nodes}
+    ent, ext, succ = sub.entry, sub.exit, sub.succ
+    nodes = list(succ)
     preds: dict[str, list[str]] = {n: [] for n in nodes}
     for n, outs in succ.items():
         for m in outs:

@@ -42,10 +42,6 @@ class UnreachableBlockError(SpanscopeError):
         self.blocks = blocks
 
 
-class GraphFrozenError(SpanscopeError):
-    """Mutation attempted on a frozen graph."""
-
-
 class DuplicateSharedEntryError(SpanscopeError):
     """The shared-library dictionary lists the same class.function twice."""
 

@@ -244,8 +244,7 @@ def _assign_fork_probs(graph: Cscfg, meta: SystemMeta, error_candidates: dict,
             continue
         err_local = error_candidates.get(key)
         err_global = f"{key}#{err_local}" if err_local else None
-        for node in graph.nodes_of(key):
-            succs = graph.successors(key, node)
+        for node, succs in graph.subgraph(key).succ.items():
             if len(succs) <= 1:
                 continue
             weights = []

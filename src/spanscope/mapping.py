@@ -118,9 +118,7 @@ def build_map(graph: Cscfg, shared_entries: list[FunctionRef] | None = None) -> 
     for fn_key in sorted(graph.functions):
         index(graph.functions[fn_key])
     for fn_key in sorted(graph.external):
-        from .cscfg import parse_function_key
-
-        index(parse_function_key(fn_key))
+        index(graph.external[fn_key])
 
     seen: set[tuple[str, str]] = set()
     for ref in shared_entries or []:

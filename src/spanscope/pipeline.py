@@ -1,6 +1,6 @@
 """End-to-end engine: map, align, partition, select, reconstruct.
 
-One pipeline owns the frozen graph, the span-function map, the path cache,
+One pipeline owns the graph, the span-function map, the path cache,
 the scoring windows and the selection ledger. Traces stream through one at a
 time with bounded memory; per-stage wall time is accumulated so the cost
 split between trace partitioning and span selection stays observable.
@@ -56,8 +56,6 @@ def _calls(trace: Trace, resolutions: dict) -> dict[str, int]:
 
 class SamplingPipeline:
     def __init__(self, graph: Cscfg, mapping: SpanFunctionMap, cfg: SamplingConfig):
-        if not graph.frozen:
-            graph.freeze()
         self.graph = graph
         self.mapping = mapping
         self.cfg = cfg

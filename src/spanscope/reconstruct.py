@@ -58,8 +58,9 @@ ORIGIN_INFERRED = "inferred"
 SOURCE_HISTORICAL = "historical-mean"
 SOURCE_ZERO = "zero-fallback"
 
-# flow moves one walk may take: about two per function body, so a chain of
-# depth 10,000 fits with room, and a function that calls itself forever fails
+# flow moves a replay may take between two records of its decision: about
+# two per function body, so a chain of depth 10,000 fits with room, and a
+# function that calls itself forever, which consumes no record, fails
 _WALK_BUDGET = 50_000
 
 # encodes what the fragment writer leaves to it: bools, non-finite floats,
@@ -259,18 +260,18 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
     ahi: list[int | None] = []
     widths: list[int] = []
     rows: list[tuple | None] = []
-    budget = _WALK_BUDGET
     has_body, subgraph = graph.has_body, graph.subgraph
     items = iter(forks)
 
     def take() -> None:
-        """Moves to the next item; edit_at is the call index it applies at
-        when it is an edit, else -1."""
-        nonlocal head, edit_at
+        """Moves to the next item and renews the step budget; edit_at is the
+        call index it applies at when it is an edit, else -1."""
+        nonlocal head, edit_at, budget
+        budget = _WALK_BUDGET
         head = next(items, None)
         edit_at = -1 if head is None or type(head) is str else head[1]
 
-    head = edit_at = None
+    head = edit_at = budget = None
     take()
 
     def call(fn: str) -> bool:

@@ -108,7 +108,6 @@ def comfort_samples(comfort_setup):
     graph, mapping, meta, _doc = comfort_setup
     spec = SystemSpec(seed=5, url_span_probability=0.0)
     samples = list(generate_traces(graph, meta, spec, 60))
-    graph.freeze()
     return graph, mapping, meta, samples
 
 

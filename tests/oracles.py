@@ -775,7 +775,7 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
 # two passes here, or the recursive oracle_layout above) give the emit the
 # same node fields.
 
-ORACLE_WALK_BUDGET = 50_000  # flow moves one walk may take
+ORACLE_WALK_BUDGET = 50_000  # flow moves a walk may take between two script records
 ORACLE_SEARCH_BUDGET = 8000  # fork-choice prefixes one search may try
 
 
@@ -865,6 +865,7 @@ class _Walker:
     def _choose(self, succs):
         if self.choices:
             choice = self.choices.popleft()
+            self.budget = ORACLE_WALK_BUDGET
             if choice not in succs:
                 raise self.error(f"recorded branch {choice!r} is not a successor here")
             self.taken.append(choice)
@@ -883,8 +884,10 @@ class _Walker:
             if len(choices[0]) == 2:
                 if before_call:
                     choices.popleft()
+                    self.budget = ORACLE_WALK_BUDGET
                 return before_call
             callee = choices.popleft()[2]
+            self.budget = ORACLE_WALK_BUDGET
             child = self._node(callee, None)
             holder.children.append(child)
             yield callee, child, len(self.nodes) - 1
@@ -1378,7 +1381,7 @@ ReferencePath = namedtuple("ReferencePath", "steps cost insertions forks")
 def reference_step_forks(graph, step) -> tuple:
     """Targets of the moves after a step that leave a node with more than
     one successor, in order."""
-    return tuple(dst for fn, src, dst in step.moves if len(graph.successors(fn, src)) > 1)
+    return tuple(dst for fn, src, dst in step.moves if len(graph.subgraph(fn).succ[src]) > 1)
 
 
 def _reference_emit_invocation(graph, trace, fn_key, owner, children, resolutions, slot,
@@ -1435,9 +1438,8 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     """Minimum-cost alignment of a trace onto the graph.
 
     Raises NoPathError when the root span does not resolve to a function the
-    graph knows, and ValueError when given a cache with a graph that is not
-    frozen. Every slot of the trace's preorder lies on exactly one step. The
-    result is a ReferencePath of ReferenceSteps, whose forks are
+    graph knows. Every slot of the trace's preorder lies on exactly one step.
+    The result is a ReferencePath of ReferenceSteps, whose forks are
     reference_step_forks of every step with each step's edit before them;
     oracle_partition cuts it into sets.
     `cache` is a PathCache of its own: this aligner reads and writes only its
@@ -1448,8 +1450,6 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     from spanscope.errors import NoPathError
     from spanscope.mapping import Unmapped
 
-    if cache is not None and not graph.frozen:
-        raise ValueError("a PathCache needs a frozen graph")
     if resolutions is None:
         resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
     sig = trace_signature(trace, resolutions)

@@ -90,7 +90,7 @@ def nested_trace(trace_id, with_url):
 
 class TestAlign:
     def test_exact_match_cost_zero(self):
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
         path = align_trace(graph, linear_trace(), mapping)
         assert path.cost == 0
@@ -99,7 +99,7 @@ class TestAlign:
         assert path.forks == ()
 
     def test_every_span_on_exactly_one_step(self):
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
         trace = linear_trace(with_url=True)
         path = align_trace(graph, trace, mapping)
@@ -107,7 +107,7 @@ class TestAlign:
         assert sorted(linked) == list(range(len(trace.preorder)))
 
     def test_url_span_costs_one_insertion(self):
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
         trace = linear_trace(with_url=True)
         path = align_trace(graph, trace, mapping)
@@ -120,17 +120,17 @@ class TestAlign:
             (1, 1, (("match", 0), ("match", 1), ("ins", 2)))
 
     def test_insert_recorded_on_graph_sink(self):
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
         align_trace(graph, linear_trace(), mapping)  # fills the graph's caches
         before = copy.deepcopy(vars(graph))
         path = align_trace(graph, linear_trace(with_url=True), mapping)
         assert path.insertions == 1
-        # the insertion lives on the path: the frozen graph is not written
+        # the insertion lives on the path: the graph is not written
         assert vars(graph) == before
 
     def test_distinct_inserted_operations_leave_the_insert_state_flat(self):
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
 
         def url_trace(i):
@@ -155,7 +155,7 @@ class TestAlign:
     def test_missing_span_skips_avoidable_block(self):
         # trace omits the A.a span; b0 is mandatory so the aligner prefers
         # keeping the path and paying the prohibitive-skip bill over nothing
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
         spans = [
             make_span("r", operation="Main.run", start=0, duration=100),
@@ -169,7 +169,7 @@ class TestAlign:
         assert path.cost >= 1
 
     def test_unmapped_root_raises_no_path(self):
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
         spans = [make_span("r", operation="GET /", start=0, duration=10)]
         with pytest.raises(NoPathError) as err:
@@ -177,7 +177,7 @@ class TestAlign:
         assert err.value.span_id == "r"
 
     def test_unknown_entry_function_raises_no_path(self):
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
         spans = [make_span("r", operation="Main.run", service="elsewhere",
                            start=0, duration=10)]
@@ -185,7 +185,7 @@ class TestAlign:
             align_trace(graph, make_trace(spans), mapping)
 
     def test_deterministic_repeat(self):
-        graph = linear_graph().freeze()
+        graph = linear_graph()
         mapping = build_map(graph)
         trace = linear_trace(with_url=True)
         assert align_trace(graph, trace, mapping) == align_trace(graph, trace, mapping)
@@ -210,7 +210,7 @@ class TestOptimality:
             extra_functions=[{"function": f"svc:X.{n}"}
                              for n in ("e", "l1", "l2", "r1", "t")],
         )
-        graph = build_cscfg(doc).freeze()
+        graph = build_cscfg(doc)
         mapping = build_map(graph)
         ops = ["X.e", "X.l1", "X.l2", "X.r1", "X.t", "X.e"]
         rng = random.Random(21)
@@ -229,7 +229,7 @@ class TestOptimality:
             assert path.cost == expected, (trial, chosen, path.cost, expected)
 
     def test_nested_invocations_sum_costs(self):
-        graph = nested_graph().freeze()
+        graph = nested_graph()
         mapping = build_map(graph)
         spans = [
             make_span("r", operation="Main.run", start=0, duration=100),
@@ -254,7 +254,7 @@ class TestOptimality:
                 "flow_edges": [["s", "ca"], ["s", "cb"]], "entry": "s", "exits": ["ca", "cb"],
             }, {"function": "svc:X.deep"}, {"function": "svc:Y.opt"}, {"function": "svc:W.w"}],
         )
-        graph = build_cscfg(doc).freeze()
+        graph = build_cscfg(doc)
         spans = [
             make_span("r", operation="Main.run", start=0, duration=100),
             make_span("h", parent="r", operation="Inner.h", start=5, duration=50),
@@ -275,7 +275,7 @@ class TestOptimality:
 
 class TestCache:
     def setup_method(self):
-        self.graph = linear_graph().freeze()
+        self.graph = linear_graph()
         self.mapping = build_map(self.graph)
 
     def test_same_shape_hits(self):
@@ -347,7 +347,6 @@ def generated_samples(seed, n=200):
     graph = build_cscfg(doc)
     mapping = build_map(graph)
     samples = list(generate_traces(graph, meta, spec, n))
-    graph.freeze()
     return graph, mapping, samples
 
 
@@ -394,7 +393,7 @@ class TestSignatureReference:
 
 class TestSolveCache:
     def test_new_shape_reuses_shared_invocation(self):
-        graph = nested_graph().freeze()
+        graph = nested_graph()
         mapping = build_map(graph)
         cache = PathCache()
         align_trace(graph, nested_trace("t1", with_url=False), mapping, cache)
@@ -405,14 +404,6 @@ class TestSolveCache:
         assert cache.misses == 2
         assert cache.subtree_hits >= 1
         assert second == align_trace(graph, nested_trace("t2", with_url=True), mapping)
-
-    def test_cache_needs_frozen_graph(self):
-        graph = linear_graph()
-        mapping = build_map(graph)
-        trace = linear_trace()
-        with pytest.raises(ValueError):
-            align_trace(graph, trace, mapping)
-        assert align_trace(graph.freeze(), trace, mapping).cost == 0
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_shared_cache_equals_uncached(self, seed):
@@ -440,7 +431,7 @@ class TestSolveCache:
     def test_a_stream_of_new_shapes_keeps_every_map_bounded(self, monkeypatch):
         # random trees over two callees, a nested caller and unmapped spans:
         # nearly every trace is a shape not seen before
-        graph = nested_graph().freeze()
+        graph = nested_graph()
         mapping = build_map(graph)
         ops = ["Inner.h", "X.deep", "Main.run", "GET /zz"]
         rng = random.Random(17)
@@ -477,7 +468,6 @@ class TestHarnessTraffic:
         graph = build_cscfg(doc)
         mapping = build_map(graph)
         samples = list(generate_traces(graph, meta, spec, 40))
-        graph.freeze()
         for sample in samples:
             path = align_trace(graph, sample.trace, mapping)
             url_spans = sum(1 for s in sample.trace.spans if s.operation.startswith("GET "))
@@ -486,7 +476,7 @@ class TestHarnessTraffic:
 
 
 def reference_inputs(which):
-    """Frozen graph, mapping and traces of one input of the reference comparison."""
+    """Graph, mapping and traces of one input of the reference comparison."""
     if which in ("small-40", "drifted"):
         spec = (SystemSpec(seed=3, n_services=5, n_functions_per_service=8,
                            branch_probability=0.3)
@@ -495,7 +485,7 @@ def reference_inputs(which):
         traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 200)]
         graph = build_cscfg(doc) if which == "small-40" else \
             drifted_graph_with_repeatable_blocks()
-        return graph.freeze(), build_map(graph), traces
+        return graph, build_map(graph), traces
     return oracle_inputs(which)
 
 
@@ -545,7 +535,7 @@ class TestComposedPathReference:
                 "entry": "c0", "exits": ["c4"],
             }] + [{"function": c} for c in calls],
         )
-        graph = build_cscfg(doc).freeze()
+        graph = build_cscfg(doc)
         mapping = build_map(graph)
         full = [make_span(f"f{i}", parent="h0", operation=c.split(":")[1], start=2 + i,
                           duration=1) for i, c in enumerate(calls)]
@@ -595,11 +585,12 @@ def random_solver_graph(seed):
     external.update(f"x:Leaf.c{i}" for i in range(10))
     doc = {"schema_version": 1, "functions": functions, "external_functions": sorted(external)}
     leaves = sorted(external)
-    for block_id in sorted(build_cscfg(doc).blocks):
+    graph = build_cscfg(doc)
+    for block_id in sorted(b for fn in graph.functions for b in graph.subgraph(fn).blocks):
         if rng.random() < 0.3:
             fn, local = block_id.rsplit("#", 1)
             add_repeatable_call(doc, fn, local, rng.choice(leaves))
-    return build_cscfg(doc).freeze(), leaves
+    return build_cscfg(doc), leaves
 
 
 def solve_projected(graph, fn, solved):
@@ -617,20 +608,20 @@ def solve_projected(graph, fn, solved):
             out.append(("skip",))
         elif act[0] == "ins":
             out.append(act)
-        elif len(graph.successors(fn, act[1])) > 1:
+        elif len(graph.subgraph(fn).succ[act[1]]) > 1:
             out.append(("fork", act[2]))
     return cost, ins, tuple(out)
 
 
 def tie_graph(blocks, edges, entry, exits, patched=()):
-    """A frozen graph of FN alone, with a repeatable block after each
+    """A graph of FN alone, with a repeatable block after each
     (block, callee) of patched."""
     doc = single_function_doc(
         fn=FN, blocks=[{"id": b, "callees": [f"svc:X.{c}" for c in cs]} for b, cs in blocks],
         edges=edges, entry=entry, exits=exits)
     for block, callee in patched:
         add_repeatable_call(doc, FN, block, f"svc:X.{callee}")
-    return build_cscfg(doc).freeze()
+    return build_cscfg(doc)
 
 
 # equal-cost choices the move preference settles: (graph, symbols, expected)

@@ -8,6 +8,7 @@ import pytest
 from spanscope.cscfg import (
     Cscfg,
     FunctionRef,
+    FunctionSubgraph,
     _dominator_sets,
     build_cscfg,
     compute_dominance,
@@ -15,12 +16,7 @@ from spanscope.cscfg import (
     exit_node,
     parse_function_key,
 )
-from spanscope.errors import (
-    DanglingCalleeError,
-    GraphFrozenError,
-    MalformedDocumentError,
-    UnreachableBlockError,
-)
+from spanscope.errors import DanglingCalleeError, MalformedDocumentError, UnreachableBlockError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import Unmapped, build_map
 from spanscope.pipeline import SamplingPipeline
@@ -74,18 +70,17 @@ class TestBuild:
             edges=[["BB1", "BB2"], ["BB2", "BB3"], ["BB3", "BB4"]],
             entry="BB1", exits=["BB4"],
         )
-        graph = build_cscfg(doc)
-        assert sorted(graph.blocks_of(FN)) == [f"{FN}#BB2", f"{FN}#BB3"]
-        assert graph.successors(FN, entry_node(FN)) == (f"{FN}#BB2",)
-        assert graph.successors(FN, f"{FN}#BB2") == (f"{FN}#BB3",)
-        assert graph.successors(FN, f"{FN}#BB3") == (exit_node(FN),)
+        sub = build_cscfg(doc).subgraph(FN)
+        assert sub.blocks == (f"{FN}#BB2", f"{FN}#BB3")
+        assert sub.succ == {entry_node(FN): (f"{FN}#BB2",), f"{FN}#BB2": (f"{FN}#BB3",),
+                            f"{FN}#BB3": (exit_node(FN),), exit_node(FN): ()}
 
     def test_function_with_no_call_sites_contributes_nothing(self):
         doc = single_function_doc(
             fn=FN, blocks=[blk("BB1")], edges=[], entry="BB1", exits=["BB1"],
         )
         graph = build_cscfg(doc)
-        assert graph.blocks_of(FN) == []
+        assert graph.subgraph(FN) == FunctionSubgraph(entry_node(FN), exit_node(FN), {}, {}, ())
         assert graph.knows(FN)
         assert not graph.has_body(FN)
 
@@ -93,8 +88,9 @@ class TestBuild:
         rng = random.Random(3)
         for _ in range(50):
             graph = build_cscfg(random_cscfg_doc(rng))
-            for bid in graph.blocks:
-                assert graph.blocks[bid]
+            for fn in graph.functions:
+                sub = graph.subgraph(fn)
+                assert all(sub.emissions[bid] for bid in sub.blocks)
 
     def test_diamond_with_calls_only_in_arms(self):
         doc = single_function_doc(
@@ -104,10 +100,9 @@ class TestBuild:
             entry="e", exits=["j"],
         )
         graph = build_cscfg(doc)
-        ent = entry_node(FN)
-        assert set(graph.successors(FN, ent)) == {f"{FN}#L", f"{FN}#R"}
-        assert graph.successors(FN, f"{FN}#L") == (exit_node(FN),)
-        assert graph.successors(FN, f"{FN}#R") == (exit_node(FN),)
+        succ = graph.subgraph(FN).succ
+        assert succ[entry_node(FN)] == (f"{FN}#L", f"{FN}#R")
+        assert succ[f"{FN}#L"] == succ[f"{FN}#R"] == (exit_node(FN),)
         info = compute_dominance(graph, FN)
         # neither arm lies on every path, and neither stands in for the other
         assert info.mandatory == frozenset()
@@ -197,14 +192,12 @@ class TestDominance:
         assert frozenset({f"{FN}#h"}) in classes
 
     def test_unreachable_block_reported(self):
-        graph = Cscfg()
-        graph.add_function(parse_function_key(FN))
-        graph.add_function(parse_function_key("x:F.a"))
-        graph.add_block(FN, f"{FN}#b0", ("x:F.a",))
-        graph.add_block(FN, f"{FN}#b1", ("x:F.a",))
-        graph.add_flow_edge(FN, entry_node(FN), f"{FN}#b0")
-        graph.add_flow_edge(FN, f"{FN}#b0", exit_node(FN))
-        graph.add_flow_edge(FN, f"{FN}#b1", exit_node(FN))
+        # b1 returns, but no flow edge leads to it
+        doc = single_function_doc(
+            fn=FN, blocks=[blk("b0", "x:F.a"), blk("b1", "x:F.a")], edges=[],
+            entry="b0", exits=["b0", "b1"],
+        )
+        graph = build_cscfg(doc)
         with pytest.raises(UnreachableBlockError) as err:
             compute_dominance(graph, FN)
         assert f"{FN}#b1" in err.value.blocks
@@ -216,8 +209,9 @@ class TestDominance:
             graph = build_cscfg(doc)
             fn = "svc:R.f"
             info = compute_dominance(graph, fn)
-            nodes = graph.nodes_of(fn)
-            succ = {n: graph.successors(fn, n) for n in nodes}
+            sub = graph.subgraph(fn)
+            succ = sub.succ
+            nodes = list(succ)
             preds = {n: [m for m in nodes if n in succ[m]] for n in nodes}
             dom = oracle_dom_sets(nodes, succ, entry_node(fn))
             pdom = oracle_pdom_sets(nodes, succ, exit_node(fn))
@@ -225,70 +219,9 @@ class TestDominance:
             assert _dominator_sets(nodes, preds, entry_node(fn)) == dom
             assert _dominator_sets(nodes, {n: list(succ[n]) for n in nodes},
                                    exit_node(fn)) == pdom
-            expected = oracle_equiv_classes(graph.blocks_of(fn), dom, pdom)
+            expected = oracle_equiv_classes(sub.blocks, dom, pdom)
             assert set(info.classes()) == expected
-            assert info.mandatory == {b for b in graph.blocks_of(fn)
-                                      if b in dom[exit_node(fn)]}
-
-
-class TestPatch:
-    """A built graph changed by add_block and add_flow_edge: its caches
-    follow the change, and a frozen graph refuses it."""
-
-    def _setup(self):
-        doc = single_function_doc(
-            fn=FN,
-            blocks=[blk("b0", "svc:Sub.known")],
-            edges=[],
-            entry="b0", exits=["b0"],
-            extra_functions=[
-                {"function": "svc:Sub.known"},
-                {"function": "svc:Remote.bar"},
-            ],
-        )
-        return build_cscfg(doc)
-
-    def add_repeatable_call(self, graph):
-        """An optional, repeatable block after b0 that calls Remote.bar."""
-        block, b0, ext = f"{FN}#x", f"{FN}#b0", exit_node(FN)
-        graph.add_block(FN, block, ("svc:Remote.bar",))
-        for src, dst in ((b0, block), (block, block), (block, ext)):
-            graph.add_flow_edge(FN, src, dst)
-        return block
-
-    def test_subgraph_sees_edges_added_after_it_was_built(self):
-        graph = self._setup()
-        assert f"{FN}#x" not in graph.subgraph(FN).emissions
-        block = self.add_repeatable_call(graph)
-        sub = graph.subgraph(FN)
-        assert sub.emissions[block] == ("svc:Remote.bar",)
-        assert sub.succ[f"{FN}#b0"] == (exit_node(FN), block)
-
-    def test_dominance_recomputed_after_patch(self):
-        graph = self._setup()
-        before = graph.dominance(FN)
-        self.add_repeatable_call(graph)
-        after = graph.dominance(FN)
-        assert set(after.equiv_class) > set(before.equiv_class)
-        # the new call is not mandatory
-        assert after.mandatory == before.mandatory == {f"{FN}#b0"}
-
-    def test_frozen_graph_rejects_patch(self):
-        graph = self._setup().freeze()
-        with pytest.raises(GraphFrozenError):
-            self.add_repeatable_call(graph)
-        with pytest.raises(GraphFrozenError):
-            graph.add_flow_edge(FN, f"{FN}#b0", f"{FN}#b0")
-
-    def test_a_refused_patch_leaves_the_frozen_graph_unchanged(self):
-        # Sub.known has no body, and a frozen graph refuses to give it one
-        graph = self._setup().freeze()
-        before = graph.to_artifact_dict()
-        assert graph.nodes_of("svc:Sub.known") == []
-        with pytest.raises(GraphFrozenError):
-            graph.add_block("svc:Sub.known", "svc:Sub.known#x", ("svc:Remote.bar",))
-        assert graph.nodes_of("svc:Sub.known") == []
-        assert graph.to_artifact_dict() == before
+            assert info.mandatory == {b for b in sub.blocks if b in dom[exit_node(fn)]}
 
 
 def merged_random_doc(seeds):
@@ -356,28 +289,18 @@ def in_older_format(artifact):
     return out
 
 
-def answers(graph, keys, shape):
+def answers(graph, keys):
     """Every per-function query over keys, as {query: answer}.
 
-    shape maps each key to its node and block ids in the eager graph, so no
-    query has to read the body first. The first query asked rotates with the
-    key, so each kind of query is the first to read some body.
+    The first query asked rotates with the key, so each query that reads a
+    body is the first to read some body; has_body and knows come from load.
     """
-    def dominance(fn):
-        info = graph.dominance(fn)
-        return info.mandatory, info.equiv_class
-
     out = {}
     for i, fn in enumerate(keys):
-        nodes, blocks = shape[fn]
         asks = [
-            lambda: {("has_body", fn): graph.has_body(fn)},
-            lambda: {("blocks_of", fn): graph.blocks_of(fn)},
-            lambda: {("nodes_of", fn): graph.nodes_of(fn)},
-            lambda: {("successors", fn, n): graph.successors(fn, n) for n in nodes + ["no#such"]},
-            lambda: {("flow_edges_of", fn): list(graph.flow_edges_of(fn))},
+            lambda: {("has_body", fn): graph.has_body(fn), ("knows", fn): graph.knows(fn)},
             lambda: {("subgraph", fn): graph.subgraph(fn)},
-            lambda: {("dominance", fn): dominance(fn)} if blocks else {},
+            lambda: {("dominance", fn): graph.dominance(fn)} if graph.has_body(fn) else {},
         ]
         k = i % len(asks)
         for ask in asks[k:] + asks[:k]:
@@ -397,39 +320,42 @@ def eager_graphs():
     ]
 
 
+def read_bodies(graph) -> set[str]:
+    """The functions whose bodies a query has read."""
+    return set(graph._subgraphs)
+
+
 class TestLazyLoad:
     @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
-    @pytest.mark.parametrize("freeze_at", [None, 0, "half"])
-    def test_loaded_graph_answers_like_the_eager_graph(self, eager_graphs, order, freeze_at):
+    @pytest.mark.parametrize("read_all_at", [None, 0, "half"])
+    def test_loaded_graph_answers_like_the_eager_graph(self, eager_graphs, order, read_all_at):
         for eager, artifacts in eager_graphs:
             keys = sorted(eager.functions) + sorted(eager.external) + ["svc:No.such"]
-            shape = {fn: (eager.nodes_of(fn), eager.blocks_of(fn)) for fn in keys}
-            expected = answers(eager, keys, shape)
+            expected = answers(eager, keys)
             if order == "reverse":
                 keys.reverse()
             elif order == "shuffled":
                 random.Random(9).shuffle(keys)
-            cut = {None: len(keys), 0: 0, "half": len(keys) // 2}[freeze_at]
+            cut = {None: len(keys), 0: 0, "half": len(keys) // 2}[read_all_at]
             for artifact in artifacts:
                 loaded = Cscfg.from_artifact_dict(json.loads(json.dumps(artifact)))
-                got = answers(loaded, keys[:cut], shape)
-                subgraphs = {fn: loaded.subgraph(fn) for fn in keys[:cut]}
-                if freeze_at is not None:
-                    loaded.freeze()
-                got.update(answers(loaded, keys[cut:], shape))
+                got = answers(loaded, keys[:cut])
+                subgraphs = {fn: loaded.subgraph(fn) for fn in keys[:cut]
+                             if loaded.has_body(fn)}
+                if read_all_at is not None:
+                    loaded.to_artifact_dict()  # reads the bodies no query has read yet
+                got.update(answers(loaded, keys[cut:]))
                 assert got == expected
-                # reading a body is not a mutation: cached subgraphs survive it
+                # each body is read once: later queries get the same subgraph
                 assert all(loaded.subgraph(fn) is sub for fn, sub in subgraphs.items())
                 assert loaded.to_artifact_dict() == eager.to_artifact_dict()
 
-    def test_whole_graph_readers_and_mutations_read_every_body(self, eager_graphs):
+    def test_a_whole_graph_reader_reads_every_body(self, eager_graphs):
         eager, (artifact, older) = eager_graphs[1]
         for source in (artifact, older):
-            assert Cscfg.from_artifact_dict(copy.deepcopy(source)).to_artifact_dict() == \
-                eager.to_artifact_dict()
             loaded = Cscfg.from_artifact_dict(copy.deepcopy(source))
-            loaded.add_function(parse_function_key("svc:New.fn"))
-            assert loaded.blocks == eager.blocks
+            assert loaded.to_artifact_dict() == eager.to_artifact_dict()
+            assert read_bodies(loaded) == read_bodies(eager)
 
     def test_save_of_a_fresh_load_writes_the_input_bytes(self, eager_graphs, tmp_path):
         for n, (eager, _artifacts) in enumerate(eager_graphs):
@@ -448,17 +374,15 @@ class TestLazyLoad:
         traces = [s.trace for s in generate_traces(graph, meta, spec, 300)]
 
         loaded = Cscfg.load_artifact(path)
-        assert loaded.blocks == {}
+        assert read_bodies(loaded) == set()
         pipeline = SamplingPipeline(loaded, build_map(loaded), SamplingConfig(ratio=0.3))
         for trace in traces:
             pipeline.process(trace)
         resolved = (pipeline.mapping.resolve(s) for t in traces for s in t.spans)
         entered = {r.key for r in resolved
                    if not isinstance(r, Unmapped) and loaded.has_body(r.key)}
-        # a block id is its function key, '#', then the block's local name
-        read = {bid.rsplit("#", 1)[0] for bid in loaded.blocks}
-        assert read == entered
-        assert len(read) < sum(1 for fn in graph.functions if graph.has_body(fn))
+        assert read_bodies(loaded) == entered
+        assert len(entered) < sum(1 for fn in graph.functions if graph.has_body(fn))
 
 
 def _bad_block(art, **fields):
@@ -490,6 +414,11 @@ LOAD_REJECTIONS = {
     "edge-to-unknown-node": lambda a: _edge(a, a["graphs"][0]["edges"][0][0], "nowhere"),
     "edge-to-another-functions-block": lambda a: _edge(
         a, a["graphs"][0]["edges"][0][0], a["graphs"][1]["blocks"][0]["id"]),
+    "callee-not-a-string": lambda a: _bad_block(a, callees=[5]),
+    "callee-of-no-listed-function": lambda a: _bad_block(a, callees=["nosuch:X.y"]),
+    "callee-not-a-function-key": lambda a: _bad_block(a, callees=["nosuch"]),
+    "graph-of-an-unlisted-function": lambda a: a["functions"].remove(a["graphs"][0]["function"]),
+    "bad-external-key": lambda a: a["external_functions"].append("nocolon"),
 }
 
 

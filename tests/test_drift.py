@@ -156,16 +156,16 @@ IN_STEP = {"none", "drop-an-arm"}
 
 
 def drift_inputs(drift):
-    """The frozen graph of a drift and its traffic: 300 traces of the true
+    """The graph of a drift and its traffic: 300 traces of the true
     document."""
     spec = SystemSpec()
     doc, meta = generate_system(spec)
     traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
-    return build_cscfg(DRIFTS[drift](doc)).freeze(), traces
+    return build_cscfg(DRIFTS[drift](doc)), traces
 
 
 def rebuild_failures(graph, traces):
-    """The pipeline that samples traces on the frozen graph, its written
+    """The pipeline that samples traces on the graph, its written
     results, and by trace id a line for each written decision that does not
     rebuild, changes a kept span, or rebuilds another structure."""
     mapping = build_map(graph)
@@ -254,6 +254,6 @@ def test_every_decision_on_the_drifted_patched_graph_rebuilds_exactly():
     doc, meta = generate_system(spec)
     traces = [s.trace for s in generate_traces(build_cscfg(doc), meta, spec, 300)]
     _pipeline, results, broken = rebuild_failures(
-        drifted_graph_with_repeatable_blocks().freeze(), traces)
+        drifted_graph_with_repeatable_blocks(), traces)
     assert len(results) == len(traces)
     assert not broken, f"{len(broken)} of {len(results)} written decisions: {first(broken)}"

@@ -63,7 +63,7 @@ GOLDEN = {
 def test_sample_and_reconstruct_write_the_golden_bytes(tmp_path, system):
     spec, depth, ratio = SYSTEMS[system]
     doc, meta = harness.variable_depth_system() if depth else harness.generate_system(spec)
-    graph = build_cscfg(doc).freeze()
+    graph = build_cscfg(doc)
     graph_path, trace_path = str(tmp_path / "graph.json"), tmp_path / "traces.ndjson"
     graph.save_artifact(graph_path)
     faults = harness.make_default_faults(meta, N_TRACES)

@@ -46,7 +46,7 @@ class TestPartition:
             edges=[], entry="b0", exits=["b0"],
             extra_functions=[{"function": "svc:A.a"}, {"function": "svc:B.b"}],
         )
-        graph = build_cscfg(doc).freeze()
+        graph = build_cscfg(doc)
         mapping = build_map(graph)
         spans = [
             make_span("r", operation="Main.run", start=0, duration=100),
@@ -108,7 +108,7 @@ class TestPartition:
                              for n in ("t0", "a1", "a2", "b1", "m1", "m2",
                                        "c1", "c2", "d1")],
         )
-        graph = build_cscfg(doc).freeze()
+        graph = build_cscfg(doc)
         mapping = build_map(graph)
         ops = ["X.t0", "X.a1", "X.a2", "X.m1", "X.m2", "X.c1", "X.c2"]
         spans = [make_span("r", operation="Main.run", start=0, duration=1000)]
@@ -154,7 +154,7 @@ class TestPartition:
             edges=[], entry="b0", exits=["b0"],
             extra_functions=[{"function": "svc:A.a"}],
         )
-        graph = build_cscfg(doc).freeze()
+        graph = build_cscfg(doc)
         mapping = build_map(graph)
         spans = [
             make_span("r", operation="Main.run", start=0, duration=100),
@@ -176,7 +176,7 @@ class TestPartition:
             edges=[["a", "b"], ["a", "e"], ["b", "c"], ["b", "d"]],
             entry="a", exits=["c", "d", "e"],
         )
-        graph = build_cscfg(doc).freeze()
+        graph = build_cscfg(doc)
         mapping = build_map(graph)
         spans = [make_span("r", operation="Main.run", start=0, duration=100),
                  make_span("x", parent="r", operation="X.a", start=5, duration=10),
@@ -221,7 +221,6 @@ class TestPartition:
 
         samples = list(generate_traces(
             graph, meta, SystemSpec(seed=2, url_span_probability=0.0), 10))
-        graph.freeze()
         for sample in samples:
             path = align_trace(graph, sample.trace, mapping)
             # the package's sets name no block; the reference's steps name each one
@@ -247,7 +246,7 @@ def self_loop_graph():
         entry="h", exits=["w"],
         extra_functions=[{"function": "svc:L.h"}, {"function": "svc:L.w"}],
     )
-    return build_cscfg(doc).freeze()
+    return build_cscfg(doc)
 
 
 def self_loop_trace(iterations, trace_id="t1", url=False):
@@ -282,7 +281,7 @@ def nested_loop_graph():
             "flow_edges": [["w", "w"]], "entry": "w", "exits": ["w"],
         }, *({"function": f"svc:X.{n}"} for n in ("c", "d", "w"))],
     )
-    return build_cscfg(doc).freeze()
+    return build_cscfg(doc)
 
 
 def nested_loop_trace(i):
@@ -321,7 +320,7 @@ def oracle_inputs(which):
         n = 200
     graph = build_cscfg(doc)
     traces = [s.trace for s in generate_traces(graph, meta, spec, n)]
-    return graph.freeze(), build_map(graph), traces
+    return graph, build_map(graph), traces
 
 
 class TestRecordedForksOracle:

@@ -78,7 +78,7 @@ def test_timing_report_counts_both_cache_levels(cached_run, plain_run):
 
 def test_sample_command_prints_cache_counters(workload, tmp_path, capsys):
     doc, traces = workload
-    graph = build_cscfg(doc).freeze()
+    graph = build_cscfg(doc)
     graph.save_artifact(str(tmp_path / "graph.json"))
     trace_path = tmp_path / "traces.ndjson"
     trace_path.write_text("".join(serialize_trace(t) + "\n" for t in traces[:50]),
@@ -97,7 +97,7 @@ def write_cli_inputs(workload, tmp_path, n):
     """Graph artifact and trace file for the first n traces; returns their paths."""
     doc, traces = workload
     graph_path, trace_path = tmp_path / "graph.json", tmp_path / "traces.ndjson"
-    build_cscfg(doc).freeze().save_artifact(str(graph_path))
+    build_cscfg(doc).save_artifact(str(graph_path))
     trace_path.write_text("".join(serialize_trace(t) + "\n" for t in traces[:n]),
                           encoding="utf-8")
     return str(graph_path), str(trace_path)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import spanscope.reconstruct as recon
+from spanscope import cli
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import ReconstructionError, SpanscopeError
 from spanscope.harness import (
@@ -14,7 +15,7 @@ from spanscope.harness import (
     variable_depth_system,
 )
 from spanscope.mapping import Unmapped, build_map
-from spanscope.model import Span, Trace
+from spanscope.model import Span, Trace, serialize_trace
 from spanscope.pipeline import SamplingPipeline, _calls
 from spanscope.reconstruct import (
     ORIGIN_INFERRED,
@@ -25,7 +26,12 @@ from spanscope.reconstruct import (
 from spanscope.sampler import SamplingConfig, SamplingDecision, decision_from_dict
 from spanscope.scoring import ScoreBook, StatsSnapshot, load_snapshot, save_snapshot
 
-from .conftest import add_repeatable_call, align_trace, comfort_economy_system
+from .conftest import (
+    add_repeatable_call,
+    align_trace,
+    comfort_economy_system,
+    single_function_doc,
+)
 from .oracles import (
     OracleAmbiguousPathError,
     OracleRebuilt,
@@ -160,7 +166,7 @@ def front_and_callees(callees, external=()):
         {"function": front, "blocks": [{"id": "b0", "callees": list(callees)}],
          "flow_edges": [], "entry": "b0", "exits": ["b0"]},
         *({"function": key} for key in callees if key not in external)]}
-    graph = build_cscfg(doc).freeze()
+    graph = build_cscfg(doc)
     mapping = build_map(graph)
     root = Span("r", "t", None, "Front.handle", "svc", 0, 100)
     return graph, mapping, decision_for(front, Trace("t", [root]), mapping, [root], ()), [root]
@@ -256,7 +262,7 @@ def test_every_rebuilt_trace_is_a_trace_with_each_kept_span_in_place(system):
     at its own node of the original's tree of mapped spans."""
     spec, deep, ratio = PLACEMENT_SYSTEMS[system]
     doc, meta = variable_depth_system() if deep else generate_system(spec)
-    graph = build_cscfg(doc).freeze()
+    graph = build_cscfg(doc)
     mapping = build_map(graph)
     n = 400
     traces = [s.trace for s in generate_traces(graph, meta, dataclasses.replace(spec, seed=47),
@@ -303,7 +309,7 @@ def test_an_inferred_root_covers_an_orphan_that_starts_before_every_anchor():
         {"function": front, "blocks": [{"id": "b0", "callees": [store]}],
          "flow_edges": [], "entry": "b0", "exits": ["b0"]},
         {"function": store}]}
-    graph = build_cscfg(doc).freeze()
+    graph = build_cscfg(doc)
     mapping = build_map(graph)
     trace = Trace("t", [Span("r", "t", None, "Front.handle", "svc", 0, 100),
                         Span("u", "t", "r", "GET /items/1", "svc", 5, 10),
@@ -395,7 +401,7 @@ def test_records_written_from_the_columns_match_the_spans_they_build(system):
     doc, meta = variable_depth_system() if deep else generate_system(spec)
     traces = [non_ascii(s.trace) for s in
               generate_traces(build_cscfg(doc), meta, spec, 150, make_default_faults(meta, 150))]
-    graph = build_cscfg(drift(doc) if drift else doc).freeze()
+    graph = build_cscfg(drift(doc) if drift else doc)
     mapping = build_map(graph)
     pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3 if deep else 0.2))
     rebuilt_n = inferred = orphans = 0
@@ -486,6 +492,40 @@ def test_deep_chain_rebuilds_exactly(depth, ratio):
     assert structural_fidelity(trace, rebuilt, mapping).structure_exact
     if ratio < 1.0:
         assert any(r.origin == ORIGIN_INFERRED for r in rebuilt.spans)
+
+
+def test_depth_10000_chain_samples_and_rebuilds_through_the_cli(tmp_path, capsys):
+    doc, trace = chain_system(10_000)
+    graph, traces, out = (str(tmp_path / name) for name in ("graph.json", "traces.ndjson", "out"))
+    build_cscfg(doc).save_artifact(graph)
+    with open(traces, "w", encoding="utf-8") as fh:
+        fh.write(serialize_trace(trace) + "\n")
+    assert cli.main(["sample", "--graph", graph, "--traces", traces, "--out", out,
+                     "--ratio", "0.1"]) == 0
+    assert cli.main(["reconstruct", "--graph", graph, "--decisions", f"{out}/decisions.ndjson",
+                     "--kept", f"{out}/kept.ndjson", "--stats", f"{out}/stats.json",
+                     "--traces", traces, "--out", out]) == 0
+    assert "structure_exact_rate 1.0" in capsys.readouterr().out.splitlines()
+
+
+def test_the_walk_budget_renews_at_each_record_of_the_decision(monkeypatch):
+    # each pass of the loop consumes a fork record, so a loop far longer
+    # than the budget rebuilds
+    fn = "svc:Main.run"
+    doc = single_function_doc(fn=fn, blocks=[{"id": "b0", "callees": ["svc:Leaf.f"]}],
+                              entry="b0", exits=["b0"])
+    add_repeatable_call(doc, fn, "b0", "svc:Leaf.f")
+    calls = 300
+    trace = Trace("t", [Span("r", "t", None, "Main.run", "svc", 0, 2 * calls)] + [
+        Span(f"c{i}", "t", "r", "Leaf.f", "svc", 2 * i, 1) for i in range(calls)])
+    monkeypatch.setattr(recon, "_WALK_BUDGET", 10)
+    graph = build_cscfg(doc)
+    mapping = build_map(graph)
+    pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.1))
+    result = pipeline.process(trace)
+    rebuilt = pipeline.reconstruct_result(result, pipeline.stats_snapshot())
+    assert len(rebuilt.spans) == calls + 1
+    assert structural_fidelity(trace, rebuilt, mapping).structure_exact
 
 
 def retagged(trace, trace_id):
@@ -597,7 +637,7 @@ class TestForkInInsertedCallee:
                                             {"id": "p2", "callees": ["svc:Y.y"]}],
              "flow_edges": [["s", "p1"], ["s", "p2"]], "entry": "s", "exits": ["p1", "p2"]},
             {"function": "svc:A.a"}, {"function": "svc:X.x"}, {"function": "svc:Y.y"}]}
-        self.graph = build_cscfg(doc).freeze()
+        self.graph = build_cscfg(doc)
         self.mapping = build_map(self.graph)
 
     def rebuild(self, spans, *ids):
@@ -639,7 +679,6 @@ class TestSearchOnComfortEconomy:
         self.mapping = build_map(self.graph)
         traces = [s.trace for s in generate_traces(
             self.graph, meta, SystemSpec(seed=5, url_span_probability=0.0), 20)]
-        self.graph.freeze()
         self.pipeline = SamplingPipeline(self.graph, self.mapping, SamplingConfig(ratio=0.3))
         self.comfort = next(t for t in traces
                             if any(s.operation == "SeatService.getComfortClass" for s in t.spans))
@@ -679,7 +718,7 @@ def test_endless_self_call_ends_in_reconstruction_error():
     doc = {"schema_version": 1, "external_functions": [], "functions": [
         {"function": "svc:Loop.f", "blocks": [{"id": "b0", "callees": ["svc:Loop.f"]}],
          "flow_edges": [], "entry": "b0", "exits": ["b0"]}]}
-    graph = build_cscfg(doc).freeze()
+    graph = build_cscfg(doc)
     mapping = build_map(graph)
     root = Span("r", "t", None, "Loop.f", "svc", 0, 10)
     decision = decision_for("svc:Loop.f", Trace("t", [root]), mapping, [root], ())
