@@ -25,6 +25,9 @@ function, or whose edits do not fit its path; each names its file and line.
 Lines rebuilt before an error stay written.
 Each rebuilt trace is written as the rebuild placed it, from its records;
 its span objects are built only with --traces, for the fidelity report.
+The trace file given there is read in step with the decisions too, in
+whatever order it holds the traces: only the traces read ahead of their own
+decision are held, each until that decision uses it.
 
 Exit codes: 0 success, 1 input or pipeline error, 2 configuration error.
 """
@@ -35,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing, nullcontext
 
 from . import harness
 from .cscfg import Cscfg, build_cscfg
@@ -181,13 +185,38 @@ def _kept_records(fh, path: str):
         yield lineno, trace_id, spans
 
 
+class _TraceFile:
+    """The traces of a trace file, read in step with the decisions.
+
+    take(trace_id) reads ahead until that trace turns up and holds the
+    traces it passes over, by id, until their own decision takes them; a
+    bad line raises when the reader reaches it. Only the traces ahead of
+    their decisions are held, so a file in sample's order holds none.
+    """
+
+    def __init__(self, path: str):
+        self._traces = read_trace_file(path)
+        self._ahead: dict = {}
+
+    def take(self, trace_id: str):
+        """trace_id's trace, or None when the file does not hold it."""
+        trace = self._ahead.pop(trace_id, None)
+        if trace is not None:
+            return trace
+        for trace in self._traces:
+            if trace.trace_id == trace_id:
+                return trace
+            self._ahead[trace.trace_id] = trace
+        return None
+
+    def close(self) -> None:
+        self._traces.close()
+
+
 def cmd_reconstruct(args) -> int:
     graph = Cscfg.load_artifact(args.graph)
     mapping = _load_mapping(graph, args.shared_dict)
     stats = load_snapshot(args.stats)
-    originals = {}
-    if args.traces:
-        originals = {t.trace_id: t for t in read_trace_file(args.traces)}
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "reconstructed.ndjson")
@@ -197,7 +226,8 @@ def cmd_reconstruct(args) -> int:
     # two files are read in step
     with open(args.decisions, "r", encoding="utf-8") as dfh, \
             open(args.kept, "r", encoding="utf-8") as kfh, \
-            open(out_path, "w", encoding="utf-8") as fh:
+            open(out_path, "w", encoding="utf-8") as fh, \
+            closing(_TraceFile(args.traces)) if args.traces else nullcontext() as originals:
         kept_records = _kept_records(kfh, args.kept)
         for lineno, line in enumerate(dfh, 1):
             line = line.strip()
@@ -225,9 +255,9 @@ def cmd_reconstruct(args) -> int:
                 raise MalformedDocumentError(f"{where}: {exc}") from exc
             fh.write(rebuilt.serialize() + "\n")
             n += 1
-            if decision.trace_id in originals:
-                reports.append(structural_fidelity(originals[decision.trace_id],
-                                                   rebuilt, mapping))
+            original = None if originals is None else originals.take(decision.trace_id)
+            if original is not None:
+                reports.append(structural_fidelity(original, rebuilt, mapping))
         kept_lineno, kept_id, _spans = next(kept_records, (None, None, None))
         if kept_lineno is not None:
             raise MalformedDocumentError(

@@ -124,8 +124,11 @@ class Cscfg:
     body into its FunctionSubgraph only when a query first needs it;
     ``has_body`` and ``knows`` read no body. No method changes a built
     graph, so subgraphs and dominance results are cached per function for
-    the graph's lifetime. Like the pipeline that owns it, a graph is used
-    from one thread.
+    the graph's lifetime. A graph also carries one private slot, which
+    reconstruct fills and bounds: the calls its replay lists on each
+    recorded path, keyed by the entry and the forks. With the graph, those
+    two fix every call, and the graph never changes, so an entry never goes
+    stale. Like the pipeline that owns it, a graph is used from one thread.
     """
 
     def __init__(self, functions, external, graphs):
@@ -139,6 +142,9 @@ class Cscfg:
         self._unread: dict[str, dict] = {}
         self._subgraphs: dict[str, FunctionSubgraph] = {}
         self._dom_cache: dict[str, DominanceInfo] = {}
+        # (entry, forks) -> the calls the rebuild's replay lists on that
+        # path; reconstruct fills and bounds it
+        self._skeletons: dict[tuple, tuple] = {}
         unread, functions, external = self._unread, self.functions, self.external
         owner: dict[str, str] = {}  # block id -> its function key
         for fn in graphs:

@@ -10,15 +10,20 @@ deviation rides along as an uncertainty annotation, the fill itself is
 deterministic). Inferred intervals are packed left to right inside their
 parent, bending around the real timestamps of sampled spans.
 
-The replay walk writes the calls to flat lists in preorder, each with the
-end of its subtree, and settles a call's anchor bounds and natural width as
-soon as the walk of its body closes. One forward pass then writes each
-call's JSON record straight from those columns and places its children
-inside its interval, which gives each child its parent's span id. Neither
-step builds an object per call: the rebuilt trace holds the records, which
-serialize() joins, and builds its Span and ReconstructedSpan objects from
-the same columns only when `spans` is first read, as fidelity and the
-inferred-span reports do.
+The replay walk lists the calls in preorder, each with the end of its
+subtree. That skeleton depends only on the graph, the entry and the forks,
+and the paths a service takes recur across its traces, so the graph carries
+a memo of skeletons keyed by (entry, forks). A graph is fixed once built,
+so an entry never goes stale; the memo is cleared when it holds
+align.PATH_CACHE_CAPACITY skeletons, and a walk that fails is not kept.
+One reverse pass over the skeleton then settles each call, after its
+subtree, from this trace's kept spans and orphans: its anchor bounds and
+natural width. One forward pass writes each call's JSON record straight
+from those columns and places its children inside its interval, which
+gives each child its parent's span id. Neither pass builds an object per
+call: the rebuilt trace holds the records, which serialize() joins, and
+builds its Span and ReconstructedSpan objects from the same columns only
+when `spans` is first read, as fidelity and the inferred-span reports do.
 
 What an inferred call takes from its function is fixed for as long as the
 statistics snapshot is: its fill (base width, source and std) and every
@@ -46,6 +51,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
+from . import align
 from .cscfg import Cscfg, parse_function_key
 from .errors import ReconstructionError, UnknownEntryError
 from .mapping import SpanFunctionMap, Unmapped
@@ -222,29 +228,22 @@ def _spans_of(trace_id: str, fns, kept, los, his, rows, psids,
     return tuple(rspans)
 
 
-def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
-            trace_id: str, keys: dict, table: dict) -> tuple:
+def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str, fns: list) -> list[int]:
     """Walk the recorded path and list its calls in preorder.
 
-    placed maps a preorder index to the kept span recorded at that call and
-    its function key; boxes maps it to the interval its orphans span.
-    Returns parallel lists indexed by preorder position: function key, kept
-    span (None when inferred), subtree end, earliest sampled start and
-    latest sampled end in the subtree, orphans included (None when it holds
-    no sampled span), natural width, and the row of the rebuild table of an
-    inferred call (None for a sampled one), which table holds by function
-    key, rows made from keys as they are first needed. Call i's children
-    are i+1, end[i+1], ... up to end[i].
+    Appends each call's function key to fns as it lists it, so fns holds
+    the calls listed so far when the walk raises, and returns each call's
+    subtree end: call i's children are i+1, end[i+1], ... up to end[i].
+    Both depend only on the graph, the entry and the forks; trace_id names
+    the trace in errors.
 
     One generator per open function body walks its blocks, and reads the
     recorded forks in order. A fork takes the next item, which must be a
     branch (align records one at every fork it passes, so a fork with none
-    left is an error), and each call the body makes is appended with the
-    kept span recorded at its index. A callee with a body gets a frame of
-    its own, which runs to its end before the caller resumes. A call is
-    settled when its body is walked, or at once, from its span (which holds
-    its orphans) or its orphans' box and statistics, and its children's
-    settled values.
+    left is an error), and each call the body makes is appended. A callee
+    with a body gets a frame of its own, which runs to its end before the
+    caller resumes; a call's subtree ends when its body is walked, or at
+    once when it has none.
 
     An edit (parent, index[, function]) is replayed where the walk of call
     parent has listed index calls: before a call of a block, before a fork
@@ -253,13 +252,7 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
     without a body gets a frame, which replays only edits, when the next
     item is an insertion under it.
     """
-    fns: list[str] = []
-    spans: list[Span | None] = []
     ends: list[int] = []
-    alo: list[int | None] = []
-    ahi: list[int | None] = []
-    widths: list[int] = []
-    rows: list[tuple | None] = []
     has_body, subgraph = graph.has_body, graph.subgraph
     items = iter(forks)
 
@@ -275,58 +268,11 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
     take()
 
     def call(fn: str) -> bool:
-        """Append a call; True when its body is still to walk, else it is settled."""
+        """Append a call; True when its body is still to walk, else its subtree is closed."""
         i = len(fns)
-        span = None
-        got = placed.get(i)
-        if got is not None:
-            span, key = got
-            if key != fn:
-                raise ReconstructionError(
-                    f"trace {trace_id!r}: kept span {span.span_id!r} of {key!r} is recorded "
-                    f"at call {i}, a call of {fn!r}")
         fns.append(fn)
-        spans.append(span)
         ends.append(i + 1)
-        alo.append(None)
-        ahi.append(None)
-        widths.append(0)
-        rows.append(None)
-        if has_body(fn):
-            return True
-        if edit_at == i + 1 and head[0] == i:
-            return True
-        settle(i)
-        return False
-
-    def settle(me: int) -> None:
-        """Anchor bounds and natural width of call me, from its listed children."""
-        span = spans[me]
-        lo, hi = (span.start_time, span.end_time) if span is not None else \
-            boxes.get(me, (None, None))
-        kids_width = 0
-        c = me + 1
-        end = ends[me] = len(fns)
-        while c < end:
-            clo = alo[c]
-            if clo is not None:
-                lo = clo if lo is None else min(lo, clo)
-                hi = ahi[c] if hi is None else max(hi, ahi[c])
-            kids_width += widths[c]
-            c = ends[c]
-        alo[me], ahi[me] = lo, hi
-        if span is not None:
-            widths[me] = span.duration
-            return
-        fn = fns[me]
-        row = table.get(fn)
-        if row is None:
-            row = table[fn] = _row(fn, keys.get(fn))
-        rows[me] = row
-        width = row[0] + kids_width
-        if lo is not None:
-            width = max(width, hi - lo)
-        widths[me] = width
+        return has_body(fn) or edit_at == i + 1 and head[0] == i
 
     def edits(me: int, before_call: bool):
         """Replays the edits of call me at this point: yields each inserted
@@ -345,7 +291,7 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
         return False
 
     def walk(me: int):
-        """Yields the index of each call whose body is to walk; settles `me` at its end."""
+        """Yields the index of each call whose body is to walk; closes `me`'s subtree at its end."""
         nonlocal budget
         fn_key = fns[me]
         if has_body(fn_key):
@@ -380,7 +326,7 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
                     yield len(fns) - 1
         if edit_at == len(fns):
             yield from edits(me, False)
-        settle(me)
+        ends[me] = len(fns)
 
     if call(entry):
         stack = [walk(0)]
@@ -399,7 +345,54 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, placed: dict, boxes: dict,
         raise ReconstructionError(
             f"trace {trace_id!r}: recorded edit {list(head)} " +
             ("is left unused" if walked else f"names call {parent}, which the walk never enters"))
-    return fns, spans, ends, alo, ahi, widths, rows
+    return ends
+
+
+def _skeleton(graph: Cscfg, entry: str, forks: tuple, placed: dict, trace_id: str) -> tuple:
+    """The calls of the recorded path, as _replay lists them, and the kept
+    span column: function keys, subtree ends, and per call the mapped kept
+    span recorded there, else None.
+
+    The walk is memoised on the graph by (entry, forks), which is all it
+    reads; a walk that raises is not stored. Each kept span recorded at a
+    listed call must be a call of its function. That is checked in
+    preorder, and when the walk fails, over the calls it listed before it
+    raised, so the first fault on the path is the one reported, as when
+    the walk checked each call as it listed it.
+    """
+    key = (entry, forks)
+    memo = graph._skeletons
+    got = memo.get(key)
+    if got is None:
+        fns: list[str] = []
+        try:
+            ends = _replay(graph, entry, forks, trace_id, fns)
+        except ReconstructionError:
+            _kept_at(placed, fns, trace_id)
+            raise
+        if len(memo) >= align.PATH_CACHE_CAPACITY:
+            memo.clear()
+        got = memo[key] = (tuple(fns), tuple(ends))
+    fns, ends = got
+    return fns, ends, _kept_at(placed, fns, trace_id)
+
+
+def _kept_at(placed: dict, fns, trace_id: str) -> list:
+    """Per listed call, the mapped kept span placed at it, else None; the
+    first span in preorder at a call of another function raises. A span
+    recorded past the listed calls is left to the caller."""
+    n = len(fns)
+    spans: list[Span | None] = [None] * n
+    for i in sorted(placed):
+        if not 0 <= i < n:
+            continue
+        span, key = placed[i]
+        if key != fns[i]:
+            raise ReconstructionError(
+                f"trace {trace_id!r}: kept span {span.span_id!r} of {key!r} is recorded "
+                f"at call {i}, a call of {fns[i]!r}")
+        spans[i] = span
+    return spans
 
 
 def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg,
@@ -409,10 +402,12 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     stats is a statistics snapshot, as ScoreBook.snapshot() or
     load_snapshot() gives it, and holds the rebuild table: the rows this
     rebuild makes stay on it for every later rebuild from it, so a run
-    passes one snapshot to all its rebuilds. Kept spans keep their id,
-    timing and attributes, and each goes where its recorded call places it
-    (see above): a mapped span's parent is its call's parent in the replay,
-    its original parent only when that was mapped.
+    passes one snapshot to all its rebuilds. The graph likewise keeps the
+    calls of each path it replays (see above), for every later rebuild on
+    it. Kept spans keep their id, timing and attributes, and each goes
+    where its recorded call places it (see above): a mapped span's parent
+    is its call's parent in the replay, its original parent only when that
+    was mapped.
     """
     trace_id = decision.trace_id
     if not kept_spans:
@@ -450,13 +445,49 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     except AttributeError:
         raise TypeError("stats must be a snapshot from ScoreBook.snapshot() or "
                         "load_snapshot()") from None
-    fns, spans, ends, alo, ahi, widths, rows = _replay(
-        graph, decision.entry, decision.forks, placed, boxes, trace_id, stats.get("keys", {}),
-        table)
+    fns, ends, spans = _skeleton(graph, decision.entry, decision.forks, placed, trace_id)
     n = len(fns)
     if not 0 <= min(at) <= max(at) < n:
         raise ReconstructionError(f"trace {trace_id!r}: a kept span is recorded at a call "
                                   f"outside the {n} calls of the recorded path")
+    # one reverse pass settles each call after its subtree: its anchor
+    # bounds, the earliest sampled start and latest sampled end in the
+    # subtree, orphans included (None when it holds no sampled span), its
+    # natural width, and an inferred call's row of the rebuild table, made
+    # from the statistics when its function is first needed
+    keys = stats.get("keys", {})
+    alo: list[int | None] = [None] * n
+    ahi: list[int | None] = [None] * n
+    widths = [0] * n
+    rows: list[tuple | None] = [None] * n
+    for me in range(n - 1, -1, -1):
+        span = spans[me]
+        lo, hi = (span.start_time, span.end_time) if span is not None else \
+            boxes.get(me, (None, None))
+        kids_width = 0
+        c = me + 1
+        end = ends[me]
+        while c < end:
+            clo = alo[c]
+            if clo is not None:
+                lo = clo if lo is None else min(lo, clo)
+                hi = ahi[c] if hi is None else max(hi, ahi[c])
+            kids_width += widths[c]
+            c = ends[c]
+        alo[me], ahi[me] = lo, hi
+        if span is not None:
+            widths[me] = span.duration
+            continue
+        fn = fns[me]
+        row = table.get(fn)
+        if row is None:
+            row = table[fn] = _row(fn, keys.get(fn))
+        rows[me] = row
+        width = row[0] + kids_width
+        if lo is not None:
+            width = max(width, hi - lo)
+        widths[me] = width
+
     los = [0] * n
     his = [0] * n
     # root interval: from the earliest sampled evidence, orphans included,

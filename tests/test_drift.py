@@ -90,6 +90,19 @@ def strip_body(doc, fn):
     return out
 
 
+def rename_function(doc, fn, new_key):
+    """A copy of doc in which fn is called new_key, in its own entry and in
+    its callers' callee lists, as when the code renamed it after the graph
+    was built: traffic of the old name no longer maps."""
+    out = copy.deepcopy(doc)
+    function = next(f for f in out["functions"] if f["function"] == fn)
+    function["function"] = new_key
+    for f in out["functions"]:
+        for b in f.get("blocks", ()):
+            b["callees"] = [new_key if c == fn else c for c in b["callees"]]
+    return out
+
+
 def calls_of(doc):
     return sorted((f["function"], b["id"], c) for f in doc["functions"]
                   for b in f.get("blocks", ()) for c in b["callees"])
@@ -136,6 +149,18 @@ def test_add_call_and_drop_arm_keep_the_document_valid():
         drop_arm(doc, ENTRY, "b0", "b5")
 
 
+def test_rename_function_renames_the_function_and_its_calls():
+    doc, _meta = generate_system(SystemSpec())
+    before = calls_of(doc)
+    renamed = rename_function(doc, "svc00:C5.op5", "svc00:C5.op5v2")
+    new_name = {"svc00:C5.op5": "svc00:C5.op5v2"}
+    assert calls_of(renamed) == sorted((new_name.get(f, f), b, new_name.get(c, c))
+                                       for f, b, c in before)
+    graph = build_cscfg(renamed)
+    assert graph.knows("svc00:C5.op5v2") and not graph.knows("svc00:C5.op5")
+    assert calls_of(doc) == before
+
+
 # the entry's block b3 calls svc00:C5.op5 on the default system's common
 # path; b0 forks to b2 on that path and to b4, the error arm, else
 ENTRY = "svc00:C0.op0"
@@ -145,6 +170,9 @@ DRIFTS = {
     "move-a-call": lambda doc: move_call(doc, ENTRY, "b3", "svc00:C5.op5", "b6"),
     "add-a-call": lambda doc: add_call(doc, ENTRY, "b3", "svc03:C5.op5"),
     "drop-an-arm": lambda doc: drop_arm(doc, ENTRY, "b0", "b4"),
+    # the traffic's spans of svc00:C5.op5 turn unmapped: align inserts their
+    # mapped children under the entry and skips its call of the new name
+    "rename-a-function": lambda doc: rename_function(doc, "svc00:C5.op5", "svc00:C5.op5v2"),
 }
 # three functions with a body on the default system's common paths
 for _fn in ("svc00:C5.op5", "svc00:C4.op4", "svc02:C6.op6"):

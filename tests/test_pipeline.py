@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from spanscope.harness import SystemSpec, generate_system, generate_traces, make
 from spanscope.mapping import build_map
 from spanscope.model import Span, serialize_trace, span_from_dict
 from spanscope.pipeline import SamplingPipeline
-from spanscope.reconstruct import structural_fidelity
+from spanscope.reconstruct import fidelity_means, structural_fidelity
 from spanscope.sampler import SamplingConfig
 
 from .conftest import single_function_doc
@@ -193,6 +194,72 @@ def test_reconstruct_rates_only_the_traces_it_compared(workload, tmp_path, capsy
     assert reconstruct(none, tmp_path / "none") == 0
     assert not (tmp_path / "none" / "fidelity.json").exists()
     assert "structure_exact_rate" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("order", ["sampled", "shuffled", "extra"])
+def test_reconstruct_reads_the_trace_file_in_step_in_any_order(workload, tmp_path, order):
+    """The rebuilt lines and the fidelity report do not depend on the order
+    of the trace file, nor on traces that no decision names."""
+    n = 100
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, n)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out), "--ratio", "0.3"]) == 0
+    lines = Path(trace_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    if order == "shuffled":
+        random.Random(3).shuffle(lines)
+    elif order == "extra":
+        extra = [serialize_trace(t) + "\n" for t in workload[1][n:n + 60]]
+        # five before the first trace, one after each of the first 50 and
+        # five after the last
+        lines = extra[:5] + [line for pair in zip(lines, extra[5:55]) for line in pair] + \
+            lines[50:] + extra[55:]
+    originals = tmp_path / "originals.ndjson"
+    originals.write_text("".join(lines), encoding="utf-8")
+
+    def reconstruct(dest, traces=()):
+        assert cli.main(["reconstruct", "--graph", graph_path,
+                         "--decisions", str(out / "decisions.ndjson"),
+                         "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                         "--out", str(tmp_path / dest), *traces]) == 0
+        return tmp_path / dest
+
+    got = reconstruct("got", ["--traces", str(originals)])
+    plain = reconstruct("plain")
+    assert (got / "reconstructed.ndjson").read_bytes() == \
+        (plain / "reconstructed.ndjson").read_bytes()
+
+    doc, traces = workload
+    graph = build_cscfg(doc)
+    mapping = build_map(graph)
+    pipeline = SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3))
+    results = [pipeline.process(t) for t in traces[:n]]
+    stats = pipeline.stats_snapshot()
+    exact, error = fidelity_means([
+        structural_fidelity(r.trace, pipeline.reconstruct_result(r, stats), mapping)
+        for r in results])
+    expected = {"mean_duration_error": round(error, 6), "structure_exact_rate": round(exact, 6)}
+    assert json.loads((got / "fidelity.json").read_text()) == expected
+    assert (got / "fidelity.json").read_text() == json.dumps(expected, indent=1) + "\n"
+
+
+def test_the_trace_file_holds_only_the_traces_read_ahead_of_their_decision(workload,
+                                                                              tmp_path):
+    _graph_path, trace_path = write_cli_inputs(workload, tmp_path, 4)
+    ids = [t.trace_id for t in workload[1][:4]]
+    reader = cli._TraceFile(trace_path)
+    try:
+        assert reader.take(ids[2]).trace_id == ids[2]
+        assert sorted(reader._ahead) == sorted(ids[:2])
+        assert reader.take(ids[0]).trace_id == ids[0]
+        assert list(reader._ahead) == [ids[1]]
+        assert reader.take(ids[0]) is None  # taken once, then dropped; the rest read
+        assert sorted(reader._ahead) == sorted([ids[1], ids[3]])
+        assert reader.take(ids[3]).trace_id == ids[3]
+        assert reader.take(ids[1]).trace_id == ids[1]
+        assert reader._ahead == {}
+    finally:
+        reader.close()
 
 
 @pytest.mark.parametrize("value,code", [("3.0", 0), ("high", 2), ([3.0], 2)])

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import spanscope.align as align_mod
 import spanscope.reconstruct as recon
 from spanscope import cli
 from spanscope.cscfg import build_cscfg
@@ -805,3 +806,93 @@ def test_replay_errors_match_the_tree_walker(seed, n, ratio):
     for check in checks:
         assert any(check in text for text in errors), check
 
+
+def kept_of(result):
+    return [result.trace.span(sid) for sid in result.decision.kept]
+
+
+@pytest.mark.parametrize("seed,n,ratio", WORKLOADS)
+def test_a_memoised_skeleton_rebuilds_the_bytes_of_a_fresh_walk(seed, n, ratio):
+    """Each decision rebuilds the same bytes with a cold memo, with the memo
+    filled by the decisions before it, with every path in it, and with the
+    decisions taken in reverse order."""
+    _spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
+    graph = pipeline.graph
+
+    def rebuilt(ordered):
+        return [reconstruct(r.decision, kept_of(r), graph, stats, mapping).serialize()
+                for r in ordered]
+
+    cold = []
+    for result in results:
+        graph._skeletons.clear()
+        cold += rebuilt([result])
+    graph._skeletons.clear()
+    assert rebuilt(results) == cold
+    paths = {(r.decision.entry, r.decision.forks) for r in results}
+    assert set(graph._skeletons) == paths and len(paths) < len(results)
+    assert rebuilt(results) == cold
+    graph._skeletons.clear()
+    assert rebuilt(results[::-1]) == cold[::-1]
+
+
+def test_a_walk_that_fails_raises_the_same_text_each_time_and_is_not_kept():
+    _spec, mapping, pipeline, results, stats = sampled_workload(7, 60, 0.3)
+    graph = pipeline.graph
+    result = next(r for r in results if r.decision.forks)
+    decision, kept = result.decision, kept_of(result)
+    reconstruct(decision, kept, graph, stats, mapping)
+    for forks in (decision.forks[:-1], decision.forks + decision.forks[:1]):
+        broken = dataclasses.replace(decision, forks=forks)
+        expected = outcome(oracle_reconstruct, broken, kept, graph, stats, mapping)
+        assert expected[0] == "ReconstructionError"
+        for _ in range(3):
+            assert outcome(reconstruct, broken, kept, graph, stats, mapping) == expected
+            assert (decision.entry, forks) not in graph._skeletons
+    assert list(graph._skeletons) == [(decision.entry, decision.forks)]
+
+
+def test_a_kept_span_at_a_call_of_another_function_fails_on_a_memoised_path():
+    """Two decisions on one path: the second records a kept span at a call
+    of another function, which the memoised skeleton reports as the walk
+    does."""
+    _spec, mapping, pipeline, results, stats = sampled_workload(7, 60, 0.3)
+    graph = pipeline.graph
+    for result in results:
+        decision, kept = result.decision, kept_of(result)
+        rebuilt = reconstruct(decision, kept, graph, stats, mapping)
+        fns = graph._skeletons[(decision.entry, decision.forks)][0]
+        # a mapped kept span other than the root, and a free call of another function
+        k = next((k for k, i in enumerate(decision.at)
+                  if i > 0 and rebuilt.spans[i].span.span_id == decision.kept[k]), None)
+        if k is None:
+            continue
+        j = next((j for j, fn in enumerate(fns)
+                  if fn != fns[decision.at[k]] and j not in decision.at), None)
+        if j is not None:
+            break
+    else:
+        pytest.fail("no decision with a kept span to move")
+    moved = dataclasses.replace(decision, at=decision.at[:k] + (j,) + decision.at[k + 1:])
+    assert (moved.entry, moved.forks) in graph._skeletons
+    got = outcome(reconstruct, moved, kept, graph, stats, mapping)
+    assert got == outcome(oracle_reconstruct, moved, kept, graph, stats, mapping)
+    assert got[0] == "ReconstructionError" and f"at call {j}, a call of {fns[j]!r}" in got[1]
+    assert outcome(reconstruct, decision, kept, graph, stats, mapping)[0] == "rebuilt"
+
+
+def test_the_skeleton_memo_holds_at_most_its_bound(monkeypatch):
+    # 147 paths in 300 decisions
+    _spec, mapping, pipeline, results, stats = sampled_workload(7, 300, 0.3)
+    graph = pipeline.graph
+    expected = [reconstruct(r.decision, kept_of(r), graph, stats, mapping).serialize()
+                for r in results]
+    assert len(graph._skeletons) > 100
+    monkeypatch.setattr(align_mod, "PATH_CACHE_CAPACITY", 3)
+    graph._skeletons.clear()
+    sizes = set()
+    for result, line in zip(results, expected):
+        assert reconstruct(result.decision, kept_of(result), graph, stats,
+                           mapping).serialize() == line
+        sizes.add(len(graph._skeletons))
+    assert sizes == {1, 2, 3}
