@@ -64,7 +64,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -180,7 +180,7 @@ def _kept_records(fh, path: str):
             obj = json.loads(line)
             trace_id = obj["trace_id"]
             spans = [span_from_dict(s, trace_id) for s in obj["spans"]]
-        except (ValueError, KeyError, TypeError, MalformedDocumentError) as exc:
+        except (ValueError, KeyError, TypeError, MalformedDocumentError, RecursionError) as exc:
             raise bad_record(path, lineno, "kept-spans", exc) from exc
         yield lineno, trace_id, spans
 
@@ -235,7 +235,7 @@ def cmd_reconstruct(args) -> int:
                 continue
             try:
                 decision = decision_from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise bad_record(args.decisions, lineno, "decision", exc) from exc
             where = f"{args.decisions}:{lineno}: trace {decision.trace_id!r}"
             kept_lineno, kept_id, spans = next(kept_records, (None, None, None))

@@ -64,13 +64,16 @@ class FunctionRef:
 
 
 def parse_function_key(key: str) -> FunctionRef:
-    """Inverse of FunctionRef.key: 'service:Class.Function' with last-dot split."""
+    """Inverse of FunctionRef.key: 'service:Class.Function' with last-dot split.
+    A key that does not parse into three non-empty parts is malformed."""
     if ":" not in key:
         raise MalformedDocumentError(f"function key {key!r} missing ':'")
     service, rest = key.split(":", 1)
     if "." not in rest:
         raise MalformedDocumentError(f"function key {key!r} missing '.' in Class.Function part")
     class_name, function_name = rest.rsplit(".", 1)
+    if not (service and class_name and function_name):
+        raise MalformedDocumentError(f"function key {key!r} has an empty part")
     return FunctionRef(service, class_name, function_name)
 
 
@@ -126,9 +129,12 @@ class Cscfg:
     graph, so subgraphs and dominance results are cached per function for
     the graph's lifetime. A graph also carries one private slot, which
     reconstruct fills and bounds: the calls its replay lists on each
-    recorded path, keyed by the entry and the forks. With the graph, those
-    two fix every call, and the graph never changes, so an entry never goes
-    stale. Like the pipeline that owns it, a graph is used from one thread.
+    recorded path, keyed by the entry and the forks, each path with its
+    layout for the last statistics snapshot it was rebuilt from. With the
+    graph, the entry and the forks fix every call, and the graph never
+    changes, so the calls never go stale; a layout is made again for
+    another snapshot. Like the pipeline that owns it, a graph is used from
+    one thread.
     """
 
     def __init__(self, functions, external, graphs):
@@ -143,8 +149,8 @@ class Cscfg:
         self._subgraphs: dict[str, FunctionSubgraph] = {}
         self._dom_cache: dict[str, DominanceInfo] = {}
         # (entry, forks) -> the calls the rebuild's replay lists on that
-        # path; reconstruct fills and bounds it
-        self._skeletons: dict[tuple, tuple] = {}
+        # path, with their layout; reconstruct fills and bounds it
+        self._skeletons: dict[tuple, object] = {}
         unread, functions, external = self._unread, self.functions, self.external
         owner: dict[str, str] = {}  # block id -> its function key
         for fn in graphs:
@@ -266,7 +272,7 @@ class Cscfg:
             try:
                 return cls.from_artifact_dict(json.load(fh))
             except (MalformedDocumentError, ValueError, KeyError, TypeError,
-                    AttributeError) as exc:
+                    AttributeError, RecursionError) as exc:
                 raise MalformedDocumentError(
                     f"{path}: bad cscfg artifact: {type(exc).__name__}: {exc}") from exc
 
@@ -311,7 +317,7 @@ def build_cscfg(call_graph_doc) -> Cscfg:
     if isinstance(call_graph_doc, str):
         try:
             doc = json.loads(call_graph_doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
     else:
         doc = call_graph_doc

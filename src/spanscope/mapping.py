@@ -144,7 +144,7 @@ def load_shared_dictionary(path) -> list[FunctionRef]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocumentError(f"{path}: bad shared dictionary: {exc}") from exc
     if not isinstance(data, list):
         raise MalformedDocumentError(f"{path}: shared dictionary must be a JSON list")

@@ -235,8 +235,9 @@ def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
 
 def exclusive_durations(trace: Trace) -> dict[SpanId, int]:
     """Each span's duration minus the union of its direct children's
-    intervals, which lie inside it, in one pass over the child lists. Children may overlap (async fan-out), so coverage is the
-    interval union, and the result is never negative."""
+    intervals, which lie inside it, in one pass over the child lists.
+    Children may overlap (async fan-out), so coverage is the interval
+    union, and the result is never negative."""
     out: dict[SpanId, int] = {}
     for span in trace.spans:
         kids = trace._children[span.span_id]
@@ -302,7 +303,7 @@ def parse_trace(document: str) -> Trace:
     """Parse one trace record; raises on bad syntax or broken invariants."""
     try:
         obj = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
     _require(isinstance(obj, dict), "trace record must be an object")
     _require("trace_id" in obj and isinstance(obj["trace_id"], str), "missing trace_id")

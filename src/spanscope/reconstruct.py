@@ -10,29 +10,38 @@ deviation rides along as an uncertainty annotation, the fill itself is
 deterministic). Inferred intervals are packed left to right inside their
 parent, bending around the real timestamps of sampled spans.
 
-The replay walk lists the calls in preorder, each with the end of its
-subtree. That skeleton depends only on the graph, the entry and the forks,
-and the paths a service takes recur across its traces, so the graph carries
-a memo of skeletons keyed by (entry, forks). A graph is fixed once built,
-so an entry never goes stale; the memo is cleared when it holds
+The replay walk lists the calls in preorder, each with its children and
+its parent. That skeleton depends only on the graph, the entry and the
+forks, and the paths a service takes recur across its traces, so the graph
+carries a memo of skeletons keyed by (entry, forks). A graph is fixed once
+built, so an entry never goes stale; the memo is cleared when it holds
 align.PATH_CACHE_CAPACITY skeletons, and a walk that fails is not kept.
-One reverse pass over the skeleton then settles each call, after its
-subtree, from this trace's kept spans and orphans: its anchor bounds and
-natural width. One forward pass writes each call's JSON record straight
-from those columns and places its children inside its interval, which
-gives each child its parent's span id. Neither pass builds an object per
-call: the rebuilt trace holds the records, which serialize() joins, and
-builds its Span and ReconstructedSpan objects from the same columns only
-when `spans` is first read, as fidelity and the inferred-span reports do.
+A skeleton also keeps its layout for the last statistics snapshot a
+rebuild used it with, and lays itself out again for another: per call,
+its row of the rebuild table, its natural width (its fill plus its
+children's natural widths) and its natural offset in the path.
+
+Only the anchored calls, those a kept span or orphan is recorded at and
+their ancestors, depend on the trace. One reverse pass settles each of
+them after its subtree, from this trace's kept spans and orphans: its
+anchor bounds and its width; every other call keeps its natural width.
+One forward pass writes each call's JSON record straight from those
+columns and places its children inside its interval, which gives each
+child its parent's span id: under an anchored call they are packed around
+the anchors, and under any other at their natural offsets, clipped at its
+end. Neither pass builds an object per call: the rebuilt trace holds the
+records, which serialize() joins, and builds its Span and ReconstructedSpan
+objects from the same columns only when `spans` is first read, as fidelity
+and the inferred-span reports do.
 
 What an inferred call takes from its function is fixed for as long as the
 statistics snapshot is: its fill (base width, source and std) and every
 field of its record but the span's own duration, parent id, span id and
 start time, and the trace id. The rebuild table holds these per function,
-each row made on the function's first inferred call (see _row). The table
-lives on the snapshot, so a run that passes one snapshot to every rebuild
-makes each row once, and a record of an inferred span joins its row's text
-with the span's own values.
+each row made when a path that calls the function is first laid out (see
+_row). The table lives on the snapshot, so a run that passes one snapshot
+to every rebuild makes each row once, and a record of an inferred span
+joins its row's text with the span's own values.
 
 Each kept span goes to the call its decision records: "at", parallel to
 the kept ids, indexes the replay's preorder of calls. A mapped kept span is
@@ -348,17 +357,81 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str, fns: list) ->
     return ends
 
 
-def _skeleton(graph: Cscfg, entry: str, forks: tuple, placed: dict, trace_id: str) -> tuple:
-    """The calls of the recorded path, as _replay lists them, and the kept
-    span column: function keys, subtree ends, and per call the mapped kept
-    span recorded there, else None.
+class _Skeleton:
+    """The calls of one recorded path, as _replay lists them, and their
+    layout for the last statistics snapshot a rebuild used them with.
 
-    The walk is memoised on the graph by (entry, forks), which is all it
-    reads; a walk that raises is not stored. Each kept span recorded at a
-    listed call must be a call of its function. That is checked in
-    preorder, and when the walk fails, over the calls it listed before it
-    raised, so the first fault on the path is the one reported, as when
-    the walk checked each call as it listed it.
+    fns holds each call's function key, kids each call's children in
+    preorder and parents each call's parent (-1 for the root); they depend
+    only on the graph, the entry and the forks. table is the rebuild table
+    of that snapshot, or None before the first rebuild; it is held, so a
+    check by identity never takes another table for it. rows, widths and
+    offsets are its layout: per call, its row, its natural width (its
+    row's base width plus its children's natural widths) and its natural
+    offset (its parent's, plus the natural widths of its earlier siblings;
+    the root's is 0). Without a kept span or orphan below it, a call is
+    that wide and its subtree packs at those offsets.
+    """
+
+    __slots__ = ("fns", "kids", "parents", "table", "rows", "widths", "offsets")
+
+    def __init__(self, fns: list, ends: list):
+        n = len(fns)
+        kids: list[tuple] = [()] * n
+        parents = [-1] * n
+        for i in range(n):
+            end = ends[i]
+            c = i + 1
+            if c < end:
+                mine = []
+                while c < end:
+                    mine.append(c)
+                    parents[c] = i
+                    c = ends[c]
+                kids[i] = tuple(mine)
+        self.fns, self.kids, self.parents = tuple(fns), tuple(kids), tuple(parents)
+        self.table = self.rows = self.widths = self.offsets = None
+
+    def lay_out(self, table: dict, keys: dict) -> None:
+        """Fills the layout for the snapshot whose rebuild table and keys
+        these are. Rows are made in reverse preorder, so when function keys
+        do not parse, the last call's is the one reported; a layout that
+        fails is not kept."""
+        fns, kids = self.fns, self.kids
+        n = len(fns)
+        rows: list = [None] * n
+        widths = [0] * n
+        for me in range(n - 1, -1, -1):
+            fn = fns[me]
+            row = table.get(fn)
+            if row is None:
+                row = table[fn] = _row(fn, keys.get(fn))
+            rows[me] = row
+            width = row[0]
+            for c in kids[me]:
+                width += widths[c]
+            widths[me] = width
+        offsets = [0] * n
+        for i in range(n):
+            start = offsets[i]
+            for c in kids[i]:
+                offsets[c] = start
+                start += widths[c]
+        self.rows, self.widths, self.offsets = tuple(rows), widths, offsets
+        self.table = table
+
+
+def _skeleton(graph: Cscfg, entry: str, forks: tuple, placed: dict,
+              trace_id: str) -> tuple[_Skeleton, list]:
+    """The recorded path's _Skeleton, and per call the mapped kept span
+    recorded there, else None.
+
+    The skeleton is memoised on the graph by (entry, forks), which is all
+    the walk reads; a walk that raises is not stored. Each kept span
+    recorded at a listed call must be a call of its function. That is
+    checked in preorder, and when the walk fails, over the calls it listed
+    before it raised, so the first fault on the path is the one reported,
+    as when the walk checked each call as it listed it.
     """
     key = (entry, forks)
     memo = graph._skeletons
@@ -372,9 +445,8 @@ def _skeleton(graph: Cscfg, entry: str, forks: tuple, placed: dict, trace_id: st
             raise
         if len(memo) >= align.PATH_CACHE_CAPACITY:
             memo.clear()
-        got = memo[key] = (tuple(fns), tuple(ends))
-    fns, ends = got
-    return fns, ends, _kept_at(placed, fns, trace_id)
+        got = memo[key] = _Skeleton(fns, ends)
+    return got, _kept_at(placed, got.fns, trace_id)
 
 
 def _kept_at(placed: dict, fns, trace_id: str) -> list:
@@ -403,11 +475,12 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     load_snapshot() gives it, and holds the rebuild table: the rows this
     rebuild makes stay on it for every later rebuild from it, so a run
     passes one snapshot to all its rebuilds. The graph likewise keeps the
-    calls of each path it replays (see above), for every later rebuild on
-    it. Kept spans keep their id, timing and attributes, and each goes
-    where its recorded call places it (see above): a mapped span's parent
-    is its call's parent in the replay, its original parent only when that
-    was mapped.
+    calls of each path it replays, with their layout for the last snapshot
+    they were rebuilt from (see above), for every later rebuild on it. Kept
+    spans keep their id, timing and attributes, and each goes where its
+    recorded call places it (see above): a mapped span's parent is its
+    call's parent in the replay, its original parent only when that was
+    mapped.
     """
     trace_id = decision.trace_id
     if not kept_spans:
@@ -445,54 +518,60 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
     except AttributeError:
         raise TypeError("stats must be a snapshot from ScoreBook.snapshot() or "
                         "load_snapshot()") from None
-    fns, ends, spans = _skeleton(graph, decision.entry, decision.forks, placed, trace_id)
+    sk, spans = _skeleton(graph, decision.entry, decision.forks, placed, trace_id)
+    fns, kids = sk.fns, sk.kids
     n = len(fns)
     if not 0 <= min(at) <= max(at) < n:
         raise ReconstructionError(f"trace {trace_id!r}: a kept span is recorded at a call "
                                   f"outside the {n} calls of the recorded path")
-    # one reverse pass settles each call after its subtree: its anchor
-    # bounds, the earliest sampled start and latest sampled end in the
-    # subtree, orphans included (None when it holds no sampled span), its
-    # natural width, and an inferred call's row of the rebuild table, made
-    # from the statistics when its function is first needed
-    keys = stats.get("keys", {})
+    if sk.table is not table:
+        sk.lay_out(table, stats.get("keys", {}))
+    rows, natural, offsets = sk.rows, sk.widths, sk.offsets
+
+    # the anchored calls: each call a kept span or orphan is recorded at,
+    # and its ancestors. Every other call keeps its natural width.
+    parents = sk.parents
+    marked = bytearray(n)
+    anchored = []
+    for i in at:
+        while i >= 0 and not marked[i]:
+            marked[i] = 1
+            anchored.append(i)
+            i = parents[i]
+    anchored.sort(reverse=True)
+
+    # one reverse pass settles each anchored call after its subtree: its
+    # anchor bounds, the earliest sampled start and latest sampled end in the
+    # subtree, orphans included (None on every other call), and its width
     alo: list[int | None] = [None] * n
     ahi: list[int | None] = [None] * n
-    widths = [0] * n
-    rows: list[tuple | None] = [None] * n
-    for me in range(n - 1, -1, -1):
+    widths = list(natural)
+    for me in anchored:
         span = spans[me]
         lo, hi = (span.start_time, span.end_time) if span is not None else \
             boxes.get(me, (None, None))
         kids_width = 0
-        c = me + 1
-        end = ends[me]
-        while c < end:
-            clo = alo[c]
-            if clo is not None:
-                lo = clo if lo is None else min(lo, clo)
-                hi = ahi[c] if hi is None else max(hi, ahi[c])
+        for c in kids[me]:
+            if marked[c]:
+                clo = alo[c]
+                if lo is None or clo < lo:
+                    lo = clo
+                chi = ahi[c]
+                if hi is None or chi > hi:
+                    hi = chi
             kids_width += widths[c]
-            c = ends[c]
         alo[me], ahi[me] = lo, hi
         if span is not None:
             widths[me] = span.duration
-            continue
-        fn = fns[me]
-        row = table.get(fn)
-        if row is None:
-            row = table[fn] = _row(fn, keys.get(fn))
-        rows[me] = row
-        width = row[0] + kids_width
-        if lo is not None:
-            width = max(width, hi - lo)
-        widths[me] = width
+        else:
+            width = rows[me][0] + kids_width
+            widths[me] = width if width > hi - lo else hi - lo
 
     los = [0] * n
     his = [0] * n
     # root interval: from the earliest sampled evidence, orphans included,
     # and wide enough to hold every anchor; a sampled root's is its own
-    lo = los[0] = alo[0] if alo[0] is not None else 0
+    lo = los[0] = alo[0]
     his[0] = lo + widths[0]
 
     # one forward pass in preorder: write call i's record (an inferred
@@ -512,38 +591,56 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
         else:
             sid = f"{trace_id}:inf:{i}"
             records.append(_inferred(rows[i][4], own_id, sid, psids[i], los[i], his[i] - los[i]))
-        end = ends[i]
-        if end == i + 1:
+        cs = kids[i]
+        if not cs:
             continue
         lo, hi = los[i], his[i]
-        c = i + 1
-        if ends[c] == end:
-            kids, limits = (c,), (hi,)
+        if not marked[i]:
+            # no anchor below: packing from lo puts each child at lo plus its
+            # natural offset within call i, both ends clipped at hi, which is
+            # where the cursor loop below would put it
+            base = lo - offsets[i]
+            for c in cs:
+                clo = base + offsets[c]
+                chi = clo + natural[c]
+                if chi > hi:
+                    chi = hi
+                    if clo > hi:
+                        clo = hi
+                los[c], his[c], psids[c] = clo, chi, sid
+            continue
+        if len(cs) == 1:
+            limits = (hi,)
         else:
-            kids = []
-            while c < end:
-                kids.append(c)
-                c = ends[c]
-            # limits[k]: start of the first anchored sibling after kids[k], else hi
-            limits = [hi] * len(kids)
+            # limits[k]: start of the first anchored sibling after cs[k], else hi
+            limits = [hi] * len(cs)
             nxt = hi
-            for k in range(len(kids) - 1, 0, -1):
-                if alo[kids[k]] is not None:
-                    nxt = alo[kids[k]]
+            for k in range(len(cs) - 1, 0, -1):
+                if alo[cs[k]] is not None:
+                    nxt = alo[cs[k]]
                 limits[k - 1] = nxt
         cursor = lo
-        for c, limit in zip(kids, limits):
+        for c, limit in zip(cs, limits):
             span = spans[c]
             if span is not None:
-                clo, chi = span.start_time, span.end_time
+                clo = span.start_time
+                chi = clo + span.duration
             elif alo[c] is not None:
-                clo = alo[c]
-                chi = max(ahi[c], min(clo + widths[c], hi) if hi > clo else ahi[c])
+                clo, chi = alo[c], ahi[c]
+                if hi > clo:
+                    end = clo + widths[c]
+                    if end > hi:
+                        end = hi
+                    if end > chi:
+                        chi = end
             else:
                 clo = cursor
-                chi = clo + min(widths[c], max(0, limit - cursor))
+                chi = cursor + widths[c]
+                if chi > limit:
+                    chi = limit if limit > cursor else cursor
             los[c], his[c], psids[c] = clo, chi, sid
-            cursor = max(cursor, chi)
+            if chi > cursor:
+                cursor = chi
 
     # each orphan under its kept parent, else under the call it is recorded at
     present = {s.span_id for s in kept_spans} if orphans else ()

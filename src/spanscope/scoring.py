@@ -347,7 +347,7 @@ def load_snapshot(path) -> StatsSnapshot:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocumentError(f"{path}: bad statistics snapshot: {exc}") from exc
     if not isinstance(data, dict) or data.get("kind") != "stats-snapshot":
         raise MalformedDocumentError(f"{path}: not a statistics snapshot")

@@ -60,6 +60,11 @@ class TestFunctionRef:
         with pytest.raises(MalformedDocumentError):
             parse_function_key("noseparator")
 
+    @pytest.mark.parametrize("key", [":X.y", "svc:.y", "svc:C."])
+    def test_a_key_with_an_empty_part_is_malformed(self, key):
+        with pytest.raises(MalformedDocumentError, match="has an empty part"):
+            parse_function_key(key)
+
 
 class TestBuild:
     def test_straight_line_contraction(self):

@@ -535,6 +535,33 @@ def test_reconstruct_names_a_decision_whose_edits_do_not_fit(workload, tmp_path,
     assert len((dest / "reconstructed.ndjson").read_text(encoding="utf-8").splitlines()) == 1
 
 
+@pytest.mark.parametrize("key", [":X.y", "svc:.y", "svc:C."])
+def test_reconstruct_names_a_decision_that_inserts_a_key_with_an_empty_part(
+        workload, tmp_path, capsys, key):
+    """An edit that inserts a call of a key that does not parse is a bad
+    decision: the rebuild fails when it fills that call, and the run
+    names the decision's line."""
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 3)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    # the call is inserted right after the root, so every later call moves by one
+    record["forks"].insert(0, [0, 1, key])
+    record["at"] = [i + 1 if i else 0 for i in record["at"]]
+    decisions = tmp_path / "decisions.ndjson"
+    decisions.write_text("\n".join([lines[0], json.dumps(record), lines[2]]) + "\n",
+                         encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--graph", graph_path, "--decisions", str(decisions),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                     "--out", str(tmp_path / "rebuilt")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {decisions}:2: trace {record['trace_id']!r}: function key {key!r} "
+        f"has an empty part\n")
+
+
 def test_reconstruct_builds_no_span_per_rebuilt_call(workload, tmp_path, monkeypatch):
     """Without --traces nothing reads a rebuilt trace's span objects, so the
     only spans made are the kept spans parsed from kept.ndjson."""
@@ -574,6 +601,18 @@ def test_eval_rejects_mistyped_config_values(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert next(iter(config)) in err
+
+
+def test_eval_repeats_byte_identical_apart_from_timing(tmp_path):
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["eval", "--n", "200", "--seed", "7", "--out", str(out)]) == 0
+        runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert sorted(runs[0]) == sorted(runs[1]) and "timing.txt" in runs[0]
+    for name in sorted(runs[0]):
+        if name != "timing.txt":
+            assert runs[0][name] == runs[1][name], name
 
 
 @pytest.mark.parametrize("n_traces", [-5, 0, 2.5, True, "many"])
@@ -681,6 +720,61 @@ def test_sample_names_a_malformed_shared_dictionary(workload, tmp_path, capsys, 
     assert_names_the_bad_file(capsys, code, bad)
 
 
+# each JSON reader of the CLI, the command that reaches it with the nested
+# line in place of its input, and the start of the error that names it
+DEEP_READERS = {
+    "traces": ("sample", "bad trace record: MalformedDocumentError: invalid JSON: "),
+    "decisions": ("reconstruct", "bad decision record: RecursionError: "),
+    "kept": ("reconstruct", "bad kept-spans record: RecursionError: "),
+    "stats": ("reconstruct", "bad statistics snapshot: "),
+    "graph": ("sample", "bad cscfg artifact: RecursionError: "),
+    "config": ("sample", None),
+    "shared-dict": ("sample", "bad shared dictionary: "),
+    "build-graph": ("build-graph", "bad call-graph document: invalid JSON: "),
+}
+
+
+@pytest.mark.parametrize("reader", list(DEEP_READERS))
+def test_a_line_nested_past_the_decoder_limit_is_a_bad_record(workload, tmp_path, capsys,
+                                                              reader):
+    """100,000 nested brackets exceed the JSON decoder's recursion limit.
+    Each reader reports them as it reports any other bad record; a line of
+    an ndjson file is its second line, named with its number."""
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    inputs = {"--graph": graph_path, "--traces": trace_path,
+              "--decisions": str(out / "decisions.ndjson"), "--kept": str(out / "kept.ndjson"),
+              "--stats": str(out / "stats.json")}
+    deep = "[" * 100_000
+    bad = tmp_path / "deep.json"
+    flag = "--" + {"shared-dict": "shared-dict", "build-graph": "graph"}.get(reader, reader)
+    where = str(bad)
+    if reader in ("traces", "decisions", "kept"):
+        lines = Path(inputs[flag]).read_text(encoding="utf-8").splitlines()
+        bad.write_text("\n".join([lines[0], deep] + lines[2:]) + "\n", encoding="utf-8")
+        where += ":2"
+    else:
+        bad.write_text(deep, encoding="utf-8")
+    command, text = DEEP_READERS[reader]
+    names = {"sample": ["--graph", "--traces"], "build-graph": ["--graph"],
+             "reconstruct": ["--graph", "--decisions", "--kept", "--stats"]}[command]
+    argv = [command, "--out", str(tmp_path / ("g.json" if command == "build-graph" else "run"))]
+    for name in names:
+        argv += [name, str(bad) if name == flag else inputs[name]]
+    if flag not in names:
+        argv += [flag, str(bad)]
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    if text is None:
+        assert code == 2 and err.startswith(f"config error: cannot read config {where!r}: "), err
+    else:
+        assert code == 1 and err.startswith(f"error: {where}: {text}"), err
+    assert "maximum recursion depth exceeded" in err
+
+
 def config_command(command, graph_path, trace_path, out):
     """The argv of a small run of one of the commands that read --config."""
     return {"sample": ["sample", "--graph", graph_path, "--traces", trace_path, "--out", out],
@@ -723,7 +817,7 @@ def test_an_unknown_config_key_is_a_config_error(workload, tmp_path, capsys, com
 @pytest.mark.parametrize("edit", ["callees-int", "callees-not-all-strings", "edge-to-unknown",
                                   "block-id-list", "function-key-list", "entry-list",
                                   "edge-end-list", "dangling-callee", "blocks-int",
-                                  "flow-edges-int", "external-int"])
+                                  "flow-edges-int", "external-int", "key-with-an-empty-part"])
 def test_build_graph_names_a_malformed_call_graph_document(tmp_path, capsys, edit):
     doc, _meta = generate_system(SystemSpec(seed=5))
     fn = next(f for f in doc["functions"] if f.get("blocks"))
@@ -747,6 +841,8 @@ def test_build_graph_names_a_malformed_call_graph_document(tmp_path, capsys, edi
         fn["flow_edges"] = 7
     elif edit == "external-int":
         doc["external_functions"] = 3
+    elif edit == "key-with-an-empty-part":
+        doc["external_functions"] = ["svc:.run"]
     else:
         fn["flow_edges"].append([fn["blocks"][0]["id"], "no-such-block"])
     bad = tmp_path / "doc.json"

@@ -861,7 +861,7 @@ def test_a_kept_span_at_a_call_of_another_function_fails_on_a_memoised_path():
     for result in results:
         decision, kept = result.decision, kept_of(result)
         rebuilt = reconstruct(decision, kept, graph, stats, mapping)
-        fns = graph._skeletons[(decision.entry, decision.forks)][0]
+        fns = graph._skeletons[(decision.entry, decision.forks)].fns
         # a mapped kept span other than the root, and a free call of another function
         k = next((k for k, i in enumerate(decision.at)
                   if i > 0 and rebuilt.spans[i].span.span_id == decision.kept[k]), None)
@@ -896,3 +896,128 @@ def test_the_skeleton_memo_holds_at_most_its_bound(monkeypatch):
                            mapping).serialize() == line
         sizes.add(len(graph._skeletons))
     assert sizes == {1, 2, 3}
+
+
+def nested_callee_doc(a_calls):
+    """svc:Front.handle calls svc:A.run, then svc:B.get; A.run calls each of
+    a_calls, and svc:A1.run calls svc:A11.run."""
+    def fn(key, callees=None):
+        if callees is None:
+            return {"function": key}
+        return {"function": key, "blocks": [{"id": "b0", "callees": callees}],
+                "flow_edges": [], "entry": "b0", "exits": ["b0"]}
+    return {"schema_version": 1, "external_functions": [], "functions": [
+        fn("svc:Front.handle", ["svc:A.run", "svc:B.get"]), fn("svc:A.run", a_calls),
+        fn("svc:A0.run"), fn("svc:A1.run", ["svc:A11.run"]), fn("svc:A11.run"),
+        fn("svc:A2.run"), fn("svc:B.get")]}
+
+
+def means_snapshot(means):
+    return StatsSnapshot({"schema_version": 1, "kind": "stats-snapshot", "keys": {
+        key: {"count": 3, "mean": mean, "std": 1.0} for key, mean in means.items()}})
+
+
+def test_an_unanchored_subtree_packs_at_its_natural_offsets_clipped_at_every_level():
+    """Front.handle and B.get are kept, B.get 30 us in. A.run has no kept
+    span below it, so it gets [0, 30), and its subtree packs at its natural
+    offsets (A0 20, A1 5 + A11 45, A2 50 wide) clipped at each parent's end:
+    A1 and A11 are cut short, and A2 is left no room at all."""
+    graph = build_cscfg(nested_callee_doc(["svc:A0.run", "svc:A1.run", "svc:A2.run"]))
+    mapping = build_map(graph)
+    trace = Trace("t", [Span("r", "t", None, "Front.handle", "svc", 0, 200),
+                        Span("a", "t", "r", "A.run", "svc", 0, 25),
+                        Span("a0", "t", "a", "A0.run", "svc", 0, 5),
+                        Span("a1", "t", "a", "A1.run", "svc", 5, 10),
+                        Span("a11", "t", "a1", "A11.run", "svc", 5, 5),
+                        Span("a2", "t", "a", "A2.run", "svc", 15, 10),
+                        Span("b", "t", "r", "B.get", "svc", 30, 20)])
+    kept = [trace.span("r"), trace.span("b")]
+    decision = decision_for("svc:Front.handle", trace, mapping, kept, ())
+    assert decision.at == (6, 0)
+    stats = means_snapshot({"svc:A.run": 10, "svc:A0.run": 20, "svc:A1.run": 5,
+                            "svc:A11.run": 45, "svc:A2.run": 50})
+    rebuilt = reconstruct(decision, kept, graph, stats, mapping)
+    assert [(r.span.operation, r.span.start_time, r.span.end_time) for r in rebuilt.spans] == [
+        ("Front.handle", 0, 200), ("A.run", 0, 30), ("A0.run", 0, 20), ("A1.run", 20, 30),
+        ("A11.run", 20, 30), ("A2.run", 30, 30), ("B.get", 30, 50)]
+    for recursive in (False, True):
+        expected = oracle_reconstruct(decision, kept, graph, stats, mapping, recursive=recursive)
+        assert rebuilt.spans == expected.spans
+    assert rebuilt.serialize() == oracle_serialize(expected)
+
+
+def test_a_kept_span_past_its_kept_ancestors_end_stays_covered_by_its_inferred_parent():
+    """Kept records are not checked against each other: a kept A11.run that
+    ends after the kept root keeps its own times, and its inferred parents
+    reach its end, past the root's, as the tree walker places them."""
+    graph = build_cscfg(nested_callee_doc(["svc:A1.run"]))
+    mapping = build_map(graph)
+    trace = Trace("t", [Span("r", "t", None, "Front.handle", "svc", 0, 100),
+                        Span("a", "t", "r", "A.run", "svc", 60, 40),
+                        Span("a1", "t", "a", "A1.run", "svc", 80, 20),
+                        Span("a11", "t", "a1", "A11.run", "svc", 90, 10)])
+    late = dataclasses.replace(trace.span("a11"), duration=60)
+    kept = [trace.span("r"), late]
+    decision = decision_for("svc:Front.handle", trace, mapping, [trace.span("r"), late], ())
+    stats = means_snapshot({"svc:A.run": 5, "svc:A1.run": 5, "svc:B.get": 5})
+    rebuilt = reconstruct(decision, kept, graph, stats, mapping)
+    assert [(r.span.operation, r.span.start_time, r.span.end_time) for r in rebuilt.spans] == [
+        ("Front.handle", 0, 100), ("A.run", 90, 150), ("A1.run", 90, 150),
+        ("A11.run", 90, 150), ("B.get", 150, 150)]
+    for recursive in (False, True):
+        expected = oracle_reconstruct(decision, kept, graph, stats, mapping, recursive=recursive)
+        assert rebuilt.spans == expected.spans
+
+
+def test_one_snapshot_on_two_graphs_gives_each_graph_its_own_layout():
+    """One decision on two graphs whose A.run differs, so its path has the
+    same (entry, forks) on both but other calls under A.run; each rebuild
+    from the one snapshot writes its own graph's reference bytes."""
+    graphs = [build_cscfg(nested_callee_doc(calls))
+              for calls in (["svc:A0.run", "svc:A2.run"], ["svc:A1.run"])]
+    mappings = [build_map(g) for g in graphs]
+    root = Span("r", "t", None, "Front.handle", "svc", 0, 500)
+    decision = decision_for("svc:Front.handle", Trace("t", [root]), mappings[0], [root], ())
+    stats = means_snapshot({"svc:A.run": 10, "svc:A0.run": 20, "svc:A1.run": 5,
+                            "svc:A11.run": 45, "svc:A2.run": 50, "svc:B.get": 7})
+    lines = []
+    for k in (0, 1, 0, 1):
+        line = reconstruct(decision, [root], graphs[k], stats, mappings[k]).serialize()
+        assert line == oracle_serialize(oracle_reconstruct(decision, [root], graphs[k], stats,
+                                                           mappings[k]))
+        lines.append(line)
+    assert lines[0] == lines[2] != lines[1] == lines[3]
+
+
+@pytest.mark.parametrize("seed,n,ratio", [(7, 120, 0.3), (None, 60, 0.1),
+                                          ("move-a-call", 60, 0.3)])
+def test_a_memoised_layout_rebuilds_the_bytes_of_the_tree_walker(seed, n, ratio, monkeypatch):
+    """Each decision rebuilds the tree walker's bytes with its path laid out
+    cold, laid out warm, on one graph used with two snapshots in turn, and
+    after the memo clears at its bound."""
+    _spec, mapping, pipeline, results, stats = sampled_workload(seed, n, ratio)
+    graph = pipeline.graph
+    early = SamplingPipeline(graph, mapping, SamplingConfig(ratio=ratio))
+    for result in results[:n // 4]:
+        early.process(result.trace)
+    other = early.stats_snapshot()
+
+    def rebuilt(result, snapshot):
+        return reconstruct(result.decision, kept_of(result), graph, snapshot,
+                           mapping).serialize()
+
+    want = {id(snapshot): [oracle_serialize(oracle_reconstruct(
+        r.decision, kept_of(r), graph, snapshot, mapping)) for r in results]
+        for snapshot in (stats, other)}
+    assert want[id(stats)] != want[id(other)]
+    for result, line in zip(results, want[id(stats)]):
+        graph._skeletons.clear()
+        assert rebuilt(result, stats) == line
+    for _ in range(2):
+        assert [rebuilt(r, stats) for r in results] == want[id(stats)]
+    for result, line, early_line in zip(results, want[id(stats)], want[id(other)]):
+        assert (rebuilt(result, other), rebuilt(result, stats)) == (early_line, line)
+    monkeypatch.setattr(align_mod, "PATH_CACHE_CAPACITY", 2)
+    graph._skeletons.clear()
+    assert [rebuilt(r, stats) for r in results] == want[id(stats)]
+    assert len(graph._skeletons) <= 2
