@@ -18,25 +18,25 @@ moves from the start. Ties are broken deterministically: lower cost, then
 fewer insertions, then a fixed move preference (match, skip, insert, move to
 the smallest successor id), which keeps repeated runs byte-identical.
 
-A path is cached as its dominant span sets and its forks. A slot names a
-span by its index in `Trace.preorder`, so a path depends on the trace's
-shape only. Forks are recorded as alignment finds them: a move out of a
-node with more than one flow successor records its target, and every other
-flow move is dropped. Where the path leaves the graph, the forks also hold
-its edits, at their place in the path, as tuples of call indexes into the
-preorder of the mapped spans (the replay's calls): a mapped span that
-alignment inserts is (parent call, its own call, function key), and a
-block's call that it skips is (parent call, the call it would have been).
-Unmapped spans are calls of no function and need no edit. Forks and edits
-together pin the path through the graph, so no set names a block or
-callee. Sets are cut as the path is laid out in order, each span a step and
-each skipped call a step without a span: a set ends at the first fork after
-a step, that fork's target tags the next set (the first is tagged
+A path is cached as its dominant span sets, its forks and each slot's call.
+A slot names a span by its place in the trace's preorder (`Trace.order`), so
+a path depends on the trace's shape only. Forks are recorded as alignment
+finds them: a move out of a node with more than one flow successor records
+its target, and every other flow move is dropped. Where the path leaves the
+graph, the forks also hold its edits, at their place in the path, as tuples
+of call indexes into the preorder of the mapped spans (the replay's calls):
+a mapped span that alignment inserts is (parent call, its own call, function
+key), and a block's call that it skips is (parent call, the call it would
+have been). Unmapped spans are calls of no function and need no edit. Forks
+and edits together pin the path through the graph, so no set names a block
+or callee. Sets are cut as the path is laid out in order, each span a step
+and each skipped call a step without a span: a set ends at the first fork
+after a step, that fork's target tags the next set (the first is tagged
 TRUNK_TAG), and a set with no span is dropped; an edit cuts nothing.
 
 A PathCache memoises alignment at three levels, each an LRU map of at most
 PATH_CACHE_CAPACITY entries. The trace level is keyed by the trace's shape
-signature (each span's function key and child count, in `Trace.preorder`)
+signature (each span's function key and child count, in preorder)
 and stores the path itself, so a hit returns the very path a fresh
 alignment of that shape gives. On a trace-level miss each span gets a hash-consed shape id,
 keyed by its function key (None when unmapped) and its children's ids; the
@@ -73,14 +73,17 @@ _MATCH, _SKIP, _INS = (0,), (1,), (2,)
 
 @dataclass(frozen=True)
 class ExecutionPath:
-    """Aligned path of one trace shape, as its sets and its forks.
+    """Aligned path of one trace shape, as its sets, its forks and its calls.
 
-    Each set is a pair (slots, tag): slots index `Trace.preorder` in path
-    order, and tag is the fork target that opened the set, or TRUNK_TAG.
+    Each set is a pair (slots, tag): slots index the trace's preorder
+    (`Trace.order`) in path order, and tag is the fork target that opened
+    the set, or TRUNK_TAG.
     `forks` lists every fork target and every edit in path order.
     `leaves_graph` is True when the path skips a block's call or inserts a
     mapped span, that is when its forks hold an edit and its cost exceeds
-    its unmapped spans.
+    its unmapped spans. `calls` holds each slot's call in the replay's
+    preorder: a mapped span's index among the mapped spans, an unmapped
+    span its nearest mapped ancestor's (the root is mapped).
     """
 
     sets: tuple[tuple[tuple[int, ...], str], ...]
@@ -88,6 +91,7 @@ class ExecutionPath:
     insertions: int
     forks: tuple[str | tuple, ...]
     leaves_graph: bool
+    calls: tuple[int, ...]
 
 
 class _Fragment:
@@ -230,21 +234,20 @@ class PathCache:
         return len(self._data)
 
 
-def trace_signature(trace: Trace, resolutions: dict) -> tuple:
+def trace_signature(trace: Trace, resolutions: list) -> tuple:
     """Canonical shape: each span's function key and child count, in preorder.
 
+    resolutions holds each span's resolution in the trace's input order.
     Unmapped spans appear as '?'. Durations and ids are excluded, so traces
     differing only in timing share a signature; a preorder with child counts
     fixes the tree, so equal signatures imply identical alignments.
     """
-    # every preorder span has a child list, so read them without the check
-    kids = trace._children
+    children = trace.children
     parts: list = []
-    for span in trace.preorder:
-        sid = span.span_id
-        r = resolutions[sid]
+    for i in trace.order:
+        r = resolutions[i]
         parts.append(r.key if isinstance(r, FunctionRef) else "?")
-        parts.append(len(kids[sid]))
+        parts.append(len(children[i]))
     return tuple(parts)
 
 
@@ -435,10 +438,11 @@ def _compose(frag: _Fragment, keys: list) -> tuple[list, list]:
     return sets, forks
 
 
-def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> ExecutionPath:
+def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: list) -> ExecutionPath:
     """Minimum-cost alignment of a trace onto the graph.
 
-    resolutions maps each span id to its `SpanFunctionMap.resolve` result.
+    resolutions holds each span's `SpanFunctionMap.resolve` result, in the
+    trace's input order.
     Raises NoPathError when the root span does not resolve to a function the
     graph knows, or when an invocation has no path (naming its first child
     span, or the function key of a leaf); the first such invocation in
@@ -450,12 +454,12 @@ def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> Ex
     if path is not None:
         return path
 
-    root = trace.root
-    r = resolutions[root.span_id]
+    order, ids = trace.order, trace.ids
+    r = resolutions[order[0]]
     if isinstance(r, Unmapped):
-        raise NoPathError(root.span_id, f"root span does not map to a function ({r.reason})")
+        raise NoPathError(ids[order[0]], f"root span does not map to a function ({r.reason})")
     if not graph.knows(r.key):
-        raise NoPathError(root.span_id, f"entry function {r.key!r} absent from graph")
+        raise NoPathError(ids[order[0]], f"entry function {r.key!r} absent from graph")
 
     keys = [None if k == "?" else k for k in sig[::2]]
     counts = sig[1::2]
@@ -490,7 +494,7 @@ def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> Ex
         if graph.has_body(fn_key):
             solved = _solve_cached(graph, fn_key, tuple([keys[j] for j in syms]), cache)
             if solved is None:
-                raise NoPathError(trace.preorder[i + 1].span_id if counts[i] else fn_key,
+                raise NoPathError(ids[order[i + 1]] if counts[i] else fn_key,
                                   f"no path through function {fn_key!r}")
         todo.append((i, syms, solved))
         i += 1
@@ -504,9 +508,24 @@ def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: dict) -> Ex
     if linked != list(range(n)):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
 
+    # each slot's call: a mapped slot counts the mapped slots before it, an
+    # unmapped one takes its parent's, the innermost subtree still open
+    calls: list[int] = []
+    mapped = 0
+    open_: list = []  # (subtree end, call) of the enclosing slots
+    for i in range(n):
+        while open_ and open_[-1][0] <= i:
+            open_.pop()
+        if keys[i] is None:
+            call = open_[-1][1]
+        else:
+            call, mapped = mapped, mapped + 1
+        calls.append(call)
+        open_.append((ends[i], call))
+
     # every unmapped span is inserted at cost 1: any cost beyond them is a
     # skipped call or an inserted mapped span
     path = ExecutionPath(tuple(sets), root_frag.cost, root_frag.insertions, tuple(forks),
-                         root_frag.cost > keys.count(None))
+                         root_frag.cost > keys.count(None), tuple(calls))
     cache.store(sig, path)
     return path

@@ -474,9 +474,9 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
             trace = sample.trace
             excl = exclusive_durations(trace)
             scores = {}
-            for span in trace.arrival:
-                key = f"{span.service}|{span.operation}"
-                scores[span.span_id] = book.window_for(key).score(float(excl[span.span_id]))[0]
+            for i in trace.arrival_order:
+                key = f"{trace.services[i]}|{trace.operations[i]}"
+                scores[trace.ids[i]] = book.window_for(key).score(float(excl[i]))[0]
             k = math.floor(p * len(trace))
             top = sorted(scores, key=lambda sid: (-scores[sid], sid))[:k]
             kept[trace.trace_id] = frozenset(top)
@@ -490,9 +490,9 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
             trace = sample.trace
             excl = exclusive_durations(trace)
             max_z = -math.inf
-            for span in trace.arrival:
-                key = f"{span.service}|{span.operation}"
-                max_z = max(max_z, book.window_for(key).score(float(excl[span.span_id]))[0])
+            for i in trace.arrival_order:
+                key = f"{trace.services[i]}|{trace.operations[i]}"
+                max_z = max(max_z, book.window_for(key).score(float(excl[i]))[0])
             threshold = threshold_est.value() if threshold_est.n >= cfg.min_obs else math.inf
             pool += p * len(trace)
             if max_z >= threshold and pool >= len(trace):

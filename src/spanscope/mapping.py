@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 from .cscfg import SHARED_SERVICE, Cscfg, FunctionRef
 from .errors import DuplicateSharedEntryError
-from .model import Span
 
 REASON_NO_FUNCTION_FORM = "no-function-form"
 REASON_UNKNOWN_SERVICE = "unknown-service"
 REASON_UNKNOWN_FUNCTION = "unknown-function"
 
-# mapped (service, operation) spellings remembered; the memo is emptied when full
+# (service, operation) pairs a memo holds at most; it is emptied when full
 RESOLVE_MEMO_CAPACITY = 4096
 
 
@@ -63,10 +62,14 @@ def normalize_operation(operation: str) -> tuple[str, str] | None:
 class SpanFunctionMap:
     """Immutable resolver built from a graph plus a shared-library dictionary.
 
-    resolve() is a pure function of the map and the span. It memoises
-    mapped (service, operation) pairs, up to RESOLVE_MEMO_CAPACITY of them,
-    and that memo is its only mutable state; misses are resolved every
-    time. Like the pipeline that owns it, a map is used from one thread.
+    resolve() is a pure function of the map and a span's service and
+    operation. It memoises mapped (service, operation) pairs, up to
+    RESOLVE_MEMO_CAPACITY of them, and that memo is its only mutable state;
+    misses are resolved every time. The sampling pipeline keeps its own
+    memo of each pair's resolution and scoring key in front of this one,
+    so it asks the map once per distinct pair; rebuild and the fidelity
+    check ask per span. Like the pipeline that owns it, a map is used from
+    one thread.
     """
 
     def __init__(self, service_index: dict[str, dict[tuple[str, str], FunctionRef]],
@@ -75,22 +78,22 @@ class SpanFunctionMap:
         self._shared = shared
         self._memo: dict[tuple[str, str], FunctionRef] = {}
 
-    def resolve(self, span: Span) -> FunctionRef | Unmapped:
-        key = (span.service, span.operation)
+    def resolve(self, service: str, operation: str) -> FunctionRef | Unmapped:
+        key = (service, operation)
         ref = self._memo.get(key)
         if ref is None:
-            ref = self._lookup(span)
+            ref = self._lookup(service, operation)
             if isinstance(ref, FunctionRef):
                 if len(self._memo) >= RESOLVE_MEMO_CAPACITY:
                     self._memo.clear()
                 self._memo[key] = ref
         return ref
 
-    def _lookup(self, span: Span) -> FunctionRef | Unmapped:
-        parsed = normalize_operation(span.operation)
+    def _lookup(self, service: str, operation: str) -> FunctionRef | Unmapped:
+        parsed = normalize_operation(operation)
         if parsed is None:
             return Unmapped(REASON_NO_FUNCTION_FORM)
-        local = self._service_index.get(span.service)
+        local = self._service_index.get(service)
         if local is not None:
             ref = local.get(parsed)
             if ref is not None:

@@ -10,12 +10,19 @@ A trace file is newline-delimited JSON, one trace per line:
 Traces are immutable after parsing and safe to share across threads. A
 child's interval must lie inside its parent's; no clock skew is tolerated.
 
+``parse_trace`` reads a record into columns, one per field, in input
+order; one combined test over the columns admits a well-formed record, and
+any other goes through itemised checks that name its first fault. A
+``Trace`` holds those columns with one preorder permutation, the arrival
+order, by (start_time, span_id), and each span's children in arrival
+order; ``exclusive_durations`` relies on that order to take the union of
+child intervals without sorting them. The sampling pipeline reads the
+columns by position and builds no ``Span``; a trace builds its spans only
+when a reader asks for them.
+
 ``Span`` is a frozen slotted record. Its one constructor writes each slot
 through the slot's member descriptor, past the frozen ``__setattr__``, so
-parse, rebuild and the generators all build spans the same cheap way.
-A trace's child lists come in arrival order, by (start_time, span_id);
-``_exclusive`` relies on that order to take the union of child intervals
-without sorting them.
+a trace, rebuild and the generators all build spans the same cheap way.
 """
 
 from __future__ import annotations
@@ -23,13 +30,19 @@ from __future__ import annotations
 import json
 from collections.abc import KeysView
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
 
 SpanId = str
 
-_arrival_key = attrgetter("start_time", "span_id")
+# a span record's fields, in the order of Span's fields and of the columns
+_FIELDS = ("span_id", "trace_id", "parent_id", "operation", "service", "start_time",
+           "duration", "attributes")
+_field_getters = [itemgetter(name) for name in _FIELDS]
+_span_fields = attrgetter(*_FIELDS)
+_STR, _INT, _DICT, _PARENT = {str}, {int}, {dict}, {str, type(None)}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -103,145 +116,214 @@ Span.__delattr__ = _refuse_delete
 
 
 class Trace:
-    """A tree of spans with exactly one root.
+    """A tree of spans with exactly one root, held as columns.
+
+    The columns are in input order, position i for the i-th span: ``ids``,
+    ``parent_ids``, ``operations``, ``services``, ``starts``, ``durations``
+    and ``attributes``. ``index`` maps each span id to its position.
+    ``arrival_order`` lists the positions in arrival order, by (start_time,
+    span_id); ``children[i]`` lists position i's children in that same
+    order; ``order`` lists the positions root first, each followed by its
+    subtree, siblings in arrival order: it is the one tree walk every
+    consumer reads, and slot k of a path is ``order[k]``. The columns are
+    read-only.
 
     Construction validates the tree invariants, each child's interval
-    inside its parent's included.
-    ``arrival`` holds the spans in arrival order, by (start_time, span_id);
-    ``child_spans`` lists each span's children in that same order.
-    ``preorder`` holds the spans root first, each followed by its subtree,
-    siblings in arrival order; it is the one tree walk every consumer reads.
+    inside its parent's included. ``Trace(trace_id, spans)`` builds the
+    columns from span objects and keeps those objects; ``parse_trace``
+    builds the columns from a record and makes no span object. ``spans``, in
+    input order, is built from the columns on first read and kept, and
+    ``preorder``, ``arrival`` and ``child_spans`` read it; until then,
+    ``span()`` and ``root`` build just the span they are asked for.
     """
 
+    __slots__ = ("trace_id", "ids", "parent_ids", "operations", "services", "starts",
+                 "durations", "attributes", "index", "arrival_order", "children", "order",
+                 "_spans")
+
     def __init__(self, trace_id: str, spans: list[Span]):
-        self.trace_id = trace_id
-        self.spans = tuple(spans)
-        self.arrival: tuple[Span, ...] = ()
-        self.preorder: tuple[Span, ...] = ()
-        self._by_id: dict[SpanId, Span] = {}
-        self._children: dict[SpanId, tuple[Span, ...]] = {}
-        self._root: Span | None = None
-        self._validate()
-
-    def _validate(self) -> None:
-        spans, by_id = self.spans, self._by_id
+        spans = tuple(spans)
         if not spans:
-            raise MalformedDocumentError(f"trace {self.trace_id!r} has no spans")
-        roots = []
-        for s in spans:
-            if s.trace_id != self.trace_id:
-                raise InvariantViolationError(
-                    s.span_id, f"trace_id {s.trace_id!r} does not match record {self.trace_id!r}"
-                )
-            if not s.span_id:
-                raise InvariantViolationError(s.span_id, "empty span id")
-            if s.span_id in by_id:
-                raise InvariantViolationError(s.span_id, "duplicate span id")
-            if s.duration < 0:
-                raise InvariantViolationError(s.span_id, "negative duration")
-            by_id[s.span_id] = s
-            if s.parent_id is None:
-                roots.append(s)
+            raise MalformedDocumentError(f"trace {trace_id!r} has no spans")
+        self._fill(trace_id, tuple(zip(*map(_span_fields, spans))))
+        self._spans = spans
 
-        if not roots:
-            raise InvariantViolationError(spans[0].span_id, "trace has no root span")
-        if len(roots) > 1:
-            raise InvariantViolationError(roots[1].span_id, "trace has multiple root spans")
-        self._root = roots[0]
+    @classmethod
+    def _of_columns(cls, trace_id: str, columns: tuple) -> "Trace":
+        """A trace of the eight columns _columns reads, without span objects."""
+        trace = cls.__new__(cls)
+        trace._fill(trace_id, columns)
+        trace._spans = None
+        return trace
 
-        # children are appended in arrival order, so each list is already sorted
-        arrival = sorted(spans, key=_arrival_key)
-        kids: dict[SpanId, list[Span]] = {sid: [] for sid in by_id}
-        for s in arrival:
-            if s.parent_id is not None:
-                siblings = kids.get(s.parent_id)
-                if siblings is None:
-                    # name the first dangling span in input order
-                    bad = next(x for x in spans
-                               if x.parent_id is not None and x.parent_id not in by_id)
-                    raise InvariantViolationError(bad.span_id,
-                                                  f"dangling parent {bad.parent_id!r}")
-                siblings.append(s)
+    def _fill(self, trace_id: str, columns: tuple) -> None:
+        ids, tids, parents, ops, svcs, starts, durations, attrs = columns
+        self.trace_id = trace_id
+        self.ids, self.parent_ids, self.operations, self.services = ids, parents, ops, svcs
+        self.starts, self.durations, self.attributes = starts, durations, attrs
+        self.index, self.arrival_order, self.children, self.order = _tree(
+            trace_id, ids, tids, parents, starts, durations)
 
-        # parent links form a tree iff the walk from the root reaches every
-        # span; each span sits in one child list and the root in none, so the
-        # walk ends, and a cycle shows up as unreachable spans
-        preorder = []
-        stack = [self._root]
-        while stack:
-            s = stack.pop()
-            preorder.append(s)
-            stack.extend(reversed(kids[s.span_id]))
-        if len(preorder) != len(spans):
-            missing = sorted(set(by_id) - {s.span_id for s in preorder})
-            raise InvariantViolationError(missing[0], "span not reachable from root")
+    def _span(self, i: int) -> Span:
+        spans = self._spans
+        if spans is not None:
+            return spans[i]
+        return Span(self.ids[i], self.trace_id, self.parent_ids[i], self.operations[i],
+                    self.services[i], self.starts[i], self.durations[i], self.attributes[i])
 
-        for s in spans:
-            if s.parent_id is None:
-                continue
-            parent = by_id[s.parent_id]
-            start = s.start_time
-            if (start < parent.start_time
-                    or start + s.duration > parent.start_time + parent.duration):
-                raise InvariantViolationError(s.span_id, "interval extends beyond parent")
+    @property
+    def spans(self) -> tuple[Span, ...]:
+        spans = self._spans
+        if spans is None:
+            ids = self.ids
+            spans = self._spans = tuple(map(
+                Span, ids, repeat(self.trace_id, len(ids)), self.parent_ids, self.operations,
+                self.services, self.starts, self.durations, self.attributes))
+        return spans
 
-        self.arrival = tuple(arrival)
-        self.preorder = tuple(preorder)
-        self._children = {sid: tuple(lst) for sid, lst in kids.items()}
+    @property
+    def preorder(self) -> tuple[Span, ...]:
+        return tuple(map(self.spans.__getitem__, self.order))
+
+    @property
+    def arrival(self) -> tuple[Span, ...]:
+        return tuple(map(self.spans.__getitem__, self.arrival_order))
 
     @property
     def root(self) -> Span:
-        return self._root
+        return self._span(self.order[0])
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self.ids)
 
-    def span(self, span_id: SpanId) -> Span:
+    def _position(self, span_id: SpanId) -> int:
         try:
-            return self._by_id[span_id]
+            return self.index[span_id]
         except KeyError:
             raise UnknownSpanError(f"no span {span_id!r} in trace {self.trace_id!r}") from None
 
+    def span(self, span_id: SpanId) -> Span:
+        return self._span(self._position(span_id))
+
     def has_span(self, span_id: SpanId) -> bool:
-        return span_id in self._by_id
+        return span_id in self.index
 
     def child_spans(self, span_id: SpanId) -> tuple[Span, ...]:
-        if span_id not in self._by_id:
-            raise UnknownSpanError(f"no span {span_id!r} in trace {self.trace_id!r}")
-        return self._children[span_id]
+        return tuple(map(self.spans.__getitem__, self.children[self._position(span_id)]))
 
     def span_ids(self) -> KeysView[SpanId]:
         """The span ids as a read-only set view, without a copy."""
-        return self._by_id.keys()
+        return self.index.keys()
 
 
-def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
-    # children come in start order and lie inside the span (Trace checks
-    # both): one sweep adds the part of each that lies past the furthest end
-    # so far. Every added part lies inside the span, so the result is >= 0.
-    duration = span.duration
-    covered_to = span.start_time
-    covered = 0
-    for c in children:
-        lo = c.start_time
-        end = lo + c.duration
-        if lo < covered_to:
-            lo = covered_to
-        if end > lo:
-            covered += end - lo
-            covered_to = end
-    return duration - covered
+def _tree(trace_id: str, ids, tids, parents, starts, durations) -> tuple:
+    """The index, arrival order, child lists and preorder of a trace's
+    columns. One combined test admits a well-formed tree; any other goes
+    through itemised checks, which raise on its first fault in this order:
+    per span in input order, its trace id, an empty or duplicate id and a
+    negative duration; then no root or a second one; a dangling parent,
+    first in input order; a span the walk from the root does not reach,
+    least id first; and a child outside its parent, first in input order."""
+    n = len(ids)
+    index = dict(zip(ids, range(n)))
+    # each span's parent position; None for the root and a dangling parent
+    up = [index.get(p) for p in parents]
+    if not (tids.count(trace_id) == n and len(index) == n and all(ids)
+            and min(durations) >= 0 and parents.count(None) == 1 and up.count(None) == 1):
+        _refuse_spans(trace_id, ids, tids, parents, durations, index)
+    root = up.index(None)
+
+    # children are appended in arrival order, so each list is already
+    # sorted; ids are unique, so the positions are never compared
+    arrival = [i for _, _, i in sorted(zip(starts, ids, range(n)))]
+    children: list[list[int]] = [[] for _ in ids]
+    inside = True
+    for i in arrival:
+        p = up[i]
+        if p is not None:
+            children[p].append(i)
+            start = starts[i]
+            if start < starts[p] or start + durations[i] > starts[p] + durations[p]:
+                inside = False
+
+    # parent links form a tree iff the walk from the root reaches every
+    # span; each span sits in one child list and the root in none, so the
+    # walk ends, and a cycle shows up as unreachable spans
+    order: list[int] = []
+    visit, stack = order.append, [root]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        i = pop()
+        # down the first children; later siblings wait on the stack
+        while True:
+            visit(i)
+            kids = children[i]
+            if not kids:
+                break
+            if len(kids) > 1:
+                push(kids[:0:-1])
+            i = kids[0]
+    if len(order) != n:
+        reached = set(order)
+        missing = sorted(ids[i] for i in range(n) if i not in reached)
+        raise InvariantViolationError(missing[0], "span not reachable from root")
+    if not inside:
+        bad = next(i for i, p in enumerate(up) if p is not None and (
+            starts[i] < starts[p] or starts[i] + durations[i] > starts[p] + durations[p]))
+        raise InvariantViolationError(ids[bad], "interval extends beyond parent")
+    return index, arrival, children, order
 
 
-def exclusive_durations(trace: Trace) -> dict[SpanId, int]:
+def _refuse_spans(trace_id: str, ids, tids, parents, durations, index: dict) -> None:
+    """Raise on the first fault of the per-span checks, the root and the
+    parent links, in _tree's order; called only when there is one."""
+    seen: set = set()
+    roots = []
+    for sid, tid, parent, duration in zip(ids, tids, parents, durations):
+        if tid != trace_id:
+            raise InvariantViolationError(
+                sid, f"trace_id {tid!r} does not match record {trace_id!r}")
+        if not sid:
+            raise InvariantViolationError(sid, "empty span id")
+        if sid in seen:
+            raise InvariantViolationError(sid, "duplicate span id")
+        if duration < 0:
+            raise InvariantViolationError(sid, "negative duration")
+        seen.add(sid)
+        if parent is None:
+            roots.append(sid)
+    if not roots:
+        raise InvariantViolationError(ids[0], "trace has no root span")
+    if len(roots) > 1:
+        raise InvariantViolationError(roots[1], "trace has multiple root spans")
+    sid, parent = next((sid, parent) for sid, parent in zip(ids, parents)
+                       if parent is not None and parent not in index)
+    raise InvariantViolationError(sid, f"dangling parent {parent!r}")
+
+
+def exclusive_durations(trace: Trace) -> list[int]:
     """Each span's duration minus the union of its direct children's
-    intervals, which lie inside it, in one pass over the child lists.
-    Children may overlap (async fan-out), so coverage is the interval
-    union, and the result is never negative."""
-    out: dict[SpanId, int] = {}
-    for span in trace.spans:
-        kids = trace._children[span.span_id]
-        out[span.span_id] = _exclusive(span, kids) if kids else span.duration
+    intervals, which lie inside it, in input order, in one pass over the
+    child lists. Children may overlap (async fan-out), so coverage is the
+    interval union, and the result is never negative."""
+    starts, durations = trace.starts, trace.durations
+    out = list(durations)
+    for i, kids in enumerate(trace.children):
+        if kids:
+            # children come in start order and lie inside the span (Trace
+            # checks both): one sweep adds the part of each that lies past
+            # the furthest end so far, and every added part lies inside it
+            covered_to = starts[i]
+            covered = 0
+            for c in kids:
+                lo = starts[c]
+                end = lo + durations[c]
+                if lo < covered_to:
+                    lo = covered_to
+                if end > lo:
+                    covered += end - lo
+                    covered_to = end
+            out[i] -= covered
     return out
 
 
@@ -307,9 +389,58 @@ def parse_trace(document: str) -> Trace:
         raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
     _require(isinstance(obj, dict), "trace record must be an object")
     _require("trace_id" in obj and isinstance(obj["trace_id"], str), "missing trace_id")
-    _require(isinstance(obj.get("spans"), list), "missing spans array")
-    spans = [span_from_dict(s, obj["trace_id"]) for s in obj["spans"]]
-    return Trace(obj["trace_id"], spans)
+    records = obj.get("spans")
+    _require(isinstance(records, list), "missing spans array")
+    trace_id = obj["trace_id"]
+    if not records:
+        raise MalformedDocumentError(f"trace {trace_id!r} has no spans")
+    return Trace._of_columns(trace_id, _columns(records, trace_id))
+
+
+def _columns(records: list, trace_id: str) -> tuple:
+    """The eight columns of a trace record's span records, in input order.
+
+    One combined test admits records that carry all eight fields, each of
+    its type; any other set goes record by record through span_from_dict's
+    checks, which accept a record without trace_id, parent_id or attributes
+    and raise on the first fault of the first bad record.
+    """
+    try:
+        # a list per field: a tuple per record would cost more memory than
+        # it saves time
+        columns = [list(map(field, records)) for field in _field_getters]
+    except (KeyError, TypeError):  # a field missing, or a record not an object
+        pass
+    else:
+        ids, tids, parents, ops, svcs, starts, durations, attrs = columns
+        if (trace_id and tids.count(trace_id) == len(tids)
+                and {*map(type, ids), *map(type, ops), *map(type, svcs)} == _STR
+                and {*map(type, starts), *map(type, durations)} == _INT
+                and {*map(type, parents)} <= _PARENT
+                and {*map(type, attrs)} == _DICT
+                # JSON object keys are strings
+                and {*map(type, chain.from_iterable(map(dict.values, attrs)))} <= _STR):
+            return columns
+    rows = []
+    for obj in records:
+        if type(obj) is dict:
+            get = obj.get
+            span_id, operation, service = get("span_id"), get("operation"), get("service")
+            start, duration = get("start_time"), get("duration")
+            tid, parent = get("trace_id", trace_id), get("parent_id")
+            attrs = get("attributes", {})
+            if (type(span_id) is str and type(operation) is str and type(service) is str
+                    and type(start) is int and type(duration) is int
+                    and type(tid) is str and tid and (parent is None or type(parent) is str)
+                    and type(attrs) is dict
+                    and (not attrs or all(type(k) is str and type(v) is str
+                                          for k, v in attrs.items()))):
+                rows.append((span_id, tid, parent, operation, service, start, duration, attrs))
+                continue
+        # raises on the record's first fault, or accepts what the test above
+        # refuses and the itemised checks do not
+        rows.append(_span_fields(_checked_span_from_dict(obj, trace_id)))
+    return tuple(zip(*rows))
 
 
 def serialize_trace(trace: Trace) -> str:

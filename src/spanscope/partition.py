@@ -35,7 +35,7 @@ class DominantSpanSet:
 def partition(path: ExecutionPath, trace: Trace) -> list[DominantSpanSet]:
     """The path's sets with their slots named by span id; pure function of
     (path, trace)."""
-    order = trace.preorder
+    ids, order = trace.ids, trace.order
     tid = trace.trace_id
-    return [DominantSpanSet(f"{tid}:d{k}", tuple([order[slot].span_id for slot in slots]), tag)
+    return [DominantSpanSet(f"{tid}:d{k}", tuple([ids[order[slot]] for slot in slots]), tag)
             for k, (slots, tag) in enumerate(path.sets)]

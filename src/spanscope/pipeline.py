@@ -5,18 +5,21 @@ the scoring windows and the selection ledger. Traces stream through one at a
 time with bounded memory; per-stage wall time is accumulated so the cost
 split between trace partitioning and span selection stays observable.
 
-A pipeline and the graph, map, cache and score book it owns are used from
-one thread, so equal inputs give byte-identical decisions.
+The stages read a trace's columns by position (see `spanscope.model`), so
+sampling a parsed trace builds no Span. A pipeline and the graph, map,
+cache and score book it owns are used from one thread, so equal inputs
+give byte-identical decisions.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .align import ExecutionPath, PathCache, align
 from .cscfg import Cscfg, FunctionRef
-from .mapping import SpanFunctionMap
+from .mapping import RESOLVE_MEMO_CAPACITY, SpanFunctionMap
 from .model import Trace, exclusive_durations
 from .partition import DominantSpanSet, partition
 from .reconstruct import ReconstructedTrace, reconstruct
@@ -30,6 +33,8 @@ STAGE_SELECT = "select"
 STAGE_RECONSTRUCT = "reconstruct"
 PARTITION_STAGES = (STAGE_MAP, STAGE_ALIGN, STAGE_PARTITION)
 
+_first, _second = itemgetter(0), itemgetter(1)
+
 
 @dataclass
 class TraceResult:
@@ -39,18 +44,12 @@ class TraceResult:
     path: ExecutionPath
 
 
-def _calls(trace: Trace, resolutions: dict) -> dict[str, int]:
-    """Each span's call in the replay's preorder: a mapped span's index among
-    the mapped spans in preorder, an unmapped span its nearest mapped
-    ancestor's (align passes unmapped spans through; the root is mapped)."""
-    calls: dict[str, int] = {}
-    n = 0
-    for span in trace.preorder:
-        sid = span.span_id
-        if isinstance(resolutions[sid], FunctionRef):
-            calls[sid], n = n, n + 1
-        else:
-            calls[sid] = calls[span.parent_id]
+def _calls(trace: Trace, path: ExecutionPath) -> list[int]:
+    """Each span's call in the replay's preorder, in the trace's input
+    order: the path holds each preorder slot's."""
+    calls = [0] * len(trace)
+    for i, call in zip(trace.order, path.calls):
+        calls[i] = call
     return calls
 
 
@@ -69,6 +68,8 @@ class SamplingPipeline:
         }
         self.traces_seen = 0
         self.decisions_leaving_graph = 0
+        # (service, operation) -> (resolution, scoring key)
+        self._resolved: dict[tuple[str, str], tuple] = {}
 
     def _timed(self, stage: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
@@ -77,16 +78,25 @@ class SamplingPipeline:
         return out
 
     def _map_stage(self, trace: Trace):
-        # per-span inputs for the rest of the pipeline: function resolution,
-        # scoring key and exclusive duration
-        resolve = self.mapping.resolve
-        resolutions: dict = {}
-        keys: dict[str, str] = {}
-        for s in trace.spans:
-            sid = s.span_id
-            r = resolutions[sid] = resolve(s)
-            keys[sid] = span_key(r, s)
-        return resolutions, keys, exclusive_durations(trace)
+        # per-span inputs for the rest of the pipeline, in the trace's input
+        # order: function resolution, scoring key and exclusive duration.
+        # Each distinct (service, operation) pair is resolved once and then
+        # read from the memo, until the memo is emptied when full.
+        memo = self._resolved
+        pairs = list(zip(trace.services, trace.operations))
+        got = list(map(memo.get, pairs))
+        if None in got:
+            resolve = self.mapping.resolve
+            fresh: dict = {}
+            for pair in pairs:
+                if pair not in memo and pair not in fresh:
+                    r = resolve(*pair)
+                    fresh[pair] = (r, span_key(r, pair[1]))
+            if len(memo) + len(fresh) > RESOLVE_MEMO_CAPACITY:
+                memo.clear()
+            memo.update(fresh)
+            got = [g if g is not None else fresh[p] for g, p in zip(got, pairs)]
+        return list(map(_first, got)), list(map(_second, got)), exclusive_durations(trace)
 
     def partition_trace(self, trace: Trace):
         """Map, align and partition only; no sampling state is touched."""
@@ -97,12 +107,12 @@ class SamplingPipeline:
 
     def process(self, trace: Trace) -> TraceResult:
         path, dss_list, resolutions, keys, exclusive = self.partition_trace(trace)
-        root_res = resolutions[trace.root.span_id]
+        root_res = resolutions[trace.order[0]]
         entry = root_res.key if isinstance(root_res, FunctionRef) else None
         decision = self._timed(
             STAGE_SELECT, sample_trace, trace, dss_list, self.scorebook,
             self.ledger, self.cfg, keys, exclusive,
-            entry=entry, forks=path.forks, calls=_calls(trace, resolutions),
+            entry=entry, forks=path.forks, calls=_calls(trace, path),
         )
         self.traces_seen += 1
         self.decisions_leaving_graph += path.leaves_graph

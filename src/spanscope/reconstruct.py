@@ -394,20 +394,21 @@ class _Skeleton:
 
     def lay_out(self, table: dict, keys: dict) -> None:
         """Fills the layout for the snapshot whose rebuild table and keys
-        these are. Rows are made in reverse preorder, so when function keys
-        do not parse, the last call's is the one reported; a layout that
-        fails is not kept."""
+        these are. Rows are made in preorder, so when function keys do not
+        parse, the first call's is the one reported, as every other rebuild
+        check reports the first fault on the path; a layout that fails is
+        not kept."""
         fns, kids = self.fns, self.kids
         n = len(fns)
-        rows: list = [None] * n
-        widths = [0] * n
-        for me in range(n - 1, -1, -1):
-            fn = fns[me]
+        rows: list = []
+        for fn in fns:
             row = table.get(fn)
             if row is None:
                 row = table[fn] = _row(fn, keys.get(fn))
-            rows[me] = row
-            width = row[0]
+            rows.append(row)
+        widths = [row[0] for row in rows]
+        for me in range(n - 1, -1, -1):
+            width = widths[me]
             for c in kids[me]:
                 width += widths[c]
             widths[me] = width
@@ -503,7 +504,7 @@ def reconstruct(decision: SamplingDecision, kept_spans: list[Span], graph: Cscfg
         if i is None:
             raise ReconstructionError(
                 f"trace {trace_id!r}: kept span {span.span_id!r} is not in the decision")
-        r = mapping.resolve(span)
+        r = mapping.resolve(span.service, span.operation)
         if isinstance(r, Unmapped):
             orphans.append((span, i))
             lo, hi = boxes.get(i, (span.start_time, span.end_time))
@@ -708,7 +709,7 @@ def structural_fidelity(original: Trace, rebuilt: ReconstructedTrace,
     if not rspans or [s for s in rspans if s.parent_id is None] != rspans[:1]:
         raise ReconstructionError("rebuilt trace must have exactly one root")
 
-    resolved = [mapping.resolve(s) for s in original.preorder]
+    resolved = [mapping.resolve(s.service, s.operation) for s in original.preorder]
     olabels = [None if isinstance(r, Unmapped) else r.key for r in resolved]
     otree = _label_tree(original.preorder, olabels, original.preorder)
     rtree = _label_tree(rspans, [r.function for r in rebuilt.spans], rebuilt.spans)

@@ -189,16 +189,16 @@ def allocate_budget(sizes: list[int], p: float) -> list[int]:
 
 def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: ScoreBook,
                  ledger: LrsLedger, cfg: SamplingConfig,
-                 span_keys: dict[str, str], exclusive: dict[str, int],
+                 span_keys: list[str], exclusive: list[int],
                  entry: str | None, forks: tuple[str, ...],
-                 calls: dict[str, int]) -> SamplingDecision:
+                 calls: list[int]) -> SamplingDecision:
     """Apply the budgeted selection to one trace and update shared state.
 
-    span_keys maps span ids to their scoring key; exclusive carries each
-    span's exclusive duration; entry and forks are the aligned path's entry
-    function and fork targets, and calls maps each span id to the replay
-    call it is placed at, all stored for rebuild. The ledger is advanced
-    with the kept spans.
+    span_keys, exclusive and calls are columns of the trace, in its input
+    order: each span's scoring key, its exclusive duration and the replay
+    call it is placed at. entry and forks are the aligned path's entry
+    function and fork targets; they and the kept spans' calls are stored
+    for rebuild. The ledger is advanced with the kept spans.
     """
     covered = [s for d in dss_list for s in d.spans]
     if len(covered) != len(trace) or set(covered) != trace.span_ids():
@@ -207,14 +207,14 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
         )
 
     # only spans whose Z reaches the threshold in force are kept in z_of
+    ids, index = trace.ids, trace.index
     z_of: dict[str, float] = {}
     fixed = cfg.fixed_threshold
     window_for = scorebook.window_for
-    for span in trace.arrival:
-        sid = span.span_id
-        z, _, threshold = window_for(span_keys[sid]).score(exclusive[sid])
+    for i in trace.arrival_order:
+        z, _, threshold = window_for(span_keys[i]).score(exclusive[i])
         if z >= (threshold if fixed is None else fixed):
-            z_of[sid] = z
+            z_of[ids[i]] = z
 
     budgets = allocate_budget([len(d) for d in dss_list], cfg.ratio)
     kept: list[str] = []
@@ -233,10 +233,10 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
             need = budget - by_z
             if len(rest) > need:
                 for s in rest:
-                    k = span_keys[s]
+                    k = span_keys[index[s]]
                     if k not in key_stats:
                         key_stats[k] = ledger.stats(k)
-                rest.sort(key=lambda s: key_stats[span_keys[s]] + (s,))
+                rest.sort(key=lambda s: key_stats[span_keys[index[s]]] + (s,))
                 del rest[need:]
             picked += rest
         kept += picked
@@ -250,22 +250,23 @@ def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: Score
         ))
 
     kept_sorted = tuple(sorted(kept))
+    positions = [index[s] for s in kept_sorted]
     decision = SamplingDecision(
         trace_id=trace.trace_id,
         kept=kept_sorted,
         entry=entry,
         dss_reports=tuple(reports),
         effective_ratio=len(kept_sorted) / len(trace),
-        kept_keys=tuple(sorted({span_keys[s] for s in kept_sorted})),
+        kept_keys=tuple(sorted({span_keys[i] for i in positions})),
         forks=forks,
-        at=tuple([calls[s] for s in kept_sorted]),
+        at=tuple([calls[i] for i in positions]),
     )
     ledger.note(decision.kept_keys)
     return decision
 
 
-def span_key(resolution, span) -> str:
+def span_key(resolution, operation: str) -> str:
     """Scoring and ledger key: the function when mapped, else the operation."""
     if isinstance(resolution, FunctionRef):
         return resolution.key
-    return f"op:{span.operation}"
+    return f"op:{operation}"

@@ -22,7 +22,7 @@ def make_trace(spans, trace_id="t1"):
 
 def align_trace(graph, trace, mapping, cache=None):
     """align() with each span resolved by mapping, through cache or a fresh PathCache."""
-    resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
+    resolutions = [mapping.resolve(s.service, s.operation) for s in trace.spans]
     return align(graph, trace, PathCache() if cache is None else cache, resolutions)
 
 

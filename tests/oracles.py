@@ -8,9 +8,15 @@ implementation paths they check.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import statistics
 from collections import Counter, deque, namedtuple
+from collections.abc import KeysView
+from operator import attrgetter
+
+from spanscope.errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
+from spanscope.model import Span
 
 
 def enumerate_simple_paths(succ: dict, src: str, dst: str, cap: int = 50000) -> list[list[str]]:
@@ -415,7 +421,7 @@ def _oracle_label_tree_original(trace, mapping):
     from spanscope.mapping import Unmapped
 
     def build(span):
-        r = mapping.resolve(span)
+        r = mapping.resolve(span.service, span.operation)
         kids = []
         for c in trace.child_spans(span.span_id):
             sub = build(c)
@@ -1094,7 +1100,6 @@ def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping, search
     from spanscope.cscfg import parse_function_key
     from spanscope.errors import ReconstructionError, UnknownEntryError
     from spanscope.mapping import Unmapped
-    from spanscope.model import Span
 
     trace_id = decision.trace_id
     if not kept_spans:
@@ -1113,7 +1118,7 @@ def oracle_reconstruct(decision, kept_spans, graph, stats: dict, mapping, search
             raise ReconstructionError(
                 f"trace {trace_id!r}: kept span {span.span_id!r} is not in the decision")
         i = call_of[span.span_id]
-        r = mapping.resolve(span)
+        r = mapping.resolve(span.service, span.operation)
         if isinstance(r, Unmapped):
             orphans.append((span, i))
         elif i in placed:
@@ -1451,8 +1456,8 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     from spanscope.mapping import Unmapped
 
     if resolutions is None:
-        resolutions = {s.span_id: mapping.resolve(s) for s in trace.spans}
-    sig = trace_signature(trace, resolutions)
+        resolutions = {s.span_id: mapping.resolve(s.service, s.operation) for s in trace.spans}
+    sig = trace_signature(trace, [resolutions[sid] for sid in trace.ids])
     if cache is not None:
         path = cache.lookup(sig)
         if path is not None:
@@ -1542,3 +1547,217 @@ def oracle_partition(path, graph, trace) -> list:
     if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):
         raise PartitionMismatchError(f"partition does not cover trace {trace.trace_id!r}")
     return sets
+
+
+# Trace records as parse_trace read them before the column reader: one span
+# object per record and a tree of span objects, each function copied from
+# spanscope.model unchanged but for the names that point the copies at each
+# other. The column reader must accept exactly what these accept, build the
+# same spans, orders and child lists, and raise the same error otherwise.
+
+SpanId = str
+_arrival_key = attrgetter("start_time", "span_id")
+
+
+class ReferenceTrace:
+    """Trace as it was before the column reader: spans, arrival, preorder
+    and child lists built and checked at construction, and read as they
+    were read then."""
+
+    def __init__(self, trace_id: str, spans: list[Span]):
+        self.trace_id = trace_id
+        self.spans = tuple(spans)
+        self.arrival: tuple[Span, ...] = ()
+        self.preorder: tuple[Span, ...] = ()
+        self._by_id: dict[SpanId, Span] = {}
+        self._children: dict[SpanId, tuple[Span, ...]] = {}
+        self._root: Span | None = None
+        self._validate()
+
+    def _validate(self) -> None:
+        spans, by_id = self.spans, self._by_id
+        if not spans:
+            raise MalformedDocumentError(f"trace {self.trace_id!r} has no spans")
+        roots = []
+        for s in spans:
+            if s.trace_id != self.trace_id:
+                raise InvariantViolationError(
+                    s.span_id, f"trace_id {s.trace_id!r} does not match record {self.trace_id!r}"
+                )
+            if not s.span_id:
+                raise InvariantViolationError(s.span_id, "empty span id")
+            if s.span_id in by_id:
+                raise InvariantViolationError(s.span_id, "duplicate span id")
+            if s.duration < 0:
+                raise InvariantViolationError(s.span_id, "negative duration")
+            by_id[s.span_id] = s
+            if s.parent_id is None:
+                roots.append(s)
+
+        if not roots:
+            raise InvariantViolationError(spans[0].span_id, "trace has no root span")
+        if len(roots) > 1:
+            raise InvariantViolationError(roots[1].span_id, "trace has multiple root spans")
+        self._root = roots[0]
+
+        # children are appended in arrival order, so each list is already sorted
+        arrival = sorted(spans, key=_arrival_key)
+        kids: dict[SpanId, list[Span]] = {sid: [] for sid in by_id}
+        for s in arrival:
+            if s.parent_id is not None:
+                siblings = kids.get(s.parent_id)
+                if siblings is None:
+                    # name the first dangling span in input order
+                    bad = next(x for x in spans
+                               if x.parent_id is not None and x.parent_id not in by_id)
+                    raise InvariantViolationError(bad.span_id,
+                                                  f"dangling parent {bad.parent_id!r}")
+                siblings.append(s)
+
+        # parent links form a tree iff the walk from the root reaches every
+        # span; each span sits in one child list and the root in none, so the
+        # walk ends, and a cycle shows up as unreachable spans
+        preorder = []
+        stack = [self._root]
+        while stack:
+            s = stack.pop()
+            preorder.append(s)
+            stack.extend(reversed(kids[s.span_id]))
+        if len(preorder) != len(spans):
+            missing = sorted(set(by_id) - {s.span_id for s in preorder})
+            raise InvariantViolationError(missing[0], "span not reachable from root")
+
+        for s in spans:
+            if s.parent_id is None:
+                continue
+            parent = by_id[s.parent_id]
+            start = s.start_time
+            if (start < parent.start_time
+                    or start + s.duration > parent.start_time + parent.duration):
+                raise InvariantViolationError(s.span_id, "interval extends beyond parent")
+
+        self.arrival = tuple(arrival)
+        self.preorder = tuple(preorder)
+        self._children = {sid: tuple(lst) for sid, lst in kids.items()}
+
+    @property
+    def root(self) -> Span:
+        return self._root
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def span(self, span_id: SpanId) -> Span:
+        try:
+            return self._by_id[span_id]
+        except KeyError:
+            raise UnknownSpanError(f"no span {span_id!r} in trace {self.trace_id!r}") from None
+
+    def has_span(self, span_id: SpanId) -> bool:
+        return span_id in self._by_id
+
+    def child_spans(self, span_id: SpanId) -> tuple[Span, ...]:
+        if span_id not in self._by_id:
+            raise UnknownSpanError(f"no span {span_id!r} in trace {self.trace_id!r}")
+        return self._children[span_id]
+
+    def span_ids(self) -> KeysView[SpanId]:
+        """The span ids as a read-only set view, without a copy."""
+        return self._by_id.keys()
+
+
+def _exclusive(span: Span, children: tuple[Span, ...]) -> int:
+    # children come in start order and lie inside the span (Trace checks
+    # both): one sweep adds the part of each that lies past the furthest end
+    # so far. Every added part lies inside the span, so the result is >= 0.
+    duration = span.duration
+    covered_to = span.start_time
+    covered = 0
+    for c in children:
+        lo = c.start_time
+        end = lo + c.duration
+        if lo < covered_to:
+            lo = covered_to
+        if end > lo:
+            covered += end - lo
+            covered_to = end
+    return duration - covered
+
+
+def reference_exclusive_durations(trace: ReferenceTrace) -> dict[SpanId, int]:
+    """Each span's duration minus the union of its direct children's
+    intervals, which lie inside it, in one pass over the child lists.
+    Children may overlap (async fan-out), so coverage is the interval
+    union, and the result is never negative."""
+    out: dict[SpanId, int] = {}
+    for span in trace.spans:
+        kids = trace._children[span.span_id]
+        out[span.span_id] = _exclusive(span, kids) if kids else span.duration
+    return out
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise MalformedDocumentError(msg)
+
+
+def reference_span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
+    # one combined test admits the common well-formed record; any other goes
+    # through the itemised checks, which accept or name the first problem
+    if type(obj) is dict:
+        get = obj.get
+        span_id, operation, service = get("span_id"), get("operation"), get("service")
+        start, duration = get("start_time"), get("duration")
+        tid, parent = get("trace_id", trace_id), get("parent_id")
+        attrs = get("attributes", {})
+        if (type(span_id) is str and type(operation) is str and type(service) is str
+                and type(start) is int and type(duration) is int
+                and type(tid) is str and tid and (parent is None or type(parent) is str)
+                and type(attrs) is dict
+                and (not attrs or all(type(k) is str and type(v) is str
+                                      for k, v in attrs.items()))):
+            return Span(span_id, tid, parent, operation, service, start, duration, dict(attrs))
+    return _reference_checked_span_from_dict(obj, trace_id)
+
+
+def _reference_checked_span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
+    _require(isinstance(obj, dict), "span record must be an object")
+    for key in ("span_id", "operation", "service", "start_time", "duration"):
+        _require(key in obj, f"span record missing field {key!r}")
+    tid = obj.get("trace_id", trace_id)
+    _require(isinstance(tid, str) and bool(tid), "span record missing trace_id")
+    _require(isinstance(obj["span_id"], str), "span_id must be a string")
+    _require(isinstance(obj["operation"], str), "operation must be a string")
+    _require(isinstance(obj["service"], str), "service must be a string")
+    # a JSON boolean is a Python int, so the type is compared, as the fast path does
+    _require(type(obj["start_time"]) is int, "start_time must be an integer")
+    _require(type(obj["duration"]) is int, "duration must be an integer")
+    parent = obj.get("parent_id")
+    _require(parent is None or isinstance(parent, str), "parent_id must be a string or null")
+    attrs = obj.get("attributes", {})
+    _require(isinstance(attrs, dict), "attributes must be an object")
+    for k, v in attrs.items():
+        _require(isinstance(k, str) and isinstance(v, str), "attributes must map strings to strings")
+    return Span(
+        span_id=obj["span_id"],
+        trace_id=tid,
+        parent_id=parent,
+        operation=obj["operation"],
+        service=obj["service"],
+        start_time=obj["start_time"],
+        duration=obj["duration"],
+        attributes=dict(attrs),
+    )
+
+
+def reference_parse_trace(document: str) -> ReferenceTrace:
+    """Parse one trace record; raises on bad syntax or broken invariants."""
+    try:
+        obj = json.loads(document)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedDocumentError(f"invalid JSON: {exc}") from exc
+    _require(isinstance(obj, dict), "trace record must be an object")
+    _require("trace_id" in obj and isinstance(obj["trace_id"], str), "missing trace_id")
+    _require(isinstance(obj.get("spans"), list), "missing spans array")
+    spans = [reference_span_from_dict(s, obj["trace_id"]) for s in obj["spans"]]
+    return ReferenceTrace(obj["trace_id"], spans)

@@ -223,7 +223,7 @@ class TestOptimality:
                                        start=10 * (i + 1), duration=5))
             trace = make_trace(spans)
             path = align_trace(graph, trace, mapping)
-            resolved = [mapping.resolve(s) for s in trace.child_spans("r")]
+            resolved = [mapping.resolve(s.service, s.operation) for s in trace.child_spans("r")]
             symbol_fns = [r.key for r in resolved]
             expected = oracle_invocation_cost(graph, fn, symbol_fns)
             assert path.cost == expected, (trial, chosen, path.cost, expected)
@@ -293,8 +293,8 @@ class TestCache:
             make_span("b", trace_id="t2", parent="r", operation="B.b", start=20, duration=3),
         ]
         t2 = make_trace(spans, trace_id="t2")
-        r1 = {s.span_id: self.mapping.resolve(s) for s in t1.spans}
-        r2 = {s.span_id: self.mapping.resolve(s) for s in t2.spans}
+        r1 = [self.mapping.resolve(s.service, s.operation) for s in t1.spans]
+        r2 = [self.mapping.resolve(s.service, s.operation) for s in t2.spans]
         assert trace_signature(t1, r1) == trace_signature(t2, r2)
 
     def test_nesting_changes_key(self):
@@ -305,8 +305,8 @@ class TestCache:
             make_span("b", parent="a", operation="B.b", start=10, duration=10),
         ]
         nested = make_trace(nested_spans)
-        r1 = {s.span_id: self.mapping.resolve(s) for s in flat.spans}
-        r2 = {s.span_id: self.mapping.resolve(s) for s in nested.spans}
+        r1 = [self.mapping.resolve(s.service, s.operation) for s in flat.spans]
+        r2 = [self.mapping.resolve(s.service, s.operation) for s in nested.spans]
         assert trace_signature(flat, r1) != trace_signature(nested, r2)
 
     def test_cached_path_equals_fresh(self):
@@ -333,7 +333,7 @@ class TestCache:
     def test_lookup_misses_then_hits(self):
         cache = PathCache()
         trace = linear_trace()
-        res = {s.span_id: self.mapping.resolve(s) for s in trace.spans}
+        res = [self.mapping.resolve(s.service, s.operation) for s in trace.spans]
         key = trace_signature(trace, res)
         assert cache.lookup(key) is None
         align_trace(self.graph, trace, self.mapping, cache)
@@ -356,6 +356,27 @@ def assert_same_partition(signatures, references):
     assert len(pairs) == len(set(signatures)) == len(set(references))
 
 
+@pytest.mark.parametrize("seed", [7, 11, 23])
+def test_each_slot_holds_its_replay_call(seed):
+    """A path's calls, read on a miss and on a hit alike, are each preorder
+    span's call in the replay: a mapped span's place among the mapped
+    spans, an unmapped span its nearest mapped ancestor's."""
+    graph, mapping, samples = generated_samples(seed)
+    cache = PathCache()
+    for sample in samples:
+        trace = sample.trace
+        calls: dict = {}
+        n = 0
+        for span in trace.preorder:
+            if isinstance(mapping.resolve(span.service, span.operation), Unmapped):
+                calls[span.span_id] = calls[span.parent_id]
+            else:
+                calls[span.span_id], n = n, n + 1
+        path = align_trace(graph, trace, mapping, cache)
+        assert list(path.calls) == [calls[span.span_id] for span in trace.preorder]
+    assert cache.hits > 0
+
+
 class TestSignatureReference:
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_generated_traces(self, seed):
@@ -363,9 +384,9 @@ class TestSignatureReference:
         sigs, refs = [], []
         for sample in samples:
             trace = sample.trace
-            res = {s.span_id: mapping.resolve(s) for s in trace.spans}
+            res = [mapping.resolve(s.service, s.operation) for s in trace.spans]
             sigs.append(trace_signature(trace, res))
-            refs.append(oracle_trace_signature(trace, res))
+            refs.append(oracle_trace_signature(trace, dict(zip(trace.ids, res))))
         assert_same_partition(sigs, refs)
         assert 1 < len(set(sigs)) < len(sigs)
 
@@ -384,9 +405,9 @@ class TestSignatureReference:
                                        start=parent.start_time + rng.randint(0, 3),
                                        duration=parent.duration // 2))
             trace = make_trace(spans, trace_id=f"t{i}")
-            res = {s.span_id: rng.choice(labels) for s in trace.spans}
+            res = [rng.choice(labels) for _ in trace.spans]
             sigs.append(trace_signature(trace, res))
-            refs.append(oracle_trace_signature(trace, res))
+            refs.append(oracle_trace_signature(trace, dict(zip(trace.ids, res))))
         assert_same_partition(sigs, refs)
         assert len(set(sigs)) > 100
 
@@ -449,7 +470,7 @@ class TestSolveCache:
                                        operation=rng.choice(ops), start=parent.start_time + j,
                                        duration=parent.duration // 2))
             trace = make_trace(spans, trace_id=tid)
-            res = {s.span_id: mapping.resolve(s) for s in trace.spans}
+            res = [mapping.resolve(s.service, s.operation) for s in trace.spans]
             shapes.add(trace_signature(trace, res))
             align(graph, trace, cache, res)
             assert len(cache) <= 8

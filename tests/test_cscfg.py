@@ -383,7 +383,8 @@ class TestLazyLoad:
         pipeline = SamplingPipeline(loaded, build_map(loaded), SamplingConfig(ratio=0.3))
         for trace in traces:
             pipeline.process(trace)
-        resolved = (pipeline.mapping.resolve(s) for t in traces for s in t.spans)
+        resolved = (pipeline.mapping.resolve(s.service, s.operation)
+                    for t in traces for s in t.spans)
         entered = {r.key for r in resolved
                    if not isinstance(r, Unmapped) and loaded.has_body(r.key)}
         assert read_bodies(loaded) == entered

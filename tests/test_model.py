@@ -5,7 +5,9 @@ import random
 import pytest
 
 import spanscope.model as model
+from spanscope.cscfg import build_cscfg
 from spanscope.errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
+from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.model import (
     Span,
     _checked_span_from_dict,
@@ -16,11 +18,22 @@ from spanscope.model import (
 )
 
 from .conftest import make_span, make_trace
-from .oracles import interval_union_length, oracle_preorder_spans
+from .oracles import (
+    ReferenceTrace,
+    interval_union_length,
+    oracle_preorder_spans,
+    reference_exclusive_durations,
+    reference_parse_trace,
+)
 
 
 def child_ids(trace, span_id):
     return [c.span_id for c in trace.child_spans(span_id)]
+
+
+def exclusive_by_id(trace):
+    """exclusive_durations, which is in the trace's input order, by span id."""
+    return dict(zip(trace.ids, exclusive_durations(trace)))
 
 
 def fig2_trace():
@@ -100,7 +113,7 @@ class TestParse:
 class TestExclusiveDuration:
     def test_leaf(self):
         trace = make_trace([make_span("a", duration=100)])
-        assert exclusive_durations(trace)["a"] == 100
+        assert exclusive_by_id(trace)["a"] == 100
 
     def test_two_disjoint_children(self):
         spans = [
@@ -109,7 +122,7 @@ class TestExclusiveDuration:
             make_span("c2", parent="p", start=50, duration=20),
         ]
         trace = make_trace(spans)
-        assert exclusive_durations(trace)["p"] == 50
+        assert exclusive_by_id(trace)["p"] == 50
 
     def test_overlapping_children_use_union(self):
         spans = [
@@ -118,11 +131,11 @@ class TestExclusiveDuration:
             make_span("c2", parent="p", start=30, duration=30),  # [30, 60]
         ]
         trace = make_trace(spans)
-        assert exclusive_durations(trace)["p"] == 100 - 50
+        assert exclusive_by_id(trace)["p"] == 100 - 50
 
     def test_unknown_span(self):
         trace = make_trace([make_span("a")])
-        assert "zzz" not in exclusive_durations(trace)
+        assert "zzz" not in exclusive_by_id(trace)
         with pytest.raises(UnknownSpanError):
             trace.child_spans("zzz")
 
@@ -139,7 +152,7 @@ class TestExclusiveDuration:
                 intervals.append((start, start + width))
             trace = make_trace(spans)
             expected = max(0, dur - interval_union_length(intervals))
-            assert exclusive_durations(trace)["p"] == expected
+            assert exclusive_by_id(trace)["p"] == expected
 
     def test_exclusive_never_exceeds_duration_and_sums_bounded(self):
         rng = random.Random(7)
@@ -157,7 +170,7 @@ class TestExclusiveDuration:
                 spans.append(make_span(sid, parent=parent, start=lo, duration=mid - lo))
                 frontier.append((sid, lo, mid))
             trace = make_trace(spans)
-            excl = exclusive_durations(trace)
+            excl = exclusive_by_id(trace)
             for span in trace.spans:
                 assert 0 <= excl[span.span_id] <= span.duration
             assert sum(excl.values()) <= trace.root.duration
@@ -325,4 +338,161 @@ class TestArrival:
                 clipped = [(max(c.start_time, s.start_time), min(c.end_time, s.end_time))
                            for c in trace.spans if c.parent_id == s.span_id]
                 expected[s.span_id] = max(0, s.duration - interval_union_length(clipped))
-            assert exclusive_durations(trace) == expected
+            assert exclusive_by_id(trace) == expected
+
+
+def generated_lines(seed, n=120):
+    """Trace lines of a generated 6x8 system, as serialize_trace writes them."""
+    spec = SystemSpec(seed=seed, n_services=6, n_functions_per_service=8,
+                      url_span_probability=0.1)
+    doc, meta = generate_system(spec)
+    samples = generate_traces(build_cscfg(doc), meta, spec, n, make_default_faults(meta, n))
+    return [serialize_trace(sample.trace) for sample in samples]
+
+
+def read(parse, line):
+    """The trace a reader makes of line, or the class and text of its error."""
+    try:
+        return parse(line)
+    except Exception as exc:  # every error must match, whatever its class
+        return (type(exc).__name__, str(exc))
+
+
+def assert_same_trace(got, want):
+    """got, a Trace, holds what want, a Trace or a ReferenceTrace, holds."""
+    assert got.trace_id == want.trace_id and len(got) == len(want)
+    assert got.spans == want.spans
+    assert got.preorder == want.preorder and got.arrival == want.arrival
+    assert got.root == want.root
+    for sid in want.span_ids():
+        assert got.span(sid) == want.span(sid)
+        assert got.child_spans(sid) == want.child_spans(sid)
+    assert exclusive_by_id(got) == (reference_exclusive_durations(want)
+                                    if isinstance(want, ReferenceTrace)
+                                    else exclusive_by_id(want))
+
+
+def assert_reads_as_reference(line):
+    got, want = read(parse_trace, line), read(reference_parse_trace, line)
+    if isinstance(want, tuple):
+        assert got == want, line
+    else:
+        assert not isinstance(got, tuple), (got, line)
+        assert_same_trace(got, want)
+
+
+def one_fault_records(record):
+    """Copies of a well-formed trace record, each with one fault or one
+    field left out, then a few with two faults in different spans."""
+    spans = record["spans"]
+    n = len(spans)
+    # a span with a parent and, where there is one, a span with siblings
+    child = next(j for j, s in enumerate(spans) if s["parent_id"] is not None)
+    parent_of = {s["span_id"]: s for s in spans}
+    fields = ("span_id", "trace_id", "parent_id", "operation", "service", "start_time",
+              "duration", "attributes")
+
+    def edited(edit):
+        out = json.loads(json.dumps(record))
+        edit(out, out["spans"])
+        return out
+
+    for j in sorted({0, child, n - 1}):
+        for name in fields:
+            yield edited(lambda r, ss, j=j, name=name: ss[j].pop(name))
+            for wrong in (None, True, False, 1, -1, 2.0, "", "x", [], {}):
+                yield edited(lambda r, ss, j=j, name=name, wrong=wrong:
+                             ss[j].__setitem__(name, wrong))
+        for attrs in ({"k": 1}, {"k": None}, {"k": True}, {"a": "b", "k": ["v"]}):
+            yield edited(lambda r, ss, j=j, attrs=attrs: ss[j].__setitem__("attributes", attrs))
+        for not_an_object in (["a"], "a", 3, None):
+            yield edited(lambda r, ss, j=j, bad=not_an_object: ss.__setitem__(j, bad))
+        yield edited(lambda r, ss, j=j: ss[j].__setitem__("span_id", ""))
+        yield edited(lambda r, ss, j=j: ss[j].__setitem__("span_id", ss[(j + 1) % n]["span_id"]))
+        yield edited(lambda r, ss, j=j: ss[j].__setitem__("duration", -1))
+        yield edited(lambda r, ss, j=j: ss[j].__setitem__("parent_id", None))
+        yield edited(lambda r, ss, j=j: ss[j].__setitem__("parent_id", "nope"))
+        yield edited(lambda r, ss, j=j: ss[j].__setitem__("trace_id", "other"))
+    # no root: the root's parent is one of its children, which makes a cycle
+    yield edited(lambda r, ss: ss[0].__setitem__("parent_id", ss[child]["span_id"]))
+    # a cycle apart from the root
+    if n > 2:
+        yield edited(lambda r, ss: (ss[1].__setitem__("parent_id", ss[2]["span_id"]),
+                                    ss[2].__setitem__("parent_id", ss[1]["span_id"])))
+    # a child that starts before its parent, and one that ends after it
+    start = parent_of[spans[child]["parent_id"]]["start_time"]
+    yield edited(lambda r, ss: ss[child].__setitem__("start_time", start - 1))
+    yield edited(lambda r, ss: ss[child].__setitem__("duration", 10**12))
+    # two faults in one span: the first check in order is the one named
+    yield edited(lambda r, ss: (ss[child].__setitem__("span_id", ss[0]["span_id"]),
+                                ss[child].__setitem__("duration", -1)))
+    yield edited(lambda r, ss: (ss[child].__setitem__("trace_id", "other"),
+                                ss[child].__setitem__("span_id", "")))
+    # two faults: the first in input order is the one named
+    yield edited(lambda r, ss: (ss[n - 1].__setitem__("duration", -1),
+                                ss[child].__setitem__("parent_id", "nope")))
+    yield edited(lambda r, ss: (ss[n - 1].__setitem__("start_time", True),
+                                ss[child].pop("service")))
+    yield edited(lambda r, ss: (ss[n - 1].__setitem__("span_id", ""),
+                                ss[child].__setitem__("trace_id", "other")))
+    # faults of the record itself
+    for spans_value in ({}, "x", None, [], [[]]):
+        yield edited(lambda r, ss, v=spans_value: r.__setitem__("spans", v))
+    yield edited(lambda r, ss: r.pop("spans"))
+    for trace_id in ("", 7, None):
+        yield edited(lambda r, ss, v=trace_id: r.__setitem__("trace_id", v))
+
+
+def stripped(record):
+    """The record as exporters write it: no parent_id on the root, no
+    per-span trace_id, and no empty attributes."""
+    out = json.loads(json.dumps(record))
+    for span in out["spans"]:
+        del span["trace_id"]
+        if span["parent_id"] is None:
+            del span["parent_id"]
+        if not span["attributes"]:
+            del span["attributes"]
+    return out
+
+
+class TestColumnReader:
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_generated_lines_read_as_the_reference_reads_them(self, seed):
+        rng = random.Random(seed)
+        lines = generated_lines(seed)
+        for line in lines:
+            assert_reads_as_reference(line)
+            # the same spans in another input order
+            record = json.loads(line)
+            rng.shuffle(record["spans"])
+            assert_reads_as_reference(json.dumps(record))
+
+    def test_each_fault_is_named_as_the_reference_names_it(self):
+        record = json.loads(max(generated_lines(7, 40), key=len))
+        errors = set()
+        for bad in one_fault_records(record):
+            line = json.dumps(bad)
+            assert_reads_as_reference(line)
+            want = read(reference_parse_trace, line)
+            if isinstance(want, tuple):
+                errors.add(want[0] + ": " + want[1].split(":")[0])
+        for line in ("{nope", "[]", "[" * 100_000, '{"trace_id": "t"}'):
+            assert_reads_as_reference(line)
+        # both classes of fault and each itemised check show up
+        assert {e.split(":")[0] for e in errors} == {"MalformedDocumentError",
+                                                     "InvariantViolationError"}
+        assert len(errors) > 10
+
+    def test_a_stripped_line_reads_as_the_full_line(self):
+        for seed in (7, 11, 23):
+            for line in generated_lines(seed, 40):
+                record = json.loads(line)
+                short = parse_trace(json.dumps(stripped(record)))
+                assert_same_trace(short, parse_trace(line))
+                assert_same_trace(short, reference_parse_trace(line))
+
+    def test_trace_of_spans_and_of_columns_agree(self):
+        for line in generated_lines(11, 40):
+            trace = parse_trace(line)
+            assert_same_trace(make_trace(list(trace.spans), trace.trace_id), trace)

@@ -133,10 +133,10 @@ class TestPartition:
         sets = partition(dataclasses.replace(path, sets=lost), trace)
         # partition trusts align to put every span on a step; the sampler
         # checks the sets it is given
-        keys = {s.span_id: s.operation for s in trace.spans}
+        keys = list(trace.operations)
         with pytest.raises(PartitionMismatchError, match=trace.trace_id):
             sample_trace(trace, sets, ScoreBook(), LrsLedger(), SamplingConfig(), keys,
-                         exclusive_durations(trace), None, (), {})
+                         exclusive_durations(trace), None, (), [0] * len(trace))
 
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples

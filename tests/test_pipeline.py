@@ -9,7 +9,7 @@ from spanscope.align import PathCache
 from spanscope.cscfg import Cscfg, FunctionRef, build_cscfg
 from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.mapping import build_map
-from spanscope.model import Span, serialize_trace, span_from_dict
+from spanscope.model import Span, parse_trace, serialize_trace
 from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import fidelity_means, structural_fidelity
 from spanscope.sampler import SamplingConfig
@@ -64,6 +64,44 @@ def test_cache_does_not_change_decisions_or_rebuilds(cached_run, plain_run):
 
 def test_cached_runs_repeat(workload, cached_run):
     assert run(workload, use_cache=True)[:2] == cached_run[:2]
+
+
+def test_emptying_the_resolution_memo_changes_no_decision(workload, cached_run, monkeypatch):
+    """The pipeline's memo of each (service, operation) pair's resolution is
+    emptied whenever a trace would take it past its capacity."""
+    import spanscope.pipeline as pipeline_mod
+
+    monkeypatch.setattr(pipeline_mod, "RESOLVE_MEMO_CAPACITY", 5)
+    doc, traces = workload
+    graph = build_cscfg(doc)
+    pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig(ratio=0.3))
+    decisions = []
+    for t in traces:
+        decisions.append(pipeline.process(t).decision.serialize())
+        assert len(pipeline._resolved) <= max(5, len(t))
+    assert decisions == cached_run[0]
+
+
+def test_sampling_a_parsed_trace_builds_no_span(workload, cached_run, monkeypatch):
+    """parse_trace reads a line into columns and the pipeline reads them by
+    position, so sampling a line builds no Span, and decides as it does
+    on a trace built from spans."""
+    doc, traces = workload
+    lines = [serialize_trace(t) for t in traces]
+    graph = build_cscfg(doc)
+    pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig(ratio=0.3))
+    built = []
+    init = Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["span_id"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counting_init)
+    decisions = [pipeline.process(parse_trace(line)).decision.serialize() for line in lines]
+    monkeypatch.undo()
+    assert built == []
+    assert decisions == cached_run[0]
 
 
 def test_timing_report_counts_both_cache_levels(cached_run, plain_run):
@@ -436,7 +474,7 @@ def misplaced_at(record, kept_record, mapping):
     """record's "at" with one mapped kept span moved to call 0, a call of
     the entry function and not of its own, or None when record has no such
     span or keeps a mapped span at call 0 already."""
-    functions = {s["span_id"]: mapping.resolve(span_from_dict(s, record["trace_id"]))
+    functions = {s["span_id"]: mapping.resolve(s["service"], s["operation"])
                  for s in kept_record["spans"]}
     mapped = [(k, i) for k, (sid, i) in enumerate(zip(record["kept"], record["at"]))
               if isinstance(functions[sid], FunctionRef)]
@@ -559,6 +597,31 @@ def test_reconstruct_names_a_decision_that_inserts_a_key_with_an_empty_part(
                      "--out", str(tmp_path / "rebuilt")]) == 1
     assert capsys.readouterr().err == (
         f"error: {decisions}:2: trace {record['trace_id']!r}: function key {key!r} "
+        f"has an empty part\n")
+
+
+def test_reconstruct_names_the_first_bad_inserted_key_in_preorder(workload, tmp_path, capsys):
+    """Of two inserted keys that do not parse, the rebuild names the one at
+    the earlier call, as every other rebuild check names the first fault
+    on the path."""
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 3)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out)]) == 0
+    lines = (out / "decisions.ndjson").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    # calls 1 and 2 are inserted right after the root, so every later call moves by two
+    record["forks"][:0] = [[0, 1, ":X.y"], [0, 2, "svc:.y"]]
+    record["at"] = [i + 2 if i else 0 for i in record["at"]]
+    decisions = tmp_path / "decisions.ndjson"
+    decisions.write_text("\n".join([lines[0], json.dumps(record), lines[2]]) + "\n",
+                         encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["reconstruct", "--graph", graph_path, "--decisions", str(decisions),
+                     "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
+                     "--out", str(tmp_path / "rebuilt")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {decisions}:2: trace {record['trace_id']!r}: function key ':X.y' "
         f"has an empty part\n")
 
 

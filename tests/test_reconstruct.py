@@ -17,7 +17,7 @@ from spanscope.harness import (
 )
 from spanscope.mapping import Unmapped, build_map
 from spanscope.model import Span, Trace, serialize_trace
-from spanscope.pipeline import SamplingPipeline, _calls
+from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import (
     ORIGIN_INFERRED,
     ORIGIN_SAMPLED,
@@ -96,7 +96,8 @@ def test_layout_matches_the_recursive_reference(seed, n, ratio):
         expected = oracle_reconstruct(result.decision, kept, pipeline.graph, stats, mapping,
                                       recursive=True)
         assert rebuilt.spans == expected.spans, result.trace.trace_id
-        with_orphans += any(isinstance(mapping.resolve(s), Unmapped) for s in kept)
+        with_orphans += any(isinstance(mapping.resolve(s.service, s.operation), Unmapped)
+                            for s in kept)
         inferred += len(rebuilt.inferred())
     assert inferred > 0
     if spec.url_span_probability > 0:
@@ -282,7 +283,7 @@ def test_every_rebuilt_trace_is_a_trace_with_each_kept_span_in_place(system):
         except SpanscopeError:
             invalid.append(trace.trace_id)
         parent_of = {s.span_id: s.parent_id for s in spans}
-        resolved = [mapping.resolve(s) for s in trace.preorder]
+        resolved = [mapping.resolve(s.service, s.operation) for s in trace.preorder]
         labels = [None if isinstance(r, Unmapped) else r.key for r in resolved]
         want = mapped_positions(trace.preorder, labels)
         got = mapped_positions(spans, [r.function for r in rebuilt.spans])
@@ -290,11 +291,13 @@ def test_every_rebuilt_trace_is_a_trace_with_each_kept_span_in_place(system):
             span = trace.span(sid)
             parent = span.parent_id
             if parent in result.decision.kept and \
-                    not isinstance(mapping.resolve(trace.span(parent)), Unmapped):
+                    not isinstance(mapping.resolve(trace.span(parent).service,
+                                                   trace.span(parent).operation), Unmapped):
                 under_kept_parent += 1
                 if parent_of[sid] != parent:
                     misparented.append(sid)
-            if not isinstance(mapping.resolve(span), Unmapped) and got[sid] != want[sid]:
+            mapped = not isinstance(mapping.resolve(span.service, span.operation), Unmapped)
+            if mapped and got[sid] != want[sid]:
                 misplaced.append(sid)
     assert under_kept_parent > 0
     assert (invalid[:3], misparented[:3], misplaced[:3]) == ([], [], []), (
@@ -596,8 +599,16 @@ def test_root_over_deep_unmapped_chain():
 
 
 def recorded_calls(trace, mapping, kept_ids):
-    """The replay call of each of the kept span ids, as sample records it."""
-    calls = _calls(trace, {s.span_id: mapping.resolve(s) for s in trace.spans})
+    """The replay call of each of the kept span ids, as sample records it: a
+    mapped span's index among the mapped spans in preorder, an unmapped
+    span its nearest mapped ancestor's."""
+    calls: dict = {}
+    n = 0
+    for span in trace.preorder:
+        if isinstance(mapping.resolve(span.service, span.operation), Unmapped):
+            calls[span.span_id] = calls[span.parent_id]
+        else:
+            calls[span.span_id], n = n, n + 1
     return tuple(calls[sid] for sid in kept_ids)
 
 

@@ -98,16 +98,15 @@ def setup_state(theta=0.9, window=64, min_obs=8, ratio=0.5, horizon=1024,
     return cfg, book, ledger
 
 
-def keys_for(trace):
-    return {s.span_id: f"k:{s.operation}" for s in trace.spans}
-
-
 def run_sample(trace, dss_list, cfg, book, ledger, exclusive=None):
-    keys = keys_for(trace)
+    """sample_trace with each span keyed by its operation, exclusive by id
+    (each span's duration when not given), and each span's preorder place
+    as its call; sample_trace reads all three in the trace's input order."""
     excl = exclusive or {s.span_id: s.duration for s in trace.spans}
-    return sample_trace(trace, dss_list, book, ledger, cfg, keys, excl,
+    return sample_trace(trace, dss_list, book, ledger, cfg,
+                        [f"k:{op}" for op in trace.operations], [excl[i] for i in trace.ids],
                         entry="svc:C.f0", forks=(),
-                        calls={s.span_id: i for i, s in enumerate(trace.preorder)})
+                        calls=dict(zip(trace.order, range(len(trace)))))
 
 
 class TestSampleTrace:
@@ -298,11 +297,13 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_thresh
         ref_book = OracleScoreBook(cfg.window, cfg.min_obs, cfg.theta_quantile)
         ledger, ref_ledger = LrsLedger(cfg.lrs_horizon), LrsLedger(cfg.lrs_horizon)
         for trace, dss_list, keys, exclusive in rows:
-            calls = {sid: i for i, sid in enumerate(keys)}
+            calls = list(range(len(trace)))
             got = sample_trace(trace, dss_list, book, ledger, cfg, keys, exclusive,
                                entry="e", forks=("f",), calls=calls)
-            want = oracle_sample_trace(trace, dss_list, ref_book, ref_ledger, cfg, keys,
-                                       exclusive, entry="e", forks=("f",), calls=calls)
+            # the oracle reads each column by span id
+            by_id = [dict(zip(trace.ids, column)) for column in (keys, exclusive, calls)]
+            want = oracle_sample_trace(trace, dss_list, ref_book, ref_ledger, cfg, by_id[0],
+                                       by_id[1], entry="e", forks=("f",), calls=by_id[2])
             assert got == want  # kept, dss_reports, kept_keys and the rest
             for r in got.dss_reports:
                 z_cut += r.picked_by_z == r.budget and r.picked_by_z > 0
