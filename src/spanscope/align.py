@@ -386,20 +386,23 @@ def _fragment(i: int, syms: list, solved, keys: list, frags: list) -> _Fragment:
     return _Fragment(tuple(items), cost + own_cost, ins + own_ins)
 
 
-def _compose(frag: _Fragment, keys: list) -> tuple[list, list]:
-    """Sets and forks of the path: the root's step, then frag flattened.
+def _compose(frag: _Fragment, keys: list) -> tuple[list, list, list]:
+    """Sets, forks and each slot's call of the path: the root's step, then
+    frag flattened.
 
     keys[slot] is the slot's function key, None when unmapped. The mapped
-    slots are counted in path order, which is preorder, so each edit gets
-    the call indexes the replay gives its calls.
+    slots are counted in path order, which is preorder, so each mapped slot
+    and each edit gets the call indexes the replay gives its calls; an
+    unmapped slot takes the call of the fragment it is a symbol of.
     """
     sets: list = []
     forks: list = []
+    slot_calls = [0] * len(keys)  # the root's call is 0
     slots = [0]
     tag = TRUNK_TAG
     # whether a step came since the last fork: only such a fork cuts
     stepped = True
-    calls = 1  # the root is call 0
+    calls = 1  # the next mapped slot's call
     # per open fragment: its items, its span's slot and that span's call
     frames = [(iter(frag.items), 0, 0)]
     while frames:
@@ -409,7 +412,11 @@ def _compose(frag: _Fragment, keys: list) -> tuple[list, list]:
             if kind is int:
                 slot = base + item
                 slots.append(slot)
-                calls += keys[slot] is not None
+                if keys[slot] is None:
+                    slot_calls[slot] = me
+                else:
+                    slot_calls[slot] = calls
+                    calls += 1
                 stepped = True
             elif kind is str:
                 forks.append(item)
@@ -427,6 +434,7 @@ def _compose(frag: _Fragment, keys: list) -> tuple[list, list]:
                     forks.append((me, calls, item[2]))
                 rel = item[1]
                 slots.append(base + rel)
+                slot_calls[base + rel] = calls
                 stepped = True
                 frames.append((iter(item[0].items), base + rel, calls))
                 calls += 1
@@ -435,7 +443,7 @@ def _compose(frag: _Fragment, keys: list) -> tuple[list, list]:
             frames.pop()
     if slots:
         sets.append((tuple(slots), tag))
-    return sets, forks
+    return sets, forks, slot_calls
 
 
 def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: list) -> ExecutionPath:
@@ -503,25 +511,10 @@ def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: list) -> Ex
         frags[i] = shapes[i].fragment = _fragment(i, syms, solved, keys, frags)
 
     root_frag = frags[0]
-    sets, forks = _compose(root_frag, keys)
+    sets, forks, calls = _compose(root_frag, keys)
     linked = sorted(slot for slots, _ in sets for slot in slots)
     if linked != list(range(n)):
         raise RuntimeError(f"alignment lost spans of trace {trace.trace_id!r}")
-
-    # each slot's call: a mapped slot counts the mapped slots before it, an
-    # unmapped one takes its parent's, the innermost subtree still open
-    calls: list[int] = []
-    mapped = 0
-    open_: list = []  # (subtree end, call) of the enclosing slots
-    for i in range(n):
-        while open_ and open_[-1][0] <= i:
-            open_.pop()
-        if keys[i] is None:
-            call = open_[-1][1]
-        else:
-            call, mapped = mapped, mapped + 1
-        calls.append(call)
-        open_.append((ends[i], call))
 
     # every unmapped span is inserted at cost 1: any cost beyond them is a
     # skipped call or an inserted mapped span

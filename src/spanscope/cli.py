@@ -16,12 +16,14 @@ trace does not make; "forks" then also holds each such edit, at its place
 in the path, and `reconstruct` replays it. `sample` prints the stored bytes
 ratio, the bytes of those two files over the bytes of the trace file, and
 how many decisions record edits, the one sign in a run that its graph lags
-the code. `reconstruct` reads the two files in step, one decision and one
-kept record at a time, and checks that each kept record belongs to its
-decision's trace and holds the spans the decision lists; a kept record left
-over after the last decision is an error too, and so is a decision whose
-"at" places a kept span past the replay's calls or at a call of another
-function, or whose edits do not fit its path; each names its file and line.
+the code. `model` reads every line of a trace, decision or kept file and
+writes every kept line, so this module holds no line loop and no span-record
+format. `reconstruct` reads the two files in step, one decision and one kept
+record at a time, and checks that each kept record belongs to its decision's
+trace and holds the spans the decision lists; a kept record left over after
+the last decision is an error too, and so is a decision whose "at" places a
+kept span past the replay's calls or at a call of another function, or
+whose edits do not fit its path; each names its file and line.
 Lines rebuilt before an error stay written.
 Each rebuilt trace is written as the rebuild placed it, from its records;
 its span objects are built only with --traces, for the fidelity report.
@@ -44,7 +46,7 @@ from . import harness
 from .cscfg import Cscfg, build_cscfg
 from .errors import ConfigError, DanglingCalleeError, MalformedDocumentError, SpanscopeError
 from .mapping import build_map, load_shared_dictionary
-from .model import bad_record, read_trace_file, span_from_dict
+from .model import read_records, read_trace_file, serialize_trace
 from .pipeline import SamplingPipeline, write_timing
 from .reconstruct import fidelity_means, reconstruct, structural_fidelity
 from .sampler import SamplingConfig, decision_from_dict
@@ -84,15 +86,25 @@ def _setting(args, config: dict, name: str, default):
 
 
 def _sampling_config(args, config: dict) -> SamplingConfig:
+    def number(name: str, default, kind=float):
+        value = _setting(args, config, name, default)
+        if value is None and default is None:
+            return None
+        # a JSON boolean is a Python int, and int() drops a fraction
+        if type(value) is bool or kind is int and type(value) is float \
+                and not value.is_integer():
+            raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                              f"got {value!r}")
+        return kind(value)
+
     try:
-        fixed = _setting(args, config, "fixed_threshold", None)
         return SamplingConfig(
-            ratio=float(_setting(args, config, "ratio", 0.15)),
-            theta_quantile=float(_setting(args, config, "theta", 0.90)),
-            window=int(_setting(args, config, "window", 512)),
-            min_obs=int(_setting(args, config, "min_obs", 8)),
-            lrs_horizon=int(_setting(args, config, "lrs_horizon", 1024)),
-            fixed_threshold=None if fixed is None else float(fixed),
+            ratio=number("ratio", 0.15),
+            theta_quantile=number("theta", 0.90),
+            window=number("window", 512, int),
+            min_obs=number("min_obs", 8, int),
+            lrs_horizon=number("lrs_horizon", 1024, int),
+            fixed_threshold=number("fixed_threshold", None),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -140,10 +152,8 @@ def cmd_sample(args) -> int:
         for trace in read_trace_file(args.traces):
             result = pipeline.process(trace)
             dfh.write(result.decision.serialize() + "\n")
-            kept_spans = [result.trace.span(sid).to_dict() for sid in result.decision.kept]
-            kfh.write(json.dumps(
-                {"trace_id": result.trace.trace_id, "spans": kept_spans},
-                sort_keys=True, separators=(",", ":")) + "\n")
+            kept = map(trace.index.__getitem__, result.decision.kept)
+            kfh.write(serialize_trace(trace, kept) + "\n")
             total_spans += len(result.trace)
             total_kept += len(result.decision.kept)
 
@@ -169,20 +179,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _kept_records(fh, path: str):
-    """Yields (line number, trace id, spans) for each record of the open kept
-    file, one at a time; a bad record raises an error naming file and line."""
-    for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            trace_id = obj["trace_id"]
-            spans = [span_from_dict(s, trace_id) for s in obj["spans"]]
-        except (ValueError, KeyError, TypeError, MalformedDocumentError, RecursionError) as exc:
-            raise bad_record(path, lineno, "kept-spans", exc) from exc
-        yield lineno, trace_id, spans
+def _decision(line: str):
+    return decision_from_dict(json.loads(line))
 
 
 class _TraceFile:
@@ -224,21 +222,13 @@ def cmd_reconstruct(args) -> int:
     reports = []
     # sample writes one kept record per decision, in the same order, so the
     # two files are read in step
-    with open(args.decisions, "r", encoding="utf-8") as dfh, \
-            open(args.kept, "r", encoding="utf-8") as kfh, \
+    with closing(read_records(args.decisions, "decision", _decision)) as decisions, \
+            closing(read_records(args.kept, "kept-spans")) as kept_records, \
             open(out_path, "w", encoding="utf-8") as fh, \
             closing(_TraceFile(args.traces)) if args.traces else nullcontext() as originals:
-        kept_records = _kept_records(kfh, args.kept)
-        for lineno, line in enumerate(dfh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                decision = decision_from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-                raise bad_record(args.decisions, lineno, "decision", exc) from exc
+        for lineno, decision in decisions:
             where = f"{args.decisions}:{lineno}: trace {decision.trace_id!r}"
-            kept_lineno, kept_id, spans = next(kept_records, (None, None, None))
+            kept_lineno, (kept_id, spans) = next(kept_records, (None, (None, None)))
             if kept_lineno is None:
                 raise MalformedDocumentError(f"{where} has no kept record in {args.kept}")
             if kept_id != decision.trace_id:
@@ -258,7 +248,7 @@ def cmd_reconstruct(args) -> int:
             original = None if originals is None else originals.take(decision.trace_id)
             if original is not None:
                 reports.append(structural_fidelity(original, rebuilt, mapping))
-        kept_lineno, kept_id, _spans = next(kept_records, (None, None, None))
+        kept_lineno, (kept_id, _spans) = next(kept_records, (None, (None, None)))
         if kept_lineno is not None:
             raise MalformedDocumentError(
                 f"{args.kept}:{kept_lineno}: the kept record of trace {kept_id!r} "
@@ -292,8 +282,8 @@ def cmd_eval(args) -> int:
     # bool is an int subclass, so compare the type itself
     if type(n) is not int or n < 1:
         raise ConfigError(f"n_traces must be a positive integer, got {n!r}")
-    doc, meta = harness.generate_system(spec)
     cfg = _sampling_config(args, config)
+    doc, meta = harness.generate_system(spec)
     report = harness.evaluate(doc, meta, spec, n, cfg=cfg, ratio=args.ratio)
     files = harness.write_report_files(report, args.out)
     for line in report.text_lines():

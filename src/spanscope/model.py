@@ -20,6 +20,16 @@ child intervals without sorting them. The sampling pipeline reads the
 columns by position and builds no ``Span``; a trace builds its spans only
 when a reader asks for them.
 
+Every span-record line is read and written here. ``_span_row`` is the one
+record check: one combined type test admits a well-formed span record, and
+any other goes through itemised checks that name its first fault; both
+``span_from_dict`` and ``parse_trace``'s record-by-record fallback use it.
+``serialize_trace`` is the one writer: it writes a record line from a
+trace's columns, for every span or for the spans at given positions (the
+kept line of ``sample``). ``read_records`` is the one line loop: it numbers
+a file's non-blank lines, parses each one, and raises on a bad one naming
+the file and the line; trace, kept and decision files are all read by it.
+
 ``Span`` is a frozen slotted record. Its one constructor writes each slot
 through the slot's member descriptor, past the frozen ``__setattr__``, so
 a trace, rebuild and the generators all build spans the same cheap way.
@@ -333,8 +343,16 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
-    # one combined test admits the common well-formed record; any other goes
-    # through the itemised checks, which accept or name the first problem
+    """A span from its record; trace_id stands in for a record without one."""
+    return Span(*_span_row(obj, trace_id))
+
+
+def _span_row(obj, trace_id: str | None) -> tuple:
+    """A span record's eight fields, in Span's order, its attributes copied.
+
+    One combined test admits the common well-formed record; any other goes
+    through the itemised checks, which accept it or name its first fault.
+    """
     if type(obj) is dict:
         get = obj.get
         span_id, operation, service = get("span_id"), get("operation"), get("service")
@@ -347,11 +365,12 @@ def span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
                 and type(attrs) is dict
                 and (not attrs or all(type(k) is str and type(v) is str
                                       for k, v in attrs.items()))):
-            return Span(span_id, tid, parent, operation, service, start, duration, dict(attrs))
-    return _checked_span_from_dict(obj, trace_id)
+            return span_id, tid, parent, operation, service, start, duration, \
+                dict(attrs) if attrs else {}
+    return _checked_span_row(obj, trace_id)
 
 
-def _checked_span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
+def _checked_span_row(obj, trace_id: str | None) -> tuple:
     _require(isinstance(obj, dict), "span record must be an object")
     for key in ("span_id", "operation", "service", "start_time", "duration"):
         _require(key in obj, f"span record missing field {key!r}")
@@ -369,16 +388,8 @@ def _checked_span_from_dict(obj: dict, trace_id: str | None = None) -> Span:
     _require(isinstance(attrs, dict), "attributes must be an object")
     for k, v in attrs.items():
         _require(isinstance(k, str) and isinstance(v, str), "attributes must map strings to strings")
-    return Span(
-        span_id=obj["span_id"],
-        trace_id=tid,
-        parent_id=parent,
-        operation=obj["operation"],
-        service=obj["service"],
-        start_time=obj["start_time"],
-        duration=obj["duration"],
-        attributes=dict(attrs),
-    )
+    return (obj["span_id"], tid, parent, obj["operation"], obj["service"], obj["start_time"],
+            obj["duration"], dict(attrs))
 
 
 def parse_trace(document: str) -> Trace:
@@ -401,9 +412,9 @@ def _columns(records: list, trace_id: str) -> tuple:
     """The eight columns of a trace record's span records, in input order.
 
     One combined test admits records that carry all eight fields, each of
-    its type; any other set goes record by record through span_from_dict's
-    checks, which accept a record without trace_id, parent_id or attributes
-    and raise on the first fault of the first bad record.
+    its type; any other set goes record by record through _span_row, the
+    one record check, which accepts a record without trace_id, parent_id or
+    attributes and raises on the first fault of the first bad record.
     """
     try:
         # a list per field: a tuple per record would cost more memory than
@@ -421,51 +432,56 @@ def _columns(records: list, trace_id: str) -> tuple:
                 # JSON object keys are strings
                 and {*map(type, chain.from_iterable(map(dict.values, attrs)))} <= _STR):
             return columns
-    rows = []
-    for obj in records:
-        if type(obj) is dict:
-            get = obj.get
-            span_id, operation, service = get("span_id"), get("operation"), get("service")
-            start, duration = get("start_time"), get("duration")
-            tid, parent = get("trace_id", trace_id), get("parent_id")
-            attrs = get("attributes", {})
-            if (type(span_id) is str and type(operation) is str and type(service) is str
-                    and type(start) is int and type(duration) is int
-                    and type(tid) is str and tid and (parent is None or type(parent) is str)
-                    and type(attrs) is dict
-                    and (not attrs or all(type(k) is str and type(v) is str
-                                          for k, v in attrs.items()))):
-                rows.append((span_id, tid, parent, operation, service, start, duration, attrs))
-                continue
-        # raises on the record's first fault, or accepts what the test above
-        # refuses and the itemised checks do not
-        rows.append(_span_fields(_checked_span_from_dict(obj, trace_id)))
-    return tuple(zip(*rows))
+    return tuple(zip(*[_span_row(obj, trace_id) for obj in records]))
 
 
-def serialize_trace(trace: Trace) -> str:
-    record = {
-        "trace_id": trace.trace_id,
-        "spans": [s.to_dict() for s in trace.spans],
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+def serialize_trace(trace: Trace, positions=None) -> str:
+    """A trace record line from the trace's columns: every span in input
+    order, or the spans at positions, in their order; keys sorted, no
+    spaces."""
+    ids, parents, ops, svcs = trace.ids, trace.parent_ids, trace.operations, trace.services
+    starts, durations, attrs = trace.starts, trace.durations, trace.attributes
+    trace_id = trace.trace_id
+    spans = [{"attributes": attrs[i], "duration": durations[i], "operation": ops[i],
+              "parent_id": parents[i], "service": svcs[i], "span_id": ids[i],
+              "start_time": starts[i], "trace_id": trace_id}
+             for i in (range(len(ids)) if positions is None else positions)]
+    return json.dumps({"spans": spans, "trace_id": trace_id}, sort_keys=True,
+                      separators=(",", ":"))
 
 
-def bad_record(path, lineno: int, kind: str, exc: Exception) -> MalformedDocumentError:
-    """The error for a bad `kind` record on line `lineno` of file `path`."""
-    return MalformedDocumentError(
-        f"{path}:{lineno}: bad {kind} record: {type(exc).__name__}: {exc}")
+def _span_records(line: str) -> tuple:
+    """The trace id and the spans of a record line that need not hold a tree."""
+    obj = json.loads(line)
+    trace_id = obj["trace_id"]
+    return trace_id, [span_from_dict(s, trace_id) for s in obj["spans"]]
 
 
-def read_trace_file(path):
-    """Yield traces from a newline-delimited file; a line that is not a
-    valid trace raises a bad_record error naming the file and the line."""
+# what a parser raises on a bad line: a record of the wrong shape, or one
+# nested past the JSON decoder's limit
+_LINE_FAULTS = (MalformedDocumentError, InvariantViolationError, ValueError, LookupError,
+                TypeError, AttributeError, RecursionError)
+
+
+def read_records(path, kind: str, parse=_span_records):
+    """Yield (line number, parse(line)) for each non-blank line of the
+    newline-delimited file at path; by default a line is a record of spans,
+    parsed into its trace id and its spans. A line parse refuses raises a
+    bad `kind` record error naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 try:
-                    trace = parse_trace(line)
-                except (MalformedDocumentError, InvariantViolationError) as exc:
-                    raise bad_record(path, lineno, "trace", exc) from exc
-                yield trace
+                    record = parse(line)
+                except _LINE_FAULTS as exc:
+                    raise MalformedDocumentError(
+                        f"{path}:{lineno}: bad {kind} record: {type(exc).__name__}: {exc}"
+                    ) from exc
+                yield lineno, record
+
+
+def read_trace_file(path):
+    """Yield the traces of a newline-delimited file; a line that is not a
+    valid trace raises a bad trace record error naming the file and the line."""
+    return (trace for _, trace in read_records(path, "trace", parse_trace))

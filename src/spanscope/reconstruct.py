@@ -237,22 +237,22 @@ def _spans_of(trace_id: str, fns, kept, los, his, rows, psids,
     return tuple(rspans)
 
 
-def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str, fns: list) -> list[int]:
+def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str,
+            fns: list) -> tuple[list, list]:
     """Walk the recorded path and list its calls in preorder.
 
     Appends each call's function key to fns as it lists it, so fns holds
     the calls listed so far when the walk raises, and returns each call's
-    subtree end: call i's children are i+1, end[i+1], ... up to end[i].
-    Both depend only on the graph, the entry and the forks; trace_id names
-    the trace in errors.
+    parent (-1 for the root) and its children in preorder, listed as it
+    goes. All three depend only on the graph, the entry and the forks;
+    trace_id names the trace in errors.
 
     One generator per open function body walks its blocks, and reads the
     recorded forks in order. A fork takes the next item, which must be a
     branch (align records one at every fork it passes, so a fork with none
     left is an error), and each call the body makes is appended. A callee
     with a body gets a frame of its own, which runs to its end before the
-    caller resumes; a call's subtree ends when its body is walked, or at
-    once when it has none.
+    caller resumes.
 
     An edit (parent, index[, function]) is replayed where the walk of call
     parent has listed index calls: before a call of a block, before a fork
@@ -261,7 +261,8 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str, fns: list) ->
     without a body gets a frame, which replays only edits, when the next
     item is an insertion under it.
     """
-    ends: list[int] = []
+    parents: list[int] = []
+    kids: list[list[int]] = []
     has_body, subgraph = graph.has_body, graph.subgraph
     items = iter(forks)
 
@@ -276,11 +277,14 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str, fns: list) ->
     head = edit_at = budget = None
     take()
 
-    def call(fn: str) -> bool:
-        """Append a call; True when its body is still to walk, else its subtree is closed."""
+    def call(fn: str, parent: int) -> bool:
+        """Append a call under parent; True when its body is still to walk."""
         i = len(fns)
         fns.append(fn)
-        ends.append(i + 1)
+        parents.append(parent)
+        kids.append([])
+        if parent >= 0:
+            kids[parent].append(i)
         return has_body(fn) or edit_at == i + 1 and head[0] == i
 
     def edits(me: int, before_call: bool):
@@ -295,12 +299,12 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str, fns: list) ->
                 return True
             fn = head[2]
             take()
-            if call(fn):
+            if call(fn, me):
                 yield len(fns) - 1
         return False
 
     def walk(me: int):
-        """Yields the index of each call whose body is to walk; closes `me`'s subtree at its end."""
+        """Yields the index of each call whose body is to walk."""
         nonlocal budget
         fn_key = fns[me]
         if has_body(fn_key):
@@ -331,13 +335,12 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str, fns: list) ->
             for callee in emissions.get(node, ()):
                 if edit_at == len(fns) and (yield from edits(me, True)):
                     continue
-                if call(callee):
+                if call(callee, me):
                     yield len(fns) - 1
         if edit_at == len(fns):
             yield from edits(me, False)
-        ends[me] = len(fns)
 
-    if call(entry):
+    if call(entry, -1):
         stack = [walk(0)]
         while stack:
             i = next(stack[-1], None)
@@ -350,11 +353,11 @@ def _replay(graph: Cscfg, entry: str, forks: tuple, trace_id: str, fns: list) ->
             raise ReconstructionError(f"trace {trace_id!r}: unused branch records remain")
         # a call without a body walked nothing unless an edit gave it calls
         parent = head[0]
-        walked = parent < len(fns) and (has_body(fns[parent]) or ends[parent] > parent + 1)
+        walked = parent < len(fns) and (has_body(fns[parent]) or bool(kids[parent]))
         raise ReconstructionError(
             f"trace {trace_id!r}: recorded edit {list(head)} " +
             ("is left unused" if walked else f"names call {parent}, which the walk never enters"))
-    return ends
+    return parents, kids
 
 
 class _Skeleton:
@@ -375,21 +378,8 @@ class _Skeleton:
 
     __slots__ = ("fns", "kids", "parents", "table", "rows", "widths", "offsets")
 
-    def __init__(self, fns: list, ends: list):
-        n = len(fns)
-        kids: list[tuple] = [()] * n
-        parents = [-1] * n
-        for i in range(n):
-            end = ends[i]
-            c = i + 1
-            if c < end:
-                mine = []
-                while c < end:
-                    mine.append(c)
-                    parents[c] = i
-                    c = ends[c]
-                kids[i] = tuple(mine)
-        self.fns, self.kids, self.parents = tuple(fns), tuple(kids), tuple(parents)
+    def __init__(self, fns: list, parents: list, kids: list):
+        self.fns, self.parents, self.kids = tuple(fns), parents, kids
         self.table = self.rows = self.widths = self.offsets = None
 
     def lay_out(self, table: dict, keys: dict) -> None:
@@ -440,13 +430,13 @@ def _skeleton(graph: Cscfg, entry: str, forks: tuple, placed: dict,
     if got is None:
         fns: list[str] = []
         try:
-            ends = _replay(graph, entry, forks, trace_id, fns)
+            parents, kids = _replay(graph, entry, forks, trace_id, fns)
         except ReconstructionError:
             _kept_at(placed, fns, trace_id)
             raise
         if len(memo) >= align.PATH_CACHE_CAPACITY:
             memo.clear()
-        got = memo[key] = _Skeleton(fns, ends)
+        got = memo[key] = _Skeleton(fns, parents, kids)
     return got, _kept_at(placed, got.fns, trace_id)
 
 

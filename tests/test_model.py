@@ -10,7 +10,8 @@ from spanscope.errors import InvariantViolationError, MalformedDocumentError, Un
 from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.model import (
     Span,
-    _checked_span_from_dict,
+    _checked_span_row,
+    _span_row,
     exclusive_durations,
     parse_trace,
     serialize_trace,
@@ -240,14 +241,14 @@ class TestSpanRecords:
         assert len(records) > 100
         for record in records:
             for trace_id in (None, "t9"):
-                assert outcome(span_from_dict, record, trace_id) == \
-                    outcome(_checked_span_from_dict, record, trace_id), record
+                assert outcome(_span_row, record, trace_id) == \
+                    outcome(_checked_span_row, record, trace_id), record
 
     def test_well_formed_record_skips_itemised_checks(self, monkeypatch):
         def itemised(obj, trace_id=None):
             raise AssertionError("itemised checks ran")
 
-        monkeypatch.setattr(model, "_checked_span_from_dict", itemised)
+        monkeypatch.setattr(model, "_checked_span_row", itemised)
         span = span_from_dict(dict(GOOD_RECORD))
         assert span.to_dict() == GOOD_RECORD
 

@@ -319,6 +319,26 @@ def test_sample_converts_the_fixed_threshold(workload, tmp_path, capsys, value, 
         assert decisions[0] == decisions[1]
 
 
+@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("config", [{"window": True}, {"lrs_horizon": 1.5}, {"min_obs": 8.9},
+                                    {"ratio": True}, {"fixed_threshold": True}],
+                         ids=["window-bool", "horizon-fraction", "min-obs-fraction",
+                              "ratio-bool", "threshold-bool"])
+def test_mistyped_sampling_keys_are_refused(workload, tmp_path, capsys, command, config):
+    """int() and float() would read a JSON boolean as 1 or 0 and drop a
+    fraction, so both are refused, with the key named."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    if command == "sample":
+        graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+        argv = ["sample", "--graph", graph_path, "--traces", trace_path]
+    else:
+        argv = ["eval", "--n", "50"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out"), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {next(iter(config))} must be "), err
+
+
 def test_reconstruct_names_the_malformed_kept_line(workload, tmp_path, capsys):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
     out = tmp_path / "out"
@@ -623,6 +643,27 @@ def test_reconstruct_names_the_first_bad_inserted_key_in_preorder(workload, tmp_
     assert capsys.readouterr().err == (
         f"error: {decisions}:2: trace {record['trace_id']!r}: function key ':X.y' "
         f"has an empty part\n")
+
+
+def test_sample_command_builds_no_span(workload, tmp_path, monkeypatch):
+    """sample parses each line into columns, decides on them and writes
+    each kept line from them, so the whole command builds no Span."""
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 50)
+    out = tmp_path / "out"
+    built = []
+    init = Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["span_id"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Span, "__init__", counting_init)
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(out), "--ratio", "0.3"]) == 0
+    monkeypatch.undo()
+    assert built == []
+    kept_lines = (out / "kept.ndjson").read_text(encoding="utf-8").splitlines()
+    assert len(kept_lines) == 50 and all(json.loads(line)["spans"] for line in kept_lines)
 
 
 def test_reconstruct_builds_no_span_per_rebuilt_call(workload, tmp_path, monkeypatch):
