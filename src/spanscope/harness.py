@@ -584,8 +584,8 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
     probe_n = min(_LSR_PROBE, len(samples))
     dss_total = span_total = 0
     for sample in samples[:probe_n]:
-        _, dss_list, _, _, _ = probe.partition_trace(sample.trace)
-        dss_total += len(dss_list)
+        path, _, _, _ = probe.partition_trace(sample.trace)
+        dss_total += len(path.sets)
         span_total += len(sample.trace)
     lsr = dss_total / span_total if span_total else 0.0
 
@@ -601,7 +601,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
         results.append(res)
         kept_auto[sample.trace.trace_id] = frozenset(res.decision.kept)
         bucket_rows[bucket_of(len(sample.trace))].append(
-            (res.decision.effective_ratio, len(res.dss_list), len(sample.trace))
+            (res.decision.effective_ratio, len(res.path.sets), len(sample.trace))
         )
 
     reports = []

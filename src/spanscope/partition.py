@@ -1,12 +1,13 @@
-"""Dominant span sets of an aligned trace.
+"""Dominant span sets of an aligned trace, named by span id.
 
 Alignment cuts the sets once per trace shape and caches them on the path
 as preorder slots with their tags (see `spanscope.align`); partition only
 names each slot's span. A set's tag is the fork target that opened it, the
 first block entered through the fork edge, which identifies the branch
 taken; the leading set is tagged TRUNK_TAG. Alignment puts every span in
-exactly one set, so the sets cover the trace; the sampler checks its own
-input again.
+exactly one set, so the sets cover the trace; the sampler reads the slots
+and tags on the path itself and checks that the slots cover the trace. The
+named sets serve readers that want span ids (`TraceResult.dss_list`).
 """
 
 from __future__ import annotations
@@ -21,21 +22,18 @@ __all__ = ["TRUNK_TAG", "DominantSpanSet", "partition"]
 
 @dataclass(frozen=True)
 class DominantSpanSet:
-    """The spans of one path segment, in path order, and the tag of the
-    branch that opened the segment; the sampler keeps at least one of them."""
+    """The spans of one path segment, in path order; the sampler keeps at
+    least one of them. The segment's tag stays on the path."""
 
-    dss_id: str
     spans: tuple[str, ...]
-    branch_tag: str
 
     def __len__(self) -> int:
         return len(self.spans)
 
 
 def partition(path: ExecutionPath, trace: Trace) -> list[DominantSpanSet]:
-    """The path's sets with their slots named by span id; pure function of
-    (path, trace)."""
+    """The path's sets, in path order, with their slots named by span id;
+    pure function of (path, trace)."""
     ids, order = trace.ids, trace.order
-    tid = trace.trace_id
-    return [DominantSpanSet(f"{tid}:d{k}", tuple([ids[order[slot]] for slot in slots]), tag)
-            for k, (slots, tag) in enumerate(path.sets)]
+    return [DominantSpanSet(tuple([ids[order[slot]] for slot in slots]))
+            for slots, _ in path.sets]

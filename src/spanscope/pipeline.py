@@ -1,9 +1,12 @@
-"""End-to-end engine: map, align, partition, select, reconstruct.
+"""End-to-end engine: map, align, select, reconstruct.
 
 One pipeline owns the graph, the span-function map, the path cache,
 the scoring windows and the selection ledger. Traces stream through one at a
 time with bounded memory; per-stage wall time is accumulated so the cost
-split between trace partitioning and span selection stays observable.
+split between trace partitioning (map and align) and span selection stays
+observable. Alignment cuts the dominant span sets as the path's preorder
+slots, and selection reads them there; `TraceResult.dss_list` names them by
+span id only when read.
 
 The stages read a trace's columns by position (see `spanscope.model`), so
 sampling a parsed trace builds no Span. A pipeline and the graph, map,
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .align import ExecutionPath, PathCache, align
@@ -28,10 +32,9 @@ from .scoring import ScoreBook, StatsSnapshot
 
 STAGE_MAP = "map"
 STAGE_ALIGN = "align"
-STAGE_PARTITION = "partition"
 STAGE_SELECT = "select"
 STAGE_RECONSTRUCT = "reconstruct"
-PARTITION_STAGES = (STAGE_MAP, STAGE_ALIGN, STAGE_PARTITION)
+PARTITION_STAGES = (STAGE_MAP, STAGE_ALIGN)
 
 _first, _second = itemgetter(0), itemgetter(1)
 
@@ -40,17 +43,13 @@ _first, _second = itemgetter(0), itemgetter(1)
 class TraceResult:
     trace: Trace
     decision: SamplingDecision
-    dss_list: list[DominantSpanSet]
     path: ExecutionPath
 
-
-def _calls(trace: Trace, path: ExecutionPath) -> list[int]:
-    """Each span's call in the replay's preorder, in the trace's input
-    order: the path holds each preorder slot's."""
-    calls = [0] * len(trace)
-    for i, call in zip(trace.order, path.calls):
-        calls[i] = call
-    return calls
+    @cached_property
+    def dss_list(self) -> list[DominantSpanSet]:
+        """The path's sets named by span id, built through this module's
+        `partition` on first read; sampling itself never reads them."""
+        return partition(self.path, self.trace)
 
 
 class SamplingPipeline:
@@ -63,8 +62,7 @@ class SamplingPipeline:
                                    theta=cfg.theta_quantile)
         self.ledger = LrsLedger(cfg.lrs_horizon)
         self.timings: dict[str, float] = {
-            STAGE_MAP: 0.0, STAGE_ALIGN: 0.0, STAGE_PARTITION: 0.0,
-            STAGE_SELECT: 0.0, STAGE_RECONSTRUCT: 0.0,
+            STAGE_MAP: 0.0, STAGE_ALIGN: 0.0, STAGE_SELECT: 0.0, STAGE_RECONSTRUCT: 0.0,
         }
         self.traces_seen = 0
         self.decisions_leaving_graph = 0
@@ -99,24 +97,21 @@ class SamplingPipeline:
         return list(map(_first, got)), list(map(_second, got)), exclusive_durations(trace)
 
     def partition_trace(self, trace: Trace):
-        """Map, align and partition only; no sampling state is touched."""
+        """Map and align only, the path holding the trace's sets; no
+        sampling state is touched."""
         resolutions, keys, exclusive = self._timed(STAGE_MAP, self._map_stage, trace)
         path = self._timed(STAGE_ALIGN, align, self.graph, trace, self.cache, resolutions)
-        dss_list = self._timed(STAGE_PARTITION, partition, path, trace)
-        return path, dss_list, resolutions, keys, exclusive
+        return path, resolutions, keys, exclusive
 
     def process(self, trace: Trace) -> TraceResult:
-        path, dss_list, resolutions, keys, exclusive = self.partition_trace(trace)
+        path, resolutions, keys, exclusive = self.partition_trace(trace)
         root_res = resolutions[trace.order[0]]
         entry = root_res.key if isinstance(root_res, FunctionRef) else None
-        decision = self._timed(
-            STAGE_SELECT, sample_trace, trace, dss_list, self.scorebook,
-            self.ledger, self.cfg, keys, exclusive,
-            entry=entry, forks=path.forks, calls=_calls(trace, path),
-        )
+        decision = self._timed(STAGE_SELECT, sample_trace, trace, path, self.scorebook,
+                               self.ledger, self.cfg, keys, exclusive, entry)
         self.traces_seen += 1
         self.decisions_leaving_graph += path.leaves_graph
-        return TraceResult(trace, decision, dss_list, path)
+        return TraceResult(trace, decision, path)
 
     def reconstruct_result(self, result: TraceResult,
                            stats: StatsSnapshot) -> ReconstructedTrace:

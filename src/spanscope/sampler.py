@@ -1,10 +1,12 @@
 """Span selection under a budget, one decision per trace.
 
-The budget is split across dominant span sets: every set gets at least one
-slot, and when floor(p * total spans) exceeds the number of sets the leftover
-is distributed proportionally to set sizes, rounding down. Floors are not
-redistributed, and with tight budgets the effective ratio exceeds p because
-of the per-set minimum.
+The budget is split across dominant span sets, read as the aligned path's
+preorder slots (`ExecutionPath.sets`): selection builds no DominantSpanSet,
+and it checks that the slots cover the trace, each span once. Every set
+gets at least one slot, and when floor(p * total spans) exceeds the number
+of sets the leftover is distributed proportionally to set sizes, rounding
+down. Floors are not redistributed, and with tight budgets the effective
+ratio exceeds p because of the per-set minimum.
 
 Within a set, spans whose robust Z-score reaches the per-key threshold are
 taken first, highest score first; any remaining quota is filled by the least
@@ -33,10 +35,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .align import ExecutionPath
 from .cscfg import FunctionRef
 from .errors import EmptyPartitionError, PartitionMismatchError
 from .model import Trace
-from .partition import DominantSpanSet
 from .scoring import DEFAULT_MIN_OBS, DEFAULT_THETA, DEFAULT_WINDOW, ScoreBook
 
 
@@ -58,6 +60,9 @@ class SamplingConfig:
             raise ValueError("ratio must be in (0, 1]")
         if not 0 < self.theta_quantile < 1:
             raise ValueError("theta_quantile must be in (0, 1)")
+        # no Z-score reaches NaN, so it would silently turn the Z pick off
+        if self.fixed_threshold is not None and math.isnan(self.fixed_threshold):
+            raise ValueError("fixed_threshold must be a number, not NaN")
         # what SpanStatWindow and LrsLedger reject, refused before either exists
         if self.window < 1:
             raise ValueError("window must be >= 1")
@@ -187,79 +192,76 @@ def allocate_budget(sizes: list[int], p: float) -> list[int]:
     return [1 + (leftover * size) // total_spans for size in sizes]
 
 
-def sample_trace(trace: Trace, dss_list: list[DominantSpanSet], scorebook: ScoreBook,
+def sample_trace(trace: Trace, path: ExecutionPath, scorebook: ScoreBook,
                  ledger: LrsLedger, cfg: SamplingConfig,
                  span_keys: list[str], exclusive: list[int],
-                 entry: str | None, forks: tuple[str, ...],
-                 calls: list[int]) -> SamplingDecision:
+                 entry: str | None) -> SamplingDecision:
     """Apply the budgeted selection to one trace and update shared state.
 
-    span_keys, exclusive and calls are columns of the trace, in its input
-    order: each span's scoring key, its exclusive duration and the replay
-    call it is placed at. entry and forks are the aligned path's entry
-    function and fork targets; they and the kept spans' calls are stored
-    for rebuild. The ledger is advanced with the kept spans.
+    The sets are the path's, read as preorder slots: slot k is the span at
+    `trace.order[k]`, and `path.calls[k]` is its call. span_keys and
+    exclusive are columns of the trace, in its input order: each span's
+    scoring key and its exclusive duration. entry is the aligned path's
+    entry function; it, the path's forks and the kept spans' calls are
+    stored for rebuild. The ledger is advanced with the kept spans.
     """
-    covered = [s for d in dss_list for s in d.spans]
-    if len(covered) != len(trace) or set(covered) != trace.span_ids():
+    sets, order, n = path.sets, trace.order, len(trace)
+    # every slot once, n in all
+    if sorted([slot for slots, _ in sets for slot in slots]) != list(range(n)):
         raise PartitionMismatchError(
             f"partition does not cover trace {trace.trace_id!r}"
         )
 
-    # only spans whose Z reaches the threshold in force are kept in z_of
-    ids, index = trace.ids, trace.index
-    z_of: dict[str, float] = {}
+    # a span's Z where it reaches the threshold in force, else None, by position
+    ids = trace.ids
+    z_at: list[float | None] = [None] * n
     fixed = cfg.fixed_threshold
     window_for = scorebook.window_for
     for i in trace.arrival_order:
         z, _, threshold = window_for(span_keys[i]).score(exclusive[i])
         if z >= (threshold if fixed is None else fixed):
-            z_of[ids[i]] = z
+            z_at[i] = z
+    z_of = list(map(z_at.__getitem__, order))  # by slot
 
-    budgets = allocate_budget([len(d) for d in dss_list], cfg.ratio)
-    kept: list[str] = []
+    budgets = allocate_budget([len(slots) for slots, _ in sets], cfg.ratio)
+    tid = trace.trace_id
+    kept: list[int] = []  # slots
     reports: list[DssReport] = []
     key_stats: dict[str, tuple[int, int]] = {}
-    for dss, budget in zip(dss_list, budgets):
-        spans = dss.spans
-        picked = [s for s in spans if s in z_of]
+    for k, ((slots, tag), budget) in enumerate(zip(sets, budgets)):
+        picked = [s for s in slots if z_of[s] is not None]
         if len(picked) > budget:
-            picked.sort(key=lambda s: (-z_of[s], s))
+            picked.sort(key=lambda s: (-z_of[s], ids[order[s]]))
             del picked[budget:]
         by_z = len(picked)
         if by_z < budget:
             # the rest of the quota goes to the least recently sampled types
-            rest = [s for s in spans if s not in z_of]
+            rest = [s for s in slots if z_of[s] is None]
             need = budget - by_z
             if len(rest) > need:
                 for s in rest:
-                    k = span_keys[index[s]]
-                    if k not in key_stats:
-                        key_stats[k] = ledger.stats(k)
-                rest.sort(key=lambda s: key_stats[span_keys[index[s]]] + (s,))
+                    key = span_keys[order[s]]
+                    if key not in key_stats:
+                        key_stats[key] = ledger.stats(key)
+                rest.sort(key=lambda s: key_stats[span_keys[order[s]]] + (ids[order[s]],))
                 del rest[need:]
             picked += rest
         kept += picked
-        reports.append(DssReport(
-            dss_id=dss.dss_id,
-            branch_tag=dss.branch_tag,
-            size=len(spans),
-            budget=budget,
-            picked_by_z=by_z,
-            picked_by_lrs=len(picked) - by_z,
-        ))
+        reports.append(DssReport(f"{tid}:d{k}", tag, len(slots), budget, by_z,
+                                 len(picked) - by_z))
 
-    kept_sorted = tuple(sorted(kept))
-    positions = [index[s] for s in kept_sorted]
+    kept.sort(key=lambda s: ids[order[s]])
+    positions = [order[s] for s in kept]
+    calls = path.calls
     decision = SamplingDecision(
-        trace_id=trace.trace_id,
-        kept=kept_sorted,
+        trace_id=tid,
+        kept=tuple([ids[i] for i in positions]),
         entry=entry,
         dss_reports=tuple(reports),
-        effective_ratio=len(kept_sorted) / len(trace),
+        effective_ratio=len(kept) / n,
         kept_keys=tuple(sorted({span_keys[i] for i in positions})),
-        forks=forks,
-        at=tuple([calls[i] for i in positions]),
+        forks=path.forks,
+        at=tuple([calls[s] for s in kept]),
     )
     ledger.note(decision.kept_keys)
     return decision

@@ -7,6 +7,9 @@ from spanscope.cscfg import build_cscfg, entry_node
 from spanscope.harness import SystemMeta, SystemSpec, generate_traces
 from spanscope.mapping import build_map
 from spanscope.model import Span, Trace
+from spanscope.partition import partition
+
+from .oracles import OracleSet
 
 
 def make_span(span_id, trace_id="t1", parent=None, operation="C.f", service="svc",
@@ -24,6 +27,13 @@ def align_trace(graph, trace, mapping, cache=None):
     """align() with each span resolved by mapping, through cache or a fresh PathCache."""
     resolutions = [mapping.resolve(s.service, s.operation) for s in trace.spans]
     return align(graph, trace, PathCache() if cache is None else cache, resolutions)
+
+
+def named_sets(path, trace):
+    """The path's sets as the oracles name them: partition()'s spans, with
+    each set's id and its tag on the path."""
+    return [OracleSet(f"{trace.trace_id}:d{k}", d.spans, tag)
+            for k, (d, (_, tag)) in enumerate(zip(partition(path, trace), path.sets))]
 
 
 def single_function_doc(fn="svc:C.f", blocks=None, edges=None, entry=None, exits=None,

@@ -13,6 +13,7 @@ import math
 import statistics
 from collections import Counter, deque, namedtuple
 from collections.abc import KeysView
+from dataclasses import dataclass
 from operator import attrgetter
 
 from spanscope.errors import InvariantViolationError, MalformedDocumentError, UnknownSpanError
@@ -1513,11 +1514,24 @@ def reference_align(graph, trace, mapping, cache=None, resolutions=None):
     return path
 
 
+@dataclass(frozen=True)
+class OracleSet:
+    """A dominant span set named by span id, with its id and the tag of the
+    branch that opened it."""
+
+    dss_id: str
+    spans: tuple
+    branch_tag: str
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+
 def oracle_partition(path, graph, trace) -> list:
     """Cut a reference path after every step whose moves the rescan finds a
     fork in; the new set's tag is the first fork's target."""
     from spanscope.errors import PartitionMismatchError
-    from spanscope.partition import TRUNK_TAG, DominantSpanSet
+    from spanscope.partition import TRUNK_TAG
 
     order = trace.preorder
     sets: list = []
@@ -1527,7 +1541,7 @@ def oracle_partition(path, graph, trace) -> list:
     def close() -> None:
         nonlocal spans
         if spans:
-            sets.append(DominantSpanSet(
+            sets.append(OracleSet(
                 dss_id=f"{trace.trace_id}:d{len(sets)}",
                 spans=tuple(spans),
                 branch_tag=tag,

@@ -9,13 +9,13 @@ from spanscope.cscfg import FunctionRef, build_cscfg
 from spanscope.errors import NoPathError
 from spanscope.harness import SystemSpec, generate_system, generate_traces
 from spanscope.mapping import Unmapped, build_map
-from spanscope.partition import partition
 
 from .conftest import (
     add_repeatable_call,
     align_trace,
     make_span,
     make_trace,
+    named_sets,
     random_cscfg_doc,
     single_function_doc,
 )
@@ -529,7 +529,7 @@ class TestComposedPathReference:
         for trace in traces:
             path = align_trace(graph, trace, mapping, cache)
             ref = reference_align(graph, trace, mapping)
-            assert partition(path, trace) == oracle_partition(ref, graph, trace)
+            assert named_sets(path, trace) == oracle_partition(ref, graph, trace)
             assert (path.cost, path.insertions, path.forks) == \
                 (ref.cost, ref.insertions, ref.forks)
             patched += patched_matches(ref)

@@ -40,11 +40,15 @@ def test_pipeline_calls_the_stages_through_module_globals(comfort_samples, monke
     pipeline = pipeline_mod.SamplingPipeline(graph, mapping, SamplingConfig(ratio=0.3))
     pipeline.process(first)
     assert (pipeline.cache.hits, pipeline.cache.misses) == (0, 1)
-    pipeline.process(second)
+    result = pipeline.process(second)
     assert (pipeline.cache.hits, pipeline.cache.misses) == (1, 1)
+    # selection reads the path's slots, so processing names no set
     assert {name: len(args) for name, args in calls.items()} == {
-        "align": 2, "partition": 2, "sample_trace": 2, "trace_signature": 2}
+        "align": 2, "sample_trace": 2, "trace_signature": 2}
     assert all(any(a is pipeline.cache for a in args) for args in calls["align"])
+    # the named sets are built on first read, once
+    assert result.dss_list is result.dss_list
+    assert calls["partition"] == [(result.path, second)]
 
 
 def unused_imports(source: str) -> list[str]:

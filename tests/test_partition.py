@@ -20,6 +20,7 @@ from spanscope.scoring import ScoreBook
 from .conftest import (
     align_trace,
     comfort_economy_system,
+    named_sets,
     make_span,
     make_trace,
     single_function_doc,
@@ -55,7 +56,7 @@ class TestPartition:
         ]
         trace = make_trace(spans)
         path = align_trace(graph, trace, mapping)
-        dss = partition(path, trace)
+        dss = named_sets(path, trace)
         assert len(dss) == 1
         assert dss[0].branch_tag == TRUNK_TAG
         assert set(dss[0].spans) == {"r", "a", "b"}
@@ -64,7 +65,7 @@ class TestPartition:
         graph, mapping, meta, samples = comfort_samples
         comfort = next(s for s in samples if len(s.trace) == 4)
         path = align_trace(graph, comfort.trace, mapping)
-        dss = partition(path, comfort.trace)
+        dss = named_sets(path, comfort.trace)
         assert len(dss) == 2
         assert dss[0].branch_tag == TRUNK_TAG
         assert len(dss[0].spans) == 1  # the entry span alone
@@ -76,7 +77,7 @@ class TestPartition:
         sigs = {}
         for sample in samples:
             path = align_trace(graph, sample.trace, mapping)
-            sig = tuple(d.branch_tag for d in partition(path, sample.trace))
+            sig = tuple(d.branch_tag for d in named_sets(path, sample.trace))
             sigs.setdefault(len(sample.trace), set()).add(sig)
         assert len(sigs[4]) == 1  # all comfort traces agree
         assert len(sigs[3]) == 1  # all economy traces agree
@@ -85,8 +86,8 @@ class TestPartition:
     def test_identical_traces_identical_signatures(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
         trace = samples[0].trace
-        p1 = partition(align_trace(graph, trace, mapping), trace)
-        p2 = partition(align_trace(graph, trace, mapping), trace)
+        p1 = named_sets(align_trace(graph, trace, mapping), trace)
+        p2 = named_sets(align_trace(graph, trace, mapping), trace)
         assert [d.branch_tag for d in p1] == [d.branch_tag for d in p2]
         assert [d.spans for d in p1] == [d.spans for d in p2]
 
@@ -127,16 +128,20 @@ class TestPartition:
         graph, mapping, meta, samples = comfort_samples
         trace = samples[0].trace
         path = align_trace(graph, trace, mapping)
-        # the path loses its last slot, and its last set if that was the only one
+        # the path loses its last slot, and its last set if that was the only one;
+        # or it holds the root's slot twice in place of its last slot
         slots, tag = path.sets[-1]
         lost = path.sets[:-1] + (((slots[:-1], tag),) if len(slots) > 1 else ())
-        sets = partition(dataclasses.replace(path, sets=lost), trace)
+        repeated = path.sets[:-1] + (((*slots[:-1], 0), tag),)
         # partition trusts align to put every span on a step; the sampler
-        # checks the sets it is given
+        # checks the slots it is given
         keys = list(trace.operations)
-        with pytest.raises(PartitionMismatchError, match=trace.trace_id):
-            sample_trace(trace, sets, ScoreBook(), LrsLedger(), SamplingConfig(), keys,
-                         exclusive_durations(trace), None, (), [0] * len(trace))
+        for sets in (lost, repeated):
+            with pytest.raises(PartitionMismatchError,
+                               match=f"partition does not cover trace '{trace.trace_id}'"):
+                sample_trace(trace, dataclasses.replace(path, sets=sets), ScoreBook(),
+                             LrsLedger(), SamplingConfig(), keys, exclusive_durations(trace),
+                             None)
 
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples
@@ -188,7 +193,7 @@ class TestPartition:
         # the skip of X.b by call 0 is an edit, where call 2 would have been
         assert path.forks == (f"{FN}#b", (0, 2), f"{FN}#c")
         ref = reference_align(graph, trace, mapping)
-        assert partition(path, trace) == oracle_partition(ref, graph, trace)
+        assert named_sets(path, trace) == oracle_partition(ref, graph, trace)
 
     def test_loop_iterations_cut_per_occurrence(self):
         # body block loops back on itself: each iteration is separately kept
@@ -197,7 +202,7 @@ class TestPartition:
         trace = self_loop_trace(3)
         path = align_trace(graph, trace, mapping)
         assert path.cost == 0
-        dss = partition(path, trace)
+        dss = named_sets(path, trace)
         # the re-enter decision is taken when leaving w, so the first
         # iteration groups with the trunk and each later one is its own set
         tags = tuple(d.branch_tag for d in dss)
@@ -337,7 +342,7 @@ class TestRecordedForksOracle:
             path = align_trace(graph, trace, mapping, cache)
             ref = reference_align(graph, trace, mapping, oracle_cache)
             assert (path.cost, path.insertions) == (ref.cost, ref.insertions)
-            assert partition(path, trace) == oracle_partition(ref, graph, trace)
+            assert named_sets(path, trace) == oracle_partition(ref, graph, trace)
             assert path.forks == ref.forks
             inserted += path.insertions
             forked += len(path.forks)

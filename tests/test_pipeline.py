@@ -10,6 +10,7 @@ from spanscope.cscfg import Cscfg, FunctionRef, build_cscfg
 from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.mapping import build_map
 from spanscope.model import Span, parse_trace, serialize_trace
+from spanscope.partition import DominantSpanSet
 from spanscope.pipeline import SamplingPipeline
 from spanscope.reconstruct import fidelity_means, structural_fidelity
 from spanscope.sampler import SamplingConfig
@@ -321,12 +322,14 @@ def test_sample_converts_the_fixed_threshold(workload, tmp_path, capsys, value, 
 
 @pytest.mark.parametrize("command", ["sample", "eval"])
 @pytest.mark.parametrize("config", [{"window": True}, {"lrs_horizon": 1.5}, {"min_obs": 8.9},
-                                    {"ratio": True}, {"fixed_threshold": True}],
+                                    {"ratio": True}, {"fixed_threshold": True},
+                                    {"fixed_threshold": float("nan")}],
                          ids=["window-bool", "horizon-fraction", "min-obs-fraction",
-                              "ratio-bool", "threshold-bool"])
+                              "ratio-bool", "threshold-bool", "threshold-nan"])
 def test_mistyped_sampling_keys_are_refused(workload, tmp_path, capsys, command, config):
     """int() and float() would read a JSON boolean as 1 or 0 and drop a
-    fraction, so both are refused, with the key named."""
+    fraction, so both are refused, with the key named. json reads NaN, and
+    no Z-score reaches a NaN threshold, so that is refused too."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     if command == "sample":
@@ -664,6 +667,24 @@ def test_sample_command_builds_no_span(workload, tmp_path, monkeypatch):
     assert built == []
     kept_lines = (out / "kept.ndjson").read_text(encoding="utf-8").splitlines()
     assert len(kept_lines) == 50 and all(json.loads(line)["spans"] for line in kept_lines)
+
+
+def test_sample_command_builds_no_dominant_span_set(workload, tmp_path, monkeypatch):
+    """Selection reads the aligned path's slots, so sample names no set by
+    span id."""
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 50)
+    built = []
+    init = DominantSpanSet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DominantSpanSet, "__init__", counting_init)
+    assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
+                     "--out", str(tmp_path / "out"), "--ratio", "0.3"]) == 0
+    assert built == []
+    assert (tmp_path / "out" / "decisions.ndjson").read_text(encoding="utf-8").count("\n") == 50
 
 
 def test_reconstruct_builds_no_span_per_rebuilt_call(workload, tmp_path, monkeypatch):

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from spanscope.align import TRUNK_TAG, ExecutionPath
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import EmptyPartitionError, PartitionMismatchError
 from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.mapping import build_map
-from spanscope.partition import DominantSpanSet
 from spanscope.pipeline import SamplingPipeline
 from spanscope.sampler import (
     DssReport,
@@ -21,7 +21,7 @@ from spanscope.sampler import (
 )
 from spanscope.scoring import ScoreBook
 
-from .conftest import make_span, make_trace
+from .conftest import make_span, make_trace, named_sets
 from .oracles import (
     OracleScoreBook,
     alg1_budgets,
@@ -31,8 +31,15 @@ from .oracles import (
 )
 
 
-def dss(dss_id, spans, tag="trunk"):
-    return DominantSpanSet(dss_id=dss_id, spans=tuple(spans), branch_tag=tag)
+def path_of(trace, *sets):
+    """The ExecutionPath whose sets hold the given span ids, in order; a set
+    is a list of ids, tagged TRUNK_TAG, or a pair (ids, tag). Each preorder
+    slot is its own call, and the path has no forks."""
+    slot_of = {trace.ids[i]: k for k, i in enumerate(trace.order)}
+    sets = [s if isinstance(s, tuple) else (s, TRUNK_TAG) for s in sets]
+    return ExecutionPath(tuple((tuple(slot_of[sid] for sid in ids), tag) for ids, tag in sets),
+                         cost=0, insertions=0, forks=(), leaves_graph=False,
+                         calls=tuple(range(len(trace))))
 
 
 class TestAllocateBudget:
@@ -98,15 +105,14 @@ def setup_state(theta=0.9, window=64, min_obs=8, ratio=0.5, horizon=1024,
     return cfg, book, ledger
 
 
-def run_sample(trace, dss_list, cfg, book, ledger, exclusive=None):
-    """sample_trace with each span keyed by its operation, exclusive by id
-    (each span's duration when not given), and each span's preorder place
-    as its call; sample_trace reads all three in the trace's input order."""
+def run_sample(trace, path, cfg, book, ledger, exclusive=None):
+    """sample_trace with each span keyed by its operation and exclusive by id
+    (each span's duration when not given); sample_trace reads both in the
+    trace's input order."""
     excl = exclusive or {s.span_id: s.duration for s in trace.spans}
-    return sample_trace(trace, dss_list, book, ledger, cfg,
+    return sample_trace(trace, path, book, ledger, cfg,
                         [f"k:{op}" for op in trace.operations], [excl[i] for i in trace.ids],
-                        entry="svc:C.f0", forks=(),
-                        calls=dict(zip(trace.order, range(len(trace)))))
+                        entry="svc:C.f0")
 
 
 class TestSampleTrace:
@@ -115,10 +121,10 @@ class TestSampleTrace:
         # warm the windows so scores are meaningful
         for i in range(30):
             t = trace_of(3, trace_id=f"w{i}")
-            run_sample(t, [dss("d0", ["s00", "s01", "s02"])], cfg, book, ledger)
+            run_sample(t, path_of(t, ["s00", "s01", "s02"]), cfg, book, ledger)
         t = trace_of(3, trace_id="hot")
         excl = {"s00": 10000, "s01": 50 * 40, "s02": 50}  # s01 blows up
-        decision = run_sample(t, [dss("d0", ["s00", "s01", "s02"])], cfg, book,
+        decision = run_sample(t, path_of(t, ["s00", "s01", "s02"]), cfg, book,
                               ledger, exclusive=excl)
         assert decision.kept == ("s01",)
         assert decision.dss_reports[0].picked_by_z == 1
@@ -126,28 +132,23 @@ class TestSampleTrace:
     def test_low_z_fills_by_least_recently_sampled(self):
         cfg, book, ledger = setup_state(ratio=0.5, fixed_threshold=1e9)
         t = trace_of(4)
-        sets = [dss("d0", ["s00", "s01", "s02", "s03"])]
-        decision = run_sample(t, sets, cfg, book, ledger)
+        decision = run_sample(t, path_of(t, ["s00", "s01", "s02", "s03"]), cfg, book, ledger)
         assert decision.dss_reports[0].picked_by_z == 0
         assert decision.dss_reports[0].picked_by_lrs == 2
 
     def test_full_budget_keeps_everything(self):
         cfg, book, ledger = setup_state(ratio=1.0)
         t = trace_of(4)
-        sets = [dss("d0", ["s00", "s01", "s02", "s03"])]
-        decision = run_sample(t, sets, cfg, book, ledger)
+        decision = run_sample(t, path_of(t, ["s00", "s01", "s02", "s03"]), cfg, book, ledger)
         assert set(decision.kept) == set(t.span_ids())
         assert decision.effective_ratio == 1.0
 
     def test_every_set_contributes_at_least_one(self):
         cfg, book, ledger = setup_state(ratio=0.01)
         t = trace_of(9)
-        sets = [
-            dss("d0", ["s00", "s01", "s02"]),
-            dss("d1", ["s03", "s04", "s05"], tag="b1"),
-            dss("d2", ["s06", "s07", "s08"], tag="b2"),
-        ]
-        decision = run_sample(t, sets, cfg, book, ledger)
+        path = path_of(t, ["s00", "s01", "s02"], (["s03", "s04", "s05"], "b1"),
+                       (["s06", "s07", "s08"], "b2"))
+        decision = run_sample(t, path, cfg, book, ledger)
         for report in decision.dss_reports:
             assert report.picked_by_z + report.picked_by_lrs >= 1
         assert len(decision.kept) == 3
@@ -157,7 +158,7 @@ class TestSampleTrace:
         cfg, book, ledger = setup_state()
         t = trace_of(3)
         with pytest.raises(PartitionMismatchError):
-            run_sample(t, [dss("d0", ["s00", "s01"])], cfg, book, ledger)
+            run_sample(t, path_of(t, ["s00", "s01"]), cfg, book, ledger)
 
     def test_deterministic_for_identical_state(self):
         def go():
@@ -165,9 +166,8 @@ class TestSampleTrace:
             out = []
             for i in range(10):
                 t = trace_of(6, trace_id=f"t{i}")
-                sets = [dss(f"t{i}:d0", ["s00", "s01", "s02"]),
-                        dss(f"t{i}:d1", ["s03", "s04", "s05"], tag="x")]
-                out.append(run_sample(t, sets, cfg, book, ledger))
+                path = path_of(t, ["s00", "s01", "s02"], (["s03", "s04", "s05"], "x"))
+                out.append(run_sample(t, path, cfg, book, ledger))
             return out
 
         assert go() == go()
@@ -175,17 +175,16 @@ class TestSampleTrace:
     def test_signature_preserved_in_kept_sets(self):
         cfg, book, ledger = setup_state(ratio=0.01)
         t = trace_of(6)
-        sets = [dss("d0", ["s00", "s01"]), dss("d1", ["s02", "s03"], tag="b1"),
-                dss("d2", ["s04", "s05"], tag="b2")]
-        decision = run_sample(t, sets, cfg, book, ledger)
+        path = path_of(t, ["s00", "s01"], (["s02", "s03"], "b1"), (["s04", "s05"], "b2"))
+        decision = run_sample(t, path, cfg, book, ledger)
         kept = set(decision.kept)
-        witnessed = [d.branch_tag for d in sets if kept & set(d.spans)]
+        witnessed = [d.branch_tag for d in named_sets(path, t) if kept & set(d.spans)]
         assert witnessed == ["trunk", "b1", "b2"]
 
     def test_decision_serialization_round_trip(self):
         cfg, book, ledger = setup_state(ratio=0.5)
         t = trace_of(4)
-        decision = run_sample(t, [dss("d0", list(t.span_ids()))], cfg, book, ledger)
+        decision = run_sample(t, path_of(t, list(t.span_ids())), cfg, book, ledger)
         record = json.loads(decision.serialize())
         assert list(record) == ["at", "entry", "forks", "kept", "trace_id"]
         back = decision_from_dict(record)
@@ -247,7 +246,7 @@ class TestLedger:
         picks = []
         for i in range(10):
             t = trace_of(2, trace_id=f"t{i}")
-            decision = run_sample(t, [dss(f"d{i}", ["s00", "s01"])], cfg, book, ledger)
+            decision = run_sample(t, path_of(t, ["s00", "s01"]), cfg, book, ledger)
             picks.append(decision.kept[0])
         assert picks == ["s00", "s01"] * 5
 
@@ -281,8 +280,8 @@ def partitioned():
         pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig())
         rows = []
         for t in traces:
-            _path, dss_list, _res, keys, exclusive = pipeline.partition_trace(t)
-            rows.append((t, dss_list, keys, exclusive))
+            path, _res, keys, exclusive = pipeline.partition_trace(t)
+            rows.append((t, path, keys, exclusive))
         out[seed] = rows
     return out
 
@@ -296,14 +295,14 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_thresh
         book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, theta=cfg.theta_quantile)
         ref_book = OracleScoreBook(cfg.window, cfg.min_obs, cfg.theta_quantile)
         ledger, ref_ledger = LrsLedger(cfg.lrs_horizon), LrsLedger(cfg.lrs_horizon)
-        for trace, dss_list, keys, exclusive in rows:
-            calls = list(range(len(trace)))
-            got = sample_trace(trace, dss_list, book, ledger, cfg, keys, exclusive,
-                               entry="e", forks=("f",), calls=calls)
-            # the oracle reads each column by span id
-            by_id = [dict(zip(trace.ids, column)) for column in (keys, exclusive, calls)]
-            want = oracle_sample_trace(trace, dss_list, ref_book, ref_ledger, cfg, by_id[0],
-                                       by_id[1], entry="e", forks=("f",), calls=by_id[2])
+        for trace, path, keys, exclusive in rows:
+            got = sample_trace(trace, path, book, ledger, cfg, keys, exclusive, entry="e")
+            # the oracle reads each column by span id, and the sets named by id
+            by_id = [dict(zip(trace.ids, column)) for column in (keys, exclusive)]
+            calls = {trace.ids[i]: call for i, call in zip(trace.order, path.calls)}
+            want = oracle_sample_trace(trace, named_sets(path, trace), ref_book, ref_ledger, cfg,
+                                       by_id[0], by_id[1], entry="e", forks=path.forks,
+                                       calls=calls)
             assert got == want  # kept, dss_reports, kept_keys and the rest
             for r in got.dss_reports:
                 z_cut += r.picked_by_z == r.budget and r.picked_by_z > 0
