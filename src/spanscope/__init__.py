@@ -16,8 +16,7 @@ from .model import (
     parse_trace,
     serialize_trace,
 )
-from .partition import DominantSpanSet
-from .pipeline import SamplingPipeline
+from .pipeline import DominantSpanSet, SamplingPipeline
 from .reconstruct import ReconstructedTrace, structural_fidelity
 from .sampler import (
     LrsLedger,

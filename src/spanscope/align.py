@@ -18,7 +18,8 @@ moves from the start. Ties are broken deterministically: lower cost, then
 fewer insertions, then a fixed move preference (match, skip, insert, move to
 the smallest successor id), which keeps repeated runs byte-identical.
 
-A path is cached as its dominant span sets, its forks and each slot's call.
+A path is cached as its dominant span sets, its forks, each slot's call and
+its entry function.
 A slot names a span by its place in the trace's preorder (`Trace.order`), so
 a path depends on the trace's shape only. Forks are recorded as alignment
 finds them: a move out of a node with more than one flow successor records
@@ -83,7 +84,8 @@ class ExecutionPath:
     mapped span, that is when its forks hold an edit and its cost exceeds
     its unmapped spans. `calls` holds each slot's call in the replay's
     preorder: a mapped span's index among the mapped spans, an unmapped
-    span its nearest mapped ancestor's (the root is mapped).
+    span its nearest mapped ancestor's (the root is mapped). `entry` is
+    the root's function key, which the graph knows.
     """
 
     sets: tuple[tuple[tuple[int, ...], str], ...]
@@ -92,6 +94,7 @@ class ExecutionPath:
     forks: tuple[str | tuple, ...]
     leaves_graph: bool
     calls: tuple[int, ...]
+    entry: str
 
 
 class _Fragment:
@@ -519,6 +522,6 @@ def align(graph: Cscfg, trace: Trace, cache: PathCache, resolutions: list) -> Ex
     # every unmapped span is inserted at cost 1: any cost beyond them is a
     # skipped call or an inserted mapped span
     path = ExecutionPath(tuple(sets), root_frag.cost, root_frag.insertions, tuple(forks),
-                         root_frag.cost > keys.count(None), tuple(calls))
+                         root_frag.cost > keys.count(None), tuple(calls), r.key)
     cache.store(sig, path)
     return path

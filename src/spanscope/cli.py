@@ -10,7 +10,7 @@ go to a separate timing.txt that is expected to differ between runs.
 what `reconstruct` reads, the trace id, the entry function, the forks of
 the aligned path, the sorted kept span ids and "at", the replay call where
 each kept span goes. kept.ndjson holds the kept spans themselves. The
-per-set DSS reports stay in memory and are not stored. Where the graph
+per-set pick counts stay in memory and are not stored. Where the graph
 lags the code, align inserts a call the graph lacks or skips a call the
 trace does not make; "forks" then also holds each such edit, at its place
 in the path, and `reconstruct` replays it. `sample` prints the stored bytes
@@ -44,20 +44,30 @@ from contextlib import closing, nullcontext
 
 from . import harness
 from .cscfg import Cscfg, build_cscfg
-from .errors import ConfigError, DanglingCalleeError, MalformedDocumentError, SpanscopeError
+from .errors import (
+    ConfigError,
+    DanglingCalleeError,
+    InvalidSpecError,
+    MalformedDocumentError,
+    SpanscopeError,
+)
 from .mapping import build_map, load_shared_dictionary
 from .model import read_records, read_trace_file, serialize_trace
 from .pipeline import SamplingPipeline, write_timing
 from .reconstruct import fidelity_means, reconstruct, structural_fidelity
 from .sampler import SamplingConfig, decision_from_dict
-from .scoring import load_snapshot, save_snapshot
+from .scoring import DEFAULT_THETA, DEFAULT_WINDOW, load_snapshot, save_snapshot
 
 # the config keys of the system that `eval` generates
 _SYSTEM_KEYS = ("seed", "n_services", "n_functions_per_service", "branch_probability",
                 "max_call_depth", "shared_library_fraction", "url_span_probability")
+# each sampling flag or config key: its SamplingConfig field and type
+_SAMPLING_KEYS = {"ratio": ("ratio", float), "theta": ("theta_quantile", float),
+                  "window": ("window", int), "min_obs": ("min_obs", int),
+                  "lrs_horizon": ("lrs_horizon", int),
+                  "fixed_threshold": ("fixed_threshold", float)}
 # every key that `sample` or `eval` reads, so one file serves both
-_CONFIG_KEYS = frozenset(_SYSTEM_KEYS + (
-    "n_traces", "ratio", "theta", "window", "min_obs", "lrs_horizon", "fixed_threshold"))
+_CONFIG_KEYS = frozenset(_SYSTEM_KEYS + ("n_traces",) + tuple(_SAMPLING_KEYS))
 
 
 def _load_config(path: str | None) -> dict:
@@ -76,36 +86,25 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _setting(args, config: dict, name: str, default):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
 def _sampling_config(args, config: dict) -> SamplingConfig:
-    def number(name: str, default, kind=float):
-        value = _setting(args, config, name, default)
-        if value is None and default is None:
-            return None
-        # a JSON boolean is a Python int, and int() drops a fraction
-        if type(value) is bool or kind is int and type(value) is float \
-                and not value.is_integer():
-            raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
-                              f"got {value!r}")
-        return kind(value)
-
+    """The keys that a flag or the config file sets, a flag first and a null
+    as unset; SamplingConfig holds the defaults of the rest."""
+    fields = {}
     try:
-        return SamplingConfig(
-            ratio=number("ratio", 0.15),
-            theta_quantile=number("theta", 0.90),
-            window=number("window", 512, int),
-            min_obs=number("min_obs", 8, int),
-            lrs_horizon=number("lrs_horizon", 1024, int),
-            fixed_threshold=number("fixed_threshold", None),
-        )
+        for name, (field, kind) in _SAMPLING_KEYS.items():
+            value = getattr(args, name, None)
+            if value is None:
+                value = config.get(name)
+            if value is None:
+                continue
+            # a JSON boolean is a Python int, and int() drops a fraction
+            if type(value) is bool or kind is int and type(value) is float \
+                    and not value.is_integer():
+                raise ConfigError(f"{name} must be "
+                                  f"{'an integer' if kind is int else 'a number'}, "
+                                  f"got {value!r}")
+            fields[field] = kind(value)
+        return SamplingConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -166,9 +165,9 @@ def cmd_sample(args) -> int:
     print(f"sampled {timing['traces']} traces, effective ratio {ratio:.4f}")
     print(f"stored bytes ratio {stored / input_bytes if input_bytes else 0.0:.4f} "
           f"(decisions and kept spans over the trace file)")
-    print(f"partition side {timing['partition_side_s']}s, "
-          f"selection side {timing['selection_side_s']}s, "
-          f"{timing['per_trace_ms']} ms/trace")
+    stages = timing["stages_s"]
+    print(f"stage seconds: map {stages['map']}, align {stages['align']}, "
+          f"select {stages['select']}; {timing['per_trace_ms']} ms/trace")
     paths, solves = timing["path_cache"], timing["solve_cache"]
     subtrees = timing["subtree_cache"]
     print(f"align cache: trace hits {paths['hits']}/{paths['hits'] + paths['misses']}, "
@@ -276,7 +275,7 @@ def cmd_eval(args) -> int:
     try:
         spec = harness.SystemSpec(**spec_fields)
         spec.validate()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidSpecError) as exc:
         raise ConfigError(str(exc)) from exc
     n = args.n if args.n is not None else config.get("n_traces", 2000)
     # bool is an int subclass, so compare the type itself
@@ -304,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", required=True, help="artifact output path")
     pb.set_defaults(func=cmd_build_graph)
 
-    ps = sub.add_parser("sample", help="run map/align/partition/select over traces")
+    ps = sub.add_parser("sample", help="run map/align/select over traces")
     ps.add_argument("--graph", required=True, help="graph artifact path")
     ps.add_argument("--traces", required=True, help="trace file (ndjson)")
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--ratio", type=float, help="sampling ratio p in (0,1]")
-    ps.add_argument("--theta", type=float, help="threshold quantile (default 0.90)")
-    ps.add_argument("--window", type=int, help="sliding window size (default 512)")
+    ps.add_argument("--theta", type=float, help=f"threshold quantile (default {DEFAULT_THETA})")
+    ps.add_argument("--window", type=int, help=f"sliding window size (default {DEFAULT_WINDOW})")
     ps.add_argument("--shared-dict", help="shared-library dictionary")
     ps.add_argument("--config", help="JSON config file")
     ps.set_defaults(func=cmd_sample)

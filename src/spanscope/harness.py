@@ -25,6 +25,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
+from .align import PathCache, align
 from .cscfg import SHARED_SERVICE, Cscfg, build_cscfg
 from .errors import InvalidSpecError, UnknownFaultTargetError
 from .mapping import build_map
@@ -74,6 +75,12 @@ class SystemSpec:
             raise InvalidSpecError("max_call_depth must be >= 1")
         if self.n_services < 1 or self.n_functions_per_service < 1:
             raise InvalidSpecError("need at least one service and one function")
+        # the entry places a branch whenever branch_probability > 0, and it
+        # has callees only when a function sits on a level below it
+        if self.branch_probability > 0 and (self.max_call_depth < 2
+                                             or self.n_functions_per_service < 2):
+            raise InvalidSpecError("branch_probability > 0 needs max_call_depth >= 2 "
+                                   "and n_functions_per_service >= 2")
         if self.duration_sigma_range[0] < 0:
             raise InvalidSpecError("sigma must be non-negative")
 
@@ -144,7 +151,6 @@ def generate_system(spec: SystemSpec) -> tuple[dict, SystemMeta]:
 
     error_candidates: dict[str, str] = {}  # fn key -> local block id starting the error arm
     functions_doc = []
-    any_diamond = False
 
     for key in all_fns:
         level = level_of[key]
@@ -188,7 +194,6 @@ def generate_system(spec: SystemSpec) -> tuple[dict, SystemMeta]:
             make_diamond = rng.random() < spec.branch_probability or (want_diamond and seg == 0)
             join = glue()
             if make_diamond:
-                any_diamond = True
                 arm1 = [new_block([pick_callee() for _ in range(rng.randint(1, 2))])
                         for _ in range(rng.randint(1, 2))]
                 edges.append([prev, arm1[0]])
@@ -222,9 +227,6 @@ def generate_system(spec: SystemSpec) -> tuple[dict, SystemMeta]:
 
     for key in shared + sorted(error_fns.values()):
         functions_doc.append({"function": key})
-
-    if spec.branch_probability > 0 and not any_diamond:  # pragma: no cover
-        raise InvalidSpecError("generator failed to place a branch")
 
     doc = {
         "schema_version": 1,
@@ -580,13 +582,13 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
     samples = list(generate_traces(graph, meta, spec, n_traces, faults))
 
     base_cfg = cfg or SamplingConfig(ratio=0.2)
-    probe = SamplingPipeline(graph, mapping, base_cfg)
-    probe_n = min(_LSR_PROBE, len(samples))
+    probe_cache = PathCache()
     dss_total = span_total = 0
-    for sample in samples[:probe_n]:
-        path, _, _, _ = probe.partition_trace(sample.trace)
-        dss_total += len(path.sets)
-        span_total += len(sample.trace)
+    for sample in samples[:_LSR_PROBE]:
+        trace = sample.trace
+        resolutions = list(map(mapping.resolve, trace.services, trace.operations))
+        dss_total += len(align(graph, trace, probe_cache, resolutions).sets)
+        span_total += len(trace)
     lsr = dss_total / span_total if span_total else 0.0
 
     p = ratio if ratio is not None else min(1.0, lsr + 0.05)
@@ -601,7 +603,7 @@ def evaluate(doc_or_graph, meta: SystemMeta, spec: SystemSpec, n_traces: int,
         results.append(res)
         kept_auto[sample.trace.trace_id] = frozenset(res.decision.kept)
         bucket_rows[bucket_of(len(sample.trace))].append(
-            (res.decision.effective_ratio, len(res.path.sets), len(sample.trace))
+            (len(res.decision.kept) / len(sample.trace), len(res.path.sets), len(sample.trace))
         )
 
     reports = []

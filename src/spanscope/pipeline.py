@@ -2,11 +2,10 @@
 
 One pipeline owns the graph, the span-function map, the path cache,
 the scoring windows and the selection ledger. Traces stream through one at a
-time with bounded memory; per-stage wall time is accumulated so the cost
-split between trace partitioning (map and align) and span selection stays
-observable. Alignment cuts the dominant span sets as the path's preorder
-slots, and selection reads them there; `TraceResult.dss_list` names them by
-span id only when read.
+time with bounded memory, and each stage's wall time is accumulated.
+Alignment cuts the dominant span sets as the path's preorder slots, and
+selection reads them there; `TraceResult.dss_list` names them by span id,
+through this module's `partition`, only when read.
 
 The stages read a trace's columns by position (see `spanscope.model`), so
 sampling a parsed trace builds no Span. A pipeline and the graph, map,
@@ -22,10 +21,9 @@ from functools import cached_property
 from operator import itemgetter
 
 from .align import ExecutionPath, PathCache, align
-from .cscfg import Cscfg, FunctionRef
+from .cscfg import Cscfg
 from .mapping import RESOLVE_MEMO_CAPACITY, SpanFunctionMap
 from .model import Trace, exclusive_durations
-from .partition import DominantSpanSet, partition
 from .reconstruct import ReconstructedTrace, reconstruct
 from .sampler import LrsLedger, SamplingConfig, SamplingDecision, sample_trace, span_key
 from .scoring import ScoreBook, StatsSnapshot
@@ -34,9 +32,27 @@ STAGE_MAP = "map"
 STAGE_ALIGN = "align"
 STAGE_SELECT = "select"
 STAGE_RECONSTRUCT = "reconstruct"
-PARTITION_STAGES = (STAGE_MAP, STAGE_ALIGN)
 
 _first, _second = itemgetter(0), itemgetter(1)
+
+
+@dataclass(frozen=True)
+class DominantSpanSet:
+    """The spans of one path segment, in path order; the sampler keeps at
+    least one of them. The segment's tag stays on the path."""
+
+    spans: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+
+def partition(path: ExecutionPath, trace: Trace) -> list[DominantSpanSet]:
+    """The path's sets, in path order, with their slots named by span id;
+    pure function of (path, trace)."""
+    ids, order = trace.ids, trace.order
+    return [DominantSpanSet(tuple([ids[order[slot]] for slot in slots]))
+            for slots, _ in path.sets]
 
 
 @dataclass
@@ -96,19 +112,11 @@ class SamplingPipeline:
             got = [g if g is not None else fresh[p] for g, p in zip(got, pairs)]
         return list(map(_first, got)), list(map(_second, got)), exclusive_durations(trace)
 
-    def partition_trace(self, trace: Trace):
-        """Map and align only, the path holding the trace's sets; no
-        sampling state is touched."""
+    def process(self, trace: Trace) -> TraceResult:
         resolutions, keys, exclusive = self._timed(STAGE_MAP, self._map_stage, trace)
         path = self._timed(STAGE_ALIGN, align, self.graph, trace, self.cache, resolutions)
-        return path, resolutions, keys, exclusive
-
-    def process(self, trace: Trace) -> TraceResult:
-        path, resolutions, keys, exclusive = self.partition_trace(trace)
-        root_res = resolutions[trace.order[0]]
-        entry = root_res.key if isinstance(root_res, FunctionRef) else None
         decision = self._timed(STAGE_SELECT, sample_trace, trace, path, self.scorebook,
-                               self.ledger, self.cfg, keys, exclusive, entry)
+                               self.ledger, self.cfg, keys, exclusive)
         self.traces_seen += 1
         self.decisions_leaving_graph += path.leaves_graph
         return TraceResult(trace, decision, path)
@@ -137,8 +145,6 @@ class SamplingPipeline:
         cache = self.cache
         return {
             "stages_s": {k: round(v, 6) for k, v in sorted(self.timings.items())},
-            "partition_side_s": round(sum(self.timings[s] for s in PARTITION_STAGES), 6),
-            "selection_side_s": round(self.timings[STAGE_SELECT], 6),
             "traces": self.traces_seen,
             "per_trace_ms": round(per_trace * 1000, 3),
             "path_cache": {"hits": cache.hits, "misses": cache.misses},
@@ -153,7 +159,5 @@ def write_timing(timing: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"traces {timing['traces']}\n")
         fh.write(f"per_trace_ms {timing['per_trace_ms']}\n")
-        fh.write(f"partition_side_s {timing['partition_side_s']}\n")
-        fh.write(f"selection_side_s {timing['selection_side_s']}\n")
         for stage, secs in timing["stages_s"].items():
             fh.write(f"stage {stage} {secs}\n")

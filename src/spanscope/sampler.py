@@ -22,9 +22,11 @@ preorder of the replay's calls: a mapped span's own call, an unmapped
 span's nearest mapped ancestor's. The forks are fork targets (strings) and,
 where the path leaves the graph, align's edits (arrays): [parent call, call
 index, function key] for a call the graph lacks, [parent call, call index]
-for a call the trace skips. The per-set DSS reports and the
-effective ratio stay on the in-memory SamplingDecision; a record that
-carries them ("dss", "effective_ratio") reads the same, those two ignored.
+for a call the trace skips. The in-memory SamplingDecision also carries
+one DssReport per set, the set's spans picked by Z and by LRS; a set's tag
+and size stay on the path, and its budget is `allocate_budget`'s. A record
+read back has no reports, and a record that carries older fields ("dss",
+"effective_ratio") reads the same, those ignored.
 """
 
 from __future__ import annotations
@@ -71,10 +73,8 @@ class SamplingConfig:
 
 
 class DssReport(NamedTuple):
-    dss_id: str
-    branch_tag: str
-    size: int
-    budget: int
+    """How one set's budget was filled: the spans picked by Z, then by LRS."""
+
     picked_by_z: int
     picked_by_lrs: int
 
@@ -84,15 +84,13 @@ class SamplingDecision:
     trace_id: str
     kept: tuple[str, ...]  # span ids, sorted
     entry: str | None  # function key of the root invocation
-    dss_reports: tuple[DssReport, ...]
-    effective_ratio: float
     forks: tuple[str | tuple, ...]  # fork targets and edits of the aligned path, in order
     at: tuple[int, ...]  # replay call of each kept span, parallel to kept
-    kept_keys: tuple[str, ...] = ()  # span-type keys of kept spans, for the ledger
+    dss_reports: tuple[DssReport, ...] = ()  # one per set of the path; not stored
 
     def serialize(self) -> str:
         """The stored record: what rebuild reads, keys sorted. The DSS reports
-        and the effective ratio stay in memory only."""
+        stay in memory only."""
         return _ENCODER.encode({"at": list(self.at), "entry": self.entry,
                                 "forks": list(self.forks), "kept": list(self.kept),
                                 "trace_id": self.trace_id})
@@ -115,8 +113,7 @@ def decision_from_dict(obj: dict) -> SamplingDecision:
         raise TypeError("forks and kept must be lists of strings")
     if not _indexes(at) or len(at) != len(kept):
         raise TypeError('"at" must be a list of one call index (an int >= 0) per kept id')
-    # a record holds no DSS reports and no ratio
-    return SamplingDecision(trace_id, tuple(kept), entry, (), 0.0,
+    return SamplingDecision(trace_id, tuple(kept), entry,
                             tuple(f if type(f) is str else _edit(f) for f in forks), tuple(at))
 
 
@@ -194,16 +191,15 @@ def allocate_budget(sizes: list[int], p: float) -> list[int]:
 
 def sample_trace(trace: Trace, path: ExecutionPath, scorebook: ScoreBook,
                  ledger: LrsLedger, cfg: SamplingConfig,
-                 span_keys: list[str], exclusive: list[int],
-                 entry: str | None) -> SamplingDecision:
+                 span_keys: list[str], exclusive: list[int]) -> SamplingDecision:
     """Apply the budgeted selection to one trace and update shared state.
 
     The sets are the path's, read as preorder slots: slot k is the span at
     `trace.order[k]`, and `path.calls[k]` is its call. span_keys and
     exclusive are columns of the trace, in its input order: each span's
-    scoring key and its exclusive duration. entry is the aligned path's
-    entry function; it, the path's forks and the kept spans' calls are
-    stored for rebuild. The ledger is advanced with the kept spans.
+    scoring key and its exclusive duration. The path's entry and forks and
+    the kept spans' calls are stored for rebuild. The ledger is advanced
+    with the kept spans.
     """
     sets, order, n = path.sets, trace.order, len(trace)
     # every slot once, n in all
@@ -224,11 +220,10 @@ def sample_trace(trace: Trace, path: ExecutionPath, scorebook: ScoreBook,
     z_of = list(map(z_at.__getitem__, order))  # by slot
 
     budgets = allocate_budget([len(slots) for slots, _ in sets], cfg.ratio)
-    tid = trace.trace_id
     kept: list[int] = []  # slots
     reports: list[DssReport] = []
     key_stats: dict[str, tuple[int, int]] = {}
-    for k, ((slots, tag), budget) in enumerate(zip(sets, budgets)):
+    for (slots, _), budget in zip(sets, budgets):
         picked = [s for s in slots if z_of[s] is not None]
         if len(picked) > budget:
             picked.sort(key=lambda s: (-z_of[s], ids[order[s]]))
@@ -247,24 +242,20 @@ def sample_trace(trace: Trace, path: ExecutionPath, scorebook: ScoreBook,
                 del rest[need:]
             picked += rest
         kept += picked
-        reports.append(DssReport(f"{tid}:d{k}", tag, len(slots), budget, by_z,
-                                 len(picked) - by_z))
+        reports.append(DssReport(by_z, len(picked) - by_z))
 
     kept.sort(key=lambda s: ids[order[s]])
     positions = [order[s] for s in kept]
+    ledger.note({span_keys[i] for i in positions})
     calls = path.calls
-    decision = SamplingDecision(
-        trace_id=tid,
+    return SamplingDecision(
+        trace_id=trace.trace_id,
         kept=tuple([ids[i] for i in positions]),
-        entry=entry,
-        dss_reports=tuple(reports),
-        effective_ratio=len(kept) / n,
-        kept_keys=tuple(sorted({span_keys[i] for i in positions})),
+        entry=path.entry,
         forks=path.forks,
         at=tuple([calls[s] for s in kept]),
+        dss_reports=tuple(reports),
     )
-    ledger.note(decision.kept_keys)
-    return decision
 
 
 def span_key(resolution, operation: str) -> str:

@@ -7,7 +7,7 @@ from spanscope.cscfg import build_cscfg, entry_node
 from spanscope.harness import SystemMeta, SystemSpec, generate_traces
 from spanscope.mapping import build_map
 from spanscope.model import Span, Trace
-from spanscope.partition import partition
+from spanscope.pipeline import partition
 
 from .oracles import OracleSet
 

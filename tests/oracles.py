@@ -498,8 +498,9 @@ def oracle_structural_fidelity(original, rebuilt, mapping):
 # search is a scan with a `while` loop, every window observation builds an
 # OracleZ and reads its threshold through z_threshold(), and the select loop
 # keeps a flag for every span and sorts every set. The fused versions must
-# give the same bits. These copies reuse the package's RunningMedian, Welford
-# and allocate_budget, which tests check on their own.
+# give the same bits. These copies reuse the package's RunningMedian and
+# Welford, which tests check on their own; the select loop takes its budgets
+# from alg1_budgets and returns plain tuples, so it imports no sampler code.
 
 
 class OracleP2Quantile:
@@ -672,28 +673,20 @@ def oracle_stored_decision(decision) -> str:
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 
 
-def oracle_decision_serialize(decision) -> str:
-    """One sampling decision as the older, longer record that also carries
-    the DSS reports and the effective ratio, keys sorted by the encoder; the
-    read path still accepts it and ignores those two."""
+def oracle_decision_serialize(decision, n_spans: int) -> str:
+    """One sampling decision of a trace of n_spans spans as the older, longer
+    record that also carries a report per set and the effective ratio, keys
+    sorted by the encoder; the read path still accepts it and ignores those
+    two."""
     import json
 
     out = {
         "trace_id": decision.trace_id,
         "kept": list(decision.kept),
         "entry": decision.entry,
-        "dss": [
-            {
-                "dss_id": r.dss_id,
-                "branch_tag": r.branch_tag,
-                "size": r.size,
-                "budget": r.budget,
-                "picked_by_z": r.picked_by_z,
-                "picked_by_lrs": r.picked_by_lrs,
-            }
-            for r in decision.dss_reports
-        ],
-        "effective_ratio": round(decision.effective_ratio, 6),
+        "dss": [{"picked_by_z": by_z, "picked_by_lrs": by_lrs}
+                for by_z, by_lrs in decision.dss_reports],
+        "effective_ratio": round(len(decision.kept) / n_spans, 6),
         "forks": list(decision.forks),
         "at": list(decision.at),
     }
@@ -701,10 +694,12 @@ def oracle_decision_serialize(decision) -> str:
 
 
 def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, exclusive,
-                        entry, forks, calls):
-    """Budgeted selection with a flag per span and a sort per set."""
+                        entry, forks, calls) -> tuple:
+    """Budgeted selection with a flag per span and a sort per set, budgets
+    from the literal allocation. Returns the decision's fields in order,
+    (trace_id, kept, entry, forks, at, reports), each report a pair (picked
+    by Z, picked by LRS)."""
     from spanscope.errors import PartitionMismatchError
-    from spanscope.sampler import DssReport, SamplingDecision, allocate_budget
 
     covered = [s for d in dss_list for s in d.spans]
     if len(covered) != len(trace) or set(covered) != set(trace.span_ids()):
@@ -724,7 +719,7 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
         z_of[sid] = z
         flagged[sid] = z >= threshold
 
-    budgets = allocate_budget([len(d) for d in dss_list], cfg.ratio)
+    budgets = alg1_budgets([len(d) for d in dss_list], cfg.ratio)
     kept: list[str] = []
     reports: list = []
     key_stats: dict[str, tuple[int, int]] = {}
@@ -747,28 +742,12 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
             )
             picked = picked + remainder[: budget - len(picked)]
         kept.extend(picked)
-        reports.append(DssReport(
-            dss_id=dss.dss_id,
-            branch_tag=dss.branch_tag,
-            size=len(dss),
-            budget=budget,
-            picked_by_z=by_z,
-            picked_by_lrs=len(picked) - by_z,
-        ))
+        reports.append((by_z, len(picked) - by_z))
 
     kept_sorted = tuple(sorted(kept))
-    decision = SamplingDecision(
-        trace_id=trace.trace_id,
-        kept=kept_sorted,
-        entry=entry,
-        dss_reports=tuple(reports),
-        effective_ratio=len(kept_sorted) / len(trace),
-        kept_keys=tuple(sorted({span_keys[s] for s in kept_sorted})),
-        forks=forks,
-        at=tuple(calls[s] for s in kept_sorted),
-    )
-    ledger.note(decision.kept_keys)
-    return decision
+    ledger.note(sorted({span_keys[s] for s in kept_sorted}))
+    return (trace.trace_id, kept_sorted, entry, forks,
+            tuple(calls[s] for s in kept_sorted), tuple(reports))
 
 
 # The rebuild as it stood before the replay walk wrote flat preorder lists:
@@ -1531,7 +1510,7 @@ def oracle_partition(path, graph, trace) -> list:
     """Cut a reference path after every step whose moves the rescan finds a
     fork in; the new set's tag is the first fork's target."""
     from spanscope.errors import PartitionMismatchError
-    from spanscope.partition import TRUNK_TAG
+    from spanscope.align import TRUNK_TAG
 
     order = trace.preorder
     sets: list = []

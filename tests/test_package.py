@@ -7,10 +7,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_submodule_imports_bind_modules():
     import spanscope.align as align_mod
-    import spanscope.partition as partition_mod
+    import spanscope.pipeline as pipeline_mod
     import spanscope.reconstruct as reconstruct_mod
 
-    for mod in (align_mod, partition_mod, reconstruct_mod):
+    for mod in (align_mod, pipeline_mod, reconstruct_mod):
         assert isinstance(mod, types.ModuleType), mod
 
 

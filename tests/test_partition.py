@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from spanscope.align import PathCache
+from spanscope.align import TRUNK_TAG, PathCache
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import PartitionMismatchError
 from spanscope.harness import (
@@ -13,7 +13,7 @@ from spanscope.harness import (
 )
 from spanscope.mapping import build_map
 from spanscope.model import exclusive_durations
-from spanscope.partition import TRUNK_TAG, partition
+from spanscope.pipeline import partition
 from spanscope.sampler import LrsLedger, SamplingConfig, sample_trace
 from spanscope.scoring import ScoreBook
 
@@ -140,8 +140,7 @@ class TestPartition:
             with pytest.raises(PartitionMismatchError,
                                match=f"partition does not cover trace '{trace.trace_id}'"):
                 sample_trace(trace, dataclasses.replace(path, sets=sets), ScoreBook(),
-                             LrsLedger(), SamplingConfig(), keys, exclusive_durations(trace),
-                             None)
+                             LrsLedger(), SamplingConfig(), keys, exclusive_durations(trace))
 
     def test_dss_count_is_one_plus_fork_gaps(self, comfort_samples):
         graph, mapping, meta, samples = comfort_samples

@@ -7,11 +7,11 @@ import pytest
 from spanscope import cli
 from spanscope.align import PathCache
 from spanscope.cscfg import Cscfg, FunctionRef, build_cscfg
+from spanscope.errors import InvalidSpecError
 from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
 from spanscope.mapping import build_map
 from spanscope.model import Span, parse_trace, serialize_trace
-from spanscope.partition import DominantSpanSet
-from spanscope.pipeline import SamplingPipeline
+from spanscope.pipeline import DominantSpanSet, SamplingPipeline
 from spanscope.reconstruct import fidelity_means, structural_fidelity
 from spanscope.sampler import SamplingConfig
 
@@ -174,9 +174,8 @@ def test_sample_then_reconstruct_weights_duration_error_by_inferred_spans(
     assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
                      "--out", str(out), "--ratio", "0.3"]) == 0
     timing_keys = [line.split()[0] for line in (out / "timing.txt").read_text().splitlines()]
-    assert timing_keys[:4] == ["traces", "per_trace_ms", "partition_side_s",
-                               "selection_side_s"]
-    assert set(timing_keys[4:]) == {"stage"}
+    assert timing_keys[:2] == ["traces", "per_trace_ms"]
+    assert set(timing_keys[2:]) == {"stage"}
     assert cli.main(["reconstruct", "--graph", graph_path,
                      "--decisions", str(out / "decisions.ndjson"),
                      "--kept", str(out / "kept.ndjson"), "--stats", str(out / "stats.json"),
@@ -726,6 +725,31 @@ def test_eval_rejects_mistyped_config_values(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert next(iter(config)) in err
+
+
+@pytest.mark.parametrize("fields", [{"max_call_depth": 1}, {"n_functions_per_service": 1},
+                                    {"n_services": 1, "n_functions_per_service": 1}])
+def test_eval_refuses_a_spec_that_cannot_place_a_branch(tmp_path, capsys, fields):
+    # the entry places the first branch, and here it has no function to call
+    with pytest.raises(InvalidSpecError, match="branch_probability"):
+        SystemSpec(**fields).validate()
+    assert generate_system(SystemSpec(**fields, branch_probability=0.0))[1].fork_probs == {}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--out", str(out), "--config", str(path), "--n", "5"]) == 2
+    assert capsys.readouterr().err.startswith("config error: branch_probability ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_spec_that_validates_with_branches_gets_one(seed):
+    rng = random.Random(seed)
+    spec = SystemSpec(seed=seed, n_services=rng.randint(1, 3),
+                      n_functions_per_service=rng.randint(2, 4),
+                      max_call_depth=rng.randint(2, 4), branch_probability=0.001)
+    spec.validate()
+    assert generate_system(spec)[1].fork_probs
 
 
 def test_eval_repeats_byte_identical_apart_from_timing(tmp_path):

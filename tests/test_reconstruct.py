@@ -119,7 +119,8 @@ def test_rebuilt_bytes_match_the_two_pass_reference(seed, n, ratio):
         assert line == oracle_serialize(expected), decision.trace_id
         # an older decision record, with the DSS reports, reads as the stored
         # record does and rebuilds the same bytes
-        old = decision_from_dict(json.loads(oracle_decision_serialize(result.decision)))
+        old_line = oracle_decision_serialize(result.decision, len(result.trace))
+        old = decision_from_dict(json.loads(old_line))
         assert old == decision
         assert reconstruct(old, kept, pipeline.graph, stats, mapping).serialize() == line
         with_orphans += any(r.function is None for r in rebuilt.spans)
@@ -615,7 +616,7 @@ def recorded_calls(trace, mapping, kept_ids):
 def decision_for(entry, trace, mapping, kept, forks):
     """A decision of trace that keeps the spans kept, each at its call."""
     ids = tuple(sorted(s.span_id for s in kept))
-    return SamplingDecision(trace.trace_id, ids, entry, (), 0.0, forks=forks,
+    return SamplingDecision(trace.trace_id, ids, entry, forks=forks,
                             at=recorded_calls(trace, mapping, ids))
 
 

@@ -4,11 +4,18 @@ import random
 
 import pytest
 
-from spanscope.align import TRUNK_TAG, ExecutionPath
+from spanscope.align import TRUNK_TAG, ExecutionPath, PathCache, align
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import EmptyPartitionError, PartitionMismatchError
-from spanscope.harness import SystemSpec, generate_system, generate_traces, make_default_faults
+from spanscope.harness import (
+    SystemSpec,
+    generate_system,
+    generate_traces,
+    make_default_faults,
+    variable_depth_system,
+)
 from spanscope.mapping import build_map
+from spanscope.model import exclusive_durations
 from spanscope.pipeline import SamplingPipeline
 from spanscope.sampler import (
     DssReport,
@@ -18,6 +25,7 @@ from spanscope.sampler import (
     allocate_budget,
     decision_from_dict,
     sample_trace,
+    span_key,
 )
 from spanscope.scoring import ScoreBook
 
@@ -34,12 +42,13 @@ from .oracles import (
 def path_of(trace, *sets):
     """The ExecutionPath whose sets hold the given span ids, in order; a set
     is a list of ids, tagged TRUNK_TAG, or a pair (ids, tag). Each preorder
-    slot is its own call, and the path has no forks."""
+    slot is its own call, the path has no forks, and its entry is
+    svc:C.f0."""
     slot_of = {trace.ids[i]: k for k, i in enumerate(trace.order)}
     sets = [s if isinstance(s, tuple) else (s, TRUNK_TAG) for s in sets]
     return ExecutionPath(tuple((tuple(slot_of[sid] for sid in ids), tag) for ids, tag in sets),
                          cost=0, insertions=0, forks=(), leaves_graph=False,
-                         calls=tuple(range(len(trace))))
+                         calls=tuple(range(len(trace))), entry="svc:C.f0")
 
 
 class TestAllocateBudget:
@@ -111,8 +120,7 @@ def run_sample(trace, path, cfg, book, ledger, exclusive=None):
     trace's input order."""
     excl = exclusive or {s.span_id: s.duration for s in trace.spans}
     return sample_trace(trace, path, book, ledger, cfg,
-                        [f"k:{op}" for op in trace.operations], [excl[i] for i in trace.ids],
-                        entry="svc:C.f0")
+                        [f"k:{op}" for op in trace.operations], [excl[i] for i in trace.ids])
 
 
 class TestSampleTrace:
@@ -141,7 +149,7 @@ class TestSampleTrace:
         t = trace_of(4)
         decision = run_sample(t, path_of(t, ["s00", "s01", "s02", "s03"]), cfg, book, ledger)
         assert set(decision.kept) == set(t.span_ids())
-        assert decision.effective_ratio == 1.0
+        assert decision.entry == "svc:C.f0"
 
     def test_every_set_contributes_at_least_one(self):
         cfg, book, ledger = setup_state(ratio=0.01)
@@ -152,7 +160,6 @@ class TestSampleTrace:
         for report in decision.dss_reports:
             assert report.picked_by_z + report.picked_by_lrs >= 1
         assert len(decision.kept) == 3
-        assert decision.effective_ratio == pytest.approx(3 / 9)
 
     def test_partition_mismatch_rejected(self):
         cfg, book, ledger = setup_state()
@@ -193,9 +200,8 @@ class TestSampleTrace:
         assert back.entry == decision.entry
         assert back.forks == decision.forks
         assert back.at == decision.at == tuple(int(sid[1:]) for sid in decision.kept)
-        # the DSS reports and the ratio are not stored
+        # the DSS reports are not stored
         assert decision.dss_reports and back.dss_reports == ()
-        assert back.effective_ratio == 0.0
 
     def test_a_record_without_forks_is_refused(self):
         # rebuild replays the recorded forks and has no other way to the path
@@ -207,19 +213,17 @@ class TestSampleTrace:
         assert decision_from_dict({**record, "forks": []}).forks == ()
 
     def test_dss_report_fields_and_decision_bytes(self):
-        assert DssReport._fields == ("dss_id", "branch_tag", "size", "budget",
-                                     "picked_by_z", "picked_by_lrs")
-        report = DssReport(dss_id="d0", branch_tag="svc:A.f#b1", size=4, budget=2,
-                           picked_by_z=1, picked_by_lrs=1)
-        assert report == DssReport("d0", "svc:A.f#b1", 4, 2, 1, 1)
-        decision = SamplingDecision("t", ("s1", "s2"), "svc:A.f", (report,), 0.5,
-                                    forks=("svc:A.f#b1",), at=(0, 2))
+        assert DssReport._fields == ("picked_by_z", "picked_by_lrs")
+        assert DssReport(picked_by_z=1, picked_by_lrs=1) == DssReport(1, 1)
+        assert [f.name for f in dataclasses.fields(SamplingDecision)] == [
+            "trace_id", "kept", "entry", "forks", "at", "dss_reports"]
+        decision = SamplingDecision("t", ("s1", "s2"), "svc:A.f", ("svc:A.f#b1",), (0, 2),
+                                    (DssReport(1, 1),))
         line = decision.serialize()
         assert line == ('{"at":[0,2],"entry":"svc:A.f","forks":["svc:A.f#b1"],'
                         '"kept":["s1","s2"],"trace_id":"t"}')
         back = decision_from_dict(json.loads(line))
-        assert back == SamplingDecision("t", ("s1", "s2"), "svc:A.f", (), 0.0,
-                                        forks=("svc:A.f#b1",), at=(0, 2))
+        assert back == SamplingDecision("t", ("s1", "s2"), "svc:A.f", ("svc:A.f#b1",), (0, 2))
         assert back.serialize() == line
         # an older record that carries the reports and the ratio still reads;
         # those two fields are ignored
@@ -236,8 +240,7 @@ class TestSampleTrace:
 class TestLedger:
     def test_first_decision_counts_once(self):
         ledger = LrsLedger(100)
-        decision = SamplingDecision("t", ("s1",), "e", (), 1.0, (), (0,), kept_keys=("k1",))
-        ledger.note(decision.kept_keys)
+        ledger.note(("k1",))
         assert ledger.stats("k1") == (1, 1)
         assert ledger.stats("other") == (-1, 0)
 
@@ -252,37 +255,41 @@ class TestLedger:
 
     def test_horizon_decay(self):
         ledger = LrsLedger(2)
-        for i in range(3):
-            ledger.note(SamplingDecision(
-                f"t{i}", ("s",), "e", (), 1.0, (), (0,), kept_keys=("k",)).kept_keys)
+        for _ in range(3):
+            ledger.note(("k",))
         assert ledger.stats("k") == (3, 2)  # the first decision decayed out
 
     def test_stats_give_last_and_count(self):
         ledger = LrsLedger(50)
-        for i in range(5):
-            ledger.note(SamplingDecision(
-                f"t{i}", ("s",), "e", (), 1.0, (), (0,), kept_keys=("k",)).kept_keys)
+        for _ in range(5):
+            ledger.note(("k",))
         assert ledger.stats("k") == (5, 5)
         assert ledger.stats("none") == (-1, 0)
 
 
+def aligned_rows(graph, traces):
+    """(trace, path, span keys, exclusive durations) of each trace, aligned
+    through one PathCache."""
+    mapping, cache = build_map(graph), PathCache()
+    rows = []
+    for t in traces:
+        resolutions = list(map(mapping.resolve, t.services, t.operations))
+        rows.append((t, align(graph, t, cache, resolutions),
+                     list(map(span_key, resolutions, t.operations)), exclusive_durations(t)))
+    return rows
+
+
 @pytest.fixture(scope="module")
 def partitioned():
-    """Partitioned traces of three generated 6x8 systems, by seed."""
+    """Aligned traces of three generated 6x8 systems, by seed."""
     out = {}
     for seed in (7, 11, 23):
         spec = SystemSpec(seed=seed, n_services=6, n_functions_per_service=8,
                           branch_probability=0.3, url_span_probability=0.1)
         doc, meta = generate_system(spec)
         graph = build_cscfg(doc)
-        traces = [s.trace for s in
-                  generate_traces(graph, meta, spec, 300, make_default_faults(meta, 300))]
-        pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig())
-        rows = []
-        for t in traces:
-            path, _res, keys, exclusive = pipeline.partition_trace(t)
-            rows.append((t, path, keys, exclusive))
-        out[seed] = rows
+        out[seed] = aligned_rows(graph, [s.trace for s in generate_traces(
+            graph, meta, spec, 300, make_default_faults(meta, 300))])
     return out
 
 
@@ -296,19 +303,20 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_thresh
         ref_book = OracleScoreBook(cfg.window, cfg.min_obs, cfg.theta_quantile)
         ledger, ref_ledger = LrsLedger(cfg.lrs_horizon), LrsLedger(cfg.lrs_horizon)
         for trace, path, keys, exclusive in rows:
-            got = sample_trace(trace, path, book, ledger, cfg, keys, exclusive, entry="e")
+            got = sample_trace(trace, path, book, ledger, cfg, keys, exclusive)
             # the oracle reads each column by span id, and the sets named by id
             by_id = [dict(zip(trace.ids, column)) for column in (keys, exclusive)]
             calls = {trace.ids[i]: call for i, call in zip(trace.order, path.calls)}
             want = oracle_sample_trace(trace, named_sets(path, trace), ref_book, ref_ledger, cfg,
-                                       by_id[0], by_id[1], entry="e", forks=path.forks,
+                                       by_id[0], by_id[1], entry=path.entry, forks=path.forks,
                                        calls=calls)
-            assert got == want  # kept, dss_reports, kept_keys and the rest
-            for r in got.dss_reports:
-                z_cut += r.picked_by_z == r.budget and r.picked_by_z > 0
-                rest = r.size - r.picked_by_z
-                lrs_cut += 0 < r.picked_by_lrs < rest
-                lrs_all += 0 < r.picked_by_lrs == rest
+            assert dataclasses.astuple(got) == want  # kept, dss_reports and the rest
+            sizes = [len(slots) for slots, _ in path.sets]
+            for size, budget, (by_z, by_lrs) in zip(
+                    sizes, allocate_budget(sizes, cfg.ratio), got.dss_reports):
+                z_cut += by_z == budget and by_z > 0
+                lrs_cut += 0 < by_lrs < size - by_z
+                lrs_all += 0 < by_lrs == size - by_z
         # the ledger may prune lazily: compare what it answers for every key
         every_key = set(ref_ledger._picks) | set(ledger._picks)
         assert ledger.seq == ref_ledger.seq
@@ -319,17 +327,49 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_thresh
     assert min(z_cut, lrs_cut, lrs_all) > 0, (z_cut, lrs_cut, lrs_all)
 
 
-def assert_encodes_like_the_sort_keys_reference(decision):
+# the bench's systems: SystemSpec() defaults, a 40x40 system with many trace
+# shapes, and the deep chains of variable_depth_system
+GENERATED_SYSTEMS = {
+    "default": SystemSpec(),
+    "shape-churn": SystemSpec(n_services=40, n_functions_per_service=40,
+                              branch_probability=0.3, url_span_probability=0.1),
+    "deep-chains": SystemSpec(url_span_probability=0.0),
+}
+
+
+@pytest.mark.parametrize("ratio", [0.05, 0.3])
+@pytest.mark.parametrize("system", sorted(GENERATED_SYSTEMS))
+def test_each_set_fills_its_budget_and_its_report_counts_the_kept(system, ratio):
+    spec = GENERATED_SYSTEMS[system]
+    doc, meta = variable_depth_system() if system == "deep-chains" else generate_system(spec)
+    graph = build_cscfg(doc)
+    cfg = SamplingConfig(ratio=ratio)
+    pipeline = SamplingPipeline(graph, build_map(graph), cfg)
+    by_z_total = by_lrs_total = 0
+    for sample in generate_traces(graph, meta, spec, 200, make_default_faults(meta, 200)):
+        result = pipeline.process(sample.trace)
+        kept, reports = set(result.decision.kept), result.decision.dss_reports
+        sizes = [len(d) for d in result.dss_list]
+        assert len(reports) == len(sizes)
+        for d, size, budget, (by_z, by_lrs) in zip(
+                result.dss_list, sizes, allocate_budget(sizes, ratio), reports):
+            assert by_z + by_lrs == min(budget, size) == len(kept.intersection(d.spans))
+            by_z_total += by_z
+            by_lrs_total += by_lrs
+    # both ways of picking ran
+    assert by_z_total > 0 and by_lrs_total > 0
+
+
+def assert_encodes_like_the_sort_keys_reference(decision, n_spans):
     line = decision.serialize()
     assert line == oracle_stored_decision(decision), decision.trace_id
     back = decision_from_dict(json.loads(line))
     # only what rebuild reads is stored
-    assert back == dataclasses.replace(decision, kept_keys=(), dss_reports=(),
-                                       effective_ratio=0.0)
+    assert back == dataclasses.replace(decision, dss_reports=())
     assert back.serialize() == line
     # the older record with the DSS reports and the rounded ratio reads back
     # to the same decision and the same stored line
-    old = decision_from_dict(json.loads(oracle_decision_serialize(decision)))
+    old = decision_from_dict(json.loads(oracle_decision_serialize(decision, n_spans)))
     assert old == back
     assert old.serialize() == line
 
@@ -347,7 +387,7 @@ class TestDecisionEncoder:
         forked = 0
         for sample in generate_traces(graph, meta, spec, 200, make_default_faults(meta, 200)):
             decision = pipeline.process(sample.trace).decision
-            assert_encodes_like_the_sort_keys_reference(decision)
+            assert_encodes_like_the_sort_keys_reference(decision, len(sample.trace))
             forked += bool(decision.forks)
         assert forked > 0
 
@@ -355,10 +395,9 @@ class TestDecisionEncoder:
                              ids=["empty-forks", "forks"])
     @pytest.mark.parametrize("entry", [None, "svc:A.f", "sv\u00e7:\u540d.f"])
     def test_hand_built_decisions_match_the_reference(self, forks, entry):
-        reports = (DssReport("t\u00e9:0", "trunk", 3, 2, 1, 1),
-                   DssReport("t\u00e9:1", "svc:A.f#\U0001f600", 1, 1, 0, 1))
-        decision = SamplingDecision("t\u00e9", ("s\u00fc1", "s2", "\u540d"), entry, reports,
-                                    0.1234567, kept_keys=("k",), forks=forks, at=(0, 12, 3))
-        assert_encodes_like_the_sort_keys_reference(decision)
-        empty = SamplingDecision("t", (), entry, (), 0.0, forks=forks, at=())
-        assert_encodes_like_the_sort_keys_reference(empty)
+        decision = SamplingDecision("t\u00e9", ("s\u00fc1", "s2", "\u540d"), entry,
+                                    forks=forks, at=(0, 12, 3),
+                                    dss_reports=(DssReport(1, 1), DssReport(0, 1)))
+        assert_encodes_like_the_sort_keys_reference(decision, 7)
+        empty = SamplingDecision("t", (), entry, forks=forks, at=())
+        assert_encodes_like_the_sort_keys_reference(empty, 1)
