@@ -35,27 +35,26 @@ and each skipped call a step without a span: a set ends at the first fork
 after a step, that fork's target tags the next set (the first is tagged
 TRUNK_TAG), and a set with no span is dropped; an edit cuts nothing.
 
-A PathCache memoises alignment at three levels, each an LRU map of at most
-PATH_CACHE_CAPACITY entries. The trace level is keyed by the trace's shape
-signature (each span's function key and child count, in preorder)
-and stores the path itself, so a hit returns the very path a fresh
-alignment of that shape gives. On a trace-level miss each span gets a hash-consed shape id,
-keyed by its function key (None when unmapped) and its children's ids; the
-subtree level stores, per shape, that id and the fragment of path a mapped
-span's subtree emits after the span itself, with slots relative to the
-span's slot and child fragments held by reference. A new trace shape is so
-composed from the subtrees already aligned, and only subtrees never seen
-before are aligned. The invocation level is keyed by a function and the
-callee key of each symbol aligned against it (None for an inserted unmapped
-span), which is everything the solver reads besides the graph; it stores the
-solver's action sequence, forks included. No key names the graph, so a
-cache serves one graph, which cannot change once built.
+A PathCache memoises alignment at three levels, each a map of at most
+PATH_CACHE_CAPACITY entries that is emptied when full. The trace level is
+keyed by the trace's shape signature (each span's function key and child
+count, in preorder) and stores the path itself, so a hit returns the very
+path a fresh alignment of that shape gives. On a trace-level miss each span
+gets a hash-consed shape id, keyed by its function key (None when unmapped)
+and its children's ids; the subtree level stores, per shape, that id and the
+fragment of path a mapped span's subtree emits after the span itself, with
+slots relative to the span's slot and child fragments held by reference. A
+new trace shape is so composed from the subtrees already aligned, and only
+subtrees never seen before are aligned. The invocation level is keyed by a
+function and the callee key of each symbol aligned against it (None for an
+inserted unmapped span), which is everything the solver reads besides the
+graph; it stores the solver's action sequence, forks included. No key names
+the graph, so a cache serves one graph, which cannot change once built.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .cscfg import Cscfg, FunctionRef
@@ -127,7 +126,7 @@ class _Shape:
 
 
 class PathCache:
-    """Three bounded LRU maps of alignment results for one graph.
+    """Three bounded maps of alignment results for one graph.
 
     `lookup`/`store` hold whole-trace `ExecutionPath`s keyed by
     `trace_signature` (preorder function keys and child counts). A path
@@ -141,17 +140,17 @@ class PathCache:
     `subtree_misses`. `lookup_solve`/`store_solve` hold per-invocation
     solver results keyed by `(function key, callee key or None per symbol)`,
     counted by `solve_hits` and `solve_misses`. Each map holds at most
-    PATH_CACHE_CAPACITY entries, read when an entry is added. Shape ids
-    come from a counter and are never reused, so an evicted shape's id never
-    names another shape. No key names the graph, so one cache must only
-    ever see one graph. Like the pipeline that owns it, a cache is
-    used from one thread.
+    PATH_CACHE_CAPACITY entries, read when an entry is added, and is emptied
+    when an entry would pass it. Shape ids come from a counter and are never
+    reused, so a dropped shape's id never names another shape. No key names
+    the graph, so one cache must only ever see one graph. Like the pipeline
+    that owns it, a cache is used from one thread.
     """
 
     def __init__(self):
-        self._data: OrderedDict = OrderedDict()
-        self._shapes: OrderedDict = OrderedDict()
-        self._solves: OrderedDict = OrderedDict()
+        self._data: dict = {}
+        self._shapes: dict = {}
+        self._solves: dict = {}
         self._next_shape_id = 0
         self.hits = 0
         self.misses = 0
@@ -160,21 +159,9 @@ class PathCache:
         self.solve_hits = 0
         self.solve_misses = 0
 
-    def _get(self, data: OrderedDict, key):
-        value = data.get(key)
-        if value is not None:
-            data.move_to_end(key)
-        return value
-
-    def _put(self, data: OrderedDict, key, value) -> None:
-        data[key] = value
-        data.move_to_end(key)
-        while len(data) > PATH_CACHE_CAPACITY:
-            data.popitem(last=False)
-
     def lookup(self, key):
         """Hit returns the stored path, miss returns None."""
-        path = self._get(self._data, key)
+        path = self._data.get(key)
         if path is None:
             self.misses += 1
         else:
@@ -182,7 +169,9 @@ class PathCache:
         return path
 
     def store(self, key, path) -> None:
-        self._put(self._data, key, path)
+        if len(self._data) >= PATH_CACHE_CAPACITY:
+            self._data.clear()
+        self._data[key] = path
 
     def shapes(self, keys: list, counts) -> tuple[list, list]:
         """The shape and the subtree end of each preorder slot, bottom-up.
@@ -210,12 +199,10 @@ class PathCache:
                 end = i + 1
             shape = data.get(key)
             if shape is None:
+                if len(data) >= capacity:
+                    data.clear()
                 shape = data[key] = _Shape(self._next_shape_id)
                 self._next_shape_id += 1
-                if len(data) > capacity:
-                    data.popitem(last=False)
-            else:
-                data.move_to_end(key)
             shapes[i] = shape
             ends[i] = end
             push_id(shape.id)
@@ -223,7 +210,7 @@ class PathCache:
         return shapes, ends
 
     def lookup_solve(self, key):
-        solved = self._get(self._solves, key)
+        solved = self._solves.get(key)
         if solved is None:
             self.solve_misses += 1
         else:
@@ -231,7 +218,9 @@ class PathCache:
         return solved
 
     def store_solve(self, key, solved) -> None:
-        self._put(self._solves, key, solved)
+        if len(self._solves) >= PATH_CACHE_CAPACITY:
+            self._solves.clear()
+        self._solves[key] = solved
 
     def __len__(self) -> int:
         return len(self._data)

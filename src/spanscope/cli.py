@@ -2,7 +2,9 @@
 
 Subcommands: build-graph, sample, reconstruct, eval. A JSON
 configuration file may supply any option; explicit flags win over the file,
-which wins over defaults. Each command runs one single-threaded pipeline,
+which wins over defaults. The sampling keys are ratio, theta and window;
+`eval` also reads the generated system's keys and n_traces, and any other
+key is a configuration error. Each command runs one single-threaded pipeline,
 so outputs are deterministic for fixed inputs and seed; wall-clock timings
 go to a separate timing.txt that is expected to differ between runs.
 
@@ -63,9 +65,7 @@ _SYSTEM_KEYS = ("seed", "n_services", "n_functions_per_service", "branch_probabi
                 "max_call_depth", "shared_library_fraction", "url_span_probability")
 # each sampling flag or config key: its SamplingConfig field and type
 _SAMPLING_KEYS = {"ratio": ("ratio", float), "theta": ("theta_quantile", float),
-                  "window": ("window", int), "min_obs": ("min_obs", int),
-                  "lrs_horizon": ("lrs_horizon", int),
-                  "fixed_threshold": ("fixed_threshold", float)}
+                  "window": ("window", int)}
 # every key that `sample` or `eval` reads, so one file serves both
 _CONFIG_KEYS = frozenset(_SYSTEM_KEYS + ("n_traces",) + tuple(_SAMPLING_KEYS))
 

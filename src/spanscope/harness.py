@@ -25,6 +25,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
+from . import scoring
 from .align import PathCache, align
 from .cscfg import SHARED_SERVICE, Cscfg, build_cscfg
 from .errors import InvalidSpecError, UnknownFaultTargetError
@@ -63,7 +64,7 @@ class SystemSpec:
     duration_sigma_range: tuple = (0.2, 0.5)
 
     def validate(self) -> None:
-        for name in ("n_services", "n_functions_per_service", "max_call_depth"):
+        for name in ("seed", "n_services", "n_functions_per_service", "max_call_depth"):
             # bool is an int subclass, so compare the type itself
             if type(getattr(self, name)) is not int:
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -454,10 +455,26 @@ def generate_traces(graph_or_doc, meta: SystemMeta, spec: SystemSpec, n: int,
         yield TraceSample(Trace(tid, spans), frozenset(labels))
 
 
+def _z_scores(samples: list[TraceSample], cfg: SamplingConfig):
+    """Each trace with its spans' Z-scores by span id, scored in arrival order
+    against one window per "service|operation" of cfg's window and theta."""
+    book = ScoreBook(window=cfg.window, theta=cfg.theta_quantile)
+    for sample in samples:
+        trace = sample.trace
+        excl = exclusive_durations(trace)
+        scores = {}
+        for i in trace.arrival_order:
+            key = f"{trace.services[i]}|{trace.operations[i]}"
+            scores[trace.ids[i]] = book.window_for(key).score(float(excl[i]))[0]
+        yield trace, scores
+
+
 def run_baseline(name: str, samples: list[TraceSample], p: float,
                  cfg: SamplingConfig) -> dict[str, frozenset]:
-    """Per-trace kept span sets for one baseline at budget p; the scoring
-    baselines use cfg's window, min_obs and theta."""
+    """Per-trace kept span sets for one baseline at budget p. The two scoring
+    baselines read the same Z-scores, from windows of cfg's window and theta;
+    whole-trace's threshold, the theta quantile of each trace's largest Z, is
+    infinite for its first scoring.MIN_OBS traces."""
     if not 0 < p <= 1:
         raise InvalidSpecError("baseline budget must be in (0, 1]")
     kept: dict[str, frozenset] = {}
@@ -471,31 +488,18 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
         return kept
 
     if name == BASELINE_TOPK:
-        book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, theta=cfg.theta_quantile)
-        for sample in samples:
-            trace = sample.trace
-            excl = exclusive_durations(trace)
-            scores = {}
-            for i in trace.arrival_order:
-                key = f"{trace.services[i]}|{trace.operations[i]}"
-                scores[trace.ids[i]] = book.window_for(key).score(float(excl[i]))[0]
+        for trace, scores in _z_scores(samples, cfg):
             k = math.floor(p * len(trace))
             top = sorted(scores, key=lambda sid: (-scores[sid], sid))[:k]
             kept[trace.trace_id] = frozenset(top)
         return kept
 
     if name == BASELINE_WHOLE_TRACE:
-        book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, theta=cfg.theta_quantile)
         threshold_est = P2Quantile(cfg.theta_quantile)
         pool = 0.0
-        for sample in samples:
-            trace = sample.trace
-            excl = exclusive_durations(trace)
-            max_z = -math.inf
-            for i in trace.arrival_order:
-                key = f"{trace.services[i]}|{trace.operations[i]}"
-                max_z = max(max_z, book.window_for(key).score(float(excl[i]))[0])
-            threshold = threshold_est.value() if threshold_est.n >= cfg.min_obs else math.inf
+        for trace, scores in _z_scores(samples, cfg):
+            max_z = max(scores.values(), default=-math.inf)
+            threshold = threshold_est.value() if threshold_est.n >= scoring.MIN_OBS else math.inf
             pool += p * len(trace)
             if max_z >= threshold and pool >= len(trace):
                 kept[trace.trace_id] = frozenset(trace.span_ids())

@@ -2,7 +2,9 @@
 
 One pipeline owns the graph, the span-function map, the path cache,
 the scoring windows and the selection ledger. Traces stream through one at a
-time with bounded memory, and each stage's wall time is accumulated.
+time, and each stage's wall time is accumulated. Memory is not bounded on an
+endless stream: the score book keeps one window and the ledger one entry for
+every distinct scoring key it has seen.
 Alignment cuts the dominant span sets as the path's preorder slots, and
 selection reads them there; `TraceResult.dss_list` names them by span id,
 through this module's `partition`, only when read.
@@ -74,9 +76,8 @@ class SamplingPipeline:
         self.mapping = mapping
         self.cfg = cfg
         self.cache = PathCache()
-        self.scorebook = ScoreBook(window=cfg.window, min_obs=cfg.min_obs,
-                                   theta=cfg.theta_quantile)
-        self.ledger = LrsLedger(cfg.lrs_horizon)
+        self.scorebook = ScoreBook(window=cfg.window, theta=cfg.theta_quantile)
+        self.ledger = LrsLedger()
         self.timings: dict[str, float] = {
             STAGE_MAP: 0.0, STAGE_ALIGN: 0.0, STAGE_SELECT: 0.0, STAGE_RECONSTRUCT: 0.0,
         }

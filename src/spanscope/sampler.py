@@ -10,7 +10,10 @@ ratio exceeds p because of the per-set minimum.
 
 Within a set, spans whose robust Z-score reaches the per-key threshold are
 taken first, highest score first; any remaining quota is filled by the least
-recently sampled span types. Scoring observes in arrival order, so a span is
+recently sampled span types. SamplingConfig holds the three settings: the
+ratio p, the threshold quantile θ and the window size. A window's cold start
+(`scoring.MIN_OBS`) and the ledger's horizon (`LRS_HORIZON`) are module
+constants. Scoring observes in arrival order, so a span is
 judged against statistics that do not yet include it. Only these flagged
 spans are sorted by Z, and only when a set has more of them than its quota;
 the ledger is read and the rest sorted only when the rest must be cut.
@@ -41,8 +44,10 @@ from .align import ExecutionPath
 from .cscfg import FunctionRef
 from .errors import EmptyPartitionError, PartitionMismatchError
 from .model import Trace
-from .scoring import DEFAULT_MIN_OBS, DEFAULT_THETA, DEFAULT_WINDOW, ScoreBook
+from .scoring import DEFAULT_THETA, DEFAULT_WINDOW, ScoreBook
 
+
+LRS_HORIZON = 1024  # decisions a ledger remembers, read when the ledger is built
 
 # keys are written in the order they are built; serialize builds them sorted
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -53,23 +58,15 @@ class SamplingConfig:
     ratio: float = 0.15
     theta_quantile: float = DEFAULT_THETA
     window: int = DEFAULT_WINDOW
-    min_obs: int = DEFAULT_MIN_OBS
-    lrs_horizon: int = 1024
-    fixed_threshold: float | None = None  # overrides the quantile threshold when set
 
     def __post_init__(self):
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
         if not 0 < self.theta_quantile < 1:
             raise ValueError("theta_quantile must be in (0, 1)")
-        # no Z-score reaches NaN, so it would silently turn the Z pick off
-        if self.fixed_threshold is not None and math.isnan(self.fixed_threshold):
-            raise ValueError("fixed_threshold must be a number, not NaN")
-        # what SpanStatWindow and LrsLedger reject, refused before either exists
+        # what SpanStatWindow rejects, refused before any window exists
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.lrs_horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
 
 class DssReport(NamedTuple):
@@ -139,12 +136,10 @@ def _edit(value) -> tuple:
 
 
 class LrsLedger:
-    """Selection history per span type within a horizon of recent decisions."""
+    """Selection history per span type within the last LRS_HORIZON decisions."""
 
-    def __init__(self, horizon: int = 1024):
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.horizon = horizon
+    def __init__(self):
+        self.horizon = LRS_HORIZON
         self.seq = 0
         self._picks: dict[str, deque[int]] = {}
 
@@ -211,11 +206,10 @@ def sample_trace(trace: Trace, path: ExecutionPath, scorebook: ScoreBook,
     # a span's Z where it reaches the threshold in force, else None, by position
     ids = trace.ids
     z_at: list[float | None] = [None] * n
-    fixed = cfg.fixed_threshold
     window_for = scorebook.window_for
     for i in trace.arrival_order:
         z, _, threshold = window_for(span_keys[i]).score(exclusive[i])
-        if z >= (threshold if fixed is None else fixed):
+        if z >= threshold:
             z_at[i] = z
     z_of = list(map(z_at.__getitem__, order))  # by slot
 

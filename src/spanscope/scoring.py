@@ -13,7 +13,9 @@ observation sits on the median and a capped sentinel otherwise.
 
 SpanStatWindow.score(x) is the one way to feed a window: it returns
 (z, degenerate, threshold), the threshold being the one in force before x,
-and then folds x into every statistic.
+and then folds x into every statistic. A window's size and theta are its
+settings; its cold start is MIN_OBS, a module constant read when the window
+is built.
 
 ScoreBook.snapshot() and load_snapshot() give a StatsSnapshot: the dict that
 save_snapshot() writes, with each key's count, mean and std among its
@@ -30,8 +32,8 @@ from bisect import bisect_left, insort
 from collections import deque
 
 DEFAULT_WINDOW = 512
-DEFAULT_MIN_OBS = 8
 DEFAULT_THETA = 0.90
+MIN_OBS = 8  # a window's cold start, read when the window is built
 Z_CAP = 1e6
 
 
@@ -202,17 +204,16 @@ class SpanStatWindow:
     score(x) reads the threshold in force, scores x against the median and
     MAD in place before x is inserted, then feeds the Z quantile, the Welford
     moments, the MAD estimator and the window, and returns (z, degenerate,
-    threshold). The first min_obs observations score 0 and see an infinite
+    threshold). The first MIN_OBS observations score 0 and see an infinite
     threshold, so cold windows flag nothing. Distinct keys are independent.
     """
 
-    def __init__(self, key: str, window: int = DEFAULT_WINDOW, min_obs: int = DEFAULT_MIN_OBS,
-                 theta: float = DEFAULT_THETA):
+    def __init__(self, key: str, window: int = DEFAULT_WINDOW, theta: float = DEFAULT_THETA):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.key = key
         self.window = window
-        self.min_obs = min_obs
+        self._warm_at = MIN_OBS
         self.theta = theta
         self.count = 0
         self._values: deque[float] = deque()
@@ -235,7 +236,7 @@ class SpanStatWindow:
     def score(self, x: float) -> tuple[float, bool, float]:
         """Score x, then add it; returns (z, degenerate, threshold in force)."""
         count = self.count
-        cold = count < self.min_obs
+        cold = count < self._warm_at
         threshold = self._zq_heights[2] if count >= 5 and not cold else self.z_threshold()
 
         values = self._values
@@ -269,10 +270,10 @@ class SpanStatWindow:
     def z_threshold(self) -> float:
         """Current estimate of the theta quantile of emitted Z-scores.
 
-        Infinite until min_obs scores exist, so nothing is flagged while the
+        Infinite until MIN_OBS scores exist, so nothing is flagged while the
         window is cold.
         """
-        if self.count < self.min_obs:
+        if self.count < self._warm_at:
             return math.inf
         return self._zq_est.value()
 
@@ -295,17 +296,15 @@ class ScoreBook:
     it, a score book is used from one thread.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW, min_obs: int = DEFAULT_MIN_OBS,
-                 theta: float = DEFAULT_THETA):
+    def __init__(self, window: int = DEFAULT_WINDOW, theta: float = DEFAULT_THETA):
         self.window = window
-        self.min_obs = min_obs
         self.theta = theta
         self._windows: dict[str, SpanStatWindow] = {}
 
     def window_for(self, key: str) -> SpanStatWindow:
         win = self._windows.get(key)
         if win is None:
-            win = SpanStatWindow(key, self.window, self.min_obs, self.theta)
+            win = SpanStatWindow(key, self.window, self.theta)
             self._windows[key] = win
         return win
 

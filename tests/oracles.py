@@ -709,13 +709,10 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
 
     z_of: dict[str, float] = {}
     flagged: dict[str, bool] = {}
-    fixed = cfg.fixed_threshold
     window_for = scorebook.window_for
     for span in trace.arrival:
         sid = span.span_id
         z, _degenerate, threshold = window_for(span_keys[sid]).score(exclusive[sid])
-        if fixed is not None:
-            threshold = fixed
         z_of[sid] = z
         flagged[sid] = z >= threshold
 

@@ -318,17 +318,19 @@ class TestCache:
         assert fresh.cost == cached.cost
         assert cached is fresh
 
-    def test_lru_eviction_capacity_one(self, monkeypatch):
+    def test_capacity_one_empties_the_map_for_each_new_shape(self, monkeypatch):
         monkeypatch.setattr(align_mod, "PATH_CACHE_CAPACITY", 1)
         cache = PathCache()
         t_url = linear_trace(with_url=True, trace_id="t1")
         t_flat = linear_trace(trace_id="t2")
         align_trace(self.graph, t_url, self.mapping, cache)
-        align_trace(self.graph, t_flat, self.mapping, cache)  # evicts t_url's shape
+        align_trace(self.graph, t_flat, self.mapping, cache)  # empties, drops t_url's shape
         align_trace(self.graph, linear_trace(with_url=True, trace_id="t3"), self.mapping, cache)
         align_trace(self.graph, linear_trace(trace_id="t4"), self.mapping, cache)
         assert cache.hits == 0
         assert cache.misses == 4
+        align_trace(self.graph, linear_trace(trace_id="t5"), self.mapping, cache)
+        assert (cache.hits, len(cache)) == (1, 1)  # the last shape stays
 
     def test_lookup_misses_then_hits(self):
         cache = PathCache()

@@ -300,13 +300,13 @@ def test_the_trace_file_holds_only_the_traces_read_ahead_of_their_decision(workl
         reader.close()
 
 
-@pytest.mark.parametrize("value,code", [("3.0", 0), ("high", 2), ([3.0], 2)])
-def test_sample_converts_the_fixed_threshold(workload, tmp_path, capsys, value, code):
+@pytest.mark.parametrize("value,code", [("0.95", 0), ("high", 2), ([0.95], 2)])
+def test_sample_converts_theta(workload, tmp_path, capsys, value, code):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 20)
 
-    def sample(threshold, dest):
+    def sample(theta, dest):
         config = tmp_path / f"{dest}.json"
-        config.write_text(json.dumps({"fixed_threshold": threshold}), encoding="utf-8")
+        config.write_text(json.dumps({"theta": theta}), encoding="utf-8")
         return cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
                          "--out", str(tmp_path / dest), "--config", str(config)])
 
@@ -314,21 +314,18 @@ def test_sample_converts_the_fixed_threshold(workload, tmp_path, capsys, value, 
     if code:
         assert capsys.readouterr().err.startswith("config error: ")
     else:
-        assert sample(3.0, "float") == 0
+        assert sample(0.95, "float") == 0
         decisions = [(tmp_path / d / "decisions.ndjson").read_bytes() for d in ("given", "float")]
         assert decisions[0] == decisions[1]
 
 
 @pytest.mark.parametrize("command", ["sample", "eval"])
-@pytest.mark.parametrize("config", [{"window": True}, {"lrs_horizon": 1.5}, {"min_obs": 8.9},
-                                    {"ratio": True}, {"fixed_threshold": True},
-                                    {"fixed_threshold": float("nan")}],
-                         ids=["window-bool", "horizon-fraction", "min-obs-fraction",
-                              "ratio-bool", "threshold-bool", "threshold-nan"])
+@pytest.mark.parametrize("config", [{"window": True}, {"ratio": True}, {"window": 8.5},
+                                    {"theta": True}],
+                         ids=["window-bool", "ratio-bool", "window-fraction", "theta-bool"])
 def test_mistyped_sampling_keys_are_refused(workload, tmp_path, capsys, command, config):
     """int() and float() would read a JSON boolean as 1 or 0 and drop a
-    fraction, so both are refused, with the key named. json reads NaN, and
-    no Z-score reaches a NaN threshold, so that is refused too."""
+    fraction, so both are refused, with the key named."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     if command == "sample":
@@ -717,7 +714,8 @@ def test_reconstruct_builds_no_span_per_rebuilt_call(workload, tmp_path, monkeyp
 @pytest.mark.parametrize("config", [{"n_services": "4"}, {"n_services": 4.5},
                                     {"n_traces": "many"}, {"n_services": True},
                                     {"n_functions_per_service": True},
-                                    {"max_call_depth": True}])
+                                    {"max_call_depth": True}, {"seed": "abc"}, {"seed": 1.5},
+                                    {"seed": None}, {"seed": True}])
 def test_eval_rejects_mistyped_config_values(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -931,9 +929,8 @@ def config_command(command, graph_path, trace_path, out):
 
 
 @pytest.mark.parametrize("command", ["sample", "eval"])
-@pytest.mark.parametrize("setting", ["--window 0", '{"lrs_horizon": 0}'])
-def test_a_window_or_horizon_below_one_is_a_config_error(workload, tmp_path, capsys,
-                                                         command, setting):
+@pytest.mark.parametrize("setting", ["--window 0", '{"window": 0}'])
+def test_a_window_below_one_is_a_config_error(workload, tmp_path, capsys, command, setting):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
     argv = config_command(command, graph_path, trace_path, str(tmp_path / "out"))
     if setting.startswith("--"):
@@ -952,11 +949,14 @@ def test_an_unknown_config_key_is_a_config_error(workload, tmp_path, capsys, com
     out = tmp_path / "out"
     argv = config_command(command, graph_path, trace_path, str(out))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"ratoi": 0.2}), encoding="utf-8")
-    assert cli.main(argv + ["--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "'ratoi'" in err
-    assert not out.exists()
+    # a misspelt key, and the sampling constants, which no config file sets
+    for key in ("ratoi", "min_obs", "lrs_horizon", "fixed_threshold"):
+        config.write_text(json.dumps({key: 8}), encoding="utf-8")
+        assert cli.main(argv + ["--config", str(config)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key!r}" in err, err
+        assert not out.exists()
+    assert len(cli._CONFIG_KEYS) == 11
     # one file serves both commands, each reading only its own keys
     config.write_text(json.dumps({"seed": 3, "n_traces": 5, "ratio": 0.2, "window": 64}),
                       encoding="utf-8")

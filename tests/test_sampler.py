@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import spanscope.sampler as sampler
+import spanscope.scoring as scoring
 from spanscope.align import TRUNK_TAG, ExecutionPath, PathCache, align
 from spanscope.cscfg import build_cscfg
 from spanscope.errors import EmptyPartitionError, PartitionMismatchError
@@ -104,14 +106,9 @@ def trace_of(n, trace_id="t1"):
     return make_trace(spans, trace_id=trace_id)
 
 
-def setup_state(theta=0.9, window=64, min_obs=8, ratio=0.5, horizon=1024,
-                fixed_threshold=None):
-    cfg = SamplingConfig(ratio=ratio, theta_quantile=theta, window=window,
-                        min_obs=min_obs, lrs_horizon=horizon,
-                        fixed_threshold=fixed_threshold)
-    book = ScoreBook(window=window, min_obs=min_obs, theta=theta)
-    ledger = LrsLedger(horizon)
-    return cfg, book, ledger
+def setup_state(theta=0.9, window=64, ratio=0.5):
+    cfg = SamplingConfig(ratio=ratio, theta_quantile=theta, window=window)
+    return cfg, ScoreBook(window=window, theta=theta), LrsLedger()
 
 
 def run_sample(trace, path, cfg, book, ledger, exclusive=None):
@@ -125,8 +122,8 @@ def run_sample(trace, path, cfg, book, ledger, exclusive=None):
 
 class TestSampleTrace:
     def test_high_z_span_wins_its_set(self):
-        cfg, book, ledger = setup_state(ratio=0.34, fixed_threshold=2.0)
-        # warm the windows so scores are meaningful
+        cfg, book, ledger = setup_state(ratio=0.34)
+        # warm the windows: constant durations put every threshold at Z = 0
         for i in range(30):
             t = trace_of(3, trace_id=f"w{i}")
             run_sample(t, path_of(t, ["s00", "s01", "s02"]), cfg, book, ledger)
@@ -138,7 +135,8 @@ class TestSampleTrace:
         assert decision.dss_reports[0].picked_by_z == 1
 
     def test_low_z_fills_by_least_recently_sampled(self):
-        cfg, book, ledger = setup_state(ratio=0.5, fixed_threshold=1e9)
+        # cold windows see an infinite threshold, so nothing is picked by Z
+        cfg, book, ledger = setup_state(ratio=0.5)
         t = trace_of(4)
         decision = run_sample(t, path_of(t, ["s00", "s01", "s02", "s03"]), cfg, book, ledger)
         assert decision.dss_reports[0].picked_by_z == 0
@@ -239,28 +237,32 @@ class TestSampleTrace:
 
 class TestLedger:
     def test_first_decision_counts_once(self):
-        ledger = LrsLedger(100)
+        ledger = LrsLedger()
         ledger.note(("k1",))
         assert ledger.stats("k1") == (1, 1)
         assert ledger.stats("other") == (-1, 0)
 
     def test_two_span_set_alternates_under_lrs(self):
-        cfg, book, ledger = setup_state(ratio=0.5, fixed_threshold=1e9)
+        # within each key's first MIN_OBS scores the windows are cold, so
+        # nothing is picked by Z
+        cfg, book, ledger = setup_state(ratio=0.5)
         picks = []
-        for i in range(10):
+        for i in range(scoring.MIN_OBS):
             t = trace_of(2, trace_id=f"t{i}")
             decision = run_sample(t, path_of(t, ["s00", "s01"]), cfg, book, ledger)
+            assert decision.dss_reports[0].picked_by_z == 0
             picks.append(decision.kept[0])
-        assert picks == ["s00", "s01"] * 5
+        assert picks == ["s00", "s01"] * (scoring.MIN_OBS // 2)
 
-    def test_horizon_decay(self):
-        ledger = LrsLedger(2)
+    def test_horizon_decay(self, monkeypatch):
+        monkeypatch.setattr(sampler, "LRS_HORIZON", 2)
+        ledger = LrsLedger()
         for _ in range(3):
             ledger.note(("k",))
         assert ledger.stats("k") == (3, 2)  # the first decision decayed out
 
     def test_stats_give_last_and_count(self):
-        ledger = LrsLedger(50)
+        ledger = LrsLedger()
         for _ in range(5):
             ledger.note(("k",))
         assert ledger.stats("k") == (5, 5)
@@ -293,15 +295,16 @@ def partitioned():
     return out
 
 
-@pytest.mark.parametrize("fixed_threshold", [None, 1.0])
 @pytest.mark.parametrize("ratio", [0.1, 0.3, 0.8])
-def test_select_bit_identical_to_sort_every_set(partitioned, ratio, fixed_threshold):
-    cfg = SamplingConfig(ratio=ratio, fixed_threshold=fixed_threshold, lrs_horizon=64)
+def test_select_bit_identical_to_sort_every_set(partitioned, ratio, monkeypatch):
+    # a short horizon, so that picks decay out of the ledgers
+    monkeypatch.setattr(sampler, "LRS_HORIZON", 64)
+    cfg = SamplingConfig(ratio=ratio)
     z_cut = lrs_cut = lrs_all = 0
     for rows in partitioned.values():
-        book = ScoreBook(window=cfg.window, min_obs=cfg.min_obs, theta=cfg.theta_quantile)
-        ref_book = OracleScoreBook(cfg.window, cfg.min_obs, cfg.theta_quantile)
-        ledger, ref_ledger = LrsLedger(cfg.lrs_horizon), LrsLedger(cfg.lrs_horizon)
+        book = ScoreBook(window=cfg.window, theta=cfg.theta_quantile)
+        ref_book = OracleScoreBook(cfg.window, scoring.MIN_OBS, cfg.theta_quantile)
+        ledger, ref_ledger = LrsLedger(), LrsLedger()
         for trace, path, keys, exclusive in rows:
             got = sample_trace(trace, path, book, ledger, cfg, keys, exclusive)
             # the oracle reads each column by span id, and the sets named by id

@@ -139,14 +139,14 @@ def stream(rng, kind, n):
 # Each stream holds one numeric type, as every caller feeds a window: equal
 # int and float values in one window may come back as either type.
 @pytest.mark.parametrize("kind", ["few-ints", "ints", "few-floats", "floats"])
-def test_window_outputs_bit_identical_to_heap_median(kind):
+def test_window_outputs_bit_identical_to_heap_median(kind, monkeypatch):
     rng = random.Random(f"median-{kind}")
     observed = 0
     windows = [1, 2, 3, 4, 5, 16, 511, 512] + [rng.randint(1, 512) for _ in range(4)]
     for window in windows:
-        min_obs = rng.choice((1, 8))
-        win = SpanStatWindow("k", window=window, min_obs=min_obs)
-        ref = heap_window("k", window=window, min_obs=min_obs)
+        monkeypatch.setattr(scoring, "MIN_OBS", rng.choice((1, 8)))
+        win = SpanStatWindow("k", window=window)
+        ref = heap_window("k", window=window)
         assert isinstance(ref._median, HeapRunningMedian)
         for i, x in enumerate(stream(rng, kind, 2 * window + 2000)):
             assert bits(win.z_threshold()) == bits(ref.z_threshold())
@@ -212,20 +212,21 @@ def window_state(win):
             (wf.count, bits(wf._mean), bits(wf._m2)))
 
 
-# via_book: the window comes from ScoreBook.window_for, which passes window,
-# min_obs and theta on by position, rather than from SpanStatWindow itself
+# via_book: the window comes from ScoreBook.window_for, which passes window
+# and theta on by position, rather than from SpanStatWindow itself
 @pytest.mark.parametrize("via_book", [False, True])
 @pytest.mark.parametrize("kind", ["few-ints", "ints", "few-floats", "floats"])
-def test_score_bit_identical_to_observe_then_threshold(kind, via_book):
+def test_score_bit_identical_to_observe_then_threshold(kind, via_book, monkeypatch):
     rng = random.Random(f"score-{kind}-{via_book}")
     observed = 0
     for window in (1, 4, 16, 512):
         for min_obs in (0, 1, 3, 8):
+            monkeypatch.setattr(scoring, "MIN_OBS", min_obs)
             theta = rng.choice((0.5, 0.9, 0.99))
             if via_book:
-                win = ScoreBook(window=window, min_obs=min_obs, theta=theta).window_for("k")
+                win = ScoreBook(window=window, theta=theta).window_for("k")
             else:
-                win = SpanStatWindow("k", window=window, min_obs=min_obs, theta=theta)
+                win = SpanStatWindow("k", window=window, theta=theta)
             ref = OracleSpanStatWindow("k", window, min_obs, theta)
             for x in stream(rng, kind, 1200):
                 got, want = win.score(x), ref.score(x)
@@ -260,7 +261,7 @@ class TestSpanStatWindow:
         assert not degenerate
 
     def test_constant_window_degenerate_zero(self):
-        win = SpanStatWindow("k", window=8, min_obs=4)
+        win = SpanStatWindow("k", window=8)
         for _ in range(8):
             win.score(10)
         z, degenerate, _threshold = win.score(10)
@@ -268,26 +269,26 @@ class TestSpanStatWindow:
         assert degenerate
 
     def test_constant_window_outlier_capped(self):
-        win = SpanStatWindow("k", window=8, min_obs=4)
+        win = SpanStatWindow("k", window=8)
         for _ in range(8):
             win.score(10)
         z, degenerate, _threshold = win.score(99)
         assert z == scoring.Z_CAP == 1e6
         assert degenerate
-        z2 = SpanStatWindow("k2", window=8, min_obs=4)
+        z2 = SpanStatWindow("k2", window=8)
         for _ in range(8):
             z2.score(10)
         assert z2.score(3)[0] == -1e6
 
     def test_cold_start_returns_zero_non_degenerate(self):
-        win = SpanStatWindow("k", window=16, min_obs=8)
+        win = SpanStatWindow("k", window=16)
         for i in range(8):
             z, degenerate, _threshold = win.score(100 + i * 50)
             assert z == 0.0
             assert not degenerate
 
     def test_majority_identical_values_score_zero(self):
-        win = SpanStatWindow("k", window=9, min_obs=4)
+        win = SpanStatWindow("k", window=9)
         data = [7, 7, 7, 7, 7, 1, 2, 3, 4]
         for x in data:
             win.score(x)
@@ -301,7 +302,7 @@ class TestSpanStatWindow:
         scale = 2.0 ** 3  # power of two keeps float arithmetic exact
 
         def run(xs, x):
-            win = SpanStatWindow("k", window=32, min_obs=8)
+            win = SpanStatWindow("k", window=32)
             for v in xs:
                 win.score(v)
             return win.score(x)[0]
@@ -313,7 +314,7 @@ class TestSpanStatWindow:
     def test_sliding_window_matches_fresh_window_exact_mode(self):
         rng = random.Random(12)
         stream = [rng.randint(1, 100) for _ in range(50)]
-        win = SpanStatWindow("k", window=16, min_obs=1)
+        win = SpanStatWindow("k", window=16)
         for x in stream:
             win.score(x)
         survivors = stream[-16:]
@@ -324,7 +325,7 @@ class TestSpanStatWindow:
 
     def test_estimated_median_equals_exact_at_every_step(self):
         rng = random.Random(13)
-        win = SpanStatWindow("k", window=32, min_obs=1)
+        win = SpanStatWindow("k", window=32)
         seen = []
         for _ in range(200):
             x = rng.uniform(0, 1000)
@@ -357,20 +358,20 @@ class TestSpanStatWindow:
 
 class TestThreshold:
     def test_cold_start_threshold_infinite(self):
-        win = SpanStatWindow("k", window=16, min_obs=8)
+        win = SpanStatWindow("k", window=16)
         for _ in range(7):
             win.score(10)
         assert win.z_threshold() == math.inf
 
     def test_all_zero_stream_threshold_zero(self):
-        win = SpanStatWindow("k", window=16, min_obs=8)
+        win = SpanStatWindow("k", window=16)
         for _ in range(20):
             win.score(10)
         assert win.z_threshold() == 0.0
 
     def test_threshold_tracks_upper_quantile(self):
         rng = random.Random(15)
-        win = SpanStatWindow("k", window=128, min_obs=8, theta=0.9)
+        win = SpanStatWindow("k", window=128, theta=0.9)
         zs = []
         for _ in range(3000):
             zs.append(win.score(rng.lognormvariate(5, 0.4))[0])
@@ -379,7 +380,7 @@ class TestThreshold:
         assert abs(thr - exact) <= max(0.35, 0.25 * abs(exact))
 
     def test_scorebook_snapshot_shape(self):
-        book = ScoreBook(window=8, min_obs=2)
+        book = ScoreBook(window=8)
         book.window_for("a").score(10)
         book.window_for("a").score(12)
         book.window_for("b").score(5)
