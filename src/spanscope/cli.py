@@ -1,10 +1,13 @@
 """Command-line entry point.
 
-Subcommands: build-graph, sample, reconstruct, eval. A JSON
-configuration file may supply any option; explicit flags win over the file,
-which wins over defaults. The sampling keys are ratio, theta and window;
-`eval` also reads the generated system's keys and n_traces, and any other
-key is a configuration error. Each command runs one single-threaded pipeline,
+Subcommands: build-graph, sample, reconstruct, eval. `sample` and `eval`
+read a JSON configuration file of the 11 keys in `_CONFIG_KEYS`: ratio, theta
+and window, which both read, and seed, n_services, n_functions_per_service,
+branch_probability, max_call_depth, shared_library_fraction,
+url_span_probability and n_traces, which only `eval` reads. A value must be a
+JSON number of its key's type, an integer for an integer key; any other value
+or key is a configuration error. A flag of the same name wins over the file,
+which wins over defaults. Each command runs one single-threaded pipeline,
 so outputs are deterministic for fixed inputs and seed; wall-clock timings
 go to a separate timing.txt that is expected to differ between runs.
 
@@ -43,6 +46,7 @@ import json
 import os
 import sys
 from contextlib import closing, nullcontext
+from dataclasses import fields
 
 from . import harness
 from .cscfg import Cscfg, build_cscfg
@@ -60,17 +64,17 @@ from .reconstruct import fidelity_means, reconstruct, structural_fidelity
 from .sampler import SamplingConfig, decision_from_dict
 from .scoring import DEFAULT_THETA, DEFAULT_WINDOW, load_snapshot, save_snapshot
 
-# the config keys of the system that `eval` generates
-_SYSTEM_KEYS = ("seed", "n_services", "n_functions_per_service", "branch_probability",
-                "max_call_depth", "shared_library_fraction", "url_span_probability")
-# each sampling flag or config key: its SamplingConfig field and type
-_SAMPLING_KEYS = {"ratio": ("ratio", float), "theta": ("theta_quantile", float),
-                  "window": ("window", int)}
-# every key that `sample` or `eval` reads, so one file serves both
-_CONFIG_KEYS = frozenset(_SYSTEM_KEYS + ("n_traces",) + tuple(_SAMPLING_KEYS))
+# every key that `sample` or `eval` reads, so one file serves both, and its
+# type; each names a SystemSpec or SamplingConfig field, or the trace count
+# that `eval --n` sets, and the flag of the same name
+_CONFIG_KEYS = {"seed": int, "n_services": int, "n_functions_per_service": int,
+                "branch_probability": float, "max_call_depth": int,
+                "shared_library_fraction": float, "url_span_probability": float,
+                "n_traces": int, "ratio": float, "theta": float, "window": int}
 
 
 def _load_config(path: str | None) -> dict:
+    """The file's values, each a JSON number of its key's type."""
     if not path:
         return {}
     try:
@@ -80,32 +84,38 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    unknown = sorted(cfg.keys() - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    for key, value in cfg.items():
+        kind = _CONFIG_KEYS[key]
+        # a JSON boolean is a Python int, so compare the type itself
+        if type(value) is not int and (kind is int or type(value) is not float):
+            raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                              f"got {json.dumps(value)}")
     return cfg
 
 
-def _sampling_config(args, config: dict) -> SamplingConfig:
-    """The keys that a flag or the config file sets, a flag first and a null
-    as unset; SamplingConfig holds the defaults of the rest."""
-    fields = {}
+def _settings(args) -> dict:
+    """The config file's values with the flags that were given laid over them."""
+    values = _load_config(args.config)
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+    return values
+
+
+def _fields_set(cls, values: dict) -> dict:
+    """The values of the dataclass cls's fields that were set, by name."""
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+
+def _sampling_config(values: dict) -> SamplingConfig:
+    """The sampling keys that were set; SamplingConfig holds the defaults of the rest."""
     try:
-        for name, (field, kind) in _SAMPLING_KEYS.items():
-            value = getattr(args, name, None)
-            if value is None:
-                value = config.get(name)
-            if value is None:
-                continue
-            # a JSON boolean is a Python int, and int() drops a fraction
-            if type(value) is bool or kind is int and type(value) is float \
-                    and not value.is_integer():
-                raise ConfigError(f"{name} must be "
-                                  f"{'an integer' if kind is int else 'a number'}, "
-                                  f"got {value!r}")
-            fields[field] = kind(value)
-        return SamplingConfig(**fields)
-    except (TypeError, ValueError) as exc:
+        return SamplingConfig(**_fields_set(SamplingConfig, values))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -136,8 +146,7 @@ def _read_text(path: str) -> str:
 
 
 def cmd_sample(args) -> int:
-    config = _load_config(args.config)
-    cfg = _sampling_config(args, config)
+    cfg = _sampling_config(_settings(args))
     graph = Cscfg.load_artifact(args.graph)
     mapping = _load_mapping(graph, args.shared_dict)
     pipeline = SamplingPipeline(graph, mapping, cfg)
@@ -265,25 +274,18 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
-    spec_fields = {}
-    for name in _SYSTEM_KEYS:
-        if name in config:
-            spec_fields[name] = config[name]
-    if args.seed is not None:
-        spec_fields["seed"] = args.seed
+    values = _settings(args)
     try:
-        spec = harness.SystemSpec(**spec_fields)
+        spec = harness.SystemSpec(**_fields_set(harness.SystemSpec, values))
         spec.validate()
-    except (TypeError, ValueError, InvalidSpecError) as exc:
+    except InvalidSpecError as exc:
         raise ConfigError(str(exc)) from exc
-    n = args.n if args.n is not None else config.get("n_traces", 2000)
-    # bool is an int subclass, so compare the type itself
-    if type(n) is not int or n < 1:
+    n = values.get("n_traces", 2000)
+    if n < 1:
         raise ConfigError(f"n_traces must be a positive integer, got {n!r}")
-    cfg = _sampling_config(args, config)
+    cfg = _sampling_config(values)
     doc, meta = harness.generate_system(spec)
-    report = harness.evaluate(doc, meta, spec, n, cfg=cfg, ratio=args.ratio)
+    report = harness.evaluate(doc, meta, spec, n, cfg=cfg, ratio=values.get("ratio"))
     files = harness.write_report_files(report, args.out)
     for line in report.text_lines():
         print(line)
@@ -327,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="synthetic end-to-end evaluation")
     pe.add_argument("--out", required=True)
     pe.add_argument("--seed", type=int)
-    pe.add_argument("--n", type=int, help="number of traces (default 2000)")
+    pe.add_argument("--n", type=int, dest="n_traces", metavar="N",
+                    help="number of traces (default 2000)")
     pe.add_argument("--ratio", type=float, help="fixed ratio; default derives from the LSR")
-    pe.add_argument("--theta", type=float)
-    pe.add_argument("--window", type=int)
+    pe.add_argument("--theta", type=float, help=f"threshold quantile (default {DEFAULT_THETA})")
+    pe.add_argument("--window", type=int, help=f"sliding window size (default {DEFAULT_WINDOW})")
     pe.add_argument("--config", help="JSON config file (system and sampling fields)")
     pe.set_defaults(func=cmd_eval)
 

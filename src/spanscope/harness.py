@@ -64,10 +64,6 @@ class SystemSpec:
     duration_sigma_range: tuple = (0.2, 0.5)
 
     def validate(self) -> None:
-        for name in ("seed", "n_services", "n_functions_per_service", "max_call_depth"):
-            # bool is an int subclass, so compare the type itself
-            if type(getattr(self, name)) is not int:
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("branch_probability", "shared_library_fraction", "url_span_probability"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -458,7 +454,7 @@ def generate_traces(graph_or_doc, meta: SystemMeta, spec: SystemSpec, n: int,
 def _z_scores(samples: list[TraceSample], cfg: SamplingConfig):
     """Each trace with its spans' Z-scores by span id, scored in arrival order
     against one window per "service|operation" of cfg's window and theta."""
-    book = ScoreBook(window=cfg.window, theta=cfg.theta_quantile)
+    book = ScoreBook(window=cfg.window, theta=cfg.theta)
     for sample in samples:
         trace = sample.trace
         excl = exclusive_durations(trace)
@@ -495,7 +491,7 @@ def run_baseline(name: str, samples: list[TraceSample], p: float,
         return kept
 
     if name == BASELINE_WHOLE_TRACE:
-        threshold_est = P2Quantile(cfg.theta_quantile)
+        threshold_est = P2Quantile(cfg.theta)
         pool = 0.0
         for trace, scores in _z_scores(samples, cfg):
             max_z = max(scores.values(), default=-math.inf)

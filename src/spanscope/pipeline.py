@@ -76,7 +76,7 @@ class SamplingPipeline:
         self.mapping = mapping
         self.cfg = cfg
         self.cache = PathCache()
-        self.scorebook = ScoreBook(window=cfg.window, theta=cfg.theta_quantile)
+        self.scorebook = ScoreBook(window=cfg.window, theta=cfg.theta)
         self.ledger = LrsLedger()
         self.timings: dict[str, float] = {
             STAGE_MAP: 0.0, STAGE_ALIGN: 0.0, STAGE_SELECT: 0.0, STAGE_RECONSTRUCT: 0.0,

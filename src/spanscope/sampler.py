@@ -56,14 +56,14 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 @dataclass(frozen=True)
 class SamplingConfig:
     ratio: float = 0.15
-    theta_quantile: float = DEFAULT_THETA
+    theta: float = DEFAULT_THETA
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
-        if not 0 < self.theta_quantile < 1:
-            raise ValueError("theta_quantile must be in (0, 1)")
+        if not 0 < self.theta < 1:
+            raise ValueError("theta must be in (0, 1)")
         # what SpanStatWindow rejects, refused before any window exists
         if self.window < 1:
             raise ValueError("window must be >= 1")
@@ -208,7 +208,7 @@ def sample_trace(trace: Trace, path: ExecutionPath, scorebook: ScoreBook,
     z_at: list[float | None] = [None] * n
     window_for = scorebook.window_for
     for i in trace.arrival_order:
-        z, _, threshold = window_for(span_keys[i]).score(exclusive[i])
+        z, threshold = window_for(span_keys[i]).score(exclusive[i])
         if z >= threshold:
             z_at[i] = z
     z_of = list(map(z_at.__getitem__, order))  # by slot

@@ -12,8 +12,8 @@ Z = (x - median) / MAD. With MAD = 0 the score degenerates: it is 0 when the
 observation sits on the median and a capped sentinel otherwise.
 
 SpanStatWindow.score(x) is the one way to feed a window: it returns
-(z, degenerate, threshold), the threshold being the one in force before x,
-and then folds x into every statistic. A window's size and theta are its
+(z, threshold), the threshold being the one in force before x, and then
+folds x into every statistic. A window's size and theta are its
 settings; its cold start is MIN_OBS, a module constant read when the window
 is built.
 
@@ -203,8 +203,8 @@ class SpanStatWindow:
 
     score(x) reads the threshold in force, scores x against the median and
     MAD in place before x is inserted, then feeds the Z quantile, the Welford
-    moments, the MAD estimator and the window, and returns (z, degenerate,
-    threshold). The first MIN_OBS observations score 0 and see an infinite
+    moments, the MAD estimator and the window, and returns (z, threshold).
+    The first MIN_OBS observations score 0 and see an infinite
     threshold, so cold windows flag nothing. Distinct keys are independent.
     """
 
@@ -233,28 +233,21 @@ class SpanStatWindow:
         self._zq_heights = self._zq_est.heights
         self._wf_add = self._welford.add
 
-    def score(self, x: float) -> tuple[float, bool, float]:
-        """Score x, then add it; returns (z, degenerate, threshold in force)."""
+    def score(self, x: float) -> tuple[float, float]:
+        """Score x, then add it; returns (z, threshold in force)."""
         count = self.count
         cold = count < self._warm_at
         threshold = self._zq_heights[2] if count >= 5 and not cold else self.z_threshold()
 
         values = self._values
         z = 0.0
-        degenerate = False
         if not count:
             deviation = 0.0
         else:
             dev = x - self._median_value()
-            if not cold:
+            if not cold and dev != 0:
                 mad = self._mad_heights[2] if count >= 5 else self._mad_est.value()
-                if dev == 0:
-                    degenerate = mad == 0
-                elif mad <= 0:
-                    z = math.copysign(Z_CAP, dev)
-                    degenerate = True
-                else:
-                    z = dev / mad
+                z = math.copysign(Z_CAP, dev) if mad <= 0 else dev / mad
             deviation = abs(dev)
 
         self._zq_update(z)
@@ -265,7 +258,7 @@ class SpanStatWindow:
         values.append(x)
         self._median_add(x)
         self.count = count + 1
-        return z, degenerate, threshold
+        return z, threshold
 
     def z_threshold(self) -> float:
         """Current estimate of the theta quantile of emitted Z-scores.

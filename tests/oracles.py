@@ -495,9 +495,9 @@ def oracle_structural_fidelity(original, rebuilt, mapping):
 
 
 # Score and select as they were before the fused window update: the marker
-# search is a scan with a `while` loop, every window observation builds an
-# OracleZ and reads its threshold through z_threshold(), and the select loop
-# keeps a flag for every span and sorts every set. The fused versions must
+# search is a scan with a `while` loop, every window observation reads its
+# threshold through z_threshold(), and the select loop keeps a flag for
+# every span and sorts every set. The fused versions must
 # give the same bits. These copies reuse the package's RunningMedian and
 # Welford, which tests check on their own; the select loop takes its budgets
 # from alg1_budgets and returns plain tuples, so it imports no sampler code.
@@ -576,7 +576,6 @@ class OracleP2Quantile:
         return self.heights[2]
 
 
-OracleZ = namedtuple("OracleZ", "value degenerate")
 ORACLE_Z_CAP = 1e6  # the score of a deviation from a zero-MAD window
 
 
@@ -615,23 +614,23 @@ class OracleSpanStatWindow:
             med = self._median.median()
 
         if med is None:
-            z = OracleZ(0.0, False)
+            z = 0.0
             deviation = 0.0
         elif self.count < self.min_obs:
-            z = OracleZ(0.0, False)
+            z = 0.0
             deviation = abs(x - med)
         else:
             mad = self._current_mad(med)
             dev = x - med
             if dev == 0:
-                z = OracleZ(0.0, mad == 0)
+                z = 0.0
             elif mad <= 0:
-                z = OracleZ(math.copysign(ORACLE_Z_CAP, dev), True)
+                z = math.copysign(ORACLE_Z_CAP, dev)
             else:
-                z = OracleZ(dev / mad, False)
+                z = dev / mad
             deviation = abs(dev)
 
-        self._zq_est.update(z.value)
+        self._zq_est.update(z)
         self._welford.add(x)
         self._mad_est.update(deviation)
         if len(values) == self.window:
@@ -647,9 +646,9 @@ class OracleSpanStatWindow:
         return self._zq_est.value()
 
     def score(self, x):
-        """(z, degenerate, threshold in force before x), as the package's."""
+        """(z, threshold in force before x), as the package's."""
         threshold = self.z_threshold()
-        return (*self.observe(x), threshold)
+        return self.observe(x), threshold
 
 
 class OracleScoreBook:
@@ -712,7 +711,7 @@ def oracle_sample_trace(trace, dss_list, scorebook, ledger, cfg, span_keys, excl
     window_for = scorebook.window_for
     for span in trace.arrival:
         sid = span.span_id
-        z, _degenerate, threshold = window_for(span_keys[sid]).score(exclusive[sid])
+        z, threshold = window_for(span_keys[sid]).score(exclusive[sid])
         z_of[sid] = z
         flagged[sid] = z >= threshold
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -300,23 +301,47 @@ def test_the_trace_file_holds_only_the_traces_read_ahead_of_their_decision(workl
         reader.close()
 
 
-@pytest.mark.parametrize("value,code", [("0.95", 0), ("high", 2), ([0.95], 2)])
-def test_sample_converts_theta(workload, tmp_path, capsys, value, code):
-    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 20)
+# values that are no JSON number of a key's type: an integer key also
+# refuses a float, a whole one too
+MISTYPED = {int: [("true", True), ("string", "1"), ("null", None), ("list", [1]),
+                  ("fraction", 1.5), ("whole-float", 2.0)],
+            float: [("true", True), ("string", "1"), ("null", None), ("list", [1])]}
+SAMPLING_KEYS = [f.name for f in dataclasses.fields(SamplingConfig)]
 
-    def sample(theta, dest):
-        config = tmp_path / f"{dest}.json"
-        config.write_text(json.dumps({"theta": theta}), encoding="utf-8")
-        return cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
-                         "--out", str(tmp_path / dest), "--config", str(config)])
 
-    assert sample(value, "given") == code
-    if code:
-        assert capsys.readouterr().err.startswith("config error: ")
-    else:
-        assert sample(0.95, "float") == 0
-        decisions = [(tmp_path / d / "decisions.ndjson").read_bytes() for d in ("given", "float")]
-        assert decisions[0] == decisions[1]
+@pytest.mark.parametrize("command,key,value", [
+    pytest.param(command, key, value, id=f"{command}-{key}-{label}")
+    for command in ("sample", "eval") for key, kind in cli._CONFIG_KEYS.items()
+    for label, value in MISTYPED[kind] if command == "eval" or key in SAMPLING_KEYS])
+def test_a_config_value_not_a_number_of_its_type_is_refused(workload, tmp_path, capsys,
+                                                            command, key, value):
+    """One rule for every key of the table, read when the file is read, so
+    nothing is converted and nothing is written."""
+    graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
+    out = tmp_path / "out"
+    argv = config_command(command, graph_path, trace_path, str(out))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert cli.main(argv + ["--config", str(config)]) == 2
+    kind = "an integer" if cli._CONFIG_KEYS[key] is int else "a number"
+    assert capsys.readouterr().err == (f"config error: {key} must be {kind}, "
+                                       f"got {json.dumps(value)}\n")
+    assert not out.exists()
+
+
+def test_eval_reads_the_ratio_of_its_config_file_as_of_its_flag(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ratio": 0.6}), encoding="utf-8")
+
+    def eval_output(*argv):
+        assert cli.main(["eval", "--n", "200", "--out", str(tmp_path / "out"), *argv]) == 0
+        return capsys.readouterr().out
+
+    from_file = eval_output("--config", str(config))
+    assert "ratio_requested 0.600000" in from_file.splitlines()
+    assert from_file == eval_output("--ratio", "0.6")
+    both = eval_output("--ratio", "0.4", "--config", str(config))
+    assert "ratio_requested 0.400000" in both.splitlines()
 
 
 @pytest.mark.parametrize("command", ["sample", "eval"])
@@ -956,7 +981,7 @@ def test_an_unknown_config_key_is_a_config_error(workload, tmp_path, capsys, com
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{key!r}" in err, err
         assert not out.exists()
-    assert len(cli._CONFIG_KEYS) == 11
+    assert len(cli._CONFIG_KEYS) == 11 and SAMPLING_KEYS == ["ratio", "theta", "window"]
     # one file serves both commands, each reading only its own keys
     config.write_text(json.dumps({"seed": 3, "n_traces": 5, "ratio": 0.2, "window": 64}),
                       encoding="utf-8")

@@ -107,7 +107,7 @@ def trace_of(n, trace_id="t1"):
 
 
 def setup_state(theta=0.9, window=64, ratio=0.5):
-    cfg = SamplingConfig(ratio=ratio, theta_quantile=theta, window=window)
+    cfg = SamplingConfig(ratio=ratio, theta=theta, window=window)
     return cfg, ScoreBook(window=window, theta=theta), LrsLedger()
 
 
@@ -302,8 +302,8 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, monkeypatch)
     cfg = SamplingConfig(ratio=ratio)
     z_cut = lrs_cut = lrs_all = 0
     for rows in partitioned.values():
-        book = ScoreBook(window=cfg.window, theta=cfg.theta_quantile)
-        ref_book = OracleScoreBook(cfg.window, scoring.MIN_OBS, cfg.theta_quantile)
+        book = ScoreBook(window=cfg.window, theta=cfg.theta)
+        ref_book = OracleScoreBook(cfg.window, scoring.MIN_OBS, cfg.theta)
         ledger, ref_ledger = LrsLedger(), LrsLedger()
         for trace, path, keys, exclusive in rows:
             got = sample_trace(trace, path, book, ledger, cfg, keys, exclusive)
