@@ -3,8 +3,9 @@
 One pipeline owns the graph, the span-function map, the path cache,
 the scoring windows and the selection ledger. Traces stream through one at a
 time, and each stage's wall time is accumulated. Memory is not bounded on an
-endless stream: the score book keeps one window and the ledger one entry for
-every distinct scoring key it has seen.
+endless stream: the score book keeps one window for every distinct scoring
+key it has seen. The ledger holds only the keys kept in its last two
+horizons of decisions.
 Alignment cuts the dominant span sets as the path's preorder slots, and
 selection reads them there; `TraceResult.dss_list` names them by span id,
 through this module's `partition`, only when read.

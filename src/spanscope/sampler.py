@@ -136,35 +136,58 @@ def _edit(value) -> tuple:
 
 
 class LrsLedger:
-    """Selection history per span type within the last LRS_HORIZON decisions."""
+    """Selection history per span type within the last LRS_HORIZON decisions.
+
+    Each key holds the decisions that kept it, oldest first. A key is pruned
+    only when its oldest pick has left the horizon, so a read or a note that
+    finds it inside costs one comparison. Every LRS_HORIZON decisions, note
+    drops each key whose newest pick has left the horizon, and a prune that
+    empties a key drops it too: the keys held are then those kept in the
+    last 2 x LRS_HORIZON decisions at most. A dropped key reads (-1, 0), as
+    a key whose picks have all left the horizon, so no decision moves.
+    """
 
     def __init__(self):
         self.horizon = LRS_HORIZON
         self.seq = 0
         self._picks: dict[str, deque[int]] = {}
 
-    def _prune(self, key: str) -> None:
-        picks = self._picks.get(key)
-        if not picks:
-            return
-        floor = self.seq - self.horizon
-        while picks and picks[0] <= floor:
-            picks.popleft()
-
     def stats(self, key: str) -> tuple[int, int]:
         """(last sampled sequence or -1, count within horizon) in one pass."""
-        self._prune(key)
         picks = self._picks.get(key)
-        if not picks:
+        if picks is None:
             return (-1, 0)
+        floor = self.seq - self.horizon
+        if picks[0] <= floor:
+            if picks[-1] <= floor:
+                del self._picks[key]
+                return (-1, 0)
+            _prune(picks, floor)
         return (picks[-1], len(picks))
 
     def note(self, keys) -> None:
-        """Advance by one decision; old entries decay past the horizon."""
-        self.seq += 1
+        """Advance by one decision, noting each distinct key once; old
+        entries decay past the horizon."""
+        seq = self.seq = self.seq + 1
+        floor = seq - self.horizon
+        all_picks = self._picks
         for key in set(keys):
-            self._picks.setdefault(key, deque()).append(self.seq)
-            self._prune(key)
+            picks = all_picks.get(key)
+            if picks is None:
+                all_picks[key] = deque((seq,))
+            else:
+                picks.append(seq)
+                if picks[0] <= floor:
+                    _prune(picks, floor)
+        if not seq % self.horizon:
+            for key in [k for k, picks in all_picks.items() if picks[-1] <= floor]:
+                del all_picks[key]
+
+
+def _prune(picks: deque[int], floor: int) -> None:
+    """Drop the picks at or below floor from the oldest end."""
+    while picks[0] <= floor:
+        picks.popleft()
 
 
 def allocate_budget(sizes: list[int], p: float) -> list[int]:
@@ -206,9 +229,14 @@ def sample_trace(trace: Trace, path: ExecutionPath, scorebook: ScoreBook,
     # a span's Z where it reaches the threshold in force, else None, by position
     ids = trace.ids
     z_at: list[float | None] = [None] * n
-    window_for = scorebook.window_for
+    windows = scorebook._windows
     for i in trace.arrival_order:
-        z, threshold = window_for(span_keys[i]).score(exclusive[i])
+        key = span_keys[i]
+        try:
+            win = windows[key]
+        except KeyError:
+            win = scorebook.window_for(key)
+        z, threshold = win.score(exclusive[i])
         if z >= threshold:
             z_at[i] = z
     z_of = list(map(z_at.__getitem__, order))  # by slot

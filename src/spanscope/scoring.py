@@ -13,9 +13,13 @@ observation sits on the median and a capped sentinel otherwise.
 
 SpanStatWindow.score(x) is the one way to feed a window: it returns
 (z, threshold), the threshold being the one in force before x, and then
-folds x into every statistic. A window's size and theta are its
-settings; its cold start is MIN_OBS, a module constant read when the window
-is built.
+folds x into every statistic. It is one pass over the window's own state:
+the median from its sorted list, both estimators' markers moved by
+`_p2_step`, the one marker step, which P2Quantile.update also calls, the
+mean and M2 updated in place, and one bisect delete and one insort to slide
+the window. A window's size and theta are its settings; its cold start is
+MIN_OBS, a module constant read when the window is built. RunningMedian,
+the same sorted list behind a class, has no caller in the package.
 
 ScoreBook.snapshot() and load_snapshot() give a StatsSnapshot: the dict that
 save_snapshot() writes, with each key's count, mean and std among its
@@ -37,6 +41,64 @@ MIN_OBS = 8  # a window's cold start, read when the window is built
 Z_CAP = 1e6
 
 
+def _p2_step(x: float, h: list, pos: list, des: list, inc: list) -> None:
+    """Move five P² markers by one observation x, past the first five.
+
+    h, pos, des and inc are the markers' heights, positions, desired
+    positions and the desired positions' increments. It is the one marker
+    step: P2Quantile.update and SpanStatWindow.score both call it.
+    """
+    # find the cell of x and bump every position above it; `not x >= h[k]`
+    # picks the same cell as a linear scan up the markers, NaN included
+    if x < h[0]:
+        h[0] = x
+        pos[1] += 1
+        pos[2] += 1
+        pos[3] += 1
+    elif x >= h[4]:
+        h[4] = x
+    elif not x >= h[1]:
+        pos[1] += 1
+        pos[2] += 1
+        pos[3] += 1
+    elif not x >= h[2]:
+        pos[2] += 1
+        pos[3] += 1
+    elif not x >= h[3]:
+        pos[3] += 1
+    pos[4] += 1
+    des[1] += inc[1]
+    des[2] += inc[2]
+    des[3] += inc[3]
+    des[4] += inc[4]
+
+    for i in (1, 2, 3):
+        pi = pos[i]
+        d = des[i] - pi
+        if d >= 1:
+            if pos[i + 1] - pi <= 1:
+                continue
+            d = 1
+        elif d <= -1:
+            if pos[i - 1] - pi >= -1:
+                continue
+            d = -1
+        else:
+            continue
+        hi = h[i]
+        p_next = pos[i + 1]
+        p_prev = pos[i - 1]
+        candidate = hi + d / (p_next - p_prev) * (
+            (pi - p_prev + d) * (h[i + 1] - hi) / (p_next - pi)
+            + (p_next - pi - d) * (hi - h[i - 1]) / (pi - p_prev)
+        )
+        if h[i - 1] < candidate < h[i + 1]:
+            h[i] = candidate
+        else:
+            h[i] = hi + d * (h[i + d] - hi) / (pos[i + d] - pi)
+        pos[i] = pi + d
+
+
 class P2Quantile:
     """Constant-space streaming quantile estimator.
 
@@ -44,96 +106,49 @@ class P2Quantile:
     neighbours and the maximum. Marker heights move by piecewise-parabolic
     interpolation with a linear fallback; positions stay strictly increasing
     integers and heights non-decreasing. The first five observations are held
-    exactly and sorted.
+    exactly and sorted. The markers are the whole state: the count of
+    observations is read from them.
     """
 
-    __slots__ = ("q", "n", "heights", "positions", "_desired", "_increments")
+    __slots__ = ("q", "heights", "positions", "_desired", "_increments")
 
     def __init__(self, quantile: float):
         if not 0.0 < quantile < 1.0:
             raise ValueError("quantile must be in (0, 1)")
         self.q = quantile
-        self.n = 0
         self.heights: list[float] = []
         self.positions = [1, 2, 3, 4, 5]
         self._desired = [1.0, 1 + 2 * quantile, 1 + 4 * quantile, 3 + 2 * quantile, 5.0]
         self._increments = [0.0, quantile / 2, quantile, (1 + quantile) / 2, 1.0]
 
+    @property
+    def n(self) -> int:
+        """Observations seen: the top marker's position once five are held."""
+        held = len(self.heights)
+        return self.positions[4] if held == 5 else held
+
     def update(self, x: float) -> None:
-        self.n += 1
-        if self.n <= 5:
-            self.heights.append(x)
-            if self.n == 5:
-                self.heights.sort()
-            return
-
         h = self.heights
-        pos = self.positions
-        des = self._desired
-        inc = self._increments
-
-        # find the cell of x and bump every position above it; `not x >= h[k]`
-        # picks the same cell as a linear scan up the markers, NaN included
-        if x < h[0]:
-            h[0] = x
-            pos[1] += 1
-            pos[2] += 1
-            pos[3] += 1
-        elif x >= h[4]:
-            h[4] = x
-        elif not x >= h[1]:
-            pos[1] += 1
-            pos[2] += 1
-            pos[3] += 1
-        elif not x >= h[2]:
-            pos[2] += 1
-            pos[3] += 1
-        elif not x >= h[3]:
-            pos[3] += 1
-        pos[4] += 1
-        des[1] += inc[1]
-        des[2] += inc[2]
-        des[3] += inc[3]
-        des[4] += inc[4]
-
-        for i in (1, 2, 3):
-            pi = pos[i]
-            d = des[i] - pi
-            if d >= 1:
-                if pos[i + 1] - pi <= 1:
-                    continue
-                d = 1
-            elif d <= -1:
-                if pos[i - 1] - pi >= -1:
-                    continue
-                d = -1
-            else:
-                continue
-            hi = h[i]
-            p_next = pos[i + 1]
-            p_prev = pos[i - 1]
-            candidate = hi + d / (p_next - p_prev) * (
-                (pi - p_prev + d) * (h[i + 1] - hi) / (p_next - pi)
-                + (p_next - pi - d) * (hi - h[i - 1]) / (pi - p_prev)
-            )
-            if h[i - 1] < candidate < h[i + 1]:
-                h[i] = candidate
-            else:
-                h[i] = hi + d * (h[i + d] - hi) / (pos[i + d] - pi)
-            pos[i] = pi + d
+        if len(h) < 5:
+            h.append(x)
+            if len(h) == 5:
+                h.sort()
+            return
+        _p2_step(x, h, self.positions, self._desired, self._increments)
 
     def value(self) -> float:
         """Current estimate; exact for fewer than five observations."""
-        if self.n == 0:
+        h = self.heights
+        if len(h) == 5:
+            return h[2]
+        if not h:
             return 0.0
-        if self.n < 5:
-            ordered = sorted(self.heights)
-            rank = self.q * (len(ordered) - 1)
-            lo = int(math.floor(rank))
-            hi = min(lo + 1, len(ordered) - 1)
-            frac = rank - lo
-            return ordered[lo] * (1 - frac) + ordered[hi] * frac
-        return self.heights[2]
+        ordered = sorted(h)
+        rank = self.q * (len(ordered) - 1)
+        lo = int(math.floor(rank))
+        hi = min(lo + 1, len(ordered) - 1)
+        frac = rank - lo
+        return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
 
 class RunningMedian:
@@ -171,42 +186,23 @@ class RunningMedian:
         return (vals[mid - 1] + vals[mid]) / 2
 
 
-class Welford:
-    """Running mean and standard deviation, single pass."""
-
-    __slots__ = ("count", "_mean", "_m2")
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def std(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self._m2 / (self.count - 1))
-
-
 class SpanStatWindow:
     """Sliding window of exclusive durations for one span type.
 
-    score(x) reads the threshold in force, scores x against the median and
-    MAD in place before x is inserted, then feeds the Z quantile, the Welford
-    moments, the MAD estimator and the window, and returns (z, threshold).
-    The first MIN_OBS observations score 0 and see an infinite
-    threshold, so cold windows flag nothing. Distinct keys are independent.
+    score(x) is the whole update for one observation, in one pass: it reads
+    the threshold in force and the median of the window's own sorted list,
+    scores x against that median and the MAD before x is inserted, moves
+    the Z-quantile and MAD markers through `_p2_step`, the marker step
+    P2Quantile.update also calls, updates the running mean and M2 (Welford)
+    in place, and slides the window with one bisect delete and one insort.
+    It returns (z, threshold). The first MIN_OBS observations score 0 and
+    see an infinite threshold, so cold windows flag nothing; the first five
+    go to the estimators' own update, which holds them exactly. Distinct
+    keys are independent.
     """
+
+    __slots__ = ("key", "window", "theta", "count", "_warm_at", "_values", "_sorted",
+                 "_mean", "_m2", "_mad_est", "_zq_est", "_mad_markers", "_zq_markers")
 
     def __init__(self, key: str, window: int = DEFAULT_WINDOW, theta: float = DEFAULT_THETA):
         if window < 1:
@@ -216,48 +212,63 @@ class SpanStatWindow:
         self._warm_at = MIN_OBS
         self.theta = theta
         self.count = 0
-        self._values: deque[float] = deque()
-        self._median = RunningMedian()
-        self._mad_est = P2Quantile(0.5)
-        self._zq_est = P2Quantile(theta)
-        self._welford = Welford()
-        # bound-method and marker-list aliases keep the per-observation path
-        # lean; both estimators see one update per observation, so their
-        # estimate is heights[2] once count reaches five
-        self._median_value = self._median.median
-        self._median_add = self._median.add
-        self._median_remove = self._median.remove
-        self._mad_update = self._mad_est.update
-        self._mad_heights = self._mad_est.heights
-        self._zq_update = self._zq_est.update
-        self._zq_heights = self._zq_est.heights
-        self._wf_add = self._welford.add
+        self._values: deque[float] = deque()  # arrival order
+        self._sorted: list[float] = []  # the same values, sorted
+        self._mean = 0.0
+        self._m2 = 0.0
+        mad = self._mad_est = P2Quantile(0.5)
+        zq = self._zq_est = P2Quantile(theta)
+        # each estimator's marker lists, which the estimator mutates in place
+        self._mad_markers = (mad.heights, mad.positions, mad._desired, mad._increments)
+        self._zq_markers = (zq.heights, zq.positions, zq._desired, zq._increments)
 
     def score(self, x: float) -> tuple[float, float]:
         """Score x, then add it; returns (z, threshold in force)."""
         count = self.count
-        cold = count < self._warm_at
-        threshold = self._zq_heights[2] if count >= 5 and not cold else self.z_threshold()
-
-        values = self._values
-        z = 0.0
+        srt = self._sorted
+        n = len(srt)
+        zh, zp, zd, zi = self._zq_markers
+        mh, mp, md, mi = self._mad_markers
         if not count:
-            deviation = 0.0
+            threshold = self.z_threshold()
+            z = deviation = 0.0
         else:
-            dev = x - self._median_value()
-            if not cold and dev != 0:
-                mad = self._mad_heights[2] if count >= 5 else self._mad_est.value()
-                z = math.copysign(Z_CAP, dev) if mad <= 0 else dev / mad
+            mid = n // 2
+            dev = x - (srt[mid] if n % 2 else (srt[mid - 1] + srt[mid]) / 2)
+            if count < self._warm_at:
+                threshold = math.inf
+                z = 0.0
+            else:
+                if count >= 5:
+                    threshold = zh[2]
+                    mad = mh[2]
+                else:
+                    threshold = self._zq_est.value()
+                    mad = self._mad_est.value()
+                if dev == 0:
+                    z = 0.0
+                else:
+                    z = math.copysign(Z_CAP, dev) if mad <= 0 else dev / mad
             deviation = abs(dev)
 
-        self._zq_update(z)
-        self._wf_add(x)
-        self._mad_update(deviation)
-        if len(values) == self.window:
-            self._median_remove(values.popleft())
+        if count >= 5:
+            _p2_step(z, zh, zp, zd, zi)
+            _p2_step(deviation, mh, mp, md, mi)
+        else:
+            self._zq_est.update(z)
+            self._mad_est.update(deviation)
+        count += 1
+        self.count = count
+        mean = self._mean
+        delta = x - mean
+        mean += delta / count
+        self._mean = mean
+        self._m2 += delta * (x - mean)
+        values = self._values
+        if n == self.window:
+            del srt[bisect_left(srt, values.popleft())]
         values.append(x)
-        self._median_add(x)
-        self.count = count + 1
+        insort(srt, x)
         return z, threshold
 
     def z_threshold(self) -> float:
@@ -270,15 +281,24 @@ class SpanStatWindow:
             return math.inf
         return self._zq_est.value()
 
+    def median(self) -> float:
+        """The median of the window's values; 0.0 while it is empty."""
+        srt = self._sorted
+        n = len(srt)
+        if not n:
+            return 0.0
+        mid = n // 2
+        return srt[mid] if n % 2 else (srt[mid - 1] + srt[mid]) / 2
+
     def stats(self) -> dict:
         count = self.count
         return {
             "count": count,
-            "median": self._median.median() if count else 0.0,
+            "median": self.median(),
             "mad": self._mad_est.value() if count else 0.0,
             "z_quantile": self._zq_est.value(),
-            "mean": self._welford.mean,
-            "std": self._welford.std,
+            "mean": self._mean,
+            "std": math.sqrt(self._m2 / (count - 1)) if count >= 2 else 0.0,
         }
 
 

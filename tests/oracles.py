@@ -11,6 +11,7 @@ import heapq
 import json
 import math
 import statistics
+from bisect import bisect_right
 from collections import Counter, deque, namedtuple
 from collections.abc import KeysView
 from dataclasses import dataclass
@@ -130,7 +131,8 @@ class HeapRunningMedian:
     upper half as a min-heap. Ghost entries are counted per heap and pruned
     whenever a top is inspected, and live sizes are tracked separately so
     ghosts never skew the balance. Even sizes report the midpoint. The
-    reference for `scoring.RunningMedian`, which keeps one sorted list.
+    reference for `scoring.RunningMedian` and for the median of
+    `scoring.SpanStatWindow`, each of which keeps one sorted list.
     """
 
     __slots__ = ("_low", "_high", "_low_n", "_high_n", "_dead_low", "_dead_high")
@@ -496,11 +498,36 @@ def oracle_structural_fidelity(original, rebuilt, mapping):
 
 # Score and select as they were before the fused window update: the marker
 # search is a scan with a `while` loop, every window observation reads its
-# threshold through z_threshold(), and the select loop keeps a flag for
-# every span and sorts every set. The fused versions must
-# give the same bits. These copies reuse the package's RunningMedian and
-# Welford, which tests check on their own; the select loop takes its budgets
-# from alg1_budgets and returns plain tuples, so it imports no sampler code.
+# threshold through z_threshold(), the median comes from the two heaps of
+# HeapRunningMedian and the moments from a Welford object, and the select
+# loop keeps a flag for every span and sorts every set. The fused versions
+# must give the same bits. The select loop takes its budgets from
+# alg1_budgets and returns plain tuples, so it imports no sampler code.
+
+
+class Welford:
+    """Running mean and standard deviation, single pass."""
+
+    def __init__(self):
+        self.count = 0
+        self._mean = 0.0
+        self._m2 = 0.0
+
+    def add(self, x: float) -> None:
+        self.count += 1
+        delta = x - self._mean
+        self._mean += delta / self.count
+        self._m2 += delta * (x - self._mean)
+
+    @property
+    def mean(self) -> float:
+        return self._mean
+
+    @property
+    def std(self) -> float:
+        if self.count < 2:
+            return 0.0
+        return math.sqrt(self._m2 / (self.count - 1))
 
 
 class OracleP2Quantile:
@@ -586,15 +613,13 @@ class OracleSpanStatWindow:
     """
 
     def __init__(self, key, window, min_obs, theta, exact=False):
-        from spanscope.scoring import RunningMedian, Welford
-
         self.key = key
         self.window = window
         self.min_obs = min_obs
         self.exact = exact
         self.count = 0
         self._values = deque()
-        self._median = RunningMedian()
+        self._median = HeapRunningMedian()
         self._mad_est = OracleP2Quantile(0.5)
         self._zq_est = OracleP2Quantile(theta)
         self._welford = Welford()
@@ -649,6 +674,38 @@ class OracleSpanStatWindow:
         """(z, threshold in force before x), as the package's."""
         threshold = self.z_threshold()
         return self.observe(x), threshold
+
+    def stats(self):
+        count = self.count
+        return {
+            "count": count,
+            "median": self._median.median() if count else 0.0,
+            "mad": self._mad_est.value() if count else 0.0,
+            "z_quantile": self._zq_est.value(),
+            "mean": self._welford.mean,
+            "std": self._welford.std,
+        }
+
+
+class OracleLrsLedger:
+    """The least-recently-sampled ledger that forgets nothing: every key
+    keeps every decision that kept it, and stats counts those inside the
+    horizon."""
+
+    def __init__(self, horizon):
+        self.horizon = horizon
+        self.seq = 0
+        self.picks: dict[str, list[int]] = {}
+
+    def note(self, keys):
+        self.seq += 1
+        for key in set(keys):
+            self.picks.setdefault(key, []).append(self.seq)
+
+    def stats(self, key):
+        picks = self.picks.get(key, [])
+        inside = len(picks) - bisect_right(picks, self.seq - self.horizon)
+        return (picks[-1], inside) if inside else (-1, 0)
 
 
 class OracleScoreBook:

@@ -29,10 +29,11 @@ from spanscope.sampler import (
     sample_trace,
     span_key,
 )
-from spanscope.scoring import ScoreBook
+from spanscope.scoring import ScoreBook, SpanStatWindow
 
 from .conftest import make_span, make_trace, named_sets
 from .oracles import (
+    OracleLrsLedger,
     OracleScoreBook,
     alg1_budgets,
     oracle_decision_serialize,
@@ -268,6 +269,52 @@ class TestLedger:
         assert ledger.stats("k") == (5, 5)
         assert ledger.stats("none") == (-1, 0)
 
+    def test_a_prune_that_empties_a_key_drops_it(self, monkeypatch):
+        monkeypatch.setattr(sampler, "LRS_HORIZON", 3)
+        ledger = LrsLedger()
+        ledger.note(("k", "j"))
+        ledger.note(("j",))
+        ledger.note(("j",))
+        assert ledger.stats("k") == (1, 1)
+        ledger.note(("j",))
+        assert ledger.stats("k") == (-1, 0)
+        assert "k" not in ledger._picks
+        assert ledger.stats("j") == (4, 3)
+
+    @pytest.mark.parametrize("horizon", [1, 5, 64, sampler.LRS_HORIZON])
+    def test_key_count_is_bounded_by_the_keys_kept_in_two_horizons(self, horizon,
+                                                                    monkeypatch):
+        # kept keys rotate through a pool that drifts, and one key in four
+        # decisions is never seen again, as an unmapped operation with an id
+        # in its name would be
+        monkeypatch.setattr(sampler, "LRS_HORIZON", horizon)
+        rng = random.Random(f"rotate-{horizon}")
+        ledger, ref = LrsLedger(), OracleLrsLedger(horizon)
+        recent: list[set] = []  # the kept keys of the last 2 x horizon decisions
+        in_recent: dict[str, int] = {}  # key -> decisions of `recent` that kept it
+        peak = 0
+        for seq in range(1, 20 * horizon + 1):
+            pool = seq // max(1, horizon // 4)
+            keys = {f"k{pool + rng.randrange(12)}" for _ in range(rng.randint(0, 4))}
+            if rng.random() < 0.25:
+                keys.add(f"op:/items/{seq}")
+            asked = sorted(keys | {f"k{pool + rng.randrange(-8, 16)}" for _ in range(3)})
+            assert [ledger.stats(k) for k in asked] == [ref.stats(k) for k in asked]
+            ledger.note(keys)
+            ref.note(keys)
+            recent.append(keys)
+            for key in keys:
+                in_recent[key] = in_recent.get(key, 0) + 1
+            if len(recent) > 2 * horizon:
+                for key in recent.pop(0):
+                    in_recent[key] -= 1
+                    if not in_recent[key]:
+                        del in_recent[key]
+            assert len(ledger._picks) <= len(in_recent)
+            peak = max(peak, len(ledger._picks))
+        assert {k: ledger.stats(k) for k in ref.picks} == {k: ref.stats(k) for k in ref.picks}
+        assert len(ref.picks) > 4 * peak  # the reference kept every key it saw
+
 
 def aligned_rows(graph, traces):
     """(trace, path, span keys, exclusive durations) of each trace, aligned
@@ -304,7 +351,7 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, monkeypatch)
     for rows in partitioned.values():
         book = ScoreBook(window=cfg.window, theta=cfg.theta)
         ref_book = OracleScoreBook(cfg.window, scoring.MIN_OBS, cfg.theta)
-        ledger, ref_ledger = LrsLedger(), LrsLedger()
+        ledger, ref_ledger = LrsLedger(), OracleLrsLedger(sampler.LRS_HORIZON)
         for trace, path, keys, exclusive in rows:
             got = sample_trace(trace, path, book, ledger, cfg, keys, exclusive)
             # the oracle reads each column by span id, and the sets named by id
@@ -320,12 +367,12 @@ def test_select_bit_identical_to_sort_every_set(partitioned, ratio, monkeypatch)
                 z_cut += by_z == budget and by_z > 0
                 lrs_cut += 0 < by_lrs < size - by_z
                 lrs_all += 0 < by_lrs == size - by_z
-        # the ledger may prune lazily: compare what it answers for every key
-        every_key = set(ref_ledger._picks) | set(ledger._picks)
+        # the ledger prunes and drops keys as it goes, and the reference
+        # forgets nothing: compare what they answer for every key ever kept
         assert ledger.seq == ref_ledger.seq
-        assert {k: ledger.stats(k) for k in every_key} == \
-            {k: ref_ledger.stats(k) for k in every_key}
-        assert ledger._picks == ref_ledger._picks
+        assert set(ledger._picks) <= set(ref_ledger.picks)
+        assert {k: ledger.stats(k) for k in ref_ledger.picks} == \
+            {k: ref_ledger.stats(k) for k in ref_ledger.picks}
     # each branch of the select loop ran
     assert min(z_cut, lrs_cut, lrs_all) > 0, (z_cut, lrs_cut, lrs_all)
 
@@ -361,6 +408,32 @@ def test_each_set_fills_its_budget_and_its_report_counts_the_kept(system, ratio)
             by_lrs_total += by_lrs
     # both ways of picking ran
     assert by_z_total > 0 and by_lrs_total > 0
+
+
+@pytest.mark.parametrize("system", sorted(GENERATED_SYSTEMS))
+def test_sampling_scores_each_span_once_in_arrival_order(system, monkeypatch):
+    """Every span reaches its window through SpanStatWindow.score, once,
+    which is what the benchmark's tracer wraps to time scoring."""
+    spec = GENERATED_SYSTEMS[system]
+    doc, meta = variable_depth_system() if system == "deep-chains" else generate_system(spec)
+    graph = build_cscfg(doc)
+    pipeline = SamplingPipeline(graph, build_map(graph), SamplingConfig())
+    scored = []
+    score = SpanStatWindow.score
+
+    def recording_score(self, x):
+        scored.append((self.key, x))
+        return score(self, x)
+
+    monkeypatch.setattr(SpanStatWindow, "score", recording_score)
+    for sample in generate_traces(graph, meta, spec, 100, make_default_faults(meta, 100)):
+        trace = sample.trace
+        keys = list(map(span_key, map(pipeline.mapping.resolve, trace.services,
+                                      trace.operations), trace.operations))
+        exclusive = exclusive_durations(trace)
+        scored.clear()
+        pipeline.process(trace)
+        assert scored == [(keys[i], exclusive[i]) for i in trace.arrival_order]
 
 
 def assert_encodes_like_the_sort_keys_reference(decision, n_spans):

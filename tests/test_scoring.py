@@ -5,15 +5,15 @@ import statistics
 import pytest
 
 import spanscope.scoring as scoring
-from spanscope.scoring import (
-    P2Quantile,
-    RunningMedian,
-    ScoreBook,
-    SpanStatWindow,
-    Welford,
-)
+from spanscope.scoring import P2Quantile, RunningMedian, ScoreBook, SpanStatWindow
 
-from .oracles import HeapRunningMedian, OracleP2Quantile, OracleSpanStatWindow, exact_quantile
+from .oracles import (
+    HeapRunningMedian,
+    OracleP2Quantile,
+    OracleSpanStatWindow,
+    Welford,
+    exact_quantile,
+)
 
 
 class TestP2Quantile:
@@ -48,7 +48,7 @@ class TestP2Quantile:
                 assert est.positions == sorted(est.positions)
                 assert len(set(est.positions)) == 5
                 assert est.positions[0] == 1
-                assert est.positions[4] == est.n
+                assert est.positions[4] == est.n == i + 1  # n is read from the markers
 
     def test_value_before_five_is_exact_interpolation(self):
         est = P2Quantile(0.5)
@@ -119,13 +119,6 @@ def stats_bits(win):
     return {k: bits(v) for k, v in win.stats().items()}
 
 
-def heap_window(*args, **kwargs):
-    """A SpanStatWindow whose running median is the two-heap reference."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scoring, "RunningMedian", HeapRunningMedian)
-        return SpanStatWindow(*args, **kwargs)
-
-
 def stream(rng, kind, n):
     if kind == "few-ints":  # heavy duplicates
         return [rng.randint(0, 3) for _ in range(n)]
@@ -140,18 +133,21 @@ def stream(rng, kind, n):
 # int and float values in one window may come back as either type.
 @pytest.mark.parametrize("kind", ["few-ints", "ints", "few-floats", "floats"])
 def test_window_outputs_bit_identical_to_heap_median(kind, monkeypatch):
+    # the reference window reads its median from the two heaps of
+    # HeapRunningMedian, where the package's reads its one sorted list
     rng = random.Random(f"median-{kind}")
     observed = 0
     windows = [1, 2, 3, 4, 5, 16, 511, 512] + [rng.randint(1, 512) for _ in range(4)]
     for window in windows:
-        monkeypatch.setattr(scoring, "MIN_OBS", rng.choice((1, 8)))
+        min_obs = rng.choice((1, 8))
+        monkeypatch.setattr(scoring, "MIN_OBS", min_obs)
         win = SpanStatWindow("k", window=window)
-        ref = heap_window("k", window=window)
+        ref = OracleSpanStatWindow("k", window, min_obs, scoring.DEFAULT_THETA)
         assert isinstance(ref._median, HeapRunningMedian)
         for i, x in enumerate(stream(rng, kind, 2 * window + 2000)):
             assert bits(win.z_threshold()) == bits(ref.z_threshold())
             assert [bits(v) for v in win.score(x)] == [bits(v) for v in ref.score(x)]
-            assert bits(win._median.median()) == bits(ref._median.median())
+            assert bits(win.median()) == bits(ref._median.median())
             if i % 97 == 0:
                 assert stats_bits(win) == stats_bits(ref)
             observed += 1
@@ -204,11 +200,19 @@ def test_p2_markers_bit_identical_to_scan_update(q, kind):
 
 
 def window_state(win):
-    """Everything a window carries between observations, bit for bit."""
-    wf = win._welford
-    return (win.count, [bits(v) for v in win._values],
-            [bits(v) for v in win._median._vals],
+    """Everything a window carries between observations, bit for bit: its
+    values in arrival order and sorted, both estimators' markers, and the
+    count, mean and M2 of its moments."""
+    return (win.count, [bits(v) for v in win._values], [bits(v) for v in win._sorted],
             marker_bits(win._mad_est), marker_bits(win._zq_est),
+            (win.count, bits(win._mean), bits(win._m2)))
+
+
+def oracle_window_state(ref):
+    """window_state of the reference window, laid out as the package's."""
+    wf = ref._welford
+    return (ref.count, [bits(v) for v in ref._values], [bits(v) for v in sorted(ref._values)],
+            marker_bits(ref._mad_est), marker_bits(ref._zq_est),
             (wf.count, bits(wf._mean), bits(wf._m2)))
 
 
@@ -232,8 +236,29 @@ def test_score_bit_identical_to_observe_then_threshold(kind, via_book, monkeypat
                 got, want = win.score(x), ref.score(x)
                 assert [bits(v) for v in got] == [bits(v) for v in want]
                 observed += 1
-            assert window_state(win) == window_state(ref)
+            assert window_state(win) == oracle_window_state(ref)
     assert observed >= 4_800
+
+
+@pytest.mark.parametrize("kind", ["few-ints", "ints", "few-floats", "floats"])
+def test_p2_fed_a_windows_streams_ends_with_its_markers(kind, monkeypatch):
+    # the window moves its estimators' markers itself past their first five
+    # observations; P2Quantile.update on the same z and deviation streams
+    # must leave the same bits
+    rng = random.Random(f"streams-{kind}")
+    for window in (1, 5, 512):
+        for min_obs in (0, 3, 8):
+            monkeypatch.setattr(scoring, "MIN_OBS", min_obs)
+            theta = rng.choice((0.5, 0.9, 0.99))
+            win = SpanStatWindow("k", window=window, theta=theta)
+            zq, mad = P2Quantile(theta), P2Quantile(0.5)
+            for x in stream(rng, kind, 1500):
+                deviation = abs(x - win.median()) if win.count else 0.0
+                zq.update(win.score(x)[0])
+                mad.update(deviation)
+            assert marker_bits(zq) == marker_bits(win._zq_est)
+            assert marker_bits(mad) == marker_bits(win._mad_est)
+            assert zq.n == mad.n == win.count
 
 
 class TestWelford:
@@ -326,7 +351,7 @@ class TestSpanStatWindow:
             x = rng.uniform(0, 1000)
             seen.append(x)
             win.score(x)
-            assert win._median.median() == statistics.median(seen[-32:])
+            assert win.median() == statistics.median(seen[-32:])
 
     def test_robust_z_resists_outliers_better_than_classic(self):
         rng = random.Random(14)
