@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +20,7 @@ from spanscope.harness import (
     variable_depth_system,
 )
 from spanscope.mapping import build_map
-from spanscope.model import exclusive_durations
+from spanscope.model import exclusive_durations, serialize_trace
 from spanscope.pipeline import SamplingPipeline
 from spanscope.sampler import (
     DssReport,
@@ -434,6 +437,33 @@ def test_sampling_scores_each_span_once_in_arrival_order(system, monkeypatch):
         scored.clear()
         pipeline.process(trace)
         assert scored == [(keys[i], exclusive[i]) for i in trace.arrival_order]
+
+
+@pytest.mark.parametrize("system", sorted(GENERATED_SYSTEMS))
+def test_sample_command_writes_the_same_bytes_under_two_hash_seeds(system, tmp_path):
+    """Keys are strings, whose hashes change with PYTHONHASHSEED, so no
+    decision may rest on the order of a set or a hash. More traces than the
+    ledger's horizon, so that it also drops keys."""
+    spec = GENERATED_SYSTEMS[system]
+    doc, meta = variable_depth_system() if system == "deep-chains" else generate_system(spec)
+    graph = build_cscfg(doc)
+    n = sampler.LRS_HORIZON + 76
+    graph_path, trace_path = tmp_path / "graph.json", tmp_path / "traces.ndjson"
+    graph.save_artifact(str(graph_path))
+    trace_path.write_text("".join(serialize_trace(s.trace) + "\n" for s in generate_traces(
+        graph, meta, spec, n, make_default_faults(meta, n))), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(sampler.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "spanscope.cli", "sample", "--graph", str(graph_path),
+                        "--traces", str(trace_path), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outs.append(out)
+    for name in ("decisions.ndjson", "kept.ndjson", "stats.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def assert_encodes_like_the_sort_keys_reference(decision, n_spans):
