@@ -21,6 +21,17 @@ the window. A window's size and theta are its settings; its cold start is
 MIN_OBS, a module constant read when the window is built. RunningMedian,
 the same sorted list behind a class, has no caller in the package.
 
+P² marker positions are held as integral floats (1.0, 2.0, ...; exact as
+doubles below 2^53), so that every operation of the marker step's common
+path is float against float: CPython's specializing interpreter (3.11+)
+has fast paths only for float-float and int-int arithmetic and comparison,
+and an int position against a float desired position takes the generic
+path on every marker of every step. P2Quantile.n still reads an int.
+Durations stay as they come, ints in practice, because their types reach
+stats.json (an odd window's median and the early MAD heights are written
+as ints), so three subtractions in score stay mixed int-float: x minus an
+even window's midpoint median, and Welford's two x - mean.
+
 ScoreBook.snapshot() and load_snapshot() give a StatsSnapshot: the dict that
 save_snapshot() writes, with each key's count, mean and std among its
 statistics, which rebuild reads to fill inferred spans. It is read-only once
@@ -47,42 +58,53 @@ def _p2_step(x: float, h: list, pos: list, des: list, inc: list) -> None:
     h, pos, des and inc are the markers' heights, positions, desired
     positions and the desired positions' increments. It is the one marker
     step: P2Quantile.update and SpanStatWindow.score both call it.
+
+    Positions are integral floats and a moving marker steps by d = +-1.0,
+    so the step's subtractions and comparisons are float-float. Its values
+    are those of integer positions: each operand of a division is exact, so
+    the quotient rounds once, as int/int true division does. (With int
+    heights the two agree while a height difference times a position gap
+    stays below 2^53.) Heights keep their types: a step writes x or a
+    quotient.
     """
     # find the cell of x and bump every position above it; `not x >= h[k]`
     # picks the same cell as a linear scan up the markers, NaN included
     if x < h[0]:
         h[0] = x
-        pos[1] += 1
-        pos[2] += 1
-        pos[3] += 1
+        pos[1] += 1.0
+        pos[2] += 1.0
+        pos[3] += 1.0
     elif x >= h[4]:
         h[4] = x
     elif not x >= h[1]:
-        pos[1] += 1
-        pos[2] += 1
-        pos[3] += 1
+        pos[1] += 1.0
+        pos[2] += 1.0
+        pos[3] += 1.0
     elif not x >= h[2]:
-        pos[2] += 1
-        pos[3] += 1
+        pos[2] += 1.0
+        pos[3] += 1.0
     elif not x >= h[3]:
-        pos[3] += 1
-    pos[4] += 1
+        pos[3] += 1.0
+    pos[4] += 1.0
     des[1] += inc[1]
     des[2] += inc[2]
     des[3] += inc[3]
     des[4] += inc[4]
 
+    # a marker that moves steps d = +-1.0 towards its neighbour j
     for i in (1, 2, 3):
         pi = pos[i]
         d = des[i] - pi
-        if d >= 1:
-            if pos[i + 1] - pi <= 1:
+        if d >= 1.0:
+            if pos[i + 1] - pi <= 1.0:
                 continue
-            d = 1
-        elif d <= -1:
-            if pos[i - 1] - pi >= -1:
+            d = 1.0
+            j = i + 1
+        elif d <= -1.0:
+            if pos[i - 1] - pi >= -1.0:
                 continue
-            d = -1
+            d = -1.0
+            j = i - 1
         else:
             continue
         hi = h[i]
@@ -95,7 +117,7 @@ def _p2_step(x: float, h: list, pos: list, des: list, inc: list) -> None:
         if h[i - 1] < candidate < h[i + 1]:
             h[i] = candidate
         else:
-            h[i] = hi + d * (h[i + d] - hi) / (pos[i + d] - pi)
+            h[i] = hi + d * (h[j] - hi) / (pos[j] - pi)
         pos[i] = pi + d
 
 
@@ -105,9 +127,10 @@ class P2Quantile:
     Five markers track the minimum, the target quantile, its half-way
     neighbours and the maximum. Marker heights move by piecewise-parabolic
     interpolation with a linear fallback; positions stay strictly increasing
-    integers and heights non-decreasing. The first five observations are held
-    exactly and sorted. The markers are the whole state: the count of
-    observations is read from them.
+    integers, held as floats for `_p2_step`'s fast path, and heights
+    non-decreasing. The first five observations are held exactly and sorted.
+    The markers are the whole state: the count of observations, an int, is
+    read from them.
     """
 
     __slots__ = ("q", "heights", "positions", "_desired", "_increments")
@@ -117,7 +140,7 @@ class P2Quantile:
             raise ValueError("quantile must be in (0, 1)")
         self.q = quantile
         self.heights: list[float] = []
-        self.positions = [1, 2, 3, 4, 5]
+        self.positions = [1.0, 2.0, 3.0, 4.0, 5.0]
         self._desired = [1.0, 1 + 2 * quantile, 1 + 4 * quantile, 3 + 2 * quantile, 5.0]
         self._increments = [0.0, quantile / 2, quantile, (1 + quantile) / 2, 1.0]
 
@@ -125,7 +148,7 @@ class P2Quantile:
     def n(self) -> int:
         """Observations seen: the top marker's position once five are held."""
         held = len(self.heights)
-        return self.positions[4] if held == 5 else held
+        return int(self.positions[4]) if held == 5 else held
 
     def update(self, x: float) -> None:
         h = self.heights
@@ -245,10 +268,10 @@ class SpanStatWindow:
                 else:
                     threshold = self._zq_est.value()
                     mad = self._mad_est.value()
-                if dev == 0:
+                if dev == 0.0:
                     z = 0.0
                 else:
-                    z = math.copysign(Z_CAP, dev) if mad <= 0 else dev / mad
+                    z = math.copysign(Z_CAP, dev) if mad <= 0.0 else dev / mad
             deviation = abs(dev)
 
         if count >= 5:
@@ -351,7 +374,8 @@ def save_snapshot(snapshot: dict, path) -> None:
 
 def load_snapshot(path) -> StatsSnapshot:
     """A statistics snapshot, checked for what rebuild reads of it: `keys`
-    maps each key to an object whose count, mean and std are finite numbers."""
+    maps each key to an object whose count, mean and std are finite numbers,
+    the count an integer >= 0 and the std >= 0."""
     import json
 
     from .errors import MalformedDocumentError
@@ -374,4 +398,11 @@ def load_snapshot(path) -> StatsSnapshot:
                 for name in ("count", "mean", "std")):
             raise MalformedDocumentError(
                 f"{path}: snapshot entry {key!r} needs finite numeric count, mean and std")
+        if type(entry["count"]) is not int or entry["count"] < 0:
+            raise MalformedDocumentError(
+                f"{path}: snapshot entry {key!r}: count must be an integer >= 0, "
+                f"not {entry['count']!r}")
+        if entry["std"] < 0:
+            raise MalformedDocumentError(
+                f"{path}: snapshot entry {key!r}: std must be >= 0, not {entry['std']!r}")
     return StatsSnapshot(data)

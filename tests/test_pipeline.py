@@ -818,14 +818,22 @@ def assert_names_the_bad_file(capsys, code, path):
     assert err.startswith("error: ") and str(path) in err, err
 
 
-@pytest.mark.parametrize("stats", [
-    '{"kind": "stats-snapshot", "keys": {"k": {"count": 3, "std": 1.0}}}',
-    '{"kind": "stats-snapshot", "keys": {"k": {"count": 3, "mean": true, "std": 1.0}}}',
-    '{"kind": "stats-snapshot", "keys": {"k": 5}}',
-    '{"kind": "stats-snapshot", "keys": []}',
-    '{"kind": "stats-snapshot", "keys": {',
-], ids=["no-mean", "bool-mean", "entry-not-object", "keys-list", "bad-json"])
-def test_reconstruct_names_a_malformed_stats_file(workload, tmp_path, capsys, stats):
+# named: what the message must also name, beyond the file
+@pytest.mark.parametrize("stats, named", [
+    ('{"kind": "stats-snapshot", "keys": {"k": {"count": 3, "std": 1.0}}}', "'k'"),
+    ('{"kind": "stats-snapshot", "keys": {"k": {"count": 3, "mean": true, "std": 1.0}}}', "'k'"),
+    ('{"kind": "stats-snapshot", "keys": {"k": 5}}', "'k'"),
+    ('{"kind": "stats-snapshot", "keys": []}', "keys"),
+    ('{"kind": "stats-snapshot", "keys": {', "bad statistics snapshot"),
+    ('{"kind": "stats-snapshot", "keys": {"k": {"count": -7, "mean": 2.0, "std": 1.0}}}',
+     "'k': count must be an integer >= 0, not -7"),
+    ('{"kind": "stats-snapshot", "keys": {"k": {"count": 3.5, "mean": 2.0, "std": 1.0}}}',
+     "'k': count must be an integer >= 0, not 3.5"),
+    ('{"kind": "stats-snapshot", "keys": {"k": {"count": 7, "mean": 2.0, "std": -3.5}}}',
+     "'k': std must be >= 0, not -3.5"),
+], ids=["no-mean", "bool-mean", "entry-not-object", "keys-list", "bad-json",
+        "negative-count", "fraction-count", "negative-std"])
+def test_reconstruct_names_a_malformed_stats_file(workload, tmp_path, capsys, stats, named):
     graph_path, trace_path = write_cli_inputs(workload, tmp_path, 5)
     out = tmp_path / "out"
     assert cli.main(["sample", "--graph", graph_path, "--traces", trace_path,
@@ -837,7 +845,8 @@ def test_reconstruct_names_a_malformed_stats_file(workload, tmp_path, capsys, st
                      "--decisions", str(out / "decisions.ndjson"),
                      "--kept", str(out / "kept.ndjson"), "--stats", str(bad),
                      "--out", str(tmp_path / "rebuilt")])
-    assert_names_the_bad_file(capsys, code, bad)
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: {bad}: ") and named in err, err
 
 
 @pytest.mark.parametrize("artifact", [

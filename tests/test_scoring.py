@@ -199,6 +199,44 @@ def test_p2_markers_bit_identical_to_scan_update(q, kind):
         assert bits(est.value()) == bits(ref.value())
 
 
+def assert_markers_are_floats(est, ref, n):
+    """est's positions and desired positions are floats, its positions equal
+    the reference's integers, and n is an int equal to the updates made."""
+    assert all(type(p) is float for p in est.positions), est.positions
+    assert all(type(d) is float for d in est._desired), est._desired
+    assert all(type(p) is int for p in ref.positions)
+    assert est.positions == ref.positions
+    assert type(est.n) is int and est.n == ref.n == n
+
+
+# `_p2_step` stays on the interpreter's float fast path only while positions
+# are floats: an int bump would bring the generic path back. "window" feeds
+# a SpanStatWindow of theta q an int stream twice its window long, and
+# checks both of its estimators, whose markers score moves itself.
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("kind", P2_KINDS + ["window"])
+def test_p2_markers_stay_floats(q, kind):
+    rng = random.Random(f"floats-{q}-{kind}")
+    if kind == "window":
+        win = SpanStatWindow("k", window=64, theta=q)
+        pairs = ((win._zq_est, OracleP2Quantile(q)), (win._mad_est, OracleP2Quantile(0.5)))
+        for i in range(128):
+            x = rng.randint(0, 10 ** 6)
+            deviation = abs(x - win.median()) if win.count else 0.0
+            z = win.score(x)[0]
+            pairs[0][1].update(z)
+            pairs[1][1].update(deviation)
+            for est, ref in pairs:
+                assert_markers_are_floats(est, ref, i + 1)
+        return
+    est, ref = P2Quantile(q), OracleP2Quantile(q)
+    for i in range(1000):
+        x = p2_draw(rng, kind, i, ref.heights)
+        est.update(x)
+        ref.update(x)
+        assert_markers_are_floats(est, ref, i + 1)
+
+
 def window_state(win):
     """Everything a window carries between observations, bit for bit: its
     values in arrival order and sorted, both estimators' markers, and the
